@@ -164,8 +164,8 @@ func New(cfg Config) (*Assistant, error) {
 // for the cache to call from background goroutines.
 func nextStepNeighbors(cat *hacc.Catalog) func(path string) []string {
 	type series struct {
-		run  int
-		typ  string
+		run int
+		typ string
 	}
 	bySeries := map[series][]hacc.FileEntry{}
 	for _, f := range cat.Files {

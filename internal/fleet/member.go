@@ -49,15 +49,15 @@ type MemberStatus struct {
 	Healthy bool   `json:"healthy"`
 	// ConsecutiveFailures / ConsecutiveSuccesses are the current streak
 	// against the ejection / readmission thresholds.
-	ConsecutiveFailures   int           `json:"consecutive_failures,omitempty"`
-	ConsecutiveSuccesses  int           `json:"consecutive_successes,omitempty"`
-	LastError             string        `json:"last_error,omitempty"`
-	LastProbe             time.Time     `json:"last_probe"`
-	LastProbeLatency      time.Duration `json:"last_probe_latency_ns,omitempty"`
-	ProbeBackoff          time.Duration `json:"probe_backoff_ns,omitempty"`
-	Ejections             int64         `json:"ejections,omitempty"`
-	Shards                int           `json:"shards"`
-	Live                  int           `json:"live"`
+	ConsecutiveFailures  int           `json:"consecutive_failures,omitempty"`
+	ConsecutiveSuccesses int           `json:"consecutive_successes,omitempty"`
+	LastError            string        `json:"last_error,omitempty"`
+	LastProbe            time.Time     `json:"last_probe"`
+	LastProbeLatency     time.Duration `json:"last_probe_latency_ns,omitempty"`
+	ProbeBackoff         time.Duration `json:"probe_backoff_ns,omitempty"`
+	Ejections            int64         `json:"ejections,omitempty"`
+	Shards               int           `json:"shards"`
+	Live                 int           `json:"live"`
 }
 
 // pool tracks member health and owns the ring: only healthy members are on

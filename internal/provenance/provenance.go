@@ -7,11 +7,12 @@
 package provenance
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -155,24 +156,51 @@ func (s *Session) Dir() string { return s.dir }
 
 // Record stores data as the next sequentially numbered artifact.
 func (s *Session) Record(agent, kind, name string, data []byte) (Entry, error) {
+	return s.record(agent, kind, name, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// RecordFrame stores a dataframe as a CSV artifact of kind "data". The
+// encoding streams into the artifact file and the hash together, so the
+// artifact is never held whole in memory.
+func (s *Session) RecordFrame(agent, name string, f *dataframe.Frame) (Entry, error) {
+	if !strings.HasSuffix(name, ".csv") {
+		name += ".csv"
+	}
+	return s.record(agent, "data", name, f.WriteCSV)
+}
+
+// record writes the next sequentially numbered artifact with write, hashing
+// and counting the bytes on their way to the file, and appends its manifest
+// line.
+func (s *Session) record(agent, kind, name string, write func(io.Writer) error) (Entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seq := s.seq
 	s.seq++
 	file := filepath.Join("artifacts", fmt.Sprintf("%03d_%s_%s_%s", seq, sanitize(agent), sanitize(kind), sanitize(name)))
-	full := filepath.Join(s.dir, file)
-	if err := os.WriteFile(full, data, 0o644); err != nil {
+	af, err := os.OpenFile(filepath.Join(s.dir, file), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return Entry{}, err
 	}
-	sum := sha256.Sum256(data)
+	sum := hashCounter{Hash: sha256.New()}
+	err = write(io.MultiWriter(af, &sum))
+	if cerr := af.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return Entry{}, err
+	}
 	e := Entry{
 		Seq:    seq,
 		Agent:  agent,
 		Kind:   kind,
 		Name:   name,
 		File:   file,
-		SHA256: hex.EncodeToString(sum[:]),
-		Bytes:  int64(len(data)),
+		SHA256: hex.EncodeToString(sum.Sum(nil)),
+		Bytes:  sum.n,
 	}
 	line, err := json.Marshal(e)
 	if err != nil {
@@ -190,16 +218,15 @@ func (s *Session) Record(agent, kind, name string, data []byte) (Entry, error) {
 	return e, nil
 }
 
-// RecordFrame stores a dataframe as a CSV artifact of kind "data".
-func (s *Session) RecordFrame(agent, name string, f *dataframe.Frame) (Entry, error) {
-	var buf bytes.Buffer
-	if err := f.WriteCSV(&buf); err != nil {
-		return Entry{}, err
-	}
-	if !strings.HasSuffix(name, ".csv") {
-		name += ".csv"
-	}
-	return s.Record(agent, "data", name, buf.Bytes())
+// hashCounter is a hash that also counts the bytes written to it.
+type hashCounter struct {
+	hash.Hash
+	n int64
+}
+
+func (h *hashCounter) Write(p []byte) (int, error) {
+	h.n += int64(len(p))
+	return h.Hash.Write(p)
 }
 
 // Checkpoint stores a JSON-marshaled workflow state snapshot, enabling the

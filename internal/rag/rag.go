@@ -175,32 +175,32 @@ func (ix *Index) Search(query string, k int) []Scored {
 
 // MMR returns k documents selected by maximum marginal relevance: each pick
 // maximizes lambda·sim(query, d) − (1−lambda)·max sim(d, already picked),
-// trading relevance against redundancy (Carbonell & Goldstein 1998).
+// trading relevance against redundancy (Carbonell & Goldstein 1998). Each
+// document's max similarity to the picked set is carried from pick to
+// pick, so a pick costs one Cosine per remaining candidate.
 func (ix *Index) MMR(query string, k int, lambda float64) []Scored {
+	return ix.mmr(Embed(query), k, lambda)
+}
+
+// mmr is MMR over an embedded query.
+func (ix *Index) mmr(q []float64, k int, lambda float64) []Scored {
 	if k > len(ix.docs) {
 		k = len(ix.docs)
 	}
-	q := Embed(query)
 	rel := make([]float64, len(ix.docs))
 	for i := range ix.docs {
 		rel[i] = Cosine(q, ix.vecs[i])
 	}
-	picked := make([]int, 0, k)
+	redundancy := make([]float64, len(ix.docs)) // max sim to any pick so far
 	used := make([]bool, len(ix.docs))
 	out := make([]Scored, 0, k)
-	for len(picked) < k {
+	for len(out) < k {
 		best, bestScore := -1, math.Inf(-1)
 		for i := range ix.docs {
 			if used[i] {
 				continue
 			}
-			redundancy := 0.0
-			for _, p := range picked {
-				if s := Cosine(ix.vecs[i], ix.vecs[p]); s > redundancy {
-					redundancy = s
-				}
-			}
-			score := lambda*rel[i] - (1-lambda)*redundancy
+			score := lambda*rel[i] - (1-lambda)*redundancy[i]
 			if score > bestScore {
 				best, bestScore = i, score
 			}
@@ -209,8 +209,18 @@ func (ix *Index) MMR(query string, k int, lambda float64) []Scored {
 			break
 		}
 		used[best] = true
-		picked = append(picked, best)
 		out = append(out, Scored{Doc: ix.docs[best], Score: bestScore})
+		if len(out) == k {
+			break
+		}
+		for i := range ix.docs {
+			if used[i] {
+				continue
+			}
+			if s := Cosine(ix.vecs[i], ix.vecs[best]); s > redundancy[i] {
+				redundancy[i] = s
+			}
+		}
 	}
 	return out
 }

@@ -30,17 +30,32 @@ func BuildHACCIndex() *Index {
 	return ix
 }
 
-// Retriever applies the multi-prompt retrieval policy of §3.1.
+// Retriever applies the multi-prompt retrieval policy of §3.1. Build one
+// with NewRetriever, over an index that is complete: the sub-index of its
+// important-tagged documents is taken then.
 type Retriever struct {
 	Index     *Index
 	PerPrompt int     // top-k per prompt (paper: 20)
 	MaxDocs   int     // global cap across prompts (paper: 80)
 	Lambda    float64 // MMR relevance/diversity trade-off
+
+	important *Index // Index's Important documents, for the "[IMPORTANT]" prompt
 }
 
-// NewRetriever returns a retriever with the paper's defaults.
+// NewRetriever returns a retriever over ix with the paper's defaults.
 func NewRetriever(ix *Index) *Retriever {
-	return &Retriever{Index: ix, PerPrompt: 20, MaxDocs: 80, Lambda: 0.7}
+	return &Retriever{Index: ix, PerPrompt: 20, MaxDocs: 80, Lambda: 0.7, important: importantDocs(ix)}
+}
+
+// importantDocs indexes the important-tagged documents of ix.
+func importantDocs(ix *Index) *Index {
+	important := NewIndex()
+	for _, d := range ix.docs {
+		if d.Important {
+			important.Add(d)
+		}
+	}
+	return important
 }
 
 // Retrieve runs MMR retrieval for each non-empty prompt — the original user
@@ -70,18 +85,12 @@ func (r *Retriever) Retrieve(query, task, plan string) []Document {
 	}
 	// The [IMPORTANT] prompt: important-tagged documents ranked against the
 	// user query.
-	important := NewIndex()
-	for _, d := range r.Index.docs {
-		if d.Important {
-			important.Add(d)
-		}
-	}
-	if important.Len() > 0 {
+	if r.important.Len() > 0 {
 		q := query
 		if q == "" {
 			q = task
 		}
-		add(important.Search("[IMPORTANT] "+q, r.PerPrompt))
+		add(r.important.Search("[IMPORTANT] "+q, r.PerPrompt))
 	}
 	return out
 }

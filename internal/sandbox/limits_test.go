@@ -53,21 +53,29 @@ func TestExecutorBudgetExhaustion(t *testing.T) {
 			wantErr: "MemoryError: script exceeded its memory budget",
 		},
 		{
+			// halosFrame is 48 tracked bytes: a table above the budget fails at
+			// the load, as it did when the load was a parse of staged text.
+			name:    "table",
+			lim:     Limits{MaxMemBytes: 40},
+			code:    `h = load_table("halos")`,
+			wantErr: "line 1: MemoryError: script exceeded its memory budget (40 bytes)",
+		},
+		{
 			name:    "wall",
 			lim:     Limits{MaxWall: time.Nanosecond},
 			code:    bigListScript(600),
 			wantErr: "TimeoutError: script exceeded its wall-clock limit",
 		},
 		{
-			name: "artifact",
-			lim:  Limits{MaxArtifactBytes: 8},
-			code: `h = load_table("halos")` + "\n" + `save_csv(h, "out.csv")`,
+			name:    "artifact",
+			lim:     Limits{MaxArtifactBytes: 8},
+			code:    `h = load_table("halos")` + "\n" + `save_csv(h, "out.csv")`,
 			wantErr: "MemoryError: artifact budget exceeded",
 		},
 		{
-			name: "stdout",
-			lim:  Limits{MaxStdoutLines: 2},
-			code: "print(1)\nprint(2)\nprint(3)",
+			name:    "stdout",
+			lim:     Limits{MaxStdoutLines: 2},
+			code:    "print(1)\nprint(2)\nprint(3)",
 			wantErr: "MemoryError: stdout line budget exceeded",
 		},
 	}

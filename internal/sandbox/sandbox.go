@@ -4,6 +4,17 @@
 // error detection, and returns either a complete error-free pandas
 // dataframe or detailed error messages."
 //
+// The "temporary data copy" is an immutable view, not a copy: a script's
+// load_table receives dataframe.CanonicalView of the input table — the
+// frame the table's CSV would parse to, kinds re-inferred, over the same
+// column vectors marked shared. No script verb writes a cell in place and
+// growth is copy-on-write, so the code cannot reach the originals, and what
+// it computes is what it computed when every table was written to a
+// temporary directory as text and parsed back. CSV remains where bytes
+// leave the process: the Server/Client wire format, provenance artifacts,
+// and the files a script writes with save_csv (and may read_csv back) in
+// its per-execution working directory.
+//
 // Two entry points share one execution core: Executor runs in-process, and
 // Server/Client speak the same contract over HTTP on 127.0.0.1 (the
 // ASGI-gateway analog of the paper's Uvicorn/FastAPI server).
@@ -16,11 +27,9 @@
 package sandbox
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"infera/internal/dataframe"
@@ -72,7 +81,7 @@ const (
 	BackendTreeWalk = "treewalk"
 )
 
-// Executor runs scripts against temporary copies of input tables.
+// Executor runs scripts against immutable views of input tables.
 type Executor struct {
 	// Registry is the function set available to executed code. Defaults to
 	// script.DefaultRegistry when nil.
@@ -91,12 +100,16 @@ type Executor struct {
 	MetricLabels []telemetry.Label
 }
 
-// Exec copies the input tables into a fresh temporary directory as CSVs,
-// runs the code there, and tears the directory down afterwards. The input
-// frames themselves are never handed to the code — only copies — so the
-// original data cannot be modified. Budgets from e.Limits are enforced
-// during the run, and any panic in the interpreter or a builtin is
-// recovered into a Python-like error string.
+// Exec runs the code in a fresh temporary working directory, torn down
+// afterwards, with tables as its input set: load_table(name) yields
+// dataframe.CanonicalView of tables[name], so the code works on what the
+// table's CSV would parse to without the text being produced, and charges
+// fuel and tracked memory for it as it always has. The input frames are
+// only read — tables, and every vector in it, is the same afterwards, also
+// when several Execs share it concurrently. The Result's frame may share
+// column vectors with the inputs. Budgets from e.Limits are enforced during
+// the run, and any panic in the interpreter or a builtin is recovered into
+// a Python-like error string.
 func (e *Executor) Exec(code string, tables map[string]*dataframe.Frame) (res Result) {
 	dir, err := os.MkdirTemp(e.BaseDir, "infera-sandbox-*")
 	if err != nil {
@@ -104,21 +117,12 @@ func (e *Executor) Exec(code string, tables map[string]*dataframe.Frame) (res Re
 	}
 	defer os.RemoveAll(dir)
 
-	for name, f := range tables {
-		var buf bytes.Buffer
-		if err := f.WriteCSV(&buf); err != nil {
-			return Result{Error: "OSError: staging table " + name + ": " + err.Error()}
-		}
-		if err := os.WriteFile(filepath.Join(dir, name+".csv"), buf.Bytes(), 0o644); err != nil {
-			return Result{Error: "OSError: " + err.Error()}
-		}
-	}
-
 	reg := e.Registry
 	if reg == nil {
 		reg = script.DefaultRegistry()
 	}
 	env := script.NewEnv(reg, dir)
+	env.Tables = tables
 	env.Budgets = script.Budgets{
 		MaxFuel:          e.Limits.MaxFuel,
 		MaxMemBytes:      e.Limits.MaxMemBytes,

@@ -159,6 +159,9 @@ func safePath(env *Env, name string) (string, error) {
 
 // IO -------------------------------------------------------------------------
 
+// load_table(name) returns the input table name: a canonical view of
+// env.Tables[name] (see Env.Tables), else the parse of name+".csv" under
+// the working directory.
 func biLoadTable(env *Env, args []Value) (Value, error) {
 	if err := wantArgs("load_table", args, 1); err != nil {
 		return Value{}, err
@@ -167,21 +170,12 @@ func biLoadTable(env *Env, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	path, err := safePath(env, name+".csv")
-	if err != nil {
-		return Value{}, err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Value{}, fmt.Errorf("KeyError: table %q not found in sandbox", name)
-	}
-	f, err := dataframe.ReadCSV(bytes.NewReader(data))
-	if err != nil {
-		return Value{}, err
-	}
-	return FrameValue(f), nil
+	return loadCSV(env, name+".csv", fmt.Errorf("KeyError: table %q not found in sandbox", name))
 }
 
+// read_csv(file) returns the frame held by a CSV file in the working
+// directory — one the script saved, or an input table under its file name
+// (name+".csv"), which resolves like load_table(name).
 func biReadCSV(env *Env, args []Value) (Value, error) {
 	if err := wantArgs("read_csv", args, 1); err != nil {
 		return Value{}, err
@@ -190,13 +184,28 @@ func biReadCSV(env *Env, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	path, err := safePath(env, name)
+	return loadCSV(env, name, fmt.Errorf("FileNotFoundError: %q", name))
+}
+
+// loadCSV resolves file, a path relative to the working directory: first
+// against env.Tables, where "<name>.csv" is the table <name> unless the
+// script has since written that file, then on disk. Either way the script
+// gets what parsing the table's CSV yields; notFound is the error for a
+// file that is neither.
+func loadCSV(env *Env, file string, notFound error) (Value, error) {
+	path, err := safePath(env, file)
 	if err != nil {
 		return Value{}, err
 	}
+	rel, _ := filepath.Rel(env.WorkDir, path) // safePath put path under WorkDir
+	if name, ok := strings.CutSuffix(rel, ".csv"); ok && !env.saved[path] {
+		if f, ok := env.Tables[name]; ok {
+			return FrameValue(f.CanonicalView()), nil
+		}
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return Value{}, fmt.Errorf("FileNotFoundError: %q", name)
+		return Value{}, notFound
 	}
 	f, err := dataframe.ReadCSV(bytes.NewReader(data))
 	if err != nil {
@@ -225,7 +234,7 @@ func biSaveCSV(env *Env, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := writeFile(env, path, buf.Bytes()); err != nil {
 		return Value{}, err
 	}
 	if err := env.AddArtifact(name, buf.Bytes()); err != nil {

@@ -315,7 +315,7 @@ func renderAndStore(env *Env, spec *viz.PlotSpec, outName string) (Value, error)
 	if err != nil {
 		return Value{}, err
 	}
-	if err := writeFile(path, svg); err != nil {
+	if err := writeFile(env, path, svg); err != nil {
 		return Value{}, err
 	}
 	if err := env.AddArtifact(outName, svg); err != nil {
@@ -538,6 +538,13 @@ func joinNames(names []string) string {
 	}
 }
 
-func writeFile(path string, data []byte) error {
+// writeFile writes a file the script asked for under the working directory
+// and notes the path, so a later read finds the file and not an input
+// table of the same name.
+func writeFile(env *Env, path string, data []byte) error {
+	if env.saved == nil {
+		env.saved = map[string]bool{}
+	}
+	env.saved[path] = true
 	return os.WriteFile(path, data, 0o644)
 }

@@ -107,11 +107,17 @@ type Func func(env *Env, args []Value) (Value, error)
 type Registry map[string]Func
 
 // Env is the execution environment: variable bindings, the function
-// registry, and host-provided context (working directory for file
-// functions, artifact sink).
+// registry, and host-provided context (input tables, working directory for
+// file functions, artifact sink).
 type Env struct {
-	Vars      map[string]Value
-	Funcs     Registry
+	Vars  map[string]Value
+	Funcs Registry
+	// Tables are the host's input tables. load_table(name) and
+	// read_csv(name+".csv") hand the script dataframe.CanonicalView of the
+	// entry — the frame its CSV would parse to, over the same immutable
+	// vectors — and only look under WorkDir for names not found here. The
+	// map and its frames are read, never written.
+	Tables    map[string]*dataframe.Frame
 	WorkDir   string            // sandbox root for file reads/writes
 	Artifacts map[string][]byte // files produced by plot/scene/save functions
 	Result    *dataframe.Frame  // set by result()
@@ -128,6 +134,10 @@ type Env struct {
 
 	sinceWallCheck int   // charges since the last deadline check
 	artifactBytes  int64 // total artifact payload recorded via AddArtifact
+	// saved holds the WorkDir paths the script wrote (save_csv, plots),
+	// which from then on shadow a same-named entry of Tables as the file
+	// always did.
+	saved map[string]bool
 }
 
 // NewEnv returns an environment with the given registry and working dir.

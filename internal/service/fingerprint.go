@@ -3,6 +3,7 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io/fs"
 	"path/filepath"
@@ -16,7 +17,10 @@ import (
 // It is the cache-key component that invalidates answers when the
 // underlying data changes: touching, replacing or adding any file under
 // the ensemble root yields a different fingerprint without reading file
-// contents, so the per-request cost stays at a stat walk.
+// contents, so the per-request cost stays at a stat walk. A file or
+// subdirectory that vanishes between being listed and being examined is
+// left out, as if the walk had started a moment later; only a missing dir
+// itself is an error.
 func Fingerprint(dir string) (string, error) {
 	type stamp struct {
 		rel   string
@@ -26,12 +30,18 @@ func Fingerprint(dir string) (string, error) {
 	var stamps []stamp
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
+			if path != dir && errors.Is(err, fs.ErrNotExist) {
+				return nil
+			}
 			return err
 		}
 		if d.IsDir() {
 			return nil
 		}
 		info, err := d.Info()
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}

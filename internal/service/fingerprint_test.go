@@ -3,6 +3,7 @@ package service
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -95,5 +96,53 @@ func TestCachedFingerprintConcurrent(t *testing.T) {
 	// Errors are not memoized: a missing dir fails every time.
 	if _, err := CachedFingerprint(filepath.Join(dir, "missing"), time.Second); err == nil {
 		t.Fatal("want error for missing dir")
+	}
+}
+
+// A file or subdirectory that vanishes while the walk is under way (a
+// writer's temp file, a snapshot being swapped) must not fail the
+// fingerprint, and so the ask; a missing ensemble directory still does.
+func TestFingerprintToleratesVanishingFiles(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 64; i++ {
+		if err := os.WriteFile(filepath.Join(dir, "stable-"+strconv.Itoa(i)), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		sub := filepath.Join(dir, "swap")
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Errors here are the churn colliding with itself, not the subject.
+			_ = os.Mkdir(sub, 0o755)
+			for i := 0; i < 16; i++ {
+				_ = os.WriteFile(filepath.Join(dir, "tmp-"+strconv.Itoa(i)), nil, 0o644)
+				_ = os.WriteFile(filepath.Join(sub, "tmp-"+strconv.Itoa(i)), nil, 0o644)
+			}
+			for i := 0; i < 16; i++ {
+				_ = os.Remove(filepath.Join(dir, "tmp-"+strconv.Itoa(i)))
+			}
+			_ = os.RemoveAll(sub)
+		}
+	}()
+	for i := 0; i < 300; i++ {
+		if _, err := Fingerprint(dir); err != nil {
+			t.Errorf("walk %d: %v", i, err)
+			break
+		}
+	}
+	close(stop)
+	churn.Wait()
+
+	if _, err := Fingerprint(filepath.Join(dir, "no-such-ensemble")); err == nil {
+		t.Error("fingerprint of a missing directory succeeded")
 	}
 }

@@ -1166,7 +1166,7 @@ func pruneBetween(v *betweenExpr, stats func(string) (dataframe.Stats, bool)) tr
 		return triMaybe
 	}
 	lo, hi := loV.asFloat(), hiV.asFloat()
-	allOut := st.Max < lo || st.Min > hi            // no non-NaN row inside; NaN rows are outside too
+	allOut := st.Max < lo || st.Min > hi // no non-NaN row inside; NaN rows are outside too
 	allIn := st.NaNs == 0 && st.Min >= lo && st.Max <= hi
 	if v.negate {
 		if allIn {
