@@ -113,6 +113,9 @@ func TestHTTPPrometheusEndpoint(t *testing.T) {
 		`# TYPE infera_sql_segments_pruned_total counter`,
 		`# TYPE infera_sql_rows_filtered_total counter`,
 		`infera_stage_decoded_bytes_total`,
+		`# TYPE infera_stage_disk_mappings gauge`,
+		`# TYPE infera_stage_disk_released_bytes_total counter`,
+		`# TYPE infera_stage_watch_overflows_total counter`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("prometheus output missing %q", want)

@@ -17,11 +17,14 @@ var hostLittleEndian = func() bool {
 
 // castColumn views an 8-aligned little-endian numeric payload as a column
 // vector without copying or decoding — the zero-cost half of promotion.
-// The payload must stay immutable and mapped for the process lifetime
-// (the disk tier never unmaps), which is exactly the contract shared
-// cache vectors already carry via MarkShared.
+// The payload must stay immutable and mapped for the vector's lifetime,
+// which is exactly the contract shared cache vectors already carry via
+// MarkShared: the disk tier never unmaps a mapping it cast from, and
+// when it releases the mapping's pages a later read re-faults the same
+// bytes from the never-rewritten block file.
 func castColumn(name string, kind dataframe.Kind, payload []byte, rows int) (*dataframe.Column, error) {
-	if len(payload) != 8*rows {
+	// Compare by division: 8*rows overflows for a corrupt header's rows.
+	if rows < 0 || len(payload)%8 != 0 || len(payload)/8 != rows {
 		return nil, fmt.Errorf("stage: %s block size %d != 8*%d", kind, len(payload), rows)
 	}
 	if uintptr(unsafe.Pointer(unsafe.SliceData(payload)))%8 != 0 {

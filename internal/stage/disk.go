@@ -16,14 +16,26 @@
 // file and casts the (8-aligned) payload into the column vector directly:
 // no read, no per-element decode, pages fault in lazily as the column is
 // actually scanned. String columns (variable-width) and non-little-endian
-// hosts take a copy-decode fallback through gio.DecodeBlock. Mappings are
-// never unmapped: promoted vectors alias the pages from frames, SQL
-// segments and answer caches with unbounded lifetime, and a read-only
-// file-backed mapping costs address space, not resident memory. Truncated
-// or corrupt block files are detected by header validation and size
-// bounds checks before any cast; a failed promotion evicts exactly that
-// block file and falls through to the real decoder (per-column error
+// hosts take a copy-decode fallback through gio.DecodeBlock. Truncated or
+// corrupt block files are detected by header validation and size bounds
+// checks before any cast; a failed promotion evicts exactly that block
+// file and falls through to the real decoder (per-column error
 // attribution, as in the memory tier).
+//
+// Mapping lifetime. Promoted vectors alias their mapping from frames, SQL
+// segments and answer caches with unbounded lifetime, so a mapping a
+// vector was cast from is never unmapped. Its touched pages count in the
+// process's resident set, though, so every mapping the tier stops
+// indexing — invalidation, replacement by a new generation, budget sweep,
+// failed promotion, tier retirement — has its pages released
+// (releaseMapping, Linux only). That is safe without tracking who still
+// holds the vectors because block files are immutable: they are written
+// only by temp file + rename, never in place, and a removed entry's inode
+// is unlinked, so a vector that still aliases a released mapping
+// re-faults bit-identical bytes. What releasing does not reclaim is the
+// mapping itself (one VMA each, DiskMappings), the disk blocks of
+// unlinked files, and pages such a late reader faults back in (a mapping
+// is released once, when it is dropped); all are held until process exit.
 package stage
 
 import (
@@ -32,6 +44,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -107,7 +120,9 @@ func decodeBlkHeader(b []byte) (blkHeader, error) {
 	}
 	if h.rows < 0 || h.payloadLen < 0 || h.pathLen < 0 || h.colLen < 0 ||
 		h.pathLen > 1<<20 || h.colLen > 1<<20 ||
-		h.payloadOff != align8(int64(blkHeaderSize+h.pathLen+h.colLen)) {
+		h.payloadOff != align8(int64(blkHeaderSize+h.pathLen+h.colLen)) ||
+		// payloadOff+payloadLen must not overflow: every size check adds them.
+		h.payloadLen > math.MaxInt64-h.payloadOff {
 		return blkHeader{}, fmt.Errorf("stage: block header fields out of range")
 	}
 	return h, nil
@@ -127,9 +142,10 @@ func blkFileName(k key) string {
 	return fmt.Sprintf("%016x.blk", h.Sum64())
 }
 
-// diskEntry is one resident block in the tier's index. mapped retains the
-// promotion mapping so a later re-promotion (after the memory tier evicted
-// the column again) is a pointer copy, not another open.
+// diskEntry is one resident block in the tier's index. region retains the
+// whole page-aligned promotion mapping and mapped the payload view into
+// it, so a later re-promotion (after the memory tier evicted the column
+// again) is a pointer copy, not another open.
 type diskEntry struct {
 	key        key
 	stamp      stamp
@@ -139,6 +155,7 @@ type diskEntry struct {
 	file       string
 	prefetched bool // written by the prefetcher, not by a demand decode
 	hit        bool // promoted at least once (prefetch used/wasted accounting)
+	region     []byte
 	mapped     []byte
 	payloadOff int64
 }
@@ -153,34 +170,42 @@ type diskStats struct {
 	prefetchUsed   int64
 	prefetchWasted int64
 	usedBytes      int64
+	mappings       int64 // mappings created and not unmapped
+	releasedBytes  int64 // mapping bytes handed back by releaseMapping
+}
+
+// tierInstruments are the telemetry series the disk tier updates itself,
+// because the events they count are decided inside it. All are nil-safe;
+// the owning Cache's SetMetrics installs them.
+type tierInstruments struct {
+	prefetchIssued *telemetry.Counter
+	prefetchUsed   *telemetry.Counter
+	prefetchWasted *telemetry.Counter
+	mappings       *telemetry.Gauge
+	releasedBytes  *telemetry.Counter
 }
 
 // diskTier is the persistent block store. All methods are safe for
 // concurrent use; file I/O happens outside the index lock, so a promotion
 // racing an eviction resolves as a promote failure (open of a deleted
-// file) and falls through to the decoder.
+// file) or a plain miss, and falls through to the decoder.
 type diskTier struct {
-	dir    string
-	mu     sync.Mutex
-	budget int64
-	ll     *list.List // front = most recently used
-	items  map[key]*list.Element
-	stats  diskStats
-
-	// Pre-resolved prefetch-outcome instruments (nil-safe; set by the
-	// owning Cache's SetMetrics) — used/wasted are decided inside the
-	// tier, so the tier increments them.
-	tPrefetchIssued *telemetry.Counter
-	tPrefetchUsed   *telemetry.Counter
-	tPrefetchWasted *telemetry.Counter
+	dir     string
+	mu      sync.Mutex
+	budget  int64
+	ll      *list.List // front = most recently used
+	items   map[key]*list.Element
+	stats   diskStats
+	retired bool // set by retire: the tier serves no more promotions
+	inst    tierInstruments
 }
 
-// setPrefetchCounters installs (or clears) the prefetch telemetry
-// instruments.
-func (dt *diskTier) setPrefetchCounters(issued, used, wasted *telemetry.Counter) {
+// setInstruments installs (or, with the zero value, clears) the tier's
+// telemetry instruments.
+func (dt *diskTier) setInstruments(inst tierInstruments) {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
-	dt.tPrefetchIssued, dt.tPrefetchUsed, dt.tPrefetchWasted = issued, used, wasted
+	dt.inst = inst
 }
 
 // newDiskTier opens (creating if needed) a block store rooted at dir and
@@ -370,7 +395,7 @@ func (dt *diskTier) put(k key, st stamp, kind dataframe.Kind, rows int, payload 
 	dt.stats.writes++
 	if prefetched {
 		dt.stats.prefetchIssued++
-		dt.tPrefetchIssued.Inc()
+		dt.inst.prefetchIssued.Inc()
 	}
 	dt.sweepLocked()
 	dt.mu.Unlock()
@@ -378,15 +403,16 @@ func (dt *diskTier) put(k key, st stamp, kind dataframe.Kind, rows int, payload 
 }
 
 // promote serves (k, now) from the block store as a ready-to-share column
-// vector. ok is false on a plain miss (absent, or resident for a different
-// file generation — which also drops the stale block). A non-nil err means
-// the block was resident and claimed to match but could not be loaded
-// (truncated, corrupt, raced with eviction); the bad block has been
-// dropped and the caller should fall through to the real decoder.
+// vector. ok is false on a plain miss (absent, resident for a different
+// file generation — which also drops the stale block — or dropped from the
+// index while this call mapped it). A non-nil err means the block was
+// resident and claimed to match but could not be loaded (truncated,
+// corrupt, raced with eviction); the bad block has been dropped and the
+// caller should fall through to the real decoder.
 func (dt *diskTier) promote(k key, now stamp) (col *dataframe.Column, bytes int64, ok bool, err error) {
 	dt.mu.Lock()
 	el, found := dt.items[k]
-	if !found {
+	if !found || dt.retired {
 		dt.mu.Unlock()
 		return nil, 0, false, nil
 	}
@@ -400,7 +426,7 @@ func (dt *diskTier) promote(k key, now stamp) (col *dataframe.Column, bytes int6
 	dt.ll.MoveToFront(el)
 	if e.prefetched && !e.hit {
 		dt.stats.prefetchUsed++
-		dt.tPrefetchUsed.Inc()
+		dt.inst.prefetchUsed.Inc()
 	}
 	e.hit = true
 	mapped, payloadOff := e.mapped, e.payloadOff
@@ -409,24 +435,16 @@ func (dt *diskTier) promote(k key, now stamp) (col *dataframe.Column, bytes int6
 	dt.mu.Unlock()
 
 	if mapped == nil {
-		mapped, err = dt.load(k, file, payloadOff, payloadLen, kind)
+		var region []byte
+		region, mapped, err = dt.load(k, file, payloadOff, payloadLen, kind)
 		if err != nil {
 			dt.drop(k, now)
 			return nil, 0, false, err
 		}
-		if mapped != nil {
-			dt.mu.Lock()
-			if el, found := dt.items[k]; found {
-				cur := el.Value.(*diskEntry)
-				if cur.mapped == nil {
-					cur.mapped = mapped
-				} else {
-					// Two concurrent promotions mapped the file twice; both
-					// mappings are valid forever (never unmapped) — keep the
-					// first, use ours for this call.
-				}
+		if region != nil {
+			if mapped = dt.adopt(el, region, mapped); mapped == nil {
+				return nil, 0, false, nil
 			}
-			dt.mu.Unlock()
 		}
 	}
 
@@ -443,28 +461,55 @@ func (dt *diskTier) promote(k key, now stamp) (col *dataframe.Column, bytes int6
 	return col.MarkShared(), payloadLen, true, nil
 }
 
-// load validates the block file and returns its mmapped payload for kinds
-// eligible for the cast fast path, or (nil, nil) to request the
-// copy-decode fallback.
-func (dt *diskTier) load(k key, file string, payloadOff, payloadLen int64, kind dataframe.Kind) ([]byte, error) {
+// adopt makes region, freshly mapped for the entry at el, that entry's one
+// mapping and returns the payload view to cast from. A promotion that lost
+// a race keeps no second mapping: if another promotion installed one
+// first, ours is unmapped and the winner's payload returned; if the entry
+// left the index (or the tier retired) meanwhile, ours is unmapped and nil
+// returned. Unmapping is safe in both cases because nothing has been cast
+// from region yet — this is the only place the tier ever unmaps.
+func (dt *diskTier) adopt(el *list.Element, region, payload []byte) []byte {
+	e := el.Value.(*diskEntry)
+	dt.mu.Lock()
+	switch {
+	case dt.retired || dt.items[e.key] != el:
+		payload = nil
+	case e.region == nil:
+		e.region, e.mapped = region, payload
+		dt.stats.mappings++
+		dt.inst.mappings.Add(1)
+		dt.mu.Unlock()
+		return payload
+	default:
+		payload = e.mapped
+	}
+	dt.mu.Unlock()
+	munmapFile(region)
+	return payload
+}
+
+// load validates the block file and returns the whole page-aligned mmap
+// region plus its payload view for kinds eligible for the cast fast path,
+// or (nil, nil, nil) to request the copy-decode fallback.
+func (dt *diskTier) load(k key, file string, payloadOff, payloadLen int64, kind dataframe.Kind) (region, payload []byte, err error) {
 	f, err := os.Open(file)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
 	if err := validateBlk(f, k, payloadOff, payloadLen); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if kind != dataframe.Float && kind != dataframe.Int || !hostLittleEndian || !mmapSupported {
-		return nil, nil
+		return nil, nil, nil
 	}
-	whole, err := mmapFile(f, payloadOff+payloadLen)
+	region, err = mmapFile(f, payloadOff+payloadLen)
 	if err != nil {
 		// mmap can fail on exotic filesystems; fall back to copy-decode
 		// rather than failing the promotion.
-		return nil, nil
+		return nil, nil, nil
 	}
-	return whole[payloadOff : payloadOff+payloadLen], nil
+	return region, region[payloadOff : payloadOff+payloadLen], nil
 }
 
 // validateBlk re-checks a block file against the index entry it claims to
@@ -568,10 +613,13 @@ func (dt *diskTier) sweepLocked() {
 	}
 }
 
-// removeLocked unlinks an entry and (when unlink is set) deletes its
-// block file. Caller holds mu. Never unmaps: promoted vectors may alias
-// the mapping with unbounded lifetime, and on POSIX the pages stay valid
-// after the file is unlinked.
+// removeLocked is the single exit from the index: it unlinks an entry,
+// releases the pages of its mapping and (when unlink is set) deletes its
+// block file. Caller holds mu. It never unmaps: promoted vectors may alias
+// the mapping with unbounded lifetime. On POSIX the mapping stays valid
+// after the file is unlinked or renamed over, and since block files are
+// never written in place, a vector that reads released pages again
+// re-faults the bytes it was cast from.
 func (dt *diskTier) removeLocked(el *list.Element, unlink bool) {
 	e := el.Value.(*diskEntry)
 	dt.ll.Remove(el)
@@ -579,9 +627,36 @@ func (dt *diskTier) removeLocked(el *list.Element, unlink bool) {
 	dt.stats.usedBytes -= e.bytes
 	if e.prefetched && !e.hit {
 		dt.stats.prefetchWasted++
-		dt.tPrefetchWasted.Inc()
+		dt.inst.prefetchWasted.Inc()
 	}
+	dt.releaseLocked(e)
 	if unlink {
 		os.Remove(e.file)
 	}
+}
+
+// releaseLocked returns the resident pages of e's mapping, if it has one,
+// and forgets the mapping so it is released at most once. Caller holds mu.
+func (dt *diskTier) releaseLocked(e *diskEntry) {
+	if e.region == nil {
+		return
+	}
+	n := releaseMapping(e.region)
+	dt.stats.releasedBytes += n
+	dt.inst.releasedBytes.Add(n)
+	e.region, e.mapped = nil, nil
+}
+
+// retire releases the pages of every mapping the tier holds and stops it
+// serving promotions, so no new mapping is created after it returns. The
+// index and the block files stay: a later tier over the same directory
+// rescans them. It returns the tier's final mapping counters.
+func (dt *diskTier) retire() (mappings, releasedBytes int64) {
+	dt.mu.Lock()
+	defer dt.mu.Unlock()
+	dt.retired = true
+	for el := dt.ll.Front(); el != nil; el = el.Next() {
+		dt.releaseLocked(el.Value.(*diskEntry))
+	}
+	return dt.stats.mappings, dt.stats.releasedBytes
 }

@@ -16,3 +16,5 @@ const mmapSupported = false
 func mmapFile(f *os.File, size int64) ([]byte, error) {
 	return nil, fmt.Errorf("stage: mmap unsupported on this platform")
 }
+
+func munmapFile(region []byte) error { return nil }

@@ -60,7 +60,9 @@
 // (disk.go), memory eviction demotes instead of discards, and a memory
 // miss promotes from disk — an mmap cast for numeric columns — without
 // touching the gio decoder, so hot columns survive restarts and the
-// memory budget stops being the residency ceiling. With a tier attached,
+// memory budget stops being the residency ceiling. The pages of every
+// mapping the tier drops or retires are released, so churn in the block
+// store does not accumulate resident memory. With a tier attached,
 // sibling columns and hinted next-step files are opportunistically
 // prefetched while a source file is open (prefetch.go).
 //
@@ -176,6 +178,15 @@ type Stats struct {
 	DiskUsedBytes     int64 `json:"disk_used_bytes"`
 	DiskBudgetBytes   int64 `json:"disk_budget_bytes"`
 	DiskEntries       int   `json:"disk_entries"`
+	// DiskMappings counts block-file mappings the disk tier has created
+	// and not unmapped, including those of retired tiers. Releasing a
+	// mapping returns its pages but keeps the mapping (one VMA each), so
+	// this grows with every promoted block generation until process exit.
+	// DiskReleasedBytes counts the mapping bytes whose pages were handed
+	// back to the kernel when the tier dropped or retired them (Linux
+	// only; 0 elsewhere).
+	DiskMappings      int64 `json:"disk_mappings"`
+	DiskReleasedBytes int64 `json:"disk_released_bytes"`
 
 	// PrefetchIssued counts blocks pulled into the disk tier
 	// speculatively; Used counts those later promoted at least once,
@@ -188,6 +199,10 @@ type Stats struct {
 	// WatchedFiles is the number of files currently pinned stat-free.
 	WatchEvents  int64 `json:"watch_events"`
 	WatchedFiles int   `json:"watched_files"`
+	// WatchOverflows counts watcher queue overflows (inotify
+	// IN_Q_OVERFLOW): events were lost, so every file was unpinned and
+	// re-validated by stat on its next lookup.
+	WatchOverflows int64 `json:"watch_overflows"`
 }
 
 // key identifies one cached column block. Freshness is checked against the
@@ -242,6 +257,8 @@ type Cache struct {
 	statMemo map[string]statEntry
 	// paths refcounts resident blocks per file for the Files gauge.
 	paths map[string]int
+	// stats holds the cache's own counters; its DiskMappings and
+	// DiskReleasedBytes carry the final totals of retired disk tiers.
 	stats Stats
 
 	// disk is the optional persistent tier (SetDiskTier); nil = memory only.
@@ -277,12 +294,12 @@ type Cache struct {
 	tierHitsDisk   *telemetry.Counter
 	promotionsCtr  *telemetry.Counter
 	demotionsCtr   *telemetry.Counter
-	prefIssuedCtr  *telemetry.Counter
-	prefUsedCtr    *telemetry.Counter
-	prefWastedCtr  *telemetry.Counter
 	watchEventsCtr *telemetry.Counter
+	overflowsCtr   *telemetry.Counter
 	statSavesCtr   *telemetry.Counter
 	statCallsCtr   *telemetry.Counter
+	// tierInst are the instruments handed to every attached disk tier.
+	tierInst tierInstruments
 }
 
 // New returns a cache holding at most budgetBytes of decoded column
@@ -318,25 +335,39 @@ func New(budgetBytes int64, workers int) *Cache {
 // block store rooted at dir with the given byte budget (<= 0 picks
 // DefaultDiskBudgetBytes). Attaching scans resident block files and
 // starts the background persist/prefetch pool; blocks persisted by a
-// previous process become promotable immediately. Replacing an attached
-// tier leaves the old directory's files on disk.
+// previous process become promotable immediately. Replacing or detaching
+// an attached tier retires it: the resident pages of every block mapping
+// it holds are released (vectors already promoted from it stay readable)
+// and its directory's files stay on disk.
 func (c *Cache) SetDiskTier(dir string, budgetBytes int64) error {
-	if dir == "" {
-		c.mu.Lock()
-		c.disk = nil
-		c.mu.Unlock()
-		return nil
+	var dt *diskTier
+	if dir != "" {
+		var err error
+		if dt, err = newDiskTier(dir, budgetBytes); err != nil {
+			return err
+		}
+		c.startBG()
 	}
-	dt, err := newDiskTier(dir, budgetBytes)
-	if err != nil {
-		return err
-	}
-	c.startBG()
 	c.mu.Lock()
-	dt.setPrefetchCounters(c.prefIssuedCtr, c.prefUsedCtr, c.prefWastedCtr)
+	defer c.mu.Unlock()
+	if dt != nil {
+		dt.setInstruments(c.tierInst)
+	}
+	c.retireDiskLocked()
 	c.disk = dt
-	c.mu.Unlock()
 	return nil
+}
+
+// retireDiskLocked retires the attached disk tier, if any, folding its
+// final mapping counters into the cache's own. Caller holds mu.
+func (c *Cache) retireDiskLocked() {
+	if c.disk == nil {
+		return
+	}
+	mappings, released := c.disk.retire()
+	c.stats.DiskMappings += mappings
+	c.stats.DiskReleasedBytes += released
+	c.disk = nil
 }
 
 // SetWatch turns filesystem-watch freshness on or off. While on, files
@@ -352,7 +383,7 @@ func (c *Cache) SetWatch(on bool) error {
 			c.watchOn = true
 			return nil
 		}
-		w, err := newWatcher(c.onFileEvent)
+		w, err := newWatcher(c.onFileEvent, c.onWatchOverflow)
 		if err != nil {
 			return err
 		}
@@ -398,6 +429,23 @@ func (c *Cache) onFileEvent(path string) {
 	}
 }
 
+// onWatchOverflow is the watcher callback for a lost-events overflow: any
+// file may have changed unseen, so every path is unpinned and its epoch
+// bumped (refusing pins from stats that raced the overflow). The next
+// lookup of each file stats it, and both tiers re-validate their entries
+// against that stamp — a conservative full invalidation that keeps
+// entries whose file did not change.
+func (c *Cache) onWatchOverflow() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for path := range c.pinEpoch {
+		c.pinEpoch[path]++
+	}
+	c.pinned = map[string]stamp{}
+	c.stats.WatchOverflows++
+	c.overflowsCtr.Inc()
+}
+
 // startBG launches the background pool (2 workers — persist and prefetch
 // are I/O-bound housekeeping; the point is bounding, not throughput).
 func (c *Cache) startBG() {
@@ -437,9 +485,12 @@ func (c *Cache) enqueueBG(fn func()) bool {
 // deterministic before asserting on disk state.
 func (c *Cache) WaitPending() { c.bgWG.Wait() }
 
-// Close stops the watcher and drains the background pool. Resident state
-// (both tiers) is left intact; mmapped promotion pages stay valid for
-// the process lifetime by design. The Shared cache is never closed.
+// Close stops the watcher, drains the background pool and retires the
+// disk tier: the resident pages of every block mapping it holds are
+// released, while vectors already promoted from it stay readable (their
+// pages re-fault from the immutable block files) and the block files stay
+// on disk for the next process. The memory tier is left intact. The
+// Shared cache is never closed.
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	if c.watch != nil {
@@ -449,6 +500,9 @@ func (c *Cache) Close() error {
 	c.watchOn = false
 	c.mu.Unlock()
 	c.bgWG.Wait()
+	c.mu.Lock()
+	c.retireDiskLocked()
+	c.mu.Unlock()
 	return nil
 }
 
@@ -497,10 +551,10 @@ func (c *Cache) SetMetrics(r *telemetry.Registry) {
 	if r == nil {
 		c.decodeSeconds, c.decodedBytes = nil, nil
 		c.tierHitsMem, c.tierHitsDisk, c.promotionsCtr, c.demotionsCtr = nil, nil, nil, nil
-		c.prefIssuedCtr, c.prefUsedCtr, c.prefWastedCtr = nil, nil, nil
-		c.watchEventsCtr, c.statSavesCtr, c.statCallsCtr = nil, nil, nil
+		c.watchEventsCtr, c.overflowsCtr, c.statSavesCtr, c.statCallsCtr = nil, nil, nil, nil
+		c.tierInst = tierInstruments{}
 		if c.disk != nil {
-			c.disk.setPrefetchCounters(nil, nil, nil)
+			c.disk.setInstruments(c.tierInst)
 		}
 		return
 	}
@@ -512,36 +566,47 @@ func (c *Cache) SetMetrics(r *telemetry.Registry) {
 	r.SetHelp("infera_stage_prefetch_issued_total", "Blocks speculatively pulled into the disk tier (siblings and next-step files).")
 	r.SetHelp("infera_stage_prefetch_total", "Prefetched blocks by outcome: used (promoted at least once) or wasted (evicted untouched).")
 	r.SetHelp("infera_stage_watch_events_total", "Filesystem change notifications handled by the stage watcher.")
+	r.SetHelp("infera_stage_watch_overflows_total", "Watcher queue overflows; each unpins every file for re-validation by stat.")
 	r.SetHelp("infera_stage_stat_saves_total", "Freshness checks served without a stat syscall (watch pin or TTL memo).")
 	r.SetHelp("infera_stage_stat_calls_total", "Real stat syscalls performed by freshness checks.")
+	r.SetHelp("infera_stage_disk_mappings", "Disk-tier block-file mappings created and not unmapped (one VMA each).")
+	r.SetHelp("infera_stage_disk_released_bytes_total", "Disk-tier mapping bytes whose resident pages were handed back to the kernel.")
 	c.decodeSeconds = r.Histogram("infera_stage_decode_seconds", nil)
 	c.decodedBytes = r.Counter("infera_stage_decoded_bytes_total")
 	c.tierHitsMem = r.Counter("infera_stage_tier_hits_total", telemetry.L("tier", "mem"))
 	c.tierHitsDisk = r.Counter("infera_stage_tier_hits_total", telemetry.L("tier", "disk"))
 	c.promotionsCtr = r.Counter("infera_stage_tier_promotions_total")
 	c.demotionsCtr = r.Counter("infera_stage_tier_demotions_total")
-	c.prefIssuedCtr = r.Counter("infera_stage_prefetch_issued_total")
-	c.prefUsedCtr = r.Counter("infera_stage_prefetch_total", telemetry.L("outcome", "used"))
-	c.prefWastedCtr = r.Counter("infera_stage_prefetch_total", telemetry.L("outcome", "wasted"))
 	c.watchEventsCtr = r.Counter("infera_stage_watch_events_total")
+	c.overflowsCtr = r.Counter("infera_stage_watch_overflows_total")
 	c.statSavesCtr = r.Counter("infera_stage_stat_saves_total")
 	c.statCallsCtr = r.Counter("infera_stage_stat_calls_total")
-	if c.disk != nil {
-		c.disk.setPrefetchCounters(c.prefIssuedCtr, c.prefUsedCtr, c.prefWastedCtr)
+	c.tierInst = tierInstruments{
+		prefetchIssued: r.Counter("infera_stage_prefetch_issued_total"),
+		prefetchUsed:   r.Counter("infera_stage_prefetch_total", telemetry.L("outcome", "used")),
+		prefetchWasted: r.Counter("infera_stage_prefetch_total", telemetry.L("outcome", "wasted")),
+		mappings:       r.Gauge("infera_stage_disk_mappings"),
+		releasedBytes:  r.Counter("infera_stage_disk_released_bytes_total"),
 	}
+	mappings := c.stats.DiskMappings
+	if c.disk != nil {
+		c.disk.setInstruments(c.tierInst)
+		ds, _ := c.disk.snapshot()
+		mappings += ds.mappings
+	}
+	c.tierInst.mappings.Set(mappings)
 }
 
 // Stats returns a snapshot of the counters, merging in the disk tier's.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	st := c.stats
 	st.BudgetBytes = c.budget
 	st.Entries = c.ll.Len()
 	st.Files = len(c.paths)
 	st.WatchedFiles = len(c.pinned)
-	dt := c.disk
-	c.mu.Unlock()
-	if dt != nil {
+	if dt := c.disk; dt != nil {
 		ds, entries := dt.snapshot()
 		st.DiskWrites = ds.writes
 		st.DiskEvictions = ds.evictions
@@ -550,6 +615,8 @@ func (c *Cache) Stats() Stats {
 		st.DiskUsedBytes = ds.usedBytes
 		st.DiskBudgetBytes = dt.budgetBytes()
 		st.DiskEntries = entries
+		st.DiskMappings += ds.mappings
+		st.DiskReleasedBytes += ds.releasedBytes
 		st.PrefetchIssued = ds.prefetchIssued
 		st.PrefetchUsed = ds.prefetchUsed
 		st.PrefetchWasted = ds.prefetchWasted
@@ -598,6 +665,11 @@ func (c *Cache) statPath(path string, bypass bool) (stamp, error) {
 	}
 	watchOn, w := c.watchOn, c.watch
 	epoch0 := c.pinEpoch[path]
+	if watchOn {
+		// Record the path so a watcher overflow, which bumps every known
+		// epoch, also fences this stat.
+		c.pinEpoch[path] = epoch0
+	}
 	c.mu.Unlock()
 	// Pin protocol: arm the watch BEFORE statting, and pin only if no
 	// event arrived in between (epoch fence). Stat-then-watch would lose

@@ -15,7 +15,9 @@ package stage
 
 // watcher is the platform-neutral file-watch interface. add registers one
 // file (idempotent; re-adding after a rename/delete re-arms it); events
-// are delivered to the constructor's callback from a dedicated goroutine.
+// are delivered to the constructor's onEvent callback from a dedicated
+// goroutine, and a backend that can lose events (inotify's bounded queue)
+// calls onOverflow instead when it does.
 type watcher interface {
 	add(path string) error
 	close() error

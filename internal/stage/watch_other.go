@@ -29,7 +29,9 @@ type pollState struct {
 	err bool
 }
 
-func newWatcher(onEvent func(path string)) (watcher, error) {
+// newWatcher starts the poller. Polling never loses a change, so
+// onOverflow is unused.
+func newWatcher(onEvent func(path string), onOverflow func()) (watcher, error) {
 	w := &pollWatcher{
 		onEvent: onEvent,
 		stop:    make(chan struct{}),
