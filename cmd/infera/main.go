@@ -2,7 +2,7 @@
 // accepts natural-language questions on stdin, presents the analysis plan
 // for approval (the paper's planning stage), executes the approved plan
 // through the multi-agent workflow, and reports results with full
-// provenance locations.
+// provenance: plot and scene artifacts are listed with the URL serving them.
 //
 // The REPL is a thin client: it starts the same service registry the
 // inferad daemon runs, on a loopback listener, and drives every question
@@ -166,7 +166,7 @@ func runREPL(ensemble, work string, seed int64, auto, sandboxServer, keepDBs boo
 				continue
 			}
 		}
-		printResult(res)
+		printResult(cli, res)
 	}
 }
 
@@ -217,8 +217,9 @@ func printEvent(ev agent.Event) {
 	}
 }
 
-// printResult renders the final answer the way the pre-streaming REPL did.
-func printResult(res *service.AskResult) {
+// printResult renders the final answer the way the pre-streaming REPL
+// did, pointing at plot and scene artifacts by the URL that serves them.
+func printResult(cli *client.Client, res *service.AskResult) {
 	if res.Error != "" {
 		log.Printf("run failed: %v", res.Error)
 	}
@@ -236,7 +237,7 @@ func printResult(res *service.AskResult) {
 		float64(res.StorageBytes)/1e6, res.Elapsed.Round(time.Millisecond))
 	for _, a := range res.Artifacts {
 		if a.Kind == "plot" || a.Kind == "scene" {
-			fmt.Printf("  artifact: %s (%s)\n", a.File, a.Kind)
+			fmt.Printf("  artifact %d: %s (%s) %s\n", a.Seq, a.Name, a.Kind, cli.ArtifactURL("default", res.RequestID, a.Seq))
 		}
 	}
 }

@@ -27,6 +27,7 @@ const (
 // Run executes the full two-stage workflow for a question.
 func Run(rt *Runtime, question string) (*Result, error) {
 	rt = rt.withDefaults()
+	defer rt.Stage.Pin()()
 	st := &State{Question: question, Staged: map[string][]string{}, Strategy: -1}
 	g := NewGraph(nodePlanner)
 	g.AddNode(nodePlanner, plannerNode)

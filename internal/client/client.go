@@ -224,6 +224,26 @@ func (c *Client) Provenance(eid, id string) ([]provenance.Entry, error) {
 	return out, err
 }
 
+// ArtifactURL is the URL serving the bytes of artifact seq behind session
+// record id of shard eid.
+func (c *Client) ArtifactURL(eid, id string, seq int) string {
+	return c.base + eidPath(eid, "sessions", id, "artifacts", strconv.Itoa(seq))
+}
+
+// Artifact fetches the bytes of artifact seq behind one session record —
+// the range of the session's log its manifest entry names.
+func (c *Client) Artifact(eid, id string, seq int) ([]byte, error) {
+	resp, err := c.http.Get(c.ArtifactURL(eid, id, seq))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, decodeAPIError(resp)
+	}
+	return io.ReadAll(resp.Body)
+}
+
 // ShardMetrics fetches one shard's metrics snapshot.
 func (c *Client) ShardMetrics(eid string) (service.Metrics, error) {
 	var out service.Metrics

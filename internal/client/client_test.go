@@ -98,6 +98,14 @@ func TestClientRoundTrip(t *testing.T) {
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("provenance = %d entries (%v)", len(entries), err)
 	}
+	last := entries[len(entries)-1]
+	art, err := c.Artifact("survey-b", hit.RequestID, last.Seq)
+	if err != nil || int64(len(art)) != last.Bytes {
+		t.Fatalf("artifact %d = %d bytes (%v), want %d", last.Seq, len(art), err, last.Bytes)
+	}
+	if _, err := c.Artifact("survey-b", res.RequestID, last.Seq+1); !IsNotFound(err) {
+		t.Fatalf("artifact past the trail: err = %v", err)
+	}
 
 	detail, err := c.Ensemble("survey-b")
 	if err != nil || detail.State != "live" || detail.CacheEntries != 1 {

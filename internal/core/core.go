@@ -213,7 +213,9 @@ func (a *Assistant) WorkDir() string { return a.workDir }
 
 // RemoveStagingDB deletes the staging database created for sessionID —
 // scratch space once the answer is computed, which a serving layer
-// reclaims to keep disk usage bounded. The provenance trail is unaffected.
+// reclaims to keep disk usage bounded. A staged (default) database that
+// was never flushed has no directory, so there is nothing to remove. The
+// provenance trail is unaffected.
 func (a *Assistant) RemoveStagingDB(sessionID string) error {
 	return os.RemoveAll(filepath.Join(a.workDir, "db", sessionID))
 }

@@ -41,16 +41,50 @@ func TestVerifyAndBranchSession(t *testing.T) {
 	if badB, err := branch.Verify(); err != nil || len(badB) != 0 {
 		t.Errorf("branch verify: %v %v", badB, err)
 	}
-	// Tamper and re-verify.
-	target := ans.Artifacts[0]
+	// Tamper with one byte inside one artifact's range of the log and
+	// re-verify: exactly that artifact is flagged.
+	target := ans.Artifacts[len(ans.Artifacts)/3]
 	sess, _ := a.Store().OpenSession(ans.SessionID)
-	full := filepath.Join(sess.Dir(), target.File)
-	if err := os.WriteFile(full, []byte("tampered"), 0o644); err != nil {
+	log, err := os.OpenFile(filepath.Join(sess.Dir(), target.File), os.O_RDWR, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := log.WriteAt([]byte{0}, target.Offset+target.Bytes/2); err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
 	bad, err = a.VerifySession(ans.SessionID)
-	if err != nil || len(bad) != 1 {
+	if err != nil || len(bad) != 1 || bad[0].Seq != target.Seq {
 		t.Errorf("tamper detection: %v %v", bad, err)
+	}
+}
+
+// TestAskCreatesThreeInodes: one ask leaves its session as a directory, a
+// manifest and a log, and its staged database creates nothing on disk.
+func TestAskCreatesThreeInodes(t *testing.T) {
+	a := newAssistant(t, Config{})
+	ans, err := a.Ask(preciseQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Artifacts) < 10 {
+		t.Fatalf("ask recorded %d artifacts; the check needs a full trail", len(ans.Artifacts))
+	}
+	count := func(root string) int {
+		n := 0
+		filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err == nil && path != root {
+				n++
+			}
+			return nil
+		})
+		return n
+	}
+	if n := count(filepath.Join(a.WorkDir(), "sessions")); n > 3 {
+		t.Errorf("one ask created %d inodes under sessions/, want at most 3", n)
+	}
+	if n := count(filepath.Join(a.WorkDir(), "db")); n != 0 {
+		t.Errorf("one ask created %d inodes under db/, want none", n)
 	}
 }
 

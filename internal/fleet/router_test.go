@@ -125,8 +125,12 @@ func TestRouterProxyEndToEnd(t *testing.T) {
 	if err != nil || len(sessions) == 0 {
 		t.Fatalf("sessions: %v (%d)", err, len(sessions))
 	}
-	if entries, err := c.Provenance("ens", res.SessionID); err != nil || len(entries) == 0 {
+	entries, err := c.Provenance("ens", res.SessionID)
+	if err != nil || len(entries) == 0 {
 		t.Fatalf("provenance: %v (%d)", err, len(entries))
+	}
+	if art, err := c.Artifact("ens", res.SessionID, entries[0].Seq); err != nil || int64(len(art)) != entries[0].Bytes {
+		t.Fatalf("artifact through the router: %v (%d bytes, want %d)", err, len(art), entries[0].Bytes)
 	}
 
 	// Interactive ask: SSE events and the plan approval POST cross the

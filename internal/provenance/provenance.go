@@ -4,6 +4,25 @@
 // append-only manifest, and every node transition can checkpoint the full
 // workflow state, enabling verification, replay and branch-from-checkpoint
 // exploration.
+//
+// # Layout
+//
+// A session is one directory holding two append-only files:
+//
+//	manifest.jsonl  one JSON Entry per artifact, in seq order
+//	trail.log       the artifacts' bytes, back to back
+//
+// An entry names its bytes as the range [Offset, Offset+Bytes) of File,
+// which is trail.log for every artifact recorded by this package. Trails
+// written when each artifact was a file of its own ("artifacts/000_...")
+// carry Offset 0 and Bytes equal to that file's size, so the same range
+// read serves them too. Recording an artifact therefore creates no file
+// after the first record of a session: an ask costs three inodes (the
+// directory, the manifest and the log) however many artifacts it keeps.
+//
+// A failed record truncates the log back to where it started, so the log
+// only ever holds the ranges the manifest names, contiguously and in seq
+// order.
 package provenance
 
 import (
@@ -30,9 +49,11 @@ type Entry struct {
 	Agent  string `json:"agent"` // which agent produced the artifact
 	Kind   string `json:"kind"`  // "data" | "code" | "plot" | "scene" | "summary" | "checkpoint" | ...
 	Name   string `json:"name"`
-	File   string `json:"file"` // session-relative path
+	File   string `json:"file"` // session-relative path of the file holding the bytes
 	SHA256 string `json:"sha256"`
 	Bytes  int64  `json:"bytes"`
+	// Offset is where the artifact's Bytes start inside File.
+	Offset int64 `json:"offset,omitempty"`
 }
 
 // Store manages sessions under a root directory.
@@ -58,7 +79,10 @@ type Session struct {
 	entries []Entry
 }
 
-const manifestName = "manifest.jsonl"
+const (
+	manifestName = "manifest.jsonl"
+	logName      = "trail.log"
+)
 
 // NewSession creates a fresh session directory. Creation is atomic — the
 // exclusive os.Mkdir claims the ID — so concurrent callers racing on the
@@ -70,9 +94,6 @@ func (s *Store) NewSession(id string) (*Session, error) {
 		if os.IsExist(err) {
 			return nil, fmt.Errorf("provenance: session %q already exists", id)
 		}
-		return nil, err
-	}
-	if err := os.MkdirAll(filepath.Join(dir, "artifacts"), 0o755); err != nil {
 		return nil, err
 	}
 	return &Session{ID: id, dir: dir}, nil
@@ -120,8 +141,9 @@ func (s *Store) Sessions() ([]string, error) {
 
 // SessionStat reports a session trail's total on-disk footprint and its
 // most recent modification time — the inputs retention sweeps rank trails
-// by. The size counts every file under the session directory (artifacts,
-// manifest, checkpoints), not just manifest-recorded bytes.
+// by. The size counts every file under the session directory (log,
+// manifest, and the artifact files of legacy trails), not just
+// manifest-recorded bytes.
 func (s *Store) SessionStat(id string) (bytes int64, newest time.Time, err error) {
 	root := filepath.Join(s.Root, id)
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, werr error) error {
@@ -163,8 +185,8 @@ func (s *Session) Record(agent, kind, name string, data []byte) (Entry, error) {
 }
 
 // RecordFrame stores a dataframe as a CSV artifact of kind "data". The
-// encoding streams into the artifact file and the hash together, so the
-// artifact is never held whole in memory.
+// encoding streams into the log and the hash together, so the artifact is
+// never held whole in memory.
 func (s *Session) RecordFrame(agent, name string, f *dataframe.Frame) (Entry, error) {
 	if !strings.HasSuffix(name, ".csv") {
 		name += ".csv"
@@ -172,22 +194,33 @@ func (s *Session) RecordFrame(agent, name string, f *dataframe.Frame) (Entry, er
 	return s.record(agent, "data", name, f.WriteCSV)
 }
 
-// record writes the next sequentially numbered artifact with write, hashing
-// and counting the bytes on their way to the file, and appends its manifest
-// line.
-func (s *Session) record(agent, kind, name string, write func(io.Writer) error) (Entry, error) {
+// record appends the next sequentially numbered artifact to the session's
+// log with write, hashing and counting the bytes on their way, and appends
+// its manifest line. On any failure the log is truncated back to the
+// offset the artifact started at, so the next record lands there.
+func (s *Session) record(agent, kind, name string, write func(io.Writer) error) (_ Entry, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seq := s.seq
 	s.seq++
-	file := filepath.Join("artifacts", fmt.Sprintf("%03d_%s_%s_%s", seq, sanitize(agent), sanitize(kind), sanitize(name)))
-	af, err := os.OpenFile(filepath.Join(s.dir, file), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	logPath := filepath.Join(s.dir, logName)
+	lf, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
 		return Entry{}, err
 	}
+	offset, err := lf.Seek(0, io.SeekEnd)
+	if err != nil {
+		lf.Close()
+		return Entry{}, err
+	}
+	defer func() {
+		if err != nil {
+			os.Truncate(logPath, offset)
+		}
+	}()
 	sum := hashCounter{Hash: sha256.New()}
-	err = write(io.MultiWriter(af, &sum))
-	if cerr := af.Close(); err == nil {
+	err = write(io.MultiWriter(lf, &sum))
+	if cerr := lf.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
@@ -198,9 +231,10 @@ func (s *Session) record(agent, kind, name string, write func(io.Writer) error) 
 		Agent:  agent,
 		Kind:   kind,
 		Name:   name,
-		File:   file,
+		File:   logName,
 		SHA256: hex.EncodeToString(sum.Sum(nil)),
 		Bytes:  sum.n,
+		Offset: offset,
 	}
 	line, err := json.Marshal(e)
 	if err != nil {
@@ -246,9 +280,38 @@ func (s *Session) Manifest() []Entry {
 	return append([]Entry(nil), s.entries...)
 }
 
-// Read returns an artifact's bytes by manifest entry.
+// Read returns an artifact's bytes by manifest entry: Bytes bytes at
+// Offset of File. The range is checked against the file before anything
+// is allocated, so a corrupt or hostile manifest line (a negative offset
+// or size, a range past the end, a path outside the session) fails
+// cleanly.
 func (s *Session) Read(e Entry) ([]byte, error) {
-	return os.ReadFile(filepath.Join(s.dir, e.File))
+	if e.Offset < 0 || e.Bytes < 0 {
+		return nil, fmt.Errorf("provenance: seq %d: negative range (offset %d, bytes %d)", e.Seq, e.Offset, e.Bytes)
+	}
+	if !filepath.IsLocal(e.File) {
+		return nil, fmt.Errorf("provenance: seq %d: file %q is outside the session", e.Seq, e.File)
+	}
+	f, err := os.Open(filepath.Join(s.dir, e.File))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if !st.Mode().IsRegular() {
+		return nil, fmt.Errorf("provenance: seq %d: %s is not a regular file", e.Seq, e.File)
+	}
+	if e.Bytes > st.Size() || e.Offset > st.Size()-e.Bytes {
+		return nil, fmt.Errorf("provenance: seq %d: range [%d, +%d) past the end of %s (%d bytes)", e.Seq, e.Offset, e.Bytes, e.File, st.Size())
+	}
+	data := make([]byte, e.Bytes)
+	if _, err := f.ReadAt(data, e.Offset); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // LastCheckpoint returns the most recent checkpoint entry, if any.
@@ -264,12 +327,12 @@ func (s *Session) LastCheckpoint() (Entry, bool) {
 }
 
 // Verify re-hashes every artifact against the manifest, returning the
-// entries that fail (missing or modified files). An empty slice means the
-// audit trail is intact.
+// entries that fail (missing, out of range or modified bytes). An empty
+// slice means the audit trail is intact.
 func (s *Session) Verify() ([]Entry, error) {
 	var bad []Entry
 	for _, e := range s.Manifest() {
-		data, err := os.ReadFile(filepath.Join(s.dir, e.File))
+		data, err := s.Read(e)
 		if err != nil {
 			bad = append(bad, e)
 			continue
@@ -293,7 +356,7 @@ func (s *Session) SizeBytes() int64 {
 }
 
 // Branch creates a new session seeded with this session's artifacts up to
-// and including seq upTo (copying files and manifest prefix), so
+// and including seq upTo (copying their bytes and manifest prefix), so
 // alternative follow-up steps can run from an established processing stage
 // without recomputing it.
 func (s *Store) Branch(from *Session, newID string, upTo int) (*Session, error) {
@@ -314,17 +377,4 @@ func (s *Store) Branch(from *Session, newID string, upTo int) (*Session, error) 
 		}
 	}
 	return dst, nil
-}
-
-func sanitize(s string) string {
-	var sb strings.Builder
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '.', r == '-', r == '_':
-			sb.WriteRune(r)
-		default:
-			sb.WriteByte('_')
-		}
-	}
-	return sb.String()
 }

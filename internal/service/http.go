@@ -8,9 +8,11 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"infera/internal/agent"
+	"infera/internal/provenance"
 	"infera/internal/sandbox"
 	"infera/internal/telemetry"
 )
@@ -31,6 +33,7 @@ import (
 //	POST   /v1/ensembles/{eid}/sessions/{id}/plan        {"approve", "comment"?} -> 200 / 409 when nothing pending
 //	GET    /v1/ensembles/{eid}/sessions/{id}/result      -> AskResult (409 until the session finishes)
 //	GET    /v1/ensembles/{eid}/sessions/{id}/provenance  -> []provenance.Entry
+//	GET    /v1/ensembles/{eid}/sessions/{id}/artifacts/{seq} -> the artifact's bytes (Content-Type by kind)
 //	GET    /v1/ensembles/{eid}/metrics                   -> Metrics (one shard)
 //	GET    /v1/metrics                                   -> RegistryMetrics (aggregate)
 //	GET    /v1/metrics/prometheus                        -> Prometheus text exposition (fleet-wide, ensemble=<shard> labels)
@@ -62,6 +65,7 @@ func NewServer(reg *Registry) *Server {
 	mux.HandleFunc("POST /v1/ensembles/{eid}/sessions/{id}/plan", s.handleSubmitPlan)
 	mux.HandleFunc("GET /v1/ensembles/{eid}/sessions/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/ensembles/{eid}/sessions/{id}/provenance", s.handleProvenance)
+	mux.HandleFunc("GET /v1/ensembles/{eid}/sessions/{id}/artifacts/{seq}", s.handleArtifact)
 	mux.HandleFunc("GET /v1/ensembles/{eid}/metrics", s.handleShardMetrics)
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		sandbox.WriteJSON(w, s.reg.Metrics())
@@ -153,7 +157,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // by every eid-scoped handler.
 func writeRegistryError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ErrUnknownEnsemble), errors.Is(err, ErrUnknownSession):
+	case errors.Is(err, ErrUnknownEnsemble), errors.Is(err, ErrUnknownSession), errors.Is(err, ErrUnknownArtifact):
 		writeError(w, http.StatusNotFound, err)
 	case errors.Is(err, ErrShardCold):
 		// The resource exists but has no live session state; 404 on the
@@ -312,6 +316,42 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sandbox.WriteJSON(w, entries)
+}
+
+func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
+	seq, err := strconv.Atoi(r.PathValue("seq"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad artifact seq %q", r.PathValue("seq")))
+		return
+	}
+	e, data, err := s.reg.Artifact(r.PathValue("eid"), r.PathValue("id"), seq)
+	if err != nil {
+		writeRegistryError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", artifactContentType(e))
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	w.Write(data)
+}
+
+// artifactContentType is the Content-Type an artifact is served with,
+// chosen by its kind (and, for plots, its name's extension).
+func artifactContentType(e provenance.Entry) string {
+	switch e.Kind {
+	case "data":
+		return "text/csv; charset=utf-8"
+	case "checkpoint":
+		return "application/json"
+	case "summary":
+		return "text/markdown; charset=utf-8"
+	case "plot":
+		if strings.HasSuffix(e.Name, ".svg") {
+			return "image/svg+xml"
+		}
+		return "application/octet-stream"
+	default: // code, plan, retrieval, report, scene (legacy VTK text)
+		return "text/plain; charset=utf-8"
+	}
 }
 
 func (s *Server) handleShardMetrics(w http.ResponseWriter, r *http.Request) {

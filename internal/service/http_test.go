@@ -2,9 +2,13 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -331,6 +335,71 @@ func TestHTTPConcurrentAsks(t *testing.T) {
 		}
 		if bad, err := srv.reg.VerifySession("default", results[i].RequestID); err != nil || len(bad) != 0 {
 			t.Fatalf("ask %d verify: %v %v", i, bad, err)
+		}
+	}
+}
+
+// TestHTTPArtifacts serves every artifact of an ask's trail — directly and
+// through the cached record that points at it — byte-exact against the
+// manifest's hashes, with a Content-Type chosen by kind; an unknown seq is
+// 404 and a malformed one 400.
+func TestHTTPArtifacts(t *testing.T) {
+	_, base := startServer(t, Config{Workers: 1})
+	res, code := postAsk(t, base, AskRequest{Question: topHalosQ})
+	if code != http.StatusOK || res.Error != "" {
+		t.Fatalf("ask: code=%d res=%+v", code, res)
+	}
+	cached, _ := postAsk(t, base, AskRequest{Question: topHalosQ})
+	if !cached.Cached {
+		t.Fatalf("second ask not cached: %+v", cached)
+	}
+	if len(res.Artifacts) == 0 {
+		t.Fatal("ask returned no artifact refs")
+	}
+	var next int64
+	for i, a := range res.Artifacts {
+		if a.Seq != i || a.Offset != next {
+			t.Fatalf("artifact ref %d = %+v, want seq %d at offset %d", i, a, i, next)
+		}
+		next += a.Bytes
+	}
+	var entries []provenance.Entry
+	if code := getJSON(t, base+"/v1/ensembles/default/sessions/"+res.RequestID+"/provenance", &entries); code != http.StatusOK {
+		t.Fatalf("provenance: %d", code)
+	}
+	kinds := map[string]string{"data": "text/csv", "checkpoint": "application/json", "code": "text/plain"}
+	for _, id := range []string{res.RequestID, cached.RequestID} {
+		for _, e := range entries {
+			resp, err := http.Get(fmt.Sprintf("%s/v1/ensembles/default/sessions/%s/artifacts/%d", base, id, e.Seq))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s seq %d: %d %v", id, e.Seq, resp.StatusCode, err)
+			}
+			if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != e.SHA256 || int64(len(data)) != e.Bytes {
+				t.Fatalf("%s seq %d (%s): served bytes do not match the manifest", id, e.Seq, e.Name)
+			}
+			if want, ok := kinds[e.Kind]; ok && !strings.HasPrefix(resp.Header.Get("Content-Type"), want) {
+				t.Errorf("seq %d kind %s served as %q", e.Seq, e.Kind, resp.Header.Get("Content-Type"))
+			}
+		}
+	}
+	for path, want := range map[string]int{
+		"/sessions/" + res.RequestID + "/artifacts/9999": http.StatusNotFound,
+		"/sessions/" + res.RequestID + "/artifacts/-1":   http.StatusNotFound,
+		"/sessions/" + res.RequestID + "/artifacts/x":    http.StatusBadRequest,
+		"/sessions/q-9999/artifacts/0":                   http.StatusNotFound,
+	} {
+		resp, err := http.Get(base + "/v1/ensembles/default" + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
 		}
 	}
 }

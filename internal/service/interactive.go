@@ -128,19 +128,19 @@ func (s *Service) SubmitPlan(id string, d agent.PlanDecision) error {
 }
 
 // Result returns session id's final AskResult once the worker has stored
-// it; before that it fails with ErrNotFinished.
+// it; before that it fails with ErrNotFinished. The worker stores the
+// result before it closes the event stream, so a reader that drained the
+// stream always finds it, even before the done channel closes.
 func (s *Service) Result(id string) (*AskResult, error) {
 	ia, err := s.lookupInteractive(id)
 	if err != nil {
 		return nil, err
 	}
-	select {
-	case <-ia.done:
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrNotFinished, id)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if ia.result == nil {
+		return nil, fmt.Errorf("%w: %q", ErrNotFinished, id)
+	}
 	out := *ia.result
 	return &out, nil
 }

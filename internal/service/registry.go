@@ -893,6 +893,17 @@ func (r *Registry) Provenance(name, id string) ([]provenance.Entry, error) {
 	return svc.Provenance(id)
 }
 
+// Artifact returns the manifest entry and bytes of artifact seq behind one
+// session record of shard name.
+func (r *Registry) Artifact(name, id string, seq int) (provenance.Entry, []byte, error) {
+	sh, svc, err := r.pinLive(name)
+	if err != nil {
+		return provenance.Entry{}, nil, err
+	}
+	defer r.release(sh)
+	return svc.Artifact(id, seq)
+}
+
 // VerifySession re-hashes the artifact trail behind one session record of
 // shard name, returning failing entries.
 func (r *Registry) VerifySession(name, id string) ([]provenance.Entry, error) {

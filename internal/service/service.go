@@ -122,20 +122,25 @@ type Config struct {
 
 // Errors returned by Ask and the interactive-session methods.
 var (
-	ErrQueueFull      = errors.New("service: request queue full")
-	ErrClosed         = errors.New("service: closed")
-	ErrEmptyQuestion  = errors.New("service: empty question")
-	ErrUnknownSession = errors.New("service: unknown session")
-	ErrNotInteractive = errors.New("service: session is not interactive")
-	ErrNotFinished    = errors.New("service: session not finished")
+	ErrQueueFull       = errors.New("service: request queue full")
+	ErrClosed          = errors.New("service: closed")
+	ErrEmptyQuestion   = errors.New("service: empty question")
+	ErrUnknownSession  = errors.New("service: unknown session")
+	ErrNotInteractive  = errors.New("service: session is not interactive")
+	ErrNotFinished     = errors.New("service: session not finished")
+	ErrUnknownArtifact = errors.New("service: unknown artifact")
 )
 
-// ArtifactRef is the wire form of a provenance artifact pointer.
+// ArtifactRef is the wire form of a provenance artifact pointer: the
+// artifact is Bytes bytes at Offset of File in its session directory, and
+// GET /v1/ensembles/{eid}/sessions/{id}/artifacts/{seq} serves them.
 type ArtifactRef struct {
-	Kind  string `json:"kind"`
-	Name  string `json:"name"`
-	File  string `json:"file"`
-	Bytes int64  `json:"bytes"`
+	Seq    int    `json:"seq"`
+	Kind   string `json:"kind"`
+	Name   string `json:"name"`
+	File   string `json:"file"`
+	Bytes  int64  `json:"bytes"`
+	Offset int64  `json:"offset"`
 }
 
 // AskRequest is one question for the service.
@@ -738,7 +743,7 @@ func (s *Service) runTask(idx int, a *core.Assistant, t *task) *AskResult {
 	res.RedoCount = ans.State.RedoCount
 	res.StorageBytes = ans.DBBytes + ans.ProvenanceBytes
 	for _, e := range ans.Artifacts {
-		res.Artifacts = append(res.Artifacts, ArtifactRef{Kind: e.Kind, Name: e.Name, File: e.File, Bytes: e.Bytes})
+		res.Artifacts = append(res.Artifacts, ArtifactRef{Seq: e.Seq, Kind: e.Kind, Name: e.Name, File: e.File, Bytes: e.Bytes, Offset: e.Offset})
 	}
 	if ans.Answer != nil {
 		res.Rows = ans.Answer.NumRows()
@@ -818,7 +823,7 @@ func (s *Service) resolveTarget(id string) (*provenance.Session, error) {
 	info, ok := s.sessions[id]
 	if !ok {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("service: unknown session %q", id)
+		return nil, fmt.Errorf("%w %q", ErrUnknownSession, id)
 	}
 	target := info.ID
 	if info.SourceSession != "" {
@@ -839,7 +844,7 @@ func (s *Service) resolveTarget(id string) (*provenance.Session, error) {
 			return sess, nil
 		}
 	}
-	return nil, fmt.Errorf("service: session %q has no provenance", id)
+	return nil, fmt.Errorf("%w: %q has no provenance", ErrUnknownSession, id)
 }
 
 // Provenance returns the manifest of the provenance session backing record
@@ -850,6 +855,23 @@ func (s *Service) Provenance(id string) ([]provenance.Entry, error) {
 		return nil, err
 	}
 	return sess.Manifest(), nil
+}
+
+// Artifact returns the manifest entry and the bytes of artifact seq of the
+// provenance session backing record id, following SourceSession for
+// cached requests. An unknown seq is ErrUnknownArtifact.
+func (s *Service) Artifact(id string, seq int) (provenance.Entry, []byte, error) {
+	sess, err := s.resolveTarget(id)
+	if err != nil {
+		return provenance.Entry{}, nil, err
+	}
+	for _, e := range sess.Manifest() {
+		if e.Seq == seq {
+			data, err := sess.Read(e)
+			return e, data, err
+		}
+	}
+	return provenance.Entry{}, nil, fmt.Errorf("%w: session %q has no seq %d", ErrUnknownArtifact, id, seq)
 }
 
 // VerifySession re-hashes the artifact trail backing record id (§4.2.1

@@ -93,13 +93,10 @@ func Create(dir string) (*DB, error) {
 
 // CreateStaged initializes an empty staged database at dir: tables live as
 // resident shared-vector frames, ingestion is zero-copy, and disk is only
-// touched by an explicit Flush. The staging-path default — a per-session
-// staging DB that is deleted after the answer never pays encode or write
-// I/O at all.
+// touched by an explicit Flush, which creates dir. The staging-path
+// default — a per-session staging DB that is deleted after the answer
+// never pays a directory, encode or write I/O at all.
 func CreateStaged(dir string) (*DB, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
 	return &DB{dir: dir, staged: true, tables: map[string]*table{}}, nil
 }
 
@@ -333,11 +330,14 @@ func (db *DB) persistLocked(t *table) error {
 }
 
 // Flush persists every staged-but-unwritten table (and the catalog) to
-// disk, after which Open(dir) sees the full database. A durable DB is
-// already persistent: Flush is a no-op.
+// disk, creating the directory if needed, after which Open(dir) sees the
+// full database. A durable DB is already persistent: Flush is a no-op.
 func (db *DB) Flush() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if err := os.MkdirAll(db.dir, 0o755); err != nil {
+		return err
+	}
 	for _, t := range db.tables {
 		if !t.dirty {
 			continue

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -97,16 +98,26 @@ func TestStagedReadTableSharesResident(t *testing.T) {
 	}
 }
 
-// TestStagedFlushPersists: a staged DB touches disk only at Flush, after
-// which a fresh Open serves identical data.
+// TestStagedFlushPersists: a staged DB touches disk only at Flush — it
+// does not even create its directory before — after which a fresh Open
+// serves identical data.
 func TestStagedFlushPersists(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "db", "s1")
 	db, err := CreateStaged(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := db.BulkAppend("t", stagedFrame(8, 0), stagedFrame(8, 50)); err != nil {
 		t.Fatal(err)
+	}
+	if err := db.DropTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BulkAppend("t", stagedFrame(8, 0), stagedFrame(8, 50)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Dir(dir)); !os.IsNotExist(err) {
+		t.Fatalf("staged DB created its directory before Flush: %v", err)
 	}
 	if _, err := Open(dir); err == nil {
 		t.Fatal("staged DB must not be openable before Flush")

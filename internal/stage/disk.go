@@ -32,10 +32,17 @@
 // holds the vectors because block files are immutable: they are written
 // only by temp file + rename, never in place, and a removed entry's inode
 // is unlinked, so a vector that still aliases a released mapping
-// re-faults bit-identical bytes. What releasing does not reclaim is the
-// mapping itself (one VMA each, DiskMappings), the disk blocks of
-// unlinked files, and pages such a late reader faults back in (a mapping
-// is released once, when it is dropped); all are held until process exit.
+// re-faults bit-identical bytes.
+//
+// A reader that was already running when its mapping was dropped — an
+// ask that promoted the column earlier — re-faults pages the first
+// release handed back. So a drop that happens while readers are pinned
+// (Cache.Pin) is released a second time, by epoch: once every reader
+// pinned at or before the drop has unpinned (epoch.go). Both releases
+// only release; neither unmaps. What they do not reclaim is the mapping
+// itself (one VMA each, DiskMappings), the disk blocks of unlinked
+// files, and pages re-faulted by readers that never pinned or pinned
+// after the drop; all are held until process exit or a later release.
 package stage
 
 import (
@@ -198,6 +205,10 @@ type diskTier struct {
 	stats   diskStats
 	retired bool // set by retire: the tier serves no more promotions
 	inst    tierInstruments
+	// readers are the owning cache's pinned readers, told of every
+	// released mapping so it is released again after them; nil for a
+	// tier used on its own.
+	readers *readerEpochs
 }
 
 // setInstruments installs (or, with the zero value, clears) the tier's
@@ -636,7 +647,9 @@ func (dt *diskTier) removeLocked(el *list.Element, unlink bool) {
 }
 
 // releaseLocked returns the resident pages of e's mapping, if it has one,
-// and forgets the mapping so it is released at most once. Caller holds mu.
+// and forgets the mapping, so the tier releases it once; the pinned
+// readers (readerEpochs) release it once more after they finish. Caller
+// holds mu.
 func (dt *diskTier) releaseLocked(e *diskEntry) {
 	if e.region == nil {
 		return
@@ -644,6 +657,9 @@ func (dt *diskTier) releaseLocked(e *diskEntry) {
 	n := releaseMapping(e.region)
 	dt.stats.releasedBytes += n
 	dt.inst.releasedBytes.Add(n)
+	if dt.readers != nil {
+		dt.readers.dropped(e.region)
+	}
 	e.region, e.mapped = nil, nil
 }
 

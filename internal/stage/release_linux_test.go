@@ -386,3 +386,51 @@ func TestChurnKeepsFileRSSBounded(t *testing.T) {
 		t.Fatalf("disk_mappings = %d, want %d", st.DiskMappings, len(cols)*(cycles+1))
 	}
 }
+
+// TestPinnedReaderRefaultReleased drops a promoted mapping while readers
+// are pinned, has one of them read its vector again (faulting pages back
+// in), and proves the mapping reads Rss 0 kB once every reader pinned
+// before the drop has unpinned — not before, and without waiting for a
+// reader pinned after it — while the vector still reads bit-identical
+// values.
+func TestPinnedReaderRefaultReleased(t *testing.T) {
+	dir := t.TempDir()
+	path := rewriteSource(t, dir, "s.gio", 7, time.Now())
+	c := newTiered(t, 1<<30, filepath.Join(dir, "stage"))
+	defer c.Close()
+	c.SetPrefetch(false)
+	c.SetStatTTL(0)
+
+	reader := c.Pin()
+	other := c.Pin()
+	vec, region := promoteMapped(t, c, path, "fof_halo_mass")
+	want := append([]float64(nil), vec...)
+
+	// A stamp mismatch at the next lookup drops the old generation.
+	rewriteSource(t, dir, "s.gio", 99, time.Now().Add(2*time.Second))
+	if _, _, err := c.Columns(path, "fof_halo_mass"); err != nil {
+		t.Fatal(err)
+	}
+	late := c.Pin()
+	defer late()
+	if kb := mappingRssKB(t, region); kb != 0 {
+		t.Fatalf("dropped mapping still holds Rss %d kB", kb)
+	}
+
+	for _, v := range vec {
+		sink += v
+	}
+	if mappingRssKB(t, region) == 0 {
+		t.Fatal("reading the vector again should fault its pages back in")
+	}
+	reader()
+	reader() // unpinning twice is harmless
+	if mappingRssKB(t, region) == 0 {
+		t.Fatal("released while a reader pinned before the drop was still running")
+	}
+	other()
+	if kb := mappingRssKB(t, region); kb != 0 {
+		t.Fatalf("re-faulted mapping still holds Rss %d kB after its readers unpinned", kb)
+	}
+	sameBits(t, vec, want)
+}

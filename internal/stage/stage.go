@@ -61,8 +61,11 @@
 // miss promotes from disk — an mmap cast for numeric columns — without
 // touching the gio decoder, so hot columns survive restarts and the
 // memory budget stops being the residency ceiling. The pages of every
-// mapping the tier drops or retires are released, so churn in the block
-// store does not accumulate resident memory. With a tier attached,
+// mapping the tier drops or retires are released, and released again
+// once the readers pinned at the drop (Pin) are done, so churn in the
+// block store does not accumulate resident memory. Write-throughs queued
+// for the background pool are bounded by the memory budget too: a decode
+// waits for room once it has published its columns. With a tier attached,
 // sibling columns and hinted next-step files are opportunistically
 // prefetched while a source file is open (prefetch.go).
 //
@@ -286,6 +289,19 @@ type Cache struct {
 	bgWG      sync.WaitGroup
 	bgStarted atomic.Bool
 
+	// persistMu guards persistQueued, the payload bytes of write-through
+	// persists queued or running on the pool (reservePersist); persistCond
+	// wakes decode leaders waiting for room. persistPeak is its high-water
+	// mark.
+	persistMu     sync.Mutex
+	persistCond   *sync.Cond
+	persistQueued int64
+	persistPeak   int64
+
+	// readers are the pinned readers (Pin) every attached disk tier reports
+	// its released mappings to.
+	readers *readerEpochs
+
 	// Pre-resolved telemetry instruments (SetMetrics); nil records nothing.
 	// Pre-resolving keeps the decode path free of registry lookups.
 	decodeSeconds  *telemetry.Histogram
@@ -313,7 +329,7 @@ func New(budgetBytes int64, workers int) *Cache {
 			workers = 8
 		}
 	}
-	return &Cache{
+	c := &Cache{
 		workers:      workers,
 		sem:          make(chan struct{}, workers),
 		budget:       budgetBytes,
@@ -328,7 +344,10 @@ func New(budgetBytes int64, workers int) *Cache {
 		pinned:       map[string]stamp{},
 		pinEpoch:     map[string]uint64{},
 		bg:           make(chan func(), 256),
+		readers:      newReaderEpochs(),
 	}
+	c.persistCond = sync.NewCond(&c.persistMu)
+	return c
 }
 
 // SetDiskTier attaches (or, with dir == "", detaches) the persistent
@@ -346,6 +365,7 @@ func (c *Cache) SetDiskTier(dir string, budgetBytes int64) error {
 		if dt, err = newDiskTier(dir, budgetBytes); err != nil {
 			return err
 		}
+		dt.readers = c.readers
 		c.startBG()
 	}
 	c.mu.Lock()
@@ -831,6 +851,7 @@ func (c *Cache) Columns(path string, names ...string) (f *dataframe.Frame, bytes
 			var firstErr error
 			var toPersist []*entry
 			c.mu.Lock()
+			persistLimit := c.budget
 			for i, fl := range lead {
 				delete(c.inflight, key{path: path, col: missing[i]})
 				// Errors are attributed per column: a bad column name in this
@@ -856,11 +877,14 @@ func (c *Cache) Columns(path string, names ...string) (f *dataframe.Frame, bytes
 				c.insertLocked(decoded[i])
 			}
 			c.mu.Unlock()
-			for _, e := range toPersist {
-				c.persistAsync(dt, e)
-			}
 			for _, fl := range lead {
 				close(fl.done)
+			}
+			// Only now, holding no lock and leading no flight, may this call
+			// wait for room in the persist queue: that wait is what bounds
+			// the decoded columns queued write-throughs keep alive.
+			for _, e := range toPersist {
+				c.persistAsync(dt, e, persistLimit, true)
 			}
 			for i, e := range decoded {
 				if errs[i] != nil {
@@ -1054,7 +1078,7 @@ func (c *Cache) evictOverBudgetLocked() {
 			c.demotionsCtr.Inc()
 			if !e.persisted {
 				e.persisted = true
-				c.persistAsync(c.disk, e)
+				c.persistAsync(c.disk, e, c.budget, false)
 			}
 		}
 	}
@@ -1063,15 +1087,55 @@ func (c *Cache) evictOverBudgetLocked() {
 // persistAsync queues one block's write-through to the disk tier. The
 // encode (and file write) happen on the background pool, off the decode
 // path; the entry's column vector is immutable so capturing it is safe.
-func (c *Cache) persistAsync(dt *diskTier, e *entry) {
+//
+// A queued persist keeps its decoded column alive, so the payload bytes
+// queued at once are bounded by limit, the cache's memory budget. With
+// wait, the caller blocks until there is room; it must hold no lock and
+// lead no flight, since the pool's prefetch tasks may need c.mu. Without
+// wait (demotion under c.mu), a persist that does not fit is dropped, as
+// one is when the pool's queue is full — persists are best-effort.
+func (c *Cache) persistAsync(dt *diskTier, e *entry, limit int64, wait bool) {
+	n := e.bytes
+	if !c.reservePersist(n, limit, wait) {
+		return
+	}
 	k, st, col := e.key, e.stamp, e.col
-	c.enqueueBG(func() {
+	if !c.enqueueBG(func() {
+		defer c.releasePersist(n)
 		payload, err := gio.EncodeBlock(col)
 		if err != nil {
 			return
 		}
 		dt.put(k, st, col.Kind, col.Len(), payload, false)
-	})
+	}) {
+		c.releasePersist(n)
+	}
+}
+
+// reservePersist claims room for n payload bytes in the persist queue:
+// room means the queued bytes stay within limit, and an empty queue always
+// has room, so a block larger than the budget is still persisted alone.
+// With wait it blocks until there is room; without, it reports false.
+func (c *Cache) reservePersist(n, limit int64, wait bool) bool {
+	c.persistMu.Lock()
+	defer c.persistMu.Unlock()
+	for c.persistQueued > 0 && c.persistQueued+n > limit {
+		if !wait {
+			return false
+		}
+		c.persistCond.Wait()
+	}
+	c.persistQueued += n
+	c.persistPeak = max(c.persistPeak, c.persistQueued)
+	return true
+}
+
+// releasePersist returns n bytes of persist-queue room and wakes waiters.
+func (c *Cache) releasePersist(n int64) {
+	c.persistMu.Lock()
+	c.persistQueued -= n
+	c.persistMu.Unlock()
+	c.persistCond.Broadcast()
 }
 
 func (c *Cache) removeLocked(el *list.Element) {

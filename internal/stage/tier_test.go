@@ -529,3 +529,66 @@ func TestBlockStoreRoundTripString(t *testing.T) {
 		t.Fatalf("string column corrupted: %v", name.Value(3))
 	}
 }
+
+// TestPersistQueueBoundedByBudget runs eight concurrent decoders over
+// sixteen files with a memory budget of one column, prefetch on and
+// next-step hints registered, and proves the payload bytes queued for
+// write-through never exceed the budget, nothing deadlocks, and every
+// block still reaches the disk tier. Run under -race.
+func TestPersistQueueBoundedByBudget(t *testing.T) {
+	dir := t.TempDir()
+	const files, decoders = 16, 8
+	var paths []string
+	for i := 0; i < files; i++ {
+		paths = append(paths, writeSnapshot(t, dir, fmt.Sprintf("s%02d.gio", i), 4096, int64(i)))
+	}
+	var budget int64
+	for _, n := range blockSizes(t, paths[0]) {
+		budget = max(budget, n)
+	}
+	c := newTiered(t, budget, filepath.Join(dir, "stage"))
+	defer c.Close()
+	c.RegisterNeighbors(dir, func(p string) []string {
+		for i, q := range paths[:files-1] {
+			if q == p {
+				return []string{paths[i+1]}
+			}
+		}
+		return nil
+	})
+
+	var wg sync.WaitGroup
+	for g := 0; g < decoders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := 0; j < files; j++ {
+				if _, _, err := c.Columns(paths[(g*5+j)%files], "fof_halo_tag", "fof_halo_mass", "fof_halo_count"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("decoders deadlocked waiting for persist-queue room")
+	}
+	c.WaitPending()
+
+	c.persistMu.Lock()
+	peak, queued := c.persistPeak, c.persistQueued
+	c.persistMu.Unlock()
+	if peak == 0 || peak > budget {
+		t.Fatalf("persist queue peaked at %d bytes; budget %d", peak, budget)
+	}
+	if queued != 0 {
+		t.Fatalf("%d bytes still reserved after WaitPending", queued)
+	}
+	if st := c.Stats(); st.DiskEntries != files*3 {
+		t.Fatalf("disk tier holds %d blocks, want %d", st.DiskEntries, files*3)
+	}
+}
