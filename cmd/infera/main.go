@@ -53,7 +53,6 @@ func main() {
 		serve      = flag.Bool("serve", false, "run the concurrent query service instead of the REPL")
 		addr       = flag.String("addr", "127.0.0.1:8080", "HTTP listen address for -serve")
 		stageMB    = flag.Int64("stage-budget", stage.DefaultBudgetBytes>>20, "staging-cache budget for decoded column blocks, in MB")
-		statTTL    = flag.Duration("stage-stat-ttl", stage.DefaultStatTTL, "staging-cache freshness-check memoization TTL (<= 0 stats every lookup; superseded by -stage-watch)")
 		stageDir   = flag.String("stage-dir", "", "staging-cache disk tier directory; empty disables the persistent block store")
 		stageDisk  = flag.Int64("stage-disk-budget", stage.DefaultDiskBudgetBytes>>20, "disk-tier block store budget, in MB (needs -stage-dir)")
 		stageWatch = flag.Bool("stage-watch", true, "replace the stat-TTL freshness memo with a filesystem watch (exact invalidation, zero hot-path stat syscalls)")
@@ -68,7 +67,6 @@ func main() {
 		log.Fatal("infera: -ensemble is required (generate one with haccgen)")
 	}
 	stage.Shared().SetBudget(*stageMB << 20)
-	stage.Shared().SetStatTTL(*statTTL)
 	stage.Shared().SetPrefetch(*stagePref)
 	if *stageDir != "" {
 		if err := stage.Shared().SetDiskTier(*stageDir, *stageDisk<<20); err != nil {

@@ -13,7 +13,7 @@
 //	inferad -ensemble DIR [-ensemble name=DIR ...] [-addr 127.0.0.1:8080]
 //	        [-work DIR] [-max-live-shards 4] [-workers 4] [-queue 64]
 //	        [-cache 128] [-seed 1] [-trim] [-skipdoc] [-sandbox-server]
-//	        [-stage-budget MB] [-stage-stat-ttl 100ms]
+//	        [-stage-budget MB]
 //	        [-stage-dir DIR] [-stage-disk-budget MB] [-stage-watch] [-stage-prefetch]
 //	        [-provenance-max-age 0] [-provenance-max-bytes 0]
 //
@@ -170,7 +170,6 @@ func main() {
 		approval   = flag.Duration("approval-timeout", 0, "interactive plan-review deadline before auto-approval (0 = 60s default)")
 		eventBuf   = flag.Int("event-buffer", 0, "per-session event-log capacity for interactive asks (0 = 512 default)")
 		stageMB    = flag.Int64("stage-budget", stage.DefaultBudgetBytes>>20, "staging-cache budget for decoded column blocks, in MB (shared across all shards)")
-		statTTL    = flag.Duration("stage-stat-ttl", stage.DefaultStatTTL, "staging-cache freshness-check memoization TTL (<= 0 stats every lookup; superseded by -stage-watch)")
 		stageDir   = flag.String("stage-dir", "", "staging-cache disk tier directory; empty disables the persistent block store")
 		stageDisk  = flag.Int64("stage-disk-budget", stage.DefaultDiskBudgetBytes>>20, "disk-tier block store budget, in MB (needs -stage-dir)")
 		stageWatch = flag.Bool("stage-watch", true, "replace the stat-TTL freshness memo with a filesystem watch (inotify on Linux; exact invalidation, zero hot-path stat syscalls)")
@@ -201,7 +200,6 @@ func main() {
 	// domain tools share it); the flags size that shared instance, attach
 	// its optional persistent tier and pick its freshness mechanism.
 	stage.Shared().SetBudget(*stageMB << 20)
-	stage.Shared().SetStatTTL(*statTTL)
 	stage.Shared().SetPrefetch(*stagePref)
 	if *stageDir != "" {
 		if err := stage.Shared().SetDiskTier(*stageDir, *stageDisk<<20); err != nil {

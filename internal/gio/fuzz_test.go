@@ -87,14 +87,27 @@ func FuzzGioDecode(f *testing.F) {
 			return
 		}
 		defer r.Close()
-		if _, err := r.ReadAll(); err != nil {
-			return
-		}
+		// Whatever column ReadColumn accepts — read straight into the
+		// vector for numeric kinds — must equal the copy decode of the same
+		// block, bit for bit.
 		for _, name := range r.ColumnNames() {
-			if _, _, err := r.ReadColumn(name); err != nil {
-				return
+			got, n, err := r.ReadColumn(name)
+			if err != nil {
+				continue
+			}
+			info, blk, err := r.ReadBlock(name)
+			if err != nil {
+				t.Fatalf("ReadBlock rejected column %q that ReadColumn accepted: %v", name, err)
+			}
+			want, err := DecodeBlock(name, info.Kind, blk, r.NumRows())
+			if err != nil {
+				t.Fatalf("DecodeBlock rejected column %q that ReadColumn accepted: %v", name, err)
+			}
+			if n != info.Size || !sameBits(got, want) {
+				t.Fatalf("column %q: ReadColumn (%d bytes) differs from DecodeBlock of ReadBlock", name, n)
 			}
 		}
+		_, _ = r.ReadAll()
 	})
 }
 

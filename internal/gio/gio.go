@@ -8,10 +8,18 @@
 // seeks to and decodes only the requested column blocks, so unread columns
 // cost no I/O beyond the header. Readers track bytes actually read so the
 // evaluation harness can report true I/O volumes.
+//
+// Numeric blocks are 8-byte little-endian values, which on a little-endian
+// host is exactly the in-memory []float64/[]int64 layout. This package is
+// the one place that knows it: ReadColumn reads such a block straight into
+// a freshly allocated vector — one allocation per column, CRC-32C computed
+// over the vector's own bytes — and VectorBlock/CastBlock convert between
+// a column and its block without copying, for callers that store blocks
+// elsewhere (the stage cache's disk tier). String blocks, and every block
+// on a big-endian host, are encoded and decoded element by element.
 package gio
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -20,6 +28,7 @@ import (
 	"math"
 	"os"
 	"sync/atomic"
+	"unsafe"
 
 	"infera/internal/dataframe"
 )
@@ -51,9 +60,14 @@ func WriteFile(path string, f *dataframe.Frame, meta map[string]string) (err err
 	h := header{NumRows: f.NumRows(), Meta: meta, Columns: make([]ColumnInfo, f.NumCols())}
 	for i := 0; i < f.NumCols(); i++ {
 		c := f.ColumnAt(i)
-		blk, encErr := encodeColumn(c)
-		if encErr != nil {
-			return fmt.Errorf("gio: encode %q: %w", c.Name, encErr)
+		// The frame is only read while the file is written, so a numeric
+		// column's block can be its own vector.
+		blk, ok := VectorBlock(c)
+		if !ok {
+			var encErr error
+			if blk, encErr = encodeColumn(c); encErr != nil {
+				return fmt.Errorf("gio: encode %q: %w", c.Name, encErr)
+			}
 		}
 		blocks[i] = blk
 		h.Columns[i] = ColumnInfo{
@@ -125,6 +139,59 @@ func WriteFile(path string, f *dataframe.Frame, meta map[string]string) (err err
 	return nil
 }
 
+// hostLittleEndian reports the host byte order. Numeric blocks are 8-byte
+// little-endian, so only on a little-endian host is a block bit-identical
+// to the in-memory vector. A variable so tests can force the portable
+// element-by-element path.
+var hostLittleEndian = func() bool {
+	var x uint16 = 1
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// NativeLayout reports whether a kind's encoded block is, on this host,
+// byte for byte its in-memory vector: Float and Int on little-endian
+// hosts. For those kinds VectorBlock and CastBlock convert between a
+// column and its block without copying.
+func NativeLayout(kind dataframe.Kind) bool {
+	return hostLittleEndian && (kind == dataframe.Float || kind == dataframe.Int)
+}
+
+// VectorBlock returns c's encoded block as a view of c's own vector when
+// NativeLayout(c.Kind) holds, and false otherwise (EncodeBlock then builds
+// the block). The view aliases the vector, so it may only be handed on
+// while the column is immutable (dataframe.Column.MarkShared).
+func VectorBlock(c *dataframe.Column) ([]byte, bool) {
+	if !NativeLayout(c.Kind) {
+		return nil, false
+	}
+	if c.Kind == dataframe.Float {
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(c.F))), 8*len(c.F)), true
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(c.I))), 8*len(c.I)), true
+}
+
+// CastBlock views an 8-aligned encoded numeric block as a column vector
+// without copying or decoding — VectorBlock's inverse. It fails unless
+// NativeLayout(kind) holds and the block holds exactly rows values. The
+// block must stay immutable and mapped for the vector's lifetime.
+func CastBlock(name string, kind dataframe.Kind, blk []byte, rows int) (*dataframe.Column, error) {
+	if !NativeLayout(kind) {
+		return nil, fmt.Errorf("gio: %s block not castable on this host", kind)
+	}
+	// Compare by division: 8*rows overflows for a corrupt header's rows.
+	if rows < 0 || len(blk)%8 != 0 || len(blk)/8 != rows {
+		return nil, fmt.Errorf("gio: %s block size %d != 8*%d", kind, len(blk), rows)
+	}
+	if uintptr(unsafe.Pointer(unsafe.SliceData(blk)))%8 != 0 {
+		return nil, fmt.Errorf("gio: %s block misaligned", kind)
+	}
+	p := unsafe.Pointer(unsafe.SliceData(blk))
+	if kind == dataframe.Float {
+		return dataframe.NewFloat(name, unsafe.Slice((*float64)(p), rows)), nil
+	}
+	return dataframe.NewInt(name, unsafe.Slice((*int64)(p), rows)), nil
+}
+
 // EncodedSize returns the exact encoded block size of c under this
 // package's on-disk layout — 8 bytes per numeric element, uvarint length
 // prefix plus bytes per string — without encoding anything. Callers that
@@ -146,9 +213,11 @@ func EncodedSize(c *dataframe.Column) int64 {
 }
 
 // EncodeBlock returns c's encoded on-disk block — byte-identical to what
-// WriteFile stores for the column — so callers that persist column blocks
-// outside a full gio file (the stage cache's disk tier) reuse this
-// package's layout instead of inventing a second serialization.
+// WriteFile stores for the column — in a buffer of its own. Callers that
+// persist column blocks outside a full gio file (the stage cache's disk
+// tier) reuse this package's layout instead of inventing a second
+// serialization; for numeric columns on little-endian hosts VectorBlock
+// gives the same bytes without the copy.
 func EncodeBlock(c *dataframe.Column) ([]byte, error) {
 	return encodeColumn(c)
 }
@@ -160,32 +229,31 @@ func DecodeBlock(name string, kind dataframe.Kind, blk []byte, rows int) (*dataf
 	return decodeColumn(ColumnInfo{Name: name, Kind: kind, Size: int64(len(blk))}, blk, rows)
 }
 
+// encodeColumn builds c's block in one buffer, element by element.
 func encodeColumn(c *dataframe.Column) ([]byte, error) {
-	var buf bytes.Buffer
 	switch c.Kind {
 	case dataframe.Float:
 		b := make([]byte, 8*len(c.F))
 		for i, v := range c.F {
 			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 		}
-		buf.Write(b)
+		return b, nil
 	case dataframe.Int:
 		b := make([]byte, 8*len(c.I))
 		for i, v := range c.I {
 			binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
 		}
-		buf.Write(b)
+		return b, nil
 	case dataframe.String:
-		var tmp [binary.MaxVarintLen64]byte
+		b := make([]byte, 0, EncodedSize(c))
 		for _, s := range c.S {
-			n := binary.PutUvarint(tmp[:], uint64(len(s)))
-			buf.Write(tmp[:n])
-			buf.WriteString(s)
+			b = binary.AppendUvarint(b, uint64(len(s)))
+			b = append(b, s...)
 		}
+		return b, nil
 	default:
 		return nil, fmt.Errorf("unsupported kind %v", c.Kind)
 	}
-	return buf.Bytes(), nil
 }
 
 // Reader provides selective column access to a gio file. It is safe for
@@ -194,19 +262,27 @@ func encodeColumn(c *dataframe.Column) ([]byte, error) {
 // parallel loaders (header state is immutable after Open).
 type Reader struct {
 	f         *os.File
+	info      os.FileInfo // fstat of f at Open
 	hdr       header
 	byName    map[string]int
-	fileSize  int64
 	bytesRead atomic.Int64 // data-block bytes read so far (excludes header)
 }
 
-// Open opens a gio file and parses its header.
+// Open opens a gio file and parses its header. Every column extent the
+// header declares is checked against the opened file's size, so a failed
+// fstat fails the open.
 func Open(path string) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{f: f, byName: map[string]int{}}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("gio: %s: stat: %w", path, err)
+	}
+	r := &Reader{f: f, info: st, byName: map[string]int{}}
+	fileSize := st.Size()
 	var m [8]byte
 	if _, err := io.ReadFull(f, m[:]); err != nil {
 		f.Close()
@@ -221,16 +297,13 @@ func Open(path string) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("gio: %s: short header length: %w", path, err)
 	}
-	if st, err := f.Stat(); err == nil {
-		r.fileSize = st.Size()
-	}
 	// The declared header length cannot exceed what the file actually
 	// holds; allocating it unchecked would let a 12-byte forgery claim a
 	// 4 GB header.
 	hdrLen := int64(binary.LittleEndian.Uint32(lenBuf[:]))
-	if r.fileSize > 0 && hdrLen > r.fileSize-int64(len(magic))-int64(len(lenBuf)) {
+	if hdrLen > fileSize-int64(len(magic))-int64(len(lenBuf)) {
 		f.Close()
-		return nil, fmt.Errorf("gio: %s: header length %d exceeds file size %d", path, hdrLen, r.fileSize)
+		return nil, fmt.Errorf("gio: %s: header length %d exceeds file size %d", path, hdrLen, fileSize)
 	}
 	hdrJSON := make([]byte, hdrLen)
 	if _, err := io.ReadFull(f, hdrJSON); err != nil {
@@ -245,10 +318,10 @@ func Open(path string) (*Reader, error) {
 	// the file: a negative or out-of-range (Offset, Size) would otherwise
 	// panic or over-allocate in ReadColumn/ReadBlock.
 	for i, c := range r.hdr.Columns {
-		if c.Size < 0 || c.Offset < 0 || (r.fileSize > 0 && c.Offset+c.Size > r.fileSize) {
+		if c.Size < 0 || c.Offset < 0 || c.Offset > fileSize || c.Size > fileSize-c.Offset {
 			f.Close()
 			return nil, fmt.Errorf("gio: %s: column %q extent [%d,+%d) outside file of %d bytes",
-				path, c.Name, c.Offset, c.Size, r.fileSize)
+				path, c.Name, c.Offset, c.Size, fileSize)
 		}
 		r.byName[c.Name] = i
 	}
@@ -258,11 +331,18 @@ func Open(path string) (*Reader, error) {
 // Close releases the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }
 
+// Stat returns the file information of the file this reader opened, taken
+// by fstat at Open. It describes the generation every block the reader
+// returns comes from, even if the path has since been renamed over or
+// removed — callers stamp what they read with it rather than statting the
+// path, which may name another file by then.
+func (r *Reader) Stat() os.FileInfo { return r.info }
+
 // NumRows returns the row count recorded in the header.
 func (r *Reader) NumRows() int { return r.hdr.NumRows }
 
 // Size returns the total file size in bytes.
-func (r *Reader) Size() int64 { return r.fileSize }
+func (r *Reader) Size() int64 { return r.info.Size() }
 
 // BytesRead returns the data-block bytes this reader has decoded so far;
 // it is the measure behind the paper's "terabytes to gigabytes" claim.
@@ -309,19 +389,38 @@ func (r *Reader) ColumnInfoOf(name string) (ColumnInfo, bool) {
 // that already holds some of a file's columns fetches only the absent ones,
 // never the whole file. Safe for concurrent use with other reads on the
 // same Reader.
+//
+// A numeric column on a little-endian host costs one allocation, the
+// vector itself: its size is checked against the header's row count
+// first, the block is read straight into the vector's bytes, and the
+// CRC-32C is computed over those same bytes before the column is returned.
+// String columns and big-endian hosts read the block into a buffer and
+// decode it.
 func (r *Reader) ReadColumn(name string) (*dataframe.Column, int64, error) {
 	i, ok := r.byName[name]
 	if !ok {
 		return nil, 0, &dataframe.ColumnError{Name: name, Available: r.ColumnNames()}
 	}
 	info := r.hdr.Columns[i]
-	blk := make([]byte, info.Size)
-	if _, err := r.f.ReadAt(blk, info.Offset); err != nil {
-		return nil, 0, fmt.Errorf("gio: read block %q: %w", name, err)
+	// Size by division: 8*NumRows overflows for a corrupt header. A block
+	// that does not fit its rows takes the decode path, which reports the
+	// mismatch after the CRC check, as it always has.
+	if NativeLayout(info.Kind) && info.Size <= math.MaxInt && info.Size%8 == 0 && info.Size/8 == int64(r.hdr.NumRows) {
+		var col *dataframe.Column
+		if info.Kind == dataframe.Float {
+			col = dataframe.NewFloat(name, make([]float64, r.hdr.NumRows))
+		} else {
+			col = dataframe.NewInt(name, make([]int64, r.hdr.NumRows))
+		}
+		blk, _ := VectorBlock(col)
+		if err := r.readVerified(info, blk); err != nil {
+			return nil, 0, err
+		}
+		return col, info.Size, nil
 	}
-	r.bytesRead.Add(info.Size)
-	if got := crc32.Checksum(blk, castagnoli); got != info.CRC {
-		return nil, 0, fmt.Errorf("gio: column %q: CRC mismatch (file corrupt): got %08x want %08x", name, got, info.CRC)
+	blk := make([]byte, info.Size)
+	if err := r.readVerified(info, blk); err != nil {
+		return nil, 0, err
 	}
 	col, err := decodeColumn(info, blk, r.hdr.NumRows)
 	if err != nil {
@@ -344,14 +443,23 @@ func (r *Reader) ReadBlock(name string) (ColumnInfo, []byte, error) {
 	}
 	info := r.hdr.Columns[i]
 	blk := make([]byte, info.Size)
+	if err := r.readVerified(info, blk); err != nil {
+		return ColumnInfo{}, nil, err
+	}
+	return info, blk, nil
+}
+
+// readVerified reads info's block into blk, which is info.Size bytes, and
+// checks its CRC-32C.
+func (r *Reader) readVerified(info ColumnInfo, blk []byte) error {
 	if _, err := r.f.ReadAt(blk, info.Offset); err != nil {
-		return ColumnInfo{}, nil, fmt.Errorf("gio: read block %q: %w", name, err)
+		return fmt.Errorf("gio: read block %q: %w", info.Name, err)
 	}
 	r.bytesRead.Add(info.Size)
 	if got := crc32.Checksum(blk, castagnoli); got != info.CRC {
-		return ColumnInfo{}, nil, fmt.Errorf("gio: column %q: CRC mismatch (file corrupt): got %08x want %08x", name, got, info.CRC)
+		return fmt.Errorf("gio: column %q: CRC mismatch (file corrupt): got %08x want %08x", info.Name, got, info.CRC)
 	}
-	return info, blk, nil
+	return nil
 }
 
 // ReadColumns reads only the named columns into a frame, verifying each

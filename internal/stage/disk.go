@@ -1,26 +1,32 @@
 // Disk tier: a persistent block store under the in-memory LRU.
 //
 // Each resident entry is one decoded column block written back out in the
-// gio block encoding (gio.EncodeBlock — byte-identical to the source
-// file's block), one file per (source path, column) under the tier's
-// directory. The store has its own byte budget and LRU sweep, so the
-// memory budget stops being the residency ceiling: in-memory eviction
-// demotes instead of discards, a memory miss promotes from disk without
-// touching the gio decoder, and hot columns survive restarts — a fresh
-// process over a populated stage dir rebuilds its index from block-file
-// headers alone.
+// gio block encoding — byte-identical to the source file's block — one
+// file per (source path, column) under the tier's directory. A block file
+// is a 64-byte header (magic, kind, row count, source stamp, payload
+// length and offset, CRC-32C of the payload), the source path and column
+// name, zero padding to an 8-aligned offset, then the payload. The
+// write-through of a numeric column writes its payload straight from the
+// cached vector's bytes (gio.VectorBlock): no encode and no copy, which is
+// safe because cached vectors are immutable. Strings and big-endian hosts
+// encode through gio.EncodeBlock. The store has its own byte budget and
+// LRU sweep, so the memory budget stops being the residency ceiling:
+// in-memory eviction demotes instead of discards, a memory miss promotes
+// from disk without touching the gio decoder, and hot columns survive
+// restarts — a fresh process over a populated stage dir rebuilds its index
+// from block-file headers alone.
 //
 // Promotion is where the tier earns its latency budget. Float and Int
 // payloads are stored 8-byte little-endian — the same bit layout as the
-// in-memory vectors on little-endian hosts — so promotion mmaps the block
-// file and casts the (8-aligned) payload into the column vector directly:
-// no read, no per-element decode, pages fault in lazily as the column is
-// actually scanned. String columns (variable-width) and non-little-endian
-// hosts take a copy-decode fallback through gio.DecodeBlock. Truncated or
-// corrupt block files are detected by header validation and size bounds
-// checks before any cast; a failed promotion evicts exactly that block
-// file and falls through to the real decoder (per-column error
-// attribution, as in the memory tier).
+// in-memory vectors on little-endian hosts (gio.NativeLayout) — so
+// promotion mmaps the block file and casts the (8-aligned) payload into
+// the column vector directly (gio.CastBlock): no read, no per-element
+// decode, pages fault in lazily as the column is actually scanned. String
+// columns (variable-width) and non-little-endian hosts take a copy-decode
+// fallback through gio.DecodeBlock. Truncated or corrupt block files are
+// detected by header validation and size bounds checks before any cast; a
+// failed promotion evicts exactly that block file and falls through to the
+// real decoder (per-column error attribution, as in the memory tier).
 //
 // Mapping lifetime. Promoted vectors alias their mapping from frames, SQL
 // segments and answer caches with unbounded lifetime, so a mapping a
@@ -341,10 +347,12 @@ func (dt *diskTier) has(k key, st stamp) bool {
 }
 
 // put persists one encoded payload for (k, st), replacing any prior
-// generation, and sweeps the budget. The write is atomic (temp + rename),
-// so a reader never observes a partial block and a crash leaves at worst
-// an orphan temp file the next scan ignores. A payload alone over budget
-// is not stored (mirrors the memory tier's oversized-entry rule).
+// generation, and sweeps the budget. payload is only read, never kept, so
+// it may be a cached vector's own bytes (gio.VectorBlock). The write is
+// atomic (temp + rename), so a reader never observes a partial block and a
+// crash leaves at worst an orphan temp file the next scan ignores. A
+// payload alone over budget is not stored (mirrors the memory tier's
+// oversized-entry rule).
 func (dt *diskTier) put(k key, st stamp, kind dataframe.Kind, rows int, payload []byte, prefetched bool) error {
 	dt.mu.Lock()
 	over := int64(len(payload)) > dt.budget
@@ -364,17 +372,21 @@ func (dt *diskTier) put(k key, st stamp, kind dataframe.Kind, rows int, payload 
 		colLen:     len(k.col),
 	}
 	h.payloadOff = align8(int64(blkHeaderSize + h.pathLen + h.colLen))
-	buf := make([]byte, 0, h.payloadOff+h.payloadLen)
-	buf = append(buf, encodeBlkHeader(h)...)
-	buf = append(buf, k.path...)
-	buf = append(buf, k.col...)
-	buf = append(buf, make([]byte, h.payloadOff-int64(blkHeaderSize+h.pathLen+h.colLen))...)
-	buf = append(buf, payload...)
+	// The header, key strings and zero padding go first, then the payload
+	// as it was handed in, so a vector's bytes are never copied.
+	head := make([]byte, h.payloadOff)
+	copy(head, encodeBlkHeader(h))
+	copy(head[blkHeaderSize:], k.path)
+	copy(head[blkHeaderSize+h.pathLen:], k.col)
 	tmp, err := os.CreateTemp(dt.dir, ".blk-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(buf); err != nil {
+	_, err = tmp.Write(head)
+	if err == nil {
+		_, err = tmp.Write(payload)
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err
@@ -461,7 +473,7 @@ func (dt *diskTier) promote(k key, now stamp) (col *dataframe.Column, bytes int6
 
 	payload := mapped
 	if payload != nil {
-		col, err = castColumn(k.col, kind, payload, int(rows))
+		col, err = gio.CastBlock(k.col, kind, payload, int(rows))
 	} else {
 		col, err = dt.decodeCopy(k, file, payloadOff, payloadLen, kind, int(rows))
 	}
@@ -511,7 +523,7 @@ func (dt *diskTier) load(k key, file string, payloadOff, payloadLen int64, kind 
 	if err := validateBlk(f, k, payloadOff, payloadLen); err != nil {
 		return nil, nil, err
 	}
-	if kind != dataframe.Float && kind != dataframe.Int || !hostLittleEndian || !mmapSupported {
+	if !gio.NativeLayout(kind) || !mmapSupported {
 		return nil, nil, nil
 	}
 	region, err = mmapFile(f, payloadOff+payloadLen)

@@ -16,7 +16,7 @@ import (
 // over-allocate, and whatever readBlkEntry accepts must be a block
 // validateBlk accepts for its own key (and rejects for another), whose
 // payload lies inside the file, and which — when numeric and the right
-// size — castColumn views without error.
+// size — gio.CastBlock views without error.
 func FuzzBlockHeader(f *testing.F) {
 	dir := f.TempDir()
 	dt, err := newDiskTier(dir, 0)
@@ -80,8 +80,8 @@ func FuzzBlockHeader(f *testing.F) {
 			buf := make([]uint64, (e.bytes+7)/8)
 			payload := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(buf))), len(buf)*8)[:e.bytes]
 			copy(payload, data[e.payloadOff:])
-			if col, err := castColumn(e.key.col, e.kind, payload, int(e.rows)); err == nil && col.Len() != int(e.rows) {
-				t.Fatalf("castColumn returned %d rows, header says %d", col.Len(), e.rows)
+			if col, err := gio.CastBlock(e.key.col, e.kind, payload, int(e.rows)); err == nil && col.Len() != int(e.rows) {
+				t.Fatalf("CastBlock returned %d rows, header says %d", col.Len(), e.rows)
 			}
 		}
 	})

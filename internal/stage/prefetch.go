@@ -17,7 +17,6 @@
 package stage
 
 import (
-	"os"
 	"strings"
 
 	"infera/internal/gio"
@@ -103,35 +102,31 @@ func (c *Cache) prefetchPass(dt *diskTier, path string, requested []string, st s
 	for _, n := range requested {
 		reqSet[n] = true
 	}
-	c.prefetchBlocks(dt, path, st, func(name string) bool { return !reqSet[name] })
+	c.prefetchBlocks(dt, path, &st, func(name string) bool { return !reqSet[name] })
 	for _, np := range c.neighborsOf(path) {
 		if np == path {
 			continue
 		}
-		fi, err := os.Stat(np)
-		if err != nil {
-			continue
-		}
-		nst := stamp{mtime: fi.ModTime().UnixNano(), size: fi.Size()}
-		c.prefetchBlocks(dt, np, nst, func(name string) bool { return reqSet[name] })
+		c.prefetchBlocks(dt, np, nil, func(name string) bool { return reqSet[name] })
 	}
 }
 
 // prefetchBlocks copies the block of every column of path selected by
 // want into the disk tier, skipping blocks already resident for this
-// file generation. The stamp is re-validated against the live file so a
-// rewrite between scheduling and execution aborts instead of storing a
-// mixed-generation block.
-func (c *Cache) prefetchBlocks(dt *diskTier, path string, st stamp, want func(name string) bool) {
-	fi, err := os.Stat(path)
-	if err != nil || (stamp{mtime: fi.ModTime().UnixNano(), size: fi.Size()}) != st {
-		return
-	}
+// file generation. Blocks are stamped with the fstat of the file actually
+// opened (gio.Reader.Stat); with expect set, a file whose opened
+// generation differs — rewritten between scheduling and execution — is
+// skipped instead of storing a mixed-generation block.
+func (c *Cache) prefetchBlocks(dt *diskTier, path string, expect *stamp, want func(name string) bool) {
 	r, err := gio.Open(path)
 	if err != nil {
 		return
 	}
 	defer r.Close()
+	st := stampOf(r.Stat())
+	if expect != nil && *expect != st {
+		return
+	}
 	for _, name := range r.ColumnNames() {
 		if !want(name) || dt.has(key{path: path, col: name}, st) {
 			continue

@@ -25,11 +25,14 @@
 // Lookups validate entries against the file's current (mtime, size), so
 // rewriting or regenerating a file invalidates its columns on the next
 // access without any watcher — the same stat-based freshness rule the
-// service's ensemble fingerprint uses. The stat itself is memoized for a
-// short TTL (SetStatTTL, default DefaultStatTTL), so a hot path resolving
-// many columns of one file pays one syscall per TTL window instead of one
-// per block; like the fingerprint memo, the TTL bounds how long a changed
-// file can keep serving its previous generation.
+// service's ensemble fingerprint uses. Without a watch (see Freshness) the
+// stat itself is memoized for DefaultStatTTL, so a hot path resolving many
+// columns of one file pays one syscall per TTL window instead of one per
+// block; like the fingerprint memo, the TTL bounds how long a changed file
+// can keep serving its previous generation. A decode stamps its blocks
+// with the fstat of the file it actually opened (gio.Reader.Stat), never
+// with a second stat of the path, so a block always carries the generation
+// its bytes came from.
 //
 // # Budget and eviction
 //
@@ -69,13 +72,19 @@
 // sibling columns and hinted next-step files are opportunistically
 // prefetched while a source file is open (prefetch.go).
 //
+// A numeric column is one buffer on its way through the tiers: the
+// decoder reads its block straight into the vector (gio.Reader.ReadColumn),
+// the write-through persists that vector's own bytes (gio.VectorBlock), and
+// a promotion casts the mapped block file back into a vector
+// (gio.CastBlock). Only package gio knows the block layout.
+//
 // # Freshness
 //
 // With a filesystem watch active (SetWatch, inotify on Linux), each
 // file's stamp is pinned after one stat and every later freshness check
 // is served from the pin with zero syscalls; a watch event unpins and
 // invalidates exactly the touched file's entries in both tiers
-// (watch.go). Without a watch, the stat-TTL memo below applies.
+// (watch.go). Without a watch, the DefaultStatTTL memo applies.
 //
 // # Concurrency
 //
@@ -222,6 +231,10 @@ type stamp struct {
 	size  int64
 }
 
+func stampOf(fi os.FileInfo) stamp {
+	return stamp{mtime: fi.ModTime().UnixNano(), size: fi.Size()}
+}
+
 type entry struct {
 	key   key
 	stamp stamp
@@ -320,8 +333,8 @@ type Cache struct {
 
 // New returns a cache holding at most budgetBytes of decoded column
 // blocks, with loads fanned out over at most workers goroutines (0 picks a
-// default of min(8, GOMAXPROCS)). Freshness checks are memoized for
-// DefaultStatTTL; adjust with SetStatTTL.
+// default of min(8, GOMAXPROCS)). Until SetWatch turns a watch on,
+// freshness checks are memoized for DefaultStatTTL.
 func New(budgetBytes int64, workers int) *Cache {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -548,18 +561,6 @@ func (c *Cache) SetBudget(budgetBytes int64) {
 	c.evictOverBudgetLocked()
 }
 
-// SetStatTTL adjusts the freshness-check memoization window. ttl <= 0
-// disables memoization entirely: every lookup stats the file, the
-// pre-memoization behavior tests of immediate invalidation rely on.
-func (c *Cache) SetStatTTL(ttl time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.statTTL = ttl
-	if ttl <= 0 {
-		c.statMemo = map[string]statEntry{}
-	}
-}
-
 // SetMetrics points the cache at a telemetry registry: every decode batch
 // observes its wall-clock duration into infera_stage_decode_seconds and
 // its block bytes into infera_stage_decoded_bytes_total. A nil registry
@@ -710,7 +711,7 @@ func (c *Cache) statPath(path string, bypass bool) (stamp, error) {
 		c.mu.Unlock()
 		return stamp{}, err
 	}
-	now := stamp{mtime: st.ModTime().UnixNano(), size: st.Size()}
+	now := stampOf(st)
 	if c.watchOn {
 		if watchArmed && c.pinEpoch[path] == epoch0 {
 			c.pinned[path] = now
@@ -950,30 +951,25 @@ func (c *Cache) Columns(path string, names ...string) (f *dataframe.Frame, bytes
 // multi-column misses out over per-column goroutines (gio readers support
 // concurrent positionless reads). Errors come back aligned per column —
 // one request's nonexistent column must not fail siblings that decoded
-// fine — with whole-file failures (stat, open) replicated to every
-// column. Entries are stamped with the pre-open stat so a mid-decode
-// rewrite yields a stale stamp and re-decodes on the next access rather
-// than serving torn data.
+// fine — with a whole-file failure (open) replicated to every
+// column. Entries are stamped with the opened file's own fstat
+// (gio.Reader.Stat), so they carry the generation their bytes came from: a
+// file renamed over the path since the caller's freshness check yields a
+// stamp that disagrees with it, and Columns re-validates rather than
+// serving a torn frame.
 func (c *Cache) decode(path string, cols []string) ([]*entry, []error) {
 	start := time.Now()
 	entries := make([]*entry, len(cols))
 	errs := make([]error, len(cols))
-	failAll := func(err error) ([]*entry, []error) {
+	r, err := gio.Open(path)
+	if err != nil {
 		for i := range errs {
 			errs[i] = err
 		}
 		return entries, errs
 	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return failAll(err)
-	}
-	stp := stamp{mtime: st.ModTime().UnixNano(), size: st.Size()}
-	r, err := gio.Open(path)
-	if err != nil {
-		return failAll(err)
-	}
 	defer r.Close()
+	stp := stampOf(r.Stat())
 	read := func(i int) {
 		col, n, rerr := r.ReadColumn(cols[i])
 		if rerr != nil {
@@ -1085,8 +1081,10 @@ func (c *Cache) evictOverBudgetLocked() {
 }
 
 // persistAsync queues one block's write-through to the disk tier. The
-// encode (and file write) happen on the background pool, off the decode
-// path; the entry's column vector is immutable so capturing it is safe.
+// file write happens on the background pool, off the decode path. The
+// entry's column vector is immutable (MarkShared), so the queued task may
+// alias it: a numeric payload is the vector's own bytes, and only strings
+// and big-endian hosts encode a copy.
 //
 // A queued persist keeps its decoded column alive, so the payload bytes
 // queued at once are bounded by limit, the cache's memory budget. With
@@ -1102,9 +1100,12 @@ func (c *Cache) persistAsync(dt *diskTier, e *entry, limit int64, wait bool) {
 	k, st, col := e.key, e.stamp, e.col
 	if !c.enqueueBG(func() {
 		defer c.releasePersist(n)
-		payload, err := gio.EncodeBlock(col)
-		if err != nil {
-			return
+		payload, ok := gio.VectorBlock(col)
+		if !ok {
+			var err error
+			if payload, err = gio.EncodeBlock(col); err != nil {
+				return
+			}
 		}
 		dt.put(k, st, col.Kind, col.Len(), payload, false)
 	}) {

@@ -367,7 +367,7 @@ func TestInvalidationOnFileChange(t *testing.T) {
 	c := New(1<<30, 2)
 	// Immediate cross-generation visibility: disable the stat memo, which
 	// otherwise bounds (not breaks) invalidation latency by its TTL.
-	c.SetStatTTL(0)
+	c.statTTL = 0
 
 	f, _, err := c.Columns(path, "fof_halo_tag", "fof_halo_mass")
 	if err != nil {
@@ -413,7 +413,7 @@ func TestStatMemoSavesSyscalls(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSnapshot(t, dir, "s.gio", 8, 0)
 	c := New(1<<30, 2)
-	c.SetStatTTL(time.Hour) // never expires within the test
+	c.statTTL = time.Hour // never expires within the test
 
 	if _, _, err := c.Columns(path, "fof_halo_tag"); err != nil {
 		t.Fatal(err)
@@ -427,8 +427,8 @@ func TestStatMemoSavesSyscalls(t *testing.T) {
 	if st.StatSaves < 10 {
 		t.Fatalf("stat saves = %d, want >= 10 (hot lookups must skip the syscall)", st.StatSaves)
 	}
-	// Disabling the memo clears it: the next lookup stats for real.
-	c.SetStatTTL(0)
+	// A disabled memo is not consulted: the next lookup stats for real.
+	c.statTTL = 0
 	before := c.Stats().StatSaves
 	if _, _, err := c.Columns(path, "fof_halo_tag"); err != nil {
 		t.Fatal(err)
