@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
+	"unsafe"
 
+	"infera/internal/dataframe"
 	"infera/internal/hacc"
 	"infera/internal/llm"
 	"infera/internal/provenance"
@@ -203,4 +205,34 @@ func TestInjectContextColumns(t *testing.T) {
 		t.Errorf("seed/sim pairs = %v", seeds)
 	}
 	_ = res
+}
+
+// TestRunAnswerOwnsItsVectors: the answer Run returns shares no vector
+// with the staged database, whose columns may live in stage buffers the
+// run's lease hands back when Run returns.
+func TestRunAnswerOwnsItsVectors(t *testing.T) {
+	rt := testRuntime(t, nil)
+	res, err := Run(rt, "Can you find me the top 5 largest friends-of-friends halos from timestep 624 in simulation 1?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged, err := rt.DB.ReadTable("analysis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := func(c *dataframe.Column) unsafe.Pointer {
+		switch c.Kind {
+		case dataframe.Float:
+			return unsafe.Pointer(unsafe.SliceData(c.F))
+		case dataframe.Int:
+			return unsafe.Pointer(unsafe.SliceData(c.I))
+		}
+		return unsafe.Pointer(unsafe.SliceData(c.S))
+	}
+	for _, name := range res.Answer.Names() {
+		got, want := res.Answer.MustColumn(name), staged.MustColumn(name)
+		if got.Len() > 0 && data(got) == data(want) {
+			t.Fatalf("answer column %q aliases the staged table", name)
+		}
+	}
 }

@@ -25,9 +25,15 @@ const (
 )
 
 // Run executes the full two-stage workflow for a question.
+//
+// The run loads its snapshot columns through a stage lease, so the cache
+// may reuse their buffers once Run returns: nothing the run staged may be
+// read afterwards. Result.Answer is a copy; the staged DB's tables are not
+// and must not be queried after Run.
 func Run(rt *Runtime, question string) (*Result, error) {
 	rt = rt.withDefaults()
-	defer rt.Stage.Pin()()
+	rt.lease = rt.Stage.Pin()
+	defer rt.lease.Unpin()
 	st := &State{Question: question, Staged: map[string][]string{}, Strategy: -1}
 	g := NewGraph(nodePlanner)
 	g.AddNode(nodePlanner, plannerNode)
@@ -53,7 +59,8 @@ func Run(rt *Runtime, question string) (*Result, error) {
 		}
 	}
 	if f, rerr := rt.DB.ReadTable("analysis"); rerr == nil {
-		res.Answer = f
+		// The table may alias staged vectors the lease hands back.
+		res.Answer = f.Clone()
 	}
 	ans := &AnswerEvent{
 		Summary:    res.Summary,
@@ -276,7 +283,7 @@ func dataLoaderNode(rt *Runtime, st *State) (string, error) {
 		frames := make([]*dataframe.Frame, len(slices))
 		var results []stage.Result
 		if len(fileCols) > 0 {
-			results = rt.Stage.LoadAll(reqs)
+			results = rt.lease.LoadAll(reqs)
 		} else {
 			// Degenerate intent (only injected columns requested): stage
 			// zero-row slices rather than asking the cache for zero columns.
@@ -291,7 +298,7 @@ func dataLoaderNode(rt *Runtime, st *State) (string, error) {
 				return "", fmt.Errorf("agent: load %s sim %d step %d: %w", entity, sl.sim, sl.step, res.Err)
 			}
 			total += res.BytesRead
-			if err := injectContextColumns(res.Frame, sl.sim, sl.step, sl.params, needed); err != nil {
+			if err := injectContextColumns(rt.lease, res.Frame, sl.sim, sl.step, sl.params, needed); err != nil {
 				return "", err
 			}
 			frames[i] = res.Frame
@@ -423,18 +430,18 @@ func isParamColumn(c string) bool {
 }
 
 // injectContextColumns adds sim, step and (when requested) the run's
-// sub-grid parameters as constant columns.
-func injectContextColumns(f *dataframe.Frame, sim, step int, params hacc.Params, needed []string) error {
+// sub-grid parameters as constant columns, in vectors the lease owns.
+func injectContextColumns(lease *stage.Lease, f *dataframe.Frame, sim, step int, params hacc.Params, needed []string) error {
 	n := f.NumRows()
 	constInt := func(v int64) []int64 {
-		out := make([]int64, n)
+		out := lease.Ints(n)
 		for i := range out {
 			out[i] = v
 		}
 		return out
 	}
 	constFloat := func(v float64) []float64 {
-		out := make([]float64, n)
+		out := lease.Floats(n)
 		for i := range out {
 			out[i] = v
 		}

@@ -118,6 +118,8 @@ type Runtime struct {
 	// spans accumulates this run's phase durations. Created per run by
 	// withDefaults, so a shared Runtime template stays reusable.
 	spans *spanSet
+	// lease pins Stage for the run (Run); the loader loads through it.
+	lease *stage.Lease
 }
 
 func (rt *Runtime) logf(format string, args ...any) {

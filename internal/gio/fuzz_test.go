@@ -106,6 +106,15 @@ func FuzzGioDecode(f *testing.F) {
 			if n != info.Size || !sameBits(got, want) {
 				t.Fatalf("column %q: ReadColumn (%d bytes) differs from DecodeBlock of ReadBlock", name, n)
 			}
+			// Read again into a dirty vector with spare capacity, as a
+			// reused free-list buffer is: the same bits, clipped.
+			again, _, err := r.ReadColumnAlloc(name, dirtyAlloc{spare: 3})
+			if err != nil {
+				t.Fatalf("column %q: ReadColumnAlloc rejected what ReadColumn accepted: %v", name, err)
+			}
+			if !sameBits(again, want) || cap(again.F) != len(again.F) || cap(again.I) != len(again.I) {
+				t.Fatalf("column %q: read into a reused vector differs from DecodeBlock of ReadBlock", name)
+			}
 		}
 		_, _ = r.ReadAll()
 	})

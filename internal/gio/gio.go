@@ -12,11 +12,12 @@
 // Numeric blocks are 8-byte little-endian values, which on a little-endian
 // host is exactly the in-memory []float64/[]int64 layout. This package is
 // the one place that knows it: ReadColumn reads such a block straight into
-// a freshly allocated vector — one allocation per column, CRC-32C computed
-// over the vector's own bytes — and VectorBlock/CastBlock convert between
-// a column and its block without copying, for callers that store blocks
-// elsewhere (the stage cache's disk tier). String blocks, and every block
-// on a big-endian host, are encoded and decoded element by element.
+// its vector — one allocation per column, none when the caller supplies
+// the vector (Alloc), CRC-32C computed over the vector's own bytes — and
+// VectorBlock/CastBlock convert between a column and its block without
+// copying, for callers that store blocks elsewhere (the stage cache's disk
+// tier). String blocks, and every block on a big-endian host, are encoded
+// and decoded element by element.
 package gio
 
 import (
@@ -383,6 +384,37 @@ func (r *Reader) ColumnInfoOf(name string) (ColumnInfo, bool) {
 	return r.hdr.Columns[i], true
 }
 
+// Alloc supplies the vector a read fills (ReadColumnAlloc,
+// ReadBlockAlloc): Floats and Ints return room for at least n values, with
+// any contents. The read overwrites the first n and hands them out as
+// v[:n:n], so nothing appended to the result can reach the rest. A nil
+// Alloc allocates with make.
+type Alloc interface {
+	Floats(n int) []float64
+	Ints(n int) []int64
+}
+
+// newVector returns an n-value column of a numeric kind whose vector comes
+// from a, clipped to n.
+func newVector(a Alloc, name string, kind dataframe.Kind, n int) *dataframe.Column {
+	if kind == dataframe.Float {
+		var v []float64
+		if a != nil {
+			v = a.Floats(n)[:n:n]
+		} else {
+			v = make([]float64, n)
+		}
+		return dataframe.NewFloat(name, v)
+	}
+	var v []int64
+	if a != nil {
+		v = a.Ints(n)[:n:n]
+	} else {
+		v = make([]int64, n)
+	}
+	return dataframe.NewInt(name, v)
+}
+
 // ReadColumn seeks to, verifies and decodes exactly one column block,
 // returning the column and the encoded block bytes read. It is the
 // per-column partial-read primitive the staging cache builds on: a cache
@@ -397,6 +429,14 @@ func (r *Reader) ColumnInfoOf(name string) (ColumnInfo, bool) {
 // String columns and big-endian hosts read the block into a buffer and
 // decode it.
 func (r *Reader) ReadColumn(name string) (*dataframe.Column, int64, error) {
+	return r.ReadColumnAlloc(name, nil)
+}
+
+// ReadColumnAlloc is ReadColumn with the numeric vector taken from a
+// instead of allocated: the same checks, the same read straight into the
+// vector's bytes and the same CRC-32C over them. On a failed read the
+// vector a supplied is left to the caller. A nil a is ReadColumn.
+func (r *Reader) ReadColumnAlloc(name string, a Alloc) (*dataframe.Column, int64, error) {
 	i, ok := r.byName[name]
 	if !ok {
 		return nil, 0, &dataframe.ColumnError{Name: name, Available: r.ColumnNames()}
@@ -406,12 +446,7 @@ func (r *Reader) ReadColumn(name string) (*dataframe.Column, int64, error) {
 	// that does not fit its rows takes the decode path, which reports the
 	// mismatch after the CRC check, as it always has.
 	if NativeLayout(info.Kind) && info.Size <= math.MaxInt && info.Size%8 == 0 && info.Size/8 == int64(r.hdr.NumRows) {
-		var col *dataframe.Column
-		if info.Kind == dataframe.Float {
-			col = dataframe.NewFloat(name, make([]float64, r.hdr.NumRows))
-		} else {
-			col = dataframe.NewInt(name, make([]int64, r.hdr.NumRows))
-		}
+		col := newVector(a, name, info.Kind, r.hdr.NumRows)
 		blk, _ := VectorBlock(col)
 		if err := r.readVerified(info, blk); err != nil {
 			return nil, 0, err
@@ -437,12 +472,25 @@ func (r *Reader) ReadColumn(name string) (*dataframe.Column, int64, error) {
 // count toward BytesRead like any other block fetch. Safe for concurrent
 // use with other reads on the same Reader.
 func (r *Reader) ReadBlock(name string) (ColumnInfo, []byte, error) {
+	return r.ReadBlockAlloc(name, nil)
+}
+
+// ReadBlockAlloc is ReadBlock with a numeric block read into the bytes of
+// a vector taken from a (Size/8 values of the column's kind) when
+// NativeLayout holds and the block is a whole number of values; other
+// blocks are allocated as ReadBlock allocates them. A nil a is ReadBlock.
+func (r *Reader) ReadBlockAlloc(name string, a Alloc) (ColumnInfo, []byte, error) {
 	i, ok := r.byName[name]
 	if !ok {
 		return ColumnInfo{}, nil, &dataframe.ColumnError{Name: name, Available: r.ColumnNames()}
 	}
 	info := r.hdr.Columns[i]
-	blk := make([]byte, info.Size)
+	var blk []byte
+	if a != nil && NativeLayout(info.Kind) && info.Size <= math.MaxInt && info.Size%8 == 0 {
+		blk, _ = VectorBlock(newVector(a, name, info.Kind, int(info.Size/8)))
+	} else {
+		blk = make([]byte, info.Size)
+	}
 	if err := r.readVerified(info, blk); err != nil {
 		return ColumnInfo{}, nil, err
 	}

@@ -350,3 +350,70 @@ func TestReaderStatIsOpenedFile(t *testing.T) {
 		t.Fatalf("read after rename: %v rows, err %v", col, err)
 	}
 }
+
+// dirtyAlloc hands out vectors with spare capacity, every value set to a
+// pattern no column holds: a read into it must overwrite exactly the first
+// n values and clip the rest away.
+type dirtyAlloc struct{ spare int }
+
+func (d dirtyAlloc) Floats(n int) []float64 {
+	v := make([]float64, n+d.spare)
+	for i := range v {
+		v[i] = math.Float64frombits(0x7ff4_bad0_bad0_bad0)
+	}
+	return v
+}
+
+func (d dirtyAlloc) Ints(n int) []int64 {
+	v := make([]int64, n+d.spare)
+	for i := range v {
+		v[i] = 0x5a5a_5a5a_5a5a_5a5a
+	}
+	return v
+}
+
+// TestReadIntoReusedBufferBitIdentical: reading into a dirty, larger
+// vector from an Alloc — ReadColumnAlloc, and ReadBlockAlloc over the
+// vector's bytes — gives the same bits as a fresh read, NaN payloads, -0,
+// ±Inf and MinInt64 included, with cap == len; a nil Alloc is the fresh
+// read.
+func TestReadIntoReusedBufferBitIdentical(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "edge.gio")
+	if err := WriteFile(p, edgeFrame(), nil); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, name := range r.ColumnNames() {
+		fresh, _, err := r.ReadColumn(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, freshBlk, err := r.ReadBlock(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range []Alloc{nil, dirtyAlloc{}, dirtyAlloc{spare: 37}} {
+			col, n, err := r.ReadColumnAlloc(name, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != int64(len(freshBlk)) || !sameBits(col, fresh) {
+				t.Fatalf("%s with %T: read into a reused vector differs from a fresh read", name, a)
+			}
+			if cap(col.F) != len(col.F) || cap(col.I) != len(col.I) {
+				t.Fatalf("%s with %T: cap %d/%d, want clipped to %d", name, a, cap(col.F), cap(col.I), col.Len())
+			}
+			_, blk, err := r.ReadBlockAlloc(name, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(blk, freshBlk) || cap(blk) != len(blk) {
+				t.Fatalf("%s with %T: ReadBlockAlloc differs from ReadBlock", name, a)
+			}
+		}
+	}
+}

@@ -771,8 +771,11 @@ func (s *Service) runTask(idx int, a *core.Assistant, t *task) *AskResult {
 	// key was resolved (possibly from the TTL memo) at enqueue time, but
 	// the workflow staged whatever bytes were on disk during the run — if
 	// the ensemble changed in between, this answer must not be keyed to
-	// the old state. One uncached walk per computed answer is noise next
-	// to the workflow itself; the memoization win is on the cached path.
+	// the old state. The uncached walk is not free: on the benchmark's
+	// warm_mixed workload (160 files, 2-core box) it is about 1.7 ms of
+	// lstat and readdir per computed answer, 7 % of process CPU. Driving
+	// the fingerprint from the stage cache's file watcher would remove it
+	// (ROADMAP.md).
 	if fp, err := Fingerprint(s.cfg.EnsembleDir); err == nil && fp == t.key.Fingerprint {
 		s.cache.Put(t.key, res)
 	}

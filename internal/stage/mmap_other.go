@@ -18,3 +18,9 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 }
 
 func munmapFile(region []byte) error { return nil }
+
+// mapAnon fails off unix: column buffers are then plain heap vectors and
+// nothing is recycled.
+func mapAnon(size int) ([]byte, error) {
+	return nil, fmt.Errorf("stage: anonymous mappings unsupported on this platform")
+}

@@ -31,3 +31,9 @@ func munmapFile(region []byte) error {
 	}
 	return syscall.Munmap(region)
 }
+
+// mapAnon maps size bytes of private anonymous memory, zero-filled and
+// page-aligned, outside the Go heap: the free list's column buffers.
+func mapAnon(size int) ([]byte, error) {
+	return syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+}

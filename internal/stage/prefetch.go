@@ -7,9 +7,11 @@
 // pool: raw CRC-verified blocks via gio.ReadBlock, never decoded — the
 // decode (or mmap cast) is deferred until the column is actually
 // requested, so a wrong guess costs one background block read and some
-// stage-dir bytes, not memory-budget residency. Accounting closes the
-// loop: a prefetched block's first promotion counts prefetch_used; one
-// evicted or invalidated untouched counts prefetch_wasted.
+// stage-dir bytes, not memory-budget residency. The read buffers come
+// from the cache's free list and go back as soon as the block is written.
+// Accounting closes the loop: a prefetched block's first promotion counts
+// prefetch_used; one evicted or invalidated untouched counts
+// prefetch_wasted.
 //
 // Next-step neighbor hints come from whoever understands file layout —
 // the catalog owner (internal/core) registers a path→successors map at
@@ -131,10 +133,13 @@ func (c *Cache) prefetchBlocks(dt *diskTier, path string, expect *stamp, want fu
 		if !want(name) || dt.has(key{path: path, col: name}, st) {
 			continue
 		}
-		info, blk, err := r.ReadBlock(name)
-		if err != nil {
-			continue
+		// No reader ever sees the free-list buffer the block is read into,
+		// so it goes back as soon as the block store has written it.
+		var l loan
+		info, blk, err := r.ReadBlockAlloc(name, &l)
+		if err == nil {
+			dt.put(key{path: path, col: name}, st, info.Kind, r.NumRows(), blk, true)
 		}
-		dt.put(key{path: path, col: name}, st, info.Kind, r.NumRows(), blk, true)
+		c.free.put(l.buf)
 	}
 }

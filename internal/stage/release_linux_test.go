@@ -412,7 +412,7 @@ func TestPinnedReaderRefaultReleased(t *testing.T) {
 		t.Fatal(err)
 	}
 	late := c.Pin()
-	defer late()
+	defer late.Unpin()
 	if kb := mappingRssKB(t, region); kb != 0 {
 		t.Fatalf("dropped mapping still holds Rss %d kB", kb)
 	}
@@ -423,12 +423,12 @@ func TestPinnedReaderRefaultReleased(t *testing.T) {
 	if mappingRssKB(t, region) == 0 {
 		t.Fatal("reading the vector again should fault its pages back in")
 	}
-	reader()
-	reader() // unpinning twice is harmless
+	reader.Unpin()
+	reader.Unpin() // unpinning twice is harmless
 	if mappingRssKB(t, region) == 0 {
 		t.Fatal("released while a reader pinned before the drop was still running")
 	}
-	other()
+	other.Unpin()
 	if kb := mappingRssKB(t, region); kb != 0 {
 		t.Fatalf("re-faulted mapping still holds Rss %d kB after its readers unpinned", kb)
 	}

@@ -78,6 +78,31 @@
 // a promotion casts the mapped block file back into a vector
 // (gio.CastBlock). Only package gio knows the block layout.
 //
+// The cache owns the buffer of every numeric column it decodes for a
+// lease (Pin, Lease.LoadAll) into a full memory tier: the decoder reads
+// into a buffer taken from a process-wide free list of size-classed
+// buffers outside the Go heap (pool.go), and the buffer comes back to the
+// list, for the next cold read, once all of these hold:
+//
+//   - the column has left the memory tier (budget eviction, invalidation,
+//     same-key replacement, or served uncached because it exceeds the
+//     budget);
+//   - no write-through queued for it still reads it;
+//   - every lease it was served to, and every lease pinned before those,
+//     has unpinned (reader epochs, epoch.go).
+//
+// The lease contract: a vector a lease was served is valid, and
+// unchanged, until that lease's Unpin, and must not be read after it. A
+// reader without a lease (Columns, LoadAll) is never served a free-list
+// buffer: its misses decode into heap vectors, and a hit on a free-list
+// column copies it to the heap once — the entry keeps serving the copy
+// (escaped_bytes) — so bare results stay valid for as long as they are
+// held. Columns decoded while the tier has room stay heap vectors (see
+// decode), promoted vectors alias the tier's mappings and string columns
+// are heap vectors; none of them ever enters the free list. Sibling prefetch reads
+// its blocks into free-list buffers too, and gives each back as soon as
+// it is written to the block store.
+//
 // # Freshness
 //
 // With a filesystem watch active (SetWatch, inotify on Linux), each
@@ -200,6 +225,21 @@ type Stats struct {
 	DiskMappings      int64 `json:"disk_mappings"`
 	DiskReleasedBytes int64 `json:"disk_released_bytes"`
 
+	// RecycledBytes counts the bytes of column buffers that went back to
+	// the free list for the next decode to read into: buffers retired by
+	// the memory tier once no lease could still see them, lease vectors at
+	// Unpin, and prefetch read buffers. EscapedBytes counts the bytes of
+	// free-list columns copied to the heap for a reader without a lease
+	// (Columns, LoadAll), which may keep them for ever; the entry keeps the
+	// copy and its buffer is retired.
+	RecycledBytes int64 `json:"recycled_bytes"`
+	EscapedBytes  int64 `json:"escaped_bytes"`
+	// BufferBytes is the size of every column buffer the process has
+	// mapped, in use or free. The free list is process-wide, so this is
+	// the same for every cache; it stops growing once the list holds what
+	// the workload needs at once.
+	BufferBytes int64 `json:"buffer_bytes"`
+
 	// PrefetchIssued counts blocks pulled into the disk tier
 	// speculatively; Used counts those later promoted at least once,
 	// Wasted those evicted or invalidated untouched.
@@ -244,12 +284,37 @@ type entry struct {
 	// persisted marks the block as already (or about to be) resident in
 	// the disk tier, so eviction-time demotion can skip the write.
 	persisted bool
+
+	// buf is the free-list buffer col's vector lives in, while the cache
+	// owns it: set for numeric columns decoded for a lease, empty for
+	// promoted and string columns and for columns decoded without a lease.
+	buf *slab
+	// seen is the newest reader epoch of a lease the buffer was served to.
+	seen uint64
+	// out marks an entry that has left the memory tier; detached one whose
+	// col was replaced by a heap copy (escapeLocked); writing one whose
+	// queued write-through still reads the buffer. The buffer is retired
+	// once out or detached, and not writing (retireLocked).
+	out, detached, writing bool
+}
+
+// persist is a write-through to queue: the entry and its column as read
+// under mu.
+type persist struct {
+	e   *entry
+	col *dataframe.Column
 }
 
 type flight struct {
 	done chan struct{}
 	e    *entry
+	col  *dataframe.Column // e.col as published; e.col may change later
 	err  error
+	// escaped marks a flight a reader without a lease waits on: the
+	// leader publishes a heap copy of the column. seen is the newest epoch
+	// of a lease waiting on it.
+	escaped bool
+	seen    uint64
 }
 
 // statEntry is one memoized freshness check.
@@ -311,9 +376,12 @@ type Cache struct {
 	persistQueued int64
 	persistPeak   int64
 
-	// readers are the pinned readers (Pin) every attached disk tier reports
-	// its released mappings to.
+	// readers are the pinned readers (Pin): every attached disk tier
+	// reports its released mappings to them, and the memory tier its
+	// retired buffers, which they give back through free once no lease can
+	// see them.
 	readers *readerEpochs
+	free    *recycler
 
 	// Pre-resolved telemetry instruments (SetMetrics); nil records nothing.
 	// Pre-resolving keeps the decode path free of registry lookups.
@@ -357,8 +425,9 @@ func New(budgetBytes int64, workers int) *Cache {
 		pinned:       map[string]stamp{},
 		pinEpoch:     map[string]uint64{},
 		bg:           make(chan func(), 256),
-		readers:      newReaderEpochs(),
+		free:         &recycler{},
 	}
+	c.readers = newReaderEpochs(c.free)
 	c.persistCond = sync.NewCond(&c.persistMu)
 	return c
 }
@@ -574,6 +643,7 @@ func (c *Cache) SetMetrics(r *telemetry.Registry) {
 		c.tierHitsMem, c.tierHitsDisk, c.promotionsCtr, c.demotionsCtr = nil, nil, nil, nil
 		c.watchEventsCtr, c.overflowsCtr, c.statSavesCtr, c.statCallsCtr = nil, nil, nil, nil
 		c.tierInst = tierInstruments{}
+		c.free.ctr.Store(nil)
 		if c.disk != nil {
 			c.disk.setInstruments(c.tierInst)
 		}
@@ -592,6 +662,8 @@ func (c *Cache) SetMetrics(r *telemetry.Registry) {
 	r.SetHelp("infera_stage_stat_calls_total", "Real stat syscalls performed by freshness checks.")
 	r.SetHelp("infera_stage_disk_mappings", "Disk-tier block-file mappings created and not unmapped (one VMA each).")
 	r.SetHelp("infera_stage_disk_released_bytes_total", "Disk-tier mapping bytes whose resident pages were handed back to the kernel.")
+	r.SetHelp("infera_stage_recycled_bytes_total", "Column buffer bytes returned to the stage free list for the next decode to read into.")
+	c.free.ctr.Store(r.Counter("infera_stage_recycled_bytes_total"))
 	c.decodeSeconds = r.Histogram("infera_stage_decode_seconds", nil)
 	c.decodedBytes = r.Counter("infera_stage_decoded_bytes_total")
 	c.tierHitsMem = r.Counter("infera_stage_tier_hits_total", telemetry.L("tier", "mem"))
@@ -627,6 +699,8 @@ func (c *Cache) Stats() Stats {
 	st.Entries = c.ll.Len()
 	st.Files = len(c.paths)
 	st.WatchedFiles = len(c.pinned)
+	st.RecycledBytes = c.free.recycled.Load()
+	st.BufferBytes = buffers.mapped.Load()
 	if dt := c.disk; dt != nil {
 		ds, entries := dt.snapshot()
 		st.DiskWrites = ds.writes
@@ -729,7 +803,19 @@ func (c *Cache) statPath(path string, bypass bool) (stamp, error) {
 // call actually read from disk: the block sizes of the columns it decoded,
 // 0 when fully served from cache — so callers' I/O accounting stays
 // truthful under sharing. The frame's column order follows the request.
+//
+// The vectors stay valid for as long as the caller holds them: a call
+// without a lease is never served a buffer the cache will reuse. Callers
+// that pin (Lease.LoadAll) let the cache take the buffers back after
+// their Unpin instead.
 func (c *Cache) Columns(path string, names ...string) (f *dataframe.Frame, bytesRead int64, err error) {
+	return c.columns(path, nil, names)
+}
+
+// columns is Columns for a reader holding lease l, or for a reader without
+// one (l nil), which is served heap vectors only: its misses decode into
+// heap vectors and its hits copy free-list columns out (escapeLocked).
+func (c *Cache) columns(path string, l *Lease, names []string) (f *dataframe.Frame, bytesRead int64, err error) {
 	if len(names) == 0 {
 		return nil, 0, fmt.Errorf("stage: no columns requested for %s", path)
 	}
@@ -760,6 +846,11 @@ func (c *Cache) Columns(path string, names ...string) (f *dataframe.Frame, bytes
 				if e.stamp == now {
 					hits++
 					c.ll.MoveToFront(el)
+					if l == nil {
+						c.escapeLocked(e)
+					} else {
+						e.seen = max(e.seen, l.epoch)
+					}
 					resolved[name] = e.col
 					continue
 				}
@@ -768,6 +859,11 @@ func (c *Cache) Columns(path string, names ...string) (f *dataframe.Frame, bytes
 				c.stats.Invalidations++
 			}
 			if fl := c.inflight[k]; fl != nil {
+				if l == nil {
+					fl.escaped = true
+				} else {
+					fl.seen = max(fl.seen, l.epoch)
+				}
 				waits = append(waits, struct {
 					col string
 					fl  *flight
@@ -844,13 +940,13 @@ func (c *Cache) Columns(path string, names ...string) (f *dataframe.Frame, bytes
 				for j, i := range toDecode {
 					cols[j] = missing[i]
 				}
-				dentries, derrs := c.decode(path, cols)
+				dentries, derrs := c.decode(path, cols, l != nil)
 				for j, i := range toDecode {
 					decoded[i], errs[i] = dentries[j], derrs[j]
 				}
 			}
 			var firstErr error
-			var toPersist []*entry
+			var toPersist []persist
 			c.mu.Lock()
 			persistLimit := c.budget
 			for i, fl := range lead {
@@ -866,14 +962,20 @@ func (c *Cache) Columns(path string, names ...string) (f *dataframe.Frame, bytes
 					continue
 				}
 				fl.e = decoded[i]
+				if l == nil || fl.escaped {
+					c.escapeLocked(decoded[i])
+				} else {
+					decoded[i].seen = max(l.epoch, fl.seen)
+				}
+				fl.col = decoded[i].col
 				// Write a freshly decoded block through to the disk tier
 				// before inserting: insertion may evict it from memory
 				// immediately (oversized, or budget pressure), and the disk
 				// copy is what makes the memory budget a performance knob
 				// rather than the residency ceiling.
 				if dt != nil && !decoded[i].persisted {
-					decoded[i].persisted = true
-					toPersist = append(toPersist, decoded[i])
+					decoded[i].persisted, decoded[i].writing = true, true
+					toPersist = append(toPersist, persist{decoded[i], decoded[i].col})
 				}
 				c.insertLocked(decoded[i])
 			}
@@ -884,14 +986,18 @@ func (c *Cache) Columns(path string, names ...string) (f *dataframe.Frame, bytes
 			// Only now, holding no lock and leading no flight, may this call
 			// wait for room in the persist queue: that wait is what bounds
 			// the decoded columns queued write-throughs keep alive.
-			for _, e := range toPersist {
-				c.persistAsync(dt, e, persistLimit, true)
+			for _, p := range toPersist {
+				if !c.persistAsync(dt, p.e, p.col, persistLimit, true) {
+					c.mu.Lock()
+					c.writtenLocked(p.e)
+					c.mu.Unlock()
+				}
 			}
 			for i, e := range decoded {
 				if errs[i] != nil {
 					continue
 				}
-				resolved[missing[i]] = e.col
+				resolved[missing[i]] = lead[i].col
 				// Promoted bytes are tier I/O, not source-file I/O — callers'
 				// decode-volume accounting must stay truthful about what was
 				// NOT re-read from the source.
@@ -922,7 +1028,7 @@ func (c *Cache) Columns(path string, names ...string) (f *dataframe.Frame, bytes
 				stale = true
 				continue
 			}
-			resolved[w.col] = w.fl.e.col
+			resolved[w.col] = w.fl.col
 			c.mu.Lock()
 			c.stats.Hits++
 			c.tierHitsMem.Inc()
@@ -957,7 +1063,14 @@ func (c *Cache) Columns(path string, names ...string) (f *dataframe.Frame, bytes
 // file renamed over the path since the caller's freshness check yields a
 // stamp that disagrees with it, and Columns re-validates rather than
 // serving a torn frame.
-func (c *Cache) decode(path string, cols []string) ([]*entry, []error) {
+//
+// A decode for a lease reads numeric columns into free-list buffers when
+// the memory tier has no room for them: something is evicted, and its
+// buffer comes back for the next decode. With room to spare, and for a
+// reader without a lease, it reads heap vectors, as resident columns stay
+// part of the Go heap the collector paces itself by; moving them out of
+// it would only make collections more frequent.
+func (c *Cache) decode(path string, cols []string, leased bool) ([]*entry, []error) {
 	start := time.Now()
 	entries := make([]*entry, len(cols))
 	errs := make([]error, len(cols))
@@ -970,9 +1083,26 @@ func (c *Cache) decode(path string, cols []string) ([]*entry, []error) {
 	}
 	defer r.Close()
 	stp := stampOf(r.Stat())
+	if leased {
+		var want int64
+		for _, name := range cols {
+			if ci, ok := r.ColumnInfoOf(name); ok {
+				want += ci.Size
+			}
+		}
+		c.mu.Lock()
+		leased = c.stats.UsedBytes+want > c.budget
+		c.mu.Unlock()
+	}
 	read := func(i int) {
-		col, n, rerr := r.ReadColumn(cols[i])
+		var l loan
+		var a gio.Alloc
+		if leased {
+			a = &l
+		}
+		col, n, rerr := r.ReadColumnAlloc(cols[i], a)
 		if rerr != nil {
+			c.free.put(l.buf) // no reader saw it
 			errs[i] = rerr
 			return
 		}
@@ -981,6 +1111,7 @@ func (c *Cache) decode(path string, cols []string) ([]*entry, []error) {
 			stamp: stp,
 			col:   col.MarkShared(),
 			bytes: n,
+			buf:   l.buf,
 		}
 	}
 	if len(cols) == 1 {
@@ -1049,6 +1180,8 @@ func (c *Cache) insertLocked(e *entry) {
 		// leave the rest of the cache intact.
 		c.stats.Evictions++
 		c.stats.EvictedBytes += e.bytes
+		e.out = true
+		c.retireLocked(e)
 		return
 	}
 	c.items[e.key] = c.ll.PushFront(e)
@@ -1061,30 +1194,34 @@ func (c *Cache) evictOverBudgetLocked() {
 	for c.stats.UsedBytes > c.budget && c.ll.Len() > 0 {
 		oldest := c.ll.Back()
 		e := oldest.Value.(*entry)
-		c.removeLocked(oldest)
 		c.stats.Evictions++
 		c.stats.EvictedBytes += e.bytes
 		// With a disk tier attached, a budget eviction is a demotion: the
 		// block stays promotable from the store. Most blocks were already
 		// written through at decode time; one that wasn't (write-through
-		// dropped on a full queue) is persisted now, best-effort.
+		// dropped on a full queue) is persisted now, best-effort — queued
+		// before the removal retires its buffer.
 		if c.disk != nil {
 			c.stats.Demotions++
 			c.stats.DemotedBytes += e.bytes
 			c.demotionsCtr.Inc()
 			if !e.persisted {
-				e.persisted = true
-				c.persistAsync(c.disk, e, c.budget, false)
+				e.persisted, e.writing = true, true
+				e.writing = c.persistAsync(c.disk, e, e.col, c.budget, false)
 			}
 		}
+		c.removeLocked(oldest)
 	}
 }
 
-// persistAsync queues one block's write-through to the disk tier. The
-// file write happens on the background pool, off the decode path. The
-// entry's column vector is immutable (MarkShared), so the queued task may
-// alias it: a numeric payload is the vector's own bytes, and only strings
-// and big-endian hosts encode a copy.
+// persistAsync queues the write-through of e's column col, read under mu,
+// to the disk tier and reports whether it did. The file write happens on
+// the background pool, off the decode path. The column vector is
+// immutable (MarkShared), so the queued task may alias it: a numeric
+// payload is the vector's own bytes, and only strings and big-endian hosts
+// encode a copy. The caller marks e writing before the call, so its buffer
+// is not retired under the task, and clears it when the call reports
+// false; the task clears it when the write is done (writtenLocked).
 //
 // A queued persist keeps its decoded column alive, so the payload bytes
 // queued at once are bounded by limit, the cache's memory budget. With
@@ -1092,14 +1229,18 @@ func (c *Cache) evictOverBudgetLocked() {
 // lead no flight, since the pool's prefetch tasks may need c.mu. Without
 // wait (demotion under c.mu), a persist that does not fit is dropped, as
 // one is when the pool's queue is full — persists are best-effort.
-func (c *Cache) persistAsync(dt *diskTier, e *entry, limit int64, wait bool) {
+func (c *Cache) persistAsync(dt *diskTier, e *entry, col *dataframe.Column, limit int64, wait bool) bool {
 	n := e.bytes
 	if !c.reservePersist(n, limit, wait) {
-		return
+		return false
 	}
-	k, st, col := e.key, e.stamp, e.col
 	if !c.enqueueBG(func() {
-		defer c.releasePersist(n)
+		defer func() {
+			c.releasePersist(n)
+			c.mu.Lock()
+			c.writtenLocked(e)
+			c.mu.Unlock()
+		}()
 		payload, ok := gio.VectorBlock(col)
 		if !ok {
 			var err error
@@ -1107,10 +1248,46 @@ func (c *Cache) persistAsync(dt *diskTier, e *entry, limit int64, wait bool) {
 				return
 			}
 		}
-		dt.put(k, st, col.Kind, col.Len(), payload, false)
+		dt.put(e.key, e.stamp, col.Kind, col.Len(), payload, false)
 	}) {
 		c.releasePersist(n)
+		return false
 	}
+	return true
+}
+
+// writtenLocked records that no write-through reads e's vector any more.
+// Caller holds mu.
+func (c *Cache) writtenLocked(e *entry) {
+	e.writing = false
+	c.retireLocked(e)
+}
+
+// retireLocked hands e's buffer to the reader epochs once e has left the
+// memory tier (or swapped it for a heap copy) and no write-through reads
+// it: the buffer joins the free list when every lease pinned at or before
+// the newest one it was served to has unpinned. Caller holds mu.
+func (c *Cache) retireLocked(e *entry) {
+	if !(e.out || e.detached) || e.writing || e.buf == nil {
+		return
+	}
+	c.readers.retired(e.buf, e.seen)
+	e.buf = nil
+}
+
+// escapeLocked prepares e for a reader without a lease, which may keep
+// its column for ever: a column in a free-list buffer is replaced by a
+// heap copy, which the entry keeps serving, and the buffer is retired —
+// leases already served it keep reading it until they unpin. Caller holds
+// mu.
+func (c *Cache) escapeLocked(e *entry) {
+	if e.buf == nil || e.detached {
+		return
+	}
+	e.col = e.col.Clone().MarkShared()
+	e.detached = true
+	c.stats.EscapedBytes += e.bytes
+	c.retireLocked(e)
 }
 
 // reservePersist claims room for n payload bytes in the persist queue:
@@ -1139,6 +1316,8 @@ func (c *Cache) releasePersist(n int64) {
 	c.persistCond.Broadcast()
 }
 
+// removeLocked takes el out of the memory tier and retires its buffer.
+// Caller holds mu.
 func (c *Cache) removeLocked(el *list.Element) {
 	e := el.Value.(*entry)
 	c.ll.Remove(el)
@@ -1147,6 +1326,8 @@ func (c *Cache) removeLocked(el *list.Element) {
 		delete(c.paths, e.key.path)
 	}
 	c.stats.UsedBytes -= e.bytes
+	e.out = true
+	c.retireLocked(e)
 }
 
 // Request names one file's column selection for LoadAll.
@@ -1165,8 +1346,14 @@ type Result struct {
 // LoadAll resolves every request through the cache, fanning misses out
 // over the worker pool — the parallel replacement for the loader's
 // sequential open→decode→append loop. Results align with reqs; each
-// carries its own error so callers keep per-snapshot error context.
+// carries its own error so callers keep per-snapshot error context. Like
+// Columns, it serves vectors the cache never reuses; Lease.LoadAll is the
+// pinned variant.
 func (c *Cache) LoadAll(reqs []Request) []Result {
+	return c.loadAll(reqs, nil)
+}
+
+func (c *Cache) loadAll(reqs []Request, l *Lease) []Result {
 	out := make([]Result, len(reqs))
 	var wg sync.WaitGroup
 	for i, req := range reqs {
@@ -1174,7 +1361,7 @@ func (c *Cache) LoadAll(reqs []Request) []Result {
 		c.sem <- struct{}{}
 		go func(i int, req Request) {
 			defer func() { <-c.sem; wg.Done() }()
-			out[i].Frame, out[i].BytesRead, out[i].Err = c.Columns(req.Path, req.Columns...)
+			out[i].Frame, out[i].BytesRead, out[i].Err = c.columns(req.Path, l, req.Columns)
 		}(i, req)
 	}
 	wg.Wait()
