@@ -1,6 +1,6 @@
 // Benchmark harness regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index and EXPERIMENTS.md
-// for recorded paper-vs-measured comparisons).
+// evaluation. Each benchmark's doc comment names the table, figure or
+// section it reproduces; PAPER.md holds the paper's abstract.
 //
 // Each benchmark performs its campaign once (cached across iterations) and
 // reports the paper's metrics via b.ReportMetric, so

@@ -55,7 +55,6 @@ func main() {
 		stageMB    = flag.Int64("stage-budget", stage.DefaultBudgetBytes>>20, "staging-cache budget for decoded column blocks, in MB")
 		stageDir   = flag.String("stage-dir", "", "staging-cache disk tier directory; empty disables the persistent block store")
 		stageDisk  = flag.Int64("stage-disk-budget", stage.DefaultDiskBudgetBytes>>20, "disk-tier block store budget, in MB (needs -stage-dir)")
-		stageWatch = flag.Bool("stage-watch", true, "replace the stat-TTL freshness memo with a filesystem watch (exact invalidation, zero hot-path stat syscalls)")
 		stagePref  = flag.Bool("stage-prefetch", true, "prefetch sibling columns and next-step files into the disk tier while a gio file is open (needs -stage-dir)")
 		keepDBs    = flag.Bool("keep-staging-dbs", false, "write per-question staging DBs through to disk and keep them after the answer (default: zero-copy in-memory staging, reclaimed per question)")
 		scriptFuel = flag.Int64("script-fuel", sandbox.DefaultLimits().MaxFuel, "per-execution script instruction budget (0 = unlimited)")
@@ -73,10 +72,8 @@ func main() {
 			log.Fatalf("infera: stage disk tier: %v", err)
 		}
 	}
-	if *stageWatch {
-		if err := stage.Shared().SetWatch(true); err != nil {
-			log.Printf("infera: stage watch unavailable, falling back to stat-TTL freshness: %v", err)
-		}
+	if err := stage.Shared().SetWatch(true); err != nil {
+		log.Printf("infera: stage watch unavailable, every lookup will stat and every ask will walk the ensemble: %v", err)
 	}
 
 	limits := sandbox.DefaultLimits()
@@ -242,9 +239,8 @@ func printResult(cli *client.Client, res *service.AskResult) {
 
 // runService starts the same daemon as cmd/inferad with REPL-flavored
 // defaults, so a single binary covers both interactive and serving use:
-// one "default" shard in a registry, reachable both through the
-// /v1/ensembles API and the legacy flat routes. Further ensembles can be
-// registered at runtime with POST /v1/ensembles.
+// one "default" shard in a registry behind the /v1/ensembles API, where
+// further ensembles can be registered at runtime.
 func runService(ensemble, work, addr string, seed int64, sandboxServer, keepDBs bool, limits sandbox.Limits) {
 	reg := service.NewRegistry(service.RegistryConfig{
 		Defaults: service.Config{

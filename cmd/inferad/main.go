@@ -1,7 +1,7 @@
 // Command inferad is the InferA query daemon: the serving layer that turns
 // the single-user REPL workflow into a concurrent multi-ensemble service.
 // A shard registry owns any number of named ensembles — each an independent
-// assistant pool, answer cache and fingerprint memo, all sharing one
+// assistant pool, answer cache and ensemble fingerprint, all sharing one
 // process-wide staging cache — and exposes them through the versioned
 // /v1/ensembles resource API. Shards spin up lazily on their first
 // question, and an LRU idle policy closes the coldest shard (persisting its
@@ -14,16 +14,15 @@
 //	        [-work DIR] [-max-live-shards 4] [-workers 4] [-queue 64]
 //	        [-cache 128] [-seed 1] [-trim] [-skipdoc] [-sandbox-server]
 //	        [-stage-budget MB]
-//	        [-stage-dir DIR] [-stage-disk-budget MB] [-stage-watch] [-stage-prefetch]
+//	        [-stage-dir DIR] [-stage-disk-budget MB] [-stage-prefetch]
 //	        [-provenance-max-age 0] [-provenance-max-bytes 0]
 //
 // -stage-dir attaches a persistent disk tier under the in-memory staging
 // cache: decoded column blocks write through to a block store there, memory
 // eviction demotes instead of discards, and a restarted daemon promotes hot
-// columns back without re-decoding. -stage-watch (default on) replaces the
-// stat-TTL freshness memo with a filesystem watch — exact invalidation,
-// zero stat syscalls on the staging hot path. See API.md "Stage cache
-// tiers".
+// columns back without re-decoding. The staging cache always watches the
+// ensemble directories, so a change invalidates exactly what it touched.
+// See API.md "Stage cache tiers".
 //
 // Session artifact trails accumulate on disk per shard; the
 // -provenance-max-age / -provenance-max-bytes retention policy sweeps old
@@ -31,9 +30,8 @@
 // shutdown), sparing sessions the persisted answer cache still references.
 //
 // -ensemble repeats: a bare DIR names the shard "default"; name=DIR
-// registers further shards. The first flag becomes the default shard that
-// the legacy flat routes serve. More ensembles can be registered at
-// runtime with POST /v1/ensembles.
+// registers further shards. The first flag becomes the default shard. More
+// ensembles can be registered at runtime with POST /v1/ensembles.
 //
 // # Serving
 //
@@ -80,15 +78,6 @@
 //	curl -s localhost:8080/v1/ensembles/cosmo-a/metrics                # one shard's counters
 //	curl -s localhost:8080/v1/metrics                                  # aggregate fleet counters
 //	curl -s localhost:8080/healthz                                     # liveness
-//
-// # Legacy routes (deprecated)
-//
-// The pre-registry flat API — POST /ask, GET /sessions[/{id}[/provenance]]
-// and GET /metrics — still answers, aliased onto the default shard, so
-// existing clients keep working. Those routes return a "Deprecation: true"
-// header with a Link to the /v1 successor and will be removed once nothing
-// depends on them; new integrations should use /v1/ensembles/{eid}/... (or
-// the typed internal/client package).
 //
 // Concurrency model: per shard, -workers assistants each own isolated
 // staging databases and provenance stores, so N questions run in parallel
@@ -172,9 +161,7 @@ func main() {
 		stageMB    = flag.Int64("stage-budget", stage.DefaultBudgetBytes>>20, "staging-cache budget for decoded column blocks, in MB (shared across all shards)")
 		stageDir   = flag.String("stage-dir", "", "staging-cache disk tier directory; empty disables the persistent block store")
 		stageDisk  = flag.Int64("stage-disk-budget", stage.DefaultDiskBudgetBytes>>20, "disk-tier block store budget, in MB (needs -stage-dir)")
-		stageWatch = flag.Bool("stage-watch", true, "replace the stat-TTL freshness memo with a filesystem watch (inotify on Linux; exact invalidation, zero hot-path stat syscalls)")
 		stagePref  = flag.Bool("stage-prefetch", true, "prefetch sibling columns and next-step files into the disk tier while a gio file is open (needs -stage-dir)")
-		fpTTL      = flag.Duration("fp-ttl", service.DefaultFingerprintTTL, "ensemble-fingerprint memoization TTL (0 = default, negative = re-walk every request)")
 		provAge    = flag.Duration("provenance-max-age", 0, "garbage-collect session artifact trails older than this at shard close (0 = keep all; cache-referenced sessions are spared)")
 		provBytes  = flag.Int64("provenance-max-bytes", 0, "total on-disk session-trail budget enforced at shard close, in bytes (0 = unlimited)")
 		keepDBs    = flag.Bool("keep-staging-dbs", false, "write per-question staging DBs through to disk and keep them after the answer (default: zero-copy in-memory staging, reclaimed per question)")
@@ -197,8 +184,8 @@ func main() {
 		log.Fatal("inferad: at least one -ensemble is required (generate one with haccgen)")
 	}
 	// The staging cache is process-wide (every shard's data loader and
-	// domain tools share it); the flags size that shared instance, attach
-	// its optional persistent tier and pick its freshness mechanism.
+	// domain tools share it); the flags size that shared instance and
+	// attach its optional persistent tier, and it always watches.
 	stage.Shared().SetBudget(*stageMB << 20)
 	stage.Shared().SetPrefetch(*stagePref)
 	if *stageDir != "" {
@@ -206,11 +193,9 @@ func main() {
 			log.Fatalf("inferad: stage disk tier: %v", err)
 		}
 	}
-	if *stageWatch {
-		if err := stage.Shared().SetWatch(true); err != nil {
-			// No working watch backend: keep serving with the stat-TTL memo.
-			log.Printf("inferad: stage watch unavailable, falling back to stat-TTL freshness: %v", err)
-		}
+	if err := stage.Shared().SetWatch(true); err != nil {
+		// No working watch backend: keep serving, re-validating by stat.
+		log.Printf("inferad: stage watch unavailable, every lookup will stat and every ask will walk the ensemble: %v", err)
 	}
 
 	limits := sandbox.DefaultLimits()
@@ -229,7 +214,6 @@ func main() {
 			TrimHistory:        *trim,
 			SkipDocumentation:  *skipdoc,
 			UseServer:          *sandboxS,
-			FingerprintTTL:     *fpTTL,
 			ApprovalTimeout:    *approval,
 			EventBuffer:        *eventBuf,
 			ProvenanceMaxAge:   *provAge,

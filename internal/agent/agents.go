@@ -3,6 +3,7 @@ package agent
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -690,9 +691,16 @@ func runCodeStep(rt *Runtime, st *State, agentName, skill string, stepIndex int)
 			priorError = feedback
 			continue
 		}
-		// Persist outputs: artifacts to provenance, frame to the DB.
+		// Persist outputs: artifacts to provenance, in name order so the
+		// trail does not depend on map iteration, frame to the DB.
 		if rt.Session != nil {
-			for name, data := range res.Artifacts {
+			names := make([]string, 0, len(res.Artifacts))
+			for name := range res.Artifacts {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			for _, name := range names {
+				data := res.Artifacts[name]
 				kind := "plot"
 				if strings.HasSuffix(name, ".csv") {
 					kind = "data"

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -17,12 +19,18 @@ import (
 	"infera/internal/hacc"
 	"infera/internal/llm"
 	"infera/internal/service"
+	"infera/internal/stage"
 	"infera/internal/telemetry"
 )
 
 const topHalosQ = "Can you find me the top 20 largest friends-of-friends halos from timestep 498 in simulation 0?"
 
 func testEnsembleDir(t *testing.T) string {
+	t.Helper()
+	return testEnsembleDirSeeded(t, 3)
+}
+
+func testEnsembleDirSeeded(t *testing.T, seed int64) string {
 	t.Helper()
 	dir := t.TempDir()
 	spec := hacc.Spec{
@@ -31,7 +39,7 @@ func testEnsembleDir(t *testing.T) string {
 		HalosPerRun:      100,
 		ParticlesPerStep: 100,
 		BoxSize:          128,
-		Seed:             3,
+		Seed:             seed,
 	}
 	if _, err := hacc.Generate(dir, spec); err != nil {
 		t.Fatal(err)
@@ -51,8 +59,16 @@ func (n *testNode) base() string { return "http://" + n.srv.Addr() }
 // slow enough for a mid-load abort to catch them in flight.
 func newTestNode(t *testing.T, workRoot, nodeID string, latency time.Duration) *testNode {
 	t.Helper()
+	return newTestNodeStage(t, workRoot, nodeID, latency, nil)
+}
+
+// newTestNodeStage is newTestNode over the given stage cache (nil: the
+// process-wide one).
+func newTestNodeStage(t *testing.T, workRoot, nodeID string, latency time.Duration, st *stage.Cache) *testNode {
+	t.Helper()
 	reg := service.NewRegistry(service.RegistryConfig{
 		Defaults: service.Config{
+			Stage:   st,
 			Workers: 2,
 			Metrics: telemetry.NewRegistry(),
 			NewModel: func(seed int64) llm.Client {
@@ -163,6 +179,82 @@ func TestRouterProxyEndToEnd(t *testing.T) {
 	}
 	if infos, _ := c.Ensembles(); len(infos) != 0 {
 		t.Fatalf("shard survived unregister: %+v", infos)
+	}
+}
+
+// TestRouterFreshness asks through the router, serves the repeat as a
+// cache hit, then replaces the asked snapshot on the node's disk: once the
+// node's stage watch has seen the change, the same routed ask is computed
+// again and answers what a fresh service over the changed tree answers.
+func TestRouterFreshness(t *testing.T) {
+	st := stage.New(1<<30, 0)
+	t.Cleanup(func() { st.Close() })
+	if err := st.SetWatch(true); err != nil {
+		t.Fatalf("SetWatch: %v", err)
+	}
+	node := newTestNodeStage(t, t.TempDir(), "node-a", 0, st)
+	rt := newTestRouter(t, Config{Nodes: []string{node.base()}})
+	c := client.NewRouted(rt.Addr())
+	if err := c.WaitReady(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	dir, alt := testEnsembleDir(t), testEnsembleDirSeeded(t, 11)
+	if _, err := c.Register("ens", dir); err != nil {
+		t.Fatal(err)
+	}
+	req := service.AskRequest{Question: topHalosQ, Seed: 5}
+	first, err := c.Ask("ens", req)
+	if err != nil || first.Error != "" {
+		t.Fatalf("first ask: %v %+v", err, first)
+	}
+	if hit, err := c.Ask("ens", req); err != nil || !hit.Cached {
+		t.Fatalf("repeat ask: err=%v cached=%v", err, hit != nil && hit.Cached)
+	}
+
+	cat, err := hacc.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := cat.Find(0, 498, hacc.FileHalos)
+	data, err := os.ReadFile(filepath.Join(alt, f.Path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(t.TempDir(), "halos.gio")
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	events := st.Stats().WatchEvents
+	if err := os.Rename(tmp, filepath.Join(dir, f.Path)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); st.Stats().WatchEvents <= events; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("timeout waiting for a watch event")
+		}
+	}
+
+	after, err := c.Ask("ens", req)
+	if err != nil || after.Error != "" || after.Cached {
+		t.Fatalf("ask after the change: err=%v res=%+v", err, after)
+	}
+	fresh, err := service.New(service.Config{
+		Workers: 1, EnsembleDir: dir, WorkDir: t.TempDir(), Stage: stage.New(1<<30, 0),
+		NewModel: func(seed int64) llm.Client {
+			return llm.NewSim(llm.SimConfig{Seed: seed, ColumnErrorRate: 1e-9, ToolErrorRate: 1e-9})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	want, err := fresh.Ask(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.AnswerCSV != want.AnswerCSV || after.AnswerCSV == first.AnswerCSV {
+		t.Fatalf("routed answer after the change: fresh = %v, changed = %v",
+			after.AnswerCSV == want.AnswerCSV, after.AnswerCSV != first.AnswerCSV)
 	}
 }
 

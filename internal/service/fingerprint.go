@@ -63,11 +63,8 @@ func Fingerprint(dir string) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)[:16]), nil
 }
 
-// DefaultFingerprintTTL is the memoization window CachedFingerprint (and
-// the service, by default) uses. It bounds how long a changed ensemble can
-// keep serving stale cached answers, so it stays deliberately short — the
-// point is only to take the stat-walk off every request on the cached-path
-// floor, not to stop re-validating.
+// DefaultFingerprintTTL is CachedFingerprint's default memoization
+// window.
 const DefaultFingerprintTTL = 250 * time.Millisecond
 
 type fpMemoEntry struct {
@@ -76,66 +73,33 @@ type fpMemoEntry struct {
 }
 
 var fpMemo = struct {
-	mu       sync.Mutex
-	entries  map[string]fpMemoEntry
-	inflight map[string]chan struct{}
-	// gens invalidates walks that were already in flight when
-	// InvalidateFingerprint ran: a walk only memoizes its result if the
-	// dir's generation is unchanged since the walk started.
-	gens map[string]uint64
-}{entries: map[string]fpMemoEntry{}, inflight: map[string]chan struct{}{}, gens: map[string]uint64{}}
+	mu      sync.Mutex
+	entries map[string]fpMemoEntry
+}{entries: map[string]fpMemoEntry{}}
 
 // CachedFingerprint is Fingerprint memoized per ensemble directory for
-// ttl (<= 0 uses DefaultFingerprintTTL). Concurrent refreshes of one dir
-// single-flight into a single walk; errors are never memoized.
+// ttl (<= 0 uses DefaultFingerprintTTL); errors are never memoized.
+//
+// Deprecated: the service keys its fingerprint on the stage watch
+// generation instead; only the benchmark's fingerprint probe still calls
+// this.
 func CachedFingerprint(dir string, ttl time.Duration) (string, error) {
 	if ttl <= 0 {
 		ttl = DefaultFingerprintTTL
 	}
-	for {
-		fpMemo.mu.Lock()
-		if e, ok := fpMemo.entries[dir]; ok && time.Since(e.at) < ttl {
-			fpMemo.mu.Unlock()
-			return e.fp, nil
-		}
-		if wait := fpMemo.inflight[dir]; wait != nil {
-			fpMemo.mu.Unlock()
-			<-wait
-			// The walk that just finished refreshed the entry (or failed);
-			// loop to pick its result up under the lock.
-			continue
-		}
-		done := make(chan struct{})
-		fpMemo.inflight[dir] = done
-		gen := fpMemo.gens[dir]
-		fpMemo.mu.Unlock()
-
-		fp, err := Fingerprint(dir)
-		fpMemo.mu.Lock()
-		delete(fpMemo.inflight, dir)
-		switch {
-		case err != nil:
-			delete(fpMemo.entries, dir)
-		case fpMemo.gens[dir] == gen:
-			fpMemo.entries[dir] = fpMemoEntry{fp: fp, at: time.Now()}
-		default:
-			// InvalidateFingerprint ran mid-walk: this result may predate the
-			// change, so return it without memoizing — the next lookup
-			// re-walks.
-		}
-		fpMemo.mu.Unlock()
-		close(done)
-		return fp, err
-	}
-}
-
-// InvalidateFingerprint drops dir's memoized fingerprint so the next
-// lookup re-walks immediately — for callers that know they just changed
-// the ensemble. A walk already in flight is invalidated too: its result is
-// returned to its waiters but not memoized.
-func InvalidateFingerprint(dir string) {
 	fpMemo.mu.Lock()
-	delete(fpMemo.entries, dir)
-	fpMemo.gens[dir]++
+	e, ok := fpMemo.entries[dir]
 	fpMemo.mu.Unlock()
+	if ok && time.Since(e.at) < ttl {
+		return e.fp, nil
+	}
+	fp, err := Fingerprint(dir)
+	fpMemo.mu.Lock()
+	if err != nil {
+		delete(fpMemo.entries, dir)
+	} else {
+		fpMemo.entries[dir] = fpMemoEntry{fp: fp, at: time.Now()}
+	}
+	fpMemo.mu.Unlock()
+	return fp, err
 }

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// CachedFingerprint must serve from the memo inside the TTL, re-walk after
-// expiry, and honor explicit invalidation.
+// CachedFingerprint must serve from the memo inside the TTL and re-walk
+// after expiry.
 func TestCachedFingerprintTTL(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "a.bin"), []byte("one"), 0o644); err != nil {
@@ -42,36 +42,22 @@ func TestCachedFingerprintTTL(t *testing.T) {
 	if fp3 == fp1 {
 		t.Fatal("expired memo must re-walk and see the change")
 	}
-	// Explicit invalidation skips the wait.
-	if err := os.WriteFile(filepath.Join(dir, "c.bin"), []byte("three"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	InvalidateFingerprint(dir)
-	fp4, err := CachedFingerprint(dir, ttl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp4 == fp3 {
-		t.Fatal("InvalidateFingerprint must force a re-walk")
-	}
 	// The direct walk agrees with the memoized value.
 	direct, err := Fingerprint(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if direct != fp4 {
-		t.Fatalf("memo %s != direct %s", fp4, direct)
+	if direct != fp3 {
+		t.Fatalf("memo %s != direct %s", fp3, direct)
 	}
 }
 
-// Concurrent lookups after invalidation single-flight into one walk and
-// all agree (-race covers the memo's locking).
+// Concurrent first lookups all agree (-race covers the memo's locking).
 func TestCachedFingerprintConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "a.bin"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	InvalidateFingerprint(dir)
 	const n = 16
 	out := make([]string, n)
 	var wg sync.WaitGroup

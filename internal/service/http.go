@@ -38,11 +38,6 @@ import (
 //	GET    /v1/metrics                                   -> RegistryMetrics (aggregate)
 //	GET    /v1/metrics/prometheus                        -> Prometheus text exposition (fleet-wide, ensemble=<shard> labels)
 //	GET    /healthz                                      -> HealthInfo (node identity, shard counts, uptime)
-//
-// The pre-registry flat routes — POST /ask, GET /sessions[/{id}[/provenance]]
-// and GET /metrics — survive as deprecated aliases onto the registry's
-// default shard (the first one registered), answering with a Deprecation
-// header that points clients at the /v1 resources.
 type Server struct {
 	reg  *Registry
 	http *http.Server
@@ -76,32 +71,8 @@ func NewServer(reg *Registry) *Server {
 		// probers; plain liveness checks only need the 200.
 		sandbox.WriteJSON(w, s.reg.Health())
 	})
-	// Legacy aliases: the flat single-ensemble API, routed to the default
-	// shard. Deprecated — new clients should use /v1/ensembles/{eid}/...;
-	// these remain so pre-registry clients keep working unchanged.
-	mux.HandleFunc("POST /ask", s.legacy(s.handleAsk))
-	mux.HandleFunc("GET /sessions", s.legacy(s.handleSessions))
-	mux.HandleFunc("GET /sessions/{id}", s.legacy(s.handleSession))
-	mux.HandleFunc("GET /sessions/{id}/provenance", s.legacy(s.handleProvenance))
-	mux.HandleFunc("GET /metrics", s.legacy(s.handleShardMetrics))
 	s.http = &http.Server{Handler: mux, ReadTimeout: 30 * time.Second}
 	return s
-}
-
-// legacy adapts a /v1 shard handler to a flat route: it advertises the
-// deprecation and aims the handler at the default shard.
-func (s *Server) legacy(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/ensembles>; rel="successor-version"`)
-		name := s.reg.DefaultShard()
-		if name == "" {
-			writeError(w, http.StatusServiceUnavailable, errors.New("no ensembles registered"))
-			return
-		}
-		r.SetPathValue("eid", name)
-		h(w, r)
-	}
 }
 
 // Start listens on addr ("" = 127.0.0.1:0) and serves in the background.

@@ -17,8 +17,7 @@ import (
 )
 
 // startServer serves one "default" shard built from cfg through a registry,
-// mirroring the pre-registry single-ensemble daemon (the legacy routes
-// alias onto it).
+// mirroring a single-ensemble daemon; defaultShard is its resource path.
 func startServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	if cfg.EnsembleDir == "" {
@@ -45,10 +44,12 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	return srv, "http://" + srv.Addr()
 }
 
+const defaultShard = "/v1/ensembles/default"
+
 func postAsk(t *testing.T, base string, req AskRequest) (*AskResult, int) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(base+"/ask", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+defaultShard+"/ask", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,27 +101,27 @@ func TestHTTPAskSessionsProvenanceMetrics(t *testing.T) {
 	}
 
 	var sessions []SessionInfo
-	if code := getJSON(t, base+"/sessions", &sessions); code != http.StatusOK || len(sessions) != 2 {
+	if code := getJSON(t, base+defaultShard+"/sessions", &sessions); code != http.StatusOK || len(sessions) != 2 {
 		t.Fatalf("sessions: %d %v", code, sessions)
 	}
 
 	var one SessionInfo
-	if code := getJSON(t, base+"/sessions/"+res.RequestID, &one); code != http.StatusOK || one.Status != "done" {
+	if code := getJSON(t, base+defaultShard+"/sessions/"+res.RequestID, &one); code != http.StatusOK || one.Status != "done" {
 		t.Fatalf("session: %d %+v", code, one)
 	}
 
 	var entries []provenance.Entry
-	if code := getJSON(t, base+"/sessions/"+res.RequestID+"/provenance", &entries); code != http.StatusOK || len(entries) == 0 {
+	if code := getJSON(t, base+defaultShard+"/sessions/"+res.RequestID+"/provenance", &entries); code != http.StatusOK || len(entries) == 0 {
 		t.Fatalf("provenance: %d %d entries", code, len(entries))
 	}
 	// The cached record resolves to the same trail.
 	var viaCache []provenance.Entry
-	if code := getJSON(t, base+"/sessions/"+res2.RequestID+"/provenance", &viaCache); code != http.StatusOK || len(viaCache) != len(entries) {
+	if code := getJSON(t, base+defaultShard+"/sessions/"+res2.RequestID+"/provenance", &viaCache); code != http.StatusOK || len(viaCache) != len(entries) {
 		t.Fatalf("cached provenance: %d %d vs %d", code, len(viaCache), len(entries))
 	}
 
 	var m Metrics
-	if code := getJSON(t, base+"/metrics", &m); code != http.StatusOK {
+	if code := getJSON(t, base+defaultShard+"/metrics", &m); code != http.StatusOK {
 		t.Fatalf("metrics: %d", code)
 	}
 	if m.Completed != 1 || m.CachedTotal != 1 || m.Cache.Hits != 1 || m.Fingerprint == "" {
@@ -134,11 +135,11 @@ func TestHTTPAskSessionsProvenanceMetrics(t *testing.T) {
 
 	// Unknown session -> 404.
 	var dummy SessionInfo
-	if code := getJSON(t, base+"/sessions/q-9999", &dummy); code != http.StatusNotFound {
+	if code := getJSON(t, base+defaultShard+"/sessions/q-9999", &dummy); code != http.StatusNotFound {
 		t.Errorf("unknown session code = %d", code)
 	}
 	// Bad body -> 400.
-	badResp, err := http.Post(base+"/ask", "application/json", bytes.NewReader([]byte("{")))
+	badResp, err := http.Post(base+defaultShard+"/ask", "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestHTTPAskSessionsProvenanceMetrics(t *testing.T) {
 		t.Errorf("bad body code = %d", badResp.StatusCode)
 	}
 	// Empty question -> 400 (validation, not a server error).
-	emptyResp, err := http.Post(base+"/ask", "application/json", bytes.NewReader([]byte("{}")))
+	emptyResp, err := http.Post(base+defaultShard+"/ask", "application/json", bytes.NewReader([]byte("{}")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestHTTPAskSessionsProvenanceMetrics(t *testing.T) {
 	// condition the client can act on, distinct from malformed JSON.
 	huge := append([]byte(`{"question": "`), bytes.Repeat([]byte("x"), maxAskBody+1024)...)
 	huge = append(huge, []byte(`"}`)...)
-	hugeResp, err := http.Post(base+"/ask", "application/json", bytes.NewReader(huge))
+	hugeResp, err := http.Post(base+defaultShard+"/ask", "application/json", bytes.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +169,9 @@ func TestHTTPAskSessionsProvenanceMetrics(t *testing.T) {
 		t.Errorf("oversized body code = %d, want 413", hugeResp.StatusCode)
 	}
 
-	// Legacy routes answer but advertise their deprecation and successor.
-	depResp, err := http.Get(base + "/sessions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	depResp.Body.Close()
-	if depResp.Header.Get("Deprecation") != "true" || depResp.Header.Get("Link") == "" {
-		t.Errorf("legacy route headers = %v", depResp.Header)
+	// The flat pre-registry routes are gone.
+	if code := getJSON(t, base+"/metrics", &m); code != http.StatusNotFound {
+		t.Errorf("flat /metrics route code = %d, want 404", code)
 	}
 }
 
@@ -330,7 +326,7 @@ func TestHTTPConcurrentAsks(t *testing.T) {
 		}
 		seen[results[i].SessionID] = true
 		var entries []provenance.Entry
-		if code := getJSON(t, fmt.Sprintf("%s/sessions/%s/provenance", base, results[i].RequestID), &entries); code != http.StatusOK || len(entries) == 0 {
+		if code := getJSON(t, fmt.Sprintf("%s%s/sessions/%s/provenance", base, defaultShard, results[i].RequestID), &entries); code != http.StatusOK || len(entries) == 0 {
 			t.Fatalf("ask %d provenance: %d with %d entries", i, code, len(entries))
 		}
 		if bad, err := srv.reg.VerifySession("default", results[i].RequestID); err != nil || len(bad) != 0 {

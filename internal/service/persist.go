@@ -100,7 +100,7 @@ func (s *Service) persistCache() error {
 	if s.cfg.WorkDir == "" {
 		return nil
 	}
-	fp, _ := s.fingerprint()
+	fp, _, _ := s.fingerprint()
 	return SaveCacheFile(s.cfg.WorkDir, s.cache, fp)
 }
 
@@ -120,10 +120,8 @@ func (s *Service) loadPersistedCache() int {
 	if f == nil || len(f.Entries) == 0 {
 		return 0
 	}
-	// One uncached walk at open time: the TTL memo could hand back a
-	// pre-restart fingerprint, and validation must see the directory as it
-	// is now.
-	fp, err := Fingerprint(s.cfg.EnsembleDir)
+	// The service's first fingerprint walks: it sees the directory as is.
+	fp, _, err := s.fingerprint()
 	if err != nil {
 		return 0
 	}

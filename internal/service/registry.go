@@ -19,7 +19,7 @@ import (
 
 // Registry multiplexes many named ensemble shards through one process: each
 // shard is an independent Service (assistant pool + answer cache +
-// fingerprint memo) over its own ensemble directory, while every shard
+// ensemble fingerprint) over its own ensemble directory, while every shard
 // shares one staging cache so overlapping decodes dedupe across ensembles
 // too. Shards spin up lazily on first request, and an LRU idle policy
 // closes the coldest idle shard whenever the live count exceeds
@@ -310,8 +310,7 @@ func (r *Registry) Register(name, dir string) (ShardInfo, error) {
 // name+dir again is idempotent and updates the stored overrides — they
 // apply at the shard's next spin-up, not retroactively to a live pool; the
 // same name with a different dir fails with ErrEnsembleExists. The first
-// registered shard becomes the default target of the legacy (unversioned)
-// HTTP routes.
+// registered shard is the default one (ShardInfo.Default).
 func (r *Registry) RegisterWith(name, dir string, opts ShardOptions) (ShardInfo, error) {
 	if !ValidEnsembleName(name) {
 		return ShardInfo{}, ErrBadEnsembleName
@@ -387,14 +386,6 @@ func (r *Registry) shardWorkDirLocked(name string) (string, error) {
 	return dir, nil
 }
 
-// DefaultShard returns the shard name legacy routes resolve to ("" before
-// any Register).
-func (r *Registry) DefaultShard() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.defaultName
-}
-
 // Ensembles lists every registered shard, sorted by name.
 func (r *Registry) Ensembles() []ShardInfo {
 	r.mu.Lock()
@@ -429,7 +420,7 @@ func (r *Registry) Ensemble(name string) (ShardInfo, error) {
 }
 
 // refreshFingerprint re-resolves a live shard's fingerprint OUTSIDE the
-// registry lock — the memoized walk can stat a whole ensemble tree, and
+// registry lock — once the ensemble changed it walks the whole tree, and
 // one slow directory must not stall routing for the fleet.
 func (r *Registry) refreshFingerprint(sh *shard) {
 	r.mu.Lock()
@@ -438,7 +429,7 @@ func (r *Registry) refreshFingerprint(sh *shard) {
 	if svc == nil {
 		return
 	}
-	if fp, err := svc.fingerprint(); err == nil {
+	if fp, _, err := svc.fingerprint(); err == nil {
 		r.mu.Lock()
 		sh.lastFP, sh.lastFPAt = fp, time.Now()
 		r.mu.Unlock()
@@ -517,7 +508,7 @@ func (r *Registry) acquire(name string) (*shard, *Service, error) {
 		var fp string
 		if err == nil {
 			// Resolve outside the lock: the first walk stats the whole tree.
-			fp, _ = svc.fingerprint()
+			fp, _, _ = svc.fingerprint()
 		}
 
 		r.mu.Lock()
@@ -811,8 +802,7 @@ func (r *Registry) Unregister(name string, purge bool) error {
 		}
 		delete(r.shards, name)
 		if r.defaultName == name {
-			// Promote the lexicographically-first remaining shard so the
-			// legacy flat routes keep a target.
+			// Promote the lexicographically-first remaining shard.
 			r.defaultName = ""
 			for n := range r.shards {
 				if r.defaultName == "" || n < r.defaultName {
@@ -956,8 +946,8 @@ func (r *Registry) Metrics() RegistryMetrics {
 		}
 	}
 	r.mu.Unlock()
-	// Per-shard snapshots outside the registry lock: Metrics() resolves a
-	// (memoized) fingerprint.
+	// Per-shard snapshots outside the registry lock: Metrics() resolves the
+	// fingerprint, a walk when the ensemble changed.
 	for _, svc := range liveSvcs {
 		m.ShardTotals.add(svc.Metrics())
 	}

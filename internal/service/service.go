@@ -80,10 +80,6 @@ type Config struct {
 	// file once. Nil uses the process-wide stage.Shared() cache; set an
 	// isolated cache in tests that assert on its counters.
 	Stage *stage.Cache
-	// FingerprintTTL memoizes the per-request ensemble fingerprint walk
-	// for this long: 0 uses DefaultFingerprintTTL, negative disables
-	// memoization (every request re-walks, the pre-memoization behavior).
-	FingerprintTTL time.Duration
 	// KeepStagingDBs preserves per-question staging databases after the
 	// answer is computed. Off by default: the daemon reclaims them once
 	// the workflow finishes (the provenance trail, which /sessions serves,
@@ -238,6 +234,8 @@ type task struct {
 	info *SessionInfo
 	req  AskRequest
 	key  CacheKey
+	// gen is the ensemble generation key.Fingerprint was resolved at.
+	gen  uint64
 	done chan *AskResult
 	// ia is the interactive-session state (event log + approval gate); nil
 	// for blocking asks.
@@ -290,6 +288,13 @@ type Service struct {
 	queueWait  *telemetry.Histogram
 	approvals  *telemetry.Gauge
 	queueDepth *telemetry.Gauge
+
+	// fpMu guards the one (generation, fingerprint) pair fingerprint
+	// keeps; fpWalks counts the walks it took.
+	fpMu    sync.Mutex
+	fpGen   uint64
+	fpValue string
+	fpWalks int64
 }
 
 // New builds the assistant pool and starts the workers.
@@ -485,7 +490,7 @@ func (s *Service) Ask(req AskRequest) (*AskResult, error) {
 	}
 	req.Seed = seed
 	start := time.Now()
-	fp, err := s.fingerprint()
+	fp, gen, err := s.fingerprint()
 	if err != nil {
 		return nil, err
 	}
@@ -527,7 +532,7 @@ func (s *Service) Ask(req AskRequest) (*AskResult, error) {
 	}()
 
 	info := s.newSessionRecord(req, "queued")
-	t := &task{info: info, req: req, key: key, done: make(chan *AskResult, 1)}
+	t := &task{info: info, req: req, key: key, gen: gen, done: make(chan *AskResult, 1)}
 	s.mu.Lock()
 	if s.closed {
 		s.m.Rejected++
@@ -767,16 +772,12 @@ func (s *Service) runTask(idx int, a *core.Assistant, t *task) *AskResult {
 			t.info.ID, t.req.Question, idx, res.Elapsed.Round(time.Millisecond), res.Tokens)
 		return res
 	}
-	// Cache only under a fingerprint that still matches the ensemble. The
-	// key was resolved (possibly from the TTL memo) at enqueue time, but
-	// the workflow staged whatever bytes were on disk during the run — if
-	// the ensemble changed in between, this answer must not be keyed to
-	// the old state. The uncached walk is not free: on the benchmark's
-	// warm_mixed workload (160 files, 2-core box) it is about 1.7 ms of
-	// lstat and readdir per computed answer, 7 % of process CPU. Driving
-	// the fingerprint from the stage cache's file watcher would remove it
-	// (ROADMAP.md).
-	if fp, err := Fingerprint(s.cfg.EnsembleDir); err == nil && fp == t.key.Fingerprint {
+	// The run staged whatever was on disk, so cache only if the ensemble
+	// still matches the key: the generation did not move, or a new walk
+	// finds the same fingerprint.
+	if s.cfg.Stage.Generation(s.cfg.EnsembleDir) == t.gen {
+		s.cache.Put(t.key, res)
+	} else if fp, _, err := s.fingerprint(); err == nil && fp == t.key.Fingerprint {
 		s.cache.Put(t.key, res)
 	}
 	s.logf("service: %s answered %q on worker %d in %s (%d tokens)",
@@ -887,13 +888,25 @@ func (s *Service) VerifySession(id string) ([]provenance.Entry, error) {
 	return sess.Verify()
 }
 
-// fingerprint resolves the ensemble fingerprint, memoized per
-// FingerprintTTL so the cached-answer path skips the stat walk.
-func (s *Service) fingerprint() (string, error) {
-	if s.cfg.FingerprintTTL < 0 {
-		return Fingerprint(s.cfg.EnsembleDir)
+// fingerprint resolves the ensemble fingerprint and the stage watch
+// generation, read before any walk, it holds for: while the generation
+// stays put, the stored fingerprint is served without a walk.
+func (s *Service) fingerprint() (string, uint64, error) {
+	gen := s.cfg.Stage.Generation(s.cfg.EnsembleDir)
+	s.fpMu.Lock()
+	if s.fpValue != "" && s.fpGen == gen {
+		defer s.fpMu.Unlock()
+		return s.fpValue, gen, nil
 	}
-	return CachedFingerprint(s.cfg.EnsembleDir, s.cfg.FingerprintTTL)
+	s.fpMu.Unlock()
+	fp, err := Fingerprint(s.cfg.EnsembleDir)
+	if err == nil {
+		s.fpMu.Lock()
+		s.fpGen, s.fpValue = gen, fp
+		s.fpWalks++
+		s.fpMu.Unlock()
+	}
+	return fp, gen, err
 }
 
 // Workers returns the assistant-pool size.
@@ -904,7 +917,7 @@ func (s *Service) CacheLen() int { return s.cache.Len() }
 
 // Metrics returns a point-in-time snapshot of the counters.
 func (s *Service) Metrics() Metrics {
-	fp, fpErr := s.fingerprint()
+	fp, _, fpErr := s.fingerprint()
 	s.mu.Lock()
 	m := s.m
 	m.PendingApprovals = s.pendingApprovals

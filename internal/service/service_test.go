@@ -141,7 +141,7 @@ func TestServiceAskAndCacheHit(t *testing.T) {
 
 func TestServiceFingerprintInvalidation(t *testing.T) {
 	dir := testEnsemble(t)
-	svc := newService(t, Config{Workers: 1, EnsembleDir: dir})
+	svc, st := watchedService(t, dir)
 
 	fp1, err := Fingerprint(dir)
 	if err != nil {
@@ -151,14 +151,13 @@ func TestServiceFingerprintInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate the ensemble being regenerated: add a file to the dir. The
-	// service memoizes its fingerprint for DefaultFingerprintTTL, so wait
-	// out the window — the bounded staleness the memoization trades for
-	// skipping the stat walk on every request.
+	// Simulate the ensemble being regenerated: add a file to the dir, and
+	// wait for the stage watch to see it.
+	events := st.Stats().WatchEvents
 	if err := os.WriteFile(filepath.Join(dir, "extra-run.bin"), []byte("new data"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(DefaultFingerprintTTL + 50*time.Millisecond)
+	waitWatchEvents(t, st, events)
 	fp2, err := Fingerprint(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -570,7 +569,6 @@ func TestServiceCachePersistence(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "extra-run.bin"), []byte("new data"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	InvalidateFingerprint(dir)
 	third := newService(t, Config{Workers: 1, EnsembleDir: dir, WorkDir: work})
 	if third.CacheLen() != 0 {
 		t.Fatalf("stale persisted entries must be dropped, cache len = %d", third.CacheLen())

@@ -404,16 +404,15 @@ func TestHTTPShardAdmin(t *testing.T) {
 		t.Fatalf("purged work dir still present: %v", err)
 	}
 
-	// Deleting the default shard promotes the remaining one for the legacy
-	// flat routes — covered here by deleting "default" and hitting /metrics.
+	// Deleting the default shard promotes the remaining one.
 	if code := postJSON(t, base+"/v1/ensembles", RegisterRequest{Name: "backup", Dir: dir}, nil); code != http.StatusCreated {
 		t.Fatalf("backup register code = %d", code)
 	}
 	if code := doDelete("/v1/ensembles/default"); code != http.StatusNoContent {
 		t.Fatalf("delete default code = %d", code)
 	}
-	var m Metrics
-	if code := getJSON(t, base+"/metrics", &m); code != http.StatusOK {
-		t.Fatalf("legacy metrics after default delete = %d (promotion failed?)", code)
+	var backup ShardInfo
+	if code := getJSON(t, base+"/v1/ensembles/backup", &backup); code != http.StatusOK || !backup.Default {
+		t.Fatalf("backup after default delete = %d %+v (promotion failed?)", code, backup)
 	}
 }

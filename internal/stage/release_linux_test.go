@@ -216,7 +216,6 @@ func TestSupersededMappingReleased(t *testing.T) {
 			c := newTiered(t, 1<<30, filepath.Join(dir, "stage"))
 			defer c.Close()
 			c.SetPrefetch(false)
-			c.statTTL = 0
 			if tc.watch {
 				if err := c.SetWatch(true); err != nil {
 					t.Fatalf("SetWatch: %v", err)
@@ -361,7 +360,6 @@ func TestChurnKeepsFileRSSBounded(t *testing.T) {
 	c := newTiered(t, 1<<30, filepath.Join(dir, "stage"))
 	defer c.Close()
 	c.SetPrefetch(false)
-	c.statTTL = 0
 	cols := []string{"fof_halo_mass", "fof_halo_count"}
 	t0 := time.Now()
 	var genBytes, base int64
@@ -399,7 +397,6 @@ func TestPinnedReaderRefaultReleased(t *testing.T) {
 	c := newTiered(t, 1<<30, filepath.Join(dir, "stage"))
 	defer c.Close()
 	c.SetPrefetch(false)
-	c.statTTL = 0
 
 	reader := c.Pin()
 	other := c.Pin()

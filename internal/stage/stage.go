@@ -24,15 +24,12 @@
 //
 // Lookups validate entries against the file's current (mtime, size), so
 // rewriting or regenerating a file invalidates its columns on the next
-// access without any watcher — the same stat-based freshness rule the
-// service's ensemble fingerprint uses. Without a watch (see Freshness) the
-// stat itself is memoized for DefaultStatTTL, so a hot path resolving many
-// columns of one file pays one syscall per TTL window instead of one per
-// block; like the fingerprint memo, the TTL bounds how long a changed file
-// can keep serving its previous generation. A decode stamps its blocks
-// with the fstat of the file it actually opened (gio.Reader.Stat), never
-// with a second stat of the path, so a block always carries the generation
-// its bytes came from.
+// access — the same stat-based freshness rule the service's ensemble
+// fingerprint uses. With a watch (see Freshness) that stat is taken once
+// per file generation; without one, every lookup stats. A decode stamps
+// its blocks with the fstat of the file it actually opened
+// (gio.Reader.Stat), never with a second stat of the path, so a block
+// always carries the generation its bytes came from.
 //
 // # Budget and eviction
 //
@@ -105,11 +102,12 @@
 //
 // # Freshness
 //
-// With a filesystem watch active (SetWatch, inotify on Linux), each
-// file's stamp is pinned after one stat and every later freshness check
-// is served from the pin with zero syscalls; a watch event unpins and
-// invalidates exactly the touched file's entries in both tiers
-// (watch.go). Without a watch, the DefaultStatTTL memo applies.
+// With a filesystem watch active (SetWatch: inotify on Linux, a directory
+// poller elsewhere), each file's stamp is pinned after one stat and every
+// later freshness check is served from the pin with zero syscalls; a
+// watch event unpins and invalidates exactly the touched file's entries
+// in both tiers, and moves the generation of every ensemble root holding
+// the file (Generation, watch.go). Without a watch, every lookup stats.
 //
 // # Concurrency
 //
@@ -126,6 +124,7 @@ import (
 	"container/list"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -139,13 +138,6 @@ import (
 
 // DefaultBudgetBytes is the Shared cache's decoded-block budget.
 const DefaultBudgetBytes = 256 << 20
-
-// DefaultStatTTL is the freshness-check memoization window: lookups within
-// it reuse the file's last observed (mtime, size) instead of re-statting.
-// It bounds the staleness window after an in-place file rewrite, so it
-// stays deliberately short — the point is only to take the per-block
-// syscall off hot lookups, not to stop re-validating.
-const DefaultStatTTL = 100 * time.Millisecond
 
 // Stats is a point-in-time snapshot of the cache counters, surfaced on the
 // service's /metrics endpoint. Hit/miss accounting is per column block —
@@ -169,7 +161,7 @@ type Stats struct {
 	// BytesDecoded is the cumulative encoded block bytes read from disk by
 	// decodes — the I/O-volume measure benchmarks assert on.
 	BytesDecoded int64 `json:"bytes_decoded"`
-	// StatSaves counts freshness checks served from the stat memo instead
+	// StatSaves counts freshness checks served from a watch pin instead
 	// of a syscall.
 	StatSaves int64 `json:"stat_saves"`
 	// Invalidations counts column blocks dropped because the backing
@@ -317,12 +309,6 @@ type flight struct {
 	seen    uint64
 }
 
-// statEntry is one memoized freshness check.
-type statEntry struct {
-	st stamp
-	at time.Time
-}
-
 // Cache is the staging cache. Create with New or use the process-wide
 // Shared instance.
 type Cache struct {
@@ -331,11 +317,9 @@ type Cache struct {
 
 	mu       sync.Mutex
 	budget   int64
-	statTTL  time.Duration
 	ll       *list.List // front = most recently used
 	items    map[key]*list.Element
 	inflight map[key]*flight
-	statMemo map[string]statEntry
 	// paths refcounts resident blocks per file for the Files gauge.
 	paths map[string]int
 	// stats holds the cache's own counters; its DiskMappings and
@@ -350,13 +334,16 @@ type Cache struct {
 	prefetchBusy  map[string]bool
 	neighborHints map[string]func(string) []string
 
-	// watch-mode freshness state: pinned holds the stat-free stamp per
-	// file, pinEpoch fences a pin against an event that raced the stat
-	// that produced it (see statPath).
+	// watch is the filesystem watch (SetWatch): pinned holds the stat-free
+	// stamp per file, pinEpoch, for every path statted under the watch, a
+	// fence against an event racing the stat behind a pin (see statPath).
 	watch    watcher
-	watchOn  bool
 	pinned   map[string]stamp
 	pinEpoch map[string]uint64
+	// roots holds the *atomic.Uint64 generation of every root Generation
+	// watches; genSeq issues every generation value, so no two are equal.
+	roots  sync.Map
+	genSeq atomic.Uint64
 
 	// bg is the bounded background pool shared by write-through persists
 	// and prefetch passes; created in New, workers started lazily by the
@@ -401,8 +388,8 @@ type Cache struct {
 
 // New returns a cache holding at most budgetBytes of decoded column
 // blocks, with loads fanned out over at most workers goroutines (0 picks a
-// default of min(8, GOMAXPROCS)). Until SetWatch turns a watch on,
-// freshness checks are memoized for DefaultStatTTL.
+// default of min(8, GOMAXPROCS)). Until SetWatch turns a watch on, every
+// lookup stats its file.
 func New(budgetBytes int64, workers int) *Cache {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -414,11 +401,9 @@ func New(budgetBytes int64, workers int) *Cache {
 		workers:      workers,
 		sem:          make(chan struct{}, workers),
 		budget:       budgetBytes,
-		statTTL:      DefaultStatTTL,
 		ll:           list.New(),
 		items:        map[key]*list.Element{},
 		inflight:     map[key]*flight{},
-		statMemo:     map[string]statEntry{},
 		paths:        map[string]int{},
 		prefetchOn:   true,
 		prefetchBusy: map[string]bool{},
@@ -472,82 +457,6 @@ func (c *Cache) retireDiskLocked() {
 	c.disk = nil
 }
 
-// SetWatch turns filesystem-watch freshness on or off. While on, files
-// are pinned after their first stat and freshness checks cost zero
-// syscalls until the watcher reports a change (exact invalidation); the
-// stat-TTL memo is bypassed. Turning it off (or a constructor error on
-// platforms without a working backend) reverts to TTL mode.
-func (c *Cache) SetWatch(on bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if on {
-		if c.watch != nil {
-			c.watchOn = true
-			return nil
-		}
-		w, err := newWatcher(c.onFileEvent, c.onWatchOverflow)
-		if err != nil {
-			return err
-		}
-		c.watch = w
-		c.watchOn = true
-		return nil
-	}
-	if c.watch != nil {
-		c.watch.close()
-		c.watch = nil
-	}
-	c.watchOn = false
-	c.pinned = map[string]stamp{}
-	return nil
-}
-
-// onFileEvent is the watcher callback: the file changed (or vanished), so
-// unpin its stamp and drop its entries from both tiers — the exact,
-// event-driven replacement for TTL expiry. An in-flight decode of the old
-// generation is harmless: its entries carry the old stamp and fail the
-// next lookup's freshness comparison.
-func (c *Cache) onFileEvent(path string) {
-	c.mu.Lock()
-	c.pinEpoch[path]++
-	delete(c.pinned, path)
-	delete(c.statMemo, path)
-	c.stats.WatchEvents++
-	c.watchEventsCtr.Inc()
-	var doomed []*list.Element
-	for k, el := range c.items {
-		if k.path == path {
-			doomed = append(doomed, el)
-		}
-	}
-	for _, el := range doomed {
-		c.removeLocked(el)
-		c.stats.Invalidations++
-	}
-	dt := c.disk
-	c.mu.Unlock()
-	if dt != nil {
-		dt.invalidatePath(path)
-	}
-}
-
-// onWatchOverflow is the watcher callback for a lost-events overflow: any
-// file may have changed unseen, so every path is unpinned and its epoch
-// bumped (refusing pins from stats that raced the overflow). The next
-// lookup of each file stats it, and both tiers re-validate their entries
-// against that stamp — a conservative full invalidation that keeps
-// entries whose file did not change.
-func (c *Cache) onWatchOverflow() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for path := range c.pinEpoch {
-		c.pinEpoch[path]++
-	}
-	c.pinned = map[string]stamp{}
-	c.stats.WatchOverflows++
-	c.overflowsCtr.Inc()
-}
-
 // startBG launches the background pool (2 workers — persist and prefetch
 // are I/O-bound housekeeping; the point is bounding, not throughput).
 func (c *Cache) startBG() {
@@ -594,13 +503,7 @@ func (c *Cache) WaitPending() { c.bgWG.Wait() }
 // on disk for the next process. The memory tier is left intact. The
 // Shared cache is never closed.
 func (c *Cache) Close() error {
-	c.mu.Lock()
-	if c.watch != nil {
-		c.watch.close()
-		c.watch = nil
-	}
-	c.watchOn = false
-	c.mu.Unlock()
+	_ = c.SetWatch(false) // turning the watch off cannot fail
 	c.bgWG.Wait()
 	c.mu.Lock()
 	c.retireDiskLocked()
@@ -657,8 +560,8 @@ func (c *Cache) SetMetrics(r *telemetry.Registry) {
 	r.SetHelp("infera_stage_prefetch_issued_total", "Blocks speculatively pulled into the disk tier (siblings and next-step files).")
 	r.SetHelp("infera_stage_prefetch_total", "Prefetched blocks by outcome: used (promoted at least once) or wasted (evicted untouched).")
 	r.SetHelp("infera_stage_watch_events_total", "Filesystem change notifications handled by the stage watcher.")
-	r.SetHelp("infera_stage_watch_overflows_total", "Watcher queue overflows; each unpins every file for re-validation by stat.")
-	r.SetHelp("infera_stage_stat_saves_total", "Freshness checks served without a stat syscall (watch pin or TTL memo).")
+	r.SetHelp("infera_stage_watch_overflows_total", "Watcher queue overflows; each unpins every file for re-validation by stat and moves every ensemble generation.")
+	r.SetHelp("infera_stage_stat_saves_total", "Freshness checks served without a stat syscall (watch pin).")
 	r.SetHelp("infera_stage_stat_calls_total", "Real stat syscalls performed by freshness checks.")
 	r.SetHelp("infera_stage_disk_mappings", "Disk-tier block-file mappings created and not unmapped (one VMA each).")
 	r.SetHelp("infera_stage_disk_released_bytes_total", "Disk-tier mapping bytes whose resident pages were handed back to the kernel.")
@@ -734,64 +637,44 @@ func canonicalCols(names []string) []string {
 	return uniq
 }
 
-// statPath resolves the file's current identity. In watch mode a pinned
-// stamp is served with zero syscalls until a change event unpins it; in
-// TTL mode the memo serves lookups within the window. bypass forces a
-// real stat (used on generation-mismatch retries, where the cached stamp
-// is exactly what must not be trusted).
+// statPath resolves the file's current identity. Under a watch a pinned
+// stamp is served with zero syscalls until a change event unpins it;
+// without one, every call stats. bypass forces a real stat (used on
+// generation-mismatch retries, where the pinned stamp is exactly what
+// must not be trusted).
 func (c *Cache) statPath(path string, bypass bool) (stamp, error) {
 	c.mu.Lock()
-	if !bypass {
-		if c.watchOn {
-			if st, ok := c.pinned[path]; ok {
-				c.stats.StatSaves++
-				c.statSavesCtr.Inc()
-				c.mu.Unlock()
-				return st, nil
-			}
-		} else if c.statTTL > 0 {
-			if e, ok := c.statMemo[path]; ok && time.Since(e.at) < c.statTTL {
-				c.stats.StatSaves++
-				c.statSavesCtr.Inc()
-				c.mu.Unlock()
-				return e.st, nil
-			}
-		}
+	if st, ok := c.pinned[path]; ok && !bypass {
+		c.stats.StatSaves++
+		c.statSavesCtr.Inc()
+		c.mu.Unlock()
+		return st, nil
 	}
-	watchOn, w := c.watchOn, c.watch
+	w := c.watch
 	epoch0 := c.pinEpoch[path]
-	if watchOn {
+	if w != nil {
 		// Record the path so a watcher overflow, which bumps every known
-		// epoch, also fences this stat.
+		// epoch, also fences this stat, and so its events invalidate it.
 		c.pinEpoch[path] = epoch0
 	}
 	c.mu.Unlock()
-	// Pin protocol: arm the watch BEFORE statting, and pin only if no
-	// event arrived in between (epoch fence). Stat-then-watch would lose
-	// a change landing in the gap and pin a stale stamp forever; with
-	// this order such a change fires an event that bumps the epoch and
-	// the pin is refused — the next lookup stats again.
-	var watchArmed bool
-	if watchOn && w != nil {
-		watchArmed = w.add(path) == nil
-	}
+	// Pin protocol: watch the file's directory BEFORE statting, and pin
+	// only if no event arrived in between (epoch fence); stat-then-watch
+	// could pin a stamp a change in the gap made stale forever. Events
+	// name directory + entry, so only a clean path can be pinned.
+	armed := w != nil && filepath.Clean(path) == path && w.add(filepath.Dir(path)) == nil
 	st, err := os.Stat(path)
 	c.mu.Lock()
 	c.stats.StatCalls++
 	c.statCallsCtr.Inc()
 	if err != nil {
-		delete(c.statMemo, path)
 		delete(c.pinned, path)
 		c.mu.Unlock()
 		return stamp{}, err
 	}
 	now := stampOf(st)
-	if c.watchOn {
-		if watchArmed && c.pinEpoch[path] == epoch0 {
-			c.pinned[path] = now
-		}
-	} else if c.statTTL > 0 {
-		c.statMemo[path] = statEntry{st: now, at: time.Now()}
+	if armed && c.watch == w && c.pinEpoch[path] == epoch0 {
+		c.pinned[path] = now
 	}
 	c.mu.Unlock()
 	return now, nil
@@ -822,8 +705,8 @@ func (c *Cache) columns(path string, l *Lease, names []string) (f *dataframe.Fra
 	uniq := canonicalCols(names)
 	fresh := false
 	for {
-		// A generation-mismatch retry bypasses the stat memo: the memoized
-		// stamp is the thing that just disagreed with reality.
+		// A generation-mismatch retry bypasses the pin: the pinned stamp is
+		// the thing that just disagreed with reality.
 		now, err := c.statPath(path, fresh)
 		if err != nil {
 			return nil, bytesRead, err
@@ -1139,10 +1022,10 @@ func (c *Cache) decode(path string, cols []string, leased bool) ([]*entry, []err
 	c.mu.Unlock()
 	hist.ObserveDuration(time.Since(start))
 	ctr.Add(total)
-	// Deliberately no stat-memo refresh here: the caller's statPath already
-	// memoized the pre-decode identity, and re-stamping it at post-decode
-	// time could both clobber a newer generation another goroutine observed
-	// mid-decode and stretch the staleness window past the documented TTL.
+	// Deliberately no pin here: the caller's statPath already pinned the
+	// pre-decode identity under the epoch fence, and pinning a post-decode
+	// stat could clobber a newer generation another goroutine observed
+	// mid-decode.
 	return entries, errs
 }
 

@@ -365,9 +365,6 @@ func TestInvalidationOnFileChange(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSnapshot(t, dir, "s.gio", 8, 100)
 	c := New(1<<30, 2)
-	// Immediate cross-generation visibility: disable the stat memo, which
-	// otherwise bounds (not breaks) invalidation latency by its TTL.
-	c.statTTL = 0
 
 	f, _, err := c.Columns(path, "fof_halo_tag", "fof_halo_mass")
 	if err != nil {
@@ -404,37 +401,6 @@ func TestInvalidationOnFileChange(t *testing.T) {
 	// Same-size rewrite invalidates too (mtime alone distinguishes).
 	if st.Opens != 2 {
 		t.Fatalf("opens = %d, want 2", st.Opens)
-	}
-}
-
-// TestStatMemoSavesSyscalls: repeated lookups within the TTL serve their
-// freshness check from the memo.
-func TestStatMemoSavesSyscalls(t *testing.T) {
-	dir := t.TempDir()
-	path := writeSnapshot(t, dir, "s.gio", 8, 0)
-	c := New(1<<30, 2)
-	c.statTTL = time.Hour // never expires within the test
-
-	if _, _, err := c.Columns(path, "fof_halo_tag"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, _, err := c.Columns(path, "fof_halo_tag"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.StatSaves < 10 {
-		t.Fatalf("stat saves = %d, want >= 10 (hot lookups must skip the syscall)", st.StatSaves)
-	}
-	// A disabled memo is not consulted: the next lookup stats for real.
-	c.statTTL = 0
-	before := c.Stats().StatSaves
-	if _, _, err := c.Columns(path, "fof_halo_tag"); err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().StatSaves != before {
-		t.Fatal("disabled memo must not serve stat checks")
 	}
 }
 

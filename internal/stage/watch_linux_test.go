@@ -10,29 +10,35 @@ import (
 	"testing"
 )
 
-// inotifyBytes encodes one raw inotify event record with a name of
-// nameLen NUL bytes, as the kernel lays it out.
-func inotifyBytes(wd int32, mask uint32, nameLen int) []byte {
+// inotifyBytes encodes one raw inotify event record with name padded
+// with NULs to nameLen bytes, as the kernel lays it out.
+func inotifyBytes(wd int32, mask uint32, name string, nameLen int) []byte {
 	b := make([]byte, syscall.SizeofInotifyEvent+nameLen)
 	binary.LittleEndian.PutUint32(b[0:], uint32(wd))
 	binary.LittleEndian.PutUint32(b[4:], mask)
 	binary.LittleEndian.PutUint32(b[12:], uint32(nameLen))
+	copy(b[syscall.SizeofInotifyEvent:], name)
 	return b
 }
 
 // TestParseInotify feeds the record parser synthetic streams: an
-// overflow record, an IN_IGNORED record, a normal event carrying a name,
-// and a trailing record cut short — which must be dropped, not read past.
+// overflow record, an IN_IGNORED record, events naming a directory entry
+// (NUL-padded, and filling its length exactly), and a trailing record cut
+// short — which must be dropped, not read past.
 func TestParseInotify(t *testing.T) {
 	var stream []byte
-	stream = append(stream, inotifyBytes(-1, syscall.IN_Q_OVERFLOW, 0)...)
-	stream = append(stream, inotifyBytes(3, syscall.IN_IGNORED, 0)...)
-	stream = append(stream, inotifyBytes(4, syscall.IN_MODIFY, 16)...)
-	whole := inotifyBytes(5, syscall.IN_ATTRIB, 16)
+	stream = append(stream, inotifyBytes(-1, syscall.IN_Q_OVERFLOW, "", 0)...)
+	stream = append(stream, inotifyBytes(3, syscall.IN_IGNORED, "", 0)...)
+	stream = append(stream, inotifyBytes(4, syscall.IN_MODIFY, "s.gio", 16)...)
+	stream = append(stream, inotifyBytes(4, syscall.IN_CREATE|syscall.IN_ISDIR, "step-0498", 16)...)
+	stream = append(stream, inotifyBytes(4, syscall.IN_MOVED_TO, "exactly-16-bytes", 16)...)
+	whole := inotifyBytes(5, syscall.IN_ATTRIB, "t.gio", 16)
 	want := []inotifyRecord{
 		{wd: -1, mask: syscall.IN_Q_OVERFLOW},
 		{wd: 3, mask: syscall.IN_IGNORED},
-		{wd: 4, mask: syscall.IN_MODIFY},
+		{wd: 4, mask: syscall.IN_MODIFY, name: "s.gio"},
+		{wd: 4, mask: syscall.IN_CREATE | syscall.IN_ISDIR, name: "step-0498"},
+		{wd: 4, mask: syscall.IN_MOVED_TO, name: "exactly-16-bytes"},
 	}
 	for name, tail := range map[string][]byte{
 		"no tail":          nil,
@@ -44,7 +50,7 @@ func TestParseInotify(t *testing.T) {
 		got := parseInotify(append(append([]byte(nil), stream...), tail...))
 		exp := want
 		if name == "complete trailer" {
-			exp = append(append([]inotifyRecord(nil), want...), inotifyRecord{wd: 5, mask: syscall.IN_ATTRIB})
+			exp = append(append([]inotifyRecord(nil), want...), inotifyRecord{wd: 5, mask: syscall.IN_ATTRIB, name: "t.gio"})
 		}
 		if !reflect.DeepEqual(got, exp) {
 			t.Errorf("%s: parsed %+v, want %+v", name, got, exp)
