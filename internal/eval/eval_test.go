@@ -64,6 +64,27 @@ func TestFormatTable1(t *testing.T) {
 	}
 }
 
+// TestVariabilityFormatDeterministic: the §4.5 report lists strategies in
+// index order, so one result always formats to one string.
+func TestVariabilityFormatDeterministic(t *testing.T) {
+	res := &VariabilityResult{
+		Reps:                6,
+		AmbiguousStrategies: map[int]int{2: 4, 0: 1, 1: 1},
+		AmbiguousCompleted:  6,
+		PreciseOutputs:      map[string]int{"ab": 6},
+		PreciseCompleted:    6,
+	}
+	want := res.Format()
+	for i := 0; i < 50; i++ {
+		if got := res.Format(); got != want {
+			t.Fatalf("format %d differs:\n%s\nvs\n%s", i, got, want)
+		}
+	}
+	if i0, i1, i2 := strings.Index(want, "strategy 0"), strings.Index(want, "strategy 1"), strings.Index(want, "strategy 2"); i0 < 0 || i0 > i1 || i1 > i2 {
+		t.Fatalf("strategies not in index order:\n%s", want)
+	}
+}
+
 func evalEnsemble(t testing.TB) string {
 	t.Helper()
 	dir := t.TempDir()

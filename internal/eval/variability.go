@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"infera/internal/core"
@@ -49,8 +50,13 @@ func (v *VariabilityResult) Format() string {
 		1: "linear correlation between parameters and halo counts",
 		2: "correlation matrix across characteristic variables",
 	}
-	for s, n := range v.AmbiguousStrategies {
-		fmt.Fprintf(&sb, "  strategy %d (%s): %d runs\n", s, names[s], n)
+	strategies := make([]int, 0, len(v.AmbiguousStrategies))
+	for s := range v.AmbiguousStrategies {
+		strategies = append(strategies, s)
+	}
+	sort.Ints(strategies)
+	for _, s := range strategies {
+		fmt.Fprintf(&sb, "  strategy %d (%s): %d runs\n", s, names[s], v.AmbiguousStrategies[s])
 	}
 	fmt.Fprintf(&sb, "\nPrecise question: %d/%d runs completed, identical outputs: %v (%d distinct)\n",
 		v.PreciseCompleted, v.Reps, v.PreciseIdentical(), len(v.PreciseOutputs))

@@ -109,6 +109,23 @@ func differentialCorpus() []string {
 		`print(nrows(a), nrows(b), nrows(c), nrows(d))`,
 		`result(d)`)
 
+	// A dispatch-heavy analysis script of ~160 statements: one load, then
+	// twenty rounds of filter/derive/sort/head/groupby plus list-literal
+	// churn, the shape the QA repair loop re-executes.
+	rounds := []string{`t = load_table("work")`}
+	for i := 0; i < 20; i++ {
+		rounds = append(rounds,
+			fmt.Sprintf(`l%d = [%d, %d.5, "s%d", true, [%d, %d]]`, i, i, i, i, i, i+1),
+			fmt.Sprintf(`f%d = filter_gt(t, "x", %d)`, i, i%5),
+			fmt.Sprintf(`d%d = derive_scale(f%d, "y%d", "y", 2.5)`, i, i, i),
+			fmt.Sprintf(`h%d = head(sort(d%d, "y%d", true), 5)`, i, i, i),
+			fmt.Sprintf(`g%d = groupby(d%d, ["name"], "y%d", "mean", "m")`, i, i, i),
+			fmt.Sprintf(`n%d = nrows(h%d)`, i, i),
+			fmt.Sprintf(`c%d = concat(h%d, h%d)`, i, i, i),
+			fmt.Sprintf(`s%d = select(c%d, ["x", "y"])`, i, i))
+	}
+	add(append(rounds, `result(g19)`)...)
+
 	return corpus
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -304,6 +305,62 @@ func TestRegistryPersistenceAcrossRestart(t *testing.T) {
 	}
 	if entries, err := second.Provenance("default", hit.RequestID); err != nil || len(entries) == 0 {
 		t.Fatalf("provenance across restart: %v (%d entries)", err, len(entries))
+	}
+}
+
+// TestRegistryRestartRevivesDiskTier: a daemon restarted over the same work
+// root stages a new computation from the stage disk tier the first
+// incarnation persisted — no gio file is opened — and answers exactly as a
+// cold service does.
+func TestRegistryRestartRevivesDiskTier(t *testing.T) {
+	dir := testEnsemble(t)
+	work := t.TempDir()
+	build := func() (*Registry, *stage.Cache) {
+		st := stage.New(1<<30, 4)
+		if err := st.SetDiskTier(filepath.Join(work, "stage"), 0); err != nil {
+			t.Fatal(err)
+		}
+		reg := NewRegistry(RegistryConfig{
+			Defaults: Config{Workers: 1, Seed: 1, NewModel: errFreeModel, Stage: st},
+			WorkDir:  work,
+		})
+		if _, err := reg.Register("default", dir); err != nil {
+			t.Fatal(err)
+		}
+		return reg, st
+	}
+
+	first, st := build()
+	if res, err := first.Ask("default", AskRequest{Question: topHalosQ}); err != nil || res.Error != "" {
+		t.Fatalf("first ask: %v %+v", err, res)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st.WaitPending() // the write-through persists finish before the "process" exits
+	st.Close()
+
+	second, st := build()
+	defer st.Close()
+	defer second.Close()
+	// A new seed misses the persisted answer cache, so the workflow runs
+	// and stages its columns again.
+	const seed = 2
+	got, err := second.Ask("default", AskRequest{Question: topHalosQ, Seed: seed})
+	if err != nil || got.Error != "" || got.Cached {
+		t.Fatalf("restarted ask: %v %+v", err, got)
+	}
+	if s := st.Stats(); s.DiskHits == 0 || s.Opens != 0 {
+		t.Fatalf("restart must stage from the disk tier: disk_hits = %d, opens = %d", s.DiskHits, s.Opens)
+	}
+
+	cold := newService(t, Config{EnsembleDir: dir, Stage: stage.New(1<<30, 4)})
+	want, err := cold.Ask(AskRequest{Question: topHalosQ, Seed: seed})
+	if err != nil || want.Error != "" {
+		t.Fatalf("cold ask: %v %+v", err, want)
+	}
+	if got.AnswerCSV != want.AnswerCSV {
+		t.Fatalf("disk-warm answer differs from the cold one:\n%s\nvs\n%s", got.AnswerCSV, want.AnswerCSV)
 	}
 }
 

@@ -136,6 +136,7 @@ var diffCorpus = []string{
 	"SELECT grp, COUNT(*) AS n FROM parts WHERE name LIKE '%a%' GROUP BY grp ORDER BY grp LIMIT 3",
 	"SELECT grp + 1 AS g1, AVG(val / 1e14) FROM parts GROUP BY grp + 1 ORDER BY g1",
 	"SELECT seg, MAX(cnt) AS m FROM parts WHERE seg >= 3 GROUP BY seg",
+	"SELECT grp, COUNT(*) AS n, AVG(val) AS avg_mass, STDDEV(val) AS sd, MAX(cnt) AS max_count FROM parts WHERE val > 1.2e14 AND cnt < 900 GROUP BY grp ORDER BY grp",
 	"SELECT tag FROM parts WHERE seg = 2",
 	"SELECT tag FROM parts WHERE seg = 2 AND val < 1e16",
 	"SELECT tag FROM parts WHERE seg = 99",

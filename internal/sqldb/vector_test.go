@@ -65,6 +65,33 @@ func TestExplainQueryPruning(t *testing.T) {
 		t.Errorf("val<=1e30 rows = %d, want all 295 (NaN rows satisfy <=)", f.NumRows())
 	}
 
+	// The staged-snapshot shape: 16 segments, one step each; a
+	// step-selective aggregation reads one of them.
+	halos, err := CreateStaged(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 16; s++ {
+		const rows = 64
+		steps, cnts, masses := make([]int64, rows), make([]int64, rows), make([]float64, rows)
+		for i := range steps {
+			steps[i] = int64(99 + s*21)
+			cnts[i] = int64(i * 1000)
+			masses[i] = float64(i) * 1e13
+		}
+		if err := halos.BulkAppend("halos", dataframe.MustFromColumns(
+			dataframe.NewInt("step", steps),
+			dataframe.NewInt("fof_halo_count", cnts),
+			dataframe.NewFloat("fof_halo_mass", masses),
+		)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	info = explain(t, halos, "SELECT COUNT(*) AS n FROM halos WHERE step = 393 AND fof_halo_mass > 1e14")
+	if info.Backend != "vectorized" || info.Segments != 16 || info.SegmentsPruned != 15 {
+		t.Errorf("step=393 explain = %+v, want vectorized 16 segments 15 pruned", info)
+	}
+
 	// Non-vectorizable statements report the fallback and its reason.
 	info = explain(t, db, "SELECT tag FROM parts WHERE grp IN (tag, 1)")
 	if info.Backend != "treewalk" || info.FallbackReason == "" {

@@ -112,9 +112,11 @@ func TestSingleFlightDedupe(t *testing.T) {
 }
 
 // TestPerColumnDecodeOnce is the overlapping-subset property the
-// per-column keying exists for: two concurrent sessions requesting
-// different column subsets of one file decode each *column* exactly once,
-// sharing the overlap. Run under -race.
+// per-column keying exists for: eight concurrent sessions requesting four
+// overlapping-but-unequal column subsets of one file decode each *column*
+// exactly once, sharing the overlap — where a column-set-keyed cache
+// would decode each distinct subset in full (9 blocks, not 3). Run under
+// -race.
 func TestPerColumnDecodeOnce(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSnapshot(t, dir, "s.gio", 128, 0)
@@ -125,10 +127,14 @@ func TestPerColumnDecodeOnce(t *testing.T) {
 	subsets := [][]string{
 		{"fof_halo_tag", "fof_halo_mass"},
 		{"fof_halo_mass", "fof_halo_count"},
+		{"fof_halo_count", "fof_halo_tag"},
+		{"fof_halo_tag", "fof_halo_mass", "fof_halo_count"},
 	}
+	const sessions = 8
 	var wg sync.WaitGroup
-	errs := make(chan error, len(subsets))
-	for _, cols := range subsets {
+	errs := make(chan error, sessions)
+	for s := 0; s < sessions; s++ {
+		cols := subsets[s%len(subsets)]
 		wg.Add(1)
 		go func(cols []string) {
 			defer wg.Done()
@@ -138,7 +144,7 @@ func TestPerColumnDecodeOnce(t *testing.T) {
 				errs <- err
 				return
 			}
-			if f.NumCols() != 2 || f.NumRows() != 128 {
+			if f.NumCols() != len(cols) || f.NumRows() != 128 {
 				errs <- fmt.Errorf("bad shape %dx%d for %v", f.NumRows(), f.NumCols(), cols)
 			}
 		}(cols)
@@ -151,13 +157,13 @@ func TestPerColumnDecodeOnce(t *testing.T) {
 	}
 
 	st := c.Stats()
-	// 4 column lookups over 3 distinct columns: 3 decodes, 1 shared hit on
-	// the overlap (fof_halo_mass) regardless of which session led it.
+	// 18 column lookups over 3 distinct columns: 3 decodes and 15 shared
+	// hits, regardless of which session led each column.
 	if st.Misses != 3 {
 		t.Fatalf("each distinct column must decode exactly once: misses = %d, want 3 (stats %+v)", st.Misses, st)
 	}
-	if st.Hits != 1 {
-		t.Fatalf("the overlapping column must be shared: hits = %d, want 1", st.Hits)
+	if st.Hits != 15 {
+		t.Fatalf("the overlapping columns must be shared: hits = %d, want 15", st.Hits)
 	}
 	if want := sizes["fof_halo_tag"] + sizes["fof_halo_mass"] + sizes["fof_halo_count"]; st.BytesDecoded != want {
 		t.Fatalf("bytes decoded = %d, want %d (one block per distinct column)", st.BytesDecoded, want)
