@@ -28,8 +28,8 @@
 // failed promotion evicts exactly that block file and falls through to the
 // real decoder (per-column error attribution, as in the memory tier).
 //
-// Mapping lifetime. Promoted vectors alias their mapping from frames, SQL
-// segments and answer caches with unbounded lifetime, so a mapping a
+// Mapping lifetime. Promoted vectors alias their mapping from frames and
+// SQL segments for as long as the asks that read them run, so a mapping a
 // vector was cast from is never unmapped. Its touched pages count in the
 // process's resident set, though, so every mapping the tier stops
 // indexing — invalidation, replacement by a new generation, budget sweep,
@@ -47,8 +47,8 @@
 // pinned at or before the drop has unpinned (epoch.go). Both releases
 // only release; neither unmaps. What they do not reclaim is the mapping
 // itself (one VMA each, DiskMappings), the disk blocks of unlinked
-// files, and pages re-faulted by readers that never pinned or pinned
-// after the drop; all are held until process exit or a later release.
+// files, and pages re-faulted by readers pinned after the drop; all are
+// held until process exit or a later release.
 package stage
 
 import (

@@ -1,6 +1,10 @@
 package stage
 
-import "sync"
+import (
+	"sync"
+
+	"infera/internal/dataframe"
+)
 
 // readerEpochs tracks the readers pinned by Cache.Pin, so that what a
 // reader may still see outlives the last of them: a block mapping the disk
@@ -23,10 +27,10 @@ import "sync"
 //     when it is worth doing.
 //   - A retired buffer is reused by the next read that takes it from the
 //     free list, so it must not be due while a reader can still see it.
-//     The cache only retires buffers no unpinned reader was ever handed,
-//     and records the newest epoch of the leases it served each buffer to
-//     (Cache.columns), so the buffer is queued with that epoch: it waits
-//     for every reader that saw it, and for no reader pinned after them.
+//     Every reader holds a lease, and the cache records the newest epoch
+//     of the leases it served each buffer to (Cache.claim), so the buffer
+//     is queued with that epoch: it waits for every reader that saw it,
+//     and for no reader pinned after them.
 type readerEpochs struct {
 	mu       sync.Mutex
 	epoch    uint64         // the epoch new pins join
@@ -136,10 +140,11 @@ func (re *readerEpochs) retired(s *slab, seen uint64) {
 }
 
 // Lease is one reader's pin on the cache (Pin). Column vectors served
-// through the lease (LoadAll) and the vectors it hands out (Floats, Ints)
-// stay valid, and unchanged, until Unpin; after that the cache may reuse
-// their buffers for other reads. Nothing a lease served may be read after
-// its Unpin, so a caller that keeps data past it copies it first.
+// through the lease (Columns, LoadAll) and the vectors it hands out
+// (Floats, Ints) stay valid, and unchanged, until Unpin; after that the
+// cache may reuse their buffers for other reads. Nothing a lease served
+// may be read after its Unpin, so a caller that keeps data past it copies
+// it first.
 type Lease struct {
 	c     *Cache
 	epoch uint64 // the reader epoch the lease pinned
@@ -151,8 +156,9 @@ type Lease struct {
 }
 
 // Pin registers the caller as a reader of the cache's vectors until the
-// lease's Unpin. A workflow pins for its whole run and loads through the
-// lease. While any lease pinned at or before it is held:
+// lease's Unpin; every read of the cache goes through a lease. A workflow
+// pins for its whole run, a tool for one call. While any lease pinned at
+// or before it is held:
 //
 //   - a decoded column buffer the memory tier retires (budget eviction,
 //     invalidation, replacement) does not go back to the free list;
@@ -160,9 +166,7 @@ type Lease struct {
 //     afterwards, handing back the pages those readers faulted in through
 //     vectors they already held.
 //
-// Pinning never delays an eviction or a drop. Vectors served without a
-// lease (Cache.Columns, Cache.LoadAll) are never recycled, so a caller
-// that does not pin stays correct.
+// Pinning never delays an eviction or a drop.
 func (c *Cache) Pin() *Lease {
 	l := &Lease{c: c}
 	l.epoch, l.unpin = c.readers.pin()
@@ -186,8 +190,18 @@ func (l *Lease) Unpin() {
 	}
 }
 
-// LoadAll is Cache.LoadAll for the lease's reader: the vectors it serves
-// are valid until Unpin, and their buffers may be reused after it.
+// Columns returns the requested columns of the gio file at path as a
+// fresh frame shell, in request order, over cached immutable vectors that
+// stay valid until Unpin. Each absent column is decoded at most once per
+// file generation. bytesRead is the data-block bytes this call read from
+// the source file: the block sizes of the columns it decoded, 0 when fully
+// served from the tiers.
+func (l *Lease) Columns(path string, names ...string) (f *dataframe.Frame, bytesRead int64, err error) {
+	return l.c.columns(path, l, names)
+}
+
+// LoadAll is Columns for a list of requests, fanned out over the cache's
+// worker pool. Results align with reqs, each with its own error.
 func (l *Lease) LoadAll(reqs []Request) []Result {
 	return l.c.loadAll(reqs, l)
 }

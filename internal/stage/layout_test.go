@@ -80,7 +80,7 @@ func TestServingPathsBitIdentical(t *testing.T) {
 
 	c1 := newTiered(t, 1<<30, stageDir)
 	c1.SetPrefetch(false)
-	decoded, _, err := c1.Columns(path, cols...)
+	decoded, _, err := readCols(t, c1, path, cols...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestServingPathsBitIdentical(t *testing.T) {
 
 	c2 := newTiered(t, 1<<30, stageDir)
 	defer c2.Close()
-	promoted, _, err := c2.Columns(path, cols...)
+	promoted, _, err := readCols(t, c2, path, cols...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPersistFromVectorMatchesEncodeBlock(t *testing.T) {
 	c := newTiered(t, 1<<30, stageDir)
 	defer c.Close()
 	c.SetPrefetch(false)
-	f, _, err := c.Columns(path, "f", "i", "s")
+	f, _, err := readCols(t, c, path, "f", "i", "s")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,9 @@ func wantMass(rows int, fill int64) []float64 {
 // so the next lease decode finds no room and reads into the free list.
 func crowd(t *testing.T, c *Cache, path string) {
 	t.Helper()
-	if _, _, err := c.Columns(path, "fof_halo_count"); err != nil {
+	l := c.Pin()
+	defer l.Unpin()
+	if _, _, err := l.Columns(path, "fof_halo_count"); err != nil {
 		t.Fatal(err)
 	}
 	c.WaitPending()
@@ -176,139 +178,107 @@ func TestLeaseBufferReuseWaitsForAllThree(t *testing.T) {
 	}
 }
 
-// TestBareColumnsNeverRecycled: a vector served without a lease — by a
-// miss, by a hit on a column decoded for a lease, or to a flight waiter
-// while a lease leads the decode — never changes, whatever the leases and
-// the free list do afterwards.
-func TestBareColumnsNeverRecycled(t *testing.T) {
-	want := wantMass(pooledRows, 9)
-	scribble := func() {
-		for i := 0; i < 16; i++ {
-			v, s := takeFloats(pooledRows)
-			for j := range v {
-				v[j] = -1
-			}
-			if s != nil {
-				buffers.give(s)
-			}
+// TestLoadAllFramesOutliveRecycling: Cache.LoadAll loads through a lease
+// of its own, and a frame it returns keeps its values after the buffer the
+// load read into has gone back to the free list and been reused.
+func TestLoadAllFramesOutliveRecycling(t *testing.T) {
+	needsRecycling(t)
+	path := writeSnapshot(t, t.TempDir(), "s.gio", pooledRows, 9)
+	c := New(8*pooledRows, 2)
+	crowd(t, c, path)
+	res := c.LoadAll([]Request{{Path: path, Columns: []string{"fof_halo_mass"}}})
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	c.SetBudget(0)
+	if st := c.Stats(); st.RecycledBytes < 8*pooledRows {
+		t.Fatalf("the load's buffer was not recycled (%d bytes)", st.RecycledBytes)
+	}
+	for i := 0; i < 16; i++ {
+		v, s := takeFloats(pooledRows)
+		for j := range v {
+			v[j] = -1
 		}
+		buffers.give(s)
+	}
+	sameFloats(t, res[0].Frame.MustColumn("fof_halo_mass").F, wantMass(pooledRows, 9))
+}
+
+// TestFlightWaiterHoldsBuffer: a lease served a column by waiting on
+// another lease's decode keeps the buffer until it unpins, even when it
+// pinned in a later epoch than the lease that led the decode and that
+// lease has long unpinned.
+func TestFlightWaiterHoldsBuffer(t *testing.T) {
+	needsRecycling(t)
+	dir := t.TempDir()
+	path := writeSnapshot(t, dir, "s.gio", pooledRows, 9)
+	c := newTiered(t, 8*pooledRows, filepath.Join(dir, "stage"))
+	defer c.Close()
+	c.SetPrefetch(false)
+	crowd(t, c, path)
+	k := key{path: path, col: "fof_halo_mass"}
+
+	lead := c.Pin()
+	// A buffer retired while lead is pinned moves the epoch past it.
+	_, s := takeFloats(pooledRows)
+	c.readers.retired(s, lead.epoch)
+	wait := c.Pin()
+	if wait.epoch <= lead.epoch {
+		t.Fatalf("waiter pinned in epoch %d, not after the leader's %d", wait.epoch, lead.epoch)
 	}
 
-	t.Run("miss", func(t *testing.T) {
-		path := writeSnapshot(t, t.TempDir(), "s.gio", pooledRows, 9)
-		c := New(1<<30, 2)
-		f, _, err := c.Columns(path, "fof_halo_mass")
+	// Holding the disk tier's lock stops the leader between registering
+	// its flight and decoding.
+	c.disk.mu.Lock()
+	load := func(l *Lease, out chan<- []float64) {
+		v, err := loadMass(l, path)
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
 		}
-		c.SetBudget(0)
-		scribble()
-		sameFloats(t, f.MustColumn("fof_halo_mass").F, want)
-		if st := c.Stats(); st.RecycledBytes != 0 {
-			t.Fatalf("a decode without a lease recycled %d bytes", st.RecycledBytes)
-		}
-	})
-
-	t.Run("hit", func(t *testing.T) {
-		needsRecycling(t)
-		path := writeSnapshot(t, t.TempDir(), "s.gio", pooledRows, 9)
-		c := New(8*pooledRows, 2)
-		crowd(t, c, path)
-		l := c.Pin()
-		leased := massOf(t, l, path)
-		f, _, err := c.Columns(path, "fof_halo_mass")
-		if err != nil {
-			t.Fatal(err)
-		}
-		bare := f.MustColumn("fof_halo_mass").F
-		if &bare[0] == &leased[0] {
-			t.Fatal("a reader without a lease was handed the lease's free-list vector")
-		}
-		if st := c.Stats(); st.EscapedBytes != 8*pooledRows {
-			t.Fatalf("escaped_bytes = %d, want %d", st.EscapedBytes, 8*pooledRows)
-		}
-		sameFloats(t, leased, want) // the lease keeps its vector until Unpin
-		l.Unpin()
-		if !poisoned(leased) {
-			t.Fatal("the copied-out buffer did not go back after its lease unpinned")
-		}
-		c.SetBudget(0)
-		scribble()
-		sameFloats(t, bare, want)
-	})
-
-	t.Run("flight waiter", func(t *testing.T) {
-		needsRecycling(t)
-		dir := t.TempDir()
-		path := writeSnapshot(t, dir, "s.gio", pooledRows, 9)
-		c := newTiered(t, 8*pooledRows, filepath.Join(dir, "stage"))
-		defer c.Close()
-		c.SetPrefetch(false)
-		crowd(t, c, path)
-		k := key{path: path, col: "fof_halo_mass"}
-
-		// Holding the disk tier's lock stops the leased leader between
-		// registering its flight and decoding.
-		c.disk.mu.Lock()
-		l := c.Pin()
-		leased := make(chan []float64)
-		go func() {
-			v, err := loadMass(l, path)
-			if err != nil {
-				t.Error(err)
-			}
-			leased <- v
-		}()
-		// until polls cond under c.mu, failing the test after 10 s.
-		deadline := time.Now().Add(10 * time.Second)
-		until := func(what string, cond func() bool) {
-			for {
-				c.mu.Lock()
-				ok := cond()
-				c.mu.Unlock()
-				if ok {
-					return
-				}
-				if time.Now().After(deadline) {
-					c.disk.mu.Unlock()
-					t.Fatalf("timed out waiting for %s", what)
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-		var fl *flight
-		until("the leased leader's flight", func() bool { fl = c.inflight[k]; return fl != nil })
-		bare := make(chan []float64)
-		go func() {
-			f, _, err := c.Columns(path, "fof_halo_mass")
-			if err != nil {
-				t.Error(err)
-				bare <- nil
+		out <- v
+	}
+	led, waited := make(chan []float64), make(chan []float64)
+	go load(lead, led)
+	// until polls cond under c.mu, failing the test after 10 s.
+	deadline := time.Now().Add(10 * time.Second)
+	until := func(what string, cond func() bool) {
+		for {
+			c.mu.Lock()
+			ok := cond()
+			c.mu.Unlock()
+			if ok {
 				return
 			}
-			bare <- f.MustColumn("fof_halo_mass").F
-		}()
-		until("the bare reader to wait on the flight", func() bool { return fl.escaped })
-		c.disk.mu.Unlock()
-		lv, bv := <-leased, <-bare
-		if lv == nil || bv == nil {
-			t.FailNow()
+			if time.Now().After(deadline) {
+				c.disk.mu.Unlock()
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if &lv[0] != &bv[0] {
-			t.Fatal("leader and waiter were served different vectors")
-		}
-		if st := c.Stats(); st.EscapedBytes != 8*pooledRows {
-			t.Fatalf("escaped_bytes = %d, want %d", st.EscapedBytes, 8*pooledRows)
-		}
-		l.Unpin()
-		c.WaitPending()
-		c.SetBudget(0)
-		scribble()
-		sameFloats(t, bv, want)
-		if st := c.Stats(); st.RecycledBytes == 0 {
-			t.Fatal("the leader's buffer, copied out for the waiter, was never given back")
-		}
-	})
+	}
+	var fl *flight
+	until("the leader's flight", func() bool { fl = c.inflight[k]; return fl != nil })
+	go load(wait, waited)
+	until("the waiter to wait on the flight", func() bool { return fl.seen == wait.epoch })
+	c.disk.mu.Unlock()
+	lv, wv := <-led, <-waited
+	if lv == nil || wv == nil {
+		t.FailNow()
+	}
+	if &lv[0] != &wv[0] {
+		t.Fatal("leader and waiter were served different vectors")
+	}
+	lead.Unpin()
+	c.WaitPending()
+	c.SetBudget(0)
+	if poisoned(wv) {
+		t.Fatal("buffer recycled while the lease that waited for it was still pinned")
+	}
+	sameFloats(t, wv, wantMass(pooledRows, 9))
+	wait.Unpin()
+	if !poisoned(wv) {
+		t.Fatal("buffer not back on the free list after its last lease unpinned")
+	}
 }
 
 // TestPromotedVectorNeverRecycled: a vector cast from the disk tier's
@@ -319,7 +289,7 @@ func TestPromotedVectorNeverRecycled(t *testing.T) {
 	c := newTiered(t, 1<<30, filepath.Join(dir, "stage"))
 	defer c.Close()
 	c.SetPrefetch(false)
-	if _, _, err := c.Columns(path, "fof_halo_mass"); err != nil {
+	if _, _, err := readCols(t, c, path, "fof_halo_mass"); err != nil {
 		t.Fatal(err)
 	}
 	c.WaitPending()

@@ -13,9 +13,9 @@ const mmapSupported = true
 
 // mmapFile maps the first size bytes of f read-only and shared. A mapping
 // some vector was cast from is never unmapped (see diskTier): promoted
-// column vectors alias it with unbounded lifetime. Touched pages count in
-// the process's resident set until the tier releases them
-// (releaseMapping).
+// column vectors alias it in the frames and SQL segments of the asks that
+// read them. Touched pages count in the process's resident set until the
+// tier releases them (releaseMapping).
 func mmapFile(f *os.File, size int64) ([]byte, error) {
 	if size == 0 {
 		return []byte{}, nil

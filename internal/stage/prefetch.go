@@ -18,11 +18,7 @@
 // startup (RegisterNeighbors); the cache itself stays layout-agnostic.
 package stage
 
-import (
-	"strings"
-
-	"infera/internal/gio"
-)
+import "infera/internal/gio"
 
 // SetPrefetch enables or disables sibling/next-step prefetching into the
 // disk tier. On by default once a disk tier is attached; a no-op without
@@ -47,14 +43,14 @@ func (c *Cache) RegisterNeighbors(root string, fn func(path string) []string) {
 	c.mu.Unlock()
 }
 
-// neighborsOf resolves the hint for path (longest registered root prefix
-// wins) and returns its successor paths.
+// neighborsOf resolves the hint for path (the longest registered root
+// path lies under wins) and returns its successor paths.
 func (c *Cache) neighborsOf(path string) []string {
 	c.mu.Lock()
 	var best string
 	var fn func(string) []string
 	for root, f := range c.neighborHints {
-		if strings.HasPrefix(path, root) && len(root) >= len(best) {
+		if under(path, root) && len(root) >= len(best) {
 			best, fn = root, f
 		}
 	}

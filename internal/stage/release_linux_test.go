@@ -115,18 +115,18 @@ var sink float64
 // promoteMapped stages col of path through c's disk tier — decode,
 // write-through, demotion out of memory, mmap promotion — and reads every
 // value so the mapping's pages are resident. It returns the promoted
-// vector and the mapping it was cast from. c's memory budget must be
-// 1 << 30.
-func promoteMapped(t *testing.T, c *Cache, path, col string) ([]float64, []byte) {
+// vector, read through l, and the mapping it was cast from. c's memory
+// budget must be 1 << 30.
+func promoteMapped(t *testing.T, c *Cache, l *Lease, path, col string) ([]float64, []byte) {
 	t.Helper()
-	if _, _, err := c.Columns(path, col); err != nil {
+	if _, _, err := l.Columns(path, col); err != nil {
 		t.Fatal(err)
 	}
 	c.WaitPending()
 	c.SetBudget(1)
 	c.SetBudget(1 << 30)
 	hits := c.Stats().DiskHits
-	f, _, err := c.Columns(path, col)
+	f, _, err := l.Columns(path, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSupersededMappingReleased(t *testing.T) {
 		}},
 		{"stamp mismatch", false, func(t *testing.T, c *Cache, dir, path string) {
 			rewriteSource(t, dir, "s.gio", 99, time.Now().Add(2*time.Second))
-			if _, _, err := c.Columns(path, "fof_halo_mass"); err != nil {
+			if _, _, err := readCols(t, c, path, "fof_halo_mass"); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -221,7 +221,9 @@ func TestSupersededMappingReleased(t *testing.T) {
 					t.Fatalf("SetWatch: %v", err)
 				}
 			}
-			vec, region := promoteMapped(t, c, path, "fof_halo_mass")
+			l := c.Pin()
+			defer l.Unpin()
+			vec, region := promoteMapped(t, c, l, path, "fof_halo_mass")
 			want := append([]float64(nil), vec...)
 
 			tc.supersede(t, c, dir, path)
@@ -259,10 +261,12 @@ func TestRetiredTierReleasesMappings(t *testing.T) {
 				regions     [][]byte
 				mapped      int64
 			)
+			l := c.Pin()
+			defer l.Unpin()
 			for i := 0; i < 2; i++ {
 				path := rewriteSource(t, dir, fmt.Sprintf("s%d.gio", i), int64(i*1000), time.Now())
 				for _, col := range []string{"fof_halo_mass", "fof_halo_count"} {
-					vec, region := promoteMapped(t, c, path, col)
+					vec, region := promoteMapped(t, c, l, path, col)
 					vecs = append(vecs, vec)
 					wants = append(wants, append([]float64(nil), vec...))
 					regions = append(regions, region)
@@ -367,10 +371,12 @@ func TestChurnKeepsFileRSSBounded(t *testing.T) {
 	for i := 0; i <= cycles; i++ {
 		path := rewriteSource(t, dir, "s.gio", int64(i), t0.Add(time.Duration(i)*time.Second))
 		genBytes = 0
+		l := c.Pin()
 		for _, col := range cols {
-			_, region := promoteMapped(t, c, path, col)
+			_, region := promoteMapped(t, c, l, path, col)
 			genBytes += int64(len(region))
 		}
+		l.Unpin()
 		if i == 0 {
 			// The first cycle faults in the code it runs; measure from here.
 			base = procStatusKB(t, "RssFile")
@@ -400,12 +406,12 @@ func TestPinnedReaderRefaultReleased(t *testing.T) {
 
 	reader := c.Pin()
 	other := c.Pin()
-	vec, region := promoteMapped(t, c, path, "fof_halo_mass")
+	vec, region := promoteMapped(t, c, reader, path, "fof_halo_mass")
 	want := append([]float64(nil), vec...)
 
 	// A stamp mismatch at the next lookup drops the old generation.
 	rewriteSource(t, dir, "s.gio", 99, time.Now().Add(2*time.Second))
-	if _, _, err := c.Columns(path, "fof_halo_mass"); err != nil {
+	if _, _, err := other.Columns(path, "fof_halo_mass"); err != nil {
 		t.Fatal(err)
 	}
 	late := c.Pin()

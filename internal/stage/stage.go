@@ -18,7 +18,7 @@
 // Per-column keying is what lets overlapping-but-unequal requests share:
 // a session asking for {tag, mass} and another asking for {mass, count}
 // decode mass once between them, where a column-set key would have decoded
-// the whole of both sets. Columns assembles the requested frame from
+// the whole of both sets. Lease.Columns assembles the requested frame from
 // whichever columns are resident and decodes only the absent ones — one
 // partial read per absent column, never a whole-file read (gio.ReadColumn).
 //
@@ -46,8 +46,8 @@
 //
 // Cached column vectors are immutable and marked shared
 // (dataframe.Column.MarkShared), so in-place growth anywhere downstream
-// copies first (copy-on-write). Columns returns a fresh Frame shell per
-// call that shares the cached vectors; callers may add columns (e.g. the
+// copies first (copy-on-write). Lease.Columns returns a fresh Frame shell
+// per call that shares the cached vectors; callers may add columns (e.g. the
 // loader's injected sim/step constants) but must never mutate the returned
 // column data in place. Frame verbs used downstream (Gather, SortBy,
 // Select, Concat) all allocate fresh vectors or honor the shared mark, so
@@ -75,11 +75,18 @@
 // a promotion casts the mapped block file back into a vector
 // (gio.CastBlock). Only package gio knows the block layout.
 //
-// The cache owns the buffer of every numeric column it decodes for a
-// lease (Pin, Lease.LoadAll) into a full memory tier: the decoder reads
-// into a buffer taken from a process-wide free list of size-classed
-// buffers outside the Go heap (pool.go), and the buffer comes back to the
-// list, for the next cold read, once all of these hold:
+// Every reader holds a lease (Pin): an ask pins for its whole run, a tool
+// for one call, and both read through Lease.Columns and Lease.LoadAll. A
+// vector a lease was served is valid, and unchanged, until that lease's
+// Unpin, and must not be read after it. Cache.LoadAll (and Cache.Columns,
+// its one-file form) pins, loads, copies the frames out and unpins, for a
+// caller that keeps what it read.
+//
+// The cache owns the buffer of every numeric column it decodes into a
+// full memory tier: the decoder reads into a buffer taken from a
+// process-wide free list of size-classed buffers outside the Go heap
+// (pool.go), and the buffer comes back to the list, for the next cold
+// read, once all of these hold:
 //
 //   - the column has left the memory tier (budget eviction, invalidation,
 //     same-key replacement, or served uncached because it exceeds the
@@ -88,15 +95,9 @@
 //   - every lease it was served to, and every lease pinned before those,
 //     has unpinned (reader epochs, epoch.go).
 //
-// The lease contract: a vector a lease was served is valid, and
-// unchanged, until that lease's Unpin, and must not be read after it. A
-// reader without a lease (Columns, LoadAll) is never served a free-list
-// buffer: its misses decode into heap vectors, and a hit on a free-list
-// column copies it to the heap once — the entry keeps serving the copy
-// (escaped_bytes) — so bare results stay valid for as long as they are
-// held. Columns decoded while the tier has room stay heap vectors (see
-// decode), promoted vectors alias the tier's mappings and string columns
-// are heap vectors; none of them ever enters the free list. Sibling prefetch reads
+// Columns decoded while the tier has room stay heap vectors (see decode),
+// promoted vectors alias the tier's mappings and string columns are heap
+// vectors; none of them ever enters the free list. Sibling prefetch reads
 // its blocks into free-list buffers too, and gives each back as soon as
 // it is written to the block store.
 //
@@ -141,8 +142,8 @@ const DefaultBudgetBytes = 256 << 20
 
 // Stats is a point-in-time snapshot of the cache counters, surfaced on the
 // service's /metrics endpoint. Hit/miss accounting is per column block —
-// the cache's unit of residency — so one Columns call over k columns moves
-// the counters by k.
+// the cache's unit of residency — so one Lease.Columns call over k columns
+// moves the counters by k.
 type Stats struct {
 	// Hits counts column lookups served from resident blocks, including
 	// requests that waited on another request's in-flight decode
@@ -151,7 +152,7 @@ type Stats struct {
 	// Misses counts column blocks that had to decode (single-flight
 	// leaders).
 	Misses int64 `json:"misses"`
-	// PartialHits counts Columns calls that found some of their columns
+	// PartialHits counts Lease.Columns calls that found some of their columns
 	// resident (or in flight) and decoded only the rest — the
 	// overlapping-column-set sharing that per-column keying buys.
 	PartialHits int64 `json:"partial_hits"`
@@ -220,12 +221,8 @@ type Stats struct {
 	// RecycledBytes counts the bytes of column buffers that went back to
 	// the free list for the next decode to read into: buffers retired by
 	// the memory tier once no lease could still see them, lease vectors at
-	// Unpin, and prefetch read buffers. EscapedBytes counts the bytes of
-	// free-list columns copied to the heap for a reader without a lease
-	// (Columns, LoadAll), which may keep them for ever; the entry keeps the
-	// copy and its buffer is retired.
+	// Unpin, and prefetch read buffers.
 	RecycledBytes int64 `json:"recycled_bytes"`
-	EscapedBytes  int64 `json:"escaped_bytes"`
 	// BufferBytes is the size of every column buffer the process has
 	// mapped, in use or free. The free list is process-wide, so this is
 	// the same for every cache; it stops growing once the list holds what
@@ -278,35 +275,24 @@ type entry struct {
 	persisted bool
 
 	// buf is the free-list buffer col's vector lives in, while the cache
-	// owns it: set for numeric columns decoded for a lease, empty for
-	// promoted and string columns and for columns decoded without a lease.
+	// owns it: set for numeric columns decoded into a full memory tier,
+	// empty for the rest (see decode).
 	buf *slab
 	// seen is the newest reader epoch of a lease the buffer was served to.
 	seen uint64
-	// out marks an entry that has left the memory tier; detached one whose
-	// col was replaced by a heap copy (escapeLocked); writing one whose
+	// out marks an entry that has left the memory tier; writing one whose
 	// queued write-through still reads the buffer. The buffer is retired
-	// once out or detached, and not writing (retireLocked).
-	out, detached, writing bool
+	// once out and not writing (retireLocked).
+	out, writing bool
 }
 
-// persist is a write-through to queue: the entry and its column as read
-// under mu.
-type persist struct {
-	e   *entry
-	col *dataframe.Column
-}
-
+// flight is one column's single-flight load: its leader publishes e (or
+// err) and closes done. seen is the newest epoch of a lease waiting on it.
 type flight struct {
 	done chan struct{}
 	e    *entry
-	col  *dataframe.Column // e.col as published; e.col may change later
 	err  error
-	// escaped marks a flight a reader without a lease waits on: the
-	// leader publishes a heap copy of the column. seen is the newest epoch
-	// of a lease waiting on it.
-	escaped bool
-	seen    uint64
+	seen uint64
 }
 
 // Cache is the staging cache. Create with New or use the process-wide
@@ -680,260 +666,249 @@ func (c *Cache) statPath(path string, bypass bool) (stamp, error) {
 	return now, nil
 }
 
-// Columns returns the requested columns of the gio file at path as a fresh
-// frame shell over cached immutable vectors, decoding each absent column
-// at most once per file generation. bytesRead is the data-block bytes this
-// call actually read from disk: the block sizes of the columns it decoded,
-// 0 when fully served from cache — so callers' I/O accounting stays
-// truthful under sharing. The frame's column order follows the request.
-//
-// The vectors stay valid for as long as the caller holds them: a call
-// without a lease is never served a buffer the cache will reuse. Callers
-// that pin (Lease.LoadAll) let the cache take the buffers back after
-// their Unpin instead.
-func (c *Cache) Columns(path string, names ...string) (f *dataframe.Frame, bytesRead int64, err error) {
-	return c.columns(path, nil, names)
+// claim is one columns call's share of its columns: the vectors it found
+// resident, the flights it follows and the flights it leads, with what
+// its lead produced.
+type claim struct {
+	dt       *diskTier // the disk tier as the claim found it
+	resolved map[string]*dataframe.Column
+	hits     int
+	waits    []waiter
+	// missing are the columns this call must load; it leads their flights
+	// (lead), and fetch fills entries and errs, all aligned by index.
+	missing []string
+	lead    []*flight
+	entries []*entry
+	errs    []error
 }
 
-// columns is Columns for a reader holding lease l, or for a reader without
-// one (l nil), which is served heap vectors only: its misses decode into
-// heap vectors and its hits copy free-list columns out (escapeLocked).
-func (c *Cache) columns(path string, l *Lease, names []string) (f *dataframe.Frame, bytesRead int64, err error) {
+// waiter is a column whose load another call leads.
+type waiter struct {
+	col string
+	fl  *flight
+}
+
+// columns is Lease.Columns for lease l. It claims the columns of path
+// under mu, fetches and publishes those it leads, follows the loads other
+// calls lead, and starts over when a column came from another file
+// generation than the one it statted.
+func (c *Cache) columns(path string, l *Lease, names []string) (*dataframe.Frame, int64, error) {
 	if len(names) == 0 {
 		return nil, 0, fmt.Errorf("stage: no columns requested for %s", path)
 	}
 	uniq := canonicalCols(names)
-	fresh := false
-	for {
-		// A generation-mismatch retry bypasses the pin: the pinned stamp is
-		// the thing that just disagreed with reality.
+	var bytesRead int64
+	// A generation-mismatch retry bypasses the pin: the pinned stamp is the
+	// thing that just disagreed with reality.
+	for fresh := false; ; fresh = true {
 		now, err := c.statPath(path, fresh)
 		if err != nil {
 			return nil, bytesRead, err
 		}
-		resolved := make(map[string]*dataframe.Column, len(uniq))
-		var (
-			missing []string  // columns this call must decode (it leads their flights)
-			lead    []*flight // flights registered for missing, aligned by index
-			waits   []struct {
-				col string
-				fl  *flight
+		cl := c.claim(path, l, uniq, now)
+		if len(cl.missing) > 0 {
+			n, opened := c.fetch(path, &cl, now)
+			bytesRead += n
+			if err := c.publish(path, l, &cl); err != nil {
+				return nil, bytesRead, err
 			}
-		)
-		c.mu.Lock()
-		hits := 0
-		for _, name := range uniq {
-			k := key{path: path, col: name}
-			if el, ok := c.items[k]; ok {
-				e := el.Value.(*entry)
-				if e.stamp == now {
-					hits++
-					c.ll.MoveToFront(el)
-					if l == nil {
-						c.escapeLocked(e)
-					} else {
-						e.seen = max(e.seen, l.epoch)
-					}
-					resolved[name] = e.col
-					continue
-				}
-				// The backing file changed since this block was decoded.
-				c.removeLocked(el)
-				c.stats.Invalidations++
-			}
-			if fl := c.inflight[k]; fl != nil {
-				if l == nil {
-					fl.escaped = true
-				} else {
-					fl.seen = max(fl.seen, l.epoch)
-				}
-				waits = append(waits, struct {
-					col string
-					fl  *flight
-				}{name, fl})
-				continue
-			}
-			fl := &flight{done: make(chan struct{})}
-			c.inflight[k] = fl
-			lead = append(lead, fl)
-			missing = append(missing, name)
-		}
-		c.stats.Hits += int64(hits)
-		c.tierHitsMem.Add(int64(hits))
-		dt := c.disk
-		c.mu.Unlock()
-
-		var (
-			decoded  []*entry
-			fromDisk []bool
-		)
-		if len(missing) > 0 {
-			decoded = make([]*entry, len(missing))
-			errs := make([]error, len(missing))
-			fromDisk = make([]bool, len(missing))
-			// This call leads the flights for every missing column. Try the
-			// disk tier first: a promotion serves the block without touching
-			// the gio decoder (mmap cast for numeric columns), and a
-			// resident-but-unusable block — truncated, corrupt, raced with
-			// eviction — evicts exactly that block and falls through to the
-			// decoder, mirroring the per-column error attribution below.
-			toDecode := make([]int, 0, len(missing))
-			var promoted, promoteFails int64
-			var promotedBytes int64
-			for i, name := range missing {
-				if dt == nil {
-					toDecode = append(toDecode, i)
-					continue
-				}
-				col, n, ok, perr := dt.promote(key{path: path, col: name}, now)
-				if ok {
-					decoded[i] = &entry{
-						key:       key{path: path, col: name},
-						stamp:     now,
-						col:       col,
-						bytes:     n,
-						persisted: true,
-					}
-					fromDisk[i] = true
-					promoted++
-					promotedBytes += n
-					continue
-				}
-				if perr != nil {
-					promoteFails++
-				}
-				toDecode = append(toDecode, i)
-			}
-			c.mu.Lock()
-			c.stats.DiskHits += promoted
-			c.stats.PromotedBytes += promotedBytes
-			c.stats.DiskPromoteFailures += promoteFails
-			c.tierHitsDisk.Add(promoted)
-			c.promotionsCtr.Add(promoted)
-			if len(toDecode) > 0 {
-				c.stats.Misses += int64(len(toDecode))
-				c.stats.Opens++
-				if hits > 0 || len(waits) > 0 || promoted > 0 {
-					c.stats.PartialHits++
-				}
-			}
-			c.mu.Unlock()
-			if len(toDecode) > 0 {
-				cols := make([]string, len(toDecode))
-				for j, i := range toDecode {
-					cols[j] = missing[i]
-				}
-				dentries, derrs := c.decode(path, cols, l != nil)
-				for j, i := range toDecode {
-					decoded[i], errs[i] = dentries[j], derrs[j]
-				}
-			}
-			var firstErr error
-			var toPersist []persist
-			c.mu.Lock()
-			persistLimit := c.budget
-			for i, fl := range lead {
-				delete(c.inflight, key{path: path, col: missing[i]})
-				// Errors are attributed per column: a bad column name in this
-				// request must not poison a concurrent request waiting on a
-				// sibling column that decoded fine.
-				if errs[i] != nil {
-					fl.err = errs[i]
-					if firstErr == nil {
-						firstErr = errs[i]
-					}
-					continue
-				}
-				fl.e = decoded[i]
-				if l == nil || fl.escaped {
-					c.escapeLocked(decoded[i])
-				} else {
-					decoded[i].seen = max(l.epoch, fl.seen)
-				}
-				fl.col = decoded[i].col
-				// Write a freshly decoded block through to the disk tier
-				// before inserting: insertion may evict it from memory
-				// immediately (oversized, or budget pressure), and the disk
-				// copy is what makes the memory budget a performance knob
-				// rather than the residency ceiling.
-				if dt != nil && !decoded[i].persisted {
-					decoded[i].persisted, decoded[i].writing = true, true
-					toPersist = append(toPersist, persist{decoded[i], decoded[i].col})
-				}
-				c.insertLocked(decoded[i])
-			}
-			c.mu.Unlock()
-			for _, fl := range lead {
-				close(fl.done)
-			}
-			// Only now, holding no lock and leading no flight, may this call
-			// wait for room in the persist queue: that wait is what bounds
-			// the decoded columns queued write-throughs keep alive.
-			for _, p := range toPersist {
-				if !c.persistAsync(dt, p.e, p.col, persistLimit, true) {
-					c.mu.Lock()
-					c.writtenLocked(p.e)
-					c.mu.Unlock()
-				}
-			}
-			for i, e := range decoded {
-				if errs[i] != nil {
-					continue
-				}
-				resolved[missing[i]] = lead[i].col
-				// Promoted bytes are tier I/O, not source-file I/O — callers'
-				// decode-volume accounting must stay truthful about what was
-				// NOT re-read from the source.
-				if !fromDisk[i] {
-					bytesRead += e.bytes
-				}
-			}
-			if firstErr != nil {
-				return nil, bytesRead, firstErr
-			}
-			if len(toDecode) > 0 {
+			if opened {
 				// A demand decode just had the file open: pull its sibling
 				// columns (and hinted next-step files) into the disk tier in
 				// the background.
 				c.maybePrefetch(path, uniq, now)
 			}
 		}
+		stale, err := c.follow(&cl, now)
+		if err != nil {
+			return nil, bytesRead, err
+		}
+		if !stale {
+			return assemble(cl.resolved, names, bytesRead)
+		}
+	}
+}
 
-		stale := false
-		for _, w := range waits {
-			<-w.fl.done
-			// The leader may have decoded a different file generation (file
-			// replaced mid-flight) or failed.
-			if w.fl.err != nil {
-				return nil, bytesRead, w.fl.err
-			}
-			if w.fl.e.stamp != now {
-				stale = true
+// claim sorts uniq under mu: a column resident at generation now is a hit
+// (dropping a stale one on the way), a column another call is loading is
+// waited on, and the rest are this call's to load — it registers their
+// flights. Every vector the claim resolves or waits for is marked seen by
+// l's epoch, so its buffer outlives the lease.
+func (c *Cache) claim(path string, l *Lease, uniq []string, now stamp) claim {
+	cl := claim{resolved: make(map[string]*dataframe.Column, len(uniq))}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, name := range uniq {
+		k := key{path: path, col: name}
+		if el, ok := c.items[k]; ok {
+			e := el.Value.(*entry)
+			if e.stamp == now {
+				cl.hits++
+				c.ll.MoveToFront(el)
+				e.seen = max(e.seen, l.epoch)
+				cl.resolved[name] = e.col
 				continue
 			}
-			resolved[w.col] = w.fl.col
-			c.mu.Lock()
-			c.stats.Hits++
-			c.tierHitsMem.Inc()
-			c.mu.Unlock()
+			// The backing file changed since this block was decoded.
+			c.removeLocked(el)
+			c.stats.Invalidations++
 		}
-		// A decode that observed a different identity than our freshness
-		// check means the file changed underfoot (or the memo was stale);
-		// re-validate everything against a real stat rather than assembling
-		// a torn frame from mixed generations. (Promoted entries carry now's
-		// stamp by construction; only decoder-sourced entries can disagree.)
-		for _, e := range decoded {
-			if e != nil && e.stamp != now {
-				stale = true
-				break
-			}
-		}
-		if stale {
-			fresh = true
+		if fl := c.inflight[k]; fl != nil {
+			fl.seen = max(fl.seen, l.epoch)
+			cl.waits = append(cl.waits, waiter{name, fl})
 			continue
 		}
-		return assemble(resolved, names, bytesRead)
+		fl := &flight{done: make(chan struct{})}
+		c.inflight[k] = fl
+		cl.lead = append(cl.lead, fl)
+		cl.missing = append(cl.missing, name)
 	}
+	c.stats.Hits += int64(cl.hits)
+	c.tierHitsMem.Add(int64(cl.hits))
+	cl.dt = c.disk
+	return cl
+}
+
+// fetch loads the columns cl leads from below the memory tier. It tries
+// the disk tier first: a promotion serves the block without touching the
+// gio decoder (an mmap cast for numeric columns), and a resident but
+// unusable block — truncated, corrupt, raced with eviction — evicts
+// exactly that block and falls through to the decoder. It returns the
+// source bytes decoded (promoted bytes are tier I/O, not source-file I/O)
+// and whether the decoder opened the file.
+func (c *Cache) fetch(path string, cl *claim, now stamp) (bytesRead int64, opened bool) {
+	cl.entries = make([]*entry, len(cl.missing))
+	cl.errs = make([]error, len(cl.missing))
+	toDecode := make([]int, 0, len(cl.missing))
+	var promoted, promotedBytes, promoteFails int64
+	for i, name := range cl.missing {
+		if cl.dt == nil {
+			toDecode = append(toDecode, i)
+			continue
+		}
+		k := key{path: path, col: name}
+		col, n, ok, perr := cl.dt.promote(k, now)
+		if ok {
+			cl.entries[i] = &entry{key: k, stamp: now, col: col, bytes: n, persisted: true}
+			promoted++
+			promotedBytes += n
+			continue
+		}
+		if perr != nil {
+			promoteFails++
+		}
+		toDecode = append(toDecode, i)
+	}
+	c.mu.Lock()
+	c.stats.DiskHits += promoted
+	c.stats.PromotedBytes += promotedBytes
+	c.stats.DiskPromoteFailures += promoteFails
+	c.tierHitsDisk.Add(promoted)
+	c.promotionsCtr.Add(promoted)
+	if len(toDecode) > 0 {
+		c.stats.Misses += int64(len(toDecode))
+		c.stats.Opens++
+		if cl.hits > 0 || len(cl.waits) > 0 || promoted > 0 {
+			c.stats.PartialHits++
+		}
+	}
+	c.mu.Unlock()
+	if len(toDecode) == 0 {
+		return 0, false
+	}
+	cols := make([]string, len(toDecode))
+	for j, i := range toDecode {
+		cols[j] = cl.missing[i]
+	}
+	entries, errs := c.decode(path, cols)
+	for j, i := range toDecode {
+		cl.entries[i], cl.errs[i] = entries[j], errs[j]
+		if errs[j] == nil {
+			bytesRead += entries[j].bytes
+		}
+	}
+	return bytesRead, true
+}
+
+// publish ends the flights cl leads: each gets its entry, which joins the
+// memory tier, or its own error — a bad column name in this request must
+// not poison a concurrent request waiting on a sibling column that decoded
+// fine. Then it queues the write-through of every decoded entry, and
+// returns the first error.
+func (c *Cache) publish(path string, l *Lease, cl *claim) error {
+	var firstErr error
+	var toPersist []*entry
+	c.mu.Lock()
+	persistLimit := c.budget
+	for i, fl := range cl.lead {
+		delete(c.inflight, key{path: path, col: cl.missing[i]})
+		if err := cl.errs[i]; err != nil {
+			fl.err = err
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		e := cl.entries[i]
+		e.seen = max(l.epoch, fl.seen)
+		fl.e = e
+		// Write a freshly decoded block through to the disk tier before
+		// inserting: insertion may evict it from memory immediately
+		// (oversized, or budget pressure), and the disk copy is what makes
+		// the memory budget a performance knob rather than the residency
+		// ceiling.
+		if cl.dt != nil && !e.persisted {
+			e.persisted, e.writing = true, true
+			toPersist = append(toPersist, e)
+		}
+		c.insertLocked(e)
+		cl.resolved[cl.missing[i]] = e.col
+	}
+	c.mu.Unlock()
+	for _, fl := range cl.lead {
+		close(fl.done)
+	}
+	// Only now, holding no lock and leading no flight, may this call wait
+	// for room in the persist queue: that wait is what bounds the decoded
+	// columns queued write-throughs keep alive.
+	for _, e := range toPersist {
+		if !c.persistAsync(cl.dt, e, persistLimit, true) {
+			c.mu.Lock()
+			c.writtenLocked(e)
+			c.mu.Unlock()
+		}
+	}
+	return firstErr
+}
+
+// follow waits for the flights cl follows and reports whether any column,
+// followed or led, came from another file generation than now: the file
+// changed underfoot (or the pin was stale), so the call re-validates
+// against a real stat rather than assembling a torn frame from mixed
+// generations. Promoted entries carry now's stamp by construction; only
+// decoded ones can disagree.
+func (c *Cache) follow(cl *claim, now stamp) (stale bool, err error) {
+	for _, w := range cl.waits {
+		<-w.fl.done
+		if w.fl.err != nil {
+			return false, w.fl.err
+		}
+		if w.fl.e.stamp != now {
+			stale = true
+			continue
+		}
+		cl.resolved[w.col] = w.fl.e.col
+		c.mu.Lock()
+		c.stats.Hits++
+		c.tierHitsMem.Inc()
+		c.mu.Unlock()
+	}
+	for _, e := range cl.entries {
+		if e != nil && e.stamp != now {
+			stale = true
+		}
+	}
+	return stale, nil
 }
 
 // decode opens the file once and reads the absent columns, fanning
@@ -944,16 +919,15 @@ func (c *Cache) columns(path string, l *Lease, names []string) (f *dataframe.Fra
 // column. Entries are stamped with the opened file's own fstat
 // (gio.Reader.Stat), so they carry the generation their bytes came from: a
 // file renamed over the path since the caller's freshness check yields a
-// stamp that disagrees with it, and Columns re-validates rather than
+// stamp that disagrees with it, and columns re-validates rather than
 // serving a torn frame.
 //
-// A decode for a lease reads numeric columns into free-list buffers when
-// the memory tier has no room for them: something is evicted, and its
-// buffer comes back for the next decode. With room to spare, and for a
-// reader without a lease, it reads heap vectors, as resident columns stay
-// part of the Go heap the collector paces itself by; moving them out of
-// it would only make collections more frequent.
-func (c *Cache) decode(path string, cols []string, leased bool) ([]*entry, []error) {
+// A decode reads numeric columns into free-list buffers when the memory
+// tier has no room for them: something is evicted, and its buffer comes
+// back for the next decode. With room to spare it reads heap vectors, as
+// resident columns stay part of the Go heap the collector paces itself
+// by; moving them out of it would only make collections more frequent.
+func (c *Cache) decode(path string, cols []string) ([]*entry, []error) {
 	start := time.Now()
 	entries := make([]*entry, len(cols))
 	errs := make([]error, len(cols))
@@ -966,21 +940,19 @@ func (c *Cache) decode(path string, cols []string, leased bool) ([]*entry, []err
 	}
 	defer r.Close()
 	stp := stampOf(r.Stat())
-	if leased {
-		var want int64
-		for _, name := range cols {
-			if ci, ok := r.ColumnInfoOf(name); ok {
-				want += ci.Size
-			}
+	var want int64
+	for _, name := range cols {
+		if ci, ok := r.ColumnInfoOf(name); ok {
+			want += ci.Size
 		}
-		c.mu.Lock()
-		leased = c.stats.UsedBytes+want > c.budget
-		c.mu.Unlock()
 	}
+	c.mu.Lock()
+	pooled := c.stats.UsedBytes+want > c.budget
+	c.mu.Unlock()
 	read := func(i int) {
 		var l loan
 		var a gio.Alloc
-		if leased {
+		if pooled {
 			a = &l
 		}
 		col, n, rerr := r.ReadColumnAlloc(cols[i], a)
@@ -1090,15 +1062,15 @@ func (c *Cache) evictOverBudgetLocked() {
 			c.demotionsCtr.Inc()
 			if !e.persisted {
 				e.persisted, e.writing = true, true
-				e.writing = c.persistAsync(c.disk, e, e.col, c.budget, false)
+				e.writing = c.persistAsync(c.disk, e, c.budget, false)
 			}
 		}
 		c.removeLocked(oldest)
 	}
 }
 
-// persistAsync queues the write-through of e's column col, read under mu,
-// to the disk tier and reports whether it did. The file write happens on
+// persistAsync queues the write-through of e's column to the disk tier and
+// reports whether it did. The file write happens on
 // the background pool, off the decode path. The column vector is
 // immutable (MarkShared), so the queued task may alias it: a numeric
 // payload is the vector's own bytes, and only strings and big-endian hosts
@@ -1112,8 +1084,8 @@ func (c *Cache) evictOverBudgetLocked() {
 // lead no flight, since the pool's prefetch tasks may need c.mu. Without
 // wait (demotion under c.mu), a persist that does not fit is dropped, as
 // one is when the pool's queue is full — persists are best-effort.
-func (c *Cache) persistAsync(dt *diskTier, e *entry, col *dataframe.Column, limit int64, wait bool) bool {
-	n := e.bytes
+func (c *Cache) persistAsync(dt *diskTier, e *entry, limit int64, wait bool) bool {
+	n, col := e.bytes, e.col
 	if !c.reservePersist(n, limit, wait) {
 		return false
 	}
@@ -1147,30 +1119,14 @@ func (c *Cache) writtenLocked(e *entry) {
 }
 
 // retireLocked hands e's buffer to the reader epochs once e has left the
-// memory tier (or swapped it for a heap copy) and no write-through reads
-// it: the buffer joins the free list when every lease pinned at or before
+// memory tier and no write-through reads it: the buffer joins the free list when every lease pinned at or before
 // the newest one it was served to has unpinned. Caller holds mu.
 func (c *Cache) retireLocked(e *entry) {
-	if !(e.out || e.detached) || e.writing || e.buf == nil {
+	if !e.out || e.writing || e.buf == nil {
 		return
 	}
 	c.readers.retired(e.buf, e.seen)
 	e.buf = nil
-}
-
-// escapeLocked prepares e for a reader without a lease, which may keep
-// its column for ever: a column in a free-list buffer is replaced by a
-// heap copy, which the entry keeps serving, and the buffer is retired —
-// leases already served it keep reading it until they unpin. Caller holds
-// mu.
-func (c *Cache) escapeLocked(e *entry) {
-	if e.buf == nil || e.detached {
-		return
-	}
-	e.col = e.col.Clone().MarkShared()
-	e.detached = true
-	c.stats.EscapedBytes += e.bytes
-	c.retireLocked(e)
 }
 
 // reservePersist claims room for n payload bytes in the persist queue:
@@ -1226,16 +1182,32 @@ type Result struct {
 	Err       error
 }
 
-// LoadAll resolves every request through the cache, fanning misses out
-// over the worker pool — the parallel replacement for the loader's
-// sequential open→decode→append loop. Results align with reqs; each
-// carries its own error so callers keep per-snapshot error context. Like
-// Columns, it serves vectors the cache never reuses; Lease.LoadAll is the
-// pinned variant.
+// LoadAll loads reqs for a caller that holds no lease and keeps what it
+// reads: it pins, loads through the lease (Lease.LoadAll), copies every
+// frame out and unpins. Results align with reqs; each carries its own
+// error so callers keep per-snapshot error context.
 func (c *Cache) LoadAll(reqs []Request) []Result {
-	return c.loadAll(reqs, nil)
+	l := c.Pin()
+	defer l.Unpin()
+	out := l.LoadAll(reqs)
+	for i := range out {
+		if out[i].Frame != nil {
+			out[i].Frame = out[i].Frame.Clone()
+		}
+	}
+	return out
 }
 
+// Columns is LoadAll for one file: a copy of the requested columns of
+// path, in request order, with the source bytes the load decoded.
+func (c *Cache) Columns(path string, names ...string) (*dataframe.Frame, int64, error) {
+	r := c.LoadAll([]Request{{Path: path, Columns: names}})[0]
+	return r.Frame, r.BytesRead, r.Err
+}
+
+// loadAll resolves every request through the cache for lease l's reader,
+// fanning misses out over the worker pool, so a k-snapshot load decodes
+// in parallel.
 func (c *Cache) loadAll(reqs []Request, l *Lease) []Result {
 	out := make([]Result, len(reqs))
 	var wg sync.WaitGroup

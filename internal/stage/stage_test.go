@@ -12,6 +12,14 @@ import (
 	"infera/internal/gio"
 )
 
+// readCols reads columns of path through a lease held until the test
+// ends, so the frame stays valid for every check that follows.
+func readCols(t *testing.T, c *Cache, path string, names ...string) (*dataframe.Frame, int64, error) {
+	l := c.Pin()
+	t.Cleanup(l.Unpin)
+	return l.Columns(path, names...)
+}
+
 // writeSnapshot writes a small gio file with deterministic int/float
 // columns and returns its path.
 func writeSnapshot(t *testing.T, dir, name string, rows int, fill int64) string {
@@ -139,7 +147,7 @@ func TestPerColumnDecodeOnce(t *testing.T) {
 		go func(cols []string) {
 			defer wg.Done()
 			<-start
-			f, _, err := c.Columns(path, cols...)
+			f, _, err := readCols(t, c, path, cols...)
 			if err != nil {
 				errs <- err
 				return
@@ -181,10 +189,10 @@ func TestPartialHitDecodesOnlyMissing(t *testing.T) {
 	sizes := blockSizes(t, path)
 	c := New(1<<30, 2)
 
-	if _, n, err := c.Columns(path, "fof_halo_tag", "fof_halo_mass"); err != nil || n == 0 {
+	if _, n, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass"); err != nil || n == 0 {
 		t.Fatalf("seed decode: %v (%d bytes)", err, n)
 	}
-	f, n, err := c.Columns(path, "fof_halo_mass", "fof_halo_count")
+	f, n, err := readCols(t, c, path, "fof_halo_mass", "fof_halo_count")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +210,7 @@ func TestPartialHitDecodesOnlyMissing(t *testing.T) {
 		t.Fatalf("opens/misses/hits = %d/%d/%d, want 2/3/1", st.Opens, st.Misses, st.Hits)
 	}
 	// A fully resident request opens nothing and reports zero bytes.
-	if _, n, err := c.Columns(path, "fof_halo_tag", "fof_halo_count"); err != nil || n != 0 {
+	if _, n, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_count"); err != nil || n != 0 {
 		t.Fatalf("resident request: %v (%d bytes)", err, n)
 	}
 	if got := c.Stats().Opens; got != 2 {
@@ -218,14 +226,14 @@ func TestColumnOrderAndDuplicates(t *testing.T) {
 	path := writeSnapshot(t, dir, "s.gio", 16, 7)
 	c := New(1<<30, 2)
 
-	f1, n1, err := c.Columns(path, "fof_halo_mass", "fof_halo_tag")
+	f1, n1, err := readCols(t, c, path, "fof_halo_mass", "fof_halo_tag")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n1 == 0 {
 		t.Fatal("first read must report bytes read")
 	}
-	f2, n2, err := c.Columns(path, "fof_halo_tag", "fof_halo_mass", "fof_halo_tag")
+	f2, n2, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass", "fof_halo_tag")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,15 +270,15 @@ func TestLRUEvictionAtBudget(t *testing.T) {
 
 	c := New(2*blockBytes, 2)
 	for _, p := range []string{a, b} {
-		if _, _, err := c.Columns(p, "fof_halo_tag"); err != nil {
+		if _, _, err := readCols(t, c, p, "fof_halo_tag"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch a so b is LRU, then insert the third block.
-	if _, _, err := c.Columns(a, "fof_halo_tag"); err != nil {
+	if _, _, err := readCols(t, c, a, "fof_halo_tag"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Columns(d, "fof_halo_tag"); err != nil {
+	if _, _, err := readCols(t, c, d, "fof_halo_tag"); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -282,13 +290,13 @@ func TestLRUEvictionAtBudget(t *testing.T) {
 	}
 	// a stayed resident (hit), b was evicted (re-decodes).
 	before := c.Stats().Opens
-	if _, _, err := c.Columns(a, "fof_halo_tag"); err != nil {
+	if _, _, err := readCols(t, c, a, "fof_halo_tag"); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats().Opens; got != before {
 		t.Fatal("recently-used block must stay resident")
 	}
-	if _, _, err := c.Columns(b, "fof_halo_tag"); err != nil {
+	if _, _, err := readCols(t, c, b, "fof_halo_tag"); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats().Opens; got != before+1 {
@@ -306,14 +314,14 @@ func TestPerColumnEviction(t *testing.T) {
 
 	// Budget fits exactly two blocks of this file.
 	c := New(2*tagBytes, 2)
-	if _, _, err := c.Columns(path, "fof_halo_tag", "fof_halo_mass"); err != nil {
+	if _, _, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass"); err != nil {
 		t.Fatal(err)
 	}
 	// Touch tag so mass is LRU, then pull in count: mass must go, tag stay.
-	if _, _, err := c.Columns(path, "fof_halo_tag"); err != nil {
+	if _, _, err := readCols(t, c, path, "fof_halo_tag"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Columns(path, "fof_halo_count"); err != nil {
+	if _, _, err := readCols(t, c, path, "fof_halo_count"); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -321,13 +329,13 @@ func TestPerColumnEviction(t *testing.T) {
 		t.Fatalf("per-column eviction: %+v", st)
 	}
 	before := st.Opens
-	if _, n, err := c.Columns(path, "fof_halo_tag", "fof_halo_count"); err != nil || n != 0 {
+	if _, n, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_count"); err != nil || n != 0 {
 		t.Fatalf("surviving columns must both be resident: %v (%d bytes)", err, n)
 	}
 	if c.Stats().Opens != before {
 		t.Fatal("surviving columns re-opened the file")
 	}
-	if _, n, err := c.Columns(path, "fof_halo_mass"); err != nil || n != sizes["fof_halo_mass"] {
+	if _, n, err := readCols(t, c, path, "fof_halo_mass"); err != nil || n != sizes["fof_halo_mass"] {
 		t.Fatalf("evicted column must re-decode alone: %v (%d bytes)", err, n)
 	}
 }
@@ -341,10 +349,10 @@ func TestOversizedEntryBypassesCache(t *testing.T) {
 	smallBytes := blockSizes(t, small)["fof_halo_tag"]
 
 	c := New(smallBytes+16, 2) // fits the small block, not the big one
-	if _, _, err := c.Columns(small, "fof_halo_tag"); err != nil {
+	if _, _, err := readCols(t, c, small, "fof_halo_tag"); err != nil {
 		t.Fatal(err)
 	}
-	f, _, err := c.Columns(big, "fof_halo_tag", "fof_halo_mass")
+	f, _, err := readCols(t, c, big, "fof_halo_tag", "fof_halo_mass")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +365,7 @@ func TestOversizedEntryBypassesCache(t *testing.T) {
 	}
 	// The small block is still a hit.
 	before := st.Opens
-	if _, _, err := c.Columns(small, "fof_halo_tag"); err != nil {
+	if _, _, err := readCols(t, c, small, "fof_halo_tag"); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().Opens != before {
@@ -372,7 +380,7 @@ func TestInvalidationOnFileChange(t *testing.T) {
 	path := writeSnapshot(t, dir, "s.gio", 8, 100)
 	c := New(1<<30, 2)
 
-	f, _, err := c.Columns(path, "fof_halo_tag", "fof_halo_mass")
+	f, _, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +396,7 @@ func TestInvalidationOnFileChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f2, n, err := c.Columns(path, "fof_halo_tag", "fof_halo_mass")
+	f2, n, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +424,7 @@ func TestSetBudgetEvicts(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSnapshot(t, dir, "s.gio", 64, 0)
 	c := New(1<<30, 2)
-	if _, _, err := c.Columns(path, "fof_halo_tag", "fof_halo_mass"); err != nil {
+	if _, _, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass"); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().Entries != 2 {
@@ -435,25 +443,25 @@ func TestErrorPropagation(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSnapshot(t, dir, "s.gio", 8, 0)
 	c := New(1<<30, 2)
-	if _, _, err := c.Columns(path, "no_such_column"); err == nil {
+	if _, _, err := readCols(t, c, path, "no_such_column"); err == nil {
 		t.Fatal("want column error")
 	}
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("failed decodes must not cache: %+v", st)
 	}
-	if _, _, err := c.Columns(filepath.Join(dir, "missing.gio"), "a"); err == nil {
+	if _, _, err := readCols(t, c, filepath.Join(dir, "missing.gio"), "a"); err == nil {
 		t.Fatal("want stat error")
 	}
 	// A mixed request fails as a whole, but its valid columns decode,
 	// cache, and serve later requests — errors attribute per column.
-	if _, _, err := c.Columns(path, "fof_halo_tag", "no_such_column"); err == nil {
+	if _, _, err := readCols(t, c, path, "fof_halo_tag", "no_such_column"); err == nil {
 		t.Fatal("want column error on mixed request")
 	}
 	if st := c.Stats(); st.Entries != 1 {
 		t.Fatalf("the valid sibling column must cache: %+v", st)
 	}
 	before := c.Stats().Opens
-	if _, n, err := c.Columns(path, "fof_halo_tag"); err != nil || n != 0 {
+	if _, n, err := readCols(t, c, path, "fof_halo_tag"); err != nil || n != 0 {
 		t.Fatalf("valid sibling must be resident after a mixed failure: %v (%d bytes)", err, n)
 	}
 	if c.Stats().Opens != before {
@@ -476,7 +484,7 @@ func TestBadColumnDoesNotPoisonConcurrentRequest(t *testing.T) {
 			defer wg.Done()
 			<-start
 			// Mixed request: must fail, but only because of its own column.
-			if _, _, err := c.Columns(path, "fof_halo_tag", "no_such_column"); err == nil {
+			if _, _, err := readCols(t, c, path, "fof_halo_tag", "no_such_column"); err == nil {
 				t.Error("mixed request must fail")
 			}
 		}()
@@ -484,7 +492,7 @@ func TestBadColumnDoesNotPoisonConcurrentRequest(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			_, _, validErr = c.Columns(path, "fof_halo_tag")
+			_, _, validErr = readCols(t, c, path, "fof_halo_tag")
 		}()
 		close(start)
 		wg.Wait()
@@ -517,7 +525,7 @@ func TestConcurrentChurn(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				p := paths[(g+i)%nfiles]
 				cs := colsets[(g+i)%len(colsets)]
-				f, _, err := c.Columns(p, cs...)
+				f, _, err := readCols(t, c, p, cs...)
 				if err != nil {
 					t.Error(err)
 					return

@@ -47,7 +47,7 @@ func TestColdRestartRevival(t *testing.T) {
 	stageDir := filepath.Join(dir, "stage")
 
 	c1 := newTiered(t, 1<<30, stageDir)
-	want, _, err := c1.Columns(path, "fof_halo_tag", "fof_halo_mass")
+	want, _, err := readCols(t, c1, path, "fof_halo_tag", "fof_halo_mass")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestColdRestartRevival(t *testing.T) {
 	// "Restart": a brand-new cache over the same stage dir.
 	c2 := newTiered(t, 1<<30, stageDir)
 	defer c2.Close()
-	got, bytesRead, err := c2.Columns(path, "fof_halo_tag", "fof_halo_mass")
+	got, bytesRead, err := readCols(t, c2, path, "fof_halo_tag", "fof_halo_mass")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestPromotionFailureFallsThrough(t *testing.T) {
 
 	c := newTiered(t, 1<<30, stageDir)
 	defer c.Close()
-	if _, _, err := c.Columns(path, "fof_halo_tag", "fof_halo_mass"); err != nil {
+	if _, _, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass"); err != nil {
 		t.Fatal(err)
 	}
 	c.WaitPending()
@@ -120,7 +120,11 @@ func TestPromotionFailureFallsThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, _, err := c.Columns(path, "fof_halo_tag", "fof_halo_mass")
+	// Hold the re-decode's write-through back until the check below: it
+	// writes a whole block file where the bad one was.
+	open := gateBG(t, c)
+	defer open()
+	f, _, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +145,7 @@ func TestPromotionFailureFallsThrough(t *testing.T) {
 	if _, err := os.Stat(blk); !os.IsNotExist(err) {
 		t.Fatalf("bad block file should have been evicted, stat err = %v", err)
 	}
+	open()
 
 	// A fresh cache over the same dir must also survive: the startup scan
 	// skips unreadable blocks, so the column simply decodes from source.
@@ -150,7 +155,7 @@ func TestPromotionFailureFallsThrough(t *testing.T) {
 	}
 	c2 := newTiered(t, 1<<30, stageDir)
 	defer c2.Close()
-	if _, _, err := c2.Columns(path, "fof_halo_mass"); err != nil {
+	if _, _, err := readCols(t, c2, path, "fof_halo_mass"); err != nil {
 		t.Fatal(err)
 	}
 	if st := c2.Stats(); st.Misses != 1 {
@@ -176,7 +181,7 @@ func TestConcurrentDemotePromote(t *testing.T) {
 
 	// Prime the disk tier so the churn phase promotes rather than decodes.
 	for _, p := range paths {
-		if _, _, err := c.Columns(p, "fof_halo_tag", "fof_halo_mass", "fof_halo_count"); err != nil {
+		if _, _, err := readCols(t, c, p, "fof_halo_tag", "fof_halo_mass", "fof_halo_count"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +201,7 @@ func TestConcurrentDemotePromote(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				p := paths[(g+i)%nfiles]
 				cols := subsets[(g*7+i)%len(subsets)]
-				f, _, err := c.Columns(p, cols...)
+				f, _, err := readCols(t, c, p, cols...)
 				if err != nil {
 					errs <- err
 					return
@@ -251,7 +256,7 @@ func TestWatchExactInvalidation(t *testing.T) {
 		t.Fatalf("SetWatch: %v", err)
 	}
 	for _, p := range []string{hot, cold} {
-		if _, _, err := c.Columns(p, "fof_halo_tag", "fof_halo_mass"); err != nil {
+		if _, _, err := readCols(t, c, p, "fof_halo_tag", "fof_halo_mass"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,7 +266,7 @@ func TestWatchExactInvalidation(t *testing.T) {
 	// Steady state: repeated staging passes must not stat at all.
 	for i := 0; i < 10; i++ {
 		for _, p := range []string{hot, cold} {
-			if _, _, err := c.Columns(p, "fof_halo_tag", "fof_halo_mass"); err != nil {
+			if _, _, err := readCols(t, c, p, "fof_halo_tag", "fof_halo_mass"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -288,7 +293,7 @@ func TestWatchExactInvalidation(t *testing.T) {
 	}
 
 	// The touched file re-decodes with fresh data...
-	f, _, err := c.Columns(hot, "fof_halo_tag")
+	f, _, err := readCols(t, c, hot, "fof_halo_tag")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +303,7 @@ func TestWatchExactInvalidation(t *testing.T) {
 	}
 	// ...while the untouched file's entries survived both tiers.
 	before := c.Stats()
-	if _, _, err := c.Columns(cold, "fof_halo_tag", "fof_halo_mass"); err != nil {
+	if _, _, err := readCols(t, c, cold, "fof_halo_tag", "fof_halo_mass"); err != nil {
 		t.Fatal(err)
 	}
 	after := c.Stats()
@@ -334,7 +339,7 @@ func TestWatchInvalidationRacingDecode(t *testing.T) {
 				default:
 				}
 				// Errors are acceptable while the writer tears the file.
-				c.Columns(path, "fof_halo_tag", "fof_halo_mass")
+				readCols(t, c, path, "fof_halo_tag", "fof_halo_mass")
 			}
 		}()
 	}
@@ -349,7 +354,7 @@ func TestWatchInvalidationRacingDecode(t *testing.T) {
 		os.Chtimes(path, fi.ModTime().Add(2*time.Second), fi.ModTime().Add(2*time.Second))
 	}
 	waitForStats(t, c, "convergence", func(Stats) bool {
-		f, _, err := c.Columns(path, "fof_halo_tag")
+		f, _, err := readCols(t, c, path, "fof_halo_tag")
 		if err != nil {
 			return false
 		}
@@ -367,7 +372,7 @@ func TestSiblingPrefetch(t *testing.T) {
 	c := newTiered(t, 1<<30, filepath.Join(dir, "stage"))
 	defer c.Close()
 
-	if _, _, err := c.Columns(path, "fof_halo_tag", "fof_halo_mass"); err != nil {
+	if _, _, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass"); err != nil {
 		t.Fatal(err)
 	}
 	c.WaitPending()
@@ -377,7 +382,7 @@ func TestSiblingPrefetch(t *testing.T) {
 	}
 
 	opens0, decoded0 := st.Opens, st.BytesDecoded
-	f, _, err := c.Columns(path, "fof_halo_count")
+	f, _, err := readCols(t, c, path, "fof_halo_count")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +416,7 @@ func TestNeighborPrefetch(t *testing.T) {
 		return nil
 	})
 
-	if _, _, err := c.Columns(step1, "fof_halo_tag", "fof_halo_mass"); err != nil {
+	if _, _, err := readCols(t, c, step1, "fof_halo_tag", "fof_halo_mass"); err != nil {
 		t.Fatal(err)
 	}
 	c.WaitPending()
@@ -422,7 +427,7 @@ func TestNeighborPrefetch(t *testing.T) {
 	}
 
 	opens0 := st.Opens
-	f, _, err := c.Columns(step2, "fof_halo_tag", "fof_halo_mass")
+	f, _, err := readCols(t, c, step2, "fof_halo_tag", "fof_halo_mass")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,6 +440,19 @@ func TestNeighborPrefetch(t *testing.T) {
 	}
 }
 
+// TestNeighborHintsMatchWholeRoots: a hint registered for one ensemble
+// root is not asked about files of a sibling root whose name it prefixes.
+func TestNeighborHintsMatchWholeRoots(t *testing.T) {
+	c := New(1<<20, 1)
+	c.RegisterNeighbors("/x/ens1", func(p string) []string { return []string{p + ".next"} })
+	if got := c.neighborsOf("/x/ens1/f"); len(got) != 1 {
+		t.Fatalf("file under the root: hint = %v, want one successor", got)
+	}
+	if got := c.neighborsOf("/x/ens10/f"); got != nil {
+		t.Fatalf("file under a sibling root /x/ens10: hint = %v, want nil", got)
+	}
+}
+
 // TestDemotionKeepsBlocksPromotable shrinks the memory budget to zero,
 // proving budget evictions count as demotions and the demoted blocks
 // come back from disk without re-decoding.
@@ -444,7 +462,7 @@ func TestDemotionKeepsBlocksPromotable(t *testing.T) {
 	c := newTiered(t, 1<<30, filepath.Join(dir, "stage"))
 	defer c.Close()
 
-	if _, _, err := c.Columns(path, "fof_halo_tag", "fof_halo_mass"); err != nil {
+	if _, _, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass"); err != nil {
 		t.Fatal(err)
 	}
 	c.WaitPending()
@@ -455,7 +473,7 @@ func TestDemotionKeepsBlocksPromotable(t *testing.T) {
 	}
 	c.SetBudget(1 << 30)
 
-	if _, _, err := c.Columns(path, "fof_halo_tag", "fof_halo_mass"); err != nil {
+	if _, _, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass"); err != nil {
 		t.Fatal(err)
 	}
 	st = c.Stats()
@@ -481,7 +499,7 @@ func TestDiskTierBudgetSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetPrefetch(false) // deterministic write set
-	if _, _, err := c.Columns(path, "fof_halo_tag", "fof_halo_mass", "fof_halo_count"); err != nil {
+	if _, _, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass", "fof_halo_count"); err != nil {
 		t.Fatal(err)
 	}
 	c.WaitPending()
@@ -508,7 +526,7 @@ func TestBlockStoreRoundTripString(t *testing.T) {
 	}
 	stageDir := filepath.Join(dir, "stage")
 	c1 := newTiered(t, 1<<30, stageDir)
-	if _, _, err := c1.Columns(path, "name", "fof_halo_tag"); err != nil {
+	if _, _, err := readCols(t, c1, path, "name", "fof_halo_tag"); err != nil {
 		t.Fatal(err)
 	}
 	c1.WaitPending()
@@ -516,7 +534,7 @@ func TestBlockStoreRoundTripString(t *testing.T) {
 
 	c2 := newTiered(t, 1<<30, stageDir)
 	defer c2.Close()
-	got, _, err := c2.Columns(path, "name", "fof_halo_tag")
+	got, _, err := readCols(t, c2, path, "name", "fof_halo_tag")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +581,7 @@ func TestPersistQueueBoundedByBudget(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for j := 0; j < files; j++ {
-				if _, _, err := c.Columns(paths[(g*5+j)%files], "fof_halo_tag", "fof_halo_mass", "fof_halo_count"); err != nil {
+				if _, _, err := readCols(t, c, paths[(g*5+j)%files], "fof_halo_tag", "fof_halo_mass", "fof_halo_count"); err != nil {
 					t.Error(err)
 					return
 				}

@@ -75,7 +75,7 @@ func TestWatchOverflowUnpinsEveryPath(t *testing.T) {
 		t.Fatalf("SetWatch: %v", err)
 	}
 	for _, p := range []string{a, b} {
-		if _, _, err := c.Columns(p, "fof_halo_tag"); err != nil {
+		if _, _, err := readCols(t, c, p, "fof_halo_tag"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestWatchOverflowUnpinsEveryPath(t *testing.T) {
 
 	calls := st.StatCalls
 	for _, p := range []string{a, b} {
-		if _, _, err := c.Columns(p, "fof_halo_tag"); err != nil {
+		if _, _, err := readCols(t, c, p, "fof_halo_tag"); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -121,7 +121,7 @@ func TestDirectoryEvents(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, func(a, b string) string { return b }, func(t *testing.T, c *Cache, root, a, b string) {
-			if _, _, err := c.Columns(b, "fof_halo_tag"); err == nil {
+			if _, _, err := readCols(t, c, b, "fof_halo_tag"); err == nil {
 				t.Fatal("a file of the removed directory still reads")
 			}
 		}},
@@ -143,7 +143,7 @@ func TestDirectoryEvents(t *testing.T) {
 				watchWith(t, c, be.new)
 				g0 := c.Generation(root)
 				for _, p := range []string{a, b} {
-					if _, _, err := c.Columns(p, "fof_halo_tag"); err != nil {
+					if _, _, err := readCols(t, c, p, "fof_halo_tag"); err != nil {
 						t.Fatal(err)
 					}
 					if !isPinned(c, p) {
@@ -192,7 +192,7 @@ func rewrite(t *testing.T, dir, name string, fill int64) string {
 // readsFill checks that root/a.gio now reads the snapshot filled from fill.
 func readsFill(fill int64) func(t *testing.T, c *Cache, root, a, b string) {
 	return func(t *testing.T, c *Cache, root, a, b string) {
-		f, _, err := c.Columns(a, "fof_halo_tag")
+		f, _, err := readCols(t, c, a, "fof_halo_tag")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestGeneration(t *testing.T) {
 		t.Fatal("an unwatchable root returned the same generation twice")
 	}
 	g := c.Generation(root)
-	if _, _, err := c.Columns(a, "fof_halo_tag"); err != nil {
+	if _, _, err := readCols(t, c, a, "fof_halo_tag"); err != nil {
 		t.Fatal(err)
 	}
 	if c.Generation(root) != g || c.Generation(root+string(filepath.Separator)) != g {

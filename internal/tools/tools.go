@@ -25,14 +25,18 @@ import (
 // (e.g. a tracked halo re-examined across questions) are served from
 // memory. Each tool takes the cache explicitly (nil means the
 // process-wide stage.Shared()), so a pool configured with an isolated
-// cache keeps tool decodes in it too.
+// cache keeps tool decodes in it too, and reads it through a lease pinned
+// for the call (stage.Cache.Pin). Nothing a tool returns aliases a staged
+// vector — TrackResult holds scalars, Gather and SortBy allocate — so the
+// lease ends with the call.
 
-// stageOr resolves a possibly-nil cache to the process-wide default.
-func stageOr(sc *stage.Cache) *stage.Cache {
+// pin pins a lease for one tool call on sc, or on stage.Shared() when sc
+// is nil.
+func pin(sc *stage.Cache) *stage.Lease {
 	if sc == nil {
-		return stage.Shared()
+		sc = stage.Shared()
 	}
-	return sc
+	return sc.Pin()
 }
 
 // TrackResult is one tracked snapshot of a halo.
@@ -49,12 +53,13 @@ type TrackResult struct {
 // halo, flagged Merged — the paper's custom "halo tracking across time
 // steps" tool.
 func TrackHalo(sc *stage.Cache, cat *hacc.Catalog, sim int, tag int64, metric string) ([]TrackResult, error) {
-	sc = stageOr(sc)
 	treeEntry, ok := cat.Find(sim, -1, hacc.FileMergerTree)
 	if !ok {
 		return nil, fmt.Errorf("tools: no merger tree for sim %d", sim)
 	}
-	tree, _, err := sc.Columns(cat.AbsPath(treeEntry), "victim_tag", "target_tag", "merge_step")
+	l := pin(sc)
+	defer l.Unpin()
+	tree, _, err := l.Columns(cat.AbsPath(treeEntry), "victim_tag", "target_tag", "merge_step")
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +86,7 @@ func TrackHalo(sc *stage.Cache, cat *hacc.Catalog, sim int, tag int64, metric st
 		trackSteps = append(trackSteps, step)
 		reqs = append(reqs, stage.Request{Path: cat.AbsPath(entry), Columns: []string{"fof_halo_tag", metric}})
 	}
-	results := sc.LoadAll(reqs)
+	results := l.LoadAll(reqs)
 
 	var out []TrackResult
 	current := tag
@@ -147,7 +152,9 @@ func Neighborhood(sc *stage.Cache, cat *hacc.Catalog, sim, step int, targetTag i
 	if !ok {
 		return nil, fmt.Errorf("tools: no halo file for sim %d step %d", sim, step)
 	}
-	f, _, err := stageOr(sc).Columns(cat.AbsPath(entry), "fof_halo_tag", "fof_halo_mass",
+	l := pin(sc)
+	defer l.Unpin()
+	f, _, err := l.Columns(cat.AbsPath(entry), "fof_halo_tag", "fof_halo_mass",
 		"fof_halo_center_x", "fof_halo_center_y", "fof_halo_center_z")
 	if err != nil {
 		return nil, err
@@ -195,7 +202,9 @@ func NthMostMassiveTag(sc *stage.Cache, cat *hacc.Catalog, sim, step, rank int) 
 	if !ok {
 		return 0, fmt.Errorf("tools: no halo file for sim %d step %d", sim, step)
 	}
-	f, _, err := stageOr(sc).Columns(cat.AbsPath(entry), "fof_halo_tag", "fof_halo_mass")
+	l := pin(sc)
+	defer l.Unpin()
+	f, _, err := l.Columns(cat.AbsPath(entry), "fof_halo_tag", "fof_halo_mass")
 	if err != nil {
 		return 0, err
 	}
@@ -268,7 +277,6 @@ func SceneFromFrame(f *dataframe.Frame, xcol, ycol, zcol, scalarCol, highlightCo
 //	halo_neighborhood(sim, step, tag, radius) -> frame
 //	paraview_scene(df, xcol, ycol, zcol, scalarcol, highlightcol, out)
 func Register(reg script.Registry, cat *hacc.Catalog, sc *stage.Cache) {
-	sc = stageOr(sc)
 	reg["track_halo"] = func(_ *script.Env, args []script.Value) (script.Value, error) {
 		if len(args) != 3 {
 			return script.Value{}, fmt.Errorf("TypeError: track_halo() takes 3 arguments, got %d", len(args))

@@ -2,12 +2,15 @@ package tools
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"infera/internal/dataframe"
 	"infera/internal/hacc"
 	"infera/internal/sandbox"
 	"infera/internal/script"
+	"infera/internal/stage"
 	"infera/internal/viz"
 )
 
@@ -176,4 +179,71 @@ func TestSceneFromFrameErrors(t *testing.T) {
 		t.Errorf("scene points = %d, %v", len(pts), err)
 	}
 	_ = viz.WriteVTK("t", pts)
+}
+
+// TestToolsKeepAnswersOverRecycledBuffers runs every tool twice over a
+// 2 MB stage budget, far below the 4 MB of halo columns the calls read, so
+// the columns are decoded into free-list buffers (8192 rows is above the
+// list's smallest class), evicted and recycled between calls. Every result
+// must equal the same call's over the default budget, where nothing is
+// evicted. Test binaries poison each buffer that goes back to the free
+// list, so a result still aliasing a staged vector after its call ended
+// would change.
+func TestToolsKeepAnswersOverRecycledBuffers(t *testing.T) {
+	spec := hacc.Spec{Runs: 2, Steps: []int{99, 250, 450, 624}, HalosPerRun: 8192, ParticlesPerStep: 100, BoxSize: 128, Seed: 11}
+	cat, err := hacc.Generate(t.TempDir(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(sc *stage.Cache) []any {
+		var out []any
+		for round := 0; round < 2; round++ {
+			for sim := 0; sim < spec.Runs; sim++ {
+				// Track the most massive halo of the last step.
+				tag, err := NthMostMassiveTag(sc, cat, sim, 624, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, metric := range []string{"fof_halo_mass", "fof_halo_count", "fof_halo_ke", "sod_halo_M500c"} {
+					tr, err := TrackHalo(sc, cat, sim, tag, metric)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, tr)
+				}
+			}
+			for sim := 0; sim < spec.Runs; sim++ {
+				for _, step := range spec.Steps {
+					tag, err := NthMostMassiveTag(sc, cat, sim, step, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					f, err := Neighborhood(sc, cat, sim, step, tag, 10)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, tag, f)
+				}
+			}
+		}
+		return out
+	}
+	small := stage.New(2<<20, 0)
+	got := run(small)
+	want := run(stage.New(stage.DefaultBudgetBytes, 0))
+	if st := small.Stats(); st.RecycledBytes == 0 {
+		t.Fatalf("no buffer was recycled over the 2 MB budget: %+v", st)
+	}
+	for i := range want {
+		same := false
+		switch w := want[i].(type) {
+		case *dataframe.Frame:
+			same = dataframe.Equal(got[i].(*dataframe.Frame), w)
+		default:
+			same = reflect.DeepEqual(got[i], w)
+		}
+		if !same {
+			t.Fatalf("call %d over a 2 MB budget differs from the default budget's:\n got: %v\nwant: %v", i, got[i], want[i])
+		}
+	}
 }
