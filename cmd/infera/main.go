@@ -55,7 +55,6 @@ func main() {
 		stageMB    = flag.Int64("stage-budget", stage.DefaultBudgetBytes>>20, "staging-cache budget for decoded column blocks, in MB")
 		stageDir   = flag.String("stage-dir", "", "staging-cache disk tier directory; empty disables the persistent block store")
 		stageDisk  = flag.Int64("stage-disk-budget", stage.DefaultDiskBudgetBytes>>20, "disk-tier block store budget, in MB (needs -stage-dir)")
-		stagePref  = flag.Bool("stage-prefetch", true, "prefetch sibling columns and next-step files into the disk tier while a gio file is open (needs -stage-dir)")
 		keepDBs    = flag.Bool("keep-staging-dbs", false, "write per-question staging DBs through to disk and keep them after the answer (default: zero-copy in-memory staging, reclaimed per question)")
 		scriptFuel = flag.Int64("script-fuel", sandbox.DefaultLimits().MaxFuel, "per-execution script instruction budget (0 = unlimited)")
 		scriptMem  = flag.Int64("script-mem", sandbox.DefaultLimits().MaxMemBytes>>20, "per-execution script memory budget, in MB (0 = unlimited)")
@@ -66,7 +65,6 @@ func main() {
 		log.Fatal("infera: -ensemble is required (generate one with haccgen)")
 	}
 	stage.Shared().SetBudget(*stageMB << 20)
-	stage.Shared().SetPrefetch(*stagePref)
 	if *stageDir != "" {
 		if err := stage.Shared().SetDiskTier(*stageDir, *stageDisk<<20); err != nil {
 			log.Fatalf("infera: stage disk tier: %v", err)

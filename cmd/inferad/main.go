@@ -13,8 +13,7 @@
 //	inferad -ensemble DIR [-ensemble name=DIR ...] [-addr 127.0.0.1:8080]
 //	        [-work DIR] [-max-live-shards 4] [-workers 4] [-queue 64]
 //	        [-cache 128] [-seed 1] [-trim] [-skipdoc] [-sandbox-server]
-//	        [-stage-budget MB]
-//	        [-stage-dir DIR] [-stage-disk-budget MB] [-stage-prefetch]
+//	        [-stage-budget MB] [-stage-dir DIR] [-stage-disk-budget MB]
 //	        [-provenance-max-age 0] [-provenance-max-bytes 0]
 //
 // -stage-dir attaches a persistent disk tier under the in-memory staging
@@ -161,7 +160,6 @@ func main() {
 		stageMB    = flag.Int64("stage-budget", stage.DefaultBudgetBytes>>20, "staging-cache budget for decoded column blocks, in MB (shared across all shards)")
 		stageDir   = flag.String("stage-dir", "", "staging-cache disk tier directory; empty disables the persistent block store")
 		stageDisk  = flag.Int64("stage-disk-budget", stage.DefaultDiskBudgetBytes>>20, "disk-tier block store budget, in MB (needs -stage-dir)")
-		stagePref  = flag.Bool("stage-prefetch", true, "prefetch sibling columns and next-step files into the disk tier while a gio file is open (needs -stage-dir)")
 		provAge    = flag.Duration("provenance-max-age", 0, "garbage-collect session artifact trails older than this at shard close (0 = keep all; cache-referenced sessions are spared)")
 		provBytes  = flag.Int64("provenance-max-bytes", 0, "total on-disk session-trail budget enforced at shard close, in bytes (0 = unlimited)")
 		keepDBs    = flag.Bool("keep-staging-dbs", false, "write per-question staging DBs through to disk and keep them after the answer (default: zero-copy in-memory staging, reclaimed per question)")
@@ -187,7 +185,6 @@ func main() {
 	// domain tools share it); the flags size that shared instance and
 	// attach its optional persistent tier, and it always watches.
 	stage.Shared().SetBudget(*stageMB << 20)
-	stage.Shared().SetPrefetch(*stagePref)
 	if *stageDir != "" {
 		if err := stage.Shared().SetDiskTier(*stageDir, *stageDisk<<20); err != nil {
 			log.Fatalf("inferad: stage disk tier: %v", err)

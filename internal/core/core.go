@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"infera/internal/agent"
@@ -127,17 +126,6 @@ func New(cfg Config) (*Assistant, error) {
 	reg := script.DefaultRegistry()
 	tools.Register(reg, cat, cfg.Stage)
 
-	// Teach the staging cache this ensemble's access pattern: after one
-	// timestep of a (run, type) series is staged, the next timestep's file
-	// is the likely follow-up, so the cache's prefetcher can pull the same
-	// column set into its disk tier ahead of the request. Re-registering
-	// the same catalog root is idempotent.
-	sc := cfg.Stage
-	if sc == nil {
-		sc = stage.Shared()
-	}
-	sc.RegisterNeighbors(cat.Dir, nextStepNeighbors(cat))
-
 	a := &Assistant{
 		cfg:      cfg,
 		catalog:  cat,
@@ -155,34 +143,6 @@ func New(cfg Config) (*Assistant, error) {
 		a.server = srv
 	}
 	return a, nil
-}
-
-// nextStepNeighbors precomputes the catalog's successor map: each data
-// file's absolute path maps to the file of the same (run, type) at the
-// next recorded timestep. Per-run files (step < 0, e.g. merger trees)
-// have no successor. The closure is read-only after build, so it is safe
-// for the cache to call from background goroutines.
-func nextStepNeighbors(cat *hacc.Catalog) func(path string) []string {
-	type series struct {
-		run int
-		typ string
-	}
-	bySeries := map[series][]hacc.FileEntry{}
-	for _, f := range cat.Files {
-		if f.Step < 0 {
-			continue
-		}
-		k := series{run: f.Run, typ: f.Type}
-		bySeries[k] = append(bySeries[k], f)
-	}
-	next := make(map[string][]string, len(cat.Files))
-	for _, files := range bySeries {
-		sort.Slice(files, func(i, j int) bool { return files[i].Step < files[j].Step })
-		for i := 0; i+1 < len(files); i++ {
-			next[cat.AbsPath(files[i])] = []string{cat.AbsPath(files[i+1])}
-		}
-	}
-	return func(path string) []string { return next[path] }
 }
 
 // newExecutor builds a budgeted sandbox executor with the assistant's

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -47,11 +48,10 @@ func trailDigest(ans *core.Answer) string {
 }
 
 // askAll asks every question once, with a model seeded per question, from
-// workers goroutines sharing one assistant over a stage cache of budget
-// bytes.
-func askAll(t *testing.T, dir string, budget int64, workers int, questions []string) []outcome {
+// workers goroutines sharing one assistant over stage cache st.
+func askAll(t *testing.T, dir string, st *stage.Cache, workers int, questions []string) []outcome {
 	t.Helper()
-	a, err := core.New(core.Config{EnsembleDir: dir, WorkDir: t.TempDir(), Stage: stage.New(budget, 0)})
+	a, err := core.New(core.Config{EnsembleDir: dir, WorkDir: t.TempDir(), Stage: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,27 +96,68 @@ func askAll(t *testing.T, dir string, budget int64, workers int, questions []str
 // provenance trail to be byte-identical to the same (question, seed) over
 // the default budget, where nothing is evicted. In a test binary every
 // recycled buffer is poisoned first, so a vector read after its buffer
-// went back would change an answer or a digest.
+// went back would change an answer or a digest. Two more legs serve the
+// same bank through a disk tier: one writes every decoded block through
+// to a stage dir, and a fresh cache over that dir then promotes every
+// column instead of decoding it.
 func TestRecycledBuffersKeepAnswers(t *testing.T) {
 	dir := recycleEnsemble(t, 8000)
 	var questions []string
 	for _, q := range eval.Bank() {
 		questions = append(questions, q.Text)
 	}
-	want := askAll(t, dir, stage.DefaultBudgetBytes, 1, questions)
-	got := askAll(t, dir, 2<<20, 2, questions)
+	want := askAll(t, dir, stage.New(stage.DefaultBudgetBytes, 0), 1, questions)
 	answered := 0
-	for i, q := range questions {
-		if got[i] != want[i] {
-			t.Errorf("%q: over a 2 MB budget the answer or trail differs from the default budget's\n got: %.200q err=%q\nwant: %.200q err=%q",
-				q, got[i].answer, got[i].err, want[i].answer, want[i].err)
-		}
-		if want[i].answer != "" {
+	for _, w := range want {
+		if w.answer != "" {
 			answered++
 		}
 	}
 	if answered < len(questions)/2 {
 		t.Fatalf("only %d of %d bank questions answered", answered, len(questions))
+	}
+	stageDir := filepath.Join(t.TempDir(), "stage")
+	tiered := func() *stage.Cache {
+		st := stage.New(2<<20, 0)
+		if err := st.SetDiskTier(stageDir, 0); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	for _, leg := range []struct {
+		name  string
+		cache func() *stage.Cache
+		check func(stage.Stats) error
+	}{
+		{"over a 2 MB budget", func() *stage.Cache { return stage.New(2<<20, 0) }, nil},
+		{"written through to a stage dir", tiered, func(s stage.Stats) error {
+			if s.DiskWrites == 0 || s.DiskWriteFailures != 0 {
+				return fmt.Errorf("disk_writes %d, disk_write_failures %d", s.DiskWrites, s.DiskWriteFailures)
+			}
+			return nil
+		}},
+		{"promoted from that stage dir", tiered, func(s stage.Stats) error {
+			if s.DiskHits == 0 || s.BytesDecoded != 0 || s.DiskPromoteFailures != 0 {
+				return fmt.Errorf("disk_hits %d, bytes_decoded %d, disk_promote_failures %d: want every column promoted",
+					s.DiskHits, s.BytesDecoded, s.DiskPromoteFailures)
+			}
+			return nil
+		}},
+	} {
+		st := leg.cache()
+		got := askAll(t, dir, st, 2, questions)
+		for i, q := range questions {
+			if got[i] != want[i] {
+				t.Errorf("%q: %s the answer or trail differs from the default budget's\n got: %.200q err=%q\nwant: %.200q err=%q",
+					q, leg.name, got[i].answer, got[i].err, want[i].answer, want[i].err)
+			}
+		}
+		if leg.check != nil {
+			if err := leg.check(st.Stats()); err != nil {
+				t.Errorf("%s: %v", leg.name, err)
+			}
+		}
 	}
 }
 

@@ -384,11 +384,10 @@ func (r *Reader) ColumnInfoOf(name string) (ColumnInfo, bool) {
 	return r.hdr.Columns[i], true
 }
 
-// Alloc supplies the vector a read fills (ReadColumnAlloc,
-// ReadBlockAlloc): Floats and Ints return room for at least n values, with
-// any contents. The read overwrites the first n and hands them out as
-// v[:n:n], so nothing appended to the result can reach the rest. A nil
-// Alloc allocates with make.
+// Alloc supplies the vector ReadColumnAlloc fills: Floats and Ints return
+// room for at least n values, with any contents. The read overwrites the
+// first n and hands them out as v[:n:n], so nothing appended to the result
+// can reach the rest. A nil Alloc allocates with make.
 type Alloc interface {
 	Floats(n int) []float64
 	Ints(n int) []int64
@@ -465,32 +464,18 @@ func (r *Reader) ReadColumnAlloc(name string, a Alloc) (*dataframe.Column, int64
 }
 
 // ReadBlock fetches the named column's raw encoded block, CRC-verified but
-// not decoded. It is the transfer primitive for callers that move blocks
-// between stores without materializing columns — the stage cache's disk
-// tier prefetches sibling columns this way, paying the read but deferring
-// the decode until (unless) the column is actually requested. The bytes
-// count toward BytesRead like any other block fetch. Safe for concurrent
-// use with other reads on the same Reader.
+// not decoded: the bytes ReadColumn decodes, read the plain way, which
+// makes it the reference that ReadColumn's fast path and the block decoder
+// are tested against. The bytes count toward BytesRead like any other
+// block fetch. Safe for concurrent use with other reads on the same
+// Reader.
 func (r *Reader) ReadBlock(name string) (ColumnInfo, []byte, error) {
-	return r.ReadBlockAlloc(name, nil)
-}
-
-// ReadBlockAlloc is ReadBlock with a numeric block read into the bytes of
-// a vector taken from a (Size/8 values of the column's kind) when
-// NativeLayout holds and the block is a whole number of values; other
-// blocks are allocated as ReadBlock allocates them. A nil a is ReadBlock.
-func (r *Reader) ReadBlockAlloc(name string, a Alloc) (ColumnInfo, []byte, error) {
 	i, ok := r.byName[name]
 	if !ok {
 		return ColumnInfo{}, nil, &dataframe.ColumnError{Name: name, Available: r.ColumnNames()}
 	}
 	info := r.hdr.Columns[i]
-	var blk []byte
-	if a != nil && NativeLayout(info.Kind) && info.Size <= math.MaxInt && info.Size%8 == 0 {
-		blk, _ = VectorBlock(newVector(a, name, info.Kind, int(info.Size/8)))
-	} else {
-		blk = make([]byte, info.Size)
-	}
+	blk := make([]byte, info.Size)
 	if err := r.readVerified(info, blk); err != nil {
 		return ColumnInfo{}, nil, err
 	}

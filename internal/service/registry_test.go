@@ -337,7 +337,6 @@ func TestRegistryRestartRevivesDiskTier(t *testing.T) {
 	if err := first.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st.WaitPending() // the write-through persists finish before the "process" exits
 	st.Close()
 
 	second, st := build()

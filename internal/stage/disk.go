@@ -20,13 +20,17 @@
 // payloads are stored 8-byte little-endian — the same bit layout as the
 // in-memory vectors on little-endian hosts (gio.NativeLayout) — so
 // promotion mmaps the block file and casts the (8-aligned) payload into
-// the column vector directly (gio.CastBlock): no read, no per-element
-// decode, pages fault in lazily as the column is actually scanned. String
-// columns (variable-width) and non-little-endian hosts take a copy-decode
-// fallback through gio.DecodeBlock. Truncated or corrupt block files are
-// detected by header validation and size bounds checks before any cast; a
-// failed promotion evicts exactly that block file and falls through to the
-// real decoder (per-column error attribution, as in the memory tier).
+// the column vector directly (gio.CastBlock): no copy into the vector and
+// no per-element decode, only a CRC-32C check of the payload before it is
+// mapped, once per mapping, and pages fault in lazily as the column is
+// actually scanned. String columns (variable-width) and non-little-endian
+// hosts take a copy-decode fallback through gio.DecodeBlock, which checks
+// the same CRC.
+// Truncated or corrupt block files are detected by header validation, size
+// bounds and the CRC before any cast; a failed promotion evicts exactly
+// that block file and falls through to the real decoder (per-column error
+// attribution, as in the memory tier), whose write-through stores the
+// block whole again.
 //
 // Mapping lifetime. Promoted vectors alias their mapping from frames and
 // SQL segments for as long as the asks that read them run, so a mapping a
@@ -57,6 +61,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -166,8 +171,6 @@ type diskEntry struct {
 	rows       int64
 	bytes      int64 // payload length — the budget accounting unit
 	file       string
-	prefetched bool // written by the prefetcher, not by a demand decode
-	hit        bool // promoted at least once (prefetch used/wasted accounting)
 	region     []byte
 	mapped     []byte
 	payloadOff int64
@@ -175,27 +178,21 @@ type diskEntry struct {
 
 // diskStats are the tier-owned counters, merged into Stats snapshots.
 type diskStats struct {
-	writes         int64
-	evictions      int64
-	evictedBytes   int64
-	invalidations  int64
-	prefetchIssued int64
-	prefetchUsed   int64
-	prefetchWasted int64
-	usedBytes      int64
-	mappings       int64 // mappings created and not unmapped
-	releasedBytes  int64 // mapping bytes handed back by releaseMapping
+	writes        int64
+	evictions     int64
+	evictedBytes  int64
+	invalidations int64
+	usedBytes     int64
+	mappings      int64 // mappings created and not unmapped
+	releasedBytes int64 // mapping bytes handed back by releaseMapping
 }
 
 // tierInstruments are the telemetry series the disk tier updates itself,
 // because the events they count are decided inside it. All are nil-safe;
 // the owning Cache's SetMetrics installs them.
 type tierInstruments struct {
-	prefetchIssued *telemetry.Counter
-	prefetchUsed   *telemetry.Counter
-	prefetchWasted *telemetry.Counter
-	mappings       *telemetry.Gauge
-	releasedBytes  *telemetry.Counter
+	mappings      *telemetry.Gauge
+	releasedBytes *telemetry.Counter
 }
 
 // diskTier is the persistent block store. All methods are safe for
@@ -337,15 +334,6 @@ func (dt *diskTier) snapshot() (diskStats, int) {
 	return dt.stats, dt.ll.Len()
 }
 
-// has reports whether the tier holds (k, st) — the prefetcher's
-// already-resident check.
-func (dt *diskTier) has(k key, st stamp) bool {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	el, ok := dt.items[k]
-	return ok && el.Value.(*diskEntry).stamp == st
-}
-
 // put persists one encoded payload for (k, st), replacing any prior
 // generation, and sweeps the budget. payload is only read, never kept, so
 // it may be a cached vector's own bytes (gio.VectorBlock). The write is
@@ -353,7 +341,7 @@ func (dt *diskTier) has(k key, st stamp) bool {
 // crash leaves at worst an orphan temp file the next scan ignores. A
 // payload alone over budget is not stored (mirrors the memory tier's
 // oversized-entry rule).
-func (dt *diskTier) put(k key, st stamp, kind dataframe.Kind, rows int, payload []byte, prefetched bool) error {
+func (dt *diskTier) put(k key, st stamp, kind dataframe.Kind, rows int, payload []byte) error {
 	dt.mu.Lock()
 	over := int64(len(payload)) > dt.budget
 	dt.mu.Unlock()
@@ -406,7 +394,6 @@ func (dt *diskTier) put(k key, st stamp, kind dataframe.Kind, rows int, payload 
 		rows:       int64(rows),
 		bytes:      h.payloadLen,
 		file:       full,
-		prefetched: prefetched,
 		payloadOff: h.payloadOff,
 	}
 	dt.mu.Lock()
@@ -416,10 +403,6 @@ func (dt *diskTier) put(k key, st stamp, kind dataframe.Kind, rows int, payload 
 	dt.items[k] = dt.ll.PushFront(e)
 	dt.stats.usedBytes += e.bytes
 	dt.stats.writes++
-	if prefetched {
-		dt.stats.prefetchIssued++
-		dt.inst.prefetchIssued.Inc()
-	}
 	dt.sweepLocked()
 	dt.mu.Unlock()
 	return nil
@@ -447,11 +430,6 @@ func (dt *diskTier) promote(k key, now stamp) (col *dataframe.Column, bytes int6
 		return nil, 0, false, nil
 	}
 	dt.ll.MoveToFront(el)
-	if e.prefetched && !e.hit {
-		dt.stats.prefetchUsed++
-		dt.inst.prefetchUsed.Inc()
-	}
-	e.hit = true
 	mapped, payloadOff := e.mapped, e.payloadOff
 	kind, rows, payloadLen := e.kind, e.rows, e.bytes
 	file := e.file
@@ -513,18 +491,31 @@ func (dt *diskTier) adopt(el *list.Element, region, payload []byte) []byte {
 
 // load validates the block file and returns the whole page-aligned mmap
 // region plus its payload view for kinds eligible for the cast fast path,
-// or (nil, nil, nil) to request the copy-decode fallback.
+// or (nil, nil, nil) to request the copy-decode fallback. The payload's
+// CRC is checked before it is mapped, once per mapping: a block whose
+// bytes changed after it was written (bit rot, or pages lost in a crash)
+// fails the promotion instead of being cast and served. The check reads
+// the file rather than the mapping, so it faults in no mapped pages: a
+// promoted column's resident pages stay the ones its readers touch.
 func (dt *diskTier) load(k key, file string, payloadOff, payloadLen int64, kind dataframe.Kind) (region, payload []byte, err error) {
 	f, err := os.Open(file)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	if err := validateBlk(f, k, payloadOff, payloadLen); err != nil {
+	h, err := validateBlk(f, k, payloadOff, payloadLen)
+	if err != nil {
 		return nil, nil, err
 	}
 	if !gio.NativeLayout(kind) || !mmapSupported {
 		return nil, nil, nil
+	}
+	crc := crc32.New(blkCastagnoli)
+	if _, err := io.Copy(crc, io.NewSectionReader(f, payloadOff, payloadLen)); err != nil {
+		return nil, nil, err
+	}
+	if got := crc.Sum32(); got != h.crc {
+		return nil, nil, fmt.Errorf("stage: block %s/%s CRC mismatch: got %08x want %08x", k.path, k.col, got, h.crc)
 	}
 	region, err = mmapFile(f, payloadOff+payloadLen)
 	if err != nil {
@@ -536,36 +527,36 @@ func (dt *diskTier) load(k key, file string, payloadOff, payloadLen int64, kind 
 }
 
 // validateBlk re-checks a block file against the index entry it claims to
-// back: magic, key strings (heals fnv filename collisions), and size
-// bounds (a truncated file must fail here, before any mmap cast could
-// fault past EOF).
-func validateBlk(f *os.File, k key, payloadOff, payloadLen int64) error {
+// back and returns its header: magic, key strings (heals fnv filename
+// collisions), and size bounds (a truncated file must fail here, before
+// any mmap cast could fault past EOF).
+func validateBlk(f *os.File, k key, payloadOff, payloadLen int64) (blkHeader, error) {
 	st, err := f.Stat()
 	if err != nil {
-		return err
+		return blkHeader{}, err
 	}
 	if st.Size() < payloadOff+payloadLen {
-		return fmt.Errorf("stage: block file %s truncated: %d < %d", f.Name(), st.Size(), payloadOff+payloadLen)
+		return blkHeader{}, fmt.Errorf("stage: block file %s truncated: %d < %d", f.Name(), st.Size(), payloadOff+payloadLen)
 	}
 	hdr := make([]byte, blkHeaderSize)
 	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return err
+		return blkHeader{}, err
 	}
 	h, err := decodeBlkHeader(hdr)
 	if err != nil {
-		return err
+		return blkHeader{}, err
 	}
 	if h.pathLen != len(k.path) || h.colLen != len(k.col) {
-		return fmt.Errorf("stage: block file %s keyed to another entry", f.Name())
+		return blkHeader{}, fmt.Errorf("stage: block file %s keyed to another entry", f.Name())
 	}
 	keyBuf := make([]byte, h.pathLen+h.colLen)
 	if _, err := f.ReadAt(keyBuf, blkHeaderSize); err != nil {
-		return err
+		return blkHeader{}, err
 	}
 	if string(keyBuf[:h.pathLen]) != k.path || string(keyBuf[h.pathLen:]) != k.col {
-		return fmt.Errorf("stage: block file %s keyed to another entry", f.Name())
+		return blkHeader{}, fmt.Errorf("stage: block file %s keyed to another entry", f.Name())
 	}
-	return nil
+	return h, nil
 }
 
 // decodeCopy is the promotion fallback: read the payload, verify its CRC,
@@ -648,10 +639,6 @@ func (dt *diskTier) removeLocked(el *list.Element, unlink bool) {
 	dt.ll.Remove(el)
 	delete(dt.items, e.key)
 	dt.stats.usedBytes -= e.bytes
-	if e.prefetched && !e.hit {
-		dt.stats.prefetchWasted++
-		dt.inst.prefetchWasted.Inc()
-	}
 	dt.releaseLocked(e)
 	if unlink {
 		os.Remove(e.file)

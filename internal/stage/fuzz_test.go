@@ -33,7 +33,7 @@ func FuzzBlockHeader(f *testing.F) {
 			f.Fatal(err)
 		}
 		k := key{path: "/ens/run0/step99.gio", col: col.Name}
-		if err := dt.put(k, stamp{mtime: 42, size: 4096}, col.Kind, col.Len(), payload, false); err != nil {
+		if err := dt.put(k, stamp{mtime: 42, size: 4096}, col.Kind, col.Len(), payload); err != nil {
 			f.Fatal(err)
 		}
 		blk, err := os.ReadFile(filepath.Join(dir, blkFileName(k)))
@@ -68,11 +68,11 @@ func FuzzBlockHeader(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer fh.Close()
-		if err := validateBlk(fh, e.key, e.payloadOff, e.bytes); err != nil {
+		if _, err := validateBlk(fh, e.key, e.payloadOff, e.bytes); err != nil {
 			t.Fatalf("validateBlk rejected the entry readBlkEntry built: %v", err)
 		}
 		other := key{path: e.key.path + "x", col: e.key.col}
-		if validateBlk(fh, other, e.payloadOff, e.bytes) == nil {
+		if _, err := validateBlk(fh, other, e.payloadOff, e.bytes); err == nil {
 			t.Fatal("validateBlk accepted a block keyed to another entry")
 		}
 		if e.kind == dataframe.Float || e.kind == dataframe.Int {

@@ -79,12 +79,10 @@ func TestServingPathsBitIdentical(t *testing.T) {
 	cols := []string{"f", "i", "s"}
 
 	c1 := newTiered(t, 1<<30, stageDir)
-	c1.SetPrefetch(false)
 	decoded, _, err := readCols(t, c1, path, cols...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1.WaitPending()
 	c1.Close()
 
 	c2 := newTiered(t, 1<<30, stageDir)
@@ -123,12 +121,10 @@ func TestPersistFromVectorMatchesEncodeBlock(t *testing.T) {
 
 	c := newTiered(t, 1<<30, stageDir)
 	defer c.Close()
-	c.SetPrefetch(false)
 	f, _, err := readCols(t, c, path, "f", "i", "s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.WaitPending()
 
 	ref, err := newDiskTier(filepath.Join(dir, "ref"), 0)
 	if err != nil {
@@ -142,7 +138,7 @@ func TestPersistFromVectorMatchesEncodeBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.put(k, e.stamp, col.Kind, col.Len(), payload, false); err != nil {
+		if err := ref.put(k, e.stamp, col.Kind, col.Len(), payload); err != nil {
 			t.Fatal(err)
 		}
 		got, err := os.ReadFile(e.file)

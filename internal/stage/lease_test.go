@@ -87,49 +87,32 @@ func crowd(t *testing.T, c *Cache, path string) {
 	if _, _, err := l.Columns(path, "fof_halo_count"); err != nil {
 		t.Fatal(err)
 	}
-	c.WaitPending()
 }
 
-// gateBG occupies both background workers until the returned func is
-// called, so write-throughs queued meanwhile wait.
-func gateBG(t *testing.T, c *Cache) (open func()) {
-	t.Helper()
-	gate := make(chan struct{})
-	var started sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		started.Add(1)
-		if !c.enqueueBG(func() { started.Done(); <-gate }) {
-			t.Fatal("background pool not running")
-		}
-	}
-	started.Wait()
-	var once sync.Once
-	return func() { once.Do(func() { close(gate) }) }
-}
-
-// TestLeaseBufferReuseWaitsForAllThree: a buffer served under leases goes
-// back to the free list only after all three of its eviction, the end of
-// its write-through, and the unpin of every lease it was served to — in
-// whichever order they come — and a lease pinned after the eviction never
-// holds it back.
+// TestLeaseBufferReuseWaitsForAllThree: a buffer served to two leases
+// goes back to the free list only after all three of its holders let go —
+// the memory tier (eviction) and both leases (unpin) — whether the
+// eviction comes first or last, and a lease pinned after the eviction
+// never holds it back. Its write-through runs under the first lease and
+// adds no holder of its own.
 func TestLeaseBufferReuseWaitsForAllThree(t *testing.T) {
 	needsRecycling(t)
-	for _, last := range []string{"unpin", "write-through", "eviction"} {
+	for _, last := range []string{"unpin", "eviction"} {
 		t.Run("last="+last, func(t *testing.T) {
 			dir := t.TempDir()
 			path := writeSnapshot(t, dir, "s.gio", pooledRows, 5)
 			block := int64(8 * pooledRows)
 			c := newTiered(t, block, filepath.Join(dir, "stage"))
 			defer c.Close()
-			c.SetPrefetch(false)
 			crowd(t, c, path)
-			open := gateBG(t, c)
-			defer open()
 
 			a, b := c.Pin(), c.Pin()
 			vec := massOf(t, a, path)
 			if got := massOf(t, b, path); &got[0] != &vec[0] {
 				t.Fatal("second lease was not served the resident vector")
+			}
+			if st := c.Stats(); st.DiskWrites != 2 {
+				t.Fatalf("disk_writes = %d, want both columns written through", st.DiskWrites)
 			}
 			want := wantMass(pooledRows, 5)
 			recycled0 := c.Stats().RecycledBytes
@@ -141,41 +124,71 @@ func TestLeaseBufferReuseWaitsForAllThree(t *testing.T) {
 				sameFloats(t, vec, want)
 			}
 			evict := func() { c.SetBudget(0); c.SetBudget(block) }
-			written := func() { open(); c.WaitPending() }
 			unpin := func() {
 				a.Unpin()
 				held("unpinning one of two leases")
 				b.Unpin()
 			}
-
-			var steps []func()
-			var names []string
-			switch last {
-			case "unpin":
-				steps, names = []func(){written, evict, unpin}, []string{"write-through", "eviction", "unpin"}
-			case "write-through":
-				steps, names = []func(){evict, unpin, written}, []string{"eviction", "unpin", "write-through"}
-			case "eviction":
-				steps, names = []func(){written, unpin, evict}, []string{"write-through", "unpin", "eviction"}
-			}
-			for i, step := range steps[:2] {
-				step()
-				held(names[i])
-			}
-			var late *Lease
 			if last == "unpin" {
-				late = c.Pin() // pinned after the eviction: never served it
+				evict()
+				held("eviction")
+				late := c.Pin() // pinned after the eviction: never served it
 				defer late.Unpin()
+				unpin()
+			} else {
+				unpin()
+				held("unpinning both leases")
+				evict()
 			}
-			steps[2]()
 			if !poisoned(vec) {
-				t.Fatalf("buffer not back on the free list after its last event (%s)", last)
+				t.Fatalf("buffer not back on the free list after its last holder (%s)", last)
 			}
 			if got := c.Stats().RecycledBytes - recycled0; got < block {
 				t.Fatalf("recycled_bytes grew by %d, want at least %d", got, block)
 			}
 		})
 	}
+}
+
+// TestOversizedPooledBlockWrittenIntact: a pooled column larger than the
+// memory budget leaves the memory tier as soon as it is published, before
+// its write-through reads the buffer; the decoding lease's epoch, recorded
+// on the entry, keeps the buffer off the free list until the write is
+// done, so the block store holds the decoded values.
+func TestOversizedPooledBlockWrittenIntact(t *testing.T) {
+	needsRecycling(t)
+	dir := t.TempDir()
+	path := writeSnapshot(t, dir, "s.gio", pooledRows, 6)
+	stageDir := filepath.Join(dir, "stage")
+	c := newTiered(t, 8*pooledRows-1, stageDir)
+	defer c.Close()
+	// Move the reader epoch past 0, so a buffer retired without the lease's
+	// epoch would not wait for the lease below.
+	early := c.Pin()
+	_, s := takeFloats(pooledRows)
+	c.readers.retired(s, early.epoch)
+	early.Unpin()
+
+	l := c.Pin()
+	if l.epoch == 0 {
+		t.Fatal("the reader epoch did not advance")
+	}
+	sameFloats(t, massOf(t, l, path), wantMass(pooledRows, 6))
+	l.Unpin()
+	if st := c.Stats(); st.Entries != 0 || st.DiskWrites != 1 || st.RecycledBytes < 8*pooledRows {
+		t.Fatalf("want the block served uncached, written through and recycled: %+v", st)
+	}
+
+	c2 := newTiered(t, 1<<30, stageDir)
+	defer c2.Close()
+	got, _, err := readCols(t, c2, path, "fof_halo_mass")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c2.Stats(); st.DiskHits != 1 {
+		t.Fatalf("disk_hits = %d, want the column promoted", st.DiskHits)
+	}
+	sameFloats(t, got.MustColumn("fof_halo_mass").F, wantMass(pooledRows, 6))
 }
 
 // TestLoadAllFramesOutliveRecycling: Cache.LoadAll loads through a lease
@@ -214,7 +227,6 @@ func TestFlightWaiterHoldsBuffer(t *testing.T) {
 	path := writeSnapshot(t, dir, "s.gio", pooledRows, 9)
 	c := newTiered(t, 8*pooledRows, filepath.Join(dir, "stage"))
 	defer c.Close()
-	c.SetPrefetch(false)
 	crowd(t, c, path)
 	k := key{path: path, col: "fof_halo_mass"}
 
@@ -269,7 +281,6 @@ func TestFlightWaiterHoldsBuffer(t *testing.T) {
 		t.Fatal("leader and waiter were served different vectors")
 	}
 	lead.Unpin()
-	c.WaitPending()
 	c.SetBudget(0)
 	if poisoned(wv) {
 		t.Fatal("buffer recycled while the lease that waited for it was still pinned")
@@ -288,11 +299,9 @@ func TestPromotedVectorNeverRecycled(t *testing.T) {
 	path := writeSnapshot(t, dir, "s.gio", pooledRows, 3)
 	c := newTiered(t, 1<<30, filepath.Join(dir, "stage"))
 	defer c.Close()
-	c.SetPrefetch(false)
 	if _, _, err := readCols(t, c, path, "fof_halo_mass"); err != nil {
 		t.Fatal(err)
 	}
-	c.WaitPending()
 	c.SetBudget(0) // demote: the next lookup promotes from disk
 	c.SetBudget(1 << 30)
 

@@ -122,7 +122,6 @@ func promoteMapped(t *testing.T, c *Cache, l *Lease, path, col string) ([]float6
 	if _, _, err := l.Columns(path, col); err != nil {
 		t.Fatal(err)
 	}
-	c.WaitPending()
 	c.SetBudget(1)
 	c.SetBudget(1 << 30)
 	hits := c.Stats().DiskHits
@@ -204,7 +203,7 @@ func TestSupersededMappingReleased(t *testing.T) {
 			c.mu.Lock()
 			dt := c.disk
 			c.mu.Unlock()
-			if err := dt.put(key{path: path, col: "fof_halo_mass"}, stamp{mtime: 1, size: 1}, dataframe.Float, releaseRows, payload, false); err != nil {
+			if err := dt.put(key{path: path, col: "fof_halo_mass"}, stamp{mtime: 1, size: 1}, dataframe.Float, releaseRows, payload); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -215,7 +214,6 @@ func TestSupersededMappingReleased(t *testing.T) {
 			path := rewriteSource(t, dir, "s.gio", 7, time.Now())
 			c := newTiered(t, 1<<30, filepath.Join(dir, "stage"))
 			defer c.Close()
-			c.SetPrefetch(false)
 			if tc.watch {
 				if err := c.SetWatch(true); err != nil {
 					t.Fatalf("SetWatch: %v", err)
@@ -255,7 +253,6 @@ func TestRetiredTierReleasesMappings(t *testing.T) {
 			dir := t.TempDir()
 			c := newTiered(t, 1<<30, filepath.Join(dir, "stage"))
 			defer c.Close()
-			c.SetPrefetch(false)
 			var (
 				vecs, wants [][]float64
 				regions     [][]byte
@@ -317,7 +314,7 @@ func TestConcurrentPromotionsMapOnce(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		// A fresh put renames a new inode over the file, so each round
 		// races on an entry with no mapping yet.
-		if err := dt.put(k, st, dataframe.Float, releaseRows, payload, false); err != nil {
+		if err := dt.put(k, st, dataframe.Float, releaseRows, payload); err != nil {
 			t.Fatal(err)
 		}
 		start := make(chan struct{})
@@ -363,7 +360,6 @@ func TestChurnKeepsFileRSSBounded(t *testing.T) {
 	dir := t.TempDir()
 	c := newTiered(t, 1<<30, filepath.Join(dir, "stage"))
 	defer c.Close()
-	c.SetPrefetch(false)
 	cols := []string{"fof_halo_mass", "fof_halo_count"}
 	t0 := time.Now()
 	var genBytes, base int64
@@ -402,7 +398,6 @@ func TestPinnedReaderRefaultReleased(t *testing.T) {
 	path := rewriteSource(t, dir, "s.gio", 7, time.Now())
 	c := newTiered(t, 1<<30, filepath.Join(dir, "stage"))
 	defer c.Close()
-	c.SetPrefetch(false)
 
 	reader := c.Pin()
 	other := c.Pin()

@@ -56,18 +56,16 @@
 // # Tiers
 //
 // An optional disk tier (SetDiskTier, -stage-dir) persists decoded blocks
-// under the memory LRU: decodes write through to a compact block store
-// (disk.go), memory eviction demotes instead of discards, and a memory
-// miss promotes from disk — an mmap cast for numeric columns — without
-// touching the gio decoder, so hot columns survive restarts and the
-// memory budget stops being the residency ceiling. The pages of every
-// mapping the tier drops or retires are released, and released again
-// once the readers pinned at the drop (Pin) are done, so churn in the
-// block store does not accumulate resident memory. Write-throughs queued
-// for the background pool are bounded by the memory budget too: a decode
-// waits for room once it has published its columns. With a tier attached,
-// sibling columns and hinted next-step files are opportunistically
-// prefetched while a source file is open (prefetch.go).
+// under the memory LRU: the call that decodes a block writes it through to
+// a compact block store (disk.go) before it returns, memory eviction
+// demotes instead of discards, and a memory miss promotes from disk — an
+// mmap cast for numeric columns — without touching the gio decoder, so hot
+// columns survive restarts and the memory budget stops being the residency
+// ceiling. A failed write-through is counted and never fails the read; the
+// block decodes again on its next miss. The pages of every mapping the tier
+// drops or retires are released, and released again once the readers
+// pinned at the drop (Pin) are done, so churn in the block store does not
+// accumulate resident memory.
 //
 // A numeric column is one buffer on its way through the tiers: the
 // decoder reads its block straight into the vector (gio.Reader.ReadColumn),
@@ -86,20 +84,19 @@
 // full memory tier: the decoder reads into a buffer taken from a
 // process-wide free list of size-classed buffers outside the Go heap
 // (pool.go), and the buffer comes back to the list, for the next cold
-// read, once all of these hold:
+// read, once both of these hold:
 //
 //   - the column has left the memory tier (budget eviction, invalidation,
 //     same-key replacement, or served uncached because it exceeds the
 //     budget);
-//   - no write-through queued for it still reads it;
 //   - every lease it was served to, and every lease pinned before those,
 //     has unpinned (reader epochs, epoch.go).
 //
-// Columns decoded while the tier has room stay heap vectors (see decode),
-// promoted vectors alias the tier's mappings and string columns are heap
-// vectors; none of them ever enters the free list. Sibling prefetch reads
-// its blocks into free-list buffers too, and gives each back as soon as
-// it is written to the block store.
+// The write-through reads the buffer under the decoding call's own lease,
+// so it needs no rule of its own. Columns decoded while the tier has room
+// stay heap vectors (see decode), promoted vectors alias the tier's
+// mappings and string columns are heap vectors; none of them ever enters
+// the free list.
 //
 // # Freshness
 //
@@ -194,14 +191,19 @@ type Stats struct {
 	// unusable (truncated, corrupt, raced with eviction); each evicted
 	// exactly the bad block and fell through to the decoder.
 	DiskPromoteFailures int64 `json:"disk_promote_failures"`
-	// Demotions / DemotedBytes count memory-budget evictions that kept
-	// (or wrote) a disk-tier copy instead of discarding the block.
+	// Demotions / DemotedBytes count memory-budget evictions while a disk
+	// tier is attached: the block stays promotable from the store its
+	// write-through put it in (one decoded before the tier was attached
+	// has no copy there, and decodes again on its next miss).
 	Demotions    int64 `json:"demotions"`
 	DemotedBytes int64 `json:"demoted_bytes"`
-	// DiskWrites counts block files written (write-through, demotion and
-	// prefetch alike); the remaining disk_* fields mirror the memory
-	// tier's accounting for the block store.
+	// DiskWrites counts block files written through by the calls that
+	// decoded them; DiskWriteFailures the write-throughs that failed (a
+	// full or unwritable stage dir), each dropped without failing the read.
+	// The remaining disk_* fields mirror the memory tier's accounting for
+	// the block store.
 	DiskWrites        int64 `json:"disk_writes"`
+	DiskWriteFailures int64 `json:"disk_write_failures"`
 	DiskEvictions     int64 `json:"disk_evictions"`
 	DiskEvictedBytes  int64 `json:"disk_evicted_bytes"`
 	DiskInvalidations int64 `json:"disk_invalidations"`
@@ -220,8 +222,8 @@ type Stats struct {
 
 	// RecycledBytes counts the bytes of column buffers that went back to
 	// the free list for the next decode to read into: buffers retired by
-	// the memory tier once no lease could still see them, lease vectors at
-	// Unpin, and prefetch read buffers.
+	// the memory tier once no lease could still see them, and lease vectors
+	// at Unpin.
 	RecycledBytes int64 `json:"recycled_bytes"`
 	// BufferBytes is the size of every column buffer the process has
 	// mapped, in use or free. The free list is process-wide, so this is
@@ -229,10 +231,10 @@ type Stats struct {
 	// the workload needs at once.
 	BufferBytes int64 `json:"buffer_bytes"`
 
-	// PrefetchIssued counts blocks pulled into the disk tier
-	// speculatively; Used counts those later promoted at least once,
-	// Wasted those evicted or invalidated untouched.
-	PrefetchIssued int64 `json:"prefetch_issued"`
+	// PrefetchUsed and PrefetchWasted always read 0: the cache reads only
+	// the columns a reader asks for.
+	//
+	// Deprecated: kept for callers of the removed prefetcher's counters.
 	PrefetchUsed   int64 `json:"prefetch_used"`
 	PrefetchWasted int64 `json:"prefetch_wasted"`
 
@@ -270,20 +272,12 @@ type entry struct {
 	// col is the decoded immutable (shared-marked) column vector.
 	col   *dataframe.Column
 	bytes int64
-	// persisted marks the block as already (or about to be) resident in
-	// the disk tier, so eviction-time demotion can skip the write.
-	persisted bool
-
 	// buf is the free-list buffer col's vector lives in, while the cache
 	// owns it: set for numeric columns decoded into a full memory tier,
 	// empty for the rest (see decode).
 	buf *slab
 	// seen is the newest reader epoch of a lease the buffer was served to.
 	seen uint64
-	// out marks an entry that has left the memory tier; writing one whose
-	// queued write-through still reads the buffer. The buffer is retired
-	// once out and not writing (retireLocked).
-	out, writing bool
 }
 
 // flight is one column's single-flight load: its leader publishes e (or
@@ -314,11 +308,6 @@ type Cache struct {
 
 	// disk is the optional persistent tier (SetDiskTier); nil = memory only.
 	disk *diskTier
-	// prefetchOn gates sibling/next-step prefetching; prefetchBusy
-	// dedupes in-flight passes per source file.
-	prefetchOn    bool
-	prefetchBusy  map[string]bool
-	neighborHints map[string]func(string) []string
 
 	// watch is the filesystem watch (SetWatch): pinned holds the stat-free
 	// stamp per file, pinEpoch, for every path statted under the watch, a
@@ -330,24 +319,6 @@ type Cache struct {
 	// watches; genSeq issues every generation value, so no two are equal.
 	roots  sync.Map
 	genSeq atomic.Uint64
-
-	// bg is the bounded background pool shared by write-through persists
-	// and prefetch passes; created in New, workers started lazily by the
-	// first SetDiskTier. bgWG tracks queued-but-unfinished tasks for
-	// WaitPending.
-	bg        chan func()
-	bgOnce    sync.Once
-	bgWG      sync.WaitGroup
-	bgStarted atomic.Bool
-
-	// persistMu guards persistQueued, the payload bytes of write-through
-	// persists queued or running on the pool (reservePersist); persistCond
-	// wakes decode leaders waiting for room. persistPeak is its high-water
-	// mark.
-	persistMu     sync.Mutex
-	persistCond   *sync.Cond
-	persistQueued int64
-	persistPeak   int64
 
 	// readers are the pinned readers (Pin): every attached disk tier
 	// reports its released mappings to them, and the memory tier its
@@ -384,33 +355,28 @@ func New(budgetBytes int64, workers int) *Cache {
 		}
 	}
 	c := &Cache{
-		workers:      workers,
-		sem:          make(chan struct{}, workers),
-		budget:       budgetBytes,
-		ll:           list.New(),
-		items:        map[key]*list.Element{},
-		inflight:     map[key]*flight{},
-		paths:        map[string]int{},
-		prefetchOn:   true,
-		prefetchBusy: map[string]bool{},
-		pinned:       map[string]stamp{},
-		pinEpoch:     map[string]uint64{},
-		bg:           make(chan func(), 256),
-		free:         &recycler{},
+		workers:  workers,
+		sem:      make(chan struct{}, workers),
+		budget:   budgetBytes,
+		ll:       list.New(),
+		items:    map[key]*list.Element{},
+		inflight: map[key]*flight{},
+		paths:    map[string]int{},
+		pinned:   map[string]stamp{},
+		pinEpoch: map[string]uint64{},
+		free:     &recycler{},
 	}
 	c.readers = newReaderEpochs(c.free)
-	c.persistCond = sync.NewCond(&c.persistMu)
 	return c
 }
 
 // SetDiskTier attaches (or, with dir == "", detaches) the persistent
 // block store rooted at dir with the given byte budget (<= 0 picks
-// DefaultDiskBudgetBytes). Attaching scans resident block files and
-// starts the background persist/prefetch pool; blocks persisted by a
-// previous process become promotable immediately. Replacing or detaching
-// an attached tier retires it: the resident pages of every block mapping
-// it holds are released (vectors already promoted from it stay readable)
-// and its directory's files stay on disk.
+// DefaultDiskBudgetBytes). Attaching scans resident block files, so
+// blocks persisted by a previous process become promotable immediately.
+// Replacing or detaching an attached tier retires it: the resident pages of
+// every block mapping it holds are released (vectors already promoted from
+// it stay readable) and its directory's files stay on disk.
 func (c *Cache) SetDiskTier(dir string, budgetBytes int64) error {
 	var dt *diskTier
 	if dir != "" {
@@ -419,7 +385,6 @@ func (c *Cache) SetDiskTier(dir string, budgetBytes int64) error {
 			return err
 		}
 		dt.readers = c.readers
-		c.startBG()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -443,54 +408,26 @@ func (c *Cache) retireDiskLocked() {
 	c.disk = nil
 }
 
-// startBG launches the background pool (2 workers — persist and prefetch
-// are I/O-bound housekeeping; the point is bounding, not throughput).
-func (c *Cache) startBG() {
-	c.bgOnce.Do(func() {
-		for i := 0; i < 2; i++ {
-			go func() {
-				for fn := range c.bg {
-					fn()
-				}
-			}()
-		}
-		c.bgStarted.Store(true)
-	})
-}
+// WaitPending returns at once: every write-through is done by the time
+// the read that decoded its block returns.
+//
+// Deprecated: kept for callers written when write-throughs ran in the
+// background.
+func (c *Cache) WaitPending() {}
 
-// enqueueBG submits a task to the pool without blocking; a full queue —
-// or a pool that was never started because no disk tier is attached —
-// drops the task (persist and prefetch are both best-effort). Safe to
-// call while holding c.mu.
-func (c *Cache) enqueueBG(fn func()) bool {
-	if !c.bgStarted.Load() {
-		return false
-	}
-	c.bgWG.Add(1)
-	wrapped := func() { defer c.bgWG.Done(); fn() }
-	select {
-	case c.bg <- wrapped:
-		return true
-	default:
-		c.bgWG.Done()
-		return false
-	}
-}
+// SetPrefetch does nothing: the cache reads only the columns a reader asks
+// for.
+//
+// Deprecated: kept for callers written when the cache prefetched.
+func (c *Cache) SetPrefetch(on bool) {}
 
-// WaitPending blocks until every queued background persist/prefetch task
-// has finished — how tests and benchmarks make the asynchronous tier
-// deterministic before asserting on disk state.
-func (c *Cache) WaitPending() { c.bgWG.Wait() }
-
-// Close stops the watcher, drains the background pool and retires the
-// disk tier: the resident pages of every block mapping it holds are
-// released, while vectors already promoted from it stay readable (their
-// pages re-fault from the immutable block files) and the block files stay
-// on disk for the next process. The memory tier is left intact. The
+// Close stops the watcher and retires the disk tier: the resident pages of
+// every block mapping it holds are released, while vectors already
+// promoted from it stay readable (their pages re-fault from the immutable
+// block files) and the block files stay on disk for the next process. The memory tier is left intact. The
 // Shared cache is never closed.
 func (c *Cache) Close() error {
 	_ = c.SetWatch(false) // turning the watch off cannot fail
-	c.bgWG.Wait()
 	c.mu.Lock()
 	c.retireDiskLocked()
 	c.mu.Unlock()
@@ -543,8 +480,6 @@ func (c *Cache) SetMetrics(r *telemetry.Registry) {
 	r.SetHelp("infera_stage_tier_hits_total", "Column lookups served per cache tier (mem = resident block, disk = promoted from the block store).")
 	r.SetHelp("infera_stage_tier_promotions_total", "Blocks promoted disk -> memory without touching the gio decoder.")
 	r.SetHelp("infera_stage_tier_demotions_total", "Memory-budget evictions that kept a disk-tier copy instead of discarding.")
-	r.SetHelp("infera_stage_prefetch_issued_total", "Blocks speculatively pulled into the disk tier (siblings and next-step files).")
-	r.SetHelp("infera_stage_prefetch_total", "Prefetched blocks by outcome: used (promoted at least once) or wasted (evicted untouched).")
 	r.SetHelp("infera_stage_watch_events_total", "Filesystem change notifications handled by the stage watcher.")
 	r.SetHelp("infera_stage_watch_overflows_total", "Watcher queue overflows; each unpins every file for re-validation by stat and moves every ensemble generation.")
 	r.SetHelp("infera_stage_stat_saves_total", "Freshness checks served without a stat syscall (watch pin).")
@@ -564,11 +499,8 @@ func (c *Cache) SetMetrics(r *telemetry.Registry) {
 	c.statSavesCtr = r.Counter("infera_stage_stat_saves_total")
 	c.statCallsCtr = r.Counter("infera_stage_stat_calls_total")
 	c.tierInst = tierInstruments{
-		prefetchIssued: r.Counter("infera_stage_prefetch_issued_total"),
-		prefetchUsed:   r.Counter("infera_stage_prefetch_total", telemetry.L("outcome", "used")),
-		prefetchWasted: r.Counter("infera_stage_prefetch_total", telemetry.L("outcome", "wasted")),
-		mappings:       r.Gauge("infera_stage_disk_mappings"),
-		releasedBytes:  r.Counter("infera_stage_disk_released_bytes_total"),
+		mappings:      r.Gauge("infera_stage_disk_mappings"),
+		releasedBytes: r.Counter("infera_stage_disk_released_bytes_total"),
 	}
 	mappings := c.stats.DiskMappings
 	if c.disk != nil {
@@ -601,9 +533,6 @@ func (c *Cache) Stats() Stats {
 		st.DiskEntries = entries
 		st.DiskMappings += ds.mappings
 		st.DiskReleasedBytes += ds.releasedBytes
-		st.PrefetchIssued = ds.prefetchIssued
-		st.PrefetchUsed = ds.prefetchUsed
-		st.PrefetchWasted = ds.prefetchWasted
 	}
 	return st
 }
@@ -676,10 +605,12 @@ type claim struct {
 	waits    []waiter
 	// missing are the columns this call must load; it leads their flights
 	// (lead), and fetch fills entries and errs, all aligned by index.
+	// decoded indexes the entries fetch read from the source file.
 	missing []string
 	lead    []*flight
 	entries []*entry
 	errs    []error
+	decoded []int
 }
 
 // waiter is a column whose load another call leads.
@@ -689,9 +620,10 @@ type waiter struct {
 }
 
 // columns is Lease.Columns for lease l. It claims the columns of path
-// under mu, fetches and publishes those it leads, follows the loads other
-// calls lead, and starts over when a column came from another file
-// generation than the one it statted.
+// under mu, fetches and publishes those it leads (writing the decoded ones
+// through to the disk tier), follows the loads other calls lead, and
+// starts over when a column came from another file generation than the
+// one it statted.
 func (c *Cache) columns(path string, l *Lease, names []string) (*dataframe.Frame, int64, error) {
 	if len(names) == 0 {
 		return nil, 0, fmt.Errorf("stage: no columns requested for %s", path)
@@ -707,16 +639,9 @@ func (c *Cache) columns(path string, l *Lease, names []string) (*dataframe.Frame
 		}
 		cl := c.claim(path, l, uniq, now)
 		if len(cl.missing) > 0 {
-			n, opened := c.fetch(path, &cl, now)
-			bytesRead += n
+			bytesRead += c.fetch(path, &cl, now)
 			if err := c.publish(path, l, &cl); err != nil {
 				return nil, bytesRead, err
-			}
-			if opened {
-				// A demand decode just had the file open: pull its sibling
-				// columns (and hinted next-step files) into the disk tier in
-				// the background.
-				c.maybePrefetch(path, uniq, now)
 			}
 		}
 		stale, err := c.follow(&cl, now)
@@ -774,9 +699,8 @@ func (c *Cache) claim(path string, l *Lease, uniq []string, now stamp) claim {
 // gio decoder (an mmap cast for numeric columns), and a resident but
 // unusable block — truncated, corrupt, raced with eviction — evicts
 // exactly that block and falls through to the decoder. It returns the
-// source bytes decoded (promoted bytes are tier I/O, not source-file I/O)
-// and whether the decoder opened the file.
-func (c *Cache) fetch(path string, cl *claim, now stamp) (bytesRead int64, opened bool) {
+// source bytes decoded (promoted bytes are tier I/O, not source-file I/O).
+func (c *Cache) fetch(path string, cl *claim, now stamp) (bytesRead int64) {
 	cl.entries = make([]*entry, len(cl.missing))
 	cl.errs = make([]error, len(cl.missing))
 	toDecode := make([]int, 0, len(cl.missing))
@@ -789,7 +713,7 @@ func (c *Cache) fetch(path string, cl *claim, now stamp) (bytesRead int64, opene
 		k := key{path: path, col: name}
 		col, n, ok, perr := cl.dt.promote(k, now)
 		if ok {
-			cl.entries[i] = &entry{key: k, stamp: now, col: col, bytes: n, persisted: true}
+			cl.entries[i] = &entry{key: k, stamp: now, col: col, bytes: n}
 			promoted++
 			promotedBytes += n
 			continue
@@ -813,8 +737,9 @@ func (c *Cache) fetch(path string, cl *claim, now stamp) (bytesRead int64, opene
 		}
 	}
 	c.mu.Unlock()
+	cl.decoded = toDecode
 	if len(toDecode) == 0 {
-		return 0, false
+		return 0
 	}
 	cols := make([]string, len(toDecode))
 	for j, i := range toDecode {
@@ -827,19 +752,23 @@ func (c *Cache) fetch(path string, cl *claim, now stamp) (bytesRead int64, opene
 			bytesRead += entries[j].bytes
 		}
 	}
-	return bytesRead, true
+	return bytesRead
 }
 
 // publish ends the flights cl leads: each gets its entry, which joins the
 // memory tier, or its own error — a bad column name in this request must
 // not poison a concurrent request waiting on a sibling column that decoded
-// fine. Then it queues the write-through of every decoded entry, and
+// fine. Then it writes every decoded entry through to the disk tier, and
 // returns the first error.
+//
+// The write-through reads the entry's vector after the entry is published,
+// and it may already have left the memory tier (oversized, or budget
+// pressure). Its buffer is still safe to read: e.seen is at least l's
+// epoch, and l stays pinned until this call returns, so the buffer cannot
+// reach the free list before the write is done.
 func (c *Cache) publish(path string, l *Lease, cl *claim) error {
 	var firstErr error
-	var toPersist []*entry
 	c.mu.Lock()
-	persistLimit := c.budget
 	for i, fl := range cl.lead {
 		delete(c.inflight, key{path: path, col: cl.missing[i]})
 		if err := cl.errs[i]; err != nil {
@@ -852,15 +781,6 @@ func (c *Cache) publish(path string, l *Lease, cl *claim) error {
 		e := cl.entries[i]
 		e.seen = max(l.epoch, fl.seen)
 		fl.e = e
-		// Write a freshly decoded block through to the disk tier before
-		// inserting: insertion may evict it from memory immediately
-		// (oversized, or budget pressure), and the disk copy is what makes
-		// the memory budget a performance knob rather than the residency
-		// ceiling.
-		if cl.dt != nil && !e.persisted {
-			e.persisted, e.writing = true, true
-			toPersist = append(toPersist, e)
-		}
 		c.insertLocked(e)
 		cl.resolved[cl.missing[i]] = e.col
 	}
@@ -868,17 +788,40 @@ func (c *Cache) publish(path string, l *Lease, cl *claim) error {
 	for _, fl := range cl.lead {
 		close(fl.done)
 	}
-	// Only now, holding no lock and leading no flight, may this call wait
-	// for room in the persist queue: that wait is what bounds the decoded
-	// columns queued write-throughs keep alive.
-	for _, e := range toPersist {
-		if !c.persistAsync(cl.dt, e, persistLimit, true) {
-			c.mu.Lock()
-			c.writtenLocked(e)
-			c.mu.Unlock()
-		}
+	if cl.dt != nil {
+		c.writeThrough(cl)
 	}
 	return firstErr
+}
+
+// writeThrough stores every block cl decoded in the disk tier cl found. A
+// numeric payload is the vector's own bytes (the vector is immutable); only
+// strings and big-endian hosts encode a copy. A write that fails is
+// counted and dropped: the block decodes again on its next miss.
+func (c *Cache) writeThrough(cl *claim) {
+	var failed int64
+	for _, i := range cl.decoded {
+		if cl.errs[i] != nil {
+			continue
+		}
+		e := cl.entries[i]
+		payload, ok := gio.VectorBlock(e.col)
+		var err error
+		if !ok {
+			payload, err = gio.EncodeBlock(e.col)
+		}
+		if err == nil {
+			err = cl.dt.put(e.key, e.stamp, e.col.Kind, e.col.Len(), payload)
+		}
+		if err != nil {
+			failed++
+		}
+	}
+	if failed > 0 {
+		c.mu.Lock()
+		c.stats.DiskWriteFailures += failed
+		c.mu.Unlock()
+	}
 }
 
 // follow waits for the flights cl follows and reports whether any column,
@@ -1035,7 +978,6 @@ func (c *Cache) insertLocked(e *entry) {
 		// leave the rest of the cache intact.
 		c.stats.Evictions++
 		c.stats.EvictedBytes += e.bytes
-		e.out = true
 		c.retireLocked(e)
 		return
 	}
@@ -1052,107 +994,26 @@ func (c *Cache) evictOverBudgetLocked() {
 		c.stats.Evictions++
 		c.stats.EvictedBytes += e.bytes
 		// With a disk tier attached, a budget eviction is a demotion: the
-		// block stays promotable from the store. Most blocks were already
-		// written through at decode time; one that wasn't (write-through
-		// dropped on a full queue) is persisted now, best-effort — queued
-		// before the removal retires its buffer.
+		// block stays promotable from the store its write-through stored
+		// it in.
 		if c.disk != nil {
 			c.stats.Demotions++
 			c.stats.DemotedBytes += e.bytes
 			c.demotionsCtr.Inc()
-			if !e.persisted {
-				e.persisted, e.writing = true, true
-				e.writing = c.persistAsync(c.disk, e, c.budget, false)
-			}
 		}
 		c.removeLocked(oldest)
 	}
 }
 
-// persistAsync queues the write-through of e's column to the disk tier and
-// reports whether it did. The file write happens on
-// the background pool, off the decode path. The column vector is
-// immutable (MarkShared), so the queued task may alias it: a numeric
-// payload is the vector's own bytes, and only strings and big-endian hosts
-// encode a copy. The caller marks e writing before the call, so its buffer
-// is not retired under the task, and clears it when the call reports
-// false; the task clears it when the write is done (writtenLocked).
-//
-// A queued persist keeps its decoded column alive, so the payload bytes
-// queued at once are bounded by limit, the cache's memory budget. With
-// wait, the caller blocks until there is room; it must hold no lock and
-// lead no flight, since the pool's prefetch tasks may need c.mu. Without
-// wait (demotion under c.mu), a persist that does not fit is dropped, as
-// one is when the pool's queue is full — persists are best-effort.
-func (c *Cache) persistAsync(dt *diskTier, e *entry, limit int64, wait bool) bool {
-	n, col := e.bytes, e.col
-	if !c.reservePersist(n, limit, wait) {
-		return false
-	}
-	if !c.enqueueBG(func() {
-		defer func() {
-			c.releasePersist(n)
-			c.mu.Lock()
-			c.writtenLocked(e)
-			c.mu.Unlock()
-		}()
-		payload, ok := gio.VectorBlock(col)
-		if !ok {
-			var err error
-			if payload, err = gio.EncodeBlock(col); err != nil {
-				return
-			}
-		}
-		dt.put(e.key, e.stamp, col.Kind, col.Len(), payload, false)
-	}) {
-		c.releasePersist(n)
-		return false
-	}
-	return true
-}
-
-// writtenLocked records that no write-through reads e's vector any more.
-// Caller holds mu.
-func (c *Cache) writtenLocked(e *entry) {
-	e.writing = false
-	c.retireLocked(e)
-}
-
-// retireLocked hands e's buffer to the reader epochs once e has left the
-// memory tier and no write-through reads it: the buffer joins the free list when every lease pinned at or before
-// the newest one it was served to has unpinned. Caller holds mu.
+// retireLocked hands the buffer of e, which has left the memory tier, to
+// the reader epochs: it joins the free list when every lease pinned at or
+// before the newest one it was served to has unpinned. Caller holds mu.
 func (c *Cache) retireLocked(e *entry) {
-	if !e.out || e.writing || e.buf == nil {
+	if e.buf == nil {
 		return
 	}
 	c.readers.retired(e.buf, e.seen)
 	e.buf = nil
-}
-
-// reservePersist claims room for n payload bytes in the persist queue:
-// room means the queued bytes stay within limit, and an empty queue always
-// has room, so a block larger than the budget is still persisted alone.
-// With wait it blocks until there is room; without, it reports false.
-func (c *Cache) reservePersist(n, limit int64, wait bool) bool {
-	c.persistMu.Lock()
-	defer c.persistMu.Unlock()
-	for c.persistQueued > 0 && c.persistQueued+n > limit {
-		if !wait {
-			return false
-		}
-		c.persistCond.Wait()
-	}
-	c.persistQueued += n
-	c.persistPeak = max(c.persistPeak, c.persistQueued)
-	return true
-}
-
-// releasePersist returns n bytes of persist-queue room and wakes waiters.
-func (c *Cache) releasePersist(n int64) {
-	c.persistMu.Lock()
-	c.persistQueued -= n
-	c.persistMu.Unlock()
-	c.persistCond.Broadcast()
 }
 
 // removeLocked takes el out of the memory tier and retires its buffer.
@@ -1165,7 +1026,6 @@ func (c *Cache) removeLocked(el *list.Element) {
 		delete(c.paths, e.key.path)
 	}
 	c.stats.UsedBytes -= e.bytes
-	e.out = true
 	c.retireLocked(e)
 }
 

@@ -1,6 +1,7 @@
 package stage
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -51,7 +52,6 @@ func TestColdRestartRevival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1.WaitPending() // drain write-through persists
 	if st := c1.Stats(); st.DiskWrites < 2 {
 		t.Fatalf("write-through should have persisted both blocks: disk_writes = %d", st.DiskWrites)
 	}
@@ -93,7 +93,8 @@ func TestColdRestartRevival(t *testing.T) {
 
 // TestPromotionFailureFallsThrough truncates a resident block file and
 // proves the next promotion evicts exactly that entry and falls through
-// to the gio decoder — per-column attribution, the staging pass succeeds.
+// to the gio decoder — per-column attribution, the staging pass succeeds —
+// whose write-through stores the block whole again.
 func TestPromotionFailureFallsThrough(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSnapshot(t, dir, "s.gio", 128, 3)
@@ -104,7 +105,6 @@ func TestPromotionFailureFallsThrough(t *testing.T) {
 	if _, _, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass"); err != nil {
 		t.Fatal(err)
 	}
-	c.WaitPending()
 
 	// Push both blocks out of memory so the next pass must promote.
 	c.SetBudget(1)
@@ -112,18 +112,14 @@ func TestPromotionFailureFallsThrough(t *testing.T) {
 
 	// Truncate the tag block's store file mid-payload.
 	blk := filepath.Join(stageDir, blkFileName(key{path: path, col: "fof_halo_tag"}))
-	fi, err := os.Stat(blk)
+	whole, err := os.ReadFile(blk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(blk, fi.Size()-64); err != nil {
+	if err := os.Truncate(blk, int64(len(whole))-64); err != nil {
 		t.Fatal(err)
 	}
 
-	// Hold the re-decode's write-through back until the check below: it
-	// writes a whole block file where the bad one was.
-	open := gateBG(t, c)
-	defer open()
 	f, _, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass")
 	if err != nil {
 		t.Fatal(err)
@@ -142,10 +138,9 @@ func TestPromotionFailureFallsThrough(t *testing.T) {
 	if tag.Value(0) != int64(3) || tag.Value(127) != int64(130) {
 		t.Fatalf("fallen-through column has wrong data: %v, %v", tag.Value(0), tag.Value(127))
 	}
-	if _, err := os.Stat(blk); !os.IsNotExist(err) {
-		t.Fatalf("bad block file should have been evicted, stat err = %v", err)
+	if got, err := os.ReadFile(blk); err != nil || !bytes.Equal(got, whole) {
+		t.Fatalf("bad block file was not evicted and rewritten whole (%d of %d bytes, err %v)", len(got), len(whole), err)
 	}
-	open()
 
 	// A fresh cache over the same dir must also survive: the startup scan
 	// skips unreadable blocks, so the column simply decodes from source.
@@ -185,7 +180,6 @@ func TestConcurrentDemotePromote(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.WaitPending()
 
 	subsets := [][]string{
 		{"fof_halo_tag", "fof_halo_mass"},
@@ -260,7 +254,6 @@ func TestWatchExactInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.WaitPending()
 	calls0 := c.Stats().StatCalls
 
 	// Steady state: repeated staging passes must not stat at all.
@@ -363,96 +356,6 @@ func TestWatchInvalidationRacingDecode(t *testing.T) {
 	})
 }
 
-// TestSiblingPrefetch requests a subset of a file's columns and proves
-// the unrequested sibling lands in the disk tier in the background, so
-// its later first request promotes instead of decoding.
-func TestSiblingPrefetch(t *testing.T) {
-	dir := t.TempDir()
-	path := writeSnapshot(t, dir, "s.gio", 128, 5)
-	c := newTiered(t, 1<<30, filepath.Join(dir, "stage"))
-	defer c.Close()
-
-	if _, _, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass"); err != nil {
-		t.Fatal(err)
-	}
-	c.WaitPending()
-	st := c.Stats()
-	if st.PrefetchIssued != 1 {
-		t.Fatalf("prefetch_issued = %d, want 1 (fof_halo_count)", st.PrefetchIssued)
-	}
-
-	opens0, decoded0 := st.Opens, st.BytesDecoded
-	f, _, err := readCols(t, c, path, "fof_halo_count")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cnt, _ := f.Column("fof_halo_count")
-	if cnt.Value(2) != float64(6) {
-		t.Fatalf("prefetched column data wrong: %v", cnt.Value(2))
-	}
-	st = c.Stats()
-	if st.Opens != opens0 || st.BytesDecoded != decoded0 {
-		t.Fatalf("prefetched sibling must serve without source I/O: opens %d->%d bytes %d->%d",
-			opens0, st.Opens, decoded0, st.BytesDecoded)
-	}
-	if st.PrefetchUsed != 1 {
-		t.Fatalf("prefetch_used = %d, want 1", st.PrefetchUsed)
-	}
-}
-
-// TestNeighborPrefetch registers a next-step hint and proves the hinted
-// file's requested column set is pulled into the disk tier ahead of its
-// first request.
-func TestNeighborPrefetch(t *testing.T) {
-	dir := t.TempDir()
-	step1 := writeSnapshot(t, dir, "step1.gio", 128, 1)
-	step2 := writeSnapshot(t, dir, "step2.gio", 128, 2)
-	c := newTiered(t, 1<<30, filepath.Join(dir, "stage"))
-	defer c.Close()
-	c.RegisterNeighbors(dir, func(p string) []string {
-		if p == step1 {
-			return []string{step2}
-		}
-		return nil
-	})
-
-	if _, _, err := readCols(t, c, step1, "fof_halo_tag", "fof_halo_mass"); err != nil {
-		t.Fatal(err)
-	}
-	c.WaitPending()
-	st := c.Stats()
-	// 1 sibling of step1 + 2 requested columns of step2.
-	if st.PrefetchIssued != 3 {
-		t.Fatalf("prefetch_issued = %d, want 3", st.PrefetchIssued)
-	}
-
-	opens0 := st.Opens
-	f, _, err := readCols(t, c, step2, "fof_halo_tag", "fof_halo_mass")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().Opens != opens0 {
-		t.Fatalf("hinted next-step file must stage without a gio open: opens %d->%d", opens0, c.Stats().Opens)
-	}
-	tag, _ := f.Column("fof_halo_tag")
-	if tag.Value(0) != int64(2) {
-		t.Fatalf("neighbor data wrong: %v", tag.Value(0))
-	}
-}
-
-// TestNeighborHintsMatchWholeRoots: a hint registered for one ensemble
-// root is not asked about files of a sibling root whose name it prefixes.
-func TestNeighborHintsMatchWholeRoots(t *testing.T) {
-	c := New(1<<20, 1)
-	c.RegisterNeighbors("/x/ens1", func(p string) []string { return []string{p + ".next"} })
-	if got := c.neighborsOf("/x/ens1/f"); len(got) != 1 {
-		t.Fatalf("file under the root: hint = %v, want one successor", got)
-	}
-	if got := c.neighborsOf("/x/ens10/f"); got != nil {
-		t.Fatalf("file under a sibling root /x/ens10: hint = %v, want nil", got)
-	}
-}
-
 // TestDemotionKeepsBlocksPromotable shrinks the memory budget to zero,
 // proving budget evictions count as demotions and the demoted blocks
 // come back from disk without re-decoding.
@@ -465,7 +368,6 @@ func TestDemotionKeepsBlocksPromotable(t *testing.T) {
 	if _, _, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass"); err != nil {
 		t.Fatal(err)
 	}
-	c.WaitPending()
 	c.SetBudget(1) // evict everything
 	st := c.Stats()
 	if st.Demotions != 2 {
@@ -498,11 +400,9 @@ func TestDiskTierBudgetSweep(t *testing.T) {
 	if err := c.SetDiskTier(filepath.Join(dir, "stage"), budget); err != nil {
 		t.Fatal(err)
 	}
-	c.SetPrefetch(false) // deterministic write set
 	if _, _, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass", "fof_halo_count"); err != nil {
 		t.Fatal(err)
 	}
-	c.WaitPending()
 	st := c.Stats()
 	if st.DiskEvictions == 0 {
 		t.Fatalf("three blocks into a two-block budget must evict: %+v", st)
@@ -529,7 +429,6 @@ func TestBlockStoreRoundTripString(t *testing.T) {
 	if _, _, err := readCols(t, c1, path, "name", "fof_halo_tag"); err != nil {
 		t.Fatal(err)
 	}
-	c1.WaitPending()
 	c1.Close()
 
 	c2 := newTiered(t, 1<<30, stageDir)
@@ -548,65 +447,70 @@ func TestBlockStoreRoundTripString(t *testing.T) {
 	}
 }
 
-// TestPersistQueueBoundedByBudget runs eight concurrent decoders over
-// sixteen files with a memory budget of one column, prefetch on and
-// next-step hints registered, and proves the payload bytes queued for
-// write-through never exceed the budget, nothing deadlocks, and every
-// block still reaches the disk tier. Run under -race.
-func TestPersistQueueBoundedByBudget(t *testing.T) {
+// TestCorruptPayloadFailsPromotion: a block file whose payload bytes
+// changed after it was written (bit rot, or zero pages after a crash),
+// with its length intact, fails the promotion on its CRC instead of being
+// cast and served: the column decodes from source, and the bad block is
+// evicted and written through whole again.
+func TestCorruptPayloadFailsPromotion(t *testing.T) {
 	dir := t.TempDir()
-	const files, decoders = 16, 8
-	var paths []string
-	for i := 0; i < files; i++ {
-		paths = append(paths, writeSnapshot(t, dir, fmt.Sprintf("s%02d.gio", i), 4096, int64(i)))
+	path := writeSnapshot(t, dir, "s.gio", 128, 3)
+	stageDir := filepath.Join(dir, "stage")
+	c1 := newTiered(t, 1<<30, stageDir)
+	if _, _, err := readCols(t, c1, path, "fof_halo_mass"); err != nil {
+		t.Fatal(err)
 	}
-	var budget int64
-	for _, n := range blockSizes(t, paths[0]) {
-		budget = max(budget, n)
+	e := diskEntryOf(t, c1.disk, key{path: path, col: "fof_halo_mass"})
+	c1.Close()
+	whole, err := os.ReadFile(e.file)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := newTiered(t, budget, filepath.Join(dir, "stage"))
+	bad := append([]byte(nil), whole...)
+	bad[e.payloadOff+5] ^= 0xff
+	if err := os.WriteFile(e.file, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := newTiered(t, 1<<30, stageDir)
+	defer c2.Close()
+	f, _, err := readCols(t, c2, path, "fof_halo_mass")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c2.Stats(); st.DiskPromoteFailures != 1 || st.DiskHits != 0 {
+		t.Fatalf("disk_promote_failures = %d, disk_hits = %d: want the corrupt block refused", st.DiskPromoteFailures, st.DiskHits)
+	}
+	sameFloats(t, f.MustColumn("fof_halo_mass").F, wantMass(128, 3))
+	if got, err := os.ReadFile(e.file); err != nil || !bytes.Equal(got, whole) {
+		t.Fatalf("corrupt block file was not evicted and rewritten whole (err %v)", err)
+	}
+}
+
+// TestWriteThroughFailureNeverFailsRead: with the stage dir replaced by a
+// regular file, no block file can be created; reads still return the
+// source values, and every block whose write-through failed is counted.
+func TestWriteThroughFailureNeverFailsRead(t *testing.T) {
+	dir := t.TempDir()
+	path := writeSnapshot(t, dir, "s.gio", 128, 4)
+	stageDir := filepath.Join(dir, "stage")
+	c := newTiered(t, 1<<30, stageDir)
 	defer c.Close()
-	c.RegisterNeighbors(dir, func(p string) []string {
-		for i, q := range paths[:files-1] {
-			if q == p {
-				return []string{paths[i+1]}
-			}
-		}
-		return nil
-	})
-
-	var wg sync.WaitGroup
-	for g := 0; g < decoders; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for j := 0; j < files; j++ {
-				if _, _, err := readCols(t, c, paths[(g*5+j)%files], "fof_halo_tag", "fof_halo_mass", "fof_halo_count"); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
+	if err := os.RemoveAll(stageDir); err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Minute):
-		t.Fatal("decoders deadlocked waiting for persist-queue room")
+	if err := os.WriteFile(stageDir, nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	c.WaitPending()
-
-	c.persistMu.Lock()
-	peak, queued := c.persistPeak, c.persistQueued
-	c.persistMu.Unlock()
-	if peak == 0 || peak > budget {
-		t.Fatalf("persist queue peaked at %d bytes; budget %d", peak, budget)
+	f, _, err := readCols(t, c, path, "fof_halo_tag", "fof_halo_mass")
+	if err != nil {
+		t.Fatalf("a failed write-through failed the read: %v", err)
 	}
-	if queued != 0 {
-		t.Fatalf("%d bytes still reserved after WaitPending", queued)
+	if tag := f.MustColumn("fof_halo_tag"); tag.Value(0) != int64(4) || tag.Value(127) != int64(131) {
+		t.Fatalf("fof_halo_tag = %v .. %v, want 4 .. 131", tag.Value(0), tag.Value(127))
 	}
-	if st := c.Stats(); st.DiskEntries != files*3 {
-		t.Fatalf("disk tier holds %d blocks, want %d", st.DiskEntries, files*3)
+	sameFloats(t, f.MustColumn("fof_halo_mass").F, wantMass(128, 4))
+	if st := c.Stats(); st.DiskWriteFailures != 2 || st.DiskWrites != 0 {
+		t.Fatalf("disk_write_failures = %d, disk_writes = %d: want 2 and 0", st.DiskWriteFailures, st.DiskWrites)
 	}
 }
