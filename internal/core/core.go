@@ -52,9 +52,6 @@ type Config struct {
 	// wall clock, artifact bytes, stdout lines). The zero value runs
 	// unrestricted; daemons default it to sandbox.DefaultLimits via flags.
 	ScriptLimits sandbox.Limits
-	// ScriptBackend selects the script engine: sandbox.BackendVM (default
-	// when empty) or sandbox.BackendTreeWalk.
-	ScriptBackend string
 	// Stage is the staging cache raw snapshot decodes are shared through;
 	// nil uses the process-wide stage.Shared() cache. Set an isolated cache
 	// in tests or benchmarks that assert on cache counters.
@@ -146,12 +143,11 @@ func New(cfg Config) (*Assistant, error) {
 }
 
 // newExecutor builds a budgeted sandbox executor with the assistant's
-// registry, limits, backend choice and metric sink.
+// registry, limits and metric sink.
 func (a *Assistant) newExecutor() *sandbox.Executor {
 	return &sandbox.Executor{
 		Registry:     a.registry,
 		Limits:       a.cfg.ScriptLimits,
-		Backend:      a.cfg.ScriptBackend,
 		Metrics:      a.cfg.Metrics,
 		MetricLabels: a.cfg.MetricLabels,
 	}

@@ -23,16 +23,16 @@ func bigListScript(n int) string {
 	return "x = [" + strings.Join(elems, ", ") + "]\nprint(nrows(load_table(\"halos\")))"
 }
 
-func limitedExec(t *testing.T, lim Limits, backend, code string) Result {
+func limitedExec(t *testing.T, lim Limits, code string) Result {
 	t.Helper()
-	ex := &Executor{Limits: lim, Backend: backend}
+	ex := &Executor{Limits: lim}
 	return ex.Exec(code, map[string]*dataframe.Frame{"halos": halosFrame()})
 }
 
 // TestExecutorBudgetExhaustion drives each budget axis to exhaustion on
-// both backends and checks the structured Python-like error text. The
-// executor must return a clean Result — never panic — and keep the fuel
-// counter it got to.
+// the tree-walk interpreter and checks the structured Python-like error
+// text. The executor must return a clean Result — never panic — and keep
+// the fuel counter it got to.
 func TestExecutorBudgetExhaustion(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -80,38 +80,34 @@ func TestExecutorBudgetExhaustion(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, backend := range []string{BackendVM, BackendTreeWalk} {
-			t.Run(tc.name+"/"+backend, func(t *testing.T) {
-				res := limitedExec(t, tc.lim, backend, tc.code)
-				if res.OK {
-					t.Fatalf("expected budget error, got OK result")
-				}
-				if !strings.Contains(res.Error, tc.wantErr) {
-					t.Fatalf("error = %q, want substring %q", res.Error, tc.wantErr)
-				}
-				if tc.name == "fuel" && res.FuelUsed == 0 {
-					t.Fatal("fuel exhaustion reported zero fuel used")
-				}
-			})
-		}
+		t.Run(tc.name+"/treewalk", func(t *testing.T) {
+			res := limitedExec(t, tc.lim, tc.code)
+			if res.OK {
+				t.Fatalf("expected budget error, got OK result")
+			}
+			if !strings.Contains(res.Error, tc.wantErr) {
+				t.Fatalf("error = %q, want substring %q", res.Error, tc.wantErr)
+			}
+			if tc.name == "fuel" && res.FuelUsed == 0 {
+				t.Fatal("fuel exhaustion reported zero fuel used")
+			}
+		})
 	}
 }
 
 // TestExecutorWithinBudgetSucceeds proves generous limits do not perturb a
 // normal run and that fuel accounting reaches the result.
 func TestExecutorWithinBudgetSucceeds(t *testing.T) {
-	for _, backend := range []string{BackendVM, BackendTreeWalk} {
-		res := limitedExec(t, DefaultLimits(), backend,
-			`h = load_table("halos")`+"\n"+`result(head(sort(h, "fof_halo_mass", true), 2))`)
-		if !res.OK {
-			t.Fatalf("%s: exec failed: %s", backend, res.Error)
-		}
-		if res.FuelUsed == 0 {
-			t.Fatalf("%s: fuel not accounted", backend)
-		}
-		if res.Frame == nil || res.Frame.NumRows() != 2 {
-			t.Fatalf("%s: frame = %v", backend, res.Frame)
-		}
+	res := limitedExec(t, DefaultLimits(),
+		`h = load_table("halos")`+"\n"+`result(head(sort(h, "fof_halo_mass", true), 2))`)
+	if !res.OK {
+		t.Fatalf("exec failed: %s", res.Error)
+	}
+	if res.FuelUsed == 0 {
+		t.Fatal("fuel not accounted")
+	}
+	if res.Frame == nil || res.Frame.NumRows() != 2 {
+		t.Fatalf("frame = %v", res.Frame)
 	}
 }
 
@@ -122,20 +118,18 @@ func TestExecutorRecoversInterpreterPanic(t *testing.T) {
 	reg["explode"] = func(env *script.Env, args []script.Value) (script.Value, error) {
 		panic("kaboom")
 	}
-	for _, backend := range []string{BackendVM, BackendTreeWalk} {
-		ex := &Executor{Registry: reg, Backend: backend}
-		res := ex.Exec("print(1)\nexplode()", nil)
-		if res.OK {
-			t.Fatalf("%s: expected failure", backend)
-		}
-		if !strings.Contains(res.Error, "RuntimeError: interpreter panic") ||
-			!strings.Contains(res.Error, "kaboom") {
-			t.Fatalf("%s: error = %q", backend, res.Error)
-		}
-		// Output produced before the panic survives.
-		if len(res.Stdout) != 1 || res.Stdout[0] != "1" {
-			t.Fatalf("%s: stdout = %v", backend, res.Stdout)
-		}
+	ex := &Executor{Registry: reg}
+	res := ex.Exec("print(1)\nexplode()", nil)
+	if res.OK {
+		t.Fatal("expected failure")
+	}
+	if !strings.Contains(res.Error, "RuntimeError: interpreter panic") ||
+		!strings.Contains(res.Error, "kaboom") {
+		t.Fatalf("error = %q", res.Error)
+	}
+	// Output produced before the panic survives.
+	if len(res.Stdout) != 1 || res.Stdout[0] != "1" {
+		t.Fatalf("stdout = %v", res.Stdout)
 	}
 }
 
@@ -172,11 +166,7 @@ func TestExecutorConcurrentBudgetedRuns(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			backend := BackendVM
-			if i%2 == 1 {
-				backend = BackendTreeWalk
-			}
-			ex := &Executor{Limits: lim, Backend: backend, Metrics: metrics}
+			ex := &Executor{Limits: lim, Metrics: metrics}
 			errs[i] = ex.Exec(
 				`h = load_table("halos")`+"\n"+
 					fmt.Sprintf(`f = filter_gt(h, "fof_halo_mass", %d)`, i)+"\n"+

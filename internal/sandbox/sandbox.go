@@ -44,7 +44,7 @@ type Result struct {
 	Frame     *dataframe.Frame  // the frame passed to result(), may be nil
 	Artifacts map[string][]byte // plots, CSVs and scenes produced by the code
 	Stdout    []string
-	FuelUsed  int64 // instruction budget consumed (backend-independent)
+	FuelUsed  int64 // instruction budget consumed (deterministic per script)
 }
 
 // Limits bounds one sandboxed execution. Zero-valued fields are
@@ -71,13 +71,12 @@ func DefaultLimits() Limits {
 	}
 }
 
-// Script execution backends.
+// Values of the ignored Executor.Backend.
+//
+// Deprecated: there is one script engine; only the benchmark's assistants
+// (bench/traced.go, bench/inproc.go) still pass these.
 const (
-	// BackendVM compiles to bytecode and runs the stack-machine dispatch
-	// loop — the production default.
-	BackendVM = "vm"
-	// BackendTreeWalk runs the reference tree-walk interpreter, kept for
-	// differential testing and as an escape hatch.
+	BackendVM       = "vm"
 	BackendTreeWalk = "treewalk"
 )
 
@@ -91,8 +90,10 @@ type Executor struct {
 	BaseDir string
 	// Limits bounds each execution; the zero value runs unrestricted.
 	Limits Limits
-	// Backend selects the script engine: BackendVM (default when empty)
-	// or BackendTreeWalk.
+	// Backend is ignored.
+	//
+	// Deprecated: there is one script engine; only bench/inproc.go still
+	// sets this.
 	Backend string
 	// Metrics, when non-nil, receives infera_script_fuel_used and
 	// infera_script_budget_exceeded_total{kind} with MetricLabels attached.
@@ -133,9 +134,10 @@ func (e *Executor) Exec(code string, tables map[string]*dataframe.Frame) (res Re
 		env.Budgets.Deadline = time.Now().Add(e.Limits.MaxWall)
 	}
 
-	// The recover barrier: a crasher in the parser, the VM, or a builtin
-	// becomes a structured error the QA repair loop can consume, with
-	// whatever artifacts/stdout/fuel accrued before the crash preserved.
+	// The recover barrier: a crasher in the parser, the interpreter or a
+	// builtin becomes a structured error the QA repair loop can consume,
+	// with whatever artifacts/stdout/fuel accrued before the crash
+	// preserved.
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{
@@ -148,11 +150,11 @@ func (e *Executor) Exec(code string, tables map[string]*dataframe.Frame) (res Re
 		}
 	}()
 
-	backend, err := e.compile(code)
+	prog, err := script.Parse(code)
 	if err != nil {
 		return Result{Error: err.Error(), Stdout: env.Stdout}
 	}
-	if err := backend.Run(env); err != nil {
+	if err := prog.Run(env); err != nil {
 		e.observe(env.FuelUsed, err)
 		return Result{
 			Error:     err.Error(),
@@ -169,14 +171,6 @@ func (e *Executor) Exec(code string, tables map[string]*dataframe.Frame) (res Re
 		Stdout:    env.Stdout,
 		FuelUsed:  env.FuelUsed,
 	}
-}
-
-// compile parses code for the configured backend.
-func (e *Executor) compile(code string) (script.Backend, error) {
-	if e.Backend == BackendTreeWalk {
-		return script.Parse(code)
-	}
-	return script.Compile(code)
 }
 
 // observe records fuel spend and budget-exhaustion kind on the metrics

@@ -9,10 +9,8 @@ import (
 
 // Budgets bounds one script execution. Every dimension is optional: the
 // zero value of a field disables that bound, and the zero Budgets runs
-// unrestricted (the pre-budget behavior). Both backends — the tree-walk
-// reference interpreter and the bytecode VM — charge identically, so a
-// budgeted script produces the same values, errors and counters whichever
-// backend runs it.
+// unrestricted. They are charged at fixed points in evaluation order, so a
+// budgeted script yields the same values, errors and counters on every run.
 type Budgets struct {
 	// MaxFuel caps the instruction budget. Every value-producing operation
 	// (literal, variable load, list construction, function call) costs one
@@ -64,12 +62,12 @@ func (e *BudgetError) Error() string {
 }
 
 // wallCheckInterval is how many fuel charges pass between wall-clock
-// checks; time.Now on every instruction would double dispatch cost.
+// checks; time.Now on every node would double evaluation cost.
 const wallCheckInterval = 256
 
 // charge adds n fuel units at line, failing with a fuel or wall
-// BudgetError when a bound is crossed. Both backends call it at exactly
-// the same points, so fuel accounting is backend-independent.
+// BudgetError when a bound is crossed. The interpreter calls it with 1
+// before each node evaluates and with each call's row cost before it runs.
 func (env *Env) charge(line int, n int64) error {
 	env.FuelUsed += n
 	if max := env.Budgets.MaxFuel; max > 0 && env.FuelUsed > max {
@@ -147,7 +145,7 @@ func frameBytes(f *dataframe.Frame) int64 {
 // callCost is the row-based builtin cost hook: one unit per row of every
 // dataframe argument and one per list element, so big-data operations pay
 // fuel proportional to the data they touch. The base unit for the call
-// itself is charged separately by the dispatcher.
+// itself is charged separately, with the call node.
 func callCost(args []Value) int64 {
 	var cost int64
 	for _, a := range args {
@@ -190,9 +188,9 @@ func (env *Env) AddStdout(line string) error {
 	return nil
 }
 
-// wrapCallError normalizes a builtin error the way both backends must:
-// budget errors pass through (stamped with the call line), RuntimeErrors
-// pass through untouched, anything else is wrapped with the line.
+// wrapCallError normalizes a builtin error: budget errors pass through
+// (stamped with the call line), RuntimeErrors pass through untouched,
+// anything else is wrapped with the line.
 func wrapCallError(err error, line int) error {
 	if be, ok := err.(*BudgetError); ok {
 		if be.Line == 0 {

@@ -1,8 +1,10 @@
 package script
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"infera/internal/dataframe"
 	"infera/internal/stats"
@@ -540,11 +542,16 @@ func joinNames(names []string) string {
 
 // writeFile writes a file the script asked for under the working directory
 // and notes the path, so a later read finds the file and not an input
-// table of the same name.
+// table of the same name. An error names the file as the script did: the
+// working directory is a fresh temp dir on every run.
 func writeFile(env *Env, path string, data []byte) error {
 	if env.saved == nil {
 		env.saved = map[string]bool{}
 	}
 	env.saved[path] = true
-	return os.WriteFile(path, data, 0o644)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		rel, _ := filepath.Rel(env.WorkDir, path)
+		return fmt.Errorf("OSError: cannot write %q: %v", rel, errors.Unwrap(err))
+	}
+	return nil
 }

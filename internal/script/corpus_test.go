@@ -3,15 +3,14 @@ package script
 import (
 	"fmt"
 	"strings"
-	"testing"
 )
 
-// differentialCorpus builds the backend-agreement corpus: ~200+ statements
-// across success paths (every dataframe verb, stats, plotting, printing,
-// list literals), error paths (NameError, TypeError, KeyError, parse
-// errors) and budget-sensitive shapes. Each entry is one script; both
-// backends must produce identical values, errors, artifacts, stdout and
-// fuel for every one of them.
+// differentialCorpus builds the input-path corpus: ~200+ statements across
+// success paths (every dataframe verb, stats, plotting, printing, list
+// literals), error paths (NameError, TypeError, KeyError, parse errors)
+// and budget-sensitive shapes. Each entry is one script; every way its
+// input table can reach it must produce identical values, errors,
+// artifacts, stdout and fuel for every one of them (TestInputPathsAgree).
 func differentialCorpus() []string {
 	var corpus []string
 	add := func(lines ...string) { corpus = append(corpus, strings.Join(lines, "\n")) }
@@ -67,14 +66,14 @@ func differentialCorpus() []string {
 	add(`w = load_table("work")`, `c = corr(w, "x", "y")`, `print(c)`)
 	add(`w = load_table("work")`, `h = histogram(w, "y", 3)`, `result(h)`)
 
-	// Artifacts: CSV and plots on both backends, byte-identical.
+	// Artifacts: CSV and plots, byte-identical on every path.
 	add(`w = load_table("work")`, `save_csv(w, "all.csv")`, `result(w)`)
 	add(`w = load_table("work")`, `save_csv(head(w, 2), "two.csv")`, `save_csv(w, "all.csv")`)
 	add(`w = load_table("work")`, `scatter_plot(w, "x", "y", "t", "sc.svg")`)
 	add(`w = load_table("work")`, `line_plot(w, "x", "y", "t", "ln.svg")`)
 	add(`w = load_table("work")`, `hist_plot(w, "y", 4, "h.svg")`)
 
-	// Error paths: identical Python-like texts required on both backends.
+	// Error paths: identical Python-like texts required on every path.
 	add(`x = missing_var`)
 	add(`nosuchfn(1)`)
 	add(`w = load_table("missing")`)
@@ -127,83 +126,4 @@ func differentialCorpus() []string {
 	add(append(rounds, `result(g19)`)...)
 
 	return corpus
-}
-
-// TestVMDifferentialCorpus proves the bytecode VM and the tree-walk
-// interpreter are observationally identical over the whole corpus.
-func TestVMDifferentialCorpus(t *testing.T) {
-	corpus := differentialCorpus()
-	statements := 0
-	for _, src := range corpus {
-		statements += len(strings.Split(src, "\n"))
-	}
-	if statements < 200 {
-		t.Fatalf("differential corpus has %d statements, want >= 200", statements)
-	}
-	for i, src := range corpus {
-		twEnv, vmEnv, twErr, vmErr := runBoth(t, src)
-		t.Logf("corpus[%d]: fuel=%d err=%v", i, twEnv.FuelUsed, twErr)
-		assertBackendAgreement(t, src, twEnv, vmEnv, twErr, vmErr)
-	}
-}
-
-// TestVMBudgetParity proves budget exhaustion trips at the same point
-// with the same error on both backends.
-func TestVMBudgetParity(t *testing.T) {
-	src := `x = [1, 2, 3, 4, 5, 6, 7, 8]` + "\n" +
-		`y = [x, x, x, x]` + "\n" +
-		`z = [y, y, y, y]` + "\n" +
-		`print(z)`
-
-	for _, budgets := range []Budgets{
-		{MaxFuel: 10},
-		{MaxFuel: 20},
-		{MaxMemBytes: 64},
-		{MaxMemBytes: 700},
-	} {
-		reg := DefaultRegistry()
-		tw := NewEnv(reg, t.TempDir())
-		tw.Budgets = budgets
-		prog, err := Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		twErr := prog.Run(tw)
-
-		vm := NewEnv(reg, t.TempDir())
-		vm.Budgets = budgets
-		comp, err := Compile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vmErr := comp.Run(vm)
-
-		if twErr == nil || vmErr == nil {
-			t.Fatalf("budgets %+v: expected exhaustion, got treewalk=%v vm=%v", budgets, twErr, vmErr)
-		}
-		if twErr.Error() != vmErr.Error() {
-			t.Fatalf("budgets %+v: error divergence:\n  treewalk: %v\n  vm:       %v", budgets, twErr, vmErr)
-		}
-		if tw.FuelUsed != vm.FuelUsed {
-			t.Fatalf("budgets %+v: fuel divergence %d vs %d", budgets, tw.FuelUsed, vm.FuelUsed)
-		}
-	}
-}
-
-// TestParserDepthBound locks in the recursion guard: a pathological
-// one-liner fails with a SyntaxError instead of a stack overflow.
-func TestParserDepthBound(t *testing.T) {
-	deep := "x = " + strings.Repeat("[", 100_000)
-	_, err := Parse(deep)
-	if err == nil || !strings.Contains(err.Error(), "too deeply nested") {
-		t.Fatalf("err = %v, want nesting SyntaxError", err)
-	}
-	// A legal nesting below the bound still parses on both paths.
-	ok := "x = " + strings.Repeat("[", 50) + "1" + strings.Repeat("]", 50)
-	if _, err := Parse(ok); err != nil {
-		t.Fatalf("depth-50 literal rejected: %v", err)
-	}
-	if _, err := Compile(ok); err != nil {
-		t.Fatalf("depth-50 literal fails to compile: %v", err)
-	}
 }

@@ -1,15 +1,17 @@
 package script
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // fuzzBudgets bounds fuzzed executions so a generated loop of huge list
 // literals finishes in microseconds instead of minutes. No wall deadline:
-// wall-clock overruns depend on timing and would make the two backends
-// diverge nondeterministically.
+// wall-clock overruns depend on timing and would make two runs of one
+// input diverge nondeterministically.
 func fuzzBudgets() Budgets {
 	return Budgets{
 		MaxFuel:          100_000,
@@ -31,31 +33,17 @@ func fuzzWorkDir(tb testing.TB) string {
 	return dir
 }
 
-// runBoth executes src on the tree-walk and the VM against identical
-// fresh environments and returns both envs and errors.
-func runBoth(tb testing.TB, src string) (twEnv, vmEnv *Env, twErr, vmErr error) {
+// runOnce parses and runs src under fuzzBudgets in a fresh environment
+// over a fresh work dir and returns the env and the error.
+func runOnce(tb testing.TB, src string) (*Env, error) {
 	tb.Helper()
-	dir := fuzzWorkDir(tb)
-	reg := DefaultRegistry()
-
-	twEnv = NewEnv(reg, dir)
-	twEnv.Budgets = fuzzBudgets()
-	prog, perr := Parse(src)
-	if perr == nil {
-		twErr = prog.Run(twEnv)
-	} else {
-		twErr = perr
+	env := NewEnv(DefaultRegistry(), fuzzWorkDir(tb))
+	env.Budgets = fuzzBudgets()
+	prog, err := Parse(src)
+	if err != nil {
+		return env, err
 	}
-
-	vmEnv = NewEnv(reg, dir)
-	vmEnv.Budgets = fuzzBudgets()
-	comp, cerr := Compile(src)
-	if cerr == nil {
-		vmErr = comp.Run(vmEnv)
-	} else {
-		vmErr = cerr
-	}
-	return twEnv, vmEnv, twErr, vmErr
+	return env, prog.Run(env)
 }
 
 // valuesEqual compares two script values structurally (frames by cell).
@@ -91,49 +79,49 @@ func valuesEqual(a, b Value) bool {
 	}
 }
 
-// assertBackendAgreement fails the test if the two executions diverged in
+// assertRunsAgree fails the test if two runs of one script diverged in
 // any observable way: error text, fuel, variables, result frame,
 // artifacts or stdout.
-func assertBackendAgreement(t *testing.T, src string, twEnv, vmEnv *Env, twErr, vmErr error) {
+func assertRunsAgree(t *testing.T, src string, aEnv, bEnv *Env, aErr, bErr error) {
 	t.Helper()
-	if (twErr == nil) != (vmErr == nil) {
-		t.Fatalf("error divergence on %q:\n  treewalk: %v\n  vm:       %v", src, twErr, vmErr)
+	if (aErr == nil) != (bErr == nil) {
+		t.Fatalf("error divergence on %q:\n  first:  %v\n  second: %v", src, aErr, bErr)
 	}
-	if twErr != nil && twErr.Error() != vmErr.Error() {
-		t.Fatalf("error text divergence on %q:\n  treewalk: %v\n  vm:       %v", src, twErr, vmErr)
+	if aErr != nil && aErr.Error() != bErr.Error() {
+		t.Fatalf("error text divergence on %q:\n  first:  %v\n  second: %v", src, aErr, bErr)
 	}
-	if twEnv.FuelUsed != vmEnv.FuelUsed {
-		t.Fatalf("fuel divergence on %q: treewalk=%d vm=%d", src, twEnv.FuelUsed, vmEnv.FuelUsed)
+	if aEnv.FuelUsed != bEnv.FuelUsed {
+		t.Fatalf("fuel divergence on %q: first=%d second=%d", src, aEnv.FuelUsed, bEnv.FuelUsed)
 	}
-	if len(twEnv.Vars) != len(vmEnv.Vars) {
-		t.Fatalf("var count divergence on %q: treewalk=%d vm=%d", src, len(twEnv.Vars), len(vmEnv.Vars))
+	if len(aEnv.Vars) != len(bEnv.Vars) {
+		t.Fatalf("var count divergence on %q: first=%d second=%d", src, len(aEnv.Vars), len(bEnv.Vars))
 	}
-	for name, tv := range twEnv.Vars {
-		vv, ok := vmEnv.Vars[name]
-		if !ok || !valuesEqual(tv, vv) {
-			t.Fatalf("var %q divergence on %q:\n  treewalk: %v\n  vm:       %v", name, src, tv, vv)
+	for name, av := range aEnv.Vars {
+		bv, ok := bEnv.Vars[name]
+		if !ok || !valuesEqual(av, bv) {
+			t.Fatalf("var %q divergence on %q:\n  first:  %v\n  second: %v", name, src, av, bv)
 		}
 	}
-	if (twEnv.Result == nil) != (vmEnv.Result == nil) {
+	if (aEnv.Result == nil) != (bEnv.Result == nil) {
 		t.Fatalf("result divergence on %q", src)
 	}
-	if twEnv.Result != nil && twEnv.Result.String() != vmEnv.Result.String() {
-		t.Fatalf("result frame divergence on %q:\n%v\nvs\n%v", src, twEnv.Result, vmEnv.Result)
+	if aEnv.Result != nil && aEnv.Result.String() != bEnv.Result.String() {
+		t.Fatalf("result frame divergence on %q:\n%v\nvs\n%v", src, aEnv.Result, bEnv.Result)
 	}
-	if len(twEnv.Stdout) != len(vmEnv.Stdout) {
-		t.Fatalf("stdout divergence on %q: %v vs %v", src, twEnv.Stdout, vmEnv.Stdout)
+	if len(aEnv.Stdout) != len(bEnv.Stdout) {
+		t.Fatalf("stdout divergence on %q: %v vs %v", src, aEnv.Stdout, bEnv.Stdout)
 	}
-	for i := range twEnv.Stdout {
-		if twEnv.Stdout[i] != vmEnv.Stdout[i] {
-			t.Fatalf("stdout line %d divergence on %q: %q vs %q", i, src, twEnv.Stdout[i], vmEnv.Stdout[i])
+	for i := range aEnv.Stdout {
+		if aEnv.Stdout[i] != bEnv.Stdout[i] {
+			t.Fatalf("stdout line %d divergence on %q: %q vs %q", i, src, aEnv.Stdout[i], bEnv.Stdout[i])
 		}
 	}
-	if len(twEnv.Artifacts) != len(vmEnv.Artifacts) {
+	if len(aEnv.Artifacts) != len(bEnv.Artifacts) {
 		t.Fatalf("artifact count divergence on %q", src)
 	}
-	for name, td := range twEnv.Artifacts {
-		vd, ok := vmEnv.Artifacts[name]
-		if !ok || string(td) != string(vd) {
+	for name, ad := range aEnv.Artifacts {
+		bd, ok := bEnv.Artifacts[name]
+		if !ok || string(ad) != string(bd) {
 			t.Fatalf("artifact %q divergence on %q", name, src)
 		}
 	}
@@ -156,6 +144,11 @@ var fuzzScriptSeeds = []string{
 	`x = -1.5e300` + "\n" + `y = [x, x, x]`,
 	`"bare string"`,
 	`w = load_table("missing_table")`,
+	// Past the stdout cap of fuzzBudgets by one line.
+	strings.Repeat("print(1)\n", 65),
+	// Sixteen doublings of the 4-row table charge more row cost than the
+	// fuel cap.
+	`w = load_table("work")` + strings.Repeat("\n"+`w = concat(w, w)`, 16),
 }
 
 // FuzzScriptParse asserts the parser never panics and depth-bounds its
@@ -175,15 +168,12 @@ func FuzzScriptParse(f *testing.F) {
 		if err == nil && prog == nil {
 			t.Fatal("nil program without error")
 		}
-		// Compilation of anything parseable must not panic either.
-		if err == nil {
-			CompileProgram(prog)
-		}
 	})
 }
 
-// FuzzScriptRun executes arbitrary programs on both backends under a
-// budget and asserts no panic plus full observable agreement.
+// FuzzScriptRun executes arbitrary programs under a budget and asserts no
+// panic, that a second run in a fresh environment observes exactly what
+// the first did, and that every budget holds.
 func FuzzScriptRun(f *testing.F) {
 	for _, s := range fuzzScriptSeeds {
 		f.Add(s)
@@ -192,7 +182,38 @@ func FuzzScriptRun(f *testing.F) {
 		if len(src) > 4096 {
 			return // budgeted elsewhere; keep per-input cost bounded
 		}
-		twEnv, vmEnv, twErr, vmErr := runBoth(t, src)
-		assertBackendAgreement(t, src, twEnv, vmEnv, twErr, vmErr)
+		env, err := runOnce(t, src)
+		again, againErr := runOnce(t, src)
+		assertRunsAgree(t, src, env, again, err, againErr)
+		assertWithinBudgets(t, src, env, err)
 	})
+}
+
+// assertWithinBudgets fails the test if a run went past one of its
+// budgets without stopping on that budget's error. Fuel and tracked memory
+// are charged before they are checked, so they may end past their caps,
+// but only in a run that failed with the matching BudgetError; stdout
+// lines and stored artifact bytes are checked before they are kept and
+// never exceed their caps.
+func assertWithinBudgets(t *testing.T, src string, env *Env, err error) {
+	t.Helper()
+	b := env.Budgets
+	var be *BudgetError
+	stopped := func(kind string) bool { return errors.As(err, &be) && be.Kind == kind }
+	if env.FuelUsed > b.MaxFuel && !stopped(BudgetFuel) {
+		t.Fatalf("fuel %d past its cap %d without a fuel error (err=%v) on %q", env.FuelUsed, b.MaxFuel, err, src)
+	}
+	if env.MemUsed > b.MaxMemBytes && !stopped(BudgetMem) {
+		t.Fatalf("memory %d past its cap %d without a memory error (err=%v) on %q", env.MemUsed, b.MaxMemBytes, err, src)
+	}
+	if len(env.Stdout) > b.MaxStdoutLines {
+		t.Fatalf("%d stdout lines past the cap %d on %q", len(env.Stdout), b.MaxStdoutLines, src)
+	}
+	var stored int64
+	for _, data := range env.Artifacts {
+		stored += int64(len(data))
+	}
+	if stored > b.MaxArtifactBytes {
+		t.Fatalf("%d artifact bytes stored past the cap %d on %q", stored, b.MaxArtifactBytes, src)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"infera/internal/dataframe"
@@ -34,13 +35,13 @@ func workTable() *dataframe.Frame {
 	).MarkShared()
 }
 
-// runEnv compiles and runs src on the VM in env and returns the error text
-// ("" for none).
+// runEnv parses and runs src in env and returns the error text ("" for
+// none).
 func runEnv(env *script.Env, src string) string {
 	env.Budgets = pathBudgets
-	comp, err := script.Compile(src)
+	prog, err := script.Parse(src)
 	if err == nil {
-		err = comp.Run(env)
+		err = prog.Run(env)
 	}
 	if err != nil {
 		return err.Error()
@@ -111,9 +112,17 @@ func TestInputPathsAgree(t *testing.T) {
 	if err := tables["work"].WriteCSV(&workCSV); err != nil {
 		t.Fatal(err)
 	}
+	corpus := script.DifferentialCorpus()
+	statements := 0
+	for _, src := range corpus {
+		statements += len(strings.Split(src, "\n"))
+	}
+	if statements < 200 {
+		t.Fatalf("differential corpus has %d statements, want >= 200", statements)
+	}
 	reg := script.DefaultRegistry()
 	okRuns := 0
-	for i, src := range script.DifferentialCorpus() {
+	for i, src := range corpus {
 		view := script.NewEnv(reg, t.TempDir())
 		view.Tables = tables
 		viewErr := runEnv(view, src)

@@ -125,8 +125,8 @@ type Env struct {
 
 	// Budgets bounds the execution; the zero value runs unrestricted.
 	Budgets Budgets
-	// FuelUsed is the instruction budget consumed so far — identical for a
-	// given script across both backends, so it doubles as the per-ask CPU
+	// FuelUsed is the instruction budget consumed so far — identical on
+	// every run of a given script, so it doubles as the per-ask CPU
 	// accounting unit stamped onto step_finished events.
 	FuelUsed int64
 	// MemUsed is the cumulative tracked allocation (see Budgets.MaxMemBytes).
@@ -178,6 +178,24 @@ type Program struct {
 
 // Source returns the original script text.
 func (p *Program) Source() string { return p.src }
+
+// Backend is a runnable script.
+//
+// Deprecated: Program is the only engine; only bench/probes.go names this.
+type Backend interface {
+	Run(env *Env) error
+	Source() string
+}
+
+// Compiled is Program.
+//
+// Deprecated: there is no bytecode form; only bench/probes.go names this.
+type Compiled = Program
+
+// Compile is Parse.
+//
+// Deprecated: use Parse; only bench/probes.go still calls this.
+func Compile(src string) (*Compiled, error) { return Parse(src) }
 
 // Parse compiles source text. Blank lines and lines starting with '#' are
 // ignored.
@@ -399,10 +417,8 @@ func (p *lineParser) expr() (node, error) {
 	return nil, p.errf("SyntaxError: unexpected token %q", t.text)
 }
 
-// Run executes the program in env with the tree-walk interpreter — the
-// reference backend the bytecode VM (Compile) is differentially tested
-// against. Execution stops at the first error. Both backends charge
-// env.Budgets identically.
+// Run executes the program in env by walking its syntax tree, charging
+// env.Budgets as it goes. Execution stops at the first error.
 func (p *Program) Run(env *Env) error {
 	for _, st := range p.stmts {
 		v, err := evalNode(st.ex, env, st.line, 0)

@@ -1,6 +1,7 @@
 package script
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -246,5 +247,60 @@ func TestSourceRoundTrip(t *testing.T) {
 	}
 	if prog.Source() != src {
 		t.Error("Source() mismatch")
+	}
+}
+
+// TestBudgetErrorsAndFuel pins where each budget stops a script: the
+// error text, with the line that crossed it, and the fuel spent by then.
+func TestBudgetErrorsAndFuel(t *testing.T) {
+	src := `x = [1, 2, 3, 4, 5, 6, 7, 8]` + "\n" +
+		`y = [x, x, x, x]` + "\n" +
+		`z = [y, y, y, y]` + "\n" +
+		`print(z)`
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		budgets Budgets
+		wantErr string
+		fuel    int64
+	}{
+		// x's list node and its 8 literals cost 9, then y's list node
+		// costs 1 and its first element crosses 10.
+		{Budgets{MaxFuel: 10}, "line 2: TimeoutError: script exceeded its instruction budget (fuel=10)", 11},
+		// The three assignments cost 19, print's call node 1, its argument
+		// 1 more.
+		{Budgets{MaxFuel: 20}, "line 4: TimeoutError: script exceeded its instruction budget (fuel=20)", 21},
+		// x alone is 24 + 8*16 = 152 tracked bytes.
+		{Budgets{MaxMemBytes: 64}, "line 1: MemoryError: script exceeded its memory budget (64 bytes)", 9},
+		// y adds 24 + 4*152 = 632.
+		{Budgets{MaxMemBytes: 700}, "line 2: MemoryError: script exceeded its memory budget (700 bytes)", 14},
+	} {
+		env := NewEnv(DefaultRegistry(), t.TempDir())
+		env.Budgets = tc.budgets
+		err := prog.Run(env)
+		var be *BudgetError
+		if !errors.As(err, &be) || err.Error() != tc.wantErr {
+			t.Errorf("budgets %+v: err = %v, want BudgetError %q", tc.budgets, err, tc.wantErr)
+		}
+		if env.FuelUsed != tc.fuel {
+			t.Errorf("budgets %+v: fuel %d, want %d", tc.budgets, env.FuelUsed, tc.fuel)
+		}
+	}
+}
+
+// TestParserDepthBound locks in the recursion guard: a pathological
+// one-liner fails with a SyntaxError instead of a stack overflow.
+func TestParserDepthBound(t *testing.T) {
+	deep := "x = " + strings.Repeat("[", 100_000)
+	_, err := Parse(deep)
+	if err == nil || !strings.Contains(err.Error(), "too deeply nested") {
+		t.Fatalf("err = %v, want nesting SyntaxError", err)
+	}
+	// A legal nesting below the bound still parses.
+	ok := "x = " + strings.Repeat("[", 50) + "1" + strings.Repeat("]", 50)
+	if _, err := Parse(ok); err != nil {
+		t.Fatalf("depth-50 literal rejected: %v", err)
 	}
 }

@@ -216,6 +216,16 @@ func TestHTTPV1EnsembleResources(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad name register = %d, want 400", resp.StatusCode)
 	}
+	// A timeout whose Duration overflows -> 400, like a negative one.
+	hugeTimeout, _ := json.Marshal(RegisterRequest{Name: "slow", Dir: dirB, ScriptTimeoutMS: 1 << 62})
+	resp, err = http.Post(base+"/v1/ensembles", "application/json", bytes.NewReader(hugeTimeout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("overflowing script_timeout_ms register = %d, want 400", resp.StatusCode)
+	}
 
 	var list []ShardInfo
 	if code := getJSON(t, base+"/v1/ensembles", &list); code != http.StatusOK || len(list) != 2 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -304,6 +305,12 @@ func (r *Registry) Register(name, dir string) (ShardInfo, error) {
 	return r.RegisterWith(name, dir, ShardOptions{})
 }
 
+// maxScriptTimeoutMS is the largest ShardOptions.ScriptTimeoutMS whose
+// time.Duration does not overflow. A larger one wraps the shard's MaxWall to
+// an arbitrary value, and to zero or below it runs scripts with no
+// wall-clock limit at all.
+const maxScriptTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 // RegisterWith adds a named ensemble shard without opening it (shards spin
 // up on first ask), with per-shard overrides of the registry defaults. The
 // directory must hold a loadable ensemble catalog. Registering the same
@@ -316,8 +323,9 @@ func (r *Registry) RegisterWith(name, dir string, opts ShardOptions) (ShardInfo,
 		return ShardInfo{}, ErrBadEnsembleName
 	}
 	if opts.Workers < 0 || opts.CacheSize < 0 ||
-		opts.ScriptFuel < 0 || opts.ScriptMemBytes < 0 || opts.ScriptTimeoutMS < 0 {
-		return ShardInfo{}, fmt.Errorf("service: negative shard overrides: %+v", opts)
+		opts.ScriptFuel < 0 || opts.ScriptMemBytes < 0 ||
+		opts.ScriptTimeoutMS < 0 || opts.ScriptTimeoutMS > maxScriptTimeoutMS {
+		return ShardInfo{}, fmt.Errorf("service: shard overrides out of range: %+v", opts)
 	}
 	abs, err := filepath.Abs(dir)
 	if err != nil {

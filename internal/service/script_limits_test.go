@@ -64,7 +64,8 @@ func TestShardScriptLimitOverrides(t *testing.T) {
 	_ = again // in-band error is acceptable; the shard must simply answer
 }
 
-// TestShardScriptLimitValidation locks in rejection of negative overrides.
+// TestShardScriptLimitValidation locks in rejection of negative overrides
+// and of a timeout whose Duration would overflow.
 func TestShardScriptLimitValidation(t *testing.T) {
 	st := stage.New(1<<30, 4)
 	reg := NewRegistry(RegistryConfig{
@@ -78,9 +79,14 @@ func TestShardScriptLimitValidation(t *testing.T) {
 		{ScriptFuel: -1},
 		{ScriptMemBytes: -1},
 		{ScriptTimeoutMS: -1},
+		{ScriptTimeoutMS: 1 << 62}, // wraps to a zero MaxWall
+		{ScriptTimeoutMS: maxScriptTimeoutMS + 1},
 	} {
 		if _, err := reg.RegisterWith("bad", dir, opts); err == nil {
-			t.Fatalf("opts %+v: negative override accepted", opts)
+			t.Fatalf("opts %+v: out-of-range override accepted", opts)
 		}
+	}
+	if _, err := reg.RegisterWith("slow", dir, ShardOptions{ScriptTimeoutMS: maxScriptTimeoutMS}); err != nil {
+		t.Fatalf("largest timeout rejected: %v", err)
 	}
 }

@@ -72,9 +72,6 @@ type Config struct {
 	// Assistant. The zero value runs unrestricted; the daemons default it
 	// to sandbox.DefaultLimits via the -script-* flags.
 	ScriptLimits sandbox.Limits
-	// ScriptBackend selects the script engine (sandbox.BackendVM when
-	// empty, or sandbox.BackendTreeWalk as the reference escape hatch).
-	ScriptBackend string
 	// Stage is the staging cache the assistant pool shares, so concurrent
 	// sessions staging overlapping (sim, step) slices decode each source
 	// file once. Nil uses the process-wide stage.Shared() cache; set an
@@ -373,7 +370,6 @@ func New(cfg Config) (*Service, error) {
 			MaxRevisions:      cfg.MaxRevisions,
 			UseServer:         cfg.UseServer,
 			ScriptLimits:      cfg.ScriptLimits,
-			ScriptBackend:     cfg.ScriptBackend,
 			Stage:             cfg.Stage,
 			// Kept staging DBs must survive on disk, so only then does the
 			// session DB pay eager persistence; the default reclaim path
