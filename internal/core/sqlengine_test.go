@@ -1,28 +1,26 @@
 package core_test
 
 import (
+	"errors"
 	"path/filepath"
-	"regexp"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
 
 	"infera/internal/core"
+	"infera/internal/dataframe"
 	"infera/internal/eval"
 	"infera/internal/llm"
 	"infera/internal/sqldb"
 )
 
-// missingColumn matches the planner's reason for a statement that names a
-// column its table does not have.
-var missingColumn = regexp.MustCompile(`^column "([^"]+)" not in table schema$`)
-
 // TestBankSQLPlansVectorized asks the evaluation bank, with the simulated
-// model's column errors left on, and explains every SQL statement the
+// model's column errors left on, and replays every SQL statement the
 // agents recorded against the staging database it ran on. Each one must
-// either plan on the vectorized engine or fall back only because it names
-// a column its table lacks — the model's injected mistake, which fails on
-// either engine. So the agents' traffic needs the SQL tree-walk for no
-// statement that could succeed.
+// either have a kernel for every expression (an empty RowReason), or fail
+// in Query with the tree-walk's exact error text, naming a column its
+// table lacks — the model's injected mistake. So the agents' traffic needs
+// the row evaluator for no statement that could succeed.
 func TestBankSQLPlansVectorized(t *testing.T) {
 	workDir := t.TempDir()
 	a, err := core.New(core.Config{EnsembleDir: recycleEnsemble(t, 1000), WorkDir: workDir, DurableStaging: true})
@@ -30,7 +28,6 @@ func TestBankSQLPlansVectorized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	reasons := map[string]int{}
 	statements, vectorized := 0, 0
 	for i, q := range eval.Bank() {
 		ans, _ := a.AskWith(q.Text, core.AskOptions{Model: llm.NewSim(llm.SimConfig{Seed: int64(i + 1)})})
@@ -49,44 +46,46 @@ func TestBankSQLPlansVectorized(t *testing.T) {
 			if e.Agent != "sql" || e.Kind != "code" {
 				continue
 			}
-			sql, err := sess.Read(e)
+			data, err := sess.Read(e)
 			if err != nil {
 				t.Fatal(err)
 			}
+			sql := string(data)
 			statements++
-			info, err := db.ExplainQuery(string(sql))
-			if err != nil {
-				t.Errorf("%s: explain %q: %v", q.ID, sql, err)
-				continue
-			}
-			if info.FallbackReason == "" {
+			info, err := db.ExplainQuery(sql)
+			if err == nil && info.RowReason == "" {
 				vectorized++
 				continue
 			}
-			reasons[info.FallbackReason]++
-			m := missingColumn.FindStringSubmatch(info.FallbackReason)
-			if m == nil {
-				t.Errorf("%s: %q falls back: %s", q.ID, sql, info.FallbackReason)
+			_, qErr := db.Query(sql)
+			_, twErr := db.QueryBackend(sql, sqldb.BackendTreeWalk)
+			var ce *dataframe.ColumnError
+			if qErr == nil || twErr == nil || qErr.Error() != twErr.Error() || !errors.As(qErr, &ce) {
+				t.Errorf("%s: %q: row reason %q; Query error %v; tree-walk error %v", q.ID, sql, info.RowReason, qErr, twErr)
 				continue
 			}
-			ti, _ := db.Table(info.Table)
-			for _, c := range ti.Columns {
-				if c.Name == m[1] {
-					t.Errorf("%s: %q falls back on column %q, which %s has", q.ID, sql, m[1], info.Table)
-				}
+			if !lacksColumn(db, ce) {
+				t.Errorf("%s: %q fails on column %q, which its table has", q.ID, sql, ce.Name)
 			}
 		}
 	}
 	if vectorized == 0 {
-		t.Fatalf("none of %d statements plans vectorized", statements)
+		t.Fatalf("none of %d statements has a kernel for every expression", statements)
 	}
-	var hist []string
-	for r := range reasons {
-		hist = append(hist, r)
+	t.Logf("%d statements, %d on kernels, %d naming a missing column", statements, vectorized, statements-vectorized)
+}
+
+// lacksColumn reports whether ce lists exactly one table's columns and
+// that table has no column named ce.Name.
+func lacksColumn(db *sqldb.DB, ce *dataframe.ColumnError) bool {
+	for _, ti := range db.Tables() {
+		names := make([]string, len(ti.Columns))
+		for i, c := range ti.Columns {
+			names[i] = c.Name
+		}
+		if strings.Join(names, "\x00") == strings.Join(ce.Available, "\x00") {
+			return !slices.Contains(names, ce.Name)
+		}
 	}
-	sort.Strings(hist)
-	t.Logf("%d statements, %d vectorized", statements, vectorized)
-	for _, r := range hist {
-		t.Logf("%4d  %s", reasons[r], r)
-	}
+	return false
 }

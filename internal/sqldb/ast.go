@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -163,7 +164,8 @@ type selectStmt struct {
 }
 
 // referencedColumns lists every input column the statement touches — the
-// scan-pruning set.
+// scan-pruning set — sorted, so the first missing one is the same on every
+// run.
 func (s *selectStmt) referencedColumns() []string {
 	set := map[string]bool{}
 	for _, it := range s.items {
@@ -195,7 +197,18 @@ func (s *selectStmt) referencedColumns() []string {
 	for k := range set {
 		out = append(out, k)
 	}
+	sort.Strings(out)
 	return out
+}
+
+// hasStar reports whether the select list has a bare "*".
+func (s *selectStmt) hasStar() bool {
+	for _, it := range s.items {
+		if it.star {
+			return true
+		}
+	}
+	return false
 }
 
 // hasAggregates reports whether any select item contains an aggregate call.

@@ -484,18 +484,18 @@ func (db *DB) ReadTable(name string, columns ...string) (*dataframe.Frame, error
 	return out, nil
 }
 
-// Backend identifies which execution engine serves a query.
+// Backend names a query engine. Production has one, the vectorized
+// planner; the tree-walk is its reference implementation, reached only
+// through QueryBackend(sql, BackendTreeWalk).
 type Backend int
 
 const (
-	// BackendAuto compiles to the vectorized engine when the statement is
-	// vectorizable and falls back to the tree-walk evaluator otherwise.
+	// Deprecated: every statement runs on the one engine; use Query.
 	BackendAuto Backend = iota
-	// BackendTreeWalk forces the row-at-a-time reference engine.
+	// BackendTreeWalk runs the row-at-a-time reference engine, the oracle
+	// the differential tests and the fuzzer compare the engine with.
 	BackendTreeWalk
-	// BackendVectorized requires the compiled engine; statements it cannot
-	// compile fail instead of falling back. Used by differential tests and
-	// benchmarks.
+	// Deprecated: every statement runs on the one engine; use Query.
 	BackendVectorized
 )
 
@@ -510,33 +510,32 @@ func (b Backend) String() string {
 	}
 }
 
-// Query parses and executes a SELECT, serving only the columns the
-// statement references from the resident table. Vectorizable statements
-// compile to batch kernels that run directly over the table's resident
-// segments — no concat materialization — with min/max segment pruning;
-// anything else runs on the tree-walk evaluator with identical semantics.
+// Query parses and executes a SELECT. The statement compiles to batch
+// kernels that run directly over the table's resident segments — no
+// concat materialization — with min/max segment pruning; any expression
+// no kernel covers runs on the reference evaluator, row by row, with the
+// tree-walk's results and errors.
 func (db *DB) Query(sql string) (*dataframe.Frame, error) {
-	return db.QueryBackend(sql, BackendAuto)
+	return db.QueryBackend(sql, BackendVectorized)
 }
 
-// QueryBackend is Query with an explicit engine choice.
-func (db *DB) QueryBackend(sql string, force Backend) (*dataframe.Frame, error) {
+// QueryBackend is Query, or, with BackendTreeWalk, the reference engine.
+func (db *DB) QueryBackend(sql string, be Backend) (*dataframe.Frame, error) {
+	if be != BackendTreeWalk {
+		be = BackendVectorized
+	}
 	start := time.Now()
-	stmt, err := parseSelect(sql)
-	if err != nil {
-		db.finishQuery(BackendTreeWalk, start, nil)
-		return nil, err
-	}
 	var st execStats
-	if force != BackendTreeWalk {
-		f, handled, err := db.queryVectorized(stmt, force, &st)
-		if handled {
-			db.finishQuery(BackendVectorized, start, &st)
-			return f, err
-		}
+	var f *dataframe.Frame
+	stmt, err := parseSelect(sql)
+	switch {
+	case err != nil:
+	case be == BackendTreeWalk:
+		f, err = db.queryTreeWalk(stmt, &st)
+	default:
+		f, err = db.queryVectorized(stmt, &st)
 	}
-	f, err := db.queryTreeWalk(stmt, &st)
-	db.finishQuery(BackendTreeWalk, start, &st)
+	db.finishQuery(be, start, &st)
 	return f, err
 }
 
@@ -551,22 +550,14 @@ func (db *DB) finishQuery(be Backend, start time.Time, st *execStats) {
 	rf := db.rowsFiltered
 	db.mu.Unlock()
 	hist.ObserveDuration(time.Since(start))
-	if st != nil {
-		rf.Add(st.rowsFiltered)
-	}
+	rf.Add(st.rowsFiltered)
 }
 
 // queryTreeWalk materializes the referenced columns and runs the row
 // engine.
 func (db *DB) queryTreeWalk(stmt *selectStmt, st *execStats) (*dataframe.Frame, error) {
 	var cols []string
-	star := false
-	for _, it := range stmt.items {
-		if it.star {
-			star = true
-		}
-	}
-	if !star {
+	if !stmt.hasStar() {
 		cols = stmt.referencedColumns()
 	}
 	src, err := db.ReadTable(stmt.table, cols...)
@@ -576,72 +567,27 @@ func (db *DB) queryTreeWalk(stmt *selectStmt, st *execStats) (*dataframe.Frame, 
 	return execute(stmt, src, st)
 }
 
-// queryVectorized compiles and runs stmt on the vectorized engine.
-// handled=false means the statement is not vectorizable and the caller
-// should fall back (only possible when force is BackendAuto).
-func (db *DB) queryVectorized(stmt *selectStmt, force Backend, st *execStats) (_ *dataframe.Frame, handled bool, _ error) {
+// queryVectorized plans stmt and runs it over the table's segments.
+func (db *DB) queryVectorized(stmt *selectStmt, st *execStats) (*dataframe.Frame, error) {
 	db.mu.Lock()
-	t, ok := db.tables[stmt.table]
-	if !ok {
+	plan, scan, prunedCount, err := db.planLocked(stmt)
+	if err != nil {
 		db.mu.Unlock()
-		return nil, true, &CatalogError{Msg: fmt.Sprintf("table %q not found", stmt.table)}
-	}
-	plan, perr := planVectorized(stmt, t.info.Columns)
-	if perr != nil {
-		db.mu.Unlock()
-		if force == BackendVectorized {
-			return nil, true, fmt.Errorf("sqldb: statement is not vectorizable: %w", perr)
-		}
-		return nil, false, nil
-	}
-	if t.mat == nil && len(t.segments) == 0 {
-		if err := db.loadLocked(t); err != nil {
-			db.mu.Unlock()
-			return nil, true, err
-		}
-	}
-	// Snapshot the segment list; shared columns are immutable, so the scan
-	// needs no lock. Prune segments whose stats prove WHERE matches nothing.
-	segs := make([]*dataframe.Frame, len(t.segments))
-	copy(segs, t.segments)
-	pruned := make([]bool, len(segs))
-	prunedCount := 0
-	if stmt.where != nil {
-		for i, seg := range segs {
-			seg := seg
-			verdict := pruneExpr(stmt.where, func(name string) (dataframe.Stats, bool) {
-				return db.segStatsLocked(t, seg, name)
-			})
-			if verdict == triFalse {
-				pruned[i] = true
-				prunedCount++
-			}
-		}
+		return nil, err
 	}
 	// Charge the scan: referenced columns over surviving segments only —
 	// the same accounting ReadTable applies, minus what pruning skipped.
-	star := false
-	for _, it := range stmt.items {
-		if it.star {
-			star = true
-		}
-	}
 	cols := stmt.referencedColumns()
+	if stmt.hasStar() {
+		cols = plan.names
+	}
 	var scanned int64
-	for i, seg := range segs {
-		if pruned[i] {
-			continue
-		}
-		if star {
-			for ci := 0; ci < seg.NumCols(); ci++ {
-				scanned += gio.EncodedSize(seg.ColumnAt(ci))
-			}
+	for i, seg := range scan.segs {
+		if scan.pruned[i] {
 			continue
 		}
 		for _, name := range cols {
-			if c, err := seg.Column(name); err == nil {
-				scanned += gio.EncodedSize(c)
-			}
+			scanned += gio.EncodedSize(seg.MustColumn(name))
 		}
 	}
 	db.bytesRead += scanned
@@ -650,8 +596,40 @@ func (db *DB) queryVectorized(stmt *selectStmt, force Backend, st *execStats) (_
 
 	scannedC.Add(scanned)
 	prunedC.Add(int64(prunedCount))
-	f, err := plan.run(segScan{segs: segs, pruned: pruned}, st)
-	return f, true, err
+	return plan.run(scan, st)
+}
+
+// planLocked plans stmt against its table and snapshots the table's
+// segments — shared columns are immutable, so the scan needs no lock —
+// marking those whose stats prove WHERE matches nothing. A WHERE on the
+// row evaluator is never pruned: it may fail on a row the stats would
+// skip. Caller holds mu.
+func (db *DB) planLocked(stmt *selectStmt) (*vecPlan, segScan, int, error) {
+	t, ok := db.tables[stmt.table]
+	if !ok {
+		return nil, segScan{}, 0, &CatalogError{Msg: fmt.Sprintf("table %q not found", stmt.table)}
+	}
+	plan, err := planVectorized(stmt, t.info.Columns)
+	if err != nil {
+		return nil, segScan{}, 0, err
+	}
+	if t.mat == nil && len(t.segments) == 0 {
+		if err := db.loadLocked(t); err != nil {
+			return nil, segScan{}, 0, err
+		}
+	}
+	scan := segScan{segs: append([]*dataframe.Frame(nil), t.segments...), pruned: make([]bool, len(t.segments))}
+	pruned := 0
+	if _, rowWhere := plan.where.(*rowNode); stmt.where != nil && !rowWhere {
+		for i, seg := range scan.segs {
+			stats := func(name string) (dataframe.Stats, bool) { return db.segStatsLocked(t, seg, name) }
+			if pruneExpr(stmt.where, stats) == triFalse {
+				scan.pruned[i] = true
+				pruned++
+			}
+		}
+	}
+	return plan, scan, pruned, nil
 }
 
 // segStatsLocked returns (computing and caching on first use) one
@@ -672,71 +650,40 @@ func (db *DB) segStatsLocked(t *table, seg *dataframe.Frame, name string) (dataf
 	return s, true
 }
 
-// Explain returns the pruned column set a query would scan, for
-// provenance records and tests of scan pruning.
-func Explain(sql string) (table string, columns []string, err error) {
-	stmt, err := parseSelect(sql)
-	if err != nil {
-		return "", nil, err
-	}
-	cols := stmt.referencedColumns()
-	sort.Strings(cols)
-	return stmt.table, cols, nil
-}
-
 // ExplainInfo is DB.ExplainQuery's report: what a statement would scan and
 // how it would run, without executing it.
 type ExplainInfo struct {
-	Table          string   `json:"table"`
-	Columns        []string `json:"columns"`
-	Backend        string   `json:"backend"`
-	FallbackReason string   `json:"fallback_reason,omitempty"`
-	Segments       int      `json:"segments"`
-	SegmentsPruned int      `json:"segments_pruned"`
+	Table   string   `json:"table"`
+	Columns []string `json:"columns"`
+	// Backend is always "vectorized", the one engine.
+	Backend string `json:"backend"`
+	// RowReason is the first expression no kernel covers, which runs on
+	// the reference evaluator; empty when kernels cover the statement.
+	RowReason      string `json:"row_reason,omitempty"`
+	Segments       int    `json:"segments"`
+	SegmentsPruned int    `json:"segments_pruned"`
 }
 
 // ExplainQuery reports the execution plan for sql against this database:
-// the referenced columns, the backend that would serve it (with the
-// compiler's reason when it falls back to the tree-walk), and — for
-// vectorized plans with a WHERE clause — how many resident segments
-// min/max stats would prune from the scan.
+// the referenced columns, the first expression that needs the row
+// evaluator, and how many resident segments min/max stats would prune
+// from the scan. A statement the planner rejects (a column its table
+// lacks) returns the error Query would.
 func (db *DB) ExplainQuery(sql string) (ExplainInfo, error) {
 	stmt, err := parseSelect(sql)
 	if err != nil {
 		return ExplainInfo{}, err
 	}
-	cols := stmt.referencedColumns()
-	sort.Strings(cols)
-	info := ExplainInfo{Table: stmt.table, Columns: cols, Backend: BackendTreeWalk.String()}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	t, ok := db.tables[stmt.table]
-	if !ok {
-		return ExplainInfo{}, &CatalogError{Msg: fmt.Sprintf("table %q not found", stmt.table)}
+	plan, scan, pruned, err := db.planLocked(stmt)
+	if err != nil {
+		return ExplainInfo{}, err
 	}
-	if _, perr := planVectorized(stmt, t.info.Columns); perr != nil {
-		info.FallbackReason = perr.Error()
-		return info, nil
-	}
-	info.Backend = BackendVectorized.String()
-	if t.mat == nil && len(t.segments) == 0 {
-		if err := db.loadLocked(t); err != nil {
-			return ExplainInfo{}, err
-		}
-	}
-	info.Segments = len(t.segments)
-	if stmt.where != nil {
-		for _, seg := range t.segments {
-			seg := seg
-			verdict := pruneExpr(stmt.where, func(name string) (dataframe.Stats, bool) {
-				return db.segStatsLocked(t, seg, name)
-			})
-			if verdict == triFalse {
-				info.SegmentsPruned++
-			}
-		}
-	}
-	return info, nil
+	return ExplainInfo{
+		Table: stmt.table, Columns: stmt.referencedColumns(), Backend: BackendVectorized.String(),
+		RowReason: plan.rowReason, Segments: len(scan.segs), SegmentsPruned: pruned,
+	}, nil
 }
 
 // estimatedBytes prices a frame at its gio-encoded block size without

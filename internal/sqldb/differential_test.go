@@ -66,9 +66,10 @@ func diffDB(t testing.TB) *DB {
 // diffCorpus is the hand-written statement corpus: projections, computed
 // expressions, every predicate form, functions, aggregates, DISTINCT,
 // ORDER BY (plain/desc/multi/alias/computed/strings), LIMIT with and
-// without ORDER BY, empty results, and error cases. Statements the
-// vectorizer cannot compile are part of the corpus on purpose — they must
-// fall back with identical results.
+// without ORDER BY, empty results, and error cases. Expressions no kernel
+// covers are part of the corpus on purpose — they run on the row
+// evaluator, which must see the rows the tree-walk sees, in its order,
+// and so fail or succeed with it.
 var diffCorpus = []string{
 	"SELECT * FROM parts",
 	"SELECT tag, val FROM parts",
@@ -143,7 +144,7 @@ var diffCorpus = []string{
 	"SELECT tag FROM parts WHERE seg BETWEEN 1 AND 2 ORDER BY tag DESC LIMIT 8",
 	"SELECT tag * 2 AS d FROM parts WHERE 1 = 0",
 	"SELECT tag, name FROM parts WHERE 1 = 0",
-	// Fallback and error parity.
+	// Row-evaluator and error parity.
 	"SELECT tag FROM parts WHERE grp IN (tag, 1)",
 	"SELECT tag, tag % grp FROM parts",
 	"SELECT tag % 0 FROM parts",
@@ -151,45 +152,87 @@ var diffCorpus = []string{
 	"SELECT tag FROM parts WHERE name + 1 > 0",
 	"SELECT SQRT(name) FROM parts",
 	"SELECT NOSUCHFN(tag) FROM parts",
+	"SELECT name + 1 AS x FROM parts WHERE 1 = 0",
+	"SELECT tag FROM parts WHERE grp = 99 AND name + 1 > 0",
+	"SELECT tag, tag % grp FROM parts WHERE grp != 0 LIMIT 3",
+	"SELECT tag, tag % grp FROM parts LIMIT 3",
+	"SELECT tag FROM parts WHERE name + 1 > 0 AND seg = 99",
+	"SELECT *, COUNT(*) FROM parts WHERE 1 = 0",
+	"SELECT tag FROM parts WHERE tag LIKE 'a%'",
+	"SELECT tag FROM parts WHERE COUNT(*) > 1",
+	"SELECT(0)FROM parts GROUP BY grp ORDER BY A",
+	"SELECT zed, nope FROM parts WHERE na + a LIKE 'x%'",
+	"SELECT *, COUNT(*) FROM parts WHERE name + 1 > 0",
+	"SELECT * FROM parts GROUP BY grp",
+	"SELECT * FROM parts WHERE nope = 1",
+	"SELECT * FROM parts WHERE grp = 99 AND nope = 1",
+	"SELECT *, nope FROM parts WHERE 1 = 0",
+	"SELECT * FROM parts ORDER BY zz + aa",
+	"SELECT * FROM parts WHERE cnt > 0 ORDER BY zz + aa LIMIT 2",
+	"SELECT tag FROM parts WHERE tag % (seg - 3) = 0 LIMIT 1",
+	"SELECT tag FROM parts WHERE tag % (seg - 3) = 0 ORDER BY SQRT(name)",
+	"SELECT tag FROM parts ORDER BY tag % (tag - 5), SQRT(name)",
+	"SELECT tag % (seg - 3), SQRT(name) FROM parts",
+	"SELECT COUNT(*) FROM parts GROUP BY tag % grp",
+	"SELECT COUNT(*) AS n FROM parts WHERE grp != 0 GROUP BY tag % grp ORDER BY n",
+	"SELECT COUNT(*) FROM parts GROUP BY tag % (tag - 6), SQRT(name)",
+	"SELECT SUM(COUNT(*)) FROM parts",
+	"SELECT grp, SUM(tag % (grp + 1)) AS s FROM parts GROUP BY grp ORDER BY grp",
+	"SELECT grp IN (tag, 1) AS m, COUNT(*) FROM parts GROUP BY grp IN (tag, 1) ORDER BY m",
+	"SELECT tag FROM parts ORDER BY grp IN (tag, 1), tag LIMIT 5",
+	"SELECT tag FROM parts WHERE grp IN (tag, 1) ORDER BY tag DESC LIMIT 0",
+	"SELECT tag, grp IN (tag, 1) FROM parts ORDER BY tag DESC LIMIT 4",
+	"SELECT DISTINCT grp IN (tag, 2) AS m FROM parts",
+	"SELECT tag, tag % grp AS r FROM parts WHERE grp != 0 ORDER BY r DESC, tag LIMIT 5",
+	"SELECT tag, tag FROM parts",
 }
 
-// runDiff executes sql on both backends (forcing the vectorized engine
-// when the planner accepts the statement) and reports whether the
-// vectorized engine served it.
-func runDiff(t *testing.T, dbTW, dbVec *DB, sql string) bool {
-	t.Helper()
-	info, ierr := dbVec.ExplainQuery(sql)
-	vecServed := ierr == nil && info.Backend == BackendVectorized.String()
-
+// diffQuery runs sql on the tree-walk oracle and through Query and
+// describes how they diverge: in error text, or in the frames when both
+// succeed. ExplainQuery must plan the statement on the one engine or
+// reject it with Query's own error. "" means they agree.
+func diffQuery(dbTW, dbVec *DB, sql string) string {
 	tw, twErr := dbTW.QueryBackend(sql, BackendTreeWalk)
-	var vf *dataframe.Frame
-	var vErr error
-	if vecServed {
-		vf, vErr = dbVec.QueryBackend(sql, BackendVectorized)
-	} else {
-		vf, vErr = dbVec.QueryBackend(sql, BackendAuto)
+	vf, vErr := dbVec.Query(sql)
+	if errText(twErr) != errText(vErr) {
+		return fmt.Sprintf("error divergence:\n  treewalk: %v\n  query:    %v", twErr, vErr)
 	}
+	if twErr == nil && !dataframe.Equal(tw, vf) {
+		return fmt.Sprintf("frames diverge:\ntreewalk %dx%d:\n%v\nquery %dx%d:\n%v",
+			tw.NumRows(), tw.NumCols(), tw, vf.NumRows(), vf.NumCols(), vf)
+	}
+	if _, err := parseSelect(sql); err != nil {
+		return ""
+	}
+	info, err := dbVec.ExplainQuery(sql)
+	if err != nil && err.Error() != errText(vErr) {
+		return fmt.Sprintf("explain fails with %v, query with %v", err, vErr)
+	}
+	if err == nil && info.Backend != "vectorized" {
+		return fmt.Sprintf("explain plans backend %q", info.Backend)
+	}
+	return ""
+}
 
-	if (twErr == nil) != (vErr == nil) {
-		t.Errorf("%q: error divergence: treewalk=%v, vectorized=%v", sql, twErr, vErr)
-		return vecServed
+func errText(err error) string {
+	if err == nil {
+		return ""
 	}
-	if twErr != nil {
-		if twErr.Error() != vErr.Error() {
-			t.Errorf("%q: error text divergence:\n  treewalk:   %v\n  vectorized: %v", sql, twErr, vErr)
-		}
-		return vecServed
+	return err.Error()
+}
+
+// runDiff reports any divergence diffQuery finds.
+func runDiff(t *testing.T, dbTW, dbVec *DB, sql string) {
+	t.Helper()
+	if msg := diffQuery(dbTW, dbVec, sql); msg != "" {
+		t.Errorf("%q: %s", sql, msg)
 	}
-	if !dataframe.Equal(tw, vf) {
-		t.Errorf("%q: frames diverge (backend=%s):\ntreewalk %dx%d:\n%v\nvectorized %dx%d:\n%v",
-			sql, info.Backend, tw.NumRows(), tw.NumCols(), tw, vf.NumRows(), vf.NumCols(), vf)
-	}
-	return vecServed
 }
 
 // TestDifferentialBackends runs the corpus plus generated predicates
-// through both engines and requires identical frames (or identical
-// errors). Separate databases keep the vectorized side multi-segment: the
+// through the tree-walk and Query and requires identical frames (or
+// identical error text), with every statement planned on the one engine
+// (diffQuery checks ExplainQuery). Separate databases keep the vectorized side multi-segment: the
 // tree-walk's ReadTable would otherwise collapse the segments after the
 // first statement.
 func TestDifferentialBackends(t *testing.T) {
@@ -215,16 +258,23 @@ func TestDifferentialBackends(t *testing.T) {
 		corpus = append(corpus, fmt.Sprintf("SELECT tag, %s FROM parts WHERE %s %s %s", col, col, op, thr))
 	}
 
-	vectorized := 0
 	for _, sql := range corpus {
-		if runDiff(t, dbTW, dbVec, sql) {
-			vectorized++
-		}
+		runDiff(t, dbTW, dbVec, sql)
 	}
-	// The engine exists to serve the analysis workload; if most of the
-	// corpus falls back, the compiler has silently regressed.
-	if min := 2 * len(corpus) / 3; vectorized < min {
-		t.Errorf("vectorized backend served %d/%d statements, want >= %d", vectorized, len(corpus), min)
+}
+
+// TestMissingColumnErrorIsStable: with two missing columns, the tree-walk
+// must name the same one on every run, since the text goes into the
+// model's retry prompt.
+func TestMissingColumnErrorIsStable(t *testing.T) {
+	db := diffDB(t)
+	seen := map[string]bool{}
+	for i := 0; i < 20; i++ {
+		_, err := db.QueryBackend("SELECT zed, nope FROM parts", BackendTreeWalk)
+		seen[errText(err)] = true
+	}
+	if len(seen) != 1 || seen[""] {
+		t.Errorf("error texts = %v, want one error", seen)
 	}
 }
 

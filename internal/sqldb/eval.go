@@ -219,37 +219,7 @@ func evalBinary(e *binaryExpr, ctx evalContext) (value, error) {
 	}
 	switch e.op {
 	case "+", "-", "*", "/", "%":
-		if l.kind == dataframe.String || r.kind == dataframe.String {
-			return value{}, evalErrf("arithmetic on string operand")
-		}
-		if l.kind == dataframe.Int && r.kind == dataframe.Int && e.op != "/" {
-			switch e.op {
-			case "+":
-				return intVal(l.i + r.i), nil
-			case "-":
-				return intVal(l.i - r.i), nil
-			case "*":
-				return intVal(l.i * r.i), nil
-			case "%":
-				if r.i == 0 {
-					return value{}, evalErrf("integer modulo by zero")
-				}
-				return intVal(l.i % r.i), nil
-			}
-		}
-		lf, rf := l.asFloat(), r.asFloat()
-		switch e.op {
-		case "+":
-			return floatVal(lf + rf), nil
-		case "-":
-			return floatVal(lf - rf), nil
-		case "*":
-			return floatVal(lf * rf), nil
-		case "/":
-			return floatVal(lf / rf), nil
-		case "%":
-			return floatVal(math.Mod(lf, rf)), nil
-		}
+		return evalArith(e.op, l, r)
 	case "=", "!=":
 		eq := valuesEqual(l, r)
 		return boolVal(eq == (e.op == "=")), nil
@@ -283,6 +253,40 @@ func evalBinary(e *binaryExpr, ctx evalContext) (value, error) {
 		return boolVal(likeMatch(l.s, r.s)), nil
 	}
 	return value{}, evalErrf("unknown operator %q", e.op)
+}
+
+// evalArith is + - * / % with the promotion rule: Int op Int stays Int
+// except "/", everything else computes in float64.
+func evalArith(op string, l, r value) (value, error) {
+	if l.kind == dataframe.String || r.kind == dataframe.String {
+		return value{}, evalErrf("arithmetic on string operand")
+	}
+	if l.kind == dataframe.Int && r.kind == dataframe.Int && op != "/" {
+		switch op {
+		case "+":
+			return intVal(l.i + r.i), nil
+		case "-":
+			return intVal(l.i - r.i), nil
+		case "*":
+			return intVal(l.i * r.i), nil
+		}
+		if r.i == 0 {
+			return value{}, evalErrf("integer modulo by zero")
+		}
+		return intVal(l.i % r.i), nil
+	}
+	lf, rf := l.asFloat(), r.asFloat()
+	switch op {
+	case "+":
+		return floatVal(lf + rf), nil
+	case "-":
+		return floatVal(lf - rf), nil
+	case "*":
+		return floatVal(lf * rf), nil
+	case "/":
+		return floatVal(lf / rf), nil
+	}
+	return floatVal(math.Mod(lf, rf)), nil
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any one char).

@@ -1,8 +1,8 @@
 package sqldb
 
 import (
-	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"infera/internal/dataframe"
@@ -125,20 +125,7 @@ func compareValues(a, b value) int {
 	if a.kind == dataframe.String && b.kind == dataframe.String {
 		return strings.Compare(a.s, b.s)
 	}
-	x, y := a.asFloat(), b.asFloat()
-	switch {
-	case math.IsNaN(x) && math.IsNaN(y):
-		return 0
-	case math.IsNaN(x):
-		return 1
-	case math.IsNaN(y):
-		return -1
-	case x < y:
-		return -1
-	case x > y:
-		return 1
-	}
-	return 0
+	return floatCmpNaNLast(a.asFloat(), b.asFloat())
 }
 
 // filterRows applies WHERE block by block and returns surviving row indices.
@@ -207,11 +194,7 @@ func project(stmt *selectStmt, src *dataframe.Frame, keep []int) (*dataframe.Fra
 			}
 			vals[j] = v
 		}
-		col, err := valuesToColumn(item.outName(), vals)
-		if err != nil {
-			return nil, err
-		}
-		if err := out.AddColumn(col); err != nil {
+		if err := out.AddColumn(valuesToColumn(item.outName(), vals)); err != nil {
 			return nil, err
 		}
 	}
@@ -220,7 +203,7 @@ func project(stmt *selectStmt, src *dataframe.Frame, keep []int) (*dataframe.Fra
 
 // valuesToColumn converts evaluated values to a typed column: all-int stays
 // Int, any float promotes to Float, any string forces String.
-func valuesToColumn(name string, vals []value) (*dataframe.Column, error) {
+func valuesToColumn(name string, vals []value) *dataframe.Column {
 	allInt, anyString := true, false
 	for _, v := range vals {
 		if v.kind != dataframe.Int {
@@ -236,19 +219,19 @@ func valuesToColumn(name string, vals []value) (*dataframe.Column, error) {
 		for i, v := range vals {
 			out[i] = v.display()
 		}
-		return dataframe.NewString(name, out), nil
+		return dataframe.NewString(name, out)
 	case allInt:
 		out := make([]int64, len(vals))
 		for i, v := range vals {
 			out[i] = v.i
 		}
-		return dataframe.NewInt(name, out), nil
+		return dataframe.NewInt(name, out)
 	default:
 		out := make([]float64, len(vals))
 		for i, v := range vals {
 			out[i] = v.asFloat()
 		}
-		return dataframe.NewFloat(name, out), nil
+		return dataframe.NewFloat(name, out)
 	}
 }
 
@@ -358,11 +341,7 @@ func renderGroups(stmt *selectStmt, aggNodes []*aggExpr, order []*aggGroup) (*da
 
 	out := dataframe.New()
 	for ii, item := range stmt.items {
-		col, err := valuesToColumn(item.outName(), itemVals[ii])
-		if err != nil {
-			return nil, err
-		}
-		if err := out.AddColumn(col); err != nil {
+		if err := out.AddColumn(valuesToColumn(item.outName(), itemVals[ii])); err != nil {
 			return nil, err
 		}
 	}
@@ -454,11 +433,8 @@ func orderRows(stmt *selectStmt, out *dataframe.Frame) (*dataframe.Frame, error)
 			}
 			vals[r] = v
 		}
-		name := "__order_" + itoa(oi)
-		col, err := valuesToColumn(name, vals)
-		if err != nil {
-			return nil, err
-		}
+		name := "__order_" + strconv.Itoa(oi)
+		col := valuesToColumn(name, vals)
 		// A shallow shell shares the output's column vectors but owns its
 		// column list, so temp sort keys never mutate the caller's frame.
 		// One shell serves every computed key (the old code deep-cloned the
@@ -480,18 +456,4 @@ func orderRows(stmt *selectStmt, out *dataframe.Frame) (*dataframe.Frame, error)
 		sorted = sorted.Drop(tempCols...)
 	}
 	return sorted, nil
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

@@ -3,8 +3,6 @@ package sqldb
 import (
 	"strings"
 	"testing"
-
-	"infera/internal/dataframe"
 )
 
 var fuzzSQLSeeds = []string{
@@ -25,6 +23,9 @@ var fuzzSQLSeeds = []string{
 	"select lower, keywords FROM parts",
 	"SELECT 'unterminated FROM parts",
 	"SELECT tag FROM parts LIMIT -1",
+	"SELECT tag, tag % grp FROM parts WHERE grp != 0 ORDER BY tag LIMIT 3",
+	"SELECT grp IN (tag, 1) AS m, SUM(cnt % grp) FROM parts WHERE val > 0 GROUP BY m",
+	"SELECT *, COUNT(*) FROM parts WHERE grp = 1 AND tag % grp = 0",
 }
 
 // FuzzSQLParse asserts the lexer/parser never panic and recursion stays
@@ -45,9 +46,10 @@ func FuzzSQLParse(f *testing.F) {
 	})
 }
 
-// FuzzSQLQuery runs arbitrary statements through both engines over the
-// differential table and asserts no panic plus result agreement whenever
-// both succeed.
+// FuzzSQLQuery runs arbitrary statements through the tree-walk oracle and
+// Query over the differential table and asserts no panic, identical error
+// text, identical frames whenever both succeed, and an ExplainQuery plan on
+// the one engine (diffQuery).
 func FuzzSQLQuery(f *testing.F) {
 	for _, s := range fuzzSQLSeeds {
 		f.Add(s)
@@ -58,13 +60,8 @@ func FuzzSQLQuery(f *testing.F) {
 		if len(sql) > 2048 {
 			return
 		}
-		tw, twErr := dbTW.QueryBackend(sql, BackendTreeWalk)
-		auto, autoErr := dbVec.QueryBackend(sql, BackendAuto)
-		if (twErr == nil) != (autoErr == nil) {
-			t.Fatalf("%q: error divergence: treewalk=%v auto=%v", sql, twErr, autoErr)
-		}
-		if twErr == nil && !dataframe.Equal(tw, auto) {
-			t.Fatalf("%q: frames diverge:\ntreewalk:\n%v\nauto:\n%v", sql, tw, auto)
+		if msg := diffQuery(dbTW, dbVec, sql); msg != "" {
+			t.Fatalf("%q: %s", sql, msg)
 		}
 	})
 }

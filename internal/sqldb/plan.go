@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"strconv"
@@ -9,16 +10,17 @@ import (
 	"infera/internal/dataframe"
 )
 
-// This file is the vectorized query planner and executor. A SELECT compiles
-// into a vecPlan — kernel trees for the WHERE predicate, projections,
-// order keys, group keys and aggregate arguments — that runs directly over
-// a table's resident shared-vector segments in blocks of <= blockSize rows:
-// no up-front materialization of the segment concat. The plan is
+// This file is the query planner and executor. A SELECT compiles into a
+// vecPlan — kernel trees for the WHERE predicate, projections, order keys,
+// group keys and aggregate arguments — that runs directly over a table's
+// resident shared-vector segments in blocks of <= blockSize rows: no
+// up-front materialization of the segment concat. The plan is
 // segment-aware: per-column min/max/NaN stats let WHERE skip whole
 // segments, LIMIT without ORDER BY stops at the first k surviving rows,
 // and ORDER BY + LIMIT keeps a bounded top-k heap instead of sorting every
-// survivor. Statements that don't compile run on the tree-walk engine with
-// identical semantics.
+// survivor. An expression no kernel covers runs on the reference evaluator
+// as one rowNode; a plan holding one evaluates it on exactly the rows, and
+// in the order, that the tree-walk does, so its errors are the tree-walk's.
 
 // execStats counts scan work for telemetry, filled by both backends.
 type execStats struct {
@@ -51,9 +53,19 @@ type vecOut struct {
 type vecPlan struct {
 	stmt  *selectStmt
 	kinds map[string]dataframe.Kind
+	names []string // the table's columns, in table order
 
 	where   vecNode // nil when the statement has no WHERE
 	grouped bool
+	starAgg bool // "*" in an aggregating query: fails once WHERE has run
+
+	// Row evaluation: the scan's first row error, the first kernel refusal,
+	// and whether a key or an output is a rowNode (or, for an output, a
+	// pass-through of a column the table lacks).
+	rowErr    rowErr
+	rowReason string
+	rowKeys   bool
+	rowOuts   bool
 
 	// Non-aggregating plans.
 	outs        []vecOut
@@ -70,138 +82,156 @@ type vecPlan struct {
 	groupCols []string // columns referenced by group keys and agg arguments
 }
 
-// planVectorized compiles stmt against a table schema, or reports why the
-// statement must run on the tree-walk backend.
+// planVectorized compiles stmt against a table schema. Its one error is
+// the tree-walk's up-front one: without a "*", the tree-walk reads exactly
+// the referenced columns, so the first one the table lacks fails the
+// statement before any row is read.
 func planVectorized(stmt *selectStmt, schema []ColumnMeta) (*vecPlan, error) {
-	kinds := make(map[string]dataframe.Kind, len(schema))
+	p := &vecPlan{stmt: stmt, kinds: make(map[string]dataframe.Kind, len(schema))}
 	for _, cm := range schema {
-		kinds[cm.Name] = cm.Kind
+		p.kinds[cm.Name] = cm.Kind
+		p.names = append(p.names, cm.Name)
 	}
-	p := &vecPlan{stmt: stmt, kinds: kinds}
+	star := stmt.hasStar()
+	if !star {
+		for _, name := range stmt.referencedColumns() {
+			if _, ok := p.kinds[name]; !ok {
+				return nil, &dataframe.ColumnError{Name: name, Available: p.names}
+			}
+		}
+	}
 	if stmt.where != nil {
-		w, err := compileVec(stmt.where, kinds)
-		if err != nil {
-			return nil, err
-		}
-		p.where = w
+		p.where = p.compile(stmt.where)
 	}
-
 	if stmt.hasAggregates() || len(stmt.groupBy) > 0 {
-		p.grouped = true
-		for _, item := range stmt.items {
-			if item.star {
-				// The row engine rejects this shape at runtime; let it.
-				return nil, fallbackf("star projection combined with aggregates")
-			}
-			collectAggs(item.ex, &p.aggNodes)
+		p.grouped, p.starAgg = true, star
+		if !star {
+			p.planGroups()
 		}
-		var refExprs []expr
-		for _, a := range p.aggNodes {
-			if a.star {
-				p.aggArgs = append(p.aggArgs, nil)
-				continue
-			}
-			an, err := compileVec(a.arg, kinds)
-			if err != nil {
-				return nil, err
-			}
-			p.aggArgs = append(p.aggArgs, an)
-			refExprs = append(refExprs, a.arg)
-		}
-		for _, g := range stmt.groupBy {
-			gn, err := compileVec(g, kinds)
-			if err != nil {
-				return nil, err
-			}
-			p.groupKeys = append(p.groupKeys, gn)
-			refExprs = append(refExprs, g)
-		}
-		// Select items render per group through the row evaluator
-		// (renderGroups) over O(groups) rows, so they need no kernels —
-		// any expression shape is fine there, as is grouped ORDER BY,
-		// which sorts the output frame.
-		p.groupCols = exprColumns(refExprs...)
 		return p, nil
 	}
-
-	var computeExprs []expr
-	for _, item := range stmt.items {
-		if item.star {
-			for _, cm := range schema {
-				p.outs = append(p.outs, vecOut{name: cm.Name, src: cm.Name, kind: cm.Kind})
-			}
-			continue
-		}
-		if id, ok := item.ex.(*identExpr); ok {
-			k, found := kinds[id.name]
-			if !found {
-				return nil, fallbackf("column %q not in table schema", id.name)
-			}
-			p.outs = append(p.outs, vecOut{name: item.outName(), src: id.name, kind: k})
-			continue
-		}
-		nd, err := compileVec(item.ex, kinds)
-		if err != nil {
-			return nil, err
-		}
-		p.outs = append(p.outs, vecOut{name: item.outName(), node: nd, kind: nd.kind()})
-		computeExprs = append(computeExprs, item.ex)
-	}
-	p.computeCols = exprColumns(computeExprs...)
-
+	p.planOutputs()
 	if len(stmt.orderBy) > 0 {
-		// Mirror orderKeep's alias rule: an ORDER BY identifier resolves to
-		// the select item it aliases only when the scanned source has no
-		// column of that name (source columns shadow aliases).
-		srcHas := map[string]bool{}
-		star := false
-		for _, it := range stmt.items {
-			if it.star {
-				star = true
-			}
-		}
-		if star {
-			for _, cm := range schema {
-				srcHas[cm.Name] = true
-			}
-		} else {
-			for _, name := range stmt.referencedColumns() {
-				if _, ok := kinds[name]; ok {
-					srcHas[name] = true
-				}
-			}
-		}
-		var ordExprs []expr
-		for _, o := range stmt.orderBy {
-			ex := o.ex
-			if id, ok := o.ex.(*identExpr); ok && !srcHas[id.name] {
-				for _, sel := range stmt.items {
-					if !sel.star && sel.outName() == id.name {
-						ex = sel.ex
-						break
-					}
-				}
-			}
-			nd, err := compileVec(ex, kinds)
-			if err != nil {
-				return nil, err
-			}
-			p.orderNodes = append(p.orderNodes, nd)
-			p.orderDesc = append(p.orderDesc, o.desc)
-			p.orderStr = append(p.orderStr, nd.kind() == dataframe.String)
-			ordExprs = append(ordExprs, ex)
-		}
-		p.orderCols = exprColumns(ordExprs...)
+		p.planOrder(star)
 	}
 	return p, nil
 }
 
-// run executes the plan over the segment scan.
-func (p *vecPlan) run(scan segScan, st *execStats) (*dataframe.Frame, error) {
-	if p.grouped {
-		return p.runGrouped(scan, st)
+// compile lowers e to kernels or, when compileVec refuses it, to one
+// rowNode; the first refusal becomes the plan's rowReason.
+func (p *vecPlan) compile(e expr) vecNode {
+	nd, err := compileVec(e, p.kinds)
+	if err == nil {
+		return nd
 	}
-	if len(p.stmt.orderBy) > 0 {
+	if p.rowReason == "" {
+		p.rowReason = err.Error()
+	}
+	return &rowNode{ex: e, names: p.names, err: &p.rowErr}
+}
+
+func anyRow(nodes []vecNode) bool {
+	for _, nd := range nodes {
+		if _, ok := nd.(*rowNode); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// planGroups compiles the aggregate arguments and group keys. Select items
+// render per group through the row evaluator (renderGroups) over O(groups)
+// rows, so they need no kernels, and neither does grouped ORDER BY, which
+// sorts the output frame.
+func (p *vecPlan) planGroups() {
+	for _, item := range p.stmt.items {
+		collectAggs(item.ex, &p.aggNodes)
+	}
+	var refExprs []expr
+	for _, a := range p.aggNodes {
+		var an vecNode
+		if !a.star {
+			an = p.compile(a.arg)
+			refExprs = append(refExprs, a.arg)
+		}
+		p.aggArgs = append(p.aggArgs, an)
+	}
+	for _, g := range p.stmt.groupBy {
+		p.groupKeys = append(p.groupKeys, p.compile(g))
+		refExprs = append(refExprs, g)
+	}
+	p.rowKeys = anyRow(p.aggArgs) || anyRow(p.groupKeys)
+	p.groupCols = exprColumns(p.kinds, refExprs...)
+}
+
+// planOutputs compiles the select list of a non-aggregating plan.
+func (p *vecPlan) planOutputs() {
+	var computeExprs []expr
+	for _, item := range p.stmt.items {
+		if item.star {
+			for _, name := range p.names {
+				p.outs = append(p.outs, vecOut{name: name, src: name, kind: p.kinds[name]})
+			}
+			continue
+		}
+		if id, ok := item.ex.(*identExpr); ok {
+			// A column the table lacks (only possible beside a "*") fails
+			// even over zero rows, as the tree-walk's projection does.
+			k, found := p.kinds[id.name]
+			p.rowOuts = p.rowOuts || !found
+			p.outs = append(p.outs, vecOut{name: item.outName(), src: id.name, kind: k})
+			continue
+		}
+		nd := p.compile(item.ex)
+		_, isRow := nd.(*rowNode)
+		p.rowOuts = p.rowOuts || isRow
+		p.outs = append(p.outs, vecOut{name: item.outName(), node: nd, kind: nd.kind()})
+		computeExprs = append(computeExprs, item.ex)
+	}
+	p.computeCols = exprColumns(p.kinds, computeExprs...)
+}
+
+// planOrder compiles the ORDER BY keys of a non-aggregating plan.
+func (p *vecPlan) planOrder(star bool) {
+	// Mirror orderKeep's alias rule: an ORDER BY identifier resolves to
+	// the select item it aliases only when the scanned source has no
+	// column of that name (source columns shadow aliases).
+	srcHas := map[string]bool{}
+	src := p.stmt.referencedColumns()
+	if star {
+		src = p.names
+	}
+	for _, name := range src {
+		srcHas[name] = true
+	}
+	var ordExprs []expr
+	for _, o := range p.stmt.orderBy {
+		ex := o.ex
+		if id, ok := o.ex.(*identExpr); ok && !srcHas[id.name] {
+			for _, sel := range p.stmt.items {
+				if !sel.star && sel.outName() == id.name {
+					ex = sel.ex
+					break
+				}
+			}
+		}
+		nd := p.compile(ex)
+		p.orderNodes = append(p.orderNodes, nd)
+		p.orderDesc = append(p.orderDesc, o.desc)
+		p.orderStr = append(p.orderStr, nd.kind() == dataframe.String)
+		ordExprs = append(ordExprs, ex)
+	}
+	p.rowKeys = anyRow(p.orderNodes)
+	p.orderCols = exprColumns(p.kinds, ordExprs...)
+}
+
+// run executes the plan over the segment scan. A plan with a row-evaluated
+// output takes the ordered path, which projects after the scan.
+func (p *vecPlan) run(scan segScan, st *execStats) (*dataframe.Frame, error) {
+	switch {
+	case p.grouped:
+		return p.runGrouped(scan, st)
+	case len(p.stmt.orderBy) > 0 || p.rowOuts:
 		return p.runOrdered(scan, st)
 	}
 	return p.runRows(scan, st)
@@ -227,8 +257,16 @@ func (p *vecPlan) selection(b *block, sel []int) []int {
 }
 
 // scanBlocks walks every unpruned segment in blocks, filters each block,
-// and hands surviving rows to fn. Column-lookup caches persist per segment.
+// and hands surviving rows to fn (nil only filters). Column-lookup caches
+// persist per segment. A row error ends the scan and is returned.
 func (p *vecPlan) scanBlocks(scan segScan, st *execStats, fn func(si int, b *block, sel []int) error) error {
+	if _, rowWhere := p.where.(*rowNode); rowWhere && p.rowKeys && fn != nil {
+		// The tree-walk filters every row before it computes any key, so
+		// a WHERE error wins over a key error wherever the two fall.
+		if err := p.scanBlocks(scan, &execStats{}, nil); err != nil {
+			return err
+		}
+	}
 	sel := make([]int, 0, blockSize)
 	for si, seg := range scan.segs {
 		if scan.pruned[si] {
@@ -237,19 +275,17 @@ func (p *vecPlan) scanBlocks(scan segScan, st *execStats, fn func(si int, b *blo
 		b := &block{seg: seg}
 		n := seg.NumRows()
 		for lo := 0; lo < n; lo += blockSize {
-			hi := lo + blockSize
-			if hi > n {
-				hi = n
-			}
-			b.lo, b.hi = lo, hi
+			b.lo, b.hi = lo, min(lo+blockSize, n)
 			sel = p.selection(b, sel[:0])
-			st.rowsScanned += int64(hi - lo)
-			st.rowsFiltered += int64(hi - lo - len(sel))
-			if len(sel) == 0 {
-				continue
+			st.rowsScanned += int64(b.n())
+			st.rowsFiltered += int64(b.n() - len(sel))
+			if fn != nil && len(sel) > 0 && p.rowErr.err == nil {
+				if err := fn(si, b, sel); err != nil {
+					return err
+				}
 			}
-			if err := fn(si, b, sel); err != nil {
-				return err
+			if p.rowErr.err != nil {
+				return p.rowErr.err
 			}
 		}
 	}
@@ -258,16 +294,16 @@ func (p *vecPlan) scanBlocks(scan segScan, st *execStats, fn func(si int, b *blo
 
 // compactBlock gathers the named columns at the selected rows into a small
 // owned frame, so projection/key kernels evaluate only surviving rows.
-func compactBlock(b *block, sel []int, names []string) (*block, error) {
+func compactBlock(b *block, sel []int, names []string) *block {
 	idx := make([]int, len(sel))
 	for j, s := range sel {
 		idx[j] = b.lo + s
 	}
-	sub, err := b.seg.Select(names...)
-	if err != nil {
-		return nil, err
+	sub := dataframe.New()
+	for _, name := range names {
+		_ = sub.AddColumn(b.column(name)) // schema columns, each named once
 	}
-	return &block{seg: sub.Gather(idx), lo: 0, hi: len(sel)}, nil
+	return &block{seg: sub.Gather(idx), lo: 0, hi: len(sel)}
 }
 
 // colBuilder accumulates one typed output column across blocks. A computed
@@ -354,63 +390,57 @@ func buildersFrame(builders []*colBuilder) (*dataframe.Frame, error) {
 	return out, nil
 }
 
-// runRows executes a non-aggregating, unordered plan in one streaming pass.
-// With a LIMIT and no DISTINCT it stops as soon as k rows survive.
-func (p *vecPlan) runRows(scan segScan, st *execStats) (*dataframe.Frame, error) {
-	builders := p.newBuilders()
-	earlyStop := p.stmt.limit >= 0 && !p.stmt.distinct
-	if !(earlyStop && p.stmt.limit == 0) {
-		total := 0
-		sel := make([]int, 0, blockSize)
-	scanLoop:
-		for si, seg := range scan.segs {
-			if scan.pruned[si] {
-				continue
-			}
-			b := &block{seg: seg}
-			n := seg.NumRows()
-			for lo := 0; lo < n; lo += blockSize {
-				hi := lo + blockSize
-				if hi > n {
-					hi = n
-				}
-				b.lo, b.hi = lo, hi
-				sel = p.selection(b, sel[:0])
-				st.rowsScanned += int64(hi - lo)
-				st.rowsFiltered += int64(hi - lo - len(sel))
-				if earlyStop && total+len(sel) > p.stmt.limit {
-					sel = sel[:p.stmt.limit-total]
-				}
-				if err := p.appendOutputs(builders, b, sel); err != nil {
-					return nil, err
-				}
-				total += len(sel)
-				if earlyStop && total >= p.stmt.limit {
-					break scanLoop
-				}
-			}
-		}
-	}
-	out, err := buildersFrame(builders)
-	if err != nil {
-		return nil, err
-	}
+// finish applies DISTINCT and LIMIT to a projected frame.
+func (p *vecPlan) finish(out *dataframe.Frame) *dataframe.Frame {
 	if p.stmt.distinct {
 		out = distinctRows(out)
 	}
 	if p.stmt.limit >= 0 {
 		out = out.Head(p.stmt.limit)
 	}
-	return out, nil
+	return out
+}
+
+// errLimit ends runRows' scan once LIMIT rows have survived.
+var errLimit = errors.New("sqldb: limit reached")
+
+// runRows executes a non-aggregating, unordered plan in one streaming pass.
+// With a LIMIT and no DISTINCT it stops as soon as k rows survive, unless
+// WHERE runs on the row evaluator: the tree-walk filters every row.
+func (p *vecPlan) runRows(scan segScan, st *execStats) (*dataframe.Frame, error) {
+	builders := p.newBuilders()
+	limit := p.stmt.limit
+	if _, rowWhere := p.where.(*rowNode); rowWhere || p.stmt.distinct {
+		limit = -1
+	}
+	total := 0
+	err := p.scanBlocks(scan, st, func(_ int, b *block, sel []int) error {
+		if limit >= 0 && total+len(sel) > limit {
+			sel = sel[:limit-total]
+		}
+		p.appendOutputs(builders, b, sel)
+		if total += len(sel); total == limit {
+			return errLimit
+		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, errLimit) {
+		return nil, err
+	}
+	out, err := buildersFrame(builders)
+	if err != nil {
+		return nil, err
+	}
+	return p.finish(out), nil
 }
 
 // appendOutputs appends the selected rows of one block to every output
 // builder. Computed outputs over a partial selection evaluate on a
 // compacted mini-frame so kernels only touch surviving rows — exactly the
 // rows the tree-walk engine would evaluate.
-func (p *vecPlan) appendOutputs(builders []*colBuilder, b *block, sel []int) error {
+func (p *vecPlan) appendOutputs(builders []*colBuilder, b *block, sel []int) {
 	if len(sel) == 0 {
-		return nil
+		return
 	}
 	var cb *block
 	for i, o := range p.outs {
@@ -423,15 +453,10 @@ func (p *vecPlan) appendOutputs(builders []*colBuilder, b *block, sel []int) err
 			continue
 		}
 		if cb == nil {
-			var err error
-			cb, err = compactBlock(b, sel, p.computeCols)
-			if err != nil {
-				return err
-			}
+			cb = compactBlock(b, sel, p.computeCols)
 		}
 		builders[i].appendVec(o.node.eval(cb), cb.n())
 	}
-	return nil
 }
 
 func floatCmpNaNLast(x, y float64) int {
@@ -450,136 +475,130 @@ func floatCmpNaNLast(x, y float64) int {
 	return 0
 }
 
-// runOrdered executes a non-aggregating ORDER BY plan: key kernels evaluate
-// per block, survivors are either fully collected and stably sorted, or —
-// with a LIMIT and no DISTINCT — fed through a bounded top-k heap. The
-// final rows gather from the segments afterwards, so non-key columns are
-// only touched for rows that actually appear in the result.
+// runOrdered executes a non-aggregating plan that sorts or has a
+// row-evaluated output. Key kernels evaluate per block; survivors are
+// either fed through a bounded top-k heap (a LIMIT, no DISTINCT and no
+// row-evaluated output) or collected and stably sorted. The outputs are
+// built from the final row list afterwards, so non-key columns are only
+// touched for rows that appear in the result — or, with a row-evaluated
+// output, for every survivor, as the tree-walk's projection does.
 func (p *vecPlan) runOrdered(scan segScan, st *execStats) (*dataframe.Frame, error) {
-	nk := len(p.orderNodes)
-	useTopK := p.stmt.limit >= 0 && !p.stmt.distinct
-	keyF := make([][]float64, nk)
-	keyS := make([][]string, nk)
-	evalKeys := func(b *block, sel []int) error {
-		eb := b
-		if len(sel) != b.n() {
-			var err error
-			eb, err = compactBlock(b, sel, p.orderCols)
-			if err != nil {
-				return err
-			}
-		}
-		kn := len(sel)
-		for oi, nd := range p.orderNodes {
-			v := nd.eval(eb)
-			if p.orderStr[oi] {
-				keyS[oi] = v.strs(kn)
-			} else {
-				keyF[oi] = v.floats(kn)
-			}
-		}
-		return nil
-	}
-
 	var refs []rowRef
-	if useTopK {
-		h := newTopK(p.stmt.limit, p.orderDesc, p.orderStr)
-		rowF := make([]float64, nk)
-		rowS := make([]string, nk)
-		err := p.scanBlocks(scan, st, func(si int, b *block, sel []int) error {
-			if p.stmt.limit == 0 {
-				return nil
-			}
-			if err := evalKeys(b, sel); err != nil {
-				return err
-			}
-			for j := range sel {
-				for oi := 0; oi < nk; oi++ {
-					if p.orderStr[oi] {
-						rowS[oi] = keyS[oi][j]
-					} else {
-						rowF[oi] = keyF[oi][j]
-					}
-				}
-				h.offer(rowF, rowS, rowRef{seg: int32(si), row: int32(b.lo + sel[j])})
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		refs = h.finalize()
+	var err error
+	if p.stmt.limit >= 0 && !p.stmt.distinct && !p.rowOuts {
+		refs, err = p.topKRefs(scan, st)
 	} else {
-		accF := make([][]float64, nk)
-		accS := make([][]string, nk)
-		err := p.scanBlocks(scan, st, func(si int, b *block, sel []int) error {
-			if err := evalKeys(b, sel); err != nil {
-				return err
-			}
-			for oi := 0; oi < nk; oi++ {
-				if p.orderStr[oi] {
-					accS[oi] = append(accS[oi], keyS[oi]...)
-				} else {
-					accF[oi] = append(accF[oi], keyF[oi]...)
-				}
-			}
-			for j := range sel {
-				refs = append(refs, rowRef{seg: int32(si), row: int32(b.lo + sel[j])})
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		idx := make([]int, len(refs))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			ia, ib := idx[a], idx[b]
-			for oi := 0; oi < nk; oi++ {
-				var cmp int
-				if p.orderStr[oi] {
-					cmp = strings.Compare(accS[oi][ia], accS[oi][ib])
-				} else {
-					cmp = floatCmpNaNLast(accF[oi][ia], accF[oi][ib])
-				}
-				if p.orderDesc[oi] {
-					cmp = -cmp
-				}
-				if cmp != 0 {
-					return cmp < 0
-				}
-			}
-			return false
-		})
-		sorted := make([]rowRef, len(refs))
-		for i, j := range idx {
-			sorted[i] = refs[j]
-		}
-		refs = sorted
+		refs, err = p.sortedRefs(scan, st)
 	}
-
+	if err != nil {
+		return nil, err
+	}
 	out, err := p.buildFromRefs(scan.segs, refs)
 	if err != nil {
 		return nil, err
 	}
-	if p.stmt.distinct {
-		out = distinctRows(out)
+	return p.finish(out), nil
+}
+
+// evalKeys evaluates every order key over the selected rows of a block.
+func (p *vecPlan) evalKeys(b *block, sel []int, keyF [][]float64, keyS [][]string) {
+	eb := b
+	if len(sel) != b.n() {
+		eb = compactBlock(b, sel, p.orderCols)
 	}
-	if p.stmt.limit >= 0 {
-		out = out.Head(p.stmt.limit)
+	for oi, nd := range p.orderNodes {
+		v := nd.eval(eb)
+		if p.orderStr[oi] {
+			keyS[oi] = v.strs(len(sel))
+		} else {
+			keyF[oi] = v.floats(len(sel))
+		}
 	}
-	return out, nil
+}
+
+// topKRefs returns the first LIMIT surviving rows in sort order.
+func (p *vecPlan) topKRefs(scan segScan, st *execStats) ([]rowRef, error) {
+	nk := len(p.orderNodes)
+	keyF, keyS := make([][]float64, nk), make([][]string, nk)
+	rowF, rowS := make([]float64, nk), make([]string, nk)
+	h := newTopK(p.stmt.limit, p.orderDesc, p.orderStr)
+	err := p.scanBlocks(scan, st, func(si int, b *block, sel []int) error {
+		p.evalKeys(b, sel, keyF, keyS)
+		for j := range sel {
+			for oi := 0; oi < nk; oi++ {
+				if p.orderStr[oi] {
+					rowS[oi] = keyS[oi][j]
+				} else {
+					rowF[oi] = keyF[oi][j]
+				}
+			}
+			h.offer(rowF, rowS, rowRef{seg: int32(si), row: int32(b.lo + sel[j])})
+		}
+		return nil
+	})
+	return h.finalize(), err
+}
+
+// sortedRefs returns every surviving row, stably sorted by the order keys.
+func (p *vecPlan) sortedRefs(scan segScan, st *execStats) ([]rowRef, error) {
+	nk := len(p.orderNodes)
+	keyF, keyS := make([][]float64, nk), make([][]string, nk)
+	accF, accS := make([][]float64, nk), make([][]string, nk)
+	var refs []rowRef
+	err := p.scanBlocks(scan, st, func(si int, b *block, sel []int) error {
+		p.evalKeys(b, sel, keyF, keyS)
+		for oi := 0; oi < nk; oi++ {
+			if p.orderStr[oi] {
+				accS[oi] = append(accS[oi], keyS[oi]...)
+			} else {
+				accF[oi] = append(accF[oi], keyF[oi]...)
+			}
+		}
+		for j := range sel {
+			refs = append(refs, rowRef{seg: int32(si), row: int32(b.lo + sel[j])})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	idx := make([]int, len(refs))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		ia, ib := idx[a], idx[b]
+		for oi := 0; oi < nk; oi++ {
+			var cmp int
+			if p.orderStr[oi] {
+				cmp = strings.Compare(accS[oi][ia], accS[oi][ib])
+			} else {
+				cmp = floatCmpNaNLast(accF[oi][ia], accF[oi][ib])
+			}
+			if p.orderDesc[oi] {
+				cmp = -cmp
+			}
+			if cmp != 0 {
+				return cmp < 0
+			}
+		}
+		return false
+	})
+	sorted := make([]rowRef, len(refs))
+	for i, j := range idx {
+		sorted[i] = refs[j]
+	}
+	return sorted, nil
 }
 
 // buildFromRefs projects the plan's outputs for an ordered list of row
 // references: pass-through columns gather straight from the segments,
-// computed outputs evaluate over a frame of gathered source columns.
+// computed outputs evaluate over a frame of gathered source columns, one
+// output after another, as the tree-walk's projection does.
 func (p *vecPlan) buildFromRefs(segs []*dataframe.Frame, refs []rowRef) (*dataframe.Frame, error) {
 	needed := map[string]bool{}
 	for _, o := range p.outs {
-		if o.node == nil {
+		if _, ok := p.kinds[o.src]; ok && o.node == nil {
 			needed[o.src] = true
 		}
 	}
@@ -606,12 +625,13 @@ func (p *vecPlan) buildFromRefs(segs []*dataframe.Frame, refs []rowRef) (*datafr
 	out := dataframe.New()
 	used := map[string]bool{}
 	for _, o := range p.outs {
-		if o.node == nil {
+		var use *dataframe.Column
+		switch nd := o.node.(type) {
+		case nil:
 			c, err := gf.Column(o.src)
 			if err != nil {
-				return nil, err
+				return nil, &dataframe.ColumnError{Name: o.src, Available: p.names}
 			}
-			var use *dataframe.Column
 			if used[o.src] {
 				use = c.Clone()
 			} else {
@@ -620,22 +640,21 @@ func (p *vecPlan) buildFromRefs(segs []*dataframe.Frame, refs []rowRef) (*datafr
 				used[o.src] = true
 			}
 			use.Name = o.name
-			if err := out.AddColumn(use); err != nil {
+		case *rowNode:
+			vals, _, err := nd.values(gf, 0, len(refs))
+			if err != nil {
 				return nil, err
 			}
-			continue
-		}
-		cb := &colBuilder{name: o.name, kind: o.kind, computed: true}
-		n := len(refs)
-		for lo := 0; lo < n; lo += blockSize {
-			hi := lo + blockSize
-			if hi > n {
-				hi = n
+			use = valuesToColumn(o.name, vals)
+		default:
+			cb := &colBuilder{name: o.name, kind: o.kind, computed: true}
+			for lo := 0; lo < len(refs); lo += blockSize {
+				eb := &block{seg: gf, lo: lo, hi: min(lo+blockSize, len(refs))}
+				cb.appendVec(nd.eval(eb), eb.n())
 			}
-			eb := &block{seg: gf, lo: lo, hi: hi}
-			cb.appendVec(o.node.eval(eb), hi-lo)
+			use = cb.column()
 		}
-		if err := out.AddColumn(cb.column()); err != nil {
+		if err := out.AddColumn(use); err != nil {
 			return nil, err
 		}
 	}
@@ -756,29 +775,22 @@ func (t *topK) cmpRow(fk []float64, sk []string, c *topkCand) int {
 }
 
 func (t *topK) offer(fk []float64, sk []string, ref rowRef) {
-	if t.k == 0 {
-		return
-	}
 	pos := t.next
 	t.next++
-	if len(t.cands) < t.k {
-		cand := &topkCand{
-			fk:  append([]float64(nil), fk...),
-			sk:  append([]string(nil), sk...),
-			ref: ref, pos: pos,
-		}
-		t.cands = append(t.cands, cand)
-		t.siftUp(len(t.cands) - 1)
+	if t.k == 0 || len(t.cands) == t.k && t.cmpRow(fk, sk, t.cands[0]) >= 0 {
 		return
 	}
-	if t.cmpRow(fk, sk, t.cands[0]) >= 0 {
-		return
-	}
-	t.cands[0] = &topkCand{
+	cand := &topkCand{
 		fk:  append([]float64(nil), fk...),
 		sk:  append([]string(nil), sk...),
 		ref: ref, pos: pos,
 	}
+	if len(t.cands) < t.k {
+		t.cands = append(t.cands, cand)
+		t.siftUp(len(t.cands) - 1)
+		return
+	}
+	t.cands[0] = cand
 	t.siftDown(0)
 }
 
@@ -847,11 +859,45 @@ func newAccs(aggNodes []*aggExpr) []*aggAccumulator {
 	return accs
 }
 
-// runGrouped executes aggregate/GROUP BY plans: group keys and aggregate
-// arguments evaluate as vectors per block, accumulation is a single
-// streaming pass, and the O(groups)-sized select list renders through the
-// shared renderGroups path.
+// runGrouped executes aggregate/GROUP BY plans: a single streaming pass
+// accumulates the groups, and the O(groups)-sized select list renders
+// through the shared renderGroups path.
 func (p *vecPlan) runGrouped(scan segScan, st *execStats) (*dataframe.Frame, error) {
+	if p.starAgg {
+		if err := p.scanBlocks(scan, st, nil); err != nil {
+			return nil, err
+		}
+		return nil, evalErrf("SELECT * cannot be combined with aggregates")
+	}
+	order, err := p.accumulate(scan, st)
+	if err != nil {
+		return nil, err
+	}
+	if len(p.groupKeys) == 0 && len(order) == 0 {
+		order = append(order, &aggGroup{row: -1, accs: newAccs(p.aggNodes)})
+	}
+	out, err := renderGroups(p.stmt, p.aggNodes, order)
+	if err != nil {
+		return nil, err
+	}
+	if p.stmt.distinct {
+		out = distinctRows(out)
+	}
+	if len(p.stmt.orderBy) > 0 {
+		if out, err = orderRows(p.stmt, out); err != nil {
+			return nil, err
+		}
+	}
+	if p.stmt.limit >= 0 {
+		out = out.Head(p.stmt.limit)
+	}
+	return out, nil
+}
+
+// accumulate streams the scan into per-group accumulators, in first-seen
+// group order: group keys and aggregate arguments evaluate as vectors per
+// block.
+func (p *vecPlan) accumulate(scan segScan, st *execStats) ([]*aggGroup, error) {
 	var order []*aggGroup
 	nKeys := len(p.groupKeys)
 	nAggs := len(p.aggNodes)
@@ -874,14 +920,10 @@ func (p *vecPlan) runGrouped(scan segScan, st *execStats) (*dataframe.Frame, err
 		// evaluating the whole block and indexing the survivors beats
 		// gathering a compact copy of every referenced column — column
 		// references evaluate as zero-copy aliases.
-		dense := 4*kn >= b.n()
+		dense := 4*kn >= b.n() && !p.rowKeys // a rowNode may fail on a rejected row
 		eb := b
 		if !dense {
-			var err error
-			eb, err = compactBlock(b, sel, p.groupCols)
-			if err != nil {
-				return err
-			}
+			eb = compactBlock(b, sel, p.groupCols)
 		}
 		en := eb.n()
 		for i, g := range p.groupKeys {
@@ -945,29 +987,7 @@ func (p *vecPlan) runGrouped(scan segScan, st *execStats) (*dataframe.Frame, err
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if len(p.groupKeys) == 0 && len(order) == 0 {
-		order = append(order, &aggGroup{row: -1, accs: newAccs(p.aggNodes)})
-	}
-	out, err := renderGroups(p.stmt, p.aggNodes, order)
-	if err != nil {
-		return nil, err
-	}
-	if p.stmt.distinct {
-		out = distinctRows(out)
-	}
-	if len(p.stmt.orderBy) > 0 {
-		out, err = orderRows(p.stmt, out)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if p.stmt.limit >= 0 {
-		out = out.Head(p.stmt.limit)
-	}
-	return out, nil
+	return order, err
 }
 
 // ---------------------------------------------------------------------------

@@ -208,12 +208,12 @@ func TestScanPruning(t *testing.T) {
 	if narrow >= wide {
 		t.Errorf("pruned scan read %d bytes, full scan %d", narrow, wide)
 	}
-	table, cols, err := Explain("SELECT fof_halo_tag FROM halos WHERE sim = 1 ORDER BY fof_halo_mass")
-	if err != nil || table != "halos" {
-		t.Fatalf("Explain: %v %v", table, err)
+	info, err := db.ExplainQuery("SELECT fof_halo_tag FROM halos WHERE sim = 1 ORDER BY fof_halo_mass")
+	if err != nil || info.Table != "halos" {
+		t.Fatalf("ExplainQuery: %+v %v", info, err)
 	}
-	if len(cols) != 3 {
-		t.Errorf("Explain cols = %v", cols)
+	if want := "fof_halo_mass,fof_halo_tag,sim"; strings.Join(info.Columns, ",") != want {
+		t.Errorf("ExplainQuery columns = %v, want %v", info.Columns, want)
 	}
 }
 
@@ -349,7 +349,7 @@ func TestQuickAggregatesMatchDataframe(t *testing.T) {
 			dataframe.NewInt("g", groups),
 			dataframe.NewFloat("v", vals),
 		)
-		name := "q" + itoa(iter)
+		name := "q" + strconv.Itoa(iter)
 		if err := db.CreateOrReplaceTable(name, f); err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -10,21 +11,12 @@ import (
 
 // This file is the vectorized expression backend: the parsed AST compiles
 // into a tree of typed kernels that evaluate whole column blocks at a time,
-// instead of boxing one value per row through evalExpr. Compilation is
-// conservative — any shape with row-at-a-time semantics the kernels cannot
-// reproduce exactly (dynamic integer modulo, aggregates in scalar position,
-// arithmetic over strings) returns notVectorizable and the planner falls
-// back to the tree-walk engine, so behavior never diverges.
-
-// notVectorizable explains why an expression or statement has to run on the
-// tree-walk backend. It is a planning signal, not a user-facing error.
-type notVectorizable struct{ reason string }
-
-func (e *notVectorizable) Error() string { return e.reason }
-
-func fallbackf(format string, args ...any) error {
-	return &notVectorizable{reason: fmt.Sprintf(format, args...)}
-}
+// instead of boxing one value per row through evalExpr. Kernels are total,
+// so compileVec refuses every shape whose row-at-a-time result can be an
+// error the row engine might skip or reach in another order (dynamic
+// integer modulo, aggregates in scalar position, arithmetic over strings,
+// …). The planner runs each refused expression on the reference evaluator
+// as one rowNode, so behavior never diverges from the tree-walk.
 
 // vec is one expression result over a block: a typed vector of block length,
 // or a single broadcast constant (cnst). Exactly one of f/i/s is populated
@@ -150,8 +142,8 @@ func (b *block) column(name string) *dataframe.Column {
 // vecNode is one compiled kernel. kind is the statically known result kind —
 // it matches the dynamic kind evalExpr would produce for every row, which is
 // what lets the planner build typed output columns without inspecting
-// values. eval never fails: the only dynamic error in the row engine
-// (integer modulo by zero) is excluded at compile time.
+// values (rowNode, which evaluates rows, is the one exception). eval never
+// fails.
 type vecNode interface {
 	kind() dataframe.Kind
 	eval(b *block) vec
@@ -171,16 +163,71 @@ type colNode struct {
 }
 
 func (nd *colNode) kind() dataframe.Kind { return nd.k }
-func (nd *colNode) eval(b *block) vec {
-	c := b.column(nd.name)
+func (nd *colNode) eval(b *block) vec    { return columnVec(b.column(nd.name), b.lo, b.hi) }
+
+// columnVec views rows [lo, hi) of c as a vector, zero-copy.
+func columnVec(c *dataframe.Column, lo, hi int) vec {
 	switch c.Kind {
 	case dataframe.Float:
-		return vec{kind: dataframe.Float, f: c.F[b.lo:b.hi]}
+		return vec{kind: dataframe.Float, f: c.F[lo:hi]}
 	case dataframe.Int:
-		return vec{kind: dataframe.Int, i: c.I[b.lo:b.hi]}
+		return vec{kind: dataframe.Int, i: c.I[lo:hi]}
 	default:
-		return vec{kind: dataframe.String, s: c.S[b.lo:b.hi]}
+		return vec{kind: dataframe.String, s: c.S[lo:hi]}
 	}
+}
+
+// rowErr is the first row error of a plan's scan. at is the failing row's
+// index in its block, so when several keys of one block fail, the one the
+// tree-walk reaches first (row by row, key by key) wins.
+type rowErr struct {
+	err error
+	at  int
+}
+
+// rowNode runs an expression compileVec refuses on the reference evaluator,
+// row by row, exactly as the tree-walk does. Every refused shape computes a
+// number or fails, so kind reports Float, the class its values order and
+// aggregate in; eval returns an Int vector when every value is Int, as
+// valuesToColumn would. A row error is recorded in *err, which ends the
+// scan, and eval stays total.
+type rowNode struct {
+	ex    expr
+	names []string // the table's columns, in table order
+	err   *rowErr
+}
+
+func (nd *rowNode) kind() dataframe.Kind { return dataframe.Float }
+func (nd *rowNode) eval(b *block) vec {
+	vals, at, err := nd.values(b.seg, b.lo, b.hi)
+	if err != nil {
+		if nd.err.err == nil || at < nd.err.at {
+			*nd.err = rowErr{err: err, at: at}
+		}
+		return vec{kind: dataframe.Float, f: make([]float64, b.n())}
+	}
+	return columnVec(valuesToColumn("", vals), 0, len(vals))
+}
+
+// values evaluates rows [lo, hi) of f; on error it also returns the failing
+// row's offset from lo.
+func (nd *rowNode) values(f *dataframe.Frame, lo, hi int) ([]value, int, error) {
+	vals := make([]value, hi-lo)
+	ctx := &rowContext{frame: f}
+	for r := lo; r < hi; r++ {
+		ctx.row = r
+		v, err := evalExpr(nd.ex, ctx)
+		var ce *dataframe.ColumnError
+		if errors.As(err, &ce) {
+			// f may hold only the plan's columns; the tree-walk lists the table's.
+			err = &dataframe.ColumnError{Name: ce.Name, Available: nd.names}
+		}
+		if err != nil {
+			return nil, r - lo, err
+		}
+		vals[r-lo] = v
+	}
+	return vals, 0, nil
 }
 
 // constNode broadcasts a literal.
@@ -667,8 +714,8 @@ func constValue(e expr) (value, bool) {
 	return value{}, false
 }
 
-// compileVec lowers an expression to a kernel tree, or reports why it must
-// run on the tree-walk backend. kinds is the table schema.
+// compileVec lowers an expression to a kernel tree, or reports why no
+// kernel covers it. kinds is the table schema.
 func compileVec(e expr, kinds map[string]dataframe.Kind) (vecNode, error) {
 	switch v := e.(type) {
 	case *numberExpr, *stringExpr:
@@ -677,7 +724,7 @@ func compileVec(e expr, kinds map[string]dataframe.Kind) (vecNode, error) {
 	case *identExpr:
 		k, ok := kinds[v.name]
 		if !ok {
-			return nil, fallbackf("column %q not in table schema", v.name)
+			return nil, fmt.Errorf("column %q not in table schema", v.name)
 		}
 		return &colNode{name: v.name, k: k}, nil
 	case *unaryExpr:
@@ -697,47 +744,9 @@ func compileVec(e expr, kinds map[string]dataframe.Kind) (vecNode, error) {
 		case "NOT":
 			return &notNode{sub: sub}, nil
 		}
-		return nil, fallbackf("unary operator %q", v.op)
+		return nil, fmt.Errorf("unary operator %q", v.op)
 	case *binaryExpr:
-		l, err := compileVec(v.left, kinds)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileVec(v.right, kinds)
-		if err != nil {
-			return nil, err
-		}
-		switch v.op {
-		case "AND", "OR":
-			return &logicNode{op: v.op, l: l, r: r}, nil
-		case "+", "-", "*", "/", "%":
-			if l.kind() == dataframe.String || r.kind() == dataframe.String {
-				return nil, fallbackf("arithmetic over string operand")
-			}
-			k := dataframe.Float
-			if l.kind() == dataframe.Int && r.kind() == dataframe.Int && v.op != "/" {
-				k = dataframe.Int
-			}
-			if v.op == "%" && k == dataframe.Int {
-				// Integer modulo is the one kernel with a dynamic error
-				// (modulo by zero), and AND/OR short-circuiting can make the
-				// row engine skip it; only a provably nonzero constant
-				// divisor is vectorized.
-				c, ok := r.(*constNode)
-				if !ok || c.v.i == 0 {
-					return nil, fallbackf("integer modulo with non-constant or zero divisor")
-				}
-			}
-			return &arithNode{op: v.op, l: l, r: r, k: k}, nil
-		case "=", "!=", "<", "<=", ">", ">=":
-			return &cmpNode{op: v.op, l: l, r: r}, nil
-		case "LIKE":
-			if l.kind() != dataframe.String || r.kind() != dataframe.String {
-				return nil, fallbackf("LIKE over non-string operands")
-			}
-			return &likeNode{l: l, r: r}, nil
-		}
-		return nil, fallbackf("operator %q", v.op)
+		return compileBinary(v, kinds)
 	case *inExpr:
 		sub, err := compileVec(v.sub, kinds)
 		if err != nil {
@@ -747,7 +756,7 @@ func compileVec(e expr, kinds map[string]dataframe.Kind) (vecNode, error) {
 		for _, item := range v.list {
 			cv, ok := constValue(item)
 			if !ok {
-				return nil, fallbackf("non-constant IN list member %s", item)
+				return nil, fmt.Errorf("non-constant IN list member %s", item)
 			}
 			if cv.kind == dataframe.String {
 				nd.strsL = append(nd.strsL, cv.s)
@@ -771,32 +780,80 @@ func compileVec(e expr, kinds map[string]dataframe.Kind) (vecNode, error) {
 		}
 		return &betweenNode{sub: sub, lo: lo, hi: hi, negate: v.negate}, nil
 	case *callExpr:
-		args := make([]vecNode, len(v.args))
-		for i, a := range v.args {
-			an, err := compileVec(a, kinds)
-			if err != nil {
-				return nil, err
-			}
-			if an.kind() == dataframe.String {
-				return nil, fallbackf("function %s over string argument", v.fn)
-			}
-			args[i] = an
-		}
-		if v.fn == "POW" {
-			return &callNode{args: args, f2: math.Pow}, nil
-		}
-		if f1, ok := scalarKernels[v.fn]; ok {
-			return &callNode{args: args, f1: f1}, nil
-		}
-		return nil, fallbackf("function %s has no kernel", v.fn)
+		return compileCall(v, kinds)
 	case *aggExpr:
-		return nil, fallbackf("aggregate %s in scalar position", v.fn)
+		return nil, fmt.Errorf("aggregate %s in scalar position", v.fn)
 	}
-	return nil, fallbackf("expression %T has no kernel", e)
+	return nil, fmt.Errorf("expression %T has no kernel", e)
 }
 
-// exprColumns returns the sorted set of column names referenced by exprs.
-func exprColumns(exprs ...expr) []string {
+func compileBinary(v *binaryExpr, kinds map[string]dataframe.Kind) (vecNode, error) {
+	l, err := compileVec(v.left, kinds)
+	if err != nil {
+		return nil, err
+	}
+	r, err := compileVec(v.right, kinds)
+	if err != nil {
+		return nil, err
+	}
+	switch v.op {
+	case "AND", "OR":
+		return &logicNode{op: v.op, l: l, r: r}, nil
+	case "+", "-", "*", "/", "%":
+		if l.kind() == dataframe.String || r.kind() == dataframe.String {
+			return nil, fmt.Errorf("arithmetic over string operand")
+		}
+		k := dataframe.Float
+		if l.kind() == dataframe.Int && r.kind() == dataframe.Int && v.op != "/" {
+			k = dataframe.Int
+		}
+		if v.op == "%" && k == dataframe.Int {
+			// Integer modulo is the one kernel with a dynamic error
+			// (modulo by zero), and AND/OR short-circuiting can make the
+			// row engine skip it; only a provably nonzero constant
+			// divisor is vectorized.
+			c, ok := r.(*constNode)
+			if !ok || c.v.i == 0 {
+				return nil, fmt.Errorf("integer modulo with non-constant or zero divisor")
+			}
+		}
+		return &arithNode{op: v.op, l: l, r: r, k: k}, nil
+	case "=", "!=", "<", "<=", ">", ">=":
+		return &cmpNode{op: v.op, l: l, r: r}, nil
+	case "LIKE":
+		if l.kind() != dataframe.String || r.kind() != dataframe.String {
+			return nil, fmt.Errorf("LIKE over non-string operands")
+		}
+		return &likeNode{l: l, r: r}, nil
+	}
+	return nil, fmt.Errorf("operator %q", v.op)
+}
+
+func compileCall(v *callExpr, kinds map[string]dataframe.Kind) (vecNode, error) {
+	args := make([]vecNode, len(v.args))
+	for i, a := range v.args {
+		an, err := compileVec(a, kinds)
+		if err != nil {
+			return nil, err
+		}
+		if an.kind() == dataframe.String {
+			return nil, fmt.Errorf("function %s over string argument", v.fn)
+		}
+		args[i] = an
+	}
+	if v.fn == "POW" {
+		return &callNode{args: args, f2: math.Pow}, nil
+	}
+	if f1, ok := scalarKernels[v.fn]; ok {
+		return &callNode{args: args, f1: f1}, nil
+	}
+	return nil, fmt.Errorf("function %s has no kernel", v.fn)
+}
+
+// exprColumns returns the sorted set of schema columns referenced by exprs.
+// Only a rowNode can name a column the table lacks, and it reports that row
+// by row.
+func exprColumns(kinds map[string]dataframe.Kind, exprs ...expr) []string {
 	set := map[string]bool{}
 	for _, e := range exprs {
 		if e != nil {
@@ -805,7 +862,9 @@ func exprColumns(exprs ...expr) []string {
 	}
 	out := make([]string, 0, len(set))
 	for k := range set {
-		out = append(out, k)
+		if _, ok := kinds[k]; ok {
+			out = append(out, k)
+		}
 	}
 	// Deterministic ordering keeps compacted mini-frames stable.
 	sort.Strings(out)

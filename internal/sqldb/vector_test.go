@@ -92,10 +92,14 @@ func TestExplainQueryPruning(t *testing.T) {
 		t.Errorf("step=393 explain = %+v, want vectorized 16 segments 15 pruned", info)
 	}
 
-	// Non-vectorizable statements report the fallback and its reason.
-	info = explain(t, db, "SELECT tag FROM parts WHERE grp IN (tag, 1)")
-	if info.Backend != "treewalk" || info.FallbackReason == "" {
-		t.Errorf("fallback explain = %+v, want treewalk with a reason", info)
+	// An expression no kernel covers runs on the row evaluator, and its
+	// WHERE is not pruned: it could fail on a row the stats would skip.
+	info = explain(t, db, "SELECT tag FROM parts WHERE grp IN (tag, 1) AND seg = 99")
+	if info.Backend != "vectorized" || info.RowReason != "non-constant IN list member tag" || info.SegmentsPruned != 0 {
+		t.Errorf("row-evaluated explain = %+v, want vectorized, the IN refusal, 0 pruned", info)
+	}
+	if info := explain(t, db, "SELECT tag FROM parts WHERE seg = 2"); info.RowReason != "" {
+		t.Errorf("kernel-covered explain has row reason %q", info.RowReason)
 	}
 }
 
@@ -137,7 +141,7 @@ func TestVectorizedMetrics(t *testing.T) {
 // the row engine's valuesToColumn over no values.
 func TestVectorizedEmptyComputedKind(t *testing.T) {
 	db := diffDB(t)
-	f, err := db.QueryBackend("SELECT tag + 1 AS x, name FROM parts WHERE 1 = 0", BackendVectorized)
+	f, err := db.Query("SELECT tag + 1 AS x, name FROM parts WHERE 1 = 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,6 +153,14 @@ func TestVectorizedEmptyComputedKind(t *testing.T) {
 	}
 	if k := f.MustColumn("name").Kind; k != dataframe.String {
 		t.Errorf("pass-through empty column kind = %v, want String", k)
+	}
+	// The same rule holds for an output on the row evaluator.
+	f, err = db.Query("SELECT name + 1 AS x FROM parts WHERE 1 = 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := f.MustColumn("x").Kind; f.NumRows() != 0 || k != dataframe.Int {
+		t.Errorf("row-evaluated empty column: %d rows of %v, want 0 of Int", f.NumRows(), k)
 	}
 }
 
