@@ -223,22 +223,8 @@ func dataLoaderNode(rt *Runtime, st *State) (string, error) {
 	in := st.Plan.Intent
 	task := currentTask(st)
 	started := stepStarted(rt, st, "dataloader")
-
-	// RAG retrieval provides the metadata context; record it so the
-	// provenance trail shows why these columns were chosen.
-	if rt.Retriever != nil {
-		docs := rt.Retriever.Retrieve(st.Question, task, st.Plan.String())
-		var ids, full strings.Builder
-		for _, d := range docs {
-			ids.WriteString(d.ID + "\n")
-			full.WriteString(d.Text + "\n")
-		}
-		st.RetrievedContext = full.String()
-		if rt.Session != nil {
-			if _, err := rt.Session.Record("dataloader", "retrieval", "retrieved_docs.txt", []byte(ids.String())); err != nil {
-				return "", err
-			}
-		}
+	if err := recordRetrieval(rt, st, task); err != nil {
+		return "", err
 	}
 
 	sims := resolveSims(in, rt.Catalog)
@@ -251,69 +237,11 @@ func dataLoaderNode(rt *Runtime, st *State) (string, error) {
 		if entity != hacc.FileHalos && entity != hacc.FileGalaxies {
 			continue // particles/cores load on demand via tools
 		}
-		needed := llm.NeedColumns(in, entity)
-		fileCols := fileColumns(needed, entity)
-		table := tableNameOf(entity)
-
-		// Resolve every (sim, step) slice up front, then fan the decode out
-		// over the shared staging cache's worker pool: concurrent sessions
-		// staging overlapping slices share one decode per (file, column) —
-		// a session needing a superset of an already-staged selection pays
-		// only for its absent columns — and a k-snapshot load runs in
-		// parallel instead of sequentially.
-		type slice struct {
-			sim, step int
-			params    hacc.Params
-		}
-		var (
-			slices []slice
-			reqs   []stage.Request
-		)
-		for _, sim := range sims {
-			params := rt.Catalog.Runs[sim].Params
-			for _, step := range steps {
-				entry, ok := rt.Catalog.Find(sim, step, entity)
-				if !ok {
-					return "", fmt.Errorf("agent: missing %s file for sim %d step %d", entity, sim, step)
-				}
-				slices = append(slices, slice{sim: sim, step: step, params: params})
-				reqs = append(reqs, stage.Request{Path: rt.Catalog.AbsPath(entry), Columns: fileCols})
-			}
-		}
-		var total int64
-		frames := make([]*dataframe.Frame, len(slices))
-		var results []stage.Result
-		if len(fileCols) > 0 {
-			results = rt.lease.LoadAll(reqs)
-		} else {
-			// Degenerate intent (only injected columns requested): stage
-			// zero-row slices rather than asking the cache for zero columns.
-			results = make([]stage.Result, len(slices))
-			for i := range results {
-				results[i].Frame = dataframe.New()
-			}
-		}
-		for i, res := range results {
-			sl := slices[i]
-			if res.Err != nil {
-				return "", fmt.Errorf("agent: load %s sim %d step %d: %w", entity, sl.sim, sl.step, res.Err)
-			}
-			total += res.BytesRead
-			if err := injectContextColumns(rt.lease, res.Frame, sl.sim, sl.step, sl.params, needed); err != nil {
-				return "", err
-			}
-			frames[i] = res.Frame
-		}
-		// One bulk build stages the table once, not once per snapshot — and
-		// into a staged DB it is zero-copy: the cached column vectors are
-		// appended by reference (copy-on-write guarded), not cell by cell.
-		if err := rt.DB.BulkAppend(table, frames...); err != nil {
+		line, err := stageEntity(rt, st, entity, sims, steps)
+		if err != nil {
 			return "", err
 		}
-		ti, _ := rt.DB.Table(table)
-		st.Staged[table] = columnNames(ti)
-		fmt.Fprintf(&report, "%s: %d sims x %d steps -> table %q, %d rows, %d bytes read (columns: %v)\n",
-			entity, len(sims), len(steps), table, ti.Rows, total, fileCols)
+		report.WriteString(line)
 	}
 	if rt.Session != nil {
 		if _, err := rt.Session.Record("dataloader", "report", "load_report.txt", []byte(report.String())); err != nil {
@@ -324,6 +252,99 @@ func dataLoaderNode(rt *Runtime, st *State) (string, error) {
 	rt.span(PhaseStage, started)
 	stepDone(rt, st, "dataloader", "data loading: "+task, started, 0)
 	return nodeSupervisor, nil
+}
+
+// recordRetrieval runs the RAG retrieval that provides the metadata
+// context and records it, so the provenance trail shows why these columns
+// were chosen.
+func recordRetrieval(rt *Runtime, st *State, task string) error {
+	if rt.Retriever == nil {
+		return nil
+	}
+	docs := rt.Retriever.Retrieve(st.Question, task, st.Plan.String())
+	var ids, full strings.Builder
+	for _, d := range docs {
+		ids.WriteString(d.ID + "\n")
+		full.WriteString(d.Text + "\n")
+	}
+	st.RetrievedContext = full.String()
+	if rt.Session == nil {
+		return nil
+	}
+	_, err := rt.Session.Record("dataloader", "retrieval", "retrieved_docs.txt", []byte(ids.String()))
+	return err
+}
+
+// loadSlice is one (sim, step) snapshot of an entity to stage.
+type loadSlice struct {
+	sim, step int
+	params    hacc.Params
+}
+
+// stageEntity loads the needed columns of entity for every (sim, step)
+// slice through the run's lease, injects the context columns and stages
+// them as one table. It returns the entity's load-report line.
+func stageEntity(rt *Runtime, st *State, entity string, sims, steps []int) (string, error) {
+	in := st.Plan.Intent
+	needed := llm.NeedColumns(in, entity)
+	fileCols := fileColumns(needed, entity)
+	table := tableNameOf(entity)
+
+	// Resolve every (sim, step) slice up front, then fan the decode out
+	// over the shared staging cache's worker pool: concurrent sessions
+	// staging overlapping slices share one decode per (file, column) —
+	// a session needing a superset of an already-staged selection pays
+	// only for its absent columns — and a k-snapshot load runs in
+	// parallel instead of sequentially.
+	var (
+		slices []loadSlice
+		reqs   []stage.Request
+	)
+	for _, sim := range sims {
+		params := rt.Catalog.Runs[sim].Params
+		for _, step := range steps {
+			entry, ok := rt.Catalog.Find(sim, step, entity)
+			if !ok {
+				return "", fmt.Errorf("agent: missing %s file for sim %d step %d", entity, sim, step)
+			}
+			slices = append(slices, loadSlice{sim: sim, step: step, params: params})
+			reqs = append(reqs, stage.Request{Path: rt.Catalog.AbsPath(entry), Columns: fileCols})
+		}
+	}
+	var total int64
+	frames := make([]*dataframe.Frame, len(slices))
+	var results []stage.Result
+	if len(fileCols) > 0 {
+		results = rt.lease.LoadAll(reqs)
+	} else {
+		// Degenerate intent (only injected columns requested): stage
+		// zero-row slices rather than asking the cache for zero columns.
+		results = make([]stage.Result, len(slices))
+		for i := range results {
+			results[i].Frame = dataframe.New()
+		}
+	}
+	for i, res := range results {
+		sl := slices[i]
+		if res.Err != nil {
+			return "", fmt.Errorf("agent: load %s sim %d step %d: %w", entity, sl.sim, sl.step, res.Err)
+		}
+		total += res.BytesRead
+		if err := injectContextColumns(rt.lease, res.Frame, sl.sim, sl.step, sl.params, needed); err != nil {
+			return "", err
+		}
+		frames[i] = res.Frame
+	}
+	// One bulk build stages the table once, not once per snapshot — and
+	// into a staged DB it is zero-copy: the cached column vectors are
+	// appended by reference (copy-on-write guarded), not cell by cell.
+	if err := rt.DB.BulkAppend(table, frames...); err != nil {
+		return "", err
+	}
+	ti, _ := rt.DB.Table(table)
+	st.Staged[table] = columnNames(ti)
+	return fmt.Sprintf("%s: %d sims x %d steps -> table %q, %d rows, %d bytes read (columns: %v)\n",
+		entity, len(sims), len(steps), table, ti.Rows, total, fileCols), nil
 }
 
 func currentTask(st *State) string {

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"infera/internal/core"
 	"infera/internal/eval"
@@ -90,6 +93,24 @@ func askAll(t *testing.T, dir string, st *stage.Cache, workers int, questions []
 	return out
 }
 
+// unlinkedMappings fails when the process still maps a block file under
+// dir that has been unlinked; it checks nothing off Linux.
+func unlinkedMappings(dir string) error {
+	if runtime.GOOS != "linux" {
+		return nil
+	}
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		return err
+	}
+	for _, line := range strings.Split(string(maps), "\n") {
+		if strings.Contains(line, " "+dir+string(filepath.Separator)) && strings.HasSuffix(line, " (deleted)") {
+			return fmt.Errorf("an unlinked block file is still mapped: %s", line)
+		}
+	}
+	return nil
+}
+
 // TestRecycledBuffersKeepAnswers asks the evaluation bank from two workers
 // over a 2 MB stage budget — every column block evicted and its buffer
 // recycled while the other ask runs — and requires every answer and
@@ -128,21 +149,34 @@ func TestRecycledBuffersKeepAnswers(t *testing.T) {
 	for _, leg := range []struct {
 		name  string
 		cache func() *stage.Cache
-		check func(stage.Stats) error
+		check func(*stage.Cache) error
 	}{
 		{"over a 2 MB budget", func() *stage.Cache { return stage.New(2<<20, 0) }, nil},
-		{"written through to a stage dir", tiered, func(s stage.Stats) error {
+		{"written through to a stage dir", tiered, func(c *stage.Cache) error {
+			s := c.Stats()
 			if s.DiskWrites == 0 || s.DiskWriteFailures != 0 {
 				return fmt.Errorf("disk_writes %d, disk_write_failures %d", s.DiskWrites, s.DiskWriteFailures)
 			}
 			return nil
 		}},
-		{"promoted from that stage dir", tiered, func(s stage.Stats) error {
+		{"promoted from that stage dir", tiered, func(c *stage.Cache) error {
+			s := c.Stats()
 			if s.DiskHits == 0 || s.BytesDecoded != 0 || s.DiskPromoteFailures != 0 {
 				return fmt.Errorf("disk_hits %d, bytes_decoded %d, disk_promote_failures %d: want every column promoted",
 					s.DiskHits, s.BytesDecoded, s.DiskPromoteFailures)
 			}
-			return nil
+			// With every ask done and its frames collected, a mapping is
+			// live only while a disk entry indexes it or a resident column
+			// was cast from it.
+			for i := 0; s.DiskMappings > int64(s.DiskEntries+s.Entries); i++ {
+				if i == 100 {
+					return fmt.Errorf("disk_mappings %d over disk_entries %d + entries %d", s.DiskMappings, s.DiskEntries, s.Entries)
+				}
+				runtime.GC()
+				time.Sleep(10 * time.Millisecond)
+				s = c.Stats()
+			}
+			return unlinkedMappings(stageDir)
 		}},
 	} {
 		st := leg.cache()
@@ -154,7 +188,7 @@ func TestRecycledBuffersKeepAnswers(t *testing.T) {
 			}
 		}
 		if leg.check != nil {
-			if err := leg.check(st.Stats()); err != nil {
+			if err := leg.check(st); err != nil {
 				t.Errorf("%s: %v", leg.name, err)
 			}
 		}

@@ -32,27 +32,20 @@
 // attribution, as in the memory tier), whose write-through stores the
 // block whole again.
 //
-// Mapping lifetime. Promoted vectors alias their mapping from frames and
-// SQL segments for as long as the asks that read them run, so a mapping a
-// vector was cast from is never unmapped. Its touched pages count in the
-// process's resident set, though, so every mapping the tier stops
-// indexing — invalidation, replacement by a new generation, budget sweep,
-// failed promotion, tier retirement — has its pages released
-// (releaseMapping, Linux only). That is safe without tracking who still
-// holds the vectors because block files are immutable: they are written
-// only by temp file + rename, never in place, and a removed entry's inode
-// is unlinked, so a vector that still aliases a released mapping
-// re-faults bit-identical bytes.
-//
-// A reader that was already running when its mapping was dropped — an
-// ask that promoted the column earlier — re-faults pages the first
-// release handed back. So a drop that happens while readers are pinned
-// (Cache.Pin) is released a second time, by epoch: once every reader
-// pinned at or before the drop has unpinned (epoch.go). Both releases
-// only release; neither unmaps. What they do not reclaim is the mapping
-// itself (one VMA each, DiskMappings), the disk blocks of unlinked
-// files, and pages re-faulted by readers pinned after the drop; all are
-// held until process exit or a later release.
+// Mapping lifetime. A promoted vector aliases the mapping it was cast
+// from, so a mapping is unmapped only once nothing can read it. Each
+// mapping is refcounted: the index entry holds one reference, and every
+// promotion cast from it gives one to its memory-tier entry and one to its
+// column. The tier drops its reference as soon as it stops indexing the
+// block (invalidation, replacement by a new generation, budget sweep,
+// failed promotion, tier retirement); a memory entry's reference is
+// dropped by reader epoch, once no lease that could hold its vector is
+// still running (epoch.go), which covers a reader that holds the vector
+// but no longer the column; the column's is dropped by its finalizer, so
+// a caller that keeps a frame past its lease (the benchmark replays an
+// ask's staging database after the ask) reads the block instead of
+// faulting. The last holder unmaps, which hands back the pages, the
+// mapping and, for an unlinked block file, its disk blocks.
 package stage
 
 import (
@@ -65,9 +58,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"infera/internal/dataframe"
 	"infera/internal/gio"
@@ -160,10 +155,10 @@ func blkFileName(k key) string {
 	return fmt.Sprintf("%016x.blk", h.Sum64())
 }
 
-// diskEntry is one resident block in the tier's index. region retains the
-// whole page-aligned promotion mapping and mapped the payload view into
-// it, so a later re-promotion (after the memory tier evicted the column
-// again) is a pointer copy, not another open.
+// diskEntry is one resident block in the tier's index. m is its
+// promotion mapping once a promotion made one, so a later re-promotion
+// (after the memory tier evicted the column again) is a pointer copy, not
+// another open; the entry holds one reference to it.
 type diskEntry struct {
 	key        key
 	stamp      stamp
@@ -171,9 +166,72 @@ type diskEntry struct {
 	rows       int64
 	bytes      int64 // payload length — the budget accounting unit
 	file       string
-	region     []byte
-	mapped     []byte
+	m          *mapping
 	payloadOff int64
+}
+
+// mapping is one block file's whole page-aligned promotion mmap. Every
+// holder owns one reference — the index entry, and each memory-tier entry
+// and column whose vector was cast from it — and the last to let go
+// unmaps it.
+type mapping struct {
+	region []byte
+	refs   atomic.Int64
+	live   *liveMappings
+}
+
+func newMapping(region []byte, live *liveMappings) *mapping {
+	m := &mapping{region: region, live: live}
+	m.refs.Store(1)
+	live.add(1)
+	return m
+}
+
+// ref takes one more reference for a caller that holds one, or that holds
+// the tier's lock while an entry indexes m.
+func (m *mapping) ref() *mapping {
+	m.refs.Add(1)
+	return m
+}
+
+// unref drops one reference, unmapping the region with the last; nil is no
+// mapping.
+func (m *mapping) unref() {
+	if m == nil || m.refs.Add(-1) > 0 {
+		return
+	}
+	unmap(m.region)
+	m.live.add(-1)
+}
+
+// liveMappings counts one cache's mappings that are not yet unmapped
+// (Stats.DiskMappings, infera_stage_disk_mappings); every mapping its disk
+// tiers create points to it.
+type liveMappings struct {
+	mu    sync.Mutex
+	n     int64
+	gauge *telemetry.Gauge
+}
+
+func (lm *liveMappings) add(d int64) {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	lm.n += d
+	lm.gauge.Set(lm.n)
+}
+
+func (lm *liveMappings) count() int64 {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	return lm.n
+}
+
+// setGauge points the count at g (nil for none), which reads it at once.
+func (lm *liveMappings) setGauge(g *telemetry.Gauge) {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	lm.gauge = g
+	g.Set(lm.n)
 }
 
 // diskStats are the tier-owned counters, merged into Stats snapshots.
@@ -183,16 +241,6 @@ type diskStats struct {
 	evictedBytes  int64
 	invalidations int64
 	usedBytes     int64
-	mappings      int64 // mappings created and not unmapped
-	releasedBytes int64 // mapping bytes handed back by releaseMapping
-}
-
-// tierInstruments are the telemetry series the disk tier updates itself,
-// because the events they count are decided inside it. All are nil-safe;
-// the owning Cache's SetMetrics installs them.
-type tierInstruments struct {
-	mappings      *telemetry.Gauge
-	releasedBytes *telemetry.Counter
 }
 
 // diskTier is the persistent block store. All methods are safe for
@@ -207,19 +255,9 @@ type diskTier struct {
 	items   map[key]*list.Element
 	stats   diskStats
 	retired bool // set by retire: the tier serves no more promotions
-	inst    tierInstruments
-	// readers are the owning cache's pinned readers, told of every
-	// released mapping so it is released again after them; nil for a
-	// tier used on its own.
-	readers *readerEpochs
-}
-
-// setInstruments installs (or, with the zero value, clears) the tier's
-// telemetry instruments.
-func (dt *diskTier) setInstruments(inst tierInstruments) {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	dt.inst = inst
+	// live counts the tier's mappings: the owning cache's count, or the
+	// tier's own when it is used alone.
+	live *liveMappings
 }
 
 // newDiskTier opens (creating if needed) a block store rooted at dir and
@@ -241,6 +279,7 @@ func newDiskTier(dir string, budget int64) (*diskTier, error) {
 		budget: budget,
 		ll:     list.New(),
 		items:  map[key]*list.Element{},
+		live:   &liveMappings{},
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -408,122 +447,127 @@ func (dt *diskTier) put(k key, st stamp, kind dataframe.Kind, rows int, payload 
 	return nil
 }
 
-// promote serves (k, now) from the block store as a ready-to-share column
-// vector. ok is false on a plain miss (absent, resident for a different
-// file generation — which also drops the stale block — or dropped from the
-// index while this call mapped it). A non-nil err means the block was
-// resident and claimed to match but could not be loaded (truncated,
-// corrupt, raced with eviction); the bad block has been dropped and the
-// caller should fall through to the real decoder.
-func (dt *diskTier) promote(k key, now stamp) (col *dataframe.Column, bytes int64, ok bool, err error) {
+// promote serves (k, now) from the block store as a memory-tier entry
+// holding a ready-to-share column vector and, for an mmap cast, a
+// reference to its mapping. A nil entry with a nil error is a plain miss
+// (absent, resident for a different file generation — which also drops
+// the stale block — or dropped from the index while this call mapped it).
+// A non-nil err means the block was resident and claimed to match but
+// could not be loaded (truncated, corrupt, raced with eviction); the bad
+// block has been dropped and the caller should fall through to the real
+// decoder.
+func (dt *diskTier) promote(k key, now stamp) (*entry, error) {
 	dt.mu.Lock()
 	el, found := dt.items[k]
 	if !found || dt.retired {
 		dt.mu.Unlock()
-		return nil, 0, false, nil
+		return nil, nil
 	}
 	e := el.Value.(*diskEntry)
 	if e.stamp != now {
 		dt.removeLocked(el, true)
 		dt.stats.invalidations++
 		dt.mu.Unlock()
-		return nil, 0, false, nil
+		return nil, nil
 	}
 	dt.ll.MoveToFront(el)
-	mapped, payloadOff := e.mapped, e.payloadOff
-	kind, rows, payloadLen := e.kind, e.rows, e.bytes
-	file := e.file
+	var m *mapping
+	if e.m != nil {
+		m = e.m.ref()
+	}
+	kind, rows, payloadOff, payloadLen, file := e.kind, int(e.rows), e.payloadOff, e.bytes, e.file
 	dt.mu.Unlock()
 
-	if mapped == nil {
-		var region []byte
-		region, mapped, err = dt.load(k, file, payloadOff, payloadLen, kind)
+	if m == nil {
+		region, err := dt.load(k, file, payloadOff, payloadLen, kind)
 		if err != nil {
 			dt.drop(k, now)
-			return nil, 0, false, err
+			return nil, err
 		}
 		if region != nil {
-			if mapped = dt.adopt(el, region, mapped); mapped == nil {
-				return nil, 0, false, nil
+			if m = dt.adopt(el, region); m == nil {
+				return nil, nil
 			}
 		}
 	}
 
-	payload := mapped
-	if payload != nil {
-		col, err = gio.CastBlock(k.col, kind, payload, int(rows))
+	var col *dataframe.Column
+	var err error
+	if m != nil {
+		col, err = gio.CastBlock(k.col, kind, m.region[payloadOff:payloadOff+payloadLen], rows)
 	} else {
-		col, err = dt.decodeCopy(k, file, payloadOff, payloadLen, kind, int(rows))
+		col, err = dt.decodeCopy(k, file, payloadOff, payloadLen, kind, rows)
 	}
 	if err != nil {
+		m.unref()
 		dt.drop(k, now)
-		return nil, 0, false, err
+		return nil, err
 	}
-	return col.MarkShared(), payloadLen, true, nil
+	if m != nil {
+		m.ref()
+		runtime.SetFinalizer(col, func(*dataframe.Column) { m.unref() })
+	}
+	return &entry{key: k, stamp: now, col: col.MarkShared(), bytes: payloadLen, m: m}, nil
 }
 
 // adopt makes region, freshly mapped for the entry at el, that entry's one
-// mapping and returns the payload view to cast from. A promotion that lost
-// a race keeps no second mapping: if another promotion installed one
-// first, ours is unmapped and the winner's payload returned; if the entry
-// left the index (or the tier retired) meanwhile, ours is unmapped and nil
-// returned. Unmapping is safe in both cases because nothing has been cast
-// from region yet — this is the only place the tier ever unmaps.
-func (dt *diskTier) adopt(el *list.Element, region, payload []byte) []byte {
+// mapping and returns it with a reference for the caller. A promotion that
+// lost a race keeps no second mapping: if another promotion installed one
+// first, ours is unmapped and the winner's returned; if the entry left the
+// index (or the tier retired) meanwhile, ours is unmapped and nil
+// returned. Nothing has been cast from region yet, so unmapping it is
+// safe.
+func (dt *diskTier) adopt(el *list.Element, region []byte) *mapping {
 	e := el.Value.(*diskEntry)
 	dt.mu.Lock()
-	switch {
-	case dt.retired || dt.items[e.key] != el:
-		payload = nil
-	case e.region == nil:
-		e.region, e.mapped = region, payload
-		dt.stats.mappings++
-		dt.inst.mappings.Add(1)
-		dt.mu.Unlock()
-		return payload
-	default:
-		payload = e.mapped
+	defer dt.mu.Unlock()
+	indexed := !dt.retired && dt.items[e.key] == el
+	if indexed && e.m == nil {
+		e.m = newMapping(region, dt.live)
+		return e.m.ref()
 	}
-	dt.mu.Unlock()
-	munmapFile(region)
-	return payload
+	unmap(region)
+	if !indexed {
+		return nil
+	}
+	return e.m.ref()
 }
 
 // load validates the block file and returns the whole page-aligned mmap
-// region plus its payload view for kinds eligible for the cast fast path,
-// or (nil, nil, nil) to request the copy-decode fallback. The payload's
-// CRC is checked before it is mapped, once per mapping: a block whose
-// bytes changed after it was written (bit rot, or pages lost in a crash)
-// fails the promotion instead of being cast and served. The check reads
-// the file rather than the mapping, so it faults in no mapped pages: a
-// promoted column's resident pages stay the ones its readers touch.
-func (dt *diskTier) load(k key, file string, payloadOff, payloadLen int64, kind dataframe.Kind) (region, payload []byte, err error) {
+// region for kinds eligible for the cast fast path, or (nil, nil) to
+// request the copy-decode fallback. The payload's CRC is checked before it
+// is mapped, once per mapping: a block whose bytes changed after it was
+// written (bit rot, or pages lost in a crash) fails the promotion instead
+// of being cast and served. The check reads the file rather than the
+// mapping, so it faults in no mapped pages: a promoted column's resident
+// pages stay the ones its readers touch.
+func (dt *diskTier) load(k key, file string, payloadOff, payloadLen int64, kind dataframe.Kind) ([]byte, error) {
 	f, err := os.Open(file)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.Close()
 	h, err := validateBlk(f, k, payloadOff, payloadLen)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !gio.NativeLayout(kind) || !mmapSupported {
-		return nil, nil, nil
+		return nil, nil
 	}
 	crc := crc32.New(blkCastagnoli)
 	if _, err := io.Copy(crc, io.NewSectionReader(f, payloadOff, payloadLen)); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if got := crc.Sum32(); got != h.crc {
-		return nil, nil, fmt.Errorf("stage: block %s/%s CRC mismatch: got %08x want %08x", k.path, k.col, got, h.crc)
+		return nil, fmt.Errorf("stage: block %s/%s CRC mismatch: got %08x want %08x", k.path, k.col, got, h.crc)
 	}
-	region, err = mmapFile(f, payloadOff+payloadLen)
+	region, err := mmapFile(f, payloadOff+payloadLen)
 	if err != nil {
 		// mmap can fail on exotic filesystems; fall back to copy-decode
 		// rather than failing the promotion.
-		return nil, nil, nil
+		return nil, nil
 	}
-	return region, region[payloadOff : payloadOff+payloadLen], nil
+	return region, nil
 }
 
 // validateBlk re-checks a block file against the index entry it claims to
@@ -628,50 +672,36 @@ func (dt *diskTier) sweepLocked() {
 }
 
 // removeLocked is the single exit from the index: it unlinks an entry,
-// releases the pages of its mapping and (when unlink is set) deletes its
-// block file. Caller holds mu. It never unmaps: promoted vectors may alias
-// the mapping with unbounded lifetime. On POSIX the mapping stays valid
-// after the file is unlinked or renamed over, and since block files are
-// never written in place, a vector that reads released pages again
-// re-faults the bytes it was cast from.
+// drops the entry's reference to its mapping and (when unlink is set)
+// deletes its block file. Caller holds mu. No reader can lose a vector to
+// it: every vector a reader holds came through a memory-tier entry, whose
+// own reference is dropped by reader epoch.
 func (dt *diskTier) removeLocked(el *list.Element, unlink bool) {
 	e := el.Value.(*diskEntry)
 	dt.ll.Remove(el)
 	delete(dt.items, e.key)
 	dt.stats.usedBytes -= e.bytes
-	dt.releaseLocked(e)
+	e.m.unref()
+	e.m = nil
 	if unlink {
 		os.Remove(e.file)
 	}
 }
 
-// releaseLocked returns the resident pages of e's mapping, if it has one,
-// and forgets the mapping, so the tier releases it once; the pinned
-// readers (readerEpochs) release it once more after they finish. Caller
-// holds mu.
-func (dt *diskTier) releaseLocked(e *diskEntry) {
-	if e.region == nil {
+// retire drops the tier's reference to every mapping it holds and stops
+// it serving promotions, so no new mapping is created after it returns; nil
+// is no tier. The index and the block files stay: a later tier over the
+// same directory rescans them.
+func (dt *diskTier) retire() {
+	if dt == nil {
 		return
 	}
-	n := releaseMapping(e.region)
-	dt.stats.releasedBytes += n
-	dt.inst.releasedBytes.Add(n)
-	if dt.readers != nil {
-		dt.readers.dropped(e.region)
-	}
-	e.region, e.mapped = nil, nil
-}
-
-// retire releases the pages of every mapping the tier holds and stops it
-// serving promotions, so no new mapping is created after it returns. The
-// index and the block files stay: a later tier over the same directory
-// rescans them. It returns the tier's final mapping counters.
-func (dt *diskTier) retire() (mappings, releasedBytes int64) {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
 	dt.retired = true
 	for el := dt.ll.Front(); el != nil; el = el.Next() {
-		dt.releaseLocked(el.Value.(*diskEntry))
+		e := el.Value.(*diskEntry)
+		e.m.unref()
+		e.m = nil
 	}
-	return dt.stats.mappings, dt.stats.releasedBytes
 }

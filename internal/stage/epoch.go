@@ -7,45 +7,36 @@ import (
 )
 
 // readerEpochs tracks the readers pinned by Cache.Pin, so that what a
-// reader may still see outlives the last of them: a block mapping the disk
-// tier drops is released a second time, and a column buffer the memory
-// tier retires joins the free list, only once every reader that could
-// hold it is done.
+// reader may still see outlives the last of them. A buffer the memory tier
+// retires (budget eviction, invalidation, replacement, or served uncached
+// because it exceeds the budget) is reused or unmapped once it is handed
+// back, so it must not be handed back while a reader can still see it.
+// This is the one lifetime rule of every column buffer the cache owns: a
+// free-list slab goes back to the free list, and the entry's reference to
+// a disk-tier mapping is dropped, the last reference unmapping it.
 //
-// The rule is the same for both. Every pin joins the current epoch. An
-// item dropped or retired while readers are pinned is queued with an
-// epoch no earlier than that of any reader that could hold it, and the
-// epoch advances past it, so readers pinned from then on pin a later one.
+// Every pin joins the current epoch. Every reader holds a lease, and the
+// cache records the newest epoch of the leases it served each vector to
+// (Cache.claim), so a retired buffer is queued with that epoch and the
+// epoch advances past it: readers pinned from then on pin a later one.
 // When the last reader pinned at or before the item's epoch unpins, the
-// item is due. With no such reader pinned it is due at once.
-//
-//   - A dropped mapping may be held by any reader pinned at the drop, so
-//     it is queued with the current epoch. The disk tier already released
-//     it once; a reader still holding a vector cast from it faults some
-//     pages back, and the second release hands them back again.
-//     Releasing is always safe (see diskTier), so the epochs only decide
-//     when it is worth doing.
-//   - A retired buffer is reused by the next read that takes it from the
-//     free list, so it must not be due while a reader can still see it.
-//     Every reader holds a lease, and the cache records the newest epoch
-//     of the leases it served each buffer to (Cache.claim), so the buffer
-//     is queued with that epoch: it waits for every reader that saw it,
-//     and for no reader pinned after them.
+// item is due; with no such reader pinned it is due at once. It waits for
+// every reader that saw it, and for no reader pinned after them.
 type readerEpochs struct {
 	mu       sync.Mutex
 	epoch    uint64         // the epoch new pins join
 	pins     map[uint64]int // active pins per epoch
 	deferred []deferred
-	// free gives the retired buffers back once they are due.
+	// free gives the retired slabs back once they are due.
 	free *recycler
 }
 
-// deferred is a dropped mapping awaiting its second release, or a retired
-// buffer awaiting the free list.
+// deferred is what a retired memory-tier entry owned — its free-list
+// buffer, its mapping reference, either or both — awaiting its hand-back.
 type deferred struct {
-	region []byte
-	buf    *slab
-	epoch  uint64 // no reader pinned after it can hold the item
+	buf   *slab
+	m     *mapping
+	epoch uint64 // no reader pinned after it can hold the item
 }
 
 func newReaderEpochs(free *recycler) *readerEpochs {
@@ -97,12 +88,15 @@ func (re *readerEpochs) unpin(ep uint64) {
 	}
 	re.mu.Unlock()
 	for _, d := range due {
-		if d.region != nil {
-			releaseMapping(d.region)
-		} else {
-			re.free.put(d.buf)
-		}
+		re.handBack(d)
 	}
+}
+
+// handBack gives d's buffer to the free list and drops its mapping
+// reference.
+func (re *readerEpochs) handBack(d deferred) {
+	re.free.put(d.buf)
+	d.m.unref()
 }
 
 // deferLocked queues d, which no reader pinned after d.epoch can hold,
@@ -117,34 +111,24 @@ func (re *readerEpochs) deferLocked(d deferred) bool {
 	return true
 }
 
-// dropped records a mapping the disk tier has just released. With readers
-// pinned, it is queued for a second release. Called under the tier's lock;
-// it never releases anything itself.
-func (re *readerEpochs) dropped(region []byte) {
+// retired hands back d, which the memory tier no longer uses, once every
+// reader pinned at or before d.epoch — the newest epoch of a reader its
+// vector was served to — has unpinned; at once if none is left.
+func (re *readerEpochs) retired(d deferred) {
 	re.mu.Lock()
-	re.deferLocked(deferred{region: region, epoch: re.epoch})
-	re.mu.Unlock()
-}
-
-// retired hands a buffer the memory tier no longer uses to the free list
-// once every reader pinned at or before seen — the newest epoch of a
-// reader the buffer was served to — has unpinned; at once if none is
-// left.
-func (re *readerEpochs) retired(s *slab, seen uint64) {
-	re.mu.Lock()
-	queued := re.deferLocked(deferred{buf: s, epoch: seen})
+	queued := re.deferLocked(d)
 	re.mu.Unlock()
 	if !queued {
-		re.free.put(s)
+		re.handBack(d)
 	}
 }
 
 // Lease is one reader's pin on the cache (Pin). Column vectors served
 // through the lease (Columns, LoadAll) and the vectors it hands out
 // (Floats, Ints) stay valid, and unchanged, until Unpin; after that the
-// cache may reuse their buffers for other reads. Nothing a lease served
-// may be read after its Unpin, so a caller that keeps data past it copies
-// it first.
+// cache may reuse their buffers for other reads, or unmap them. Nothing a
+// lease served may be read after its Unpin, so a caller that keeps data
+// past it copies it first.
 type Lease struct {
 	c     *Cache
 	epoch uint64 // the reader epoch the lease pinned
@@ -158,15 +142,10 @@ type Lease struct {
 // Pin registers the caller as a reader of the cache's vectors until the
 // lease's Unpin; every read of the cache goes through a lease. A workflow
 // pins for its whole run, a tool for one call. While any lease pinned at
-// or before it is held:
-//
-//   - a decoded column buffer the memory tier retires (budget eviction,
-//     invalidation, replacement) does not go back to the free list;
-//   - a disk-tier block mapping dropped meanwhile is released once more
-//     afterwards, handing back the pages those readers faulted in through
-//     vectors they already held.
-//
-// Pinning never delays an eviction or a drop.
+// or before it is held, a column the memory tier retires (budget eviction,
+// invalidation, replacement) keeps its buffer: a decoded vector's does not
+// go back to the free list, and a promoted vector's mapping is not
+// unmapped. Pinning never delays an eviction or a drop.
 func (c *Cache) Pin() *Lease {
 	l := &Lease{c: c}
 	l.epoch, l.unpin = c.readers.pin()

@@ -105,7 +105,7 @@ func TestServingPathsBitIdentical(t *testing.T) {
 		if !sameColumn(d, p) || !sameColumn(d, copied) {
 			t.Fatalf("%s: decode %v, promotion %v, copy-decode %v", name, d, p, copied)
 		}
-		if gio.NativeLayout(e.kind) && mmapSupported && e.mapped == nil {
+		if gio.NativeLayout(e.kind) && mmapSupported && e.m == nil {
 			t.Fatalf("%s: numeric promotion did not take the mmap cast", name)
 		}
 	}

@@ -166,7 +166,7 @@ func TestOversizedPooledBlockWrittenIntact(t *testing.T) {
 	// epoch would not wait for the lease below.
 	early := c.Pin()
 	_, s := takeFloats(pooledRows)
-	c.readers.retired(s, early.epoch)
+	c.readers.retired(deferred{buf: s, epoch: early.epoch})
 	early.Unpin()
 
 	l := c.Pin()
@@ -233,7 +233,7 @@ func TestFlightWaiterHoldsBuffer(t *testing.T) {
 	lead := c.Pin()
 	// A buffer retired while lead is pinned moves the epoch past it.
 	_, s := takeFloats(pooledRows)
-	c.readers.retired(s, lead.epoch)
+	c.readers.retired(deferred{buf: s, epoch: lead.epoch})
 	wait := c.Pin()
 	if wait.epoch <= lead.epoch {
 		t.Fatalf("waiter pinned in epoch %d, not after the leader's %d", wait.epoch, lead.epoch)
@@ -488,7 +488,7 @@ func TestDroppedBufferReclaimed(t *testing.T) {
 	onList := func() bool {
 		buffers.mu.Lock()
 		defer buffers.mu.Unlock()
-		for _, w := range append(append([]*slab(nil), buffers.warm[class]...), buffers.cold[class]...) {
+		for _, w := range buffers.free[class] {
 			if unsafe.SliceData(w.mem) == addr {
 				return true
 			}

@@ -17,7 +17,8 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 	return nil, fmt.Errorf("stage: mmap unsupported on this platform")
 }
 
-func munmapFile(region []byte) error { return nil }
+// unmap does nothing: nothing is ever mapped off unix.
+func unmap(region []byte) error { return nil }
 
 // mapAnon fails off unix: column buffers are then plain heap vectors and
 // nothing is recycled.

@@ -11,11 +11,10 @@ import (
 // cast promotion path.
 const mmapSupported = true
 
-// mmapFile maps the first size bytes of f read-only and shared. A mapping
-// some vector was cast from is never unmapped (see diskTier): promoted
-// column vectors alias it in the frames and SQL segments of the asks that
-// read them. Touched pages count in the process's resident set until the
-// tier releases them (releaseMapping).
+// mmapFile maps the first size bytes of f read-only and shared. Promoted
+// column vectors alias the mapping in the frames and SQL segments of the
+// asks that read them, so it is unmapped only by its last holder (see
+// mapping).
 func mmapFile(f *os.File, size int64) ([]byte, error) {
 	if size == 0 {
 		return []byte{}, nil
@@ -23,9 +22,9 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 	return syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 }
 
-// munmapFile unmaps a mapping nothing has been cast from — the loser of
-// two concurrent promotions of one block.
-func munmapFile(region []byte) error {
+// unmap unmaps a block-file mapping or a free-list buffer nothing can read
+// any more, handing back its pages.
+func unmap(region []byte) error {
 	if len(region) == 0 {
 		return nil
 	}

@@ -16,20 +16,20 @@ import (
 // A numeric column decoded for a lease into a full memory tier is read
 // into a buffer taken from a process-wide free list of size-classed
 // buffers, and the buffer goes back to the list once no reader can see it
-// (see Cache.decode, Cache.columns and readerEpochs). The buffers are anonymous mappings outside the Go heap. A
-// free list on the heap would be live heap, and the collector sets its
-// next goal at twice the live heap, so every pooled byte would cost two of
-// peak resident memory (measured on cold_scan: 65 MB live instead of at
-// most 33, peak RSS 144 MB instead of 80). Outside the heap a buffer costs
-// its own pages and nothing more.
+// (see Cache.decode, Cache.columns and readerEpochs). The buffers are
+// anonymous mappings outside the Go heap. A free list on the heap would be
+// live heap, and the collector sets its next goal at twice the live heap,
+// so every pooled byte would cost two of peak resident memory (measured on
+// cold_scan: 65 MB live instead of at most 33, peak RSS 144 MB instead of
+// 80). Outside the heap a buffer costs its own pages and nothing more.
 //
 // Retention is bounded by demand, with no knob: after every garbage
-// collection the buffers no read took for idleGCs collections have their
-// pages handed back (releaseMapping). A buffer is never unmapped, so a
-// reader that breaks the lease contract reads stale values or zeros, never
-// a fault, and the mappings never exceed the most buffers ever in use at
-// once. A buffer whose owner is dropped without giving it back (a cache
-// nobody references any more) is returned by its finalizer.
+// collection the buffers no read took for idleGCs collections are
+// unmapped, so the mappings follow the most buffers recently in use at
+// once. A reader that breaks the lease contract may read a buffer
+// another read reuses, or one that is unmapped and faults. A buffer whose
+// owner is dropped without giving it back (a cache nobody references any
+// more) is returned by its finalizer.
 //
 // Buffers come in size classes, classSteps between consecutive powers of
 // two, so a buffer of a vector's own class is at most n/classSteps
@@ -49,10 +49,10 @@ const (
 	numClasses     = (maxPooledShift-minPooledShift)*classSteps + 1
 )
 
-// idleGCs is how many collections a free buffer may go untaken before its
-// pages are handed back. A small heap collects every few tens of
-// milliseconds, so two collections (sync.Pool's horizon) would hand back
-// buffers between two bursts of one workload and fault them in again: on
+// idleGCs is how many collections a free buffer may go untaken before it
+// is unmapped. A small heap collects every few tens of milliseconds, so
+// two collections (sync.Pool's horizon) would unmap buffers between two
+// bursts of one workload and map and fault them in again: on
 // cold_scan 2 cost about 400 page faults per ask, 32 about 30, as many as
 // never trimming.
 const idleGCs = 32
@@ -118,15 +118,13 @@ const poisonBits = 0x7ff4dead0badf00d
 // poison is on in test binaries only.
 var poison = testing.Testing()
 
-// arena is the free list: per class, a stack of buffers with resident
-// pages (warm, most recently given back on top) and one of buffers whose
-// pages were handed back (cold).
+// arena is the free list: per class, a stack of buffers, the most recently
+// given back on top.
 type arena struct {
 	mu   sync.Mutex
-	warm [numClasses][]*slab
-	cold [numClasses][]*slab
+	free [numClasses][]*slab
 	gcs  uint64 // collections seen by trim
-	// mapped counts the bytes of buffers ever mapped.
+	// mapped counts the bytes of buffers mapped and not unmapped.
 	mapped  atomic.Int64
 	trimmer sync.Once
 }
@@ -136,25 +134,22 @@ var buffers arena
 
 // take returns a free buffer for n values, mapping a new one of n's class
 // when the list has none; nil when n is not pooled or the mapping fails.
-// A buffer with resident pages is preferred, and one of the next class up
-// serves too: vectors whose lengths straddle a class boundary (the same
-// column at two timesteps) then share one set of buffers instead of
-// keeping two resident.
+// A buffer of the next class up serves too: vectors whose lengths
+// straddle a class boundary (the same column at two timesteps) then share
+// one set of buffers instead of keeping two resident.
 func (a *arena) take(n int) *slab {
 	class, size, ok := classOf(n)
 	if !ok {
 		return nil
 	}
 	a.mu.Lock()
-	for _, stacks := range []*[numClasses][]*slab{&a.warm, &a.cold} {
-		for c := class; c <= class+1 && c < numClasses; c++ {
-			if st := stacks[c]; len(st) > 0 {
-				s := st[len(st)-1]
-				st[len(st)-1] = nil
-				stacks[c] = st[:len(st)-1]
-				a.mu.Unlock()
-				return s
-			}
+	for c := class; c <= class+1 && c < numClasses; c++ {
+		if st := a.free[c]; len(st) > 0 {
+			s := st[len(st)-1]
+			st[len(st)-1] = nil
+			a.free[c] = st[:len(st)-1]
+			a.mu.Unlock()
+			return s
 		}
 	}
 	a.mu.Unlock()
@@ -169,7 +164,7 @@ func (a *arena) take(n int) *slab {
 	return s
 }
 
-// give puts s on its class's warm stack. The caller must be s's last user.
+// give puts s on its class's stack. The caller must be s's last user.
 func (a *arena) give(s *slab) {
 	if poison {
 		words := s.ints(len(s.mem) / 8)
@@ -179,7 +174,7 @@ func (a *arena) give(s *slab) {
 	}
 	a.mu.Lock()
 	s.given = a.gcs
-	a.warm[s.class] = append(a.warm[s.class], s)
+	a.free[s.class] = append(a.free[s.class], s)
 	a.mu.Unlock()
 }
 
@@ -206,25 +201,26 @@ func (a *arena) trimAfterEveryGC() {
 	arm()
 }
 
-// trim counts a collection and hands back the pages of the warm buffers
-// given back idleGCs or more collections ago and not taken since — the
-// bottom of each stack — moving them to the cold stack. It releases under the
-// lock, so no take can hand out a buffer whose pages are being dropped.
+// trim counts a collection and unmaps the buffers given back idleGCs or
+// more collections ago and not taken since — the bottom of each stack —
+// taking them off the list. It unmaps under the lock, so no take can hand
+// out a buffer being unmapped; each one's finalizer is cleared first, so
+// it never rejoins the list.
 func (a *arena) trim() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.gcs++
-	for c, w := range a.warm {
+	for c, st := range a.free {
 		n := 0
-		for n < len(w) && a.gcs-w[n].given >= idleGCs {
-			releaseMapping(w[n].mem)
-			n++
+		for ; n < len(st) && a.gcs-st[n].given >= idleGCs; n++ {
+			runtime.SetFinalizer(st[n], nil)
+			unmap(st[n].mem)
+			a.mapped.Add(-int64(len(st[n].mem)))
 		}
 		if n > 0 {
-			a.cold[c] = append(a.cold[c], w[:n]...)
-			rest := copy(w, w[n:])
-			clear(w[rest:])
-			a.warm[c] = w[:rest]
+			rest := copy(st, st[n:])
+			clear(st[rest:])
+			a.free[c] = st[:rest]
 		}
 	}
 }

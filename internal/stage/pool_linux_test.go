@@ -28,19 +28,33 @@ func collections(t *testing.T, start, n uint64) {
 	}
 }
 
+// onFreeList reports whether s is on the free list.
+func onFreeList(s *slab) bool {
+	buffers.mu.Lock()
+	defer buffers.mu.Unlock()
+	for _, f := range buffers.free[s.class] {
+		if f == s {
+			return true
+		}
+	}
+	return false
+}
+
 // TestIdleBuffersHandedBack: free buffers no read takes for idleGCs
-// collections have their pages handed back (they read zero again instead
-// of the poison they were given back with), and taking them again reuses
-// the mappings instead of mapping new ones.
+// collections leave the free list and are unmapped, so BufferBytes falls
+// by their size; buffers idle for fewer collections stay on the list.
 func TestIdleBuffersHandedBack(t *testing.T) {
 	const n = 3000 // a class no other test uses
+	c := New(1<<20, 1)
 	var bufs []*slab
+	var size int64
 	for i := 0; i < 3; i++ {
 		_, b := takeFloats(n)
 		if b == nil {
 			t.Fatal("no free-list buffer for a pooled length")
 		}
 		bufs = append(bufs, b)
+		size += b.bytes()
 	}
 	for _, b := range bufs {
 		buffers.give(b)
@@ -50,27 +64,18 @@ func TestIdleBuffersHandedBack(t *testing.T) {
 	buffers.mu.Unlock()
 	collections(t, start, idleGCs/2)
 	for _, b := range bufs {
-		if b.ints(1)[0] == 0 {
-			t.Fatalf("buffer handed back after %d collections, before %d", idleGCs/2, idleGCs)
+		if !onFreeList(b) {
+			t.Fatalf("buffer left the free list after %d collections, before %d", idleGCs/2, idleGCs)
 		}
 	}
+	mapped := c.Stats().BufferBytes
 	collections(t, start, idleGCs+1)
 	for _, b := range bufs {
-		for _, w := range b.ints(len(b.mem) / 8) {
-			if w != 0 {
-				t.Fatalf("idle buffer still holds its pages after %d collections", idleGCs+1)
-			}
+		if onFreeList(b) {
+			t.Fatalf("idle buffer still on the free list after %d collections", idleGCs+1)
 		}
 	}
-	mapped := buffers.mapped.Load()
-	for range bufs {
-		if _, b := takeFloats(n); b == nil {
-			t.Fatal("no free-list buffer for a pooled length")
-		} else {
-			defer buffers.give(b)
-		}
-	}
-	if got := buffers.mapped.Load(); got != mapped {
-		t.Fatalf("taking handed-back buffers mapped %d new bytes", got-mapped)
+	if fell := mapped - c.Stats().BufferBytes; fell < size {
+		t.Fatalf("buffer_bytes fell by %d, want at least the %d idle bytes", fell, size)
 	}
 }

@@ -62,10 +62,11 @@
 // mmap cast for numeric columns — without touching the gio decoder, so hot
 // columns survive restarts and the memory budget stops being the residency
 // ceiling. A failed write-through is counted and never fails the read; the
-// block decodes again on its next miss. The pages of every mapping the tier
-// drops or retires are released, and released again once the readers
-// pinned at the drop (Pin) are done, so churn in the block store does not
-// accumulate resident memory.
+// block decodes again on its next miss. A promoted column holds a
+// reference to the mapping it was cast from, which is unmapped once
+// neither the tier nor a reader can use it (see below, and disk.go), so
+// churn in the block store accumulates neither mappings nor resident
+// memory.
 //
 // A numeric column is one buffer on its way through the tiers: the
 // decoder reads its block straight into the vector (gio.Reader.ReadColumn),
@@ -81,10 +82,12 @@
 // caller that keeps what it read.
 //
 // The cache owns the buffer of every numeric column it decodes into a
-// full memory tier: the decoder reads into a buffer taken from a
-// process-wide free list of size-classed buffers outside the Go heap
-// (pool.go), and the buffer comes back to the list, for the next cold
-// read, once both of these hold:
+// full memory tier, and of every column it promotes by mmap cast: the
+// decoder reads into a buffer taken from a process-wide free list of
+// size-classed buffers outside the Go heap (pool.go), and a promotion
+// holds a reference to the tier's mapping. One rule hands both back — the
+// buffer to the free list, for the next cold read, and the reference to
+// its mapping, the last one unmapping it — once both of these hold:
 //
 //   - the column has left the memory tier (budget eviction, invalidation,
 //     same-key replacement, or served uncached because it exceeds the
@@ -92,11 +95,11 @@
 //   - every lease it was served to, and every lease pinned before those,
 //     has unpinned (reader epochs, epoch.go).
 //
-// The write-through reads the buffer under the decoding call's own lease,
-// so it needs no rule of its own. Columns decoded while the tier has room
-// stay heap vectors (see decode), promoted vectors alias the tier's
-// mappings and string columns are heap vectors; none of them ever enters
-// the free list.
+// A promoted column's own reference is dropped only once it is garbage
+// too, so a frame kept past its lease keeps its mapping (disk.go). The
+// write-through reads the buffer under the decoding call's own lease, so
+// it needs no rule of its own. Columns decoded while the tier has room
+// stay heap vectors (see decode), and so do string columns.
 //
 // # Freshness
 //
@@ -210,15 +213,10 @@ type Stats struct {
 	DiskUsedBytes     int64 `json:"disk_used_bytes"`
 	DiskBudgetBytes   int64 `json:"disk_budget_bytes"`
 	DiskEntries       int   `json:"disk_entries"`
-	// DiskMappings counts block-file mappings the disk tier has created
-	// and not unmapped, including those of retired tiers. Releasing a
-	// mapping returns its pages but keeps the mapping (one VMA each), so
-	// this grows with every promoted block generation until process exit.
-	// DiskReleasedBytes counts the mapping bytes whose pages were handed
-	// back to the kernel when the tier dropped or retired them (Linux
-	// only; 0 elsewhere).
-	DiskMappings      int64 `json:"disk_mappings"`
-	DiskReleasedBytes int64 `json:"disk_released_bytes"`
+	// DiskMappings counts the cache's live block-file mappings: those a
+	// disk tier, attached or retired, still indexes or a column promoted
+	// from it still holds. It falls as mappings are unmapped.
+	DiskMappings int64 `json:"disk_mappings"`
 
 	// RecycledBytes counts the bytes of column buffers that went back to
 	// the free list for the next decode to read into: buffers retired by
@@ -226,9 +224,10 @@ type Stats struct {
 	// at Unpin.
 	RecycledBytes int64 `json:"recycled_bytes"`
 	// BufferBytes is the size of every column buffer the process has
-	// mapped, in use or free. The free list is process-wide, so this is
-	// the same for every cache; it stops growing once the list holds what
-	// the workload needs at once.
+	// mapped and not unmapped, in use or free. The free list is
+	// process-wide, so this is the same for every cache; it stops growing
+	// once the list holds what the workload needs at once, and falls as
+	// idle buffers are unmapped.
 	BufferBytes int64 `json:"buffer_bytes"`
 
 	// PrefetchUsed and PrefetchWasted always read 0: the cache reads only
@@ -274,8 +273,10 @@ type entry struct {
 	bytes int64
 	// buf is the free-list buffer col's vector lives in, while the cache
 	// owns it: set for numeric columns decoded into a full memory tier,
-	// empty for the rest (see decode).
+	// empty for the rest (see decode). m is the entry's reference to the
+	// disk-tier mapping a promoted vector was cast from.
 	buf *slab
+	m   *mapping
 	// seen is the newest reader epoch of a lease the buffer was served to.
 	seen uint64
 }
@@ -302,12 +303,12 @@ type Cache struct {
 	inflight map[key]*flight
 	// paths refcounts resident blocks per file for the Files gauge.
 	paths map[string]int
-	// stats holds the cache's own counters; its DiskMappings and
-	// DiskReleasedBytes carry the final totals of retired disk tiers.
 	stats Stats
 
 	// disk is the optional persistent tier (SetDiskTier); nil = memory only.
+	// live counts the mappings of every tier the cache has attached.
 	disk *diskTier
+	live liveMappings
 
 	// watch is the filesystem watch (SetWatch): pinned holds the stat-free
 	// stamp per file, pinEpoch, for every path statted under the watch, a
@@ -320,10 +321,8 @@ type Cache struct {
 	roots  sync.Map
 	genSeq atomic.Uint64
 
-	// readers are the pinned readers (Pin): every attached disk tier
-	// reports its released mappings to them, and the memory tier its
-	// retired buffers, which they give back through free once no lease can
-	// see them.
+	// readers are the pinned readers (Pin): the memory tier retires its
+	// buffers to them, and they hand them back once no lease can see them.
 	readers *readerEpochs
 	free    *recycler
 
@@ -339,8 +338,6 @@ type Cache struct {
 	overflowsCtr   *telemetry.Counter
 	statSavesCtr   *telemetry.Counter
 	statCallsCtr   *telemetry.Counter
-	// tierInst are the instruments handed to every attached disk tier.
-	tierInst tierInstruments
 }
 
 // New returns a cache holding at most budgetBytes of decoded column
@@ -374,9 +371,10 @@ func New(budgetBytes int64, workers int) *Cache {
 // block store rooted at dir with the given byte budget (<= 0 picks
 // DefaultDiskBudgetBytes). Attaching scans resident block files, so
 // blocks persisted by a previous process become promotable immediately.
-// Replacing or detaching an attached tier retires it: the resident pages of
-// every block mapping it holds are released (vectors already promoted from
-// it stay readable) and its directory's files stay on disk.
+// Replacing or detaching an attached tier retires it: it drops its
+// reference to every block mapping it holds (vectors already promoted from
+// it stay readable until their columns retire) and its directory's files
+// stay on disk.
 func (c *Cache) SetDiskTier(dir string, budgetBytes int64) error {
 	var dt *diskTier
 	if dir != "" {
@@ -384,28 +382,13 @@ func (c *Cache) SetDiskTier(dir string, budgetBytes int64) error {
 		if dt, err = newDiskTier(dir, budgetBytes); err != nil {
 			return err
 		}
-		dt.readers = c.readers
+		dt.live = &c.live
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if dt != nil {
-		dt.setInstruments(c.tierInst)
-	}
-	c.retireDiskLocked()
+	c.disk.retire()
 	c.disk = dt
 	return nil
-}
-
-// retireDiskLocked retires the attached disk tier, if any, folding its
-// final mapping counters into the cache's own. Caller holds mu.
-func (c *Cache) retireDiskLocked() {
-	if c.disk == nil {
-		return
-	}
-	mappings, released := c.disk.retire()
-	c.stats.DiskMappings += mappings
-	c.stats.DiskReleasedBytes += released
-	c.disk = nil
 }
 
 // WaitPending returns at once: every write-through is done by the time
@@ -421,15 +404,14 @@ func (c *Cache) WaitPending() {}
 // Deprecated: kept for callers written when the cache prefetched.
 func (c *Cache) SetPrefetch(on bool) {}
 
-// Close stops the watcher and retires the disk tier: the resident pages of
-// every block mapping it holds are released, while vectors already
-// promoted from it stay readable (their pages re-fault from the immutable
-// block files) and the block files stay on disk for the next process. The memory tier is left intact. The
-// Shared cache is never closed.
+// Close stops the watcher and retires the disk tier as SetDiskTier does;
+// the block files stay on disk for the next process. The memory tier is
+// left intact. The Shared cache is never closed.
 func (c *Cache) Close() error {
 	_ = c.SetWatch(false) // turning the watch off cannot fail
 	c.mu.Lock()
-	c.retireDiskLocked()
+	c.disk.retire()
+	c.disk = nil
 	c.mu.Unlock()
 	return nil
 }
@@ -468,11 +450,8 @@ func (c *Cache) SetMetrics(r *telemetry.Registry) {
 		c.decodeSeconds, c.decodedBytes = nil, nil
 		c.tierHitsMem, c.tierHitsDisk, c.promotionsCtr, c.demotionsCtr = nil, nil, nil, nil
 		c.watchEventsCtr, c.overflowsCtr, c.statSavesCtr, c.statCallsCtr = nil, nil, nil, nil
-		c.tierInst = tierInstruments{}
 		c.free.ctr.Store(nil)
-		if c.disk != nil {
-			c.disk.setInstruments(c.tierInst)
-		}
+		c.live.setGauge(nil)
 		return
 	}
 	r.SetHelp("infera_stage_decode_seconds", "Wall-clock duration of one gio column decode batch.")
@@ -484,8 +463,7 @@ func (c *Cache) SetMetrics(r *telemetry.Registry) {
 	r.SetHelp("infera_stage_watch_overflows_total", "Watcher queue overflows; each unpins every file for re-validation by stat and moves every ensemble generation.")
 	r.SetHelp("infera_stage_stat_saves_total", "Freshness checks served without a stat syscall (watch pin).")
 	r.SetHelp("infera_stage_stat_calls_total", "Real stat syscalls performed by freshness checks.")
-	r.SetHelp("infera_stage_disk_mappings", "Disk-tier block-file mappings created and not unmapped (one VMA each).")
-	r.SetHelp("infera_stage_disk_released_bytes_total", "Disk-tier mapping bytes whose resident pages were handed back to the kernel.")
+	r.SetHelp("infera_stage_disk_mappings", "Live disk-tier block-file mappings: indexed by a tier or held by a promoted column.")
 	r.SetHelp("infera_stage_recycled_bytes_total", "Column buffer bytes returned to the stage free list for the next decode to read into.")
 	c.free.ctr.Store(r.Counter("infera_stage_recycled_bytes_total"))
 	c.decodeSeconds = r.Histogram("infera_stage_decode_seconds", nil)
@@ -498,17 +476,7 @@ func (c *Cache) SetMetrics(r *telemetry.Registry) {
 	c.overflowsCtr = r.Counter("infera_stage_watch_overflows_total")
 	c.statSavesCtr = r.Counter("infera_stage_stat_saves_total")
 	c.statCallsCtr = r.Counter("infera_stage_stat_calls_total")
-	c.tierInst = tierInstruments{
-		mappings:      r.Gauge("infera_stage_disk_mappings"),
-		releasedBytes: r.Counter("infera_stage_disk_released_bytes_total"),
-	}
-	mappings := c.stats.DiskMappings
-	if c.disk != nil {
-		c.disk.setInstruments(c.tierInst)
-		ds, _ := c.disk.snapshot()
-		mappings += ds.mappings
-	}
-	c.tierInst.mappings.Set(mappings)
+	c.live.setGauge(r.Gauge("infera_stage_disk_mappings"))
 }
 
 // Stats returns a snapshot of the counters, merging in the disk tier's.
@@ -522,6 +490,7 @@ func (c *Cache) Stats() Stats {
 	st.WatchedFiles = len(c.pinned)
 	st.RecycledBytes = c.free.recycled.Load()
 	st.BufferBytes = buffers.mapped.Load()
+	st.DiskMappings = c.live.count()
 	if dt := c.disk; dt != nil {
 		ds, entries := dt.snapshot()
 		st.DiskWrites = ds.writes
@@ -531,8 +500,6 @@ func (c *Cache) Stats() Stats {
 		st.DiskUsedBytes = ds.usedBytes
 		st.DiskBudgetBytes = dt.budgetBytes()
 		st.DiskEntries = entries
-		st.DiskMappings += ds.mappings
-		st.DiskReleasedBytes += ds.releasedBytes
 	}
 	return st
 }
@@ -710,12 +677,11 @@ func (c *Cache) fetch(path string, cl *claim, now stamp) (bytesRead int64) {
 			toDecode = append(toDecode, i)
 			continue
 		}
-		k := key{path: path, col: name}
-		col, n, ok, perr := cl.dt.promote(k, now)
-		if ok {
-			cl.entries[i] = &entry{key: k, stamp: now, col: col, bytes: n}
+		e, perr := cl.dt.promote(key{path: path, col: name}, now)
+		if e != nil {
+			cl.entries[i] = e
 			promoted++
-			promotedBytes += n
+			promotedBytes += e.bytes
 			continue
 		}
 		if perr != nil {
@@ -1005,15 +971,16 @@ func (c *Cache) evictOverBudgetLocked() {
 	}
 }
 
-// retireLocked hands the buffer of e, which has left the memory tier, to
-// the reader epochs: it joins the free list when every lease pinned at or
-// before the newest one it was served to has unpinned. Caller holds mu.
+// retireLocked hands the buffer and the mapping reference of e, which has
+// left the memory tier, to the reader epochs: they are handed back when
+// every lease pinned at or before the newest one e was served to has
+// unpinned. Caller holds mu.
 func (c *Cache) retireLocked(e *entry) {
-	if e.buf == nil {
+	if e.buf == nil && e.m == nil {
 		return
 	}
-	c.readers.retired(e.buf, e.seen)
-	e.buf = nil
+	c.readers.retired(deferred{buf: e.buf, m: e.m, epoch: e.seen})
+	e.buf, e.m = nil, nil
 }
 
 // removeLocked takes el out of the memory tier and retires its buffer.
