@@ -10,15 +10,14 @@
 // job, the server-sent event stream, and the plan approval endpoint — so
 // the terminal plan review and a remote HTTP client's plan review exercise
 // one pipeline. With -auto it posts blocking (non-interactive) asks over
-// the same API instead.
-//
-// With -serve it skips the REPL and runs the concurrent query service
-// (the inferad daemon) on -addr.
+// the same API instead. To serve that API to other clients, run inferad
+// -ensemble DIR, which registers DIR as the same "default" shard.
 //
 // Usage:
 //
-//	infera -ensemble DIR [-work DIR] [-seed 1] [-auto] [-server]
-//	infera -ensemble DIR -serve [-addr 127.0.0.1:8080]
+//	infera -ensemble DIR [-work DIR] [-seed 1] [-auto]
+//	       [-stage-budget MB] [-stage-dir DIR] [-stage-disk-budget MB]
+//	       [-keep-staging-dbs] [-script-fuel N] [-script-mem MB] [-script-timeout D]
 package main
 
 import (
@@ -28,9 +27,7 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"infera/internal/agent"
@@ -49,9 +46,6 @@ func main() {
 		work       = flag.String("work", "", "working directory for staging DBs and provenance (default: temp)")
 		seed       = flag.Int64("seed", 1, "model seed")
 		auto       = flag.Bool("auto", false, "skip plan approval (automated mode)")
-		server     = flag.Bool("server", true, "execute sandbox code over a loopback HTTP server")
-		serve      = flag.Bool("serve", false, "run the concurrent query service instead of the REPL")
-		addr       = flag.String("addr", "127.0.0.1:8080", "HTTP listen address for -serve")
 		stageMB    = flag.Int64("stage-budget", stage.DefaultBudgetBytes>>20, "staging-cache budget for decoded column blocks, in MB")
 		stageDir   = flag.String("stage-dir", "", "staging-cache disk tier directory; empty disables the persistent block store")
 		stageDisk  = flag.Int64("stage-disk-budget", stage.DefaultDiskBudgetBytes>>20, "disk-tier block store budget, in MB (needs -stage-dir)")
@@ -79,20 +73,15 @@ func main() {
 	limits.MaxMemBytes = *scriptMem << 20
 	limits.MaxWall = *scriptTO
 
-	if *serve {
-		runService(*ensemble, *work, *addr, *seed, *server, *keepDBs, limits)
-		return
-	}
-	runREPL(*ensemble, *work, *seed, *auto, *server, *keepDBs, limits)
+	runREPL(*ensemble, *work, *seed, *auto, *keepDBs, limits)
 }
 
 // runREPL serves the registry on loopback and drives it through the typed
 // client — the same code path a remote interactive consumer runs.
-func runREPL(ensemble, work string, seed int64, auto, sandboxServer, keepDBs bool, limits sandbox.Limits) {
+func runREPL(ensemble, work string, seed int64, auto, keepDBs bool, limits sandbox.Limits) {
 	reg := service.NewRegistry(service.RegistryConfig{
 		Defaults: service.Config{
 			Seed:           seed,
-			UseServer:      sandboxServer,
 			KeepStagingDBs: keepDBs,
 			ScriptLimits:   limits,
 			Workers:        1, // one human, one session at a time
@@ -232,41 +221,5 @@ func printResult(cli *client.Client, res *service.AskResult) {
 		if a.Kind == "plot" || a.Kind == "scene" {
 			fmt.Printf("  artifact %d: %s (%s) %s\n", a.Seq, a.Name, a.Kind, cli.ArtifactURL("default", res.RequestID, a.Seq))
 		}
-	}
-}
-
-// runService starts the same daemon as cmd/inferad with REPL-flavored
-// defaults, so a single binary covers both interactive and serving use:
-// one "default" shard in a registry behind the /v1/ensembles API, where
-// further ensembles can be registered at runtime.
-func runService(ensemble, work, addr string, seed int64, sandboxServer, keepDBs bool, limits sandbox.Limits) {
-	reg := service.NewRegistry(service.RegistryConfig{
-		Defaults: service.Config{
-			Seed:           seed,
-			UseServer:      sandboxServer,
-			KeepStagingDBs: keepDBs,
-			ScriptLimits:   limits,
-		},
-		WorkDir: work,
-		Logf:    log.Printf,
-	})
-	if _, err := reg.Register("default", ensemble); err != nil {
-		log.Fatal(err)
-	}
-	srv := service.NewServer(reg)
-	if err := srv.Start(addr); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("infera: serving %s on http://%s (POST /v1/ensembles/default/ask)", ensemble, srv.Addr())
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	// Drain in-flight questions (persisting shard caches) before closing
-	// the listener.
-	if err := reg.Close(); err != nil {
-		log.Printf("infera: registry close: %v", err)
-	}
-	if err := srv.Close(); err != nil {
-		log.Printf("infera: http close: %v", err)
 	}
 }

@@ -12,7 +12,7 @@
 //
 //	inferad -ensemble DIR [-ensemble name=DIR ...] [-addr 127.0.0.1:8080]
 //	        [-work DIR] [-max-live-shards 4] [-workers 4] [-queue 64]
-//	        [-cache 128] [-seed 1] [-trim] [-skipdoc] [-sandbox-server]
+//	        [-cache 128] [-seed 1] [-trim] [-skipdoc]
 //	        [-stage-budget MB] [-stage-dir DIR] [-stage-disk-budget MB]
 //	        [-provenance-max-age 0] [-provenance-max-bytes 0]
 //
@@ -154,7 +154,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "default model seed for requests without one")
 		trim       = flag.Bool("trim", true, "trim supervisor history (token optimization)")
 		skipdoc    = flag.Bool("skipdoc", false, "skip the documentation agent")
-		sandboxS   = flag.Bool("sandbox-server", false, "execute sandbox code over loopback HTTP")
 		approval   = flag.Duration("approval-timeout", 0, "interactive plan-review deadline before auto-approval (0 = 60s default)")
 		eventBuf   = flag.Int("event-buffer", 0, "per-session event-log capacity for interactive asks (0 = 512 default)")
 		stageMB    = flag.Int64("stage-budget", stage.DefaultBudgetBytes>>20, "staging-cache budget for decoded column blocks, in MB (shared across all shards)")
@@ -181,19 +180,7 @@ func main() {
 	if len(ensembles.names) == 0 {
 		log.Fatal("inferad: at least one -ensemble is required (generate one with haccgen)")
 	}
-	// The staging cache is process-wide (every shard's data loader and
-	// domain tools share it); the flags size that shared instance and
-	// attach its optional persistent tier, and it always watches.
-	stage.Shared().SetBudget(*stageMB << 20)
-	if *stageDir != "" {
-		if err := stage.Shared().SetDiskTier(*stageDir, *stageDisk<<20); err != nil {
-			log.Fatalf("inferad: stage disk tier: %v", err)
-		}
-	}
-	if err := stage.Shared().SetWatch(true); err != nil {
-		// No working watch backend: keep serving, re-validating by stat.
-		log.Printf("inferad: stage watch unavailable, every lookup will stat and every ask will walk the ensemble: %v", err)
-	}
+	setupStage(*stageMB, *stageDir, *stageDisk)
 
 	limits := sandbox.DefaultLimits()
 	limits.MaxFuel = *scriptFuel
@@ -210,7 +197,6 @@ func main() {
 			Seed:               *seed,
 			TrimHistory:        *trim,
 			SkipDocumentation:  *skipdoc,
-			UseServer:          *sandboxS,
 			ApprovalTimeout:    *approval,
 			EventBuffer:        *eventBuf,
 			ProvenanceMaxAge:   *provAge,
@@ -233,6 +219,28 @@ func main() {
 		cfg.Logf = log.Printf
 	}
 
+	serve(*addr, cfg, &ensembles)
+}
+
+// setupStage sizes the process-wide staging cache (every shard's data
+// loader and domain tools share it), attaches its optional persistent
+// tier, and starts its watch.
+func setupStage(budgetMB int64, diskDir string, diskMB int64) {
+	stage.Shared().SetBudget(budgetMB << 20)
+	if diskDir != "" {
+		if err := stage.Shared().SetDiskTier(diskDir, diskMB<<20); err != nil {
+			log.Fatalf("inferad: stage disk tier: %v", err)
+		}
+	}
+	if err := stage.Shared().SetWatch(true); err != nil {
+		// No working watch backend: keep serving, re-validating by stat.
+		log.Printf("inferad: stage watch unavailable, every lookup will stat and every ask will walk the ensemble: %v", err)
+	}
+}
+
+// serve registers the -ensemble shards, serves the /v1 API on addr, and
+// shuts down in order on SIGINT or SIGTERM.
+func serve(addr string, cfg service.RegistryConfig, ensembles *ensembleFlags) {
 	reg := service.NewRegistry(cfg)
 	for i := range ensembles.names {
 		if _, err := reg.Register(ensembles.names[i], ensembles.dirs[i]); err != nil {
@@ -240,11 +248,11 @@ func main() {
 		}
 	}
 	srv := service.NewServer(reg)
-	if err := srv.Start(*addr); err != nil {
+	if err := srv.Start(addr); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("inferad: serving %d ensemble(s) [%s] on http://%s/v1/ensembles (max %d live, queue %d, cache %d)",
-		len(ensembles.names), ensembles.String(), srv.Addr(), *maxShards, *queue, *cacheSz)
+		len(ensembles.names), ensembles.String(), srv.Addr(), cfg.MaxLiveShards, cfg.Defaults.QueueDepth, cfg.Defaults.CacheSize)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -45,9 +45,6 @@ type Config struct {
 	TrimHistory bool
 	// SkipDocumentation drops the documentation agent's summary (§4.1.4).
 	SkipDocumentation bool
-	// UseServer executes sandbox code over a loopback HTTP server instead
-	// of in-process, exercising the full §3.2 isolation boundary.
-	UseServer bool
 	// ScriptLimits budgets every sandboxed script execution (fuel, memory,
 	// wall clock, artifact bytes, stdout lines). The zero value runs
 	// unrestricted; daemons default it to sandbox.DefaultLimits via flags.
@@ -87,7 +84,6 @@ type Assistant struct {
 	store    *provenance.Store
 	retr     *rag.Retriever
 	registry script.Registry
-	server   *sandbox.Server
 	workDir  string
 
 	mu     sync.Mutex
@@ -123,7 +119,7 @@ func New(cfg Config) (*Assistant, error) {
 	reg := script.DefaultRegistry()
 	tools.Register(reg, cat, cfg.Stage)
 
-	a := &Assistant{
+	return &Assistant{
 		cfg:      cfg,
 		catalog:  cat,
 		model:    model,
@@ -131,15 +127,7 @@ func New(cfg Config) (*Assistant, error) {
 		retr:     rag.NewRetriever(rag.BuildHACCIndex()),
 		registry: reg,
 		workDir:  workDir,
-	}
-	if cfg.UseServer {
-		srv := sandbox.NewServer(a.newExecutor())
-		if err := srv.Start(); err != nil {
-			return nil, fmt.Errorf("core: start sandbox server: %w", err)
-		}
-		a.server = srv
-	}
-	return a, nil
+	}, nil
 }
 
 // newExecutor builds a budgeted sandbox executor with the assistant's
@@ -153,13 +141,10 @@ func (a *Assistant) newExecutor() *sandbox.Executor {
 	}
 }
 
-// Close releases the sandbox server, if any.
-func (a *Assistant) Close() error {
-	if a.server != nil {
-		return a.server.Close()
-	}
-	return nil
-}
+// Close returns nil: an Assistant holds nothing that needs releasing (its
+// work directory outlives it). It remains for callers that close every
+// handle they open, such as the benchmark's core.new_ms probe.
+func (a *Assistant) Close() error { return nil }
 
 // Catalog exposes the loaded ensemble catalog.
 func (a *Assistant) Catalog() *hacc.Catalog { return a.catalog }
@@ -293,13 +278,6 @@ func (a *Assistant) AskWith(question string, opts AskOptions) (*Answer, error) {
 	}
 	db.SetMetrics(a.cfg.Metrics, a.cfg.MetricLabels...)
 
-	var runner sandbox.Runner
-	if a.server != nil {
-		runner = sandbox.NewClient(a.server.Addr())
-	} else {
-		runner = a.newExecutor()
-	}
-
 	model := opts.Model
 	if model == nil {
 		model = a.model
@@ -312,7 +290,7 @@ func (a *Assistant) AskWith(question string, opts AskOptions) (*Answer, error) {
 		Model:             model,
 		Catalog:           a.catalog,
 		DB:                db,
-		Sandbox:           runner,
+		Sandbox:           a.newExecutor(),
 		Session:           sess,
 		Retriever:         a.retr,
 		Stage:             a.cfg.Stage,

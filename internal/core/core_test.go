@@ -199,17 +199,6 @@ func TestProvenanceTrailIsComplete(t *testing.T) {
 	}
 }
 
-func TestHTTPServerSandboxMode(t *testing.T) {
-	a := newAssistant(t, Config{UseServer: true})
-	ans, err := a.Ask("Can you find me the top 20 largest friends-of-friends halos from timestep 498 in simulation 0?")
-	if err != nil {
-		t.Fatalf("ask over HTTP sandbox: %v", err)
-	}
-	if ans.Answer == nil || ans.Answer.NumRows() != 20 {
-		t.Fatalf("answer = %v", ans.Answer)
-	}
-}
-
 func TestFailingRunReportsPartialProgress(t *testing.T) {
 	// A QA agent that rejects nearly everything exhausts the revision
 	// budget deterministically.

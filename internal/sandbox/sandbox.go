@@ -11,13 +11,13 @@
 // growth is copy-on-write, so the code cannot reach the originals, and what
 // it computes is what it computed when every table was written to a
 // temporary directory as text and parsed back. CSV remains where bytes
-// leave the process: the Server/Client wire format, provenance artifacts,
-// and the files a script writes with save_csv (and may read_csv back) in
-// its per-execution working directory.
+// leave the process: provenance artifacts, and the files a script writes
+// with save_csv (and may read_csv back) in its per-execution working
+// directory.
 //
-// Two entry points share one execution core: Executor runs in-process, and
-// Server/Client speak the same contract over HTTP on 127.0.0.1 (the
-// ASGI-gateway analog of the paper's Uvicorn/FastAPI server).
+// Executor is the one entry point and runs in-process: the separation from
+// code generation that the paper's execution server provides comes from the
+// interpreter's budgets and its recover barrier.
 //
 // Execution is budgeted: Limits caps instructions (fuel), tracked
 // allocation, wall clock, artifact bytes and stdout lines, and a recover()
@@ -79,6 +79,15 @@ const (
 	BackendVM       = "vm"
 	BackendTreeWalk = "treewalk"
 )
+
+// Runner is the execution seam the agent workflow runs scripts through.
+// Executor is the production implementation; wrappers (a tracing runner, a
+// test double) embed or stand in for it.
+type Runner interface {
+	Exec(code string, tables map[string]*dataframe.Frame) Result
+}
+
+var _ Runner = (*Executor)(nil)
 
 // Executor runs scripts against immutable views of input tables.
 type Executor struct {

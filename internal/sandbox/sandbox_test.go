@@ -18,6 +18,8 @@ func TestExecutorRunsAndReturnsFrame(t *testing.T) {
 	ex := &Executor{}
 	res := ex.Exec(`
 h = load_table("halos")
+save_csv(h, "copy.csv")
+hist_plot(h, "fof_halo_mass", 3, "masses", "hist.svg")
 top = head(sort(h, "fof_halo_mass", true), 2)
 result(top)
 `, map[string]*dataframe.Frame{"halos": halosFrame()})
@@ -26,6 +28,11 @@ result(top)
 	}
 	if res.Frame.NumRows() != 2 || res.Frame.MustColumn("fof_halo_tag").I[0] != 1 {
 		t.Errorf("frame = %v", res.Frame)
+	}
+	for _, name := range []string{"copy.csv", "hist.svg"} {
+		if len(res.Artifacts[name]) == 0 {
+			t.Errorf("artifact %s missing", name)
+		}
 	}
 	if !strings.Contains(res.Preview(), "result frame: 2 rows") {
 		t.Errorf("preview = %q", res.Preview())
@@ -64,53 +71,5 @@ func TestExecutorReportsErrors(t *testing.T) {
 	}
 	if !strings.Contains(res.Preview(), "ERROR") {
 		t.Errorf("preview = %q", res.Preview())
-	}
-}
-
-func TestServerClientRoundTrip(t *testing.T) {
-	srv := NewServer(&Executor{})
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client := NewClient(srv.Addr())
-	res := client.Exec(`
-h = load_table("halos")
-save_csv(h, "copy.csv")
-hist_plot(h, "fof_halo_mass", 3, "masses", "hist.svg")
-result(h)
-`, map[string]*dataframe.Frame{"halos": halosFrame()})
-	if !res.OK {
-		t.Fatalf("exec failed: %s", res.Error)
-	}
-	if res.Frame.NumRows() != 3 {
-		t.Errorf("frame rows = %d", res.Frame.NumRows())
-	}
-	if _, ok := res.Artifacts["hist.svg"]; !ok {
-		t.Error("artifact hist.svg missing over HTTP")
-	}
-	if _, ok := res.Artifacts["copy.csv"]; !ok {
-		t.Error("artifact copy.csv missing over HTTP")
-	}
-}
-
-func TestServerClientErrorPath(t *testing.T) {
-	srv := NewServer(&Executor{})
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client := NewClient(srv.Addr())
-	res := client.Exec(`x = nope()`, nil)
-	if res.OK || !strings.Contains(res.Error, "NameError") {
-		t.Errorf("result = %+v", res)
-	}
-}
-
-func TestClientConnectionError(t *testing.T) {
-	client := NewClient("127.0.0.1:1") // nothing listens there
-	res := client.Exec("result(x)", nil)
-	if res.OK || !strings.Contains(res.Error, "ConnectionError") {
-		t.Errorf("result = %+v", res)
 	}
 }

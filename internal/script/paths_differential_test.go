@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"infera/internal/dataframe"
-	"infera/internal/sandbox"
 	"infera/internal/script"
 )
 
@@ -92,21 +91,10 @@ func sameLines(t *testing.T, what string, got, want []string) {
 
 // Every script of the differential corpus sees the same world whichever
 // way its input table reaches it: as a view of the host's frame
-// (Env.Tables, what Executor.Exec sets up), as a CSV file in the working
-// directory (a bare NewEnv, the path before views), or over the HTTP
-// Client/Server pair. Fuel, tracked memory, stdout, result frame, artifacts
-// and error text must all agree.
+// (Env.Tables, what sandbox.Executor.Exec sets up) or as a CSV file in the
+// working directory (a bare NewEnv, the path before views). Fuel, tracked
+// memory, stdout, result frame, artifacts and error text must all agree.
 func TestInputPathsAgree(t *testing.T) {
-	srv := sandbox.NewServer(&sandbox.Executor{Limits: sandbox.Limits{
-		MaxFuel: pathBudgets.MaxFuel, MaxMemBytes: pathBudgets.MaxMemBytes,
-		MaxArtifactBytes: pathBudgets.MaxArtifactBytes, MaxStdoutLines: pathBudgets.MaxStdoutLines,
-	}})
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client := sandbox.NewClient(srv.Addr())
-
 	tables := map[string]*dataframe.Frame{"work": workTable()}
 	var workCSV bytes.Buffer
 	if err := tables["work"].WriteCSV(&workCSV); err != nil {
@@ -146,28 +134,6 @@ func TestInputPathsAgree(t *testing.T) {
 			t.Errorf("%s: result\n%s\nwant\n%s\n%s", what, got, want, src)
 		}
 		sameArtifacts(t, what, view.Artifacts, file.Artifacts)
-
-		// Over HTTP the tables cross as CSV and are parsed once; the result
-		// frame crosses back as CSV, so it is compared as its parse.
-		what = fmt.Sprintf("corpus[%d] http vs view", i)
-		res := client.Exec(src, tables)
-		if res.Error != viewErr || res.OK != (viewErr == "") {
-			t.Errorf("%s: ok=%v error %q, want %q\n%s", what, res.OK, res.Error, viewErr, src)
-		}
-		if res.FuelUsed != view.FuelUsed {
-			t.Errorf("%s: fuel %d, want %d\n%s", what, res.FuelUsed, view.FuelUsed, src)
-		}
-		sameLines(t, what, res.Stdout, view.Stdout)
-		wantFrame := view.Result
-		if viewErr != "" {
-			wantFrame = nil // a failed run returns no frame over the wire
-		} else if wantFrame != nil {
-			wantFrame = wantFrame.CanonicalView()
-		}
-		if got, want := frameCSV(t, res.Frame), frameCSV(t, wantFrame); got != want {
-			t.Errorf("%s: result\n%s\nwant\n%s\n%s", what, got, want, src)
-		}
-		sameArtifacts(t, what, res.Artifacts, view.Artifacts)
 		if viewErr == "" {
 			okRuns++
 		}

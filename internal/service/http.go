@@ -13,12 +13,11 @@ import (
 
 	"infera/internal/agent"
 	"infera/internal/provenance"
-	"infera/internal/sandbox"
 	"infera/internal/telemetry"
 )
 
-// Server exposes a shard Registry over HTTP as a versioned resource API,
-// reusing the JSON wire idiom of the sandbox execution server:
+// Server exposes a shard Registry over HTTP as a versioned JSON resource
+// API:
 //
 //	GET    /v1/ensembles                                 -> []ShardInfo
 //	POST   /v1/ensembles                                 {"name", "dir", "workers"?, "cache_capacity"?} -> ShardInfo (201)
@@ -63,13 +62,13 @@ func NewServer(reg *Registry) *Server {
 	mux.HandleFunc("GET /v1/ensembles/{eid}/sessions/{id}/artifacts/{seq}", s.handleArtifact)
 	mux.HandleFunc("GET /v1/ensembles/{eid}/metrics", s.handleShardMetrics)
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		sandbox.WriteJSON(w, s.reg.Metrics())
+		writeJSON(w, s.reg.Metrics())
 	})
 	mux.HandleFunc("GET /v1/metrics/prometheus", s.handlePrometheus)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		// JSON node detail (identity, shard counts, uptime) for fleet
 		// probers; plain liveness checks only need the 200.
-		sandbox.WriteJSON(w, s.reg.Health())
+		writeJSON(w, s.reg.Health())
 	})
 	s.http = &http.Server{Handler: mux, ReadTimeout: 30 * time.Second}
 	return s
@@ -118,6 +117,30 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// writeJSON encodes v as the JSON response body.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// decodeBody decodes the JSON request body, at most maxAskBody bytes, into
+// v. On failure it answers the request — 413 for an oversized body, 400
+// for anything else — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAskBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+	} else {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
+	}
+	return false
+}
+
 func writeError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -153,8 +176,9 @@ func writeRegistryError(w http.ResponseWriter, err error) {
 	}
 }
 
-// maxAskBody bounds the ask request body; questions are sentences, so
-// anything past 1 MB is abuse, not traffic.
+// maxAskBody bounds every JSON request body (ask, register, plan decision);
+// questions and comments are sentences, so anything past 1 MB is abuse,
+// not traffic.
 const maxAskBody = 1 << 20
 
 // RegisterRequest is the POST /v1/ensembles payload. Workers and
@@ -175,13 +199,12 @@ type RegisterRequest struct {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	sandbox.WriteJSON(w, s.reg.Ensembles())
+	writeJSON(w, s.reg.Ensembles())
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAskBody)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	info, err := s.reg.RegisterWith(req.Name, req.Dir, ShardOptions{
@@ -203,10 +226,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Headers must precede WriteHeader, or WriteJSON's Content-Type is lost.
+	// Headers must precede WriteHeader, or writeJSON's Content-Type is lost.
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
-	sandbox.WriteJSON(w, info)
+	writeJSON(w, info)
 }
 
 func (s *Server) handleDetail(w http.ResponseWriter, r *http.Request) {
@@ -215,19 +238,12 @@ func (s *Server) handleDetail(w http.ResponseWriter, r *http.Request) {
 		writeRegistryError(w, err)
 		return
 	}
-	sandbox.WriteJSON(w, info)
+	writeJSON(w, info)
 }
 
 func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	var req AskRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAskBody)).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Interactive {
@@ -241,7 +257,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Location", fmt.Sprintf("/v1/ensembles/%s/sessions/%s", r.PathValue("eid"), info.ID))
 		w.WriteHeader(http.StatusAccepted)
-		sandbox.WriteJSON(w, info)
+		writeJSON(w, info)
 		return
 	}
 	res, err := s.reg.Ask(r.PathValue("eid"), req)
@@ -251,7 +267,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	}
 	// Workflow failures still return 200 with res.Error set: the request
 	// was served and its partial state is inspectable via provenance.
-	sandbox.WriteJSON(w, res)
+	writeJSON(w, res)
 }
 
 func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
@@ -260,7 +276,7 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		writeRegistryError(w, err)
 		return
 	}
-	sandbox.WriteJSON(w, sessions)
+	writeJSON(w, sessions)
 }
 
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
@@ -273,7 +289,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	sandbox.WriteJSON(w, info)
+	writeJSON(w, info)
 }
 
 func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
@@ -286,7 +302,7 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	sandbox.WriteJSON(w, entries)
+	writeJSON(w, entries)
 }
 
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
@@ -331,7 +347,7 @@ func (s *Server) handleShardMetrics(w http.ResponseWriter, r *http.Request) {
 		writeRegistryError(w, err)
 		return
 	}
-	sandbox.WriteJSON(w, m)
+	writeJSON(w, m)
 }
 
 // handlePrometheus encodes the shared telemetry registry in the
@@ -361,20 +377,19 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		writeRegistryError(w, err)
 		return
 	}
-	sandbox.WriteJSON(w, info)
+	writeJSON(w, info)
 }
 
 func (s *Server) handleSubmitPlan(w http.ResponseWriter, r *http.Request) {
 	var d agent.PlanDecision
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAskBody)).Decode(&d); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request: %w", err))
+	if !decodeBody(w, r, &d) {
 		return
 	}
 	if err := s.reg.SubmitPlan(r.PathValue("eid"), r.PathValue("id"), d); err != nil {
 		writeRegistryError(w, err)
 		return
 	}
-	sandbox.WriteJSON(w, map[string]string{"status": "accepted"})
+	writeJSON(w, map[string]string{"status": "accepted"})
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -383,7 +398,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeRegistryError(w, err)
 		return
 	}
-	sandbox.WriteJSON(w, res)
+	writeJSON(w, res)
 }
 
 // EventsPage is the long-poll (?after=) wire form of an event-stream read.
@@ -525,5 +540,5 @@ func (s *Server) pollEvents(w http.ResponseWriter, r *http.Request, eid, id, aft
 			page.After = ev.Seq
 		}
 	}
-	sandbox.WriteJSON(w, page)
+	writeJSON(w, page)
 }

@@ -156,17 +156,23 @@ func TestHTTPAskSessionsProvenanceMetrics(t *testing.T) {
 	if emptyResp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty question code = %d", emptyResp.StatusCode)
 	}
-	// Oversized body -> 413, not a generic 400: the body limit is a size
-	// condition the client can act on, distinct from malformed JSON.
-	huge := append([]byte(`{"question": "`), bytes.Repeat([]byte("x"), maxAskBody+1024)...)
-	huge = append(huge, []byte(`"}`)...)
-	hugeResp, err := http.Post(base+defaultShard+"/ask", "application/json", bytes.NewReader(huge))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hugeResp.Body.Close()
-	if hugeResp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized body code = %d, want 413", hugeResp.StatusCode)
+	// Oversized body -> 413, not a generic 400, on every route that takes a
+	// JSON body: the body limit is a size condition the client can act on,
+	// distinct from malformed JSON.
+	filler := string(bytes.Repeat([]byte("x"), maxAskBody+1024))
+	for _, c := range []struct{ path, body string }{
+		{defaultShard + "/ask", `{"question": "` + filler + `"}`},
+		{"/v1/ensembles", `{"name": "big", "dir": "` + filler + `"}`},
+		{defaultShard + "/sessions/" + res.RequestID + "/plan", `{"approve": false, "comment": "` + filler + `"}`},
+	} {
+		hugeResp, err := http.Post(base+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hugeResp.Body.Close()
+		if hugeResp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s: oversized body code = %d, want 413", c.path, hugeResp.StatusCode)
+		}
 	}
 
 	// The flat pre-registry routes are gone.

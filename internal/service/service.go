@@ -65,8 +65,6 @@ type Config struct {
 	TrimHistory       bool
 	SkipDocumentation bool
 	MaxRevisions      int
-	// UseServer executes sandbox code over loopback HTTP per assistant.
-	UseServer bool
 	// ScriptLimits budgets every sandboxed script execution (fuel, memory,
 	// wall clock, artifact bytes, stdout lines); forwarded to every pooled
 	// Assistant. The zero value runs unrestricted; the daemons default it
@@ -299,31 +297,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.EnsembleDir == "" {
 		return nil, errors.New("service: EnsembleDir is required")
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-		if cfg.Workers > 4 {
-			cfg.Workers = 4
-		}
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
-	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = 128
-	}
-	if cfg.NewModel == nil {
-		cfg.NewModel = func(seed int64) llm.Client {
-			return llm.NewSim(llm.SimConfig{Seed: seed})
-		}
-	}
-
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 4096
-	}
-	if cfg.Stage == nil {
-		cfg.Stage = stage.Shared()
-	}
-
+	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:           cfg,
 		cache:         NewCache(cfg.CacheSize),
@@ -336,24 +310,76 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Name != "" {
 		s.labels = []telemetry.Label{telemetry.L("ensemble", cfg.Name)}
 	}
-	if r := cfg.Metrics; r != nil {
-		r.SetHelp("infera_ask_seconds", "End-to-end ask latency, labeled by cache hit/miss and interactive/automated mode.")
-		r.SetHelp("infera_asks_total", "Total asks served, labeled like infera_ask_seconds.")
-		r.SetHelp("infera_queue_wait_seconds", "Time an ask spent waiting in the bounded worker queue.")
-		r.SetHelp("infera_queue_len", "Asks currently waiting in the worker queue.")
-		r.SetHelp("infera_queue_depth", "Capacity of the bounded worker queue.")
-		r.SetHelp("infera_pending_approvals", "Interactive sessions currently blocked on a plan decision.")
-		r.SetHelp(agent.MetricAskPhaseSeconds, "Per-ask wall-clock time by workflow phase (plan, stage, query, qa, python, viz, total).")
-		s.queueLen = r.Gauge("infera_queue_len", s.labels...)
-		s.queueWait = r.Histogram("infera_queue_wait_seconds", nil, s.labels...)
-		s.approvals = r.Gauge("infera_pending_approvals", s.labels...)
-		s.queueDepth = r.Gauge("infera_queue_depth", s.labels...)
-		s.queueDepth.Set(int64(cfg.QueueDepth))
+	s.registerMetrics()
+	if err := s.openAssistants(); err != nil {
+		return nil, err
 	}
-	// The catalog is read-only after load; one load serves the whole pool.
+	// Revive the persisted answer cache (if any) before traffic arrives;
+	// entries from a changed ensemble are dropped by fingerprint.
+	s.loadPersistedCache()
+	if cfg.WorkDir != "" {
+		s.resumeWorkerDirs()
+	}
+	for i, a := range s.assistants {
+		s.wg.Add(1)
+		go s.worker(i, a)
+	}
+	return s, nil
+}
+
+// withDefaults fills the zero fields of cfg with their documented defaults.
+func (cfg Config) withDefaults() Config {
+	if cfg.Workers <= 0 {
+		cfg.Workers = min(runtime.GOMAXPROCS(0), 4)
+	}
+	if cfg.QueueDepth <= 0 {
+		cfg.QueueDepth = 64
+	}
+	if cfg.CacheSize <= 0 {
+		cfg.CacheSize = 128
+	}
+	if cfg.NewModel == nil {
+		cfg.NewModel = func(seed int64) llm.Client {
+			return llm.NewSim(llm.SimConfig{Seed: seed})
+		}
+	}
+	if cfg.MaxSessions <= 0 {
+		cfg.MaxSessions = 4096
+	}
+	if cfg.Stage == nil {
+		cfg.Stage = stage.Shared()
+	}
+	return cfg
+}
+
+// registerMetrics resolves the service's telemetry instruments when
+// cfg.Metrics is set; otherwise they stay nil, which records nothing.
+func (s *Service) registerMetrics() {
+	r := s.cfg.Metrics
+	if r == nil {
+		return
+	}
+	r.SetHelp("infera_ask_seconds", "End-to-end ask latency, labeled by cache hit/miss and interactive/automated mode.")
+	r.SetHelp("infera_asks_total", "Total asks served, labeled like infera_ask_seconds.")
+	r.SetHelp("infera_queue_wait_seconds", "Time an ask spent waiting in the bounded worker queue.")
+	r.SetHelp("infera_queue_len", "Asks currently waiting in the worker queue.")
+	r.SetHelp("infera_queue_depth", "Capacity of the bounded worker queue.")
+	r.SetHelp("infera_pending_approvals", "Interactive sessions currently blocked on a plan decision.")
+	r.SetHelp(agent.MetricAskPhaseSeconds, "Per-ask wall-clock time by workflow phase (plan, stage, query, qa, python, viz, total).")
+	s.queueLen = r.Gauge("infera_queue_len", s.labels...)
+	s.queueWait = r.Histogram("infera_queue_wait_seconds", nil, s.labels...)
+	s.approvals = r.Gauge("infera_pending_approvals", s.labels...)
+	s.queueDepth = r.Gauge("infera_queue_depth", s.labels...)
+	s.queueDepth.Set(int64(s.cfg.QueueDepth))
+}
+
+// openAssistants builds the pool: cfg.Workers assistants over one catalog
+// load (it is read-only after load), each with its own worker directory.
+func (s *Service) openAssistants() error {
+	cfg := s.cfg
 	cat, err := hacc.Load(cfg.EnsembleDir)
 	if err != nil {
-		return nil, fmt.Errorf("service: load ensemble: %w", err)
+		return fmt.Errorf("service: load ensemble: %w", err)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		workDir := ""
@@ -368,7 +394,6 @@ func New(cfg Config) (*Service, error) {
 			TrimHistory:       cfg.TrimHistory,
 			SkipDocumentation: cfg.SkipDocumentation,
 			MaxRevisions:      cfg.MaxRevisions,
-			UseServer:         cfg.UseServer,
 			ScriptLimits:      cfg.ScriptLimits,
 			Stage:             cfg.Stage,
 			// Kept staging DBs must survive on disk, so only then does the
@@ -380,55 +405,47 @@ func New(cfg Config) (*Service, error) {
 			MetricLabels:   s.labels,
 		})
 		if err != nil {
-			for _, prev := range s.assistants {
-				prev.Close()
-			}
-			return nil, fmt.Errorf("service: assistant %d: %w", i, err)
+			return fmt.Errorf("service: assistant %d: %w", i, err)
 		}
 		s.assistants = append(s.assistants, a)
 	}
-	// Revive the persisted answer cache (if any) before traffic arrives;
-	// entries from a changed ensemble are dropped by fingerprint.
-	s.loadPersistedCache()
-	// A stable WorkDir may hold provenance sessions from a previous
-	// incarnation (daemon restart, shard revival); resume the ID sequence
-	// past ALL of them — including worker dirs beyond the current pool
-	// size, whose sessions persisted cache entries may still reference —
-	// so new sessions never collide with (or shadow) on-disk trails. The
-	// orphaned dirs' stores stay readable for provenance resolution.
-	if cfg.WorkDir != "" {
-		current := map[string]bool{}
-		for _, a := range s.assistants {
-			current[a.WorkDir()] = true
-		}
-		workerDirs, _ := filepath.Glob(filepath.Join(cfg.WorkDir, "worker-*"))
-		for _, w := range workerDirs {
-			entries, err := os.ReadDir(filepath.Join(w, "sessions"))
-			if err != nil {
-				continue
-			}
-			for _, e := range entries {
-				var n int
-				if _, err := fmt.Sscanf(e.Name(), "q-%d", &n); err == nil && n > s.nextID {
-					s.nextID = n
-				}
-			}
-			if !current[w] && len(entries) > 0 {
-				if store, err := provenance.NewStore(filepath.Join(w, "sessions")); err == nil {
-					s.extraStores = append(s.extraStores, store)
-				}
-			}
-		}
-	}
-	for i, a := range s.assistants {
-		s.wg.Add(1)
-		go s.worker(i, a)
-	}
-	return s, nil
+	return nil
 }
 
-// Close drains the queue, stops the workers, persists the answer cache
-// (when WorkDir is stable — see persist.go) and releases the assistants.
+// resumeWorkerDirs scans a stable WorkDir, which may hold provenance
+// sessions from a previous incarnation (daemon restart, shard revival). It
+// resumes the ID sequence past ALL of them — including worker dirs beyond
+// the current pool size, whose sessions persisted cache entries may still
+// reference — so new sessions never collide with (or shadow) on-disk
+// trails. The orphaned dirs' stores stay readable for provenance
+// resolution.
+func (s *Service) resumeWorkerDirs() {
+	current := map[string]bool{}
+	for _, a := range s.assistants {
+		current[a.WorkDir()] = true
+	}
+	workerDirs, _ := filepath.Glob(filepath.Join(s.cfg.WorkDir, "worker-*"))
+	for _, w := range workerDirs {
+		entries, err := os.ReadDir(filepath.Join(w, "sessions"))
+		if err != nil {
+			continue
+		}
+		for _, e := range entries {
+			var n int
+			if _, err := fmt.Sscanf(e.Name(), "q-%d", &n); err == nil && n > s.nextID {
+				s.nextID = n
+			}
+		}
+		if !current[w] && len(entries) > 0 {
+			if store, err := provenance.NewStore(filepath.Join(w, "sessions")); err == nil {
+				s.extraStores = append(s.extraStores, store)
+			}
+		}
+	}
+}
+
+// Close drains the queue, stops the workers and persists the answer cache
+// (when WorkDir is stable — see persist.go).
 // Pending requests complete; new Asks fail with ErrClosed.
 func (s *Service) Close() error {
 	s.mu.Lock()
@@ -445,23 +462,15 @@ func (s *Service) Close() error {
 	s.mu.Unlock()
 	close(s.queue)
 	s.wg.Wait()
-	var first error
 	// All workers have stopped, so the cache is quiescent: this snapshot is
 	// complete, including answers computed by the final drain.
-	if err := s.persistCache(); err != nil {
-		first = err
-	}
+	err := s.persistCache()
 	// Retention sweep after the persist: the snapshot just written defines
 	// exactly which sessions the revived cache can still reference.
 	if removed, freed := s.sweepProvenance(); removed > 0 {
 		s.logf("service: provenance sweep removed %d session trail(s), %d bytes", removed, freed)
 	}
-	for _, a := range s.assistants {
-		if err := a.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return err
 }
 
 func (s *Service) logf(format string, args ...any) {
