@@ -32,8 +32,7 @@ func limitedExec(t *testing.T, lim Limits, code string) Result {
 // TestExecutorBudgetExhaustion drives each budget axis to exhaustion on
 // the tree-walk interpreter and checks the structured Python-like error
 // text. The executor must return a clean Result — never panic — and keep
-// the fuel counter it got to, and the same Executor must then run a cheap
-// script cleanly: a budget error is per execution.
+// the fuel counter it got to.
 func TestExecutorBudgetExhaustion(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -82,8 +81,7 @@ func TestExecutorBudgetExhaustion(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name+"/treewalk", func(t *testing.T) {
-			ex := &Executor{Limits: tc.lim}
-			res := ex.Exec(tc.code, map[string]*dataframe.Frame{"halos": halosFrame()})
+			res := limitedExec(t, tc.lim, tc.code)
 			if res.OK {
 				t.Fatalf("expected budget error, got OK result")
 			}
@@ -92,9 +90,6 @@ func TestExecutorBudgetExhaustion(t *testing.T) {
 			}
 			if tc.name == "fuel" && res.FuelUsed == 0 {
 				t.Fatal("fuel exhaustion reported zero fuel used")
-			}
-			if again := ex.Exec("print(1)", nil); !again.OK || again.FuelUsed == 0 {
-				t.Fatalf("cheap script after the budget error: ok=%v fuel=%d error %q", again.OK, again.FuelUsed, again.Error)
 			}
 		})
 	}
@@ -190,5 +185,29 @@ func TestExecutorConcurrentBudgetedRuns(t *testing.T) {
 	}
 	if metrics.Counter("infera_script_fuel_used").Value() == 0 {
 		t.Fatal("aggregate fuel counter empty")
+	}
+}
+
+// TestServerSurvivesBudgetError proves the executor that serves every ask
+// keeps answering after a budget-exceeding request: the error is returned
+// in-band, the next request on the same Executor succeeds.
+func TestServerSurvivesBudgetError(t *testing.T) {
+	ex := &Executor{Limits: Limits{MaxFuel: 5}}
+
+	res := ex.Exec(bigListScript(100), map[string]*dataframe.Frame{"halos": halosFrame()})
+	if res.OK {
+		t.Fatal("expected budget error")
+	}
+	if !strings.Contains(res.Error, "TimeoutError: script exceeded its instruction budget") {
+		t.Fatalf("error = %q", res.Error)
+	}
+
+	// The same executor still serves cheap requests.
+	ok := ex.Exec("print(1)", nil)
+	if !ok.OK {
+		t.Fatalf("executor stopped serving after budget error: %s", ok.Error)
+	}
+	if ok.FuelUsed == 0 {
+		t.Fatal("fuel not reported for the cheap request")
 	}
 }

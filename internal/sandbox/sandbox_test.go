@@ -18,8 +18,6 @@ func TestExecutorRunsAndReturnsFrame(t *testing.T) {
 	ex := &Executor{}
 	res := ex.Exec(`
 h = load_table("halos")
-save_csv(h, "copy.csv")
-hist_plot(h, "fof_halo_mass", 3, "masses", "hist.svg")
 top = head(sort(h, "fof_halo_mass", true), 2)
 result(top)
 `, map[string]*dataframe.Frame{"halos": halosFrame()})
@@ -28,11 +26,6 @@ result(top)
 	}
 	if res.Frame.NumRows() != 2 || res.Frame.MustColumn("fof_halo_tag").I[0] != 1 {
 		t.Errorf("frame = %v", res.Frame)
-	}
-	for _, name := range []string{"copy.csv", "hist.svg"} {
-		if len(res.Artifacts[name]) == 0 {
-			t.Errorf("artifact %s missing", name)
-		}
 	}
 	if !strings.Contains(res.Preview(), "result frame: 2 rows") {
 		t.Errorf("preview = %q", res.Preview())
@@ -71,5 +64,29 @@ func TestExecutorReportsErrors(t *testing.T) {
 	}
 	if !strings.Contains(res.Preview(), "ERROR") {
 		t.Errorf("preview = %q", res.Preview())
+	}
+}
+
+// TestServerClientRoundTrip runs a whole request on the executor that
+// serves every ask: script and input tables in, result frame and the
+// script's artifacts out.
+func TestServerClientRoundTrip(t *testing.T) {
+	ex := &Executor{}
+	res := ex.Exec(`
+h = load_table("halos")
+save_csv(h, "copy.csv")
+hist_plot(h, "fof_halo_mass", 3, "masses", "hist.svg")
+result(h)
+`, map[string]*dataframe.Frame{"halos": halosFrame()})
+	if !res.OK {
+		t.Fatalf("exec failed: %s", res.Error)
+	}
+	if res.Frame.NumRows() != 3 {
+		t.Errorf("frame rows = %d", res.Frame.NumRows())
+	}
+	for _, name := range []string{"copy.csv", "hist.svg"} {
+		if len(res.Artifacts[name]) == 0 {
+			t.Errorf("artifact %s missing", name)
+		}
 	}
 }
