@@ -6,6 +6,11 @@
 // (MMR). The Retriever applies the paper's multi-prompt policy: top-k for
 // the user query, the delegated task, the full plan, and an "[IMPORTANT]"
 // prompt that surfaces columns tagged important, up to a global cap.
+//
+// An embedding has a few dozen nonzero entries of Dim, and none negative,
+// so the index scores over the nonzeros of one side: every product it
+// skips is an exact +0 that leaves each partial sum as it was, and every
+// score is the same float64 that Cosine returns for the dense vectors.
 package rag
 
 import (
@@ -13,6 +18,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Dim is the embedding dimensionality.
@@ -31,7 +37,7 @@ func Tokenize(text string) []string {
 		}
 	}
 	for _, r := range text {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+		if isTokenRune(r) {
 			sb.WriteRune(unicode.ToLower(r))
 		} else {
 			flush()
@@ -41,9 +47,45 @@ func Tokenize(text string) []string {
 	return toks
 }
 
-// TokenCount returns the token count of text; the llm package uses it for
-// usage accounting, and chunking uses it for the 80-token budget.
-func TokenCount(text string) int { return len(Tokenize(text)) }
+// TokenCount returns len(Tokenize(text)) without building the tokens: it
+// counts the characters that start a token, in one pass with no
+// allocation. The llm package uses it for usage accounting, and chunking
+// uses it for the 80-token budget.
+func TokenCount(text string) int {
+	n := 0
+	var in uint8 // 1 inside a token
+	for i := 0; i < len(text); {
+		var tok uint8
+		if c := text[i]; c < utf8.RuneSelf {
+			tok = tokenASCII[c]
+			i++
+		} else {
+			// As range over a string does: an invalid byte decodes to
+			// utf8.RuneError, of width 1, which is no token rune.
+			r, size := utf8.DecodeRuneInString(text[i:])
+			if isTokenRune(r) {
+				tok = 1
+			}
+			i += size
+		}
+		n += int(tok &^ in)
+		in = tok
+	}
+	return n
+}
+
+// isTokenRune reports whether r belongs to a token: a letter or a digit.
+func isTokenRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
+
+// tokenASCII is isTokenRune over the ASCII bytes, as 1 or 0.
+var tokenASCII = func() (t [utf8.RuneSelf]uint8) {
+	for c := range t {
+		if isTokenRune(rune(c)) {
+			t[c] = 1
+		}
+	}
+	return t
+}()
 
 // fnv1a hashes a string to a bucket in [0, Dim).
 func fnv1a(s string) int {
@@ -83,7 +125,9 @@ func Embed(text string) []float64 {
 	return vec
 }
 
-// Cosine returns the cosine similarity of two equal-length vectors.
+// Cosine returns the cosine similarity of two equal-length vectors. It is
+// the reference for the index's sparse cosine, which returns the same bits
+// for embeddings.
 func Cosine(a, b []float64) float64 {
 	var dot, na, nb float64
 	for i := range a {
@@ -117,7 +161,7 @@ func TruncateTokens(text string, n int) string {
 	count := 0
 	inTok := false
 	for i, r := range text {
-		isTok := unicode.IsLetter(r) || unicode.IsDigit(r)
+		isTok := isTokenRune(r)
 		if isTok && !inTok {
 			count++
 			if count > n {
@@ -129,10 +173,59 @@ func TruncateTokens(text string, n int) string {
 	return text
 }
 
-// Index is an in-memory vector index over documents.
+// Index is an in-memory vector index over documents. Each document's
+// embedding is stored with its nonzero positions and squared norm, so a
+// score costs one product per nonzero of the sparser side (cosine).
 type Index struct {
 	docs []Document
-	vecs [][]float64
+	vecs []embedding
+}
+
+// embedding is a dense vector with its nonzero positions, ascending, and
+// its squared norm summed in index order, as Cosine sums it. A uint8
+// indexes every entry of a Dim-array (the constant below fails to compile
+// otherwise), so the dot product's loads need no bounds checks.
+type embedding struct {
+	v     *[Dim]float64
+	nz    []uint8
+	norm2 float64
+}
+
+const _ = uint8(Dim - 1)
+
+func newEmbedding(v []float64) embedding {
+	n := 0
+	for _, x := range v {
+		if x != 0 {
+			n++
+		}
+	}
+	e := embedding{v: (*[Dim]float64)(v), nz: make([]uint8, 0, n)}
+	for i, x := range v {
+		if x != 0 {
+			e.nz = append(e.nz, uint8(i))
+			e.norm2 += x * x
+		}
+	}
+	return e
+}
+
+// cosine returns Cosine(a.v, b.v), bit for bit. Entries are never
+// negative, so the partial sums of the dot product never hold −0, and
+// the products skipped where the sparser side is zero are +0 additions
+// that change none of them; the norms are Cosine's sums.
+func cosine(a, b *embedding) float64 {
+	if a.norm2 == 0 || b.norm2 == 0 {
+		return 0
+	}
+	if len(b.nz) < len(a.nz) {
+		a, b = b, a
+	}
+	var dot float64
+	for _, i := range a.nz {
+		dot += a.v[i] * b.v[i]
+	}
+	return dot / math.Sqrt(a.norm2*b.norm2)
 }
 
 // NewIndex returns an empty index.
@@ -144,7 +237,7 @@ func NewIndex() *Index { return &Index{} }
 func (ix *Index) Add(doc Document) {
 	doc.Text = TruncateTokens(doc.Text, MaxChunkTokens)
 	ix.docs = append(ix.docs, doc)
-	ix.vecs = append(ix.vecs, Embed(doc.Text))
+	ix.vecs = append(ix.vecs, newEmbedding(Embed(doc.Text)))
 }
 
 // Len returns the document count.
@@ -161,10 +254,14 @@ type Scored struct {
 
 // Search returns the top-k documents by cosine similarity to query.
 func (ix *Index) Search(query string, k int) []Scored {
-	q := Embed(query)
+	return ix.search(newEmbedding(Embed(query)), k)
+}
+
+// search is Search over an embedded query.
+func (ix *Index) search(q embedding, k int) []Scored {
 	scored := make([]Scored, len(ix.docs))
 	for i := range ix.docs {
-		scored[i] = Scored{Doc: ix.docs[i], Score: Cosine(q, ix.vecs[i])}
+		scored[i] = Scored{Doc: ix.docs[i], Score: cosine(&q, &ix.vecs[i])}
 	}
 	sort.SliceStable(scored, func(a, b int) bool { return scored[a].Score > scored[b].Score })
 	if k > len(scored) {
@@ -177,19 +274,21 @@ func (ix *Index) Search(query string, k int) []Scored {
 // maximizes lambda·sim(query, d) − (1−lambda)·max sim(d, already picked),
 // trading relevance against redundancy (Carbonell & Goldstein 1998). Each
 // document's max similarity to the picked set is carried from pick to
-// pick, so a pick costs one Cosine per remaining candidate.
+// pick, so a pick costs one cosine per remaining candidate.
 func (ix *Index) MMR(query string, k int, lambda float64) []Scored {
-	return ix.mmr(Embed(query), k, lambda)
+	return ix.mmr(newEmbedding(Embed(query)), k, lambda)
 }
 
-// mmr is MMR over an embedded query.
-func (ix *Index) mmr(q []float64, k int, lambda float64) []Scored {
+// mmr is MMR over an embedded query. Relevance (query × document) and
+// redundancy (document × pick) are the sparse cosine, so each score is
+// the one Cosine gives over the dense vectors.
+func (ix *Index) mmr(q embedding, k int, lambda float64) []Scored {
 	if k > len(ix.docs) {
 		k = len(ix.docs)
 	}
 	rel := make([]float64, len(ix.docs))
 	for i := range ix.docs {
-		rel[i] = Cosine(q, ix.vecs[i])
+		rel[i] = cosine(&q, &ix.vecs[i])
 	}
 	redundancy := make([]float64, len(ix.docs)) // max sim to any pick so far
 	used := make([]bool, len(ix.docs))
@@ -217,7 +316,7 @@ func (ix *Index) mmr(q []float64, k int, lambda float64) []Scored {
 			if used[i] {
 				continue
 			}
-			if s := Cosine(ix.vecs[i], ix.vecs[best]); s > redundancy[i] {
+			if s := cosine(&ix.vecs[i], &ix.vecs[best]); s > redundancy[i] {
 				redundancy[i] = s
 			}
 		}

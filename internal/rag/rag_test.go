@@ -25,6 +25,28 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
+// FuzzTokenCount: TokenCount counts exactly the tokens Tokenize builds,
+// for any bytes — invalid UTF-8 (a separator, as U+FFFD), non-ASCII
+// letters and digits (token runes), and underscores (separators).
+func FuzzTokenCount(f *testing.F) {
+	for _, s := range []string{
+		"",
+		"sod_halo_MGas500c: mass enclosed, density 500x!",
+		"__a__b__",
+		"Größe der Halos ٣٤ Ⅻ 質量 x²",
+		"\xff\xfeab\xc3(cd\xe2\x82",
+		"a\u0301b ﬁ İı",
+		" \t\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := TokenCount(s), len(Tokenize(s)); got != want {
+			t.Fatalf("TokenCount(%q) = %d, Tokenize has %d tokens", s, got, want)
+		}
+	})
+}
+
 func TestTruncateTokens(t *testing.T) {
 	text := "one two three four five"
 	if got := TruncateTokens(text, 3); got != "one two three" {
@@ -172,6 +194,24 @@ func TestRetrieverPolicy(t *testing.T) {
 	}
 	if !foundCount {
 		t.Error("fof_halo_count should be retrieved for a 'largest halos by particle count' query")
+	}
+}
+
+// A Retriever built as a struct literal, with the important sub-index
+// left unset, retrieves what NewRetriever's does, [IMPORTANT] prompt
+// included.
+func TestRetrieverLiteral(t *testing.T) {
+	ix := BuildHACCIndex()
+	lit := &Retriever{Index: ix, PerPrompt: 20, MaxDocs: 80, Lambda: 0.7}
+	q := "top 20 largest halos at timestep 624 in simulation 1"
+	got, want := lit.Retrieve(q, "", ""), NewRetriever(ix).Retrieve(q, "", "")
+	if len(got) != len(want) {
+		t.Fatalf("literal retrieves %d documents, NewRetriever %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID {
+			t.Errorf("document %d: literal retrieves %s, NewRetriever %s", i, got[i].ID, want[i].ID)
+		}
 	}
 }
 

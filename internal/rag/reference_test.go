@@ -2,6 +2,7 @@ package rag
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -10,19 +11,31 @@ import (
 // differ in the last bit). It is what the external tests compare.
 func (ix *Index) MMRAndReference(query string, k int, lambda float64) (got, want []Scored) {
 	q := Embed(query)
-	return ix.mmr(q, k, lambda), ix.referenceMMR(q, k, lambda)
+	return ix.mmr(newEmbedding(q), k, lambda), ix.referenceMMR(q, k, lambda)
 }
 
-// referenceMMR is mmr as it was before the running redundancy: every pick
-// recomputes each candidate's max similarity to all earlier picks, O(k²·n)
-// Cosine calls.
+// SearchAndReference runs Search and its reference, a stable sort of the
+// dense Cosine scores, over one embedding of query.
+func (ix *Index) SearchAndReference(query string, k int) (got, want []Scored) {
+	q := Embed(query)
+	want = make([]Scored, len(ix.docs))
+	for i := range ix.docs {
+		want[i] = Scored{Doc: ix.docs[i], Score: Cosine(q, ix.vecs[i].v[:])}
+	}
+	sort.SliceStable(want, func(a, b int) bool { return want[a].Score > want[b].Score })
+	return ix.search(newEmbedding(q), k), want[:min(k, len(want))]
+}
+
+// referenceMMR is mmr as it was before the running redundancy and the
+// sparse cosine: every pick recomputes each candidate's max similarity to
+// all earlier picks, O(k²·n) dense Cosine calls.
 func (ix *Index) referenceMMR(q []float64, k int, lambda float64) []Scored {
 	if k > len(ix.docs) {
 		k = len(ix.docs)
 	}
 	rel := make([]float64, len(ix.docs))
 	for i := range ix.docs {
-		rel[i] = Cosine(q, ix.vecs[i])
+		rel[i] = Cosine(q, ix.vecs[i].v[:])
 	}
 	picked := make([]int, 0, k)
 	used := make([]bool, len(ix.docs))
@@ -35,7 +48,7 @@ func (ix *Index) referenceMMR(q []float64, k int, lambda float64) []Scored {
 			}
 			redundancy := 0.0
 			for _, p := range picked {
-				if s := Cosine(ix.vecs[i], ix.vecs[p]); s > redundancy {
+				if s := Cosine(ix.vecs[i].v[:], ix.vecs[p].v[:]); s > redundancy {
 					redundancy = s
 				}
 			}
@@ -60,7 +73,7 @@ func (ix *Index) referenceMMR(q []float64, k int, lambda float64) []Scored {
 func TestRetrieveBuildsNoIndex(t *testing.T) {
 	ix := BuildHACCIndex()
 	r := NewRetriever(ix)
-	if r.important.Len() == 0 {
+	if r.importantIndex().Len() == 0 {
 		t.Fatal("the HACC index has no important documents: nothing to test")
 	}
 	build := testing.AllocsPerRun(5, func() { importantDocs(ix) })

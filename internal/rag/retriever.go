@@ -1,6 +1,10 @@
 package rag
 
-import "infera/internal/hacc"
+import (
+	"sync"
+
+	"infera/internal/hacc"
+)
 
 // BuildHACCIndex chunks the HACC metadata dictionaries into the retrieval
 // index: one document per (file type, column) pair plus one per file
@@ -30,21 +34,32 @@ func BuildHACCIndex() *Index {
 	return ix
 }
 
-// Retriever applies the multi-prompt retrieval policy of §3.1. Build one
-// with NewRetriever, over an index that is complete: the sub-index of its
-// important-tagged documents is taken then.
+// Retriever applies the multi-prompt retrieval policy of §3.1, over an
+// index that is complete by its first Retrieve: the sub-index of the
+// important-tagged documents is taken once, then. NewRetriever sets the
+// paper's defaults and takes that sub-index at once; a struct literal
+// takes it on first use.
 type Retriever struct {
 	Index     *Index
 	PerPrompt int     // top-k per prompt (paper: 20)
 	MaxDocs   int     // global cap across prompts (paper: 80)
 	Lambda    float64 // MMR relevance/diversity trade-off
 
-	important *Index // Index's Important documents, for the "[IMPORTANT]" prompt
+	importantOnce sync.Once
+	important     *Index // Index's Important documents, for the "[IMPORTANT]" prompt
 }
 
 // NewRetriever returns a retriever over ix with the paper's defaults.
 func NewRetriever(ix *Index) *Retriever {
-	return &Retriever{Index: ix, PerPrompt: 20, MaxDocs: 80, Lambda: 0.7, important: importantDocs(ix)}
+	r := &Retriever{Index: ix, PerPrompt: 20, MaxDocs: 80, Lambda: 0.7}
+	r.importantIndex()
+	return r
+}
+
+// importantIndex returns the important sub-index, taking it on first use.
+func (r *Retriever) importantIndex() *Index {
+	r.importantOnce.Do(func() { r.important = importantDocs(r.Index) })
+	return r.important
 }
 
 // importantDocs indexes the important-tagged documents of ix.
@@ -85,12 +100,12 @@ func (r *Retriever) Retrieve(query, task, plan string) []Document {
 	}
 	// The [IMPORTANT] prompt: important-tagged documents ranked against the
 	// user query.
-	if r.important.Len() > 0 {
+	if important := r.importantIndex(); important.Len() > 0 {
 		q := query
 		if q == "" {
 			q = task
 		}
-		add(r.important.Search("[IMPORTANT] "+q, r.PerPrompt))
+		add(important.Search("[IMPORTANT] "+q, r.PerPrompt))
 	}
 	return out
 }

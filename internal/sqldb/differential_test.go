@@ -51,6 +51,87 @@ func diffFrames() []*dataframe.Frame {
 	return frames
 }
 
+// rankRows is the row count of each of rankFrames' two segments: more
+// than two blocks, so top-k heaps and tie runs cross block boundaries.
+const rankRows = 2*blockSize + 3616
+
+// rankFrames builds the top-k table: two segments of rankRows rows, a
+// unique id in row order, and three keys for ORDER BY … LIMIT. fk is a
+// Float with NaN and ±Inf; fz a Float with a few negatives; ik an Int.
+// Runs of one key value (fk 1e6, fz mixed −0 and +0, ik 2^53 and 2^53+1,
+// which are equal as the float64 both engines compare) cross segment 0's
+// first block boundary and the boundary between the segments; runs of
+// another (fk −1e6, fz ±0, ik −2^40) cross both block boundaries of
+// segment 1. A LIMIT of 50 cuts through a run after it crosses a
+// boundary: fk descending (past NaN and +Inf) and ascending (past −Inf),
+// and fz ascending (past the negatives).
+func rankFrames() []*dataframe.Frame {
+	rng := rand.New(rand.NewSource(7))
+	near := func(i, at, before, after int) bool { return i >= at-before && i < at+after }
+	var frames []*dataframe.Frame
+	for s := 0; s < 2; s++ {
+		ids := make([]int64, rankRows)
+		fk := make([]float64, rankRows)
+		fz := make([]float64, rankRows)
+		ik := make([]int64, rankRows)
+		for i := range ids {
+			ids[i] = int64(s*rankRows + i)
+			fk[i] = rng.NormFloat64() * 1e3
+			fz[i] = 1 + rng.Float64()*100
+			ik[i] = rng.Int63n(1000) - 500
+			var top, bottom bool
+			if s == 0 {
+				top = near(i, blockSize, 12, 8) || i >= rankRows-8
+			} else {
+				top = i < 10
+				bottom = near(i, blockSize, 12, 8) || near(i, 2*blockSize, 14, 16)
+			}
+			zero := math.Copysign(0, float64(i%3-1))
+			switch {
+			case top:
+				fk[i], fz[i], ik[i] = 1e6, zero, 1<<53+int64(i%2)
+			case bottom:
+				fk[i], fz[i], ik[i] = -1e6, zero, -1<<40
+			case i%4001 == 11:
+				fk[i] = math.NaN()
+			case i%3001 == 17:
+				fk[i] = math.Inf(1 - 2*(i/3001%2))
+			case i%2999 == 5:
+				fz[i] = -float64(i)
+			}
+		}
+		frames = append(frames, dataframe.MustFromColumns(
+			dataframe.NewInt("id", ids),
+			dataframe.NewFloat("fk", fk),
+			dataframe.NewFloat("fz", fz),
+			dataframe.NewInt("ik", ik),
+		))
+	}
+	return frames
+}
+
+// rankCorpus is ORDER BY key ASC|DESC LIMIT 0|1|50|rows+1 on each key of
+// the ranks table, plus top-k under a WHERE, where the keys are gathered
+// from the surviving rows — once with NaN ties at the root of a full
+// ascending heap.
+func rankCorpus() []string {
+	var out []string
+	for _, key := range []string{"fk", "fz", "ik"} {
+		for _, dir := range []string{"ASC", "DESC"} {
+			for _, n := range []int{0, 1, 50, 2*rankRows + 1} {
+				out = append(out, fmt.Sprintf("SELECT id, %s FROM ranks ORDER BY %s %s LIMIT %d", key, key, dir, n))
+			}
+		}
+	}
+	return append(out,
+		"SELECT id, fk FROM ranks WHERE id % 3 = 0 ORDER BY fk DESC LIMIT 50",
+		"SELECT id, fk FROM ranks WHERE id % 4001 = 6 ORDER BY fk LIMIT 7", // 5 numbers, then 5 NaNs
+		"SELECT id, ik FROM ranks WHERE fz != 0 ORDER BY ik LIMIT 50",
+	)
+}
+
+// diffDB holds the parts table (diffFrames) and the ranks table
+// (rankFrames), both multi-segment.
 func diffDB(t testing.TB) *DB {
 	t.Helper()
 	db, err := CreateStaged(t.TempDir())
@@ -58,6 +139,9 @@ func diffDB(t testing.TB) *DB {
 		t.Fatal(err)
 	}
 	if err := db.BulkAppend("parts", diffFrames()...); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BulkAppend("ranks", rankFrames()...); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -229,7 +313,7 @@ func runDiff(t *testing.T, dbTW, dbVec *DB, sql string) {
 	}
 }
 
-// TestDifferentialBackends runs the corpus plus generated predicates
+// TestDifferentialBackends runs the corpus, the top-k corpus and generated predicates
 // through the tree-walk and Query and requires identical frames (or
 // identical error text), with every statement planned on the one engine
 // (diffQuery checks ExplainQuery). Separate databases keep the vectorized side multi-segment: the
@@ -239,7 +323,7 @@ func TestDifferentialBackends(t *testing.T) {
 	dbTW := diffDB(t)
 	dbVec := diffDB(t)
 
-	corpus := append([]string{}, diffCorpus...)
+	corpus := append(append([]string{}, diffCorpus...), rankCorpus()...)
 	rng := rand.New(rand.NewSource(12345))
 	ops := []string{"<", "<=", ">", ">=", "=", "!="}
 	for i := 0; i < 80; i++ {

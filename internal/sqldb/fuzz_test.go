@@ -47,11 +47,14 @@ func FuzzSQLParse(f *testing.F) {
 }
 
 // FuzzSQLQuery runs arbitrary statements through the tree-walk oracle and
-// Query over the differential table and asserts no panic, identical error
-// text, identical frames whenever both succeed, and an ExplainQuery plan on
-// the one engine (diffQuery).
+// Query over the differential tables (parts and ranks) and asserts no
+// panic, identical error text, identical frames whenever both succeed, and
+// an ExplainQuery plan on the one engine (diffQuery).
 func FuzzSQLQuery(f *testing.F) {
 	for _, s := range fuzzSQLSeeds {
+		f.Add(s)
+	}
+	for _, s := range rankCorpus() {
 		f.Add(s)
 	}
 	dbTW := diffDB(f)

@@ -516,14 +516,22 @@ func (p *vecPlan) evalKeys(b *block, sel []int, keyF [][]float64, keyS [][]strin
 	}
 }
 
-// topKRefs returns the first LIMIT surviving rows in sort order.
+// topKRefs returns the first LIMIT surviving rows in sort order. A plan
+// with one non-string key takes the threshold path (topK.offerKeys): once
+// the heap is full, a row that does not sort before the root is rejected
+// by one compare. Multi-key and string-key plans offer row by row.
 func (p *vecPlan) topKRefs(scan segScan, st *execStats) ([]rowRef, error) {
 	nk := len(p.orderNodes)
 	keyF, keyS := make([][]float64, nk), make([][]string, nk)
 	rowF, rowS := make([]float64, nk), make([]string, nk)
 	h := newTopK(p.stmt.limit, p.orderDesc, p.orderStr)
+	oneKey := nk == 1 && !p.orderStr[0]
 	err := p.scanBlocks(scan, st, func(si int, b *block, sel []int) error {
 		p.evalKeys(b, sel, keyF, keyS)
+		if oneKey {
+			h.offerKeys(keyF[0], si, b.lo, sel)
+			return nil
+		}
 		for j := range sel {
 			for oi := 0; oi < nk; oi++ {
 				if p.orderStr[oi] {
@@ -775,16 +783,54 @@ func (t *topK) cmpRow(fk []float64, sk []string, c *topkCand) int {
 }
 
 func (t *topK) offer(fk []float64, sk []string, ref rowRef) {
-	pos := t.next
-	t.next++
 	if t.k == 0 || len(t.cands) == t.k && t.cmpRow(fk, sk, t.cands[0]) >= 0 {
 		return
 	}
+	t.push(fk, sk, ref)
+}
+
+// offerKeys offers the selected rows of one block to a heap over a single
+// float key (Int keys arrive as the float64 that vec.floats yields, which
+// is what the tree-walk compares). With the heap full, the root's key
+// stays in thr and a row enters only when it sorts strictly before it,
+// as cmpRow decides: a tie goes to the earlier row, and NaN sorts last
+// ascending and first descending, as floatCmpNaNLast orders it.
+func (t *topK) offerKeys(keys []float64, si, lo int, sel []int) {
+	if t.k == 0 {
+		return
+	}
+	j := 0
+	for ; j < len(sel) && len(t.cands) < t.k; j++ {
+		t.push(keys[j:j+1], nil, rowRef{seg: int32(si), row: int32(lo + sel[j])})
+	}
+	if j == len(sel) {
+		return
+	}
+	desc := t.desc[0]
+	thr := t.cands[0].fk[0]
+	for ; j < len(sel); j++ {
+		x := keys[j]
+		if desc {
+			if !(x > thr || math.IsNaN(x) && !math.IsNaN(thr)) {
+				continue
+			}
+		} else if !(x < thr || math.IsNaN(thr) && !math.IsNaN(x)) {
+			continue
+		}
+		t.push(keys[j:j+1], nil, rowRef{seg: int32(si), row: int32(lo + sel[j])})
+		thr = t.cands[0].fk[0]
+	}
+}
+
+// push adds a row to a heap with room, or in place of the root of a full
+// heap when the row sorts before it.
+func (t *topK) push(fk []float64, sk []string, ref rowRef) {
 	cand := &topkCand{
 		fk:  append([]float64(nil), fk...),
 		sk:  append([]string(nil), sk...),
-		ref: ref, pos: pos,
+		ref: ref, pos: t.next,
 	}
+	t.next++
 	if len(t.cands) < t.k {
 		t.cands = append(t.cands, cand)
 		t.siftUp(len(t.cands) - 1)

@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -242,5 +244,55 @@ func TestLikeMatchPathological(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("likeMatch did not terminate on pathological patterns (exponential backtracking regression)")
+	}
+}
+
+// BenchmarkTopKLimit runs the wide top-k statement the SQL agent emits for
+// a top-N question (every halo column, ORDER BY mass DESC LIMIT 50) over
+// two staged segments of 60,000 halos and 15 columns, in catalog order.
+func BenchmarkTopKLimit(b *testing.B) {
+	const rows = 60_000
+	floats := []string{
+		"fof_halo_mass", "fof_halo_center_x", "fof_halo_center_y", "fof_halo_center_z",
+		"fof_halo_mean_vx", "fof_halo_mean_vy", "fof_halo_mean_vz", "fof_halo_vel_disp",
+		"fof_halo_ke", "sod_halo_M500c", "sod_halo_R500c", "sod_halo_MGas500c", "sod_halo_cdelta",
+	}
+	rng := rand.New(rand.NewSource(1))
+	var segs []*dataframe.Frame
+	for s := 0; s < 2; s++ {
+		tags, counts := make([]int64, rows), make([]int64, rows)
+		cols := []*dataframe.Column{dataframe.NewInt("fof_halo_tag", tags), dataframe.NewInt("fof_halo_count", counts)}
+		for i := range tags {
+			tags[i] = int64(s*rows + i)
+			counts[i] = 10 + rng.Int63n(5000)
+		}
+		for _, name := range floats {
+			v := make([]float64, rows)
+			for i := range v {
+				v[i] = math.Exp(rng.NormFloat64()) * 1e12
+			}
+			cols = append(cols, dataframe.NewFloat(name, v))
+		}
+		segs = append(segs, dataframe.MustFromColumns(cols...))
+	}
+	db, err := CreateStaged(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := db.BulkAppend("haloproperties", segs...); err != nil {
+		b.Fatal(err)
+	}
+	sql := "SELECT fof_halo_tag, fof_halo_count, " + strings.Join(floats, ", ") +
+		" FROM haloproperties ORDER BY fof_halo_mass DESC LIMIT 50"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := db.Query(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if f.NumRows() != 50 {
+			b.Fatalf("%d rows, want 50", f.NumRows())
+		}
 	}
 }
