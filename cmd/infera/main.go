@@ -17,7 +17,7 @@
 //
 //	infera -ensemble DIR [-work DIR] [-seed 1] [-auto]
 //	       [-stage-budget MB] [-stage-dir DIR] [-stage-disk-budget MB]
-//	       [-keep-staging-dbs] [-script-fuel N] [-script-mem MB] [-script-timeout D]
+//	       [-script-fuel N] [-script-mem MB] [-script-timeout D]
 package main
 
 import (
@@ -43,13 +43,12 @@ func main() {
 	log.SetFlags(0)
 	var (
 		ensemble   = flag.String("ensemble", "", "ensemble directory (required; see haccgen)")
-		work       = flag.String("work", "", "working directory for staging DBs and provenance (default: temp)")
+		work       = flag.String("work", "", "working directory for provenance sessions and the answer cache (default: temp)")
 		seed       = flag.Int64("seed", 1, "model seed")
 		auto       = flag.Bool("auto", false, "skip plan approval (automated mode)")
 		stageMB    = flag.Int64("stage-budget", stage.DefaultBudgetBytes>>20, "staging-cache budget for decoded column blocks, in MB")
 		stageDir   = flag.String("stage-dir", "", "staging-cache disk tier directory; empty disables the persistent block store")
 		stageDisk  = flag.Int64("stage-disk-budget", stage.DefaultDiskBudgetBytes>>20, "disk-tier block store budget, in MB (needs -stage-dir)")
-		keepDBs    = flag.Bool("keep-staging-dbs", false, "write per-question staging DBs through to disk and keep them after the answer (default: zero-copy in-memory staging, reclaimed per question)")
 		scriptFuel = flag.Int64("script-fuel", sandbox.DefaultLimits().MaxFuel, "per-execution script instruction budget (0 = unlimited)")
 		scriptMem  = flag.Int64("script-mem", sandbox.DefaultLimits().MaxMemBytes>>20, "per-execution script memory budget, in MB (0 = unlimited)")
 		scriptTO   = flag.Duration("script-timeout", sandbox.DefaultLimits().MaxWall, "per-execution script wall-clock limit (0 = none)")
@@ -73,18 +72,17 @@ func main() {
 	limits.MaxMemBytes = *scriptMem << 20
 	limits.MaxWall = *scriptTO
 
-	runREPL(*ensemble, *work, *seed, *auto, *keepDBs, limits)
+	runREPL(*ensemble, *work, *seed, *auto, limits)
 }
 
 // runREPL serves the registry on loopback and drives it through the typed
 // client — the same code path a remote interactive consumer runs.
-func runREPL(ensemble, work string, seed int64, auto, keepDBs bool, limits sandbox.Limits) {
+func runREPL(ensemble, work string, seed int64, auto bool, limits sandbox.Limits) {
 	reg := service.NewRegistry(service.RegistryConfig{
 		Defaults: service.Config{
-			Seed:           seed,
-			KeepStagingDBs: keepDBs,
-			ScriptLimits:   limits,
-			Workers:        1, // one human, one session at a time
+			Seed:         seed,
+			ScriptLimits: limits,
+			Workers:      1, // one human, one session at a time
 			// A terminal review waits on a human; keep the auto-approve
 			// expiry generous (abandoned remote sessions are the short case).
 			ApprovalTimeout: 10 * time.Minute,

@@ -161,7 +161,6 @@ func main() {
 		stageDisk  = flag.Int64("stage-disk-budget", stage.DefaultDiskBudgetBytes>>20, "disk-tier block store budget, in MB (needs -stage-dir)")
 		provAge    = flag.Duration("provenance-max-age", 0, "garbage-collect session artifact trails older than this at shard close (0 = keep all; cache-referenced sessions are spared)")
 		provBytes  = flag.Int64("provenance-max-bytes", 0, "total on-disk session-trail budget enforced at shard close, in bytes (0 = unlimited)")
-		keepDBs    = flag.Bool("keep-staging-dbs", false, "write per-question staging DBs through to disk and keep them after the answer (default: zero-copy in-memory staging, reclaimed per question)")
 		verbose    = flag.Bool("v", false, "log per-request progress")
 		route      = flag.String("route", "", "run as a fleet router over these comma-separated node specs (URL or name=URL) instead of serving locally (same as cmd/inferaroute)")
 		nodeID     = flag.String("node-id", "", "fleet identity reported on /healthz (default: host:pid)")
@@ -201,7 +200,6 @@ func main() {
 			EventBuffer:        *eventBuf,
 			ProvenanceMaxAge:   *provAge,
 			ProvenanceMaxBytes: *provBytes,
-			KeepStagingDBs:     *keepDBs,
 			NewModel: func(seed int64) llm.Client {
 				return llm.NewSim(llm.SimConfig{Seed: seed, Latency: *simLat})
 			},

@@ -25,10 +25,7 @@ func testRuntime(t *testing.T, model llm.Client) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := sqldb.Create(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := sqldb.New()
 	store, err := provenance.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -32,8 +32,8 @@ type Config struct {
 	// after load, so a serving layer pooling many Assistants over one
 	// ensemble loads it once and shares it. Nil loads EnsembleDir.
 	Catalog *hacc.Catalog
-	// WorkDir holds staging databases and provenance sessions; a temp dir
-	// is created when empty.
+	// WorkDir holds the provenance sessions (under sessions/); a temp dir
+	// is created when empty. Staging databases live in memory only.
 	WorkDir string
 	// Model is the language model; defaults to llm.NewSim with Seed.
 	Model llm.Client
@@ -53,13 +53,6 @@ type Config struct {
 	// nil uses the process-wide stage.Shared() cache. Set an isolated cache
 	// in tests or benchmarks that assert on cache counters.
 	Stage *stage.Cache
-	// DurableStaging writes each question's staging database through to
-	// disk as it is built (sqldb.Create) instead of the default zero-copy
-	// in-memory staging (sqldb.CreateStaged, which never touches disk —
-	// the session DB is normally reclaimed right after the answer). Set it
-	// when the staging DBs themselves are the product to inspect post hoc;
-	// the serving layer wires it to its keep-staging-DBs switch.
-	DurableStaging bool
 	// MaxRevisions caps QA-guided retries per step (default 5).
 	MaxRevisions int
 	// Logf receives progress lines when set.
@@ -149,17 +142,8 @@ func (a *Assistant) Close() error { return nil }
 // Catalog exposes the loaded ensemble catalog.
 func (a *Assistant) Catalog() *hacc.Catalog { return a.catalog }
 
-// WorkDir returns the directory holding staging databases and sessions.
+// WorkDir returns the directory holding the provenance sessions.
 func (a *Assistant) WorkDir() string { return a.workDir }
-
-// RemoveStagingDB deletes the staging database created for sessionID —
-// scratch space once the answer is computed, which a serving layer
-// reclaims to keep disk usage bounded. A staged (default) database that
-// was never flushed has no directory, so there is nothing to remove. The
-// provenance trail is unaffected.
-func (a *Assistant) RemoveStagingDB(sessionID string) error {
-	return os.RemoveAll(filepath.Join(a.workDir, "db", sessionID))
-}
 
 // Model exposes the configured language model.
 func (a *Assistant) Model() llm.Client { return a.model }
@@ -243,8 +227,8 @@ func (a *Assistant) Ask(question string) (*Answer, error) {
 }
 
 // allocSessionID hands out the next sequential session ID under the lock;
-// concurrent Asks therefore never collide on session directories or
-// staging-database paths, which are both derived from it.
+// concurrent Asks therefore never collide on session directories, which
+// are derived from it.
 func (a *Assistant) allocSessionID() string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -254,28 +238,25 @@ func (a *Assistant) allocSessionID() string {
 
 // AskWith runs the full workflow for one question with per-request options.
 // It is safe to call concurrently: every invocation gets its own provenance
-// session, staging database directory and sandbox runner.
+// session, staging database and sandbox runner.
 func (a *Assistant) AskWith(question string, opts AskOptions) (*Answer, error) {
+	ans, _, err := a.ask(question, opts)
+	return ans, err
+}
+
+// ask is AskWith, also returning the question's staging database (nil
+// when the session could not be created). The database ingests cached
+// snapshot frames by reference and is dropped with the answer.
+func (a *Assistant) ask(question string, opts AskOptions) (*Answer, *sqldb.DB, error) {
 	sessionID := opts.SessionID
 	if sessionID == "" {
 		sessionID = a.allocSessionID()
 	}
 	sess, err := a.store.NewSession(sessionID)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	dbDir := filepath.Join(a.workDir, "db", sessionID)
-	// Staged by default: the session DB ingests cached snapshot frames by
-	// reference (no per-cell copy, no eager encode+write) and is usually
-	// reclaimed right after the answer, so it never has to touch disk.
-	create := sqldb.CreateStaged
-	if a.cfg.DurableStaging {
-		create = sqldb.Create
-	}
-	db, err := create(dbDir)
-	if err != nil {
-		return nil, err
-	}
+	db := sqldb.New()
 	db.SetMetrics(a.cfg.Metrics, a.cfg.MetricLabels...)
 
 	model := opts.Model
@@ -311,5 +292,5 @@ func (a *Assistant) AskWith(question string, opts AskOptions) (*Answer, error) {
 		ProvenanceBytes: sess.SizeBytes(),
 		SourceBytes:     a.catalog.TotalBytes(),
 	}
-	return ans, runErr
+	return ans, db, runErr
 }

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"errors"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -16,31 +15,26 @@ import (
 
 // TestBankSQLPlansVectorized asks the evaluation bank, with the simulated
 // model's column errors left on, and replays every SQL statement the
-// agents recorded against the staging database it ran on. Each one must
-// either have a kernel for every expression (an empty RowReason), or fail
-// in Query with the tree-walk's exact error text, naming a column its
-// table lacks — the model's injected mistake. So the agents' traffic needs
-// the row evaluator for no statement that could succeed.
+// agents recorded against the in-memory staging database it ran on. Each
+// one must either have a kernel for every expression (an empty RowReason),
+// or fail in Query with the tree-walk's exact error text, naming a column
+// its table lacks — the model's injected mistake. So the agents' traffic
+// needs the row evaluator for no statement that could succeed.
 func TestBankSQLPlansVectorized(t *testing.T) {
-	workDir := t.TempDir()
-	a, err := core.New(core.Config{EnsembleDir: recycleEnsemble(t, 1000), WorkDir: workDir, DurableStaging: true})
+	a, err := core.New(core.Config{EnsembleDir: recycleEnsemble(t, 1000), WorkDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
 	statements, vectorized := 0, 0
 	for i, q := range eval.Bank() {
-		ans, _ := a.AskWith(q.Text, core.AskOptions{Model: llm.NewSim(llm.SimConfig{Seed: int64(i + 1)})})
+		ans, db, _ := a.AskWithDB(q.Text, core.AskOptions{Model: llm.NewSim(llm.SimConfig{Seed: int64(i + 1)})})
 		if ans == nil {
 			continue
 		}
 		sess, err := a.Store().OpenSession(ans.SessionID)
 		if err != nil {
 			t.Fatal(err)
-		}
-		db, err := sqldb.Open(filepath.Join(workDir, "db", ans.SessionID))
-		if err != nil {
-			t.Fatalf("%s: %v", q.ID, err)
 		}
 		for _, e := range sess.Manifest() {
 			if e.Agent != "sql" || e.Kind != "code" {

@@ -200,6 +200,60 @@ out = groupby_multi(w, ["sim", "step"], [%q, %q], ["max", "max"], ["max_count", 
 out = sort(out, "step", false)
 save_csv(out, "largest_by_step.csv")
 result(out)`, colA, colB)
+	case "interestingness", "gasfrac", "smhm", "galhalocompare", "alignment":
+		return genTwoStepPython(req)
+	case "neighborhood":
+		sim, step := scopeSimStep(req)
+		return fmt.Sprintf(`nb = halo_neighborhood_top(%d, %d, 0, %g)
+save_csv(nb, "neighborhood.csv")
+result(nb)`, sim, step, in.Radius)
+	case "paramdirection":
+		return genParamDirection(req)
+	case "corrmatrix":
+		cols := in.Metrics
+		if len(cols) < 2 {
+			cols = []string{"fof_halo_count", "fof_halo_mass", "fof_halo_vel_disp", "fof_halo_ke"}
+		}
+		return fmt.Sprintf(`w = load_table("work")
+m = corr_matrix(w, %s)
+save_csv(m, "corr_matrix.csv")
+result(m)`, strList(cols))
+	case "hist":
+		metric := firstMetric(in)
+		return fmt.Sprintf(`w = load_table("work")
+h = histogram(w, %q, 20)
+save_csv(h, "hist.csv")
+result(h)`, metric)
+	case "relation":
+		x, y := relationCols(in)
+		if in.AllSteps || in.PerSim || in.AllSims {
+			return fmt.Sprintf(`w = load_table("work")
+w = derive_log10(w, "log_x", %q)
+w = derive_log10(w, "log_y", %q)
+fits = linfit_by(w, %q, "log_x", "log_y")
+fits = sort(fits, "scatter", false)
+save_csv(fits, "relation_fits.csv")
+result(fits)`, x, y, evolutionGroup(in))
+		}
+		return fmt.Sprintf(`w = load_table("work")
+w = derive_log10(w, "log_x", %q)
+w = derive_log10(w, "log_y", %q)
+fit = linfit(w, "log_x", "log_y")
+save_csv(fit, "relation_fit.csv")
+result(fit)`, x, y)
+	default: // inspect
+		return `w = load_table("work")
+out = head(w, 20)
+result(out)`
+	}
+}
+
+// genTwoStepPython emits the code of the analyses whose python plan
+// has two steps: step 0 derives the analysis table from the staged work
+// tables, step 1 analyses it.
+func genTwoStepPython(req ScriptRequest) string {
+	in := req.Intent
+	switch in.Analysis {
 	case "interestingness":
 		if req.StepIndex == 0 {
 			return `w = load_table("work")
@@ -256,7 +310,7 @@ result(gtop)`
 cmp = groupby_multi(g, ["fof_halo_tag"], ["gal_stellar_mass", "gal_gas_mass", "gal_kinetic_energy"], ["mean", "mean", "mean"], ["mean_stellar", "mean_gas", "mean_ke"])
 save_csv(cmp, "group_comparison.csv")
 result(cmp)`
-	case "alignment":
+	default: // alignment
 		n := maxInt(in.TopN, 100)
 		if req.StepIndex == 0 {
 			return fmt.Sprintf(`h = load_table("work")
@@ -273,21 +327,22 @@ n = nrows(m)
 print("galaxies aligned with top halos:", n)
 aligned = derive_const(m, "aligned_of_top", %d)
 result(aligned)`, n)
-	case "neighborhood":
-		sim, step := scopeSimStep(req)
-		return fmt.Sprintf(`nb = halo_neighborhood_top(%d, %d, 0, %g)
-save_csv(nb, "neighborhood.csv")
-result(nb)`, sim, step, in.Radius)
-	case "paramdirection":
-		switch req.Strategy % 3 {
-		case 0: // mean characteristics of top halos per simulation + params
-			return fmt.Sprintf(`w = load_table("work")
+	}
+}
+
+// genParamDirection emits one of three analyses of how the simulation
+// parameters move the halo population, chosen by the request's strategy.
+func genParamDirection(req ScriptRequest) string {
+	in := req.Intent
+	switch req.Strategy % 3 {
+	case 0: // mean characteristics of top halos per simulation + params
+		return fmt.Sprintf(`w = load_table("work")
 top = top_per_group(w, "sim", "fof_halo_count", %d)
 out = groupby_multi(top, ["sim"], ["fof_halo_count", "fof_halo_mass", "f_sn", "log_v_sn"], ["mean", "mean", "first", "first"], ["mean_count", "mean_mass", "f_sn", "log_v_sn"])
 save_csv(out, "param_means.csv")
 result(out)`, maxInt(in.TopN, 100))
-		case 1: // linear correlation between parameters and halo mass
-			return fmt.Sprintf(`w = load_table("work")
+	case 1: // linear correlation between parameters and halo mass
+		return fmt.Sprintf(`w = load_table("work")
 top = top_per_group(w, "sim", "fof_halo_count", %d)
 bysim = groupby_multi(top, ["sim"], ["fof_halo_count", "f_sn", "log_v_sn"], ["mean", "first", "first"], ["mean_count", "f_sn", "log_v_sn"])
 fsn = linfit(bysim, "f_sn", "mean_count")
@@ -295,48 +350,11 @@ vsn = linfit(bysim, "log_v_sn", "mean_count")
 both = concat(fsn, vsn)
 save_csv(both, "param_fits.csv")
 result(both)`, maxInt(in.TopN, 100))
-		default: // correlation matrix across characteristics
-			return `w = load_table("work")
+	default: // correlation matrix across characteristics
+		return `w = load_table("work")
 m = corr_matrix(w, ["fof_halo_count", "fof_halo_mass", "f_sn", "log_v_sn"])
 save_csv(m, "param_corr.csv")
 result(m)`
-		}
-	case "corrmatrix":
-		cols := in.Metrics
-		if len(cols) < 2 {
-			cols = []string{"fof_halo_count", "fof_halo_mass", "fof_halo_vel_disp", "fof_halo_ke"}
-		}
-		return fmt.Sprintf(`w = load_table("work")
-m = corr_matrix(w, %s)
-save_csv(m, "corr_matrix.csv")
-result(m)`, strList(cols))
-	case "hist":
-		metric := firstMetric(in)
-		return fmt.Sprintf(`w = load_table("work")
-h = histogram(w, %q, 20)
-save_csv(h, "hist.csv")
-result(h)`, metric)
-	case "relation":
-		x, y := relationCols(in)
-		if in.AllSteps || in.PerSim || in.AllSims {
-			return fmt.Sprintf(`w = load_table("work")
-w = derive_log10(w, "log_x", %q)
-w = derive_log10(w, "log_y", %q)
-fits = linfit_by(w, %q, "log_x", "log_y")
-fits = sort(fits, "scatter", false)
-save_csv(fits, "relation_fits.csv")
-result(fits)`, x, y, evolutionGroup(in))
-		}
-		return fmt.Sprintf(`w = load_table("work")
-w = derive_log10(w, "log_x", %q)
-w = derive_log10(w, "log_y", %q)
-fit = linfit(w, "log_x", "log_y")
-save_csv(fit, "relation_fit.csv")
-result(fit)`, x, y)
-	default: // inspect
-		return `w = load_table("work")
-out = head(w, 20)
-result(out)`
 	}
 }
 

@@ -65,135 +65,11 @@ var numberWords = map[string]int{
 func ParseIntent(question string) Intent {
 	q := strings.ToLower(question)
 	in := Intent{Question: question}
-
-	// Entities from keywords and from explicit column mentions.
-	if strings.Contains(q, "galax") {
-		in.Entities = append(in.Entities, hacc.FileGalaxies)
-	}
-	if strings.Contains(q, "halo") {
-		in.Entities = append(in.Entities, hacc.FileHalos)
-	}
-	if strings.Contains(q, "particle") && !strings.Contains(q, "dark matter halo") {
-		in.Entities = append(in.Entities, hacc.FileParticles)
-	}
-	if strings.Contains(q, "core") {
-		in.Entities = append(in.Entities, hacc.FileCores)
-	}
-
-	// Explicit column mentions (the "(fof_halo_count)" style of Table 1).
-	// Word-boundary matching: short labels like particles' "x" must not
-	// match inside arbitrary words.
-	cols := map[string]bool{}
-	for _, cd := range hacc.ColumnDictionary() {
-		if wordMatch(q, strings.ToLower(cd.Column)) {
-			cols[cd.Column] = true
-			if !containsStr(in.Entities, cd.FileType) && (cd.FileType == hacc.FileHalos || cd.FileType == hacc.FileGalaxies) {
-				in.Entities = append(in.Entities, cd.FileType)
-			}
-		}
-	}
-	for c := range cols {
-		in.Metrics = append(in.Metrics, c)
-	}
-	sort.Strings(in.Metrics)
-
-	// Simulations.
-	for _, m := range reSim.FindAllStringSubmatch(q, -1) {
-		if n, err := strconv.Atoi(m[1]); err == nil {
-			in.Sims = appendUniqueInt(in.Sims, n)
-		}
-	}
-	if strings.Contains(q, "all simulations") || strings.Contains(q, "all the simulations") ||
-		strings.Contains(q, "every simulation") || strings.Contains(q, "each simulation") ||
-		regexp.MustCompile(`\d+ simulations`).MatchString(q) {
-		in.AllSims = true
-		in.Sims = nil
-	}
-
-	// Steps.
-	for _, m := range reStep.FindAllStringSubmatch(q, -1) {
-		if n, err := strconv.Atoi(m[1]); err == nil {
-			in.Steps = appendUniqueInt(in.Steps, n)
-		}
-	}
-	if strings.Contains(q, "all timesteps") || strings.Contains(q, "all time steps") ||
-		strings.Contains(q, "each time step") || strings.Contains(q, "each timestep") ||
-		strings.Contains(q, "every timestep") || strings.Contains(q, "over time") ||
-		strings.Contains(q, "earliest timestep to the latest") ||
-		strings.Contains(q, "all timestep") || strings.Contains(q, "evolve") ||
-		strings.Contains(q, "evolution") {
-		in.AllSteps = true
-		in.Steps = nil
-	}
-
-	// Ranking.
-	if m := reTopN.FindStringSubmatch(q); m != nil {
-		in.TopN, _ = strconv.Atoi(m[1])
-	} else if m := reNTop.FindStringSubmatch(q); m != nil {
-		in.TopN, _ = strconv.Atoi(m[1])
-	} else {
-		for word, n := range numberWords {
-			if strings.Contains(q, "the "+word+" largest") || strings.Contains(q, "top "+word+" ") ||
-				strings.Contains(q, word+" largest") {
-				in.TopN = n
-				break
-			}
-		}
-	}
-	if in.TopN == 0 && (strings.Contains(q, "the largest") || strings.Contains(q, "most massive")) &&
-		!strings.Contains(q, "largest halos") && !strings.Contains(q, "largest friends") {
-		in.TopN = 1
-	}
-	if m := reHighlight.FindStringSubmatch(q); m != nil {
-		in.Highlight, _ = strconv.Atoi(m[1])
-	}
-
-	// Ranking column.
-	switch {
-	case cols["fof_halo_count"] || strings.Contains(q, "halo count") || strings.Contains(q, "particle count"):
-		in.RankBy = "fof_halo_count"
-	case strings.Contains(q, "kinetic energy") && strings.Contains(q, "top"):
-		in.RankBy = "fof_halo_ke"
-	case strings.Contains(q, "largest galax") || (strings.Contains(q, "galax") && !strings.Contains(q, "halo")):
-		in.RankBy = "gal_stellar_mass"
-	default:
-		in.RankBy = "fof_halo_mass"
-	}
-
-	// Aggregation.
-	switch {
-	case strings.Contains(q, "average") || strings.Contains(q, "mean "):
-		in.Aggregate = "avg"
-	case strings.Contains(q, "median"):
-		in.Aggregate = "median"
-	case strings.Contains(q, "total ") || strings.Contains(q, "sum of"):
-		in.Aggregate = "sum"
-	case strings.Contains(q, "how many") || strings.Contains(q, "number of halos") || strings.Contains(q, "count of halos"):
-		in.Aggregate = "count"
-	case strings.Contains(q, "standard deviation"):
-		in.Aggregate = "std"
-	}
-	in.PerStep = in.AllSteps && (in.Aggregate != "" || strings.Contains(q, "at each time step") || strings.Contains(q, "per timestep"))
-	in.PerSim = strings.Contains(q, "per simulation") || strings.Contains(q, "for each simulation") ||
-		strings.Contains(q, "by simulation") || strings.Contains(q, "in each simulation")
-
-	// Plot request.
-	if strings.Contains(q, "plot") || strings.Contains(q, "visuali") || strings.Contains(q, "graph") ||
-		strings.Contains(q, "paraview") || strings.Contains(q, "histogram") {
-		in.WantPlot = true
-	}
-	switch {
-	case strings.Contains(q, "paraview") || strings.Contains(q, "3d"):
-		in.Plot = "paraview"
-	case strings.Contains(q, "umap"):
-		in.Plot = "umap"
-	case strings.Contains(q, "histogram") || strings.Contains(q, "distribution of"):
-		in.Plot = "hist"
-	case in.AllSteps && in.WantPlot:
-		in.Plot = "line"
-	case in.WantPlot:
-		in.Plot = "scatter"
-	}
+	cols := in.parseEntities(q)
+	in.parseScope(q)
+	in.parseRanking(q, cols)
+	in.parseAggregation(q)
+	in.parsePlot(q)
 
 	// Radius queries.
 	if m := reRadius.FindStringSubmatch(q); m != nil {
@@ -238,6 +114,150 @@ func ParseIntent(question string) Intent {
 		in.Entities = []string{hacc.FileHalos}
 	}
 	return in
+}
+
+// parseEntities sets the file families and metric columns the question
+// names, returning the set of named columns.
+func (in *Intent) parseEntities(q string) map[string]bool {
+	if strings.Contains(q, "galax") {
+		in.Entities = append(in.Entities, hacc.FileGalaxies)
+	}
+	if strings.Contains(q, "halo") {
+		in.Entities = append(in.Entities, hacc.FileHalos)
+	}
+	if strings.Contains(q, "particle") && !strings.Contains(q, "dark matter halo") {
+		in.Entities = append(in.Entities, hacc.FileParticles)
+	}
+	if strings.Contains(q, "core") {
+		in.Entities = append(in.Entities, hacc.FileCores)
+	}
+
+	// Explicit column mentions (the "(fof_halo_count)" style of Table 1).
+	// Word-boundary matching: short labels like particles' "x" must not
+	// match inside arbitrary words.
+	cols := map[string]bool{}
+	for _, cd := range hacc.ColumnDictionary() {
+		if wordMatch(q, strings.ToLower(cd.Column)) {
+			cols[cd.Column] = true
+			if !containsStr(in.Entities, cd.FileType) && (cd.FileType == hacc.FileHalos || cd.FileType == hacc.FileGalaxies) {
+				in.Entities = append(in.Entities, cd.FileType)
+			}
+		}
+	}
+	for c := range cols {
+		in.Metrics = append(in.Metrics, c)
+	}
+	sort.Strings(in.Metrics)
+	return cols
+}
+
+// parseScope sets the simulations and timesteps the question covers.
+func (in *Intent) parseScope(q string) {
+	// Simulations.
+	for _, m := range reSim.FindAllStringSubmatch(q, -1) {
+		if n, err := strconv.Atoi(m[1]); err == nil {
+			in.Sims = appendUniqueInt(in.Sims, n)
+		}
+	}
+	if strings.Contains(q, "all simulations") || strings.Contains(q, "all the simulations") ||
+		strings.Contains(q, "every simulation") || strings.Contains(q, "each simulation") ||
+		regexp.MustCompile(`\d+ simulations`).MatchString(q) {
+		in.AllSims = true
+		in.Sims = nil
+	}
+
+	// Steps.
+	for _, m := range reStep.FindAllStringSubmatch(q, -1) {
+		if n, err := strconv.Atoi(m[1]); err == nil {
+			in.Steps = appendUniqueInt(in.Steps, n)
+		}
+	}
+	if strings.Contains(q, "all timesteps") || strings.Contains(q, "all time steps") ||
+		strings.Contains(q, "each time step") || strings.Contains(q, "each timestep") ||
+		strings.Contains(q, "every timestep") || strings.Contains(q, "over time") ||
+		strings.Contains(q, "earliest timestep to the latest") ||
+		strings.Contains(q, "all timestep") || strings.Contains(q, "evolve") ||
+		strings.Contains(q, "evolution") {
+		in.AllSteps = true
+		in.Steps = nil
+	}
+}
+
+// parseRanking sets the top-N size, the highlight count and the ranking
+// column.
+func (in *Intent) parseRanking(q string, cols map[string]bool) {
+	if m := reTopN.FindStringSubmatch(q); m != nil {
+		in.TopN, _ = strconv.Atoi(m[1])
+	} else if m := reNTop.FindStringSubmatch(q); m != nil {
+		in.TopN, _ = strconv.Atoi(m[1])
+	} else {
+		for word, n := range numberWords {
+			if strings.Contains(q, "the "+word+" largest") || strings.Contains(q, "top "+word+" ") ||
+				strings.Contains(q, word+" largest") {
+				in.TopN = n
+				break
+			}
+		}
+	}
+	if in.TopN == 0 && (strings.Contains(q, "the largest") || strings.Contains(q, "most massive")) &&
+		!strings.Contains(q, "largest halos") && !strings.Contains(q, "largest friends") {
+		in.TopN = 1
+	}
+	if m := reHighlight.FindStringSubmatch(q); m != nil {
+		in.Highlight, _ = strconv.Atoi(m[1])
+	}
+
+	// Ranking column.
+	switch {
+	case cols["fof_halo_count"] || strings.Contains(q, "halo count") || strings.Contains(q, "particle count"):
+		in.RankBy = "fof_halo_count"
+	case strings.Contains(q, "kinetic energy") && strings.Contains(q, "top"):
+		in.RankBy = "fof_halo_ke"
+	case strings.Contains(q, "largest galax") || (strings.Contains(q, "galax") && !strings.Contains(q, "halo")):
+		in.RankBy = "gal_stellar_mass"
+	default:
+		in.RankBy = "fof_halo_mass"
+	}
+}
+
+// parseAggregation sets the aggregate and whether results group by
+// timestep or simulation.
+func (in *Intent) parseAggregation(q string) {
+	switch {
+	case strings.Contains(q, "average") || strings.Contains(q, "mean "):
+		in.Aggregate = "avg"
+	case strings.Contains(q, "median"):
+		in.Aggregate = "median"
+	case strings.Contains(q, "total ") || strings.Contains(q, "sum of"):
+		in.Aggregate = "sum"
+	case strings.Contains(q, "how many") || strings.Contains(q, "number of halos") || strings.Contains(q, "count of halos"):
+		in.Aggregate = "count"
+	case strings.Contains(q, "standard deviation"):
+		in.Aggregate = "std"
+	}
+	in.PerStep = in.AllSteps && (in.Aggregate != "" || strings.Contains(q, "at each time step") || strings.Contains(q, "per timestep"))
+	in.PerSim = strings.Contains(q, "per simulation") || strings.Contains(q, "for each simulation") ||
+		strings.Contains(q, "by simulation") || strings.Contains(q, "in each simulation")
+}
+
+// parsePlot sets whether a plot is wanted and which kind.
+func (in *Intent) parsePlot(q string) {
+	if strings.Contains(q, "plot") || strings.Contains(q, "visuali") || strings.Contains(q, "graph") ||
+		strings.Contains(q, "paraview") || strings.Contains(q, "histogram") {
+		in.WantPlot = true
+	}
+	switch {
+	case strings.Contains(q, "paraview") || strings.Contains(q, "3d"):
+		in.Plot = "paraview"
+	case strings.Contains(q, "umap"):
+		in.Plot = "umap"
+	case strings.Contains(q, "histogram") || strings.Contains(q, "distribution of"):
+		in.Plot = "hist"
+	case in.AllSteps && in.WantPlot:
+		in.Plot = "line"
+	case in.WantPlot:
+		in.Plot = "scatter"
+	}
 }
 
 func classifyAnalysis(q string, in *Intent) string {

@@ -60,11 +60,10 @@ type Config struct {
 	// NewModel builds the per-request model from the request seed. Defaults
 	// to llm.NewSim(llm.SimConfig{Seed: seed}).
 	NewModel func(seed int64) llm.Client
-	// TrimHistory, SkipDocumentation and MaxRevisions are forwarded to
-	// every pooled Assistant.
+	// TrimHistory and SkipDocumentation are forwarded to every pooled
+	// Assistant.
 	TrimHistory       bool
 	SkipDocumentation bool
-	MaxRevisions      int
 	// ScriptLimits budgets every sandboxed script execution (fuel, memory,
 	// wall clock, artifact bytes, stdout lines); forwarded to every pooled
 	// Assistant. The zero value runs unrestricted; the daemons default it
@@ -75,12 +74,6 @@ type Config struct {
 	// file once. Nil uses the process-wide stage.Shared() cache; set an
 	// isolated cache in tests that assert on its counters.
 	Stage *stage.Cache
-	// KeepStagingDBs preserves per-question staging databases after the
-	// answer is computed. Off by default: the daemon reclaims them once
-	// the workflow finishes (the provenance trail, which /sessions serves,
-	// is kept either way), so sustained unique-question load doesn't grow
-	// disk without bound.
-	KeepStagingDBs bool
 	// ProvenanceMaxAge, when positive, garbage-collects session artifact
 	// trails older than this at Close (shard close, daemon shutdown).
 	// Trails whose sessions are still referenced by the answer cache are
@@ -393,16 +386,11 @@ func (s *Service) openAssistants() error {
 			Seed:              cfg.Seed,
 			TrimHistory:       cfg.TrimHistory,
 			SkipDocumentation: cfg.SkipDocumentation,
-			MaxRevisions:      cfg.MaxRevisions,
 			ScriptLimits:      cfg.ScriptLimits,
 			Stage:             cfg.Stage,
-			// Kept staging DBs must survive on disk, so only then does the
-			// session DB pay eager persistence; the default reclaim path
-			// stages zero-copy in memory.
-			DurableStaging: cfg.KeepStagingDBs,
-			Logf:           cfg.Logf,
-			Metrics:        cfg.Metrics,
-			MetricLabels:   s.labels,
+			Logf:              cfg.Logf,
+			Metrics:           cfg.Metrics,
+			MetricLabels:      s.labels,
 		})
 		if err != nil {
 			return fmt.Errorf("service: assistant %d: %w", i, err)
@@ -758,11 +746,6 @@ func (s *Service) runTask(idx int, a *core.Assistant, t *task) *AskResult {
 	if ans.Answer != nil {
 		res.Rows = ans.Answer.NumRows()
 		res.AnswerCSV = frameCSV(ans)
-	}
-	if !s.cfg.KeepStagingDBs {
-		// The staging DB is scratch space once the run finishes; artifacts
-		// live in the provenance trail.
-		_ = a.RemoveStagingDB(t.info.ID)
 	}
 	if runErr != nil {
 		res.Error = runErr.Error()

@@ -487,9 +487,9 @@ func TestServiceFailedRunIsRecordedNotCached(t *testing.T) {
 	}
 }
 
-// TestServiceStagingDBReclaimed: the per-question staging database is
-// scratch space and must be deleted once the answer is computed (the
-// provenance trail stays), unless KeepStagingDBs opts out.
+// TestServiceStagingDBReclaimed: the per-question staging database lives
+// in memory only, so nothing appears under the worker's db/ directory,
+// and the provenance trail still verifies after the answer.
 func TestServiceStagingDBReclaimed(t *testing.T) {
 	work := t.TempDir()
 	svc := newService(t, Config{Workers: 1, WorkDir: work})
@@ -497,23 +497,12 @@ func TestServiceStagingDBReclaimed(t *testing.T) {
 	if err != nil || res.Error != "" {
 		t.Fatalf("ask: %v %+v", err, res)
 	}
-	dbDir := filepath.Join(work, "worker-00", "db", res.RequestID)
+	dbDir := filepath.Join(work, "worker-00", "db")
 	if _, err := os.Stat(dbDir); !os.IsNotExist(err) {
-		t.Errorf("staging DB %s should be reclaimed (stat err = %v)", dbDir, err)
+		t.Errorf("staging DB directory %s should not exist (stat err = %v)", dbDir, err)
 	}
-	// The provenance trail must survive reclamation.
 	if bad, err := svc.VerifySession(res.RequestID); err != nil || len(bad) != 0 {
-		t.Fatalf("verify after reclaim: %v %v", bad, err)
-	}
-
-	work2 := t.TempDir()
-	keep := newService(t, Config{Workers: 1, WorkDir: work2, KeepStagingDBs: true})
-	res2, err := keep.Ask(AskRequest{Question: topHalosQ})
-	if err != nil || res2.Error != "" {
-		t.Fatalf("ask: %v %+v", err, res2)
-	}
-	if _, err := os.Stat(filepath.Join(work2, "worker-00", "db", res2.RequestID)); err != nil {
-		t.Errorf("KeepStagingDBs should preserve the staging DB: %v", err)
+		t.Fatalf("verify after answer: %v %v", bad, err)
 	}
 }
 

@@ -1,10 +1,7 @@
 package sqldb
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -16,31 +13,27 @@ import (
 
 // ColumnMeta describes one table column in the database catalog.
 type ColumnMeta struct {
-	Name string         `json:"name"`
-	Kind dataframe.Kind `json:"kind"`
+	Name string
+	Kind dataframe.Kind
 }
 
 // TableInfo describes one table.
 type TableInfo struct {
-	Name    string       `json:"name"`
-	Rows    int          `json:"rows"`
-	Columns []ColumnMeta `json:"columns"`
-	File    string       `json:"file"` // relative to the DB directory
-	// Bytes is the table's encoded size: the gio file size once persisted,
-	// or the estimated encoded block sum for staged tables that have not
-	// been flushed to disk yet.
-	Bytes int64 `json:"bytes"`
+	Name    string
+	Rows    int
+	Columns []ColumnMeta
+	// Bytes is the table's estimated gio-encoded size: the sum of its
+	// columns' encoded block payloads, computed without encoding.
+	Bytes int64
 }
 
-// table is one resident table: staged frames are held as segments by
-// reference (zero-copy; their columns are marked shared), concatenated
-// into a single materialized frame on first read. dirty marks a staged
-// table not yet persisted to disk.
+// table is one resident table: frames are held as segments by reference
+// (zero-copy; their columns are marked shared), concatenated into a single
+// materialized frame on first read.
 type table struct {
 	info     TableInfo
 	segments []*dataframe.Frame
 	mat      *dataframe.Frame
-	dirty    bool
 	// colStats lazily caches per-segment column stats for WHERE pruning,
 	// keyed by column identity. Shared columns are immutable, so an entry
 	// stays valid as long as its column is referenced by a live segment;
@@ -48,23 +41,14 @@ type table struct {
 	colStats map[*dataframe.Column]dataframe.Stats
 }
 
-// DB is an analytical database: named column tables served from resident
-// in-memory frames, persisted as one gio column file per table plus a JSON
-// catalog. All operations are safe for concurrent use.
-//
-// Two persistence modes exist. A durable DB (Create/Open) writes every
-// table mutation through to disk immediately — the original behavior, for
-// databases that outlive the process. A staged DB (CreateStaged) is the
-// zero-copy fast path for per-session staging: BulkAppend stores frame
+// DB is an in-memory analytical database: named column tables served
+// from resident frames. Ingestion is zero-copy: BulkAppend stores frame
 // references instead of copying cells (O(columns) per frame, not
-// O(cells)), reads are served from the resident frames under the shared
-// immutability contract (see dataframe.Column.MarkShared), and nothing
-// touches disk until Flush — which a staging database that is reclaimed
-// after its session never pays.
+// O(cells)), and reads are served from the resident frames under the
+// shared immutability contract (see dataframe.Column.MarkShared). All
+// operations are safe for concurrent use.
 type DB struct {
 	mu        sync.Mutex
-	dir       string
-	staged    bool
 	tables    map[string]*table
 	bytesRead int64
 
@@ -76,62 +60,15 @@ type DB struct {
 	rowsFiltered     *telemetry.Counter
 }
 
-const dbCatalogName = "db.json"
-
-// Create initializes an empty durable database at dir (created if
-// absent): every mutation persists immediately.
-func Create(dir string) (*DB, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	db := &DB{dir: dir, tables: map[string]*table{}}
-	if err := db.saveCatalog(); err != nil {
-		return nil, err
-	}
-	return db, nil
+// New returns an empty database.
+func New() *DB {
+	return &DB{tables: map[string]*table{}}
 }
 
-// CreateStaged initializes an empty staged database at dir: tables live as
-// resident shared-vector frames, ingestion is zero-copy, and disk is only
-// touched by an explicit Flush, which creates dir. The staging-path
-// default — a per-session staging DB that is deleted after the answer
-// never pays a directory, encode or write I/O at all.
-func CreateStaged(dir string) (*DB, error) {
-	return &DB{dir: dir, staged: true, tables: map[string]*table{}}, nil
-}
-
-// Open loads an existing database.
-func Open(dir string) (*DB, error) {
-	data, err := os.ReadFile(filepath.Join(dir, dbCatalogName))
-	if err != nil {
-		return nil, fmt.Errorf("sqldb: open %s: %w", dir, err)
-	}
-	var infos []TableInfo
-	if err := json.Unmarshal(data, &infos); err != nil {
-		return nil, fmt.Errorf("sqldb: catalog: %w", err)
-	}
-	db := &DB{dir: dir, tables: map[string]*table{}}
-	for _, ti := range infos {
-		db.tables[ti.Name] = &table{info: ti}
-	}
-	return db, nil
-}
-
-// Dir returns the database directory.
-func (db *DB) Dir() string { return db.dir }
-
-func (db *DB) saveCatalog() error {
-	infos := make([]TableInfo, 0, len(db.tables))
-	for _, t := range db.tables {
-		infos = append(infos, t.info)
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	data, err := json.MarshalIndent(infos, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(db.dir, dbCatalogName), data, 0o644)
-}
+// CreateStaged returns New(); dir is ignored and never created.
+//
+// Deprecated: use New.
+func CreateStaged(dir string) (*DB, error) { return New(), nil }
 
 // CatalogError reports table-level failures with a DuckDB-like message
 // shape that the QA agent can parse.
@@ -146,32 +83,25 @@ func (db *DB) CreateTable(name string, f *dataframe.Frame) error {
 	if _, exists := db.tables[name]; exists {
 		return &CatalogError{Msg: fmt.Sprintf("table %q already exists", name)}
 	}
-	return db.setTableLocked(name, f)
+	db.setSegmentsLocked(name, []*dataframe.Frame{f})
+	return nil
 }
 
 // CreateOrReplaceTable writes frame, replacing any existing table.
 func (db *DB) CreateOrReplaceTable(name string, f *dataframe.Frame) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.setTableLocked(name, f)
+	db.setSegmentsLocked(name, []*dataframe.Frame{f})
+	return nil
 }
 
-// AppendTable appends frame to an existing table (schemas must match), or
-// creates the table if absent. For multi-frame loads prefer BulkAppend: a
-// k-frame accumulation via AppendTable re-validates per call, while
-// BulkAppend takes the whole batch at once.
-func (db *DB) AppendTable(name string, f *dataframe.Frame) error {
-	return db.BulkAppend(name, f)
-}
-
-// BulkAppend appends frames to name, creating the table if absent. In a
-// staged DB this is zero-copy: each frame is retained as a table segment
-// by reference — O(columns) bookkeeping per frame, no cell is touched —
-// with its columns marked shared, so staging a cached snapshot costs
-// column pointers instead of a deep copy. The segments concatenate into
-// one contiguous frame lazily, on the table's first read. A durable DB
-// additionally persists the updated table before returning. Schemas must
-// match; frames are never mutated.
+// BulkAppend appends frames to name, creating the table if absent. It is
+// zero-copy: each frame is retained as a table segment by reference —
+// O(columns) bookkeeping per frame, no cell is touched — with its columns
+// marked shared, so staging a cached snapshot costs column pointers
+// instead of a deep copy. The segments concatenate into one contiguous
+// frame lazily, on the table's first read. Schemas must match; frames are
+// never mutated.
 func (db *DB) BulkAppend(name string, frames ...*dataframe.Frame) error {
 	if len(frames) == 0 {
 		return nil
@@ -185,13 +115,8 @@ func (db *DB) BulkAppend(name string, frames ...*dataframe.Frame) error {
 		if err := db.validateBatch(name, schemaOf(frames[0]), frames); err != nil {
 			return err
 		}
-		return db.setSegmentsLocked(name, frames)
-	}
-	if t.mat == nil && len(t.segments) == 0 {
-		// A table opened from disk: load it so the append extends it.
-		if err := db.loadLocked(t); err != nil {
-			return err
-		}
+		db.setSegmentsLocked(name, frames)
+		return nil
 	}
 	if err := db.validateBatch(name, t.info.Columns, frames); err != nil {
 		return fmt.Errorf("sqldb: append to %q: schema mismatch with existing table: %w", name, err)
@@ -202,10 +127,6 @@ func (db *DB) BulkAppend(name string, frames ...*dataframe.Frame) error {
 		t.info.Bytes += estimatedBytes(f)
 	}
 	t.mat = nil
-	t.dirty = true
-	if !db.staged {
-		return db.persistLocked(t)
-	}
 	return nil
 }
 
@@ -237,16 +158,10 @@ func (db *DB) validateBatch(name string, schema []ColumnMeta, frames []*datafram
 	return nil
 }
 
-// setTableLocked stores f as the table's single segment, replacing any
-// previous content. Caller holds mu.
-func (db *DB) setTableLocked(name string, f *dataframe.Frame) error {
-	return db.setSegmentsLocked(name, []*dataframe.Frame{f})
-}
-
 // setSegmentsLocked (re)creates a table over the given segments by
-// reference. Caller holds mu.
-func (db *DB) setSegmentsLocked(name string, frames []*dataframe.Frame) error {
-	t := &table{info: TableInfo{Name: name, Columns: schemaOf(frames[0]), File: name + ".gio"}}
+// reference, replacing any previous content. Caller holds mu.
+func (db *DB) setSegmentsLocked(name string, frames []*dataframe.Frame) {
+	t := &table{info: TableInfo{Name: name, Columns: schemaOf(frames[0])}}
 	for _, f := range frames {
 		t.segments = append(t.segments, f.Shallow().MarkShared())
 		t.info.Rows += f.NumRows()
@@ -255,26 +170,14 @@ func (db *DB) setSegmentsLocked(name string, frames []*dataframe.Frame) error {
 	if len(t.segments) == 1 {
 		t.mat = t.segments[0]
 	}
-	t.dirty = true
 	db.tables[name] = t
-	if !db.staged {
-		return db.persistLocked(t)
-	}
-	return nil
 }
 
 // materializeLocked resolves the table's single contiguous frame,
-// concatenating staged segments (one copy, amortized over every later
-// read) or loading the gio file for tables opened from disk. Caller holds
-// mu.
+// concatenating its segments (one copy, amortized over every later read).
+// Caller holds mu.
 func (db *DB) materializeLocked(t *table) (*dataframe.Frame, error) {
 	if t.mat != nil {
-		return t.mat, nil
-	}
-	if len(t.segments) == 0 {
-		if err := db.loadLocked(t); err != nil {
-			return nil, err
-		}
 		return t.mat, nil
 	}
 	mat, err := dataframe.Concat(t.segments...)
@@ -289,84 +192,6 @@ func (db *DB) materializeLocked(t *table) (*dataframe.Frame, error) {
 	t.segments = []*dataframe.Frame{mat}
 	t.colStats = nil
 	return mat, nil
-}
-
-// loadLocked reads a persisted table into residency. The one-time load is
-// not charged to BytesScanned — reads account the columns they serve (see
-// ReadTable), which keeps the scan metric pruned to what queries
-// reference rather than inflated by the residency load. Caller holds mu.
-func (db *DB) loadLocked(t *table) error {
-	r, err := gio.Open(filepath.Join(db.dir, t.info.File))
-	if err != nil {
-		return err
-	}
-	f, rerr := r.ReadAll()
-	r.Close()
-	if rerr != nil {
-		return rerr
-	}
-	f.MarkShared()
-	t.mat = f
-	t.segments = []*dataframe.Frame{f}
-	return nil
-}
-
-// persistLocked writes the table's gio file and catalog entry. Caller
-// holds mu.
-func (db *DB) persistLocked(t *table) error {
-	f, err := db.materializeLocked(t)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(db.dir, t.info.File)
-	if err := gio.WriteFile(path, f, map[string]string{"table": t.info.Name}); err != nil {
-		return err
-	}
-	if st, err := os.Stat(path); err == nil {
-		t.info.Bytes = st.Size()
-	}
-	t.dirty = false
-	return db.saveCatalog()
-}
-
-// Flush persists every staged-but-unwritten table (and the catalog) to
-// disk, creating the directory if needed, after which Open(dir) sees the
-// full database. A durable DB is already persistent: Flush is a no-op.
-func (db *DB) Flush() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := os.MkdirAll(db.dir, 0o755); err != nil {
-		return err
-	}
-	for _, t := range db.tables {
-		if !t.dirty {
-			continue
-		}
-		if err := db.persistLocked(t); err != nil {
-			return err
-		}
-	}
-	// Re-save unconditionally so drops since the last persist are reflected
-	// even when no table was dirty.
-	return db.saveCatalog()
-}
-
-// DropTable removes a table, its residency and its file.
-func (db *DB) DropTable(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, exists := db.tables[name]
-	if !exists {
-		return &CatalogError{Msg: fmt.Sprintf("table %q not found", name)}
-	}
-	if err := os.Remove(filepath.Join(db.dir, t.info.File)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	delete(db.tables, name)
-	if !db.staged {
-		return db.saveCatalog()
-	}
-	return nil
 }
 
 // Tables lists the catalog, sorted by name.
@@ -392,10 +217,9 @@ func (db *DB) Table(name string) (TableInfo, bool) {
 	return t.info, true
 }
 
-// SizeBytes returns the total encoded size of all tables — the
-// storage-overhead numerator in the paper's §4.1.3 metric. Persisted
-// tables report their file size; staged tables their estimated encoded
-// size (identical block payloads, minus the file header).
+// SizeBytes returns the total estimated encoded size of all tables — the
+// storage-overhead numerator in the paper's §4.1.3 metric: the gio block
+// payloads the tables would encode to, minus the file header.
 func (db *DB) SizeBytes() int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -440,8 +264,7 @@ func (db *DB) SetMetrics(r *telemetry.Registry, labels ...telemetry.Label) {
 // BytesScanned reports cumulative data-block bytes served to reads and
 // queries, as encoded-size equivalents of the columns each read actually
 // selected. Column pruning keeps this proportional to what a query
-// references, resident or not; the one-time residency load of a
-// disk-opened table is not charged.
+// references.
 func (db *DB) BytesScanned() int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -451,10 +274,7 @@ func (db *DB) BytesScanned() int64 {
 // ReadTable returns selected columns of a table (no SQL); names empty
 // means all columns. The result is a fresh frame shell over the table's
 // resident shared vectors — no cell is copied, and callers must treat the
-// column data as immutable (growth via Append is copy-on-write). Tables
-// opened from disk are loaded into residency on first read, so repeated
-// reads — e.g. the sandbox work-table set rebuilt per analysis attempt —
-// decode the file once instead of every call.
+// column data as immutable (growth via Append is copy-on-write).
 func (db *DB) ReadTable(name string, columns ...string) (*dataframe.Frame, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -612,11 +432,6 @@ func (db *DB) planLocked(stmt *selectStmt) (*vecPlan, segScan, int, error) {
 	plan, err := planVectorized(stmt, t.info.Columns)
 	if err != nil {
 		return nil, segScan{}, 0, err
-	}
-	if t.mat == nil && len(t.segments) == 0 {
-		if err := db.loadLocked(t); err != nil {
-			return nil, segScan{}, 0, err
-		}
 	}
 	scan := segScan{segs: append([]*dataframe.Frame(nil), t.segments...), pruned: make([]bool, len(t.segments))}
 	pruned := 0

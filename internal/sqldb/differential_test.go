@@ -134,10 +134,7 @@ func rankCorpus() []string {
 // (rankFrames), both multi-segment.
 func diffDB(t testing.TB) *DB {
 	t.Helper()
-	db, err := CreateStaged(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := New()
 	if err := db.BulkAppend("parts", diffFrames()...); err != nil {
 		t.Fatal(err)
 	}
@@ -363,14 +360,11 @@ func TestMissingColumnErrorIsStable(t *testing.T) {
 }
 
 // TestDifferentialSingleSegment reruns the corpus against single-segment
-// (durable, materialized) tables, covering the collapsed-residency shape
-// production queries hit after a flush.
+// (materialized) tables, covering the collapsed-residency shape a table
+// takes after its first full read.
 func TestDifferentialSingleSegment(t *testing.T) {
 	mk := func() *DB {
-		db, err := Create(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
+		db := New()
 		all, err := dataframe.Concat(diffFrames()...)
 		if err != nil {
 			t.Fatal(err)

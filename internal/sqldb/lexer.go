@@ -1,13 +1,18 @@
-// Package sqldb implements the on-disk analytical database InferA stages
-// query results in — the paper uses DuckDB for this role (§3: "Selected
-// data is written to a DuckDB database, avoiding in-memory storage").
+// Package sqldb implements the analytical database InferA stages query
+// results in — the paper uses DuckDB for this role (§3: "Selected data is
+// written to a DuckDB database, avoiding in-memory storage").
 //
-// Tables persist as gio column files under a database directory; queries
-// are a SQL subset (SELECT with WHERE / GROUP BY / ORDER BY / LIMIT /
-// DISTINCT, arithmetic, comparison and boolean expressions, scalar math
-// functions and the usual aggregates). The executor reads only the columns
-// a query references and evaluates filters and aggregates block-by-block,
-// keeping memory proportional to referenced columns, not table width.
+// Tables are held in memory, one database per question: ingestion keeps
+// the staged frames by reference, so a table shares its column vectors
+// with the stage cache (internal/stage) that decoded them. The memory the
+// paper bounds by keeping DuckDB on disk is bounded here by that cache:
+// its byte budget bounds the decoded column blocks it keeps in memory,
+// and its disk tier holds what the budget evicts. Queries are a SQL
+// subset (SELECT with WHERE / GROUP BY / ORDER BY / LIMIT / DISTINCT,
+// arithmetic, comparison and boolean expressions, scalar math functions
+// and the usual aggregates). The executor reads only the columns a query
+// references and evaluates filters and aggregates block-by-block, keeping
+// memory proportional to referenced columns, not table width.
 package sqldb
 
 import (

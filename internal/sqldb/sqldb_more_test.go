@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -179,10 +178,7 @@ func TestConcurrentQueries(t *testing.T) {
 }
 
 func TestConcurrentWritesAndReads(t *testing.T) {
-	db, err := Create(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := New()
 	f := dataframe.MustFromColumns(dataframe.NewInt("a", []int64{1}))
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
@@ -203,12 +199,6 @@ func TestConcurrentWritesAndReads(t *testing.T) {
 	}
 	if len(db.Tables()) != 8 {
 		t.Errorf("tables = %d", len(db.Tables()))
-	}
-}
-
-func TestOpenMissingDB(t *testing.T) {
-	if _, err := Open(t.TempDir()); err == nil {
-		t.Error("opening a directory without a catalog should fail")
 	}
 }
 
@@ -234,8 +224,8 @@ func asSyntax(err error, out **SyntaxError) bool {
 	return false
 }
 
-// BulkAppend must equal a chain of AppendTable calls while writing the
-// table file only once.
+// One BulkAppend of k frames must equal a chain of k single-frame
+// BulkAppend calls.
 func TestBulkAppendMatchesAppendChain(t *testing.T) {
 	mk := func(base int64) *dataframe.Frame {
 		return dataframe.MustFromColumns(
@@ -245,19 +235,13 @@ func TestBulkAppendMatchesAppendChain(t *testing.T) {
 	}
 	frames := []*dataframe.Frame{mk(0), mk(10), mk(20), mk(30)}
 
-	chainDB, err := Create(filepath.Join(t.TempDir(), "chain"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	chainDB := New()
 	for _, f := range frames {
-		if err := chainDB.AppendTable("t", f); err != nil {
+		if err := chainDB.BulkAppend("t", f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	bulkDB, err := Create(filepath.Join(t.TempDir(), "bulk"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	bulkDB := New()
 	if err := bulkDB.BulkAppend("t", frames...); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +257,7 @@ func TestBulkAppendMatchesAppendChain(t *testing.T) {
 		t.Fatalf("bulk result differs from append chain:\n%v\nvs\n%v", got, want)
 	}
 
-	// Appending in bulk to an existing table reads it once and extends it.
+	// Appending in bulk to an existing table extends it.
 	if err := bulkDB.BulkAppend("t", mk(40), mk(50)); err != nil {
 		t.Fatal(err)
 	}

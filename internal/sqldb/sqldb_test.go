@@ -13,10 +13,7 @@ import (
 
 func testDB(t *testing.T) *DB {
 	t.Helper()
-	db, err := Create(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := New()
 	halos := dataframe.MustFromColumns(
 		dataframe.NewInt("fof_halo_tag", []int64{1, 2, 3, 4, 5, 6}),
 		dataframe.NewInt("sim", []int64{0, 0, 0, 1, 1, 1}),
@@ -208,6 +205,19 @@ func TestScanPruning(t *testing.T) {
 	if narrow >= wide {
 		t.Errorf("pruned scan read %d bytes, full scan %d", narrow, wide)
 	}
+	// The same holds over a table of several unmaterialized segments.
+	segs := New()
+	if err := segs.BulkAppend("t", stagedFrame(16, 0), stagedFrame(16, 8)); err != nil {
+		t.Fatal(err)
+	}
+	before = segs.BytesScanned()
+	query(t, segs, "SELECT tag FROM t")
+	narrow = segs.BytesScanned() - before
+	before = segs.BytesScanned()
+	query(t, segs, "SELECT * FROM t")
+	if wide := segs.BytesScanned() - before; narrow >= wide {
+		t.Errorf("segmented pruned scan read %d bytes, full scan %d", narrow, wide)
+	}
 	info, err := db.ExplainQuery("SELECT fof_halo_tag FROM halos WHERE sim = 1 ORDER BY fof_halo_mass")
 	if err != nil || info.Table != "halos" {
 		t.Fatalf("ExplainQuery: %+v %v", info, err)
@@ -217,12 +227,10 @@ func TestScanPruning(t *testing.T) {
 	}
 }
 
-func TestCreateAppendDropPersistence(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Create(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCreateTableAndAppend: CreateTable refuses a duplicate name, and
+// BulkAppend extends an existing table.
+func TestCreateTableAndAppend(t *testing.T) {
+	db := New()
 	f := dataframe.MustFromColumns(
 		dataframe.NewInt("a", []int64{1, 2}),
 		dataframe.NewFloat("b", []float64{1.5, 2.5}),
@@ -233,39 +241,25 @@ func TestCreateAppendDropPersistence(t *testing.T) {
 	if err := db.CreateTable("t", f); err == nil {
 		t.Error("duplicate CreateTable should fail")
 	}
-	if err := db.AppendTable("t", f); err != nil {
+	if err := db.BulkAppend("t", f); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen and verify.
-	db2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := db2.ReadTable("t")
+	got, err := db.ReadTable("t")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.NumRows() != 4 {
-		t.Errorf("rows after append+reopen = %d", got.NumRows())
+		t.Errorf("rows after append = %d", got.NumRows())
 	}
-	if db2.SizeBytes() <= 0 {
+	if db.SizeBytes() <= 0 {
 		t.Error("SizeBytes should be positive")
-	}
-	if err := db2.DropTable("t"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db2.DropTable("t"); err == nil {
-		t.Error("double drop should fail")
-	}
-	if _, err := db2.Query("SELECT * FROM t"); err == nil {
-		t.Error("query after drop should fail")
 	}
 }
 
 func TestAppendSchemaMismatch(t *testing.T) {
 	db := testDB(t)
 	bad := dataframe.MustFromColumns(dataframe.NewInt("x", []int64{1}))
-	if err := db.AppendTable("halos", bad); err == nil {
+	if err := db.BulkAppend("halos", bad); err == nil {
 		t.Error("append with wrong schema should fail")
 	}
 }
@@ -329,11 +323,7 @@ func TestLikeMatch(t *testing.T) {
 
 // Property: SQL aggregates agree with direct dataframe computation.
 func TestQuickAggregatesMatchDataframe(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Create(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := New()
 	iter := 0
 	prop := func(seed int64, nRaw uint8) bool {
 		iter++

@@ -69,10 +69,7 @@ func TestExplainQueryPruning(t *testing.T) {
 
 	// The staged-snapshot shape: 16 segments, one step each; a
 	// step-selective aggregation reads one of them.
-	halos, err := CreateStaged(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	halos := New()
 	for s := 0; s < 16; s++ {
 		const rows = 64
 		steps, cnts, masses := make([]int64, rows), make([]int64, rows), make([]float64, rows)
@@ -275,10 +272,7 @@ func BenchmarkTopKLimit(b *testing.B) {
 		}
 		segs = append(segs, dataframe.MustFromColumns(cols...))
 	}
-	db, err := CreateStaged(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
+	db := New()
 	if err := db.BulkAppend("haloproperties", segs...); err != nil {
 		b.Fatal(err)
 	}
