@@ -53,15 +53,14 @@
 //
 //	curl -s localhost:8080/v1/ensembles/cosmo-a/ask -d '{"question": "...", "interactive": true}'   # 202 -> {"id": "q-0007", ...}
 //	curl -sN localhost:8080/v1/ensembles/cosmo-a/sessions/q-0007/events                            # server-sent events
-//	curl -s 'localhost:8080/v1/ensembles/cosmo-a/sessions/q-0007/events?after=0&wait=10s'          # long-poll fallback
 //	curl -s  localhost:8080/v1/ensembles/cosmo-a/sessions/q-0007/plan -d '{"approve": false, "comment": "also plot it"}'
 //	curl -s  localhost:8080/v1/ensembles/cosmo-a/sessions/q-0007/plan -d '{"approve": true}'
 //	curl -s  localhost:8080/v1/ensembles/cosmo-a/sessions/q-0007/result                            # once the stream completes
 //
 // A dropped SSE connection resumes without loss or duplication via the
-// standard Last-Event-ID header. Sessions whose reviewer never answers
-// auto-approve after -approval-timeout, so abandoned interactive asks
-// expire instead of pinning workers. Shard admin:
+// standard Last-Event-ID header (or ?from=N). Sessions whose reviewer
+// never answers auto-approve after -approval-timeout, so abandoned
+// interactive asks expire instead of pinning workers. Shard admin:
 //
 //	curl -s -X POST   localhost:8080/v1/ensembles/cosmo-a/warm              # spin pool + fingerprint up before a burst
 //	curl -s -X DELETE localhost:8080/v1/ensembles/cosmo-a                   # unregister (close + persist cache if live)
@@ -162,7 +161,6 @@ func main() {
 		provAge    = flag.Duration("provenance-max-age", 0, "garbage-collect session artifact trails older than this at shard close (0 = keep all; cache-referenced sessions are spared)")
 		provBytes  = flag.Int64("provenance-max-bytes", 0, "total on-disk session-trail budget enforced at shard close, in bytes (0 = unlimited)")
 		verbose    = flag.Bool("v", false, "log per-request progress")
-		route      = flag.String("route", "", "run as a fleet router over these comma-separated node specs (URL or name=URL) instead of serving locally (same as cmd/inferaroute)")
 		nodeID     = flag.String("node-id", "", "fleet identity reported on /healthz (default: host:pid)")
 		maxAsks    = flag.Int("max-concurrent-asks", 0, "node-wide cap on concurrently executing asks across all shards (0 = uncapped)")
 		simLat     = flag.Duration("sim-latency", 0, "per-model-call latency injected into the simulated LLM (models real API round trips; 0 = pure CPU)")
@@ -171,11 +169,6 @@ func main() {
 		scriptTO   = flag.Duration("script-timeout", sandbox.DefaultLimits().MaxWall, "per-execution script wall-clock limit, overridable per shard (0 = none)")
 	)
 	flag.Parse()
-	if *route != "" {
-		// Router mode: no local shards, just the fleet proxy tier.
-		runRouter(*addr, *route, *verbose)
-		return
-	}
 	if len(ensembles.names) == 0 {
 		log.Fatal("inferad: at least one -ensemble is required (generate one with haccgen)")
 	}

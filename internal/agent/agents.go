@@ -136,11 +136,16 @@ func plannerNode(rt *Runtime, st *State) (string, error) {
 		if round > 0 {
 			kind = EventPlanRevised
 		}
-		rt.emit(Event{Kind: kind, Round: round, Plan: &plan, ElapsedNS: roundElapsed.Nanoseconds()})
+		announce := func() {
+			rt.emit(Event{Kind: kind, Round: round, Plan: &plan, ElapsedNS: roundElapsed.Nanoseconds()})
+		}
 		if rt.Feedback == nil {
+			announce()
 			break
 		}
-		approved, comment := rt.Feedback.ReviewPlan(plan)
+		// The plan event goes out only once the review window is open, so
+		// a client that answers the event at once never finds it closed.
+		approved, comment := rt.Feedback.ReviewPlan(plan, announce)
 		if approved || round+1 >= rt.MaxPlanRounds {
 			break
 		}

@@ -265,9 +265,11 @@ func (f *AsyncFeedback) abortChan() chan struct{} {
 	return f.abortCh
 }
 
-// ReviewPlan blocks until Submit delivers a decision, the deadline passes
-// (approve as-is), or Abort has been called (approve immediately).
-func (f *AsyncFeedback) ReviewPlan(plan llm.Plan) (bool, string) {
+// ReviewPlan opens the review window, announces the plan, and blocks until
+// Submit delivers a decision, the deadline passes (approve as-is), or Abort
+// has been called (approve immediately). Submit succeeds from the moment
+// announce runs.
+func (f *AsyncFeedback) ReviewPlan(plan llm.Plan, announce func()) (bool, string) {
 	deadline := f.AutoApprove
 	if deadline <= 0 {
 		deadline = DefaultAutoApprove
@@ -277,10 +279,12 @@ func (f *AsyncFeedback) ReviewPlan(plan llm.Plan) (bool, string) {
 	f.mu.Lock()
 	if f.aborted {
 		f.mu.Unlock()
+		announce()
 		return true, ""
 	}
 	f.waiting = ch
 	f.mu.Unlock()
+	announce()
 	if f.OnAwait != nil {
 		f.OnAwait(plan)
 	}

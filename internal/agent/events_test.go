@@ -3,6 +3,7 @@ package agent
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -96,7 +97,7 @@ func TestAsyncFeedbackSubmitAndDeadline(t *testing.T) {
 	}
 	got := make(chan verdict, 1)
 	go func() {
-		a, c := f.ReviewPlan(llm.Plan{})
+		a, c := f.ReviewPlan(llm.Plan{}, func() {})
 		got <- verdict{a, c}
 	}()
 	waitPending(t, f)
@@ -116,7 +117,7 @@ func TestAsyncFeedbackSubmitAndDeadline(t *testing.T) {
 	fast := NewAsyncFeedback(30*time.Millisecond, nil)
 	var autoSeen bool
 	fast.OnResolve = func(auto bool) { autoSeen = auto }
-	a, c := fast.ReviewPlan(llm.Plan{})
+	a, c := fast.ReviewPlan(llm.Plan{}, func() {})
 	if !a || c != "" || !autoSeen {
 		t.Fatalf("deadline verdict = %v %q auto=%v", a, c, autoSeen)
 	}
@@ -125,7 +126,7 @@ func TestAsyncFeedbackSubmitAndDeadline(t *testing.T) {
 	ab := NewAsyncFeedback(time.Hour, nil)
 	res := make(chan bool, 1)
 	go func() {
-		a, _ := ab.ReviewPlan(llm.Plan{})
+		a, _ := ab.ReviewPlan(llm.Plan{}, func() {})
 		res <- a
 	}()
 	waitPending(t, ab)
@@ -138,7 +139,7 @@ func TestAsyncFeedbackSubmitAndDeadline(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("abort did not unblock review")
 	}
-	if a, _ := ab.ReviewPlan(llm.Plan{}); !a {
+	if a, _ := ab.ReviewPlan(llm.Plan{}, func() {}); !a {
 		t.Fatal("post-abort review must auto-approve")
 	}
 }
@@ -152,6 +153,80 @@ func waitPending(t *testing.T, f *AsyncFeedback) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestPlanEventOpensReviewWindow pins the order of the plan-review
+// handshake: the review window is open before the plan event is visible,
+// so a Submit made the moment the event is appended never sees
+// ErrNoPendingPlan. First through AsyncFeedback alone, then through a full
+// run whose reviewer submits inside the plan event's append.
+func TestPlanEventOpensReviewWindow(t *testing.T) {
+	// The deadlines only bound how long a regression takes to report: a
+	// Submit that finds the window closed leaves the review to them.
+	const deadline = 10 * time.Second
+	f := NewAsyncFeedback(deadline, nil)
+	var submitErr error
+	approved, comment := f.ReviewPlan(llm.Plan{}, func() {
+		submitErr = f.Submit(PlanDecision{Approve: false, Comment: "narrow it"})
+	})
+	if submitErr != nil || approved || comment != "narrow it" {
+		t.Fatalf("submit inside announce = %v, verdict %v %q", submitErr, approved, comment)
+	}
+
+	rt := testRuntime(t, nil)
+	rt.Events = NewEventLog(0)
+	eager := &eagerReviewer{
+		AsyncFeedback: NewAsyncFeedback(deadline, AutoHinter{}),
+		events:        rt.Events,
+		decisions:     []PlanDecision{{Approve: false, Comment: "please revise the plan"}, {Approve: true}},
+	}
+	rt.Feedback = eager
+	res, err := Run(rt, "Can you find me the top 5 largest friends-of-friends halos from timestep 624 in simulation 1?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range eager.errs {
+		t.Error(err)
+	}
+	if res.State.PlanRounds != 2 || len(eager.decisions) != 0 {
+		t.Fatalf("plan rounds = %d, %d decisions left; want 2 and 0", res.State.PlanRounds, len(eager.decisions))
+	}
+}
+
+// eagerReviewer answers each plan the instant its event is appended: it
+// checks that the planner left the append to announce, and submits its
+// next decision from inside the append.
+type eagerReviewer struct {
+	*AsyncFeedback
+	events    *EventLog
+	decisions []PlanDecision
+	errs      []error
+}
+
+func (r *eagerReviewer) ReviewPlan(plan llm.Plan, announce func()) (bool, string) {
+	before, _ := r.events.Since(0)
+	return r.AsyncFeedback.ReviewPlan(plan, func() {
+		announce()
+		after, _ := r.events.Since(0)
+		if len(after) != len(before)+1 {
+			r.errs = append(r.errs, fmt.Errorf("announce appended %d events, want the plan event alone", len(after)-len(before)))
+			return
+		}
+		ev := after[len(after)-1]
+		if ev.Kind != EventPlanProposed && ev.Kind != EventPlanRevised {
+			r.errs = append(r.errs, fmt.Errorf("announce appended %s, want a plan event", ev.Kind))
+			return
+		}
+		if len(r.decisions) == 0 {
+			r.errs = append(r.errs, fmt.Errorf("%s (seq %d) after the last decision", ev.Kind, ev.Seq))
+			return
+		}
+		if err := r.Submit(r.decisions[0]); err != nil {
+			r.errs = append(r.errs, fmt.Errorf("submit on %s (seq %d): %w", ev.Kind, ev.Seq, err))
+			return
+		}
+		r.decisions = r.decisions[1:]
+	})
 }
 
 // TestRunEmitsLifecycleEvents runs the full workflow with an event log and

@@ -15,8 +15,11 @@ type AutoHinter struct{}
 
 var _ Feedback = AutoHinter{}
 
-// ReviewPlan approves every plan without comment.
-func (AutoHinter) ReviewPlan(llm.Plan) (bool, string) { return true, "" }
+// ReviewPlan announces the plan and approves it without comment.
+func (AutoHinter) ReviewPlan(_ llm.Plan, announce func()) (bool, string) {
+	announce()
+	return true, ""
+}
 
 // OnError suggests the dictionary column whose suffix matches a name quoted
 // in the error message.

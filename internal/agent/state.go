@@ -65,8 +65,11 @@ type State struct {
 // provides a lower bound").
 type Feedback interface {
 	// ReviewPlan shows the plan; returning approved=false with a comment
-	// triggers another planning round with the comment folded in.
-	ReviewPlan(plan llm.Plan) (approved bool, comment string)
+	// triggers another planning round with the comment folded in. It
+	// calls announce exactly once, after the review window is open, so a
+	// reviewer who learns of the plan from announce (the plan event) can
+	// always answer it.
+	ReviewPlan(plan llm.Plan, announce func()) (approved bool, comment string)
 	// OnError may supply a hint (e.g. the correct column name) when a step
 	// fails; returning ok=false gives no hint.
 	OnError(step llm.PlanStep, errMsg string) (hint string, ok bool)

@@ -1,7 +1,8 @@
 // Package client is the typed Go client for the inferad daemon's versioned
 // /v1/ensembles HTTP API (internal/service): registering ensemble shards,
 // routing questions to them, and reading session, provenance and metrics
-// state, all over the service package's wire types.
+// state, and following interactive sessions over their server-sent event
+// stream, all over the service package's wire types.
 package client
 
 import (

@@ -204,11 +204,6 @@ func TestClientInteractiveStream(t *testing.T) {
 	if err != nil || first.Seq != 3 {
 		t.Fatalf("resumed stream starts at %d (%v), want 3", first.Seq, err)
 	}
-	// And the long-poll fallback sees the same completed log.
-	events, after, done, err := c.PollEvents("default", id, 0, 0)
-	if err != nil || !done || len(events) != lastSeq || after != lastSeq {
-		t.Fatalf("poll = %d events after=%d done=%v (%v)", len(events), after, done, err)
-	}
 }
 
 // TestClientShardAdmin covers the admin wrappers: overrides, warm, delete.

@@ -16,8 +16,8 @@ import (
 
 // AskInteractive starts a streaming session on shard eid and returns its
 // session handle immediately (HTTP 202). Follow the lifecycle with
-// StreamEvents (or PollEvents), answer plan proposals with SubmitPlan, and
-// fetch the final answer with Result once the stream completes.
+// StreamEvents, answer plan proposals with SubmitPlan, and fetch the final
+// answer with Result once the stream completes.
 func (c *Client) AskInteractive(eid string, req service.AskRequest) (service.SessionInfo, error) {
 	req.Interactive = true
 	var out service.SessionInfo
@@ -40,18 +40,6 @@ func (c *Client) Result(eid, id string) (*service.AskResult, error) {
 		return nil, err
 	}
 	return &out, nil
-}
-
-// PollEvents long-polls session id for events past the after cursor,
-// waiting up to wait server-side. It returns the page's events, the cursor
-// to resume from, and whether the stream is complete.
-func (c *Client) PollEvents(eid, id string, after int, wait time.Duration) ([]agent.Event, int, bool, error) {
-	var page service.EventsPage
-	path := fmt.Sprintf("%s?after=%d&wait=%s", eidPath(eid, "sessions", id, "events"), after, wait)
-	if err := c.do(http.MethodGet, path, nil, &page); err != nil {
-		return nil, after, false, err
-	}
-	return page.Events, page.After, page.Done, nil
 }
 
 // Unregister removes shard eid from the daemon, closing it first if live.
@@ -285,27 +273,15 @@ func (c *Client) ReviewedAsk(eid string, req service.AskRequest,
 	return res, nil
 }
 
-// submitDecision delivers a plan decision, retrying briefly on 409: the
-// plan event is emitted just before the approval gate arms, so a fast
-// client's POST can land in that sliver and see "no plan pending" for a
-// plan that is about to block. Retrying for a bounded window closes the
-// race; a 409 that persists past it means the window genuinely closed
-// (deadline auto-approved while the reviewer was deciding), reported as
-// ErrDecisionExpired.
+// submitDecision delivers a plan decision. The server opens the review
+// window before it emits the plan event, so a 409 here means the window
+// has already closed (the deadline auto-approved the plan while the
+// reviewer was deciding): ErrDecisionExpired.
 func (c *Client) submitDecision(eid, id string, d agent.PlanDecision) error {
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		err := c.SubmitPlan(eid, id, d)
-		if err == nil {
-			return nil
-		}
-		var ae *APIError
-		if !(errors.As(err, &ae) && ae.Status == http.StatusConflict) {
-			return err
-		}
-		if time.Now().After(deadline) {
-			return ErrDecisionExpired
-		}
-		time.Sleep(20 * time.Millisecond)
+	err := c.SubmitPlan(eid, id, d)
+	var ae *APIError
+	if errors.As(err, &ae) && ae.Status == http.StatusConflict {
+		return ErrDecisionExpired
 	}
+	return err
 }

@@ -52,6 +52,7 @@ var (
 	reHighlight = regexp.MustCompile(`(?i)highlight(?:ing)?\s+the\s+top\s+(\d+)`)
 	reRadius    = regexp.MustCompile(`(?i)within\s+(?:a\s+)?(\d+(?:\.\d+)?)\s*(?:mpc|megaparsec)`)
 	reThreshold = regexp.MustCompile(`(?i)(?:above|greater than|more than|exceeding)\s+(\d+(?:\.\d+)?(?:e\d+)?)`)
+	reNSims     = regexp.MustCompile(`\d+ simulations`)
 )
 
 var numberWords = map[string]int{
@@ -161,7 +162,7 @@ func (in *Intent) parseScope(q string) {
 	}
 	if strings.Contains(q, "all simulations") || strings.Contains(q, "all the simulations") ||
 		strings.Contains(q, "every simulation") || strings.Contains(q, "each simulation") ||
-		regexp.MustCompile(`\d+ simulations`).MatchString(q) {
+		reNSims.MatchString(q) {
 		in.AllSims = true
 		in.Sims = nil
 	}

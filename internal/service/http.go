@@ -28,7 +28,7 @@ import (
 //	                                                     {..., "interactive": true} -> SessionInfo (202)
 //	GET    /v1/ensembles/{eid}/sessions                  -> []SessionInfo
 //	GET    /v1/ensembles/{eid}/sessions/{id}             -> SessionInfo
-//	GET    /v1/ensembles/{eid}/sessions/{id}/events      -> SSE stream (Last-Event-ID resume; ?after=N long-poll JSON)
+//	GET    /v1/ensembles/{eid}/sessions/{id}/events      -> SSE stream (resume with Last-Event-ID or ?from=N)
 //	POST   /v1/ensembles/{eid}/sessions/{id}/plan        {"approve", "comment"?} -> 200 / 409 when nothing pending
 //	GET    /v1/ensembles/{eid}/sessions/{id}/result      -> AskResult (409 until the session finishes)
 //	GET    /v1/ensembles/{eid}/sessions/{id}/provenance  -> []provenance.Entry
@@ -401,56 +401,24 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, res)
 }
 
-// EventsPage is the long-poll (?after=) wire form of an event-stream read.
-type EventsPage struct {
-	Events []agent.Event `json:"events"`
-	// After is the cursor to pass back on the next poll.
-	After int `json:"after"`
-	// Done marks a complete stream: the terminal answer event has been
-	// delivered and no more will arrive.
-	Done bool `json:"done"`
-}
-
-// maxPollWait caps the ?wait= long-poll window.
-const maxPollWait = 60 * time.Second
-
 // sseHeartbeat is how often an idle SSE stream emits a comment frame.
 const sseHeartbeat = 15 * time.Second
 
 // handleEvents streams a session's event log. Default is server-sent
 // events: one frame per event with id == Seq, resumable via the standard
 // Last-Event-ID header (or ?from=N), terminated by an "event: done"
-// sentinel once the stream completes. With ?after=N it degrades to a JSON
-// long-poll that waits up to ?wait= (default 25s) for events past N.
+// sentinel once the stream completes.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	eid, id := r.PathValue("eid"), r.PathValue("id")
-	if afterStr := r.URL.Query().Get("after"); afterStr != "" {
-		s.pollEvents(w, r, eid, id, afterStr)
+	after, err := eventCursor(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
-	}
-	// An unparseable resume cursor must fail loudly: silently restarting
-	// from 0 would replay the whole stream and break the no-duplication
-	// contract for consumers that trust it.
-	after := 0
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad Last-Event-ID %q", v))
-			return
-		}
-		after = n
-	} else if v := r.URL.Query().Get("from"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad from cursor %q", v))
-			return
-		}
-		after = n
 	}
 	// Validate the session before committing to the stream content type, so
 	// a bad ID still gets a proper JSON error status.
@@ -500,45 +468,27 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// pollEvents is the JSON long-poll fallback of handleEvents.
-func (s *Server) pollEvents(w http.ResponseWriter, r *http.Request, eid, id, afterStr string) {
-	after, err := strconv.Atoi(afterStr)
+// eventCursor reads an events request's resume cursor: the Last-Event-ID
+// header, else ?from=N, else 0 (the whole stream). A cursor that does not
+// parse must fail loudly, and so must ?after=, which names no cursor this
+// endpoint serves: silently restarting from 0 would replay the whole
+// stream and break the no-duplication contract for consumers that trust
+// it.
+func eventCursor(r *http.Request) (int, error) {
+	q := r.URL.Query()
+	if q.Has("after") {
+		return 0, errors.New("?after= is not supported: follow the SSE stream and resume it with the Last-Event-ID header or ?from=N")
+	}
+	name, v := "Last-Event-ID", r.Header.Get("Last-Event-ID")
+	if v == "" {
+		name, v = "from cursor", q.Get("from")
+	}
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(v)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad after cursor %q", afterStr))
-		return
+		return 0, fmt.Errorf("bad %s %q", name, v)
 	}
-	wait := 25 * time.Second
-	if v := r.URL.Query().Get("wait"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q", v))
-			return
-		}
-		wait = min(d, maxPollWait)
-	}
-	var (
-		events []agent.Event
-		done   bool
-	)
-	if wait <= 0 {
-		events, done, err = s.reg.Events(eid, id, after)
-	} else {
-		ctx, cancel := context.WithTimeout(r.Context(), wait)
-		defer cancel()
-		events, done, err = s.reg.WaitEvents(ctx, eid, id, after)
-	}
-	if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-		writeRegistryError(w, err)
-		return
-	}
-	page := EventsPage{Events: events, After: after, Done: done}
-	if page.Events == nil {
-		page.Events = []agent.Event{}
-	}
-	for _, ev := range events {
-		if ev.Seq > page.After {
-			page.After = ev.Seq
-		}
-	}
-	writeJSON(w, page)
+	return n, nil
 }

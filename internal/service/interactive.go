@@ -22,7 +22,7 @@ type interactive struct {
 // AskInteractive runs one question as a streaming session: it enqueues the
 // job and returns the session record immediately, with a channel that
 // closes once the result is stored. Lifecycle events (plan_proposed ...
-// answer) flow through Events/WaitEvents; plan decisions arrive through
+// answer) flow through WaitEvents; plan decisions arrive through
 // SubmitPlan, or the ApprovalTimeout auto-approves (the abandoned-session
 // expiry). Interactive answers bypass the answer cache and single-flight
 // coalescing — a reviewer may reshape the plan, so no two sessions are
@@ -94,20 +94,9 @@ func (s *Service) lookupInteractive(id string) (*interactive, error) {
 	return ia, nil
 }
 
-// Events returns session id's retained events with Seq > after, plus
-// whether the stream is complete (the terminal answer event has been
-// appended and no more will arrive).
-func (s *Service) Events(id string, after int) ([]agent.Event, bool, error) {
-	ia, err := s.lookupInteractive(id)
-	if err != nil {
-		return nil, false, err
-	}
-	events, closed := ia.events.Since(after)
-	return events, closed, nil
-}
-
 // WaitEvents blocks until session id has events past after, its stream
-// completes, or ctx is done — the long-poll and SSE substrate.
+// completes, or ctx is done — the SSE stream's substrate. On a finished
+// session it returns at once with every retained event past after.
 func (s *Service) WaitEvents(ctx context.Context, id string, after int) ([]agent.Event, bool, error) {
 	ia, err := s.lookupInteractive(id)
 	if err != nil {

@@ -60,7 +60,7 @@ func TestInteractiveAskFlow(t *testing.T) {
 
 	// The proposed plan is in the log before any decision, preceded only by
 	// the queue_position frame stamped at enqueue time.
-	events, closed, err := svc.Events(info.ID, 0)
+	events, closed, err := svc.WaitEvents(context.Background(), info.ID, 0)
 	if err != nil || closed {
 		t.Fatalf("events: %v closed=%v", err, closed)
 	}
@@ -91,7 +91,7 @@ func TestInteractiveAskFlow(t *testing.T) {
 	waitDone(t, done)
 
 	// The stream is complete and ends with the answer event.
-	all, closed, err := svc.Events(info.ID, 0)
+	all, closed, err := svc.WaitEvents(context.Background(), info.ID, 0)
 	if err != nil || !closed {
 		t.Fatalf("final events: %v closed=%v", err, closed)
 	}
@@ -154,7 +154,7 @@ func TestInteractiveApprovalTimeout(t *testing.T) {
 func TestInteractiveErrors(t *testing.T) {
 	svc := newService(t, Config{Workers: 1, ApprovalTimeout: 30 * time.Second})
 
-	if _, _, err := svc.Events("q-9999", 0); !errors.Is(err, ErrUnknownSession) {
+	if _, _, err := svc.WaitEvents(context.Background(), "q-9999", 0); !errors.Is(err, ErrUnknownSession) {
 		t.Fatalf("unknown session err = %v", err)
 	}
 	if err := svc.SubmitPlan("q-9999", agent.PlanDecision{Approve: true}); !errors.Is(err, ErrUnknownSession) {
@@ -166,7 +166,7 @@ func TestInteractiveErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := svc.Events(res.RequestID, 0); !errors.Is(err, ErrNotInteractive) {
+	if _, _, err := svc.WaitEvents(context.Background(), res.RequestID, 0); !errors.Is(err, ErrNotInteractive) {
 		t.Fatalf("non-interactive events err = %v", err)
 	}
 

@@ -712,18 +712,7 @@ func (r *Registry) CheckInteractive(name, id string) error {
 	return err
 }
 
-// Events returns shard name's session id events past after (see
-// Service.Events). A cold shard has no live event logs: ErrShardCold.
-func (r *Registry) Events(name, id string, after int) ([]agent.Event, bool, error) {
-	sh, svc, err := r.pinLive(name)
-	if err != nil {
-		return nil, false, err
-	}
-	defer r.release(sh)
-	return svc.Events(id, after)
-}
-
-// WaitEvents long-polls shard name's session id for events past after. The
+// WaitEvents blocks until shard name's session id has events past after. The
 // shard stays pinned for the duration of the wait, so a watched session's
 // shard is never idle-evicted under it.
 func (r *Registry) WaitEvents(ctx context.Context, name, id string, after int) ([]agent.Event, bool, error) {

@@ -25,63 +25,83 @@ type sseConn struct {
 	br   *bufio.Reader
 }
 
-func openSSE(t *testing.T, base, eid, id string, lastEventID int) *sseConn {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/ensembles/"+eid+"/sessions/"+id+"/events", nil)
+// dialSSE opens the event stream at url, resuming after lastEventID when
+// it is positive.
+func dialSSE(url string, lastEventID int) (*sseConn, error) {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if lastEventID > 0 {
 		req.Header.Set("Last-Event-ID", strconv.Itoa(lastEventID))
 	}
 	resp, err := http.DefaultTransport.RoundTrip(req)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		t.Fatalf("events stream: %d %s", resp.StatusCode, body)
+		return nil, fmt.Errorf("events stream: %d %s", resp.StatusCode, body)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type = %q", ct)
+		resp.Body.Close()
+		return nil, fmt.Errorf("content type = %q", ct)
 	}
-	return &sseConn{resp: resp, br: bufio.NewReader(resp.Body)}
+	return &sseConn{resp: resp, br: bufio.NewReader(resp.Body)}, nil
 }
 
-// next reads one SSE frame; done reports the terminal sentinel.
-func (c *sseConn) next(t *testing.T) (ev agent.Event, done bool) {
+func openSSE(t *testing.T, base, eid, id string, lastEventID int) *sseConn {
 	t.Helper()
+	c, err := dialSSE(base+"/v1/ensembles/"+eid+"/sessions/"+id+"/events", lastEventID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// read reads one SSE frame; done reports the terminal sentinel.
+func (c *sseConn) read() (ev agent.Event, done bool, err error) {
 	var kind string
 	var data []byte
 	for {
 		line, err := c.br.ReadString('\n')
 		if err != nil {
-			t.Fatalf("sse read: %v", err)
+			return agent.Event{}, false, fmt.Errorf("sse read: %w", err)
 		}
 		line = strings.TrimRight(line, "\n")
 		switch {
 		case line == "":
 			if kind == "done" {
-				return agent.Event{}, true
+				return agent.Event{}, true, nil
 			}
 			if len(data) == 0 {
 				kind = ""
 				continue
 			}
 			if err := json.Unmarshal(data, &ev); err != nil {
-				t.Fatalf("sse frame %q: %v", data, err)
+				return agent.Event{}, false, fmt.Errorf("sse frame %q: %w", data, err)
 			}
 			if string(ev.Kind) != kind {
-				t.Fatalf("frame type %q != payload kind %q", kind, ev.Kind)
+				return agent.Event{}, false, fmt.Errorf("frame type %q != payload kind %q", kind, ev.Kind)
 			}
-			return ev, false
+			return ev, false, nil
 		case strings.HasPrefix(line, "event: "):
 			kind = line[len("event: "):]
 		case strings.HasPrefix(line, "data: "):
 			data = append(data, line[len("data: "):]...)
 		}
 	}
+}
+
+// next is read for the test goroutine: any error fails the test.
+func (c *sseConn) next(t *testing.T) (agent.Event, bool) {
+	t.Helper()
+	ev, done, err := c.read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev, done
 }
 
 func (c *sseConn) close() { c.resp.Body.Close() }
@@ -131,9 +151,11 @@ func submitPlan(t *testing.T, base, eid, id string, d agent.PlanDecision) int {
 func TestHTTPInteractiveSSEResume(t *testing.T) {
 	_, base := startServer(t, Config{Workers: 4, QueueDepth: 16, ApprovalTimeout: 60 * time.Second})
 
-	// Sibling sessions on the same shard: start, approve over the long-poll
-	// fallback, drain to completion — concurrency on the approval gate and
+	// Sibling sessions on the same shard: start, approve over their own SSE
+	// streams, drain to completion — concurrency on the approval gate and
 	// the event logs while the main session does the kill/resume dance.
+	// Each approval is sent the moment its plan event arrives, so it must
+	// find the review window open.
 	const siblings = 3
 	var wg sync.WaitGroup
 	for i := 0; i < siblings; i++ {
@@ -141,29 +163,28 @@ func TestHTTPInteractiveSSEResume(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			info := startInteractive(t, base, "default", topHalosQ, int64(i)+2)
-			after, approved, done := 0, false, false
-			deadline := time.Now().Add(120 * time.Second)
-			for !done {
-				if time.Now().After(deadline) {
-					t.Errorf("sibling %d: never finished", i)
+			conn, err := dialSSE(base+"/v1/ensembles/default/sessions/"+info.ID+"/events", 0)
+			if err != nil {
+				t.Errorf("sibling %d: %v", i, err)
+				return
+			}
+			defer conn.close()
+			approved := false
+			for {
+				ev, done, err := conn.read()
+				if err != nil {
+					t.Errorf("sibling %d: %v", i, err)
 					return
 				}
-				var page EventsPage
-				url := fmt.Sprintf("%s/v1/ensembles/default/sessions/%s/events?after=%d&wait=2s", base, info.ID, after)
-				if code := getJSON(t, url, &page); code != http.StatusOK {
-					t.Errorf("sibling %d: poll code %d", i, code)
-					return
+				if done {
+					break
 				}
-				after = page.After
-				done = page.Done
-				for _, ev := range page.Events {
-					if !approved && (ev.Kind == agent.EventPlanProposed || ev.Kind == agent.EventPlanRevised) {
-						if code := submitPlan(t, base, "default", info.ID, agent.PlanDecision{Approve: true}); code != http.StatusOK && code != http.StatusConflict {
-							t.Errorf("sibling %d: approve code %d", i, code)
-							return
-						}
-						approved = true
+				if !approved && (ev.Kind == agent.EventPlanProposed || ev.Kind == agent.EventPlanRevised) {
+					if code := submitPlan(t, base, "default", info.ID, agent.PlanDecision{Approve: true}); code != http.StatusOK {
+						t.Errorf("sibling %d: approve code %d", i, code)
+						return
 					}
+					approved = true
 				}
 			}
 			var res AskResult
@@ -270,13 +291,36 @@ func TestHTTPInteractiveSSEResume(t *testing.T) {
 
 	wg.Wait()
 
-	// Long-poll after completion returns the full page immediately, done.
-	var page EventsPage
-	if code := getJSON(t, fmt.Sprintf("%s/v1/ensembles/default/sessions/%s/events?after=0&wait=0s", base, info.ID), &page); code != http.StatusOK {
-		t.Fatalf("replay poll code = %d", code)
+	// A finished session replays its whole stream at once from ?from=0.
+	replay, err := dialSSE(fmt.Sprintf("%s/v1/ensembles/default/sessions/%s/events?from=0", base, info.ID), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !page.Done || len(page.Events) != len(seqs) {
-		t.Fatalf("replay = done=%v %d events, want %d", page.Done, len(page.Events), len(seqs))
+	defer replay.close()
+	replayed := 0
+	for {
+		ev, done := replay.next(t)
+		if done {
+			break
+		}
+		if replayed++; ev.Seq != replayed {
+			t.Fatalf("replayed event %d has seq %d", replayed, ev.Seq)
+		}
+	}
+	if replayed != len(seqs) {
+		t.Fatalf("replay = %d events, want %d", replayed, len(seqs))
+	}
+
+	// ?after= is no cursor of this endpoint: it answers 400 and points at
+	// the SSE resume cursors instead of replaying from 0.
+	resp, err := http.Get(fmt.Sprintf("%s/v1/ensembles/default/sessions/%s/events?after=0", base, info.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("Last-Event-ID")) || !bytes.Contains(body, []byte("?from=")) {
+		t.Fatalf("?after=0 = %d %s, want 400 naming Last-Event-ID and ?from=", resp.StatusCode, body)
 	}
 }
 

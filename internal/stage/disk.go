@@ -329,34 +329,53 @@ func readBlkEntry(full string) (*diskEntry, error) {
 		return nil, err
 	}
 	defer f.Close()
+	h, k, err := readBlkHeader(f)
+	if err != nil {
+		return nil, err
+	}
+	return newDiskEntry(h, k, full), nil
+}
+
+// readBlkHeader reads an open block file's header and key strings, never
+// its payload, and checks that the file holds the whole payload the header
+// places (a truncated file must fail here, before any mmap cast could
+// fault past EOF). The index scan and every promotion check a block file
+// through it.
+func readBlkHeader(f *os.File) (blkHeader, key, error) {
 	hdr := make([]byte, blkHeaderSize)
 	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return nil, err
+		return blkHeader{}, key{}, err
 	}
 	h, err := decodeBlkHeader(hdr)
 	if err != nil {
-		return nil, err
+		return blkHeader{}, key{}, err
 	}
 	keyBuf := make([]byte, h.pathLen+h.colLen)
 	if _, err := f.ReadAt(keyBuf, blkHeaderSize); err != nil {
-		return nil, err
+		return blkHeader{}, key{}, err
 	}
 	st, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return blkHeader{}, key{}, err
 	}
 	if st.Size() < h.payloadOff+h.payloadLen {
-		return nil, fmt.Errorf("stage: block file truncated")
+		return blkHeader{}, key{}, fmt.Errorf("stage: block file %s truncated: %d < %d", f.Name(), st.Size(), h.payloadOff+h.payloadLen)
 	}
+	return h, key{path: string(keyBuf[:h.pathLen]), col: string(keyBuf[h.pathLen:])}, nil
+}
+
+// newDiskEntry is the index entry for the block of key k, described by h,
+// stored in file.
+func newDiskEntry(h blkHeader, k key, file string) *diskEntry {
 	return &diskEntry{
-		key:        key{path: string(keyBuf[:h.pathLen]), col: string(keyBuf[h.pathLen:])},
+		key:        k,
 		stamp:      stamp{mtime: h.srcMtimeNS, size: h.srcSize},
 		kind:       h.kind,
 		rows:       h.rows,
 		bytes:      h.payloadLen,
-		file:       full,
+		file:       file,
 		payloadOff: h.payloadOff,
-	}, nil
+	}
 }
 
 // budgetBytes returns the tier's byte budget.
@@ -426,15 +445,7 @@ func (dt *diskTier) put(k key, st stamp, kind dataframe.Kind, rows int, payload 
 		os.Remove(tmp.Name())
 		return err
 	}
-	e := &diskEntry{
-		key:        k,
-		stamp:      st,
-		kind:       kind,
-		rows:       int64(rows),
-		bytes:      h.payloadLen,
-		file:       full,
-		payloadOff: h.payloadOff,
-	}
+	e := newDiskEntry(h, k, full)
 	dt.mu.Lock()
 	if prev, ok := dt.items[k]; ok {
 		dt.removeLocked(prev, false)
@@ -475,39 +486,34 @@ func (dt *diskTier) promote(k key, now stamp) (*entry, error) {
 	if e.m != nil {
 		m = e.m.ref()
 	}
-	kind, rows, payloadOff, payloadLen, file := e.kind, int(e.rows), e.payloadOff, e.bytes, e.file
+	want := *e
 	dt.mu.Unlock()
 
+	var col *dataframe.Column
 	if m == nil {
-		region, err := dt.load(k, file, payloadOff, payloadLen, kind)
+		region, copied, err := loadBlk(&want)
 		if err != nil {
 			dt.drop(k, now)
 			return nil, err
 		}
-		if region != nil {
-			if m = dt.adopt(el, region); m == nil {
-				return nil, nil
-			}
+		if region == nil {
+			col = copied
+		} else if m = dt.adopt(el, region); m == nil {
+			return nil, nil
 		}
 	}
-
-	var col *dataframe.Column
-	var err error
 	if m != nil {
-		col, err = gio.CastBlock(k.col, kind, m.region[payloadOff:payloadOff+payloadLen], rows)
-	} else {
-		col, err = dt.decodeCopy(k, file, payloadOff, payloadLen, kind, rows)
-	}
-	if err != nil {
-		m.unref()
-		dt.drop(k, now)
-		return nil, err
-	}
-	if m != nil {
+		var err error
+		col, err = gio.CastBlock(k.col, want.kind, m.region[want.payloadOff:want.payloadOff+want.bytes], int(want.rows))
+		if err != nil {
+			m.unref()
+			dt.drop(k, now)
+			return nil, err
+		}
 		m.ref()
 		runtime.SetFinalizer(col, func(*dataframe.Column) { m.unref() })
 	}
-	return &entry{key: k, stamp: now, col: col.MarkShared(), bytes: payloadLen, m: m}, nil
+	return &entry{key: k, stamp: now, col: col.MarkShared(), bytes: want.bytes, m: m}, nil
 }
 
 // adopt makes region, freshly mapped for the entry at el, that entry's one
@@ -533,101 +539,77 @@ func (dt *diskTier) adopt(el *list.Element, region []byte) *mapping {
 	return e.m.ref()
 }
 
-// load validates the block file and returns the whole page-aligned mmap
-// region for kinds eligible for the cast fast path, or (nil, nil) to
-// request the copy-decode fallback. The payload's CRC is checked before it
-// is mapped, once per mapping: a block whose bytes changed after it was
-// written (bit rot, or pages lost in a crash) fails the promotion instead
-// of being cast and served. The check reads the file rather than the
-// mapping, so it faults in no mapped pages: a promoted column's resident
-// pages stay the ones its readers touch.
-func (dt *diskTier) load(k key, file string, payloadOff, payloadLen int64, kind dataframe.Kind) ([]byte, error) {
-	f, err := os.Open(file)
+// loadBlk opens and checks the block file behind index entry e (openBlk)
+// and serves its payload from that one open file. A kind eligible for the
+// cast fast path comes back as the whole page-aligned mmap region; any
+// other kind, a host without the native layout, or a failed mmap comes
+// back copy-decoded. The payload's CRC is checked before it is mapped,
+// once per mapping: a block whose bytes changed after it was written (bit
+// rot, or pages lost in a crash) fails the promotion instead of being cast
+// and served. The check reads the file rather than the mapping, so it
+// faults in no mapped pages: a promoted column's resident pages stay the
+// ones its readers touch.
+func loadBlk(e *diskEntry) ([]byte, *dataframe.Column, error) {
+	f, h, err := openBlk(e)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
-	h, err := validateBlk(f, k, payloadOff, payloadLen)
-	if err != nil {
-		return nil, err
-	}
-	if !gio.NativeLayout(kind) || !mmapSupported {
-		return nil, nil
-	}
-	crc := crc32.New(blkCastagnoli)
-	if _, err := io.Copy(crc, io.NewSectionReader(f, payloadOff, payloadLen)); err != nil {
-		return nil, err
-	}
-	if got := crc.Sum32(); got != h.crc {
-		return nil, fmt.Errorf("stage: block %s/%s CRC mismatch: got %08x want %08x", k.path, k.col, got, h.crc)
-	}
-	region, err := mmapFile(f, payloadOff+payloadLen)
-	if err != nil {
+	if gio.NativeLayout(h.kind) && mmapSupported {
+		crc := crc32.New(blkCastagnoli)
+		if _, err := io.Copy(crc, io.NewSectionReader(f, h.payloadOff, h.payloadLen)); err != nil {
+			return nil, nil, err
+		}
+		if got := crc.Sum32(); got != h.crc {
+			return nil, nil, fmt.Errorf("stage: block %s/%s CRC mismatch: got %08x want %08x", e.key.path, e.key.col, got, h.crc)
+		}
 		// mmap can fail on exotic filesystems; fall back to copy-decode
 		// rather than failing the promotion.
-		return nil, nil
+		if region, err := mmapFile(f, h.payloadOff+h.payloadLen); err == nil {
+			return region, nil, nil
+		}
 	}
-	return region, nil
+	col, err := decodeCopy(f, e.key, h)
+	return nil, col, err
 }
 
-// validateBlk re-checks a block file against the index entry it claims to
-// back and returns its header: magic, key strings (heals fnv filename
-// collisions), and size bounds (a truncated file must fail here, before
-// any mmap cast could fault past EOF).
-func validateBlk(f *os.File, k key, payloadOff, payloadLen int64) (blkHeader, error) {
-	st, err := f.Stat()
+// openBlk opens the block file behind index entry e and checks, through
+// readBlkHeader, that it still backs e: same key strings (heals fnv
+// filename collisions), source generation, kind, rows and payload place.
+// The returned header is the one every later payload read trusts.
+func openBlk(e *diskEntry) (*os.File, blkHeader, error) {
+	f, err := os.Open(e.file)
 	if err != nil {
-		return blkHeader{}, err
+		return nil, blkHeader{}, err
 	}
-	if st.Size() < payloadOff+payloadLen {
-		return blkHeader{}, fmt.Errorf("stage: block file %s truncated: %d < %d", f.Name(), st.Size(), payloadOff+payloadLen)
+	h, k, err := readBlkHeader(f)
+	if err == nil {
+		want := *e
+		want.m = nil
+		if *newDiskEntry(h, k, e.file) != want {
+			err = fmt.Errorf("stage: block file %s keyed to another entry", e.file)
+		}
 	}
-	hdr := make([]byte, blkHeaderSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return blkHeader{}, err
-	}
-	h, err := decodeBlkHeader(hdr)
 	if err != nil {
-		return blkHeader{}, err
+		f.Close()
+		return nil, blkHeader{}, err
 	}
-	if h.pathLen != len(k.path) || h.colLen != len(k.col) {
-		return blkHeader{}, fmt.Errorf("stage: block file %s keyed to another entry", f.Name())
-	}
-	keyBuf := make([]byte, h.pathLen+h.colLen)
-	if _, err := f.ReadAt(keyBuf, blkHeaderSize); err != nil {
-		return blkHeader{}, err
-	}
-	if string(keyBuf[:h.pathLen]) != k.path || string(keyBuf[h.pathLen:]) != k.col {
-		return blkHeader{}, fmt.Errorf("stage: block file %s keyed to another entry", f.Name())
-	}
-	return h, nil
+	return f, h, nil
 }
 
-// decodeCopy is the promotion fallback: read the payload, verify its CRC,
-// decode through the gio block decoder. Used for String columns (variable
-// width — no cast possible), big-endian hosts, and mmap failures.
-func (dt *diskTier) decodeCopy(k key, file string, payloadOff, payloadLen int64, kind dataframe.Kind, rows int) (*dataframe.Column, error) {
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	hdr := make([]byte, blkHeaderSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return nil, err
-	}
-	h, err := decodeBlkHeader(hdr)
-	if err != nil {
-		return nil, err
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := f.ReadAt(payload, payloadOff); err != nil {
+// decodeCopy is the promotion fallback: read the payload h places in f,
+// verify its CRC, decode through the gio block decoder. Used for String
+// columns (variable width — no cast possible), big-endian hosts, and mmap
+// failures.
+func decodeCopy(f *os.File, k key, h blkHeader) (*dataframe.Column, error) {
+	payload := make([]byte, h.payloadLen)
+	if _, err := f.ReadAt(payload, h.payloadOff); err != nil {
 		return nil, err
 	}
 	if got := crc32.Checksum(payload, blkCastagnoli); got != h.crc {
 		return nil, fmt.Errorf("stage: block %s/%s CRC mismatch: got %08x want %08x", k.path, k.col, got, h.crc)
 	}
-	return gio.DecodeBlock(k.col, kind, payload, rows)
+	return gio.DecodeBlock(k.col, h.kind, payload, int(h.rows))
 }
 
 // drop removes (k, now) from the index and disk — promote's error path,

@@ -11,12 +11,12 @@ import (
 )
 
 // FuzzBlockHeader throws arbitrary bytes, written to a block file, at the
-// disk tier's header surfaces: decodeBlkHeader, the index scan's
-// readBlkEntry, and the promote-time validateBlk. None may panic or
-// over-allocate, and whatever readBlkEntry accepts must be a block
-// validateBlk accepts for its own key (and rejects for another), whose
-// payload lies inside the file, and which — when numeric and the right
-// size — gio.CastBlock views without error.
+// disk tier's header surfaces: decodeBlkHeader, and readBlkHeader through
+// both its callers, the index scan's readBlkEntry and the promote-time
+// openBlk. None may panic or over-allocate, and whatever readBlkEntry
+// accepts must be a block openBlk accepts for its own entry (and rejects
+// for another key), whose payload lies inside the file, and which — when
+// numeric and the right size — gio.CastBlock views without error.
 func FuzzBlockHeader(f *testing.F) {
 	dir := f.TempDir()
 	dt, err := newDiskTier(dir, 0)
@@ -63,17 +63,16 @@ func FuzzBlockHeader(f *testing.F) {
 		if e.payloadOff > int64(len(data)) || e.bytes > int64(len(data))-e.payloadOff {
 			t.Fatalf("payload [%d, +%d) past the end of a %d-byte file", e.payloadOff, e.bytes, len(data))
 		}
-		fh, err := os.Open(p)
+		fh, _, err := openBlk(e)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("openBlk rejected the entry readBlkEntry built: %v", err)
 		}
-		defer fh.Close()
-		if _, err := validateBlk(fh, e.key, e.payloadOff, e.bytes); err != nil {
-			t.Fatalf("validateBlk rejected the entry readBlkEntry built: %v", err)
-		}
-		other := key{path: e.key.path + "x", col: e.key.col}
-		if _, err := validateBlk(fh, other, e.payloadOff, e.bytes); err == nil {
-			t.Fatal("validateBlk accepted a block keyed to another entry")
+		fh.Close()
+		other := *e
+		other.key.path += "x"
+		if fh, _, err := openBlk(&other); err == nil {
+			fh.Close()
+			t.Fatal("openBlk accepted a block keyed to another entry")
 		}
 		if e.kind == dataframe.Float || e.kind == dataframe.Int {
 			// An 8-aligned copy stands in for the page-aligned mapping.

@@ -97,7 +97,12 @@ func TestServingPathsBitIdentical(t *testing.T) {
 	for _, name := range cols {
 		k := key{path: path, col: name}
 		e := diskEntryOf(t, c2.disk, k)
-		copied, err := c2.disk.decodeCopy(k, e.file, e.payloadOff, e.bytes, e.kind, int(e.rows))
+		f, h, err := openBlk(&e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copied, err := decodeCopy(f, k, h)
+		f.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
