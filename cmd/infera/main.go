@@ -82,7 +82,8 @@ func runREPL(ensemble, work string, seed int64, auto bool, limits sandbox.Limits
 		Defaults: service.Config{
 			Seed:         seed,
 			ScriptLimits: limits,
-			Workers:      1, // one human, one session at a time
+			TrimHistory:  true, // the supervisor inferad runs by default (-trim)
+			Workers:      1,    // one human, one session at a time
 			// A terminal review waits on a human; keep the auto-approve
 			// expiry generous (abandoned remote sessions are the short case).
 			ApprovalTimeout: 10 * time.Minute,

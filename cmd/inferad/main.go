@@ -12,9 +12,11 @@
 //
 //	inferad -ensemble DIR [-ensemble name=DIR ...] [-addr 127.0.0.1:8080]
 //	        [-work DIR] [-max-live-shards 4] [-workers 4] [-queue 64]
-//	        [-cache 128] [-seed 1] [-trim] [-skipdoc]
+//	        [-cache 128] [-max-sessions 4096] [-seed 1] [-trim] [-skipdoc]
+//	        [-approval-timeout 60s] [-node-id ID] [-v]
 //	        [-stage-budget MB] [-stage-dir DIR] [-stage-disk-budget MB]
 //	        [-provenance-max-age 0] [-provenance-max-bytes 0]
+//	        [-script-fuel N] [-script-mem MB] [-script-timeout D]
 //
 // -stage-dir attaches a persistent disk tier under the in-memory staging
 // cache: decoded column blocks write through to a block store there, memory
@@ -28,9 +30,9 @@
 // or over-budget trails whenever a shard closes (idle eviction, DELETE,
 // shutdown), sparing sessions the persisted answer cache still references.
 //
-// -ensemble repeats: a bare DIR names the shard "default"; name=DIR
-// registers further shards. The first flag becomes the default shard. More
-// ensembles can be registered at runtime with POST /v1/ensembles.
+// -ensemble repeats: a bare DIR names the shard "default" (an ordinary
+// shard name); name=DIR registers further shards. More ensembles can be
+// registered at runtime with POST /v1/ensembles.
 //
 // # Serving
 //
@@ -98,7 +100,6 @@ import (
 	"strings"
 	"syscall"
 
-	"infera/internal/llm"
 	"infera/internal/sandbox"
 	"infera/internal/service"
 	"infera/internal/stage"
@@ -154,7 +155,6 @@ func main() {
 		trim       = flag.Bool("trim", true, "trim supervisor history (token optimization)")
 		skipdoc    = flag.Bool("skipdoc", false, "skip the documentation agent")
 		approval   = flag.Duration("approval-timeout", 0, "interactive plan-review deadline before auto-approval (0 = 60s default)")
-		eventBuf   = flag.Int("event-buffer", 0, "per-session event-log capacity for interactive asks (0 = 512 default)")
 		stageMB    = flag.Int64("stage-budget", stage.DefaultBudgetBytes>>20, "staging-cache budget for decoded column blocks, in MB (shared across all shards)")
 		stageDir   = flag.String("stage-dir", "", "staging-cache disk tier directory; empty disables the persistent block store")
 		stageDisk  = flag.Int64("stage-disk-budget", stage.DefaultDiskBudgetBytes>>20, "disk-tier block store budget, in MB (needs -stage-dir)")
@@ -162,8 +162,6 @@ func main() {
 		provBytes  = flag.Int64("provenance-max-bytes", 0, "total on-disk session-trail budget enforced at shard close, in bytes (0 = unlimited)")
 		verbose    = flag.Bool("v", false, "log per-request progress")
 		nodeID     = flag.String("node-id", "", "fleet identity reported on /healthz (default: host:pid)")
-		maxAsks    = flag.Int("max-concurrent-asks", 0, "node-wide cap on concurrently executing asks across all shards (0 = uncapped)")
-		simLat     = flag.Duration("sim-latency", 0, "per-model-call latency injected into the simulated LLM (models real API round trips; 0 = pure CPU)")
 		scriptFuel = flag.Int64("script-fuel", sandbox.DefaultLimits().MaxFuel, "per-execution script instruction budget, overridable per shard at registration (0 = unlimited)")
 		scriptMem  = flag.Int64("script-mem", sandbox.DefaultLimits().MaxMemBytes>>20, "per-execution script memory budget, in MB, overridable per shard (0 = unlimited)")
 		scriptTO   = flag.Duration("script-timeout", sandbox.DefaultLimits().MaxWall, "per-execution script wall-clock limit, overridable per shard (0 = none)")
@@ -190,17 +188,12 @@ func main() {
 			TrimHistory:        *trim,
 			SkipDocumentation:  *skipdoc,
 			ApprovalTimeout:    *approval,
-			EventBuffer:        *eventBuf,
 			ProvenanceMaxAge:   *provAge,
 			ProvenanceMaxBytes: *provBytes,
-			NewModel: func(seed int64) llm.Client {
-				return llm.NewSim(llm.SimConfig{Seed: seed, Latency: *simLat})
-			},
 		},
-		WorkDir:           *work,
-		MaxLiveShards:     *maxShards,
-		NodeID:            *nodeID,
-		MaxConcurrentAsks: *maxAsks,
+		WorkDir:       *work,
+		MaxLiveShards: *maxShards,
+		NodeID:        *nodeID,
 	}
 	if cfg.NodeID == "" {
 		host, _ := os.Hostname()

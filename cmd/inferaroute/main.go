@@ -4,18 +4,20 @@
 // member node that owns it, and every /v1/ensembles request — asks, SSE
 // event streams, plan approvals, session and provenance reads — is
 // reverse-proxied to that owner. An active health checker probes each
-// member's /healthz; a member that fails -unhealthy-after consecutive
-// probes is ejected from the ring (its ensembles reassign to ring
-// successors, which lazily register them from the router's catalog and
-// revive persisted answer caches from a shared -work root), and readmitted
-// after -healthy-after consecutive successes.
+// member's /healthz; a member that fails 2 consecutive probes is ejected
+// from the ring (its ensembles reassign to ring successors, which lazily
+// register them from the router's catalog and revive persisted answer
+// caches from a shared -work root), re-probed on a backoff that doubles up
+// to 15s, and readmitted after 2 consecutive successes. The ring places 256
+// virtual nodes per member, a request tries every healthy member once
+// before answering 502, and a body over the node's own 1 MB cap is refused
+// with 413 at the router edge; none of these is configurable.
 //
 // Usage:
 //
 //	inferaroute -node n1=http://127.0.0.1:8081 -node n2=http://127.0.0.1:8082 \
-//	            [-addr 127.0.0.1:8080] [-vnodes 256]
-//	            [-probe-interval 500ms] [-probe-timeout 2s]
-//	            [-unhealthy-after 2] [-healthy-after 2] [-max-probe-backoff 15s]
+//	            [-addr 127.0.0.1:8080]
+//	            [-probe-interval 500ms] [-probe-timeout 2s] [-dial-timeout 2s]
 //	            [-header-timeout 5m] [-stream-idle-timeout 90s] [-v]
 //
 // A -node spec is a base URL or "name=URL". The name is the member's ring
@@ -77,19 +79,13 @@ func main() {
 	var nodes nodeFlags
 	flag.Var(&nodes, "node", "member node spec (http://host:port or name=http://host:port), repeatable; at least one required")
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
-		vnodes      = flag.Int("vnodes", fleet.DefaultVNodes, "virtual nodes per member on the consistent-hash ring")
-		probeIval   = flag.Duration("probe-interval", 500*time.Millisecond, "health-probe period per healthy member")
-		probeTO     = flag.Duration("probe-timeout", 2*time.Second, "single health-probe deadline")
-		unhealthyN  = flag.Int("unhealthy-after", 2, "consecutive probe failures before a member is ejected from the ring")
-		healthyN    = flag.Int("healthy-after", 2, "consecutive probe successes before an ejected member is readmitted")
-		maxBackoff  = flag.Duration("max-probe-backoff", 15*time.Second, "cap on the exponential re-probe backoff for dead members")
-		dialTO      = flag.Duration("dial-timeout", 2*time.Second, "per-proxy connect deadline (a dead node must fail fast so the ask fails over)")
-		headerTO    = flag.Duration("header-timeout", 5*time.Minute, "per-proxy response-header deadline (non-interactive asks answer at workflow completion, so this is the ask budget)")
-		streamIdle  = flag.Duration("stream-idle-timeout", 90*time.Second, "sever a proxied response body silent for this long (SSE heartbeats every 15s keep live streams open)")
-		maxBody     = flag.Int64("max-body", 1<<20, "request-body cap at the router edge, bytes (bodies buffer in memory to be replayable on failover)")
-		maxAttempts = flag.Int("max-attempts", 0, "distinct members one request may try before 502 (0 = all)")
-		verbose     = flag.Bool("v", false, "log probes, ejections, failovers and re-registrations")
+		addr       = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
+		probeIval  = flag.Duration("probe-interval", 500*time.Millisecond, "health-probe period per healthy member")
+		probeTO    = flag.Duration("probe-timeout", 2*time.Second, "single health-probe deadline")
+		dialTO     = flag.Duration("dial-timeout", 2*time.Second, "per-proxy connect deadline (a dead node must fail fast so the ask fails over)")
+		headerTO   = flag.Duration("header-timeout", 5*time.Minute, "per-proxy response-header deadline (non-interactive asks answer at workflow completion, so this is the ask budget)")
+		streamIdle = flag.Duration("stream-idle-timeout", 90*time.Second, "sever a proxied response body silent for this long (SSE heartbeats every 15s keep live streams open)")
+		verbose    = flag.Bool("v", false, "log probes, ejections, failovers and re-registrations")
 	)
 	flag.Parse()
 	if len(nodes) == 0 {
@@ -98,17 +94,11 @@ func main() {
 
 	cfg := fleet.Config{
 		Nodes:                 nodes,
-		VNodes:                *vnodes,
 		ProbeInterval:         *probeIval,
 		ProbeTimeout:          *probeTO,
-		UnhealthyAfter:        *unhealthyN,
-		HealthyAfter:          *healthyN,
-		MaxProbeBackoff:       *maxBackoff,
 		DialTimeout:           *dialTO,
 		ResponseHeaderTimeout: *headerTO,
 		StreamIdleTimeout:     *streamIdle,
-		MaxBodyBytes:          *maxBody,
-		MaxAttempts:           *maxAttempts,
 		Metrics:               telemetry.Default(),
 	}
 	if *verbose {
@@ -118,8 +108,8 @@ func main() {
 	if err := rt.Start(*addr); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("inferaroute: routing %d node(s) [%s] on http://%s/v1/ensembles (probe %s, eject after %d, readmit after %d)",
-		len(nodes), nodes.String(), rt.Addr(), *probeIval, *unhealthyN, *healthyN)
+	log.Printf("inferaroute: routing %d node(s) [%s] on http://%s/v1/ensembles (probe %s)",
+		len(nodes), nodes.String(), rt.Addr(), *probeIval)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

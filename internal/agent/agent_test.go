@@ -71,7 +71,6 @@ func TestGraphEngine(t *testing.T) {
 func TestGraphLoopGuardAndUnknownNode(t *testing.T) {
 	g := NewGraph("a")
 	g.AddNode("a", func(rt *Runtime, st *State) (string, error) { return "a", nil })
-	g.MaxTransitions = 5
 	if err := g.Run(&Runtime{}, &State{}); err == nil {
 		t.Error("routing loop should error")
 	}

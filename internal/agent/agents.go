@@ -111,6 +111,10 @@ func callModel(rt *Runtime, st *State, agentName, skill, system string, payload,
 	return nil
 }
 
+// maxPlanRounds caps human plan-refinement iterations: the plan shown in
+// the last round proceeds whatever the reviewer answers.
+const maxPlanRounds = 3
+
 // plannerNode runs the planning stage: generate, present for human
 // feedback, refine, repeat until approval (or immediately in automated
 // mode).
@@ -146,7 +150,7 @@ func plannerNode(rt *Runtime, st *State) (string, error) {
 		// The plan event goes out only once the review window is open, so
 		// a client that answers the event at once never finds it closed.
 		approved, comment := rt.Feedback.ReviewPlan(plan, announce)
-		if approved || round+1 >= rt.MaxPlanRounds {
+		if approved || round+1 >= maxPlanRounds {
 			break
 		}
 		feedback = append(feedback, comment)

@@ -14,13 +14,14 @@ type NodeFunc func(rt *Runtime, st *State) (next string, err error)
 type Graph struct {
 	nodes map[string]NodeFunc
 	start string
-	// MaxTransitions guards against routing loops.
-	MaxTransitions int
 }
+
+// maxTransitions guards against routing loops.
+const maxTransitions = 200
 
 // NewGraph returns a graph starting at start.
 func NewGraph(start string) *Graph {
-	return &Graph{nodes: map[string]NodeFunc{}, start: start, MaxTransitions: 200}
+	return &Graph{nodes: map[string]NodeFunc{}, start: start}
 }
 
 // AddNode registers a node.
@@ -31,8 +32,8 @@ func (g *Graph) AddNode(name string, fn NodeFunc) { g.nodes[name] = fn }
 func (g *Graph) Run(rt *Runtime, st *State) error {
 	cur := g.start
 	for i := 0; cur != ""; i++ {
-		if i >= g.MaxTransitions {
-			return fmt.Errorf("agent: graph exceeded %d transitions (routing loop?)", g.MaxTransitions)
+		if i >= maxTransitions {
+			return fmt.Errorf("agent: graph exceeded %d transitions (routing loop?)", maxTransitions)
 		}
 		fn, ok := g.nodes[cur]
 		if !ok {

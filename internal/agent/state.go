@@ -106,8 +106,6 @@ type Runtime struct {
 	// "not strictly necessary for core analysis" (§4.1.4), the other
 	// token-saving lever.
 	SkipDocumentation bool
-	// MaxPlanRounds caps human plan-refinement iterations.
-	MaxPlanRounds int
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 
@@ -146,9 +144,6 @@ func (rt *Runtime) withDefaults() *Runtime {
 	case out.MaxRevisions < 0:
 		out.MaxRevisions = 0
 	}
-	if out.MaxPlanRounds == 0 {
-		out.MaxPlanRounds = 3
-	}
 	if out.Stage == nil {
 		out.Stage = stage.Shared()
 	}
@@ -163,23 +158,6 @@ type Result struct {
 	Summary   string
 	Artifacts []provenance.Entry
 	Duration  time.Duration
-}
-
-// ArtifactsOfKind filters the provenance trail by artifact kind ("plot",
-// "scene", "data", ...), preserving manifest order — the shared plumbing the
-// CLI and the serving layer use to surface renderable outputs.
-func (r *Result) ArtifactsOfKind(kinds ...string) []provenance.Entry {
-	want := map[string]bool{}
-	for _, k := range kinds {
-		want[k] = true
-	}
-	var out []provenance.Entry
-	for _, e := range r.Artifacts {
-		if want[e.Kind] {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // TaskCompleteness returns the fraction of planned steps completed.

@@ -32,19 +32,12 @@ type Client struct {
 
 // New returns a client for the daemon at base ("host:port" or a full
 // "http://host:port" URL). Asks block for the full workflow, so the
-// underlying transport has no overall timeout; pass a custom *http.Client
-// via WithHTTPClient to change that.
+// underlying transport has no overall timeout.
 func New(base string) *Client {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
 	return &Client{base: strings.TrimRight(base, "/"), http: &http.Client{}}
-}
-
-// WithHTTPClient swaps the underlying HTTP client (timeouts, transports).
-func (c *Client) WithHTTPClient(hc *http.Client) *Client {
-	c.http = hc
-	return c
 }
 
 // APIError is a non-2xx daemon response.

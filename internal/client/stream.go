@@ -187,12 +187,7 @@ func (s *EventStream) nextFrame() (agent.Event, error) {
 	return agent.Event{}, io.ErrUnexpectedEOF
 }
 
-// LastSeq returns the sequence number of the last event delivered — the
-// cursor a manual resume would pass to StreamEvents.
-func (s *EventStream) LastSeq() int { return s.after }
-
-// Close releases the underlying connection. The stream may be resumed by
-// opening a new one from LastSeq.
+// Close releases the underlying connection.
 func (s *EventStream) Close() error {
 	if s.resp != nil {
 		err := s.resp.Body.Close()

@@ -60,6 +60,16 @@ type MemberStatus struct {
 	Live                 int           `json:"live"`
 }
 
+// The probe policy. unhealthyAfter consecutive failures eject a member from
+// the ring and healthyAfter consecutive successes readmit it; an ejected
+// member is re-probed on a backoff that doubles from the probe interval up
+// to maxProbeBackoff.
+const (
+	unhealthyAfter  = 2
+	healthyAfter    = 2
+	maxProbeBackoff = 15 * time.Second
+)
+
 // pool tracks member health and owns the ring: only healthy members are on
 // it, so Ring.Owner always resolves to a node the prober currently
 // believes alive, and ejection/readmission is exactly ring membership.
@@ -69,10 +79,7 @@ type pool struct {
 	members map[string]*Member // keyed by ring name
 	order   []string           // insertion order of names, for stable status listings
 
-	probeInterval  time.Duration
-	maxBackoff     time.Duration
-	unhealthyAfter int
-	healthyAfter   int
+	probeInterval time.Duration
 
 	logf func(format string, args ...any)
 
@@ -80,18 +87,14 @@ type pool struct {
 	metrics  *telemetry.Registry
 }
 
-func newPool(ring *Ring, probeInterval, maxBackoff time.Duration, unhealthyAfter, healthyAfter int,
-	metrics *telemetry.Registry, logf func(string, ...any)) *pool {
+func newPool(ring *Ring, probeInterval time.Duration, metrics *telemetry.Registry, logf func(string, ...any)) *pool {
 	p := &pool{
-		ring:           ring,
-		members:        map[string]*Member{},
-		probeInterval:  probeInterval,
-		maxBackoff:     maxBackoff,
-		unhealthyAfter: unhealthyAfter,
-		healthyAfter:   healthyAfter,
-		logf:           logf,
-		metrics:        metrics,
-		ringSize:       metrics.Gauge("infera_fleet_ring_size"),
+		ring:          ring,
+		members:       map[string]*Member{},
+		probeInterval: probeInterval,
+		logf:          logf,
+		metrics:       metrics,
+		ringSize:      metrics.Gauge("infera_fleet_ring_size"),
 	}
 	metrics.SetHelp("infera_fleet_ring_size", "Healthy member nodes currently on the consistent-hash ring.")
 	metrics.SetHelp("infera_fleet_probe_seconds", "Health-probe round-trip latency per member node.")
@@ -207,7 +210,7 @@ func (p *pool) reportSuccess(m *Member, latency time.Duration, nodeID string, sh
 		m.nodeID = nodeID
 	}
 	m.shards, m.live = shards, live
-	if !m.healthy && m.consecOKs >= p.healthyAfter {
+	if !m.healthy && m.consecOKs >= healthyAfter {
 		m.healthy = true
 		p.ring.Add(m.name)
 		p.ringSize.Set(int64(p.ring.Len()))
@@ -219,7 +222,7 @@ func (p *pool) reportSuccess(m *Member, latency time.Duration, nodeID string, sh
 // failure — immediate=true schedules a verification probe right away
 // instead of waiting out the interval), ejecting the member from the ring
 // once it crosses unhealthyAfter consecutive failures. Unhealthy members
-// are re-probed on an exponential backoff capped at maxBackoff, so a dead
+// are re-probed on an exponential backoff capped at maxProbeBackoff, so a dead
 // node costs probe traffic logarithmically rather than linearly while the
 // prober waits for it to come back.
 func (p *pool) reportFailure(m *Member, err error, immediate bool) {
@@ -231,7 +234,7 @@ func (p *pool) reportFailure(m *Member, err error, immediate bool) {
 	m.consecOKs = 0
 	m.consecFails++
 	p.metrics.Counter("infera_fleet_probe_failures_total", telemetry.L("node", m.name)).Inc()
-	if m.healthy && m.consecFails >= p.unhealthyAfter {
+	if m.healthy && m.consecFails >= unhealthyAfter {
 		m.healthy = false
 		m.ejections++
 		p.ring.Remove(m.name)
@@ -251,8 +254,8 @@ func (p *pool) reportFailure(m *Member, err error, immediate bool) {
 		} else {
 			m.backoff *= 2
 		}
-		if m.backoff > p.maxBackoff {
-			m.backoff = p.maxBackoff
+		if m.backoff > maxProbeBackoff {
+			m.backoff = maxProbeBackoff
 		}
 		m.nextProbe = now.Add(m.backoff)
 	}

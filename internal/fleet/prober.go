@@ -16,7 +16,7 @@ import (
 // it, and every member whose next probe is due gets one in its own
 // goroutine (a hung node's probe must not delay probing its siblings).
 // Healthy members are probed every ProbeInterval; unhealthy members back
-// off exponentially up to MaxProbeBackoff (reportFailure owns the
+// off exponentially up to maxProbeBackoff (reportFailure owns the
 // schedule). The loop stops when the router closes.
 func (rt *Router) probeLoop() {
 	defer rt.wg.Done()

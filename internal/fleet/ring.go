@@ -17,11 +17,13 @@ import (
 	"sync"
 )
 
-// DefaultVNodes is the virtual-node count per member. More virtual nodes
+// vnodesPerMember is the virtual-node count per member. More virtual nodes
 // smooth the key distribution (TestRingDistribution bounds the skew) at the
 // cost of a larger ring; 256 keeps 5-node deviation under ~10% while a
-// lookup stays one binary search over nodes*256 points.
-const DefaultVNodes = 256
+// lookup stays one binary search over nodes*256 points. It is a constant
+// because it is part of placement: two routers over the same members agree
+// on every owner only if they place the same virtual nodes.
+const vnodesPerMember = 256
 
 // point is one virtual node on the ring.
 type point struct {
@@ -37,18 +39,13 @@ type point struct {
 // survivors). The zero value is not usable; create with NewRing.
 type Ring struct {
 	mu     sync.RWMutex
-	vnodes int
 	points []point // sorted by hash
 	nodes  map[string]struct{}
 }
 
-// NewRing returns an empty ring with the given virtual-node count per
-// member (<= 0 uses DefaultVNodes).
-func NewRing(vnodesPerNode int) *Ring {
-	if vnodesPerNode <= 0 {
-		vnodesPerNode = DefaultVNodes
-	}
-	return &Ring{vnodes: vnodesPerNode, nodes: map[string]struct{}{}}
+// NewRing returns an empty ring.
+func NewRing() *Ring {
+	return &Ring{nodes: map[string]struct{}{}}
 }
 
 // hashKey positions a key (or virtual node label) on the ring: FNV-1a
@@ -86,7 +83,7 @@ func (r *Ring) Add(node string) {
 		return
 	}
 	r.nodes[node] = struct{}{}
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < vnodesPerMember; i++ {
 		r.points = append(r.points, point{hash: vnodeHash(node, i), node: node})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })

@@ -13,7 +13,7 @@ import (
 // processes, restarts and releases), so any diff here is a breaking change
 // that remaps every deployed fleet.
 func TestRingDeterministicPlacement(t *testing.T) {
-	r := NewRing(DefaultVNodes)
+	r := NewRing()
 	r.Add("n1")
 	r.Add("n2")
 	r.Add("n3")
@@ -43,7 +43,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 	}
 
 	// Placement must not depend on membership insertion order.
-	r2 := NewRing(DefaultVNodes)
+	r2 := NewRing()
 	r2.Add("n3")
 	r2.Add("n1")
 	r2.Add("n2")
@@ -61,7 +61,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 // taking 70% and another 0%.)
 func TestRingDistribution(t *testing.T) {
 	const keys, nodes = 1000, 5
-	r := NewRing(DefaultVNodes)
+	r := NewRing()
 	for i := 0; i < nodes; i++ {
 		r.Add(fmt.Sprintf("node-%d", i))
 	}
@@ -93,7 +93,7 @@ func TestRingDistribution(t *testing.T) {
 // the same node that owns the key after the prober ejects the corpse.
 func TestRingMinimalMovement(t *testing.T) {
 	const keys, nodes = 1000, 5
-	r := NewRing(DefaultVNodes)
+	r := NewRing()
 	for i := 0; i < nodes; i++ {
 		r.Add(fmt.Sprintf("node-%d", i))
 	}
@@ -151,7 +151,7 @@ func TestRingMinimalMovement(t *testing.T) {
 // the Owner after the first entry is removed.
 func TestRingSuccessorsMatchPostEjectionOwner(t *testing.T) {
 	const nodes = 4
-	full := NewRing(DefaultVNodes)
+	full := NewRing()
 	for i := 0; i < nodes; i++ {
 		full.Add(fmt.Sprintf("node-%d", i))
 	}
@@ -161,7 +161,7 @@ func TestRingSuccessorsMatchPostEjectionOwner(t *testing.T) {
 		if len(succ) != 2 {
 			t.Fatalf("Successors(%q) = %v", k, succ)
 		}
-		reduced := NewRing(DefaultVNodes)
+		reduced := NewRing()
 		for j := 0; j < nodes; j++ {
 			if n := fmt.Sprintf("node-%d", j); n != succ[0] {
 				reduced.Add(n)
@@ -176,7 +176,7 @@ func TestRingSuccessorsMatchPostEjectionOwner(t *testing.T) {
 // TestRingEmptyAndSingle covers the degenerate shapes the router hits
 // during total outage and single-node fleets.
 func TestRingEmptyAndSingle(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing()
 	if _, ok := r.Owner("x"); ok {
 		t.Error("empty ring reported an owner")
 	}
@@ -191,7 +191,7 @@ func TestRingEmptyAndSingle(t *testing.T) {
 		t.Errorf("single-node successors = %v", s)
 	}
 	r.Add("only") // duplicate add must not double the points
-	if got := len(r.points); got != 8 {
+	if got := len(r.points); got != vnodesPerMember {
 		t.Errorf("duplicate Add grew points to %d", got)
 	}
 	r.Remove("only")

@@ -31,20 +31,11 @@ type Config struct {
 	// optimistically healthy and are ejected by the prober if they turn out
 	// dead.
 	Nodes []string
-	// VNodes is the virtual-node count per member (DefaultVNodes).
-	VNodes int
 
 	// ProbeInterval is how often each healthy member is health-checked
 	// (500ms). ProbeTimeout bounds one probe round trip (2s).
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// UnhealthyAfter consecutive probe failures eject a member from the
-	// ring; HealthyAfter consecutive successes readmit it (2 and 2).
-	UnhealthyAfter int
-	HealthyAfter   int
-	// MaxProbeBackoff caps the exponential re-probe backoff for dead
-	// members (15s).
-	MaxProbeBackoff time.Duration
 
 	// DialTimeout bounds connecting to a member (2s) — a dead node must
 	// fail fast so the ask can fail over instead of wedging a router
@@ -58,14 +49,6 @@ type Config struct {
 	// trips it).
 	StreamIdleTimeout time.Duration
 
-	// MaxBodyBytes caps proxied request bodies at the router edge (1 MB,
-	// mirroring the node-side ask cap) — the body must buffer in memory to
-	// be replayable for failover, so the cap is also the replay budget.
-	MaxBodyBytes int64
-	// MaxAttempts bounds how many distinct members one request may try
-	// before giving up (0 = every member once).
-	MaxAttempts int
-
 	// Metrics receives the infera_fleet_* series (nil = metrics off, via
 	// telemetry's nil-safe registry).
 	Metrics *telemetry.Registry
@@ -74,23 +57,11 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 2 * time.Second
-	}
-	if c.UnhealthyAfter <= 0 {
-		c.UnhealthyAfter = 2
-	}
-	if c.HealthyAfter <= 0 {
-		c.HealthyAfter = 2
-	}
-	if c.MaxProbeBackoff <= 0 {
-		c.MaxProbeBackoff = 15 * time.Second
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
@@ -100,9 +71,6 @@ func (c *Config) defaults() {
 	}
 	if c.StreamIdleTimeout <= 0 {
 		c.StreamIdleTimeout = 90 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -162,7 +130,7 @@ type Router struct {
 func New(cfg Config) *Router {
 	cfg.defaults()
 	metrics := cfg.Metrics // nil is fine: telemetry registries are nil-safe
-	ring := NewRing(cfg.VNodes)
+	ring := NewRing()
 	rt := &Router{
 		cfg:        cfg,
 		ring:       ring,
@@ -172,7 +140,7 @@ func New(cfg Config) *Router {
 		registered: map[string]map[string]bool{},
 		stop:       make(chan struct{}),
 	}
-	rt.pool = newPool(ring, cfg.ProbeInterval, cfg.MaxProbeBackoff, cfg.UnhealthyAfter, cfg.HealthyAfter, metrics, cfg.Logf)
+	rt.pool = newPool(ring, cfg.ProbeInterval, metrics, cfg.Logf)
 	rt.transport = &http.Transport{
 		DialContext:           (&net.Dialer{Timeout: cfg.DialTimeout}).DialContext,
 		ResponseHeaderTimeout: cfg.ResponseHeaderTimeout,
@@ -450,46 +418,44 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 }
 
 // readBody buffers the request body (nil when absent), enforcing the
-// router-edge 413 cap. The buffer is what makes failover possible: the
-// original body is consumed by the first attempt, the buffer replays on
-// the successor.
+// node's own body cap (service.MaxBodyBytes) at the router edge with a 413.
+// The buffer is what makes failover possible: the original body is
+// consumed by the first attempt, the buffer replays on the successor, so
+// the cap is also the replay budget.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if r.Body == nil || r.ContentLength == 0 {
 		return nil, true
 	}
-	if r.ContentLength > rt.cfg.MaxBodyBytes {
-		writeJSONError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("fleet: request body exceeds %d bytes", rt.cfg.MaxBodyBytes))
+	if r.ContentLength > service.MaxBodyBytes {
+		writeJSONError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("fleet: request body exceeds %d bytes", service.MaxBodyBytes))
 		return nil, false
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBodyBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, service.MaxBodyBytes+1))
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("fleet: reading request body: %w", err))
 		return nil, false
 	}
-	if int64(len(body)) > rt.cfg.MaxBodyBytes {
-		writeJSONError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("fleet: request body exceeds %d bytes", rt.cfg.MaxBodyBytes))
+	if len(body) > service.MaxBodyBytes {
+		writeJSONError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("fleet: request body exceeds %d bytes", service.MaxBodyBytes))
 		return nil, false
 	}
 	return body, true
 }
 
 // forward proxies r (with its buffered body) to the member owning eid,
-// walking ring successors on transport failure. A member that fails is
-// reported to the prober (immediate re-probe → fast ejection) and never
-// retried for this request. selfRegister marks that the request IS the
-// registration (so ensureRegistered must not race it).
+// walking ring successors on transport failure until every member has been
+// tried once. A member that fails is reported to the prober (immediate
+// re-probe → fast ejection) and never retried for this request.
+// selfRegister marks that the request IS the registration (so
+// ensureRegistered must not race it).
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, eid string, body []byte, selfRegister bool) {
 	reqID := r.Header.Get("X-Request-ID")
 	if reqID == "" {
 		reqID = newRequestID()
 	}
-	maxAttempts := rt.cfg.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = len(rt.pool.statuses())
-	}
 	tried := map[string]bool{}
 	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	for attempt := 0; ; attempt++ {
 		m, ok := rt.pool.pick(eid, tried)
 		if !ok {
 			break

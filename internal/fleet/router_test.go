@@ -267,9 +267,8 @@ func TestRouterFailover(t *testing.T) {
 	b := newTestNode(t, work, "node-b", 10*time.Millisecond)
 	metrics := telemetry.NewRegistry()
 	rt := newTestRouter(t, Config{
-		Nodes:          []string{a.base(), b.base()},
-		Metrics:        metrics,
-		UnhealthyAfter: 2,
+		Nodes:   []string{a.base(), b.base()},
+		Metrics: metrics,
 	})
 	c := client.NewRouted(rt.Addr())
 	if err := c.WaitReady(5 * time.Second); err != nil {
@@ -428,7 +427,7 @@ func TestRouterRequestHygiene(t *testing.T) {
 	stub := httptest.NewServer(mux)
 	defer stub.Close()
 
-	rt := newTestRouter(t, Config{Nodes: []string{stub.URL}, MaxBodyBytes: 1024})
+	rt := newTestRouter(t, Config{Nodes: []string{stub.URL}})
 	base := "http://" + rt.Addr()
 	reg, err := http.Post(base+"/v1/ensembles", "application/json", strings.NewReader(`{"name":"e","dir":"/d"}`))
 	if err != nil || reg.StatusCode != http.StatusCreated {
@@ -487,7 +486,7 @@ func TestRouterRequestHygiene(t *testing.T) {
 	mu.Lock()
 	got = nil
 	mu.Unlock()
-	big := bytes.Repeat([]byte("x"), 2048)
+	big := bytes.Repeat([]byte("x"), service.MaxBodyBytes+1)
 	resp3, err := http.Post(base+"/v1/ensembles/e/ask", "application/json", bytes.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
@@ -511,7 +510,7 @@ func TestRouterHealthzGatesOnMembers(t *testing.T) {
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `{"status":"ok"}`)
 	}))
-	rt := newTestRouter(t, Config{Nodes: []string{stub.URL}, UnhealthyAfter: 1})
+	rt := newTestRouter(t, Config{Nodes: []string{stub.URL}})
 	base := "http://" + rt.Addr()
 
 	if err := client.New(base).WaitReady(5 * time.Second); err != nil {

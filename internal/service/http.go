@@ -123,11 +123,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// decodeBody decodes the JSON request body, at most maxAskBody bytes, into
+// decodeBody decodes the JSON request body, at most MaxBodyBytes bytes, into
 // v. On failure it answers the request — 413 for an oversized body, 400
 // for anything else — and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAskBody)).Decode(v)
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
 	if err == nil {
 		return true
 	}
@@ -176,10 +176,10 @@ func writeRegistryError(w http.ResponseWriter, err error) {
 	}
 }
 
-// maxAskBody bounds every JSON request body (ask, register, plan decision);
-// questions and comments are sentences, so anything past 1 MB is abuse,
-// not traffic.
-const maxAskBody = 1 << 20
+// MaxBodyBytes bounds every JSON request body (ask, register, plan
+// decision); questions and comments are sentences, so anything past 1 MB is
+// abuse, not traffic. The fleet router enforces the same cap at its edge.
+const MaxBodyBytes = 1 << 20
 
 // RegisterRequest is the POST /v1/ensembles payload. Workers and
 // CacheCapacity, when set, override the daemon-wide defaults for this shard

@@ -159,7 +159,7 @@ func TestHTTPAskSessionsProvenanceMetrics(t *testing.T) {
 	// Oversized body -> 413, not a generic 400, on every route that takes a
 	// JSON body: the body limit is a size condition the client can act on,
 	// distinct from malformed JSON.
-	filler := string(bytes.Repeat([]byte("x"), maxAskBody+1024))
+	filler := string(bytes.Repeat([]byte("x"), MaxBodyBytes+1024))
 	for _, c := range []struct{ path, body string }{
 		{defaultShard + "/ask", `{"question": "` + filler + `"}`},
 		{"/v1/ensembles", `{"name": "big", "dir": "` + filler + `"}`},

@@ -36,7 +36,7 @@ func (s *Service) AskInteractive(req AskRequest) (SessionInfo, <-chan struct{}, 
 	}
 	info := s.newSessionRecord(req, "queued")
 	ia := &interactive{
-		events: agent.NewEventLog(s.cfg.EventBuffer),
+		events: agent.NewEventLog(0),
 		done:   make(chan struct{}),
 	}
 	ia.feedback = &agent.AsyncFeedback{

@@ -32,12 +32,11 @@ type Registry struct {
 	cfg      RegistryConfig
 	workRoot string
 
-	mu          sync.Mutex
-	closed      bool
-	shards      map[string]*shard
-	defaultName string
-	opens       int64
-	evictions   int64
+	mu        sync.Mutex
+	closed    bool
+	shards    map[string]*shard
+	opens     int64
+	evictions int64
 	// retired accumulates the final counters of every closed shard
 	// incarnation, so aggregate metrics survive eviction/revival cycles.
 	retired ShardTotals
@@ -68,12 +67,6 @@ type RegistryConfig struct {
 	// detail and in the router's fleet status. Empty is fine for
 	// single-node daemons.
 	NodeID string
-	// MaxConcurrentAsks, when positive, caps ask execution concurrency
-	// across ALL shards in this process: one semaphore is shared by every
-	// shard's worker pool (Config.AskSlots), so the per-shard Workers
-	// setting governs queue ownership while this governs how many asks a
-	// node actually executes at once.
-	MaxConcurrentAsks int
 }
 
 // DefaultMaxLiveShards is the live-shard budget when RegistryConfig leaves
@@ -139,7 +132,6 @@ type ShardInfo struct {
 	// State is "live" (assistant pool open) or "cold" (registered; spins up
 	// on the next ask).
 	State      string    `json:"state"`
-	Default    bool      `json:"default,omitempty"`
 	Registered time.Time `json:"registered"`
 	LastUsed   time.Time `json:"last_used"`
 	// Opens counts spin-ups: 0 = never asked, >1 = revived after eviction.
@@ -226,9 +218,6 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 	if cfg.Defaults.Logf == nil {
 		cfg.Defaults.Logf = cfg.Logf
 	}
-	if cfg.MaxConcurrentAsks > 0 && cfg.Defaults.AskSlots == nil {
-		cfg.Defaults.AskSlots = make(chan struct{}, cfg.MaxConcurrentAsks)
-	}
 	return &Registry{cfg: cfg, shards: map[string]*shard{}, started: time.Now()}
 }
 
@@ -250,8 +239,6 @@ type HealthInfo struct {
 	Live   int `json:"live"`
 	// UptimeSeconds since the registry was created.
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// MaxConcurrentAsks echoes the node-level ask budget (0 = uncapped).
-	MaxConcurrentAsks int `json:"max_concurrent_asks,omitempty"`
 }
 
 // Health snapshots node liveness detail for /healthz.
@@ -259,11 +246,10 @@ func (r *Registry) Health() HealthInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := HealthInfo{
-		Status:            "ok",
-		Node:              r.cfg.NodeID,
-		Shards:            len(r.shards),
-		UptimeSeconds:     time.Since(r.started).Seconds(),
-		MaxConcurrentAsks: r.cfg.MaxConcurrentAsks,
+		Status:        "ok",
+		Node:          r.cfg.NodeID,
+		Shards:        len(r.shards),
+		UptimeSeconds: time.Since(r.started).Seconds(),
 	}
 	for _, sh := range r.shards {
 		if sh.svc != nil {
@@ -311,18 +297,22 @@ func (r *Registry) Register(name, dir string) (ShardInfo, error) {
 // wall-clock limit at all.
 const maxScriptTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 
+// maxShardWorkers bounds ShardOptions.Workers, which arrives in a POST
+// /v1/ensembles body: a shard's first ask builds that many assistants, each
+// with its own provenance store and retrieval index, plus a goroutine each.
+const maxShardWorkers = 256
+
 // RegisterWith adds a named ensemble shard without opening it (shards spin
 // up on first ask), with per-shard overrides of the registry defaults. The
 // directory must hold a loadable ensemble catalog. Registering the same
 // name+dir again is idempotent and updates the stored overrides — they
 // apply at the shard's next spin-up, not retroactively to a live pool; the
-// same name with a different dir fails with ErrEnsembleExists. The first
-// registered shard is the default one (ShardInfo.Default).
+// same name with a different dir fails with ErrEnsembleExists.
 func (r *Registry) RegisterWith(name, dir string, opts ShardOptions) (ShardInfo, error) {
 	if !ValidEnsembleName(name) {
 		return ShardInfo{}, ErrBadEnsembleName
 	}
-	if opts.Workers < 0 || opts.CacheSize < 0 ||
+	if opts.Workers < 0 || opts.Workers > maxShardWorkers || opts.CacheSize < 0 ||
 		opts.ScriptFuel < 0 || opts.ScriptMemBytes < 0 ||
 		opts.ScriptTimeoutMS < 0 || opts.ScriptTimeoutMS > maxScriptTimeoutMS {
 		return ShardInfo{}, fmt.Errorf("service: shard overrides out of range: %+v", opts)
@@ -366,9 +356,6 @@ func (r *Registry) RegisterWith(name, dir string, opts ShardOptions) (ShardInfo,
 		sh.lastFP, sh.lastFPAt = fi.Fingerprint, fi.SavedAt
 	}
 	r.shards[name] = sh
-	if r.defaultName == "" {
-		r.defaultName = name
-	}
 	r.logf("registry: registered ensemble %q -> %s", name, abs)
 	return r.infoLocked(sh), nil
 }
@@ -449,7 +436,6 @@ func (r *Registry) infoLocked(sh *shard) ShardInfo {
 		Name:       sh.name,
 		Dir:        sh.dir,
 		State:      "cold",
-		Default:    sh.name == r.defaultName,
 		Registered: sh.registered,
 		LastUsed:   sh.lastUsed,
 		Opens:      sh.opens,
@@ -798,15 +784,6 @@ func (r *Registry) Unregister(name string, purge bool) error {
 			continue // re-check: a racing ask may have reopened it
 		}
 		delete(r.shards, name)
-		if r.defaultName == name {
-			// Promote the lexicographically-first remaining shard.
-			r.defaultName = ""
-			for n := range r.shards {
-				if r.defaultName == "" || n < r.defaultName {
-					r.defaultName = n
-				}
-			}
-		}
 		// Purge under the lock: a re-Register of the same name recreates the
 		// same work directory, and an async RemoveAll would race it and
 		// delete the new shard's state. The dir is small (provenance trails

@@ -441,12 +441,8 @@ func TestRegistryRegisterValidation(t *testing.T) {
 	}
 
 	dir := testEnsemble(t)
-	info, err := reg.Register("a", dir)
-	if err != nil {
+	if _, err := reg.Register("a", dir); err != nil {
 		t.Fatal(err)
-	}
-	if !info.Default {
-		t.Error("first registered shard should be the default")
 	}
 	// Idempotent for the same dir, conflict for a different one.
 	if again, err := reg.Register("a", dir); err != nil || again.Name != "a" {

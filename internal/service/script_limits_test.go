@@ -64,8 +64,9 @@ func TestShardScriptLimitOverrides(t *testing.T) {
 	_ = again // in-band error is acceptable; the shard must simply answer
 }
 
-// TestShardScriptLimitValidation locks in rejection of negative overrides
-// and of a timeout whose Duration would overflow.
+// TestShardScriptLimitValidation locks in rejection of negative overrides,
+// of a timeout whose Duration would overflow and of a worker count past
+// maxShardWorkers.
 func TestShardScriptLimitValidation(t *testing.T) {
 	st := stage.New(1<<30, 4)
 	reg := NewRegistry(RegistryConfig{
@@ -81,6 +82,7 @@ func TestShardScriptLimitValidation(t *testing.T) {
 		{ScriptTimeoutMS: -1},
 		{ScriptTimeoutMS: 1 << 62}, // wraps to a zero MaxWall
 		{ScriptTimeoutMS: maxScriptTimeoutMS + 1},
+		{Workers: maxShardWorkers + 1},
 	} {
 		if _, err := reg.RegisterWith("bad", dir, opts); err == nil {
 			t.Fatalf("opts %+v: out-of-range override accepted", opts)

@@ -89,17 +89,6 @@ type Config struct {
 	// sessions whose client never comes back. 0 uses
 	// agent.DefaultAutoApprove; it applies per review round.
 	ApprovalTimeout time.Duration
-	// EventBuffer caps each interactive session's in-memory event log
-	// (oldest events drop past it). 0 uses agent.DefaultEventCapacity.
-	EventBuffer int
-	// AskSlots, when non-nil, is a process-wide semaphore bounding ask
-	// execution across every Service sharing the channel: a worker acquires
-	// a slot before running a task and releases it after, so N shards with
-	// M workers each still execute at most cap(AskSlots) asks at once. The
-	// registry wires one channel into all its shards when
-	// RegistryConfig.MaxConcurrentAsks is set — a node-level capacity
-	// budget beneath the per-shard pools.
-	AskSlots chan struct{}
 	// Logf receives progress lines when set.
 	Logf func(format string, args ...any)
 }
@@ -683,15 +672,7 @@ func (s *Service) worker(idx int, a *core.Assistant) {
 		s.m.Running++
 		s.mu.Unlock()
 
-		// The node-wide ask budget (when configured) is held only for the
-		// execution itself — queueing above stays unbounded by it.
-		if s.cfg.AskSlots != nil {
-			s.cfg.AskSlots <- struct{}{}
-		}
 		res := s.runTask(idx, a, t)
-		if s.cfg.AskSlots != nil {
-			<-s.cfg.AskSlots
-		}
 
 		s.mu.Lock()
 		s.m.Running--

@@ -3,7 +3,8 @@
 # inferaroute, sharing a work root. Registers an ensemble and asks through
 # the router, kill -9's one node mid-life, and proves the fleet keeps
 # answering with zero failed asks (including the shards the corpse owned,
-# which fail over to the survivor and revive from the shared work root).
+# which fail over to the survivor and revive from the shared work root),
+# then restarts it and checks that the router readmits it to the ring.
 #
 # Usage: scripts/fleet_smoke.sh [bindir]
 #   bindir: directory holding prebuilt haccgen/inferad/inferaroute binaries
@@ -58,7 +59,7 @@ wait_ready $N2 20
 
 say "starting inferaroute over both nodes"
 "$BIN/inferaroute" -addr $RT -node "n1=http://$N1" -node "n2=http://$N2" \
-  -probe-interval 200ms -unhealthy-after 2 -healthy-after 2 -v >"$TMP/rt.log" 2>&1 &
+  -probe-interval 200ms -v >"$TMP/rt.log" 2>&1 &
 PIDS+=($!)
 wait_ready $RT 20
 
@@ -130,4 +131,14 @@ curl -fsS "http://$N2/v1/metrics/prometheus" \
   | grep 'infera_stage_tier_hits_total{tier="disk"}' | grep -qv ' 0$' \
   || { say "FAIL: revived node served zero disk-tier promotions"; exit 1; }
 
-say "PASS: node killed mid-run, zero failed asks, corpse ejected, revival disk-warm"
+# The corpse sits on a re-probe backoff capped at 15s; two healthy probes
+# after its next one readmit it, so 20s covers the worst case.
+say "waiting for the router to readmit node 2"
+for _ in $(seq 1 200); do
+  HEALTHY=$(curl -fsS "http://$RT/v1/fleet" | grep -o '"healthy_nodes":[0-9]*' | cut -d: -f2)
+  [ "$HEALTHY" = "2" ] && break
+  sleep 0.1
+done
+[ "$HEALTHY" = "2" ] || { say "FAIL: revived node never readmitted (healthy_nodes=$HEALTHY)"; exit 1; }
+
+say "PASS: node killed mid-run, zero failed asks, corpse ejected, revival disk-warm, node readmitted"
