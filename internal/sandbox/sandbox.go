@@ -12,8 +12,8 @@
 // it computes is what it computed when every table was written to a
 // temporary directory as text and parsed back. CSV remains where bytes
 // leave the process: provenance artifacts, and the files a script writes
-// with save_csv (and may read_csv back) in its per-execution working
-// directory.
+// with save_csv (and may read_csv back), which live in memory as those
+// artifacts: an execution makes no file-system call.
 //
 // Executor is the one entry point and runs in-process: the separation from
 // code generation that the paper's execution server provides comes from the
@@ -29,7 +29,6 @@ package sandbox
 import (
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"infera/internal/dataframe"
@@ -71,15 +70,6 @@ func DefaultLimits() Limits {
 	}
 }
 
-// Values of the ignored Executor.Backend.
-//
-// Deprecated: there is one script engine; only the benchmark's assistants
-// (bench/traced.go, bench/inproc.go) still pass these.
-const (
-	BackendVM       = "vm"
-	BackendTreeWalk = "treewalk"
-)
-
 // Runner is the execution seam the agent workflow runs scripts through.
 // Executor is the production implementation; wrappers (a tracing runner, a
 // test double) embed or stand in for it.
@@ -94,9 +84,6 @@ type Executor struct {
 	// Registry is the function set available to executed code. Defaults to
 	// script.DefaultRegistry when nil.
 	Registry script.Registry
-	// BaseDir is where per-execution temp dirs are created ("" = system
-	// temp dir).
-	BaseDir string
 	// Limits bounds each execution; the zero value runs unrestricted.
 	Limits Limits
 	// Backend is ignored.
@@ -110,8 +97,8 @@ type Executor struct {
 	MetricLabels []telemetry.Label
 }
 
-// Exec runs the code in a fresh temporary working directory, torn down
-// afterwards, with tables as its input set: load_table(name) yields
+// Exec runs the code with tables as its input set and a file namespace of
+// its own, empty at the start and held in memory: load_table(name) yields
 // dataframe.CanonicalView of tables[name], so the code works on what the
 // table's CSV would parse to without the text being produced, and charges
 // fuel and tracked memory for it as it always has. The input frames are
@@ -121,17 +108,11 @@ type Executor struct {
 // the run, and any panic in the interpreter or a builtin is recovered into
 // a Python-like error string.
 func (e *Executor) Exec(code string, tables map[string]*dataframe.Frame) (res Result) {
-	dir, err := os.MkdirTemp(e.BaseDir, "infera-sandbox-*")
-	if err != nil {
-		return Result{Error: "OSError: " + err.Error()}
-	}
-	defer os.RemoveAll(dir)
-
 	reg := e.Registry
 	if reg == nil {
 		reg = script.DefaultRegistry()
 	}
-	env := script.NewEnv(reg, dir)
+	env := script.NewEnv(reg, "")
 	env.Tables = tables
 	env.Budgets = script.Budgets{
 		MaxFuel:          e.Limits.MaxFuel,

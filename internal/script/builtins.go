@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
+	"path"
 	"strings"
 
 	"infera/internal/dataframe"
@@ -143,25 +142,52 @@ func wantStrList(fn string, args []Value, i int) ([]string, error) {
 	return out, nil
 }
 
-// safePath joins name under the sandbox working directory, rejecting any
-// escape attempt — the isolation guarantee of §3.2.
-func safePath(env *Env, name string) (string, error) {
-	if env.WorkDir == "" {
-		return "", fmt.Errorf("PermissionError: no working directory configured")
-	}
-	clean := filepath.Clean(filepath.Join(env.WorkDir, name))
-	root := filepath.Clean(env.WorkDir) + string(filepath.Separator)
-	if clean != filepath.Clean(env.WorkDir) && !strings.HasPrefix(clean, root) {
+// safePath cleans a script's file name into its key in the script's file
+// namespace, whose root "/" and "." both name, and refuses a name that
+// climbs out of it — the isolation guarantee of §3.2.
+func safePath(name string) (string, error) {
+	clean := path.Clean(strings.TrimLeft(name, "/"))
+	if clean == ".." || strings.HasPrefix(clean, "../") {
 		return "", fmt.Errorf("PermissionError: path %q escapes the sandbox", name)
 	}
 	return clean, nil
 }
 
+// writeFile saves data as the artifact name and in the script's file
+// namespace, where a later read finds it before an input table. The
+// namespace is one flat directory in memory: a write fails as it would in
+// a fresh directory on Linux, with the cleaned name in the error.
+func writeFile(env *Env, name string, data []byte) error {
+	clean, err := safePath(name)
+	if err != nil {
+		return err
+	}
+	first, _, nested := strings.Cut(clean, "/")
+	_, underFile := env.saved[first]
+	why := ""
+	switch {
+	case clean == ".":
+		why = "is a directory"
+	case strings.IndexByte(clean, 0) >= 0:
+		why = "invalid argument"
+	case len(first) > 255:
+		why = "file name too long"
+	case nested && underFile:
+		why = "not a directory"
+	case nested:
+		why = "no such file or directory"
+	}
+	if why != "" {
+		return fmt.Errorf("OSError: cannot write %q: %s", clean, why)
+	}
+	env.saved[clean] = data
+	return env.AddArtifact(name, data)
+}
+
 // IO -------------------------------------------------------------------------
 
 // load_table(name) returns the input table name: a canonical view of
-// env.Tables[name] (see Env.Tables), else the parse of name+".csv" under
-// the working directory.
+// env.Tables[name] (see Env.Tables), unless the script saved name+".csv".
 func biLoadTable(env *Env, args []Value) (Value, error) {
 	if err := wantArgs("load_table", args, 1); err != nil {
 		return Value{}, err
@@ -173,9 +199,9 @@ func biLoadTable(env *Env, args []Value) (Value, error) {
 	return loadCSV(env, name+".csv", fmt.Errorf("KeyError: table %q not found in sandbox", name))
 }
 
-// read_csv(file) returns the frame held by a CSV file in the working
-// directory — one the script saved, or an input table under its file name
-// (name+".csv"), which resolves like load_table(name).
+// read_csv(file) returns the frame held by a CSV file — one the script
+// saved, or an input table under its file name (name+".csv"), which
+// resolves like load_table(name).
 func biReadCSV(env *Env, args []Value) (Value, error) {
 	if err := wantArgs("read_csv", args, 1); err != nil {
 		return Value{}, err
@@ -187,25 +213,23 @@ func biReadCSV(env *Env, args []Value) (Value, error) {
 	return loadCSV(env, name, fmt.Errorf("FileNotFoundError: %q", name))
 }
 
-// loadCSV resolves file, a path relative to the working directory: first
-// against env.Tables, where "<name>.csv" is the table <name> unless the
-// script has since written that file, then on disk. Either way the script
-// gets what parsing the table's CSV yields; notFound is the error for a
-// file that is neither.
+// loadCSV resolves file to the bytes the script saved under it, else to
+// env.Tables, where "<name>.csv" is the table <name>, else to a file under
+// env.WorkDir. The script gets what parsing the CSV yields; notFound is
+// the error for a file that is none of these.
 func loadCSV(env *Env, file string, notFound error) (Value, error) {
-	path, err := safePath(env, file)
+	clean, err := safePath(file)
 	if err != nil {
 		return Value{}, err
 	}
-	rel, _ := filepath.Rel(env.WorkDir, path) // safePath put path under WorkDir
-	if name, ok := strings.CutSuffix(rel, ".csv"); ok && !env.saved[path] {
-		if f, ok := env.Tables[name]; ok {
-			return FrameValue(f.CanonicalView()), nil
-		}
+	data, ok := env.saved[clean]
+	if name, isCSV := strings.CutSuffix(clean, ".csv"); !ok && isCSV && env.Tables[name] != nil {
+		return FrameValue(env.Tables[name].CanonicalView()), nil
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Value{}, notFound
+	if !ok {
+		if data, ok = readWorkDir(env, clean); !ok {
+			return Value{}, notFound
+		}
 	}
 	f, err := dataframe.ReadCSV(bytes.NewReader(data))
 	if err != nil {
@@ -230,14 +254,7 @@ func biSaveCSV(env *Env, args []Value) (Value, error) {
 	if err := f.WriteCSV(&buf); err != nil {
 		return Value{}, err
 	}
-	path, err := safePath(env, name)
-	if err != nil {
-		return Value{}, err
-	}
-	if err := writeFile(env, path, buf.Bytes()); err != nil {
-		return Value{}, err
-	}
-	if err := env.AddArtifact(name, buf.Bytes()); err != nil {
+	if err := writeFile(env, name, buf.Bytes()); err != nil {
 		return Value{}, err
 	}
 	return NullValue(), nil

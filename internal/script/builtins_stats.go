@@ -1,10 +1,7 @@
 package script
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"infera/internal/dataframe"
 	"infera/internal/stats"
@@ -313,14 +310,7 @@ func renderAndStore(env *Env, spec *viz.PlotSpec, outName string) (Value, error)
 	if err != nil {
 		return Value{}, fmt.Errorf("ValueError: %s", err)
 	}
-	path, err := safePath(env, outName)
-	if err != nil {
-		return Value{}, err
-	}
-	if err := writeFile(env, path, svg); err != nil {
-		return Value{}, err
-	}
-	if err := env.AddArtifact(outName, svg); err != nil {
+	if err := writeFile(env, outName, svg); err != nil {
 		return Value{}, err
 	}
 	return NullValue(), nil
@@ -538,20 +528,4 @@ func joinNames(names []string) string {
 	default:
 		return names[0] + ", ..."
 	}
-}
-
-// writeFile writes a file the script asked for under the working directory
-// and notes the path, so a later read finds the file and not an input
-// table of the same name. An error names the file as the script did: the
-// working directory is a fresh temp dir on every run.
-func writeFile(env *Env, path string, data []byte) error {
-	if env.saved == nil {
-		env.saved = map[string]bool{}
-	}
-	env.saved[path] = true
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		rel, _ := filepath.Rel(env.WorkDir, path)
-		return fmt.Errorf("OSError: cannot write %q: %v", rel, errors.Unwrap(err))
-	}
-	return nil
 }

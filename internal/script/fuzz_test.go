@@ -2,10 +2,10 @@ package script
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
+
+	"infera/internal/dataframe"
 )
 
 // fuzzBudgets bounds fuzzed executions so a generated loop of huge list
@@ -21,23 +21,22 @@ func fuzzBudgets() Budgets {
 	}
 }
 
-// fuzzWorkDir seeds a workdir with one small CSV so load_table has
-// something real to read.
-func fuzzWorkDir(tb testing.TB) string {
-	tb.Helper()
-	dir := tb.TempDir()
-	csv := "x,y,name\n1,10.5,a\n2,-3,b\n3,0,c\n4,7.25,d\n"
-	if err := os.WriteFile(filepath.Join(dir, "work.csv"), []byte(csv), 0o644); err != nil {
-		tb.Fatal(err)
-	}
-	return dir
+// fuzzTables is the one small input table load_table("work") reads, staged
+// the way sandbox.Executor.Exec stages its inputs.
+func fuzzTables() map[string]*dataframe.Frame {
+	return map[string]*dataframe.Frame{"work": dataframe.MustFromColumns(
+		dataframe.NewInt("x", []int64{1, 2, 3, 4}),
+		dataframe.NewFloat("y", []float64{10.5, -3, 0, 7.25}),
+		dataframe.NewString("name", []string{"a", "b", "c", "d"}),
+	).MarkShared()}
 }
 
 // runOnce parses and runs src under fuzzBudgets in a fresh environment
-// over a fresh work dir and returns the env and the error.
+// over a fresh input table and returns the env and the error.
 func runOnce(tb testing.TB, src string) (*Env, error) {
 	tb.Helper()
-	env := NewEnv(DefaultRegistry(), fuzzWorkDir(tb))
+	env := NewEnv(DefaultRegistry(), "")
+	env.Tables = fuzzTables()
 	env.Budgets = fuzzBudgets()
 	prog, err := Parse(src)
 	if err != nil {

@@ -107,18 +107,18 @@ type Func func(env *Env, args []Value) (Value, error)
 type Registry map[string]Func
 
 // Env is the execution environment: variable bindings, the function
-// registry, and host-provided context (input tables, working directory for
-// file functions, artifact sink).
+// registry, and host-provided context (input tables, artifact sink).
 type Env struct {
 	Vars  map[string]Value
 	Funcs Registry
 	// Tables are the host's input tables. load_table(name) and
 	// read_csv(name+".csv") hand the script dataframe.CanonicalView of the
 	// entry — the frame its CSV would parse to, over the same immutable
-	// vectors — and only look under WorkDir for names not found here. The
-	// map and its frames are read, never written.
-	Tables    map[string]*dataframe.Frame
-	WorkDir   string            // sandbox root for file reads/writes
+	// vectors. The map and its frames are read, never written.
+	Tables map[string]*dataframe.Frame
+	// WorkDir is "" but in the benchmark's replay, where loads of names
+	// neither saved nor in Tables read CSV files under it (bench_compat.go).
+	WorkDir   string
 	Artifacts map[string][]byte // files produced by plot/scene/save functions
 	Result    *dataframe.Frame  // set by result()
 	Stdout    []string          // lines from print()
@@ -134,19 +134,21 @@ type Env struct {
 
 	sinceWallCheck int   // charges since the last deadline check
 	artifactBytes  int64 // total artifact payload recorded via AddArtifact
-	// saved holds the WorkDir paths the script wrote (save_csv, plots),
-	// which from then on shadow a same-named entry of Tables as the file
-	// always did.
-	saved map[string]bool
+	// saved is the script's file namespace: what save_csv and the plots
+	// wrote, by cleaned name (see safePath), each sharing its bytes with
+	// the artifact it was saved as. A saved name shadows a same-named
+	// entry of Tables.
+	saved map[string][]byte
 }
 
-// NewEnv returns an environment with the given registry and working dir.
+// NewEnv returns an environment with the given registry and Env.WorkDir.
 func NewEnv(funcs Registry, workDir string) *Env {
 	return &Env{
 		Vars:      map[string]Value{},
 		Funcs:     funcs,
 		WorkDir:   workDir,
 		Artifacts: map[string][]byte{},
+		saved:     map[string][]byte{},
 	}
 }
 
@@ -178,24 +180,6 @@ type Program struct {
 
 // Source returns the original script text.
 func (p *Program) Source() string { return p.src }
-
-// Backend is a runnable script.
-//
-// Deprecated: Program is the only engine; only bench/probes.go names this.
-type Backend interface {
-	Run(env *Env) error
-	Source() string
-}
-
-// Compiled is Program.
-//
-// Deprecated: there is no bytecode form; only bench/probes.go names this.
-type Compiled = Program
-
-// Compile is Parse.
-//
-// Deprecated: use Parse; only bench/probes.go still calls this.
-func Compile(src string) (*Compiled, error) { return Parse(src) }
 
 // Parse compiles source text. Blank lines and lines starting with '#' are
 // ignored.

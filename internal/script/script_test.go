@@ -2,32 +2,24 @@ package script
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"infera/internal/dataframe"
 )
 
-// testEnv builds an env whose sandbox contains a halos.csv table.
+// testEnv builds an env whose input table "halos" is staged the way
+// sandbox.Executor.Exec stages its inputs.
 func testEnv(t *testing.T) *Env {
 	t.Helper()
-	dir := t.TempDir()
-	f := dataframe.MustFromColumns(
+	env := NewEnv(DefaultRegistry(), "")
+	env.Tables = map[string]*dataframe.Frame{"halos": dataframe.MustFromColumns(
 		dataframe.NewInt("fof_halo_tag", []int64{1, 2, 3, 4}),
 		dataframe.NewInt("sim", []int64{0, 0, 1, 1}),
 		dataframe.NewFloat("fof_halo_mass", []float64{4e14, 1e14, 3e14, 2e14}),
 		dataframe.NewFloat("fof_halo_vel_disp", []float64{800, 400, 700, 500}),
-	)
-	var sb strings.Builder
-	if err := f.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "halos.csv"), []byte(sb.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return NewEnv(DefaultRegistry(), dir)
+	).MarkShared()}
+	return env
 }
 
 func run(t *testing.T, env *Env, src string) {
@@ -277,7 +269,7 @@ func TestBudgetErrorsAndFuel(t *testing.T) {
 		// y adds 24 + 4*152 = 632.
 		{Budgets{MaxMemBytes: 700}, "line 2: MemoryError: script exceeded its memory budget (700 bytes)", 14},
 	} {
-		env := NewEnv(DefaultRegistry(), t.TempDir())
+		env := NewEnv(DefaultRegistry(), "")
 		env.Budgets = tc.budgets
 		err := prog.Run(env)
 		var be *BudgetError

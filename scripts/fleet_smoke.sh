@@ -16,6 +16,9 @@ TMP=$(mktemp -d /tmp/fleet-smoke-XXXXXX)
 PIDS=()
 cleanup() {
   for pid in "${PIDS[@]:-}"; do kill "$pid" 2>/dev/null || true; done
+  # The nodes persist cache.json and sweep trails under $TMP as they shut
+  # down: remove the tree only once every one has exited.
+  for pid in "${PIDS[@]:-}"; do [ -n "$pid" ] && wait "$pid" 2>/dev/null || true; done
   rm -rf "$TMP"
 }
 trap cleanup EXIT
