@@ -27,7 +27,7 @@ import (
 type Client struct {
 	base  string
 	http  *http.Client
-	retry *RetryPolicy // nil = no retry (the default)
+	retry bool // set by NewRouted only
 }
 
 // New returns a client for the daemon at base ("host:port" or a full
@@ -45,7 +45,7 @@ type APIError struct {
 	Status  int    // HTTP status code
 	Message string // decoded error body (or raw text)
 	// RetryAfter is the response's parsed Retry-After delay (0 if absent)
-	// — honored by WithRetry clients before the next attempt.
+	// — honored by a routed client before the next attempt.
 	RetryAfter time.Duration
 }
 
@@ -59,24 +59,24 @@ func IsNotFound(err error) bool {
 	return errors.As(err, &ae) && ae.Status == http.StatusNotFound
 }
 
-// do runs one JSON round-trip, transparently retrying idempotent GETs when
-// the client opted in via WithRetry. in == nil sends no body; out == nil
+// do runs one JSON round-trip, transparently retrying idempotent GETs on a
+// routed client (NewRouted). in == nil sends no body; out == nil
 // ignores the response body.
 func (c *Client) do(method, path string, in, out any) error {
 	return c.doRetry(method, path, in, out, method == http.MethodGet)
 }
 
-// doRetry runs the round-trip with up to MaxAttempts tries when retryable
-// and a RetryPolicy is set; otherwise exactly one.
+// doRetry runs the round-trip with up to retryAttempts tries when
+// retryable on a routed client; otherwise exactly one.
 func (c *Client) doRetry(method, path string, in, out any, retryable bool) error {
 	attempts := 1
-	if retryable && c.retry != nil {
-		attempts = c.retry.MaxAttempts
+	if retryable && c.retry {
+		attempts = retryAttempts
 	}
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			time.Sleep(c.retry.backoffDelay(i, lastErr))
+			time.Sleep(backoffDelay(i, lastErr))
 		}
 		err := c.doOnce(method, path, in, out)
 		if err == nil {
@@ -185,7 +185,7 @@ func (c *Client) Ensemble(eid string) (service.ShardInfo, error) {
 }
 
 // Ask routes one question to shard eid, blocking until the answer (or a
-// cache hit) is ready. With WithRetry enabled, non-interactive asks retry
+// cache hit) is ready. On a routed client, non-interactive asks retry
 // on transient failures: they are deterministic and answer-cache-keyed, so
 // a replay either hits the cache or recomputes the identical answer —
 // interactive asks (live sessions with approval state) never retry.

@@ -7,50 +7,27 @@ import (
 	"time"
 )
 
-// RetryPolicy bounds the client's transparent retry of transient failures.
-// Zero fields take the defaults below.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries including the first
-	// (default 4).
-	MaxAttempts int
-	// BaseDelay seeds the jittered exponential backoff between attempts
-	// (default 100ms); MaxDelay caps it (default 2s). A Retry-After header
-	// on the failed response overrides the computed delay.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-}
+// A routed client's retry: at most retryAttempts tries in all, with a
+// jittered exponential backoff from retryBaseDelay, capped at
+// retryMaxDelay, between them. A Retry-After header on the failed response
+// overrides the computed delay.
+const (
+	retryAttempts  = 4
+	retryBaseDelay = 100 * time.Millisecond
+	retryMaxDelay  = 2 * time.Second
+)
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 100 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
-	}
-	return p
-}
-
-// WithRetry opts the client into bounded retry with jittered exponential
-// backoff for idempotent GETs and non-interactive (cache-hit-eligible)
-// asks, on transient transport failures (connection refused, reset) and
-// 502/503/504 responses — the failure modes a fleet router surfaces while
-// a node crash is being failed over. Off by default: POSTs with side
-// effects (plan decisions, registration through code paths that care about
-// exactly-once) and interactive asks are never retried.
-func (c *Client) WithRetry(p RetryPolicy) *Client {
-	pp := p.withDefaults()
-	c.retry = &pp
-	return c
-}
-
-// NewRouted returns a client for a fleet router at base: a regular client
-// with the default RetryPolicy enabled, so brief node failovers surface as
-// slower answers instead of errors.
+// NewRouted returns a client for a fleet router at base, the only client
+// that retries: idempotent GETs and non-interactive (cache-hit-eligible)
+// asks retry on transient transport failures (connection refused, reset)
+// and 502/503/504 responses — the failure modes a fleet router surfaces
+// while a node crash is being failed over — so brief node failovers
+// surface as slower answers instead of errors. POSTs with side effects
+// (plan decisions, registration) and interactive asks are never retried.
 func NewRouted(base string) *Client {
-	return New(base).WithRetry(RetryPolicy{})
+	c := New(base)
+	c.retry = true
+	return c
 }
 
 // retryableError reports whether err is worth another attempt: transport
@@ -74,16 +51,16 @@ func retryableError(err error) bool {
 
 // backoffDelay computes the pause before attempt n (1-based count of
 // failures so far): a Retry-After from the server wins, otherwise
-// BaseDelay·2^(n-1) capped at MaxDelay, jittered ±50% so a herd of
-// retrying clients doesn't re-arrive in lockstep.
-func (p RetryPolicy) backoffDelay(n int, lastErr error) time.Duration {
+// retryBaseDelay·2^(n-1) capped at retryMaxDelay, jittered ±50% so a herd
+// of retrying clients doesn't re-arrive in lockstep.
+func backoffDelay(n int, lastErr error) time.Duration {
 	var ae *APIError
 	if errors.As(lastErr, &ae) && ae.RetryAfter > 0 {
 		return ae.RetryAfter
 	}
-	d := p.BaseDelay << (n - 1)
-	if d > p.MaxDelay || d <= 0 {
-		d = p.MaxDelay
+	d := retryBaseDelay << (n - 1)
+	if d > retryMaxDelay || d <= 0 {
+		d = retryMaxDelay
 	}
 	half := d / 2
 	return half + time.Duration(rand.Int63n(int64(half)+1))

@@ -31,17 +31,13 @@ func (h *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(service.AskResult{RequestID: "q-1", Rows: 1})
 }
 
-func fastRetry() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
-}
-
 func TestRetryOffByDefault(t *testing.T) {
 	h := &flakyHandler{failures: 1, status: http.StatusServiceUnavailable}
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 	c := New(srv.URL)
 	if err := c.Healthz(); err == nil {
-		t.Fatal("expected the 503 to surface without WithRetry")
+		t.Fatal("expected the 503 to surface on a client that is not routed")
 	}
 	if got := h.hits.Load(); got != 1 {
 		t.Fatalf("server hit %d times; want exactly 1 without retry", got)
@@ -52,7 +48,7 @@ func TestRetryGetRecoversTransient5xx(t *testing.T) {
 	for _, status := range []int{http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout} {
 		h := &flakyHandler{failures: 2, status: status}
 		srv := httptest.NewServer(h)
-		c := New(srv.URL).WithRetry(fastRetry())
+		c := NewRouted(srv.URL)
 		if err := c.Healthz(); err != nil {
 			t.Errorf("status %d: retries did not recover: %v", status, err)
 		}
@@ -67,12 +63,12 @@ func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
 	h := &flakyHandler{failures: 100, status: http.StatusServiceUnavailable}
 	srv := httptest.NewServer(h)
 	defer srv.Close()
-	c := New(srv.URL).WithRetry(fastRetry())
+	c := NewRouted(srv.URL)
 	if err := c.Healthz(); err == nil {
 		t.Fatal("expected a persistent 503 to fail")
 	}
 	if got := h.hits.Load(); got != 4 {
-		t.Fatalf("%d attempts; want MaxAttempts=4", got)
+		t.Fatalf("%d attempts; want %d", got, retryAttempts)
 	}
 }
 
@@ -80,7 +76,7 @@ func TestRetryDoesNotTouchNonTransientStatuses(t *testing.T) {
 	for _, status := range []int{http.StatusBadRequest, http.StatusNotFound, http.StatusConflict, http.StatusInternalServerError, http.StatusNotImplemented} {
 		h := &flakyHandler{failures: 100, status: status}
 		srv := httptest.NewServer(h)
-		c := New(srv.URL).WithRetry(fastRetry())
+		c := NewRouted(srv.URL)
 		if err := c.Healthz(); err == nil {
 			t.Errorf("status %d: expected error", status)
 		}
@@ -95,7 +91,7 @@ func TestRetryAskOnlyWhenNotInteractive(t *testing.T) {
 	h := &flakyHandler{failures: 1, status: http.StatusServiceUnavailable}
 	srv := httptest.NewServer(h)
 	defer srv.Close()
-	c := New(srv.URL).WithRetry(fastRetry())
+	c := NewRouted(srv.URL)
 
 	// Non-interactive asks are deterministic and answer-cache-keyed —
 	// replays are safe, so the POST retries.
@@ -123,7 +119,7 @@ func TestRetryConnectionRefused(t *testing.T) {
 	}))
 	base := srv.URL
 	srv.Close() // nothing listens: connection refused
-	c := New(base).WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond})
+	c := NewRouted(base)
 	start := time.Now()
 	if err := c.Healthz(); err == nil {
 		t.Fatal("expected connection refused to fail after retries")
@@ -136,12 +132,13 @@ func TestRetryConnectionRefused(t *testing.T) {
 
 func TestRetryAfterHeaderOverridesBackoff(t *testing.T) {
 	ae := &APIError{Status: 503, RetryAfter: 123 * time.Second}
-	p := fastRetry()
-	if d := p.backoffDelay(1, ae); d != 123*time.Second {
+	if d := backoffDelay(1, ae); d != 123*time.Second {
 		t.Fatalf("backoffDelay with Retry-After = %v; want 123s", d)
 	}
-	if d := p.backoffDelay(1, &APIError{Status: 503}); d > p.MaxDelay {
-		t.Fatalf("computed backoff %v exceeds MaxDelay %v", d, p.MaxDelay)
+	for n := 1; n <= 8; n++ {
+		if d := backoffDelay(n, &APIError{Status: 503}); d > retryMaxDelay {
+			t.Fatalf("computed backoff %v before attempt %d exceeds %v", d, n+1, retryMaxDelay)
+		}
 	}
 }
 

@@ -270,39 +270,58 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, res)
 }
 
-func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
-	sessions, err := s.reg.Sessions(r.PathValue("eid"))
+// pinned serves one request of shard {eid}'s session state or metrics: it
+// pins the shard live, calls serve with the shard's Service and releases
+// the pin when serve returns, so these routes never spin a pool up. A
+// registry error answers through writeRegistryError. A cold shard has no
+// session state and answers 404, unless cold is given: cold then answers
+// from the metrics the shard reports while cold. A handler checks its own
+// request (cursor, body, seq) before it calls pinned, so a malformed
+// request answers 400 whatever state the shard is in.
+func (s *Server) pinned(w http.ResponseWriter, r *http.Request, cold func(Metrics), serve func(*Service)) {
+	sh, svc, stub, err := s.reg.pinLive(r.PathValue("eid"))
+	if errors.Is(err, ErrShardCold) && cold != nil {
+		cold(stub)
+		return
+	}
 	if err != nil {
 		writeRegistryError(w, err)
 		return
 	}
-	writeJSON(w, sessions)
+	defer s.reg.release(sh)
+	serve(svc)
+}
+
+func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
+	s.pinned(w, r, func(Metrics) {
+		// A cold shard's session records died with its pool.
+		writeJSON(w, []SessionInfo{})
+	}, func(svc *Service) {
+		writeJSON(w, svc.Sessions())
+	})
 }
 
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
-	info, err := s.reg.Session(r.PathValue("eid"), r.PathValue("id"))
-	if err != nil {
-		if errors.Is(err, ErrUnknownEnsemble) || errors.Is(err, ErrRegistryClosed) {
-			writeRegistryError(w, err)
+	id := r.PathValue("id")
+	s.pinned(w, r, nil, func(svc *Service) {
+		info, ok := svc.Session(id)
+		if !ok {
+			writeRegistryError(w, fmt.Errorf("%w %q", ErrUnknownSession, id))
 			return
 		}
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, info)
+		writeJSON(w, info)
+	})
 }
 
 func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
-	entries, err := s.reg.Provenance(r.PathValue("eid"), r.PathValue("id"))
-	if err != nil {
-		if errors.Is(err, ErrUnknownEnsemble) || errors.Is(err, ErrRegistryClosed) {
+	s.pinned(w, r, nil, func(svc *Service) {
+		entries, err := svc.Provenance(r.PathValue("id"))
+		if err != nil {
 			writeRegistryError(w, err)
 			return
 		}
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, entries)
+		writeJSON(w, entries)
+	})
 }
 
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
@@ -311,14 +330,16 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad artifact seq %q", r.PathValue("seq")))
 		return
 	}
-	e, data, err := s.reg.Artifact(r.PathValue("eid"), r.PathValue("id"), seq)
-	if err != nil {
-		writeRegistryError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", artifactContentType(e))
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.Write(data)
+	s.pinned(w, r, nil, func(svc *Service) {
+		e, data, err := svc.Artifact(r.PathValue("id"), seq)
+		if err != nil {
+			writeRegistryError(w, err)
+			return
+		}
+		w.Header().Set("Content-Type", artifactContentType(e))
+		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+		w.Write(data)
+	})
 }
 
 // artifactContentType is the Content-Type an artifact is served with,
@@ -342,12 +363,11 @@ func artifactContentType(e provenance.Entry) string {
 }
 
 func (s *Server) handleShardMetrics(w http.ResponseWriter, r *http.Request) {
-	m, err := s.reg.ShardMetrics(r.PathValue("eid"))
-	if err != nil {
-		writeRegistryError(w, err)
-		return
-	}
-	writeJSON(w, m)
+	s.pinned(w, r, func(stub Metrics) {
+		writeJSON(w, stub)
+	}, func(svc *Service) {
+		writeJSON(w, svc.Metrics())
+	})
 }
 
 // handlePrometheus encodes the shared telemetry registry in the
@@ -385,20 +405,24 @@ func (s *Server) handleSubmitPlan(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &d) {
 		return
 	}
-	if err := s.reg.SubmitPlan(r.PathValue("eid"), r.PathValue("id"), d); err != nil {
-		writeRegistryError(w, err)
-		return
-	}
-	writeJSON(w, map[string]string{"status": "accepted"})
+	s.pinned(w, r, nil, func(svc *Service) {
+		if err := svc.SubmitPlan(r.PathValue("id"), d); err != nil {
+			writeRegistryError(w, err)
+			return
+		}
+		writeJSON(w, map[string]string{"status": "accepted"})
+	})
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	res, err := s.reg.Result(r.PathValue("eid"), r.PathValue("id"))
-	if err != nil {
-		writeRegistryError(w, err)
-		return
-	}
-	writeJSON(w, res)
+	s.pinned(w, r, nil, func(svc *Service) {
+		res, err := svc.Result(r.PathValue("id"))
+		if err != nil {
+			writeRegistryError(w, err)
+			return
+		}
+		writeJSON(w, res)
+	})
 }
 
 // sseHeartbeat is how often an idle SSE stream emits a comment frame.
@@ -407,9 +431,10 @@ const sseHeartbeat = 15 * time.Second
 // handleEvents streams a session's event log. Default is server-sent
 // events: one frame per event with id == Seq, resumable via the standard
 // Last-Event-ID header (or ?from=N), terminated by an "event: done"
-// sentinel once the stream completes.
+// sentinel once the stream completes. The shard stays pinned for the
+// whole stream, so a watched session's shard is never idle-evicted under
+// it.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	eid, id := r.PathValue("eid"), r.PathValue("id")
 	after, err := eventCursor(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -420,9 +445,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
 	}
+	s.pinned(w, r, nil, func(svc *Service) {
+		streamEvents(w, flusher, r.Context(), svc, r.PathValue("id"), after)
+	})
+}
+
+// streamEvents writes session id's events past after as SSE frames until
+// the stream completes or ctx is done.
+func streamEvents(w http.ResponseWriter, flusher http.Flusher, ctx context.Context, svc *Service, id string, after int) {
 	// Validate the session before committing to the stream content type, so
 	// a bad ID still gets a proper JSON error status.
-	if err := s.reg.CheckInteractive(eid, id); err != nil {
+	if _, err := svc.lookupInteractive(id); err != nil {
 		writeRegistryError(w, err)
 		return
 	}
@@ -431,14 +464,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
-	ctx := r.Context()
 	for {
 		// Each wait is bounded by the heartbeat interval: an idle stream
 		// (e.g. a plan sitting in review) emits a comment frame every
 		// sseHeartbeat so intermediaries with idle timeouts keep the
 		// connection open and clients can tell alive from dead.
 		waitCtx, cancel := context.WithTimeout(ctx, sseHeartbeat)
-		events, done, err := s.reg.WaitEvents(waitCtx, eid, id, after)
+		events, done, err := svc.WaitEvents(waitCtx, id, after)
 		cancel()
 		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 			fmt.Fprint(w, ": ping\n\n")
@@ -446,9 +478,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if err != nil {
-			// Client went away, or the shard closed under the stream; either
-			// way the stream is over. A resuming client reconnects with
-			// Last-Event-ID and picks up exactly where it left off.
+			// The client went away, or the session record was trimmed;
+			// either way the stream is over. A resuming client reconnects
+			// with Last-Event-ID and picks up exactly where it left off.
 			return
 		}
 		for _, ev := range events {

@@ -345,7 +345,10 @@ func TestHTTPConcurrentAsks(t *testing.T) {
 		if code := getJSON(t, fmt.Sprintf("%s%s/sessions/%s/provenance", base, defaultShard, results[i].RequestID), &entries); code != http.StatusOK || len(entries) == 0 {
 			t.Fatalf("ask %d provenance: %d with %d entries", i, code, len(entries))
 		}
-		if bad, err := srv.reg.VerifySession("default", results[i].RequestID); err != nil || len(bad) != 0 {
+		var bad []provenance.Entry
+		var err error
+		onLive(t, srv.reg, "default", func(svc *Service) { bad, err = svc.VerifySession(results[i].RequestID) })
+		if err != nil || len(bad) != 0 {
 			t.Fatalf("ask %d verify: %v %v", i, bad, err)
 		}
 	}

@@ -50,34 +50,22 @@ func (s *Service) AskInteractive(req AskRequest) (SessionInfo, <-chan struct{}, 
 	t := &task{info: info, req: req, done: make(chan *AskResult, 1), ia: ia}
 
 	s.mu.Lock()
-	if s.closed {
-		s.m.Rejected++
-		s.mu.Unlock()
-		s.finishRecord(info, "rejected", 0, ErrClosed.Error())
-		return SessionInfo{}, nil, ErrClosed
-	}
 	info.Interactive = true
 	s.interactive[info.ID] = ia
-	select {
-	case s.queue <- t:
-		s.m.Queued++
-		s.m.Interactive++
-		s.enqueuedLocked(t)
-		// Snapshot under the lock: a worker may already be mutating info.
-		snap := *info
-		s.mu.Unlock()
-		return snap, ia.done, nil
-	default:
-		delete(s.interactive, info.ID)
+	s.mu.Unlock()
+	snap, err := s.admit(t)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
 		// The record never became a streaming session: clear the flag so its
 		// sub-resources answer "unknown/not interactive" consistently with
 		// the rejected state instead of advertising an event log it lost.
+		delete(s.interactive, info.ID)
 		info.Interactive = false
-		s.m.Rejected++
-		s.mu.Unlock()
-		s.finishRecord(info, "rejected", 0, ErrQueueFull.Error())
-		return SessionInfo{}, nil, ErrQueueFull
+		return SessionInfo{}, nil, err
 	}
+	s.m.Interactive++
+	return snap, ia.done, nil
 }
 
 // lookupInteractive resolves a session-record ID to its interactive state.

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -11,9 +10,7 @@ import (
 	"sync"
 	"time"
 
-	"infera/internal/agent"
 	"infera/internal/hacc"
-	"infera/internal/provenance"
 	"infera/internal/stage"
 	"infera/internal/telemetry"
 )
@@ -26,8 +23,13 @@ import (
 // closes the coldest idle shard whenever the live count exceeds
 // MaxLiveShards — closing drains the pool and persists the answer cache to
 // the shard's WorkDir (persist.go), so a revived shard keeps its on-disk
-// provenance and its hit rate. The versioned /v1/ensembles HTTP API
-// (http.go) is a thin layer over this type.
+// provenance and its hit rate.
+//
+// The Registry owns what spans shards: naming (Register, Unregister),
+// spin-up (acquire), pinning a shard live for a request (acquire, pinLive,
+// release) and LRU eviction. It does not serve a shard's requests: a
+// session route of the /v1/ensembles HTTP API (http.go) pins the shard and
+// calls its Service, so a new route is a Service method plus a handler.
 type Registry struct {
 	cfg      RegistryConfig
 	workRoot string
@@ -685,52 +687,6 @@ func (r *Registry) AskInteractive(name string, req AskRequest) (SessionInfo, err
 	return info, nil
 }
 
-// CheckInteractive verifies session id exists as a streaming session on a
-// live shard name, without copying any events — the cheap pre-stream
-// existence check.
-func (r *Registry) CheckInteractive(name, id string) error {
-	sh, svc, err := r.pinLive(name)
-	if err != nil {
-		return err
-	}
-	defer r.release(sh)
-	_, err = svc.lookupInteractive(id)
-	return err
-}
-
-// WaitEvents blocks until shard name's session id has events past after. The
-// shard stays pinned for the duration of the wait, so a watched session's
-// shard is never idle-evicted under it.
-func (r *Registry) WaitEvents(ctx context.Context, name, id string, after int) ([]agent.Event, bool, error) {
-	sh, svc, err := r.pinLive(name)
-	if err != nil {
-		return nil, false, err
-	}
-	defer r.release(sh)
-	return svc.WaitEvents(ctx, id, after)
-}
-
-// SubmitPlan delivers a plan decision to shard name's session id.
-func (r *Registry) SubmitPlan(name, id string, d agent.PlanDecision) error {
-	sh, svc, err := r.pinLive(name)
-	if err != nil {
-		return err
-	}
-	defer r.release(sh)
-	return svc.SubmitPlan(id, d)
-}
-
-// Result returns the stored final result of shard name's interactive
-// session id (ErrNotFinished while the worker is still running).
-func (r *Registry) Result(name, id string) (*AskResult, error) {
-	sh, svc, err := r.pinLive(name)
-	if err != nil {
-		return nil, err
-	}
-	defer r.release(sh)
-	return svc.Result(id)
-}
-
 // Warm spins shard name up ahead of a burst: the assistant pool opens (or
 // is touched, if already live), the persisted answer cache revives, and
 // the ensemble fingerprint resolves — so the first real question pays none
@@ -800,104 +756,31 @@ func (r *Registry) Unregister(name string, purge bool) error {
 
 // pinLive pins shard name only if it is already live: the session and
 // metrics read paths must not spin up (or keep hot) a pool just to report
-// state. Cold shards have no in-memory session state — their records died
-// with the pool; provenance remains on disk under the shard WorkDir.
-func (r *Registry) pinLive(name string) (*shard, *Service, error) {
+// state. Callers must release a pinned shard. A cold shard answers
+// ErrShardCold together with the metrics it reports while cold: zero
+// counters (they reset with the pool; lifetime totals live in the aggregate
+// Metrics), the close-time fingerprint and the persisted cache length, read
+// under the same lock hold as the check. Cold shards have no in-memory
+// session state: their records died with the pool, while provenance
+// remains on disk under the shard WorkDir.
+func (r *Registry) pinLive(name string) (*shard, *Service, Metrics, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return nil, nil, ErrRegistryClosed
+		return nil, nil, Metrics{}, ErrRegistryClosed
 	}
 	sh, ok := r.shards[name]
 	if !ok {
-		return nil, nil, ErrUnknownEnsemble
+		return nil, nil, Metrics{}, ErrUnknownEnsemble
 	}
 	if sh.svc == nil || sh.closing != nil {
-		return nil, nil, ErrShardCold
+		stub := Metrics{Fingerprint: sh.lastFP}
+		stub.Cache.Len = sh.coldEntries
+		stub.Stage = r.cfg.Defaults.Stage.Stats()
+		return nil, nil, stub, ErrShardCold
 	}
 	sh.refs++
-	return sh, sh.svc, nil
-}
-
-// Sessions lists shard name's session records; a cold shard reports none.
-func (r *Registry) Sessions(name string) ([]SessionInfo, error) {
-	sh, svc, err := r.pinLive(name)
-	if errors.Is(err, ErrShardCold) {
-		return []SessionInfo{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer r.release(sh)
-	return svc.Sessions(), nil
-}
-
-// Session returns one session record of shard name.
-func (r *Registry) Session(name, id string) (SessionInfo, error) {
-	sh, svc, err := r.pinLive(name)
-	if err != nil {
-		return SessionInfo{}, err
-	}
-	defer r.release(sh)
-	info, ok := svc.Session(id)
-	if !ok {
-		return SessionInfo{}, fmt.Errorf("service: unknown session %q", id)
-	}
-	return info, nil
-}
-
-// Provenance returns the artifact manifest behind one session record of
-// shard name.
-func (r *Registry) Provenance(name, id string) ([]provenance.Entry, error) {
-	sh, svc, err := r.pinLive(name)
-	if err != nil {
-		return nil, err
-	}
-	defer r.release(sh)
-	return svc.Provenance(id)
-}
-
-// Artifact returns the manifest entry and bytes of artifact seq behind one
-// session record of shard name.
-func (r *Registry) Artifact(name, id string, seq int) (provenance.Entry, []byte, error) {
-	sh, svc, err := r.pinLive(name)
-	if err != nil {
-		return provenance.Entry{}, nil, err
-	}
-	defer r.release(sh)
-	return svc.Artifact(id, seq)
-}
-
-// VerifySession re-hashes the artifact trail behind one session record of
-// shard name, returning failing entries.
-func (r *Registry) VerifySession(name, id string) ([]provenance.Entry, error) {
-	sh, svc, err := r.pinLive(name)
-	if err != nil {
-		return nil, err
-	}
-	defer r.release(sh)
-	return svc.VerifySession(id)
-}
-
-// ShardMetrics returns shard name's Metrics. A cold shard reports a stub:
-// zero counters (they reset with the pool; lifetime totals live in the
-// aggregate Metrics), the close-time fingerprint and the persisted cache
-// length.
-func (r *Registry) ShardMetrics(name string) (Metrics, error) {
-	sh, svc, err := r.pinLive(name)
-	if errors.Is(err, ErrShardCold) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		m := Metrics{Fingerprint: r.shards[name].lastFP}
-		m.Cache.Len = r.shards[name].coldEntries
-		m.Stage = r.cfg.Defaults.Stage.Stats()
-		return m, nil
-	}
-	if err != nil {
-		return Metrics{}, err
-	}
-	defer r.release(sh)
-	return svc.Metrics(), nil
+	return sh, sh.svc, Metrics{}, nil
 }
 
 // Metrics returns the aggregate fleet snapshot.

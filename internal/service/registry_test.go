@@ -9,6 +9,7 @@ import (
 
 	"infera/internal/agent"
 	"infera/internal/hacc"
+	"infera/internal/provenance"
 	"infera/internal/stage"
 )
 
@@ -34,6 +35,18 @@ func testRegistry(t *testing.T, maxLive int, shards map[string]int64) (*Registry
 	}
 	t.Cleanup(func() { reg.Close() })
 	return reg, st
+}
+
+// onLive runs f on shard name's Service, pinned live for the call as a
+// session route pins it for one request.
+func onLive(t *testing.T, reg *Registry, name string, f func(*Service)) {
+	t.Helper()
+	sh, svc, _, err := reg.pinLive(name)
+	if err != nil {
+		t.Fatalf("pin shard %s: %v", name, err)
+	}
+	defer reg.release(sh)
+	f(svc)
 }
 
 func TestRegistryLazyOpenAndPerShardIsolation(t *testing.T) {
@@ -72,10 +85,8 @@ func TestRegistryLazyOpenAndPerShardIsolation(t *testing.T) {
 	// Fingerprints are per shard and distinct.
 	fps := map[string]bool{}
 	for _, name := range []string{"a", "b", "c"} {
-		m, err := reg.ShardMetrics(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var m Metrics
+		onLive(t, reg, name, func(svc *Service) { m = svc.Metrics() })
 		if m.Fingerprint == "" || fps[m.Fingerprint] {
 			t.Fatalf("shard %s fingerprint %q not unique", name, m.Fingerprint)
 		}
@@ -139,10 +150,8 @@ func TestRegistryConcurrentShardRouting(t *testing.T) {
 	// shard's identical (question, seed) keys.
 	fps := map[string]bool{}
 	for _, name := range names {
-		m, err := reg.ShardMetrics(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var m Metrics
+		onLive(t, reg, name, func(svc *Service) { m = svc.Metrics() })
 		if m.Completed != perShard || m.Cache.Misses != perShard || m.Cache.Hits != 0 {
 			t.Fatalf("shard %s metrics = %+v, want %d isolated computations", name, m, perShard)
 		}
@@ -225,12 +234,10 @@ func TestRegistryEvictionAndRevival(t *testing.T) {
 	if m.Live != 2 || m.Cold != 1 || m.ShardEvictions != 1 {
 		t.Fatalf("metrics after eviction = %+v", m)
 	}
-	// A cold shard has no live session state but stays inspectable.
-	if sessions, err := reg.Sessions("a"); err != nil || len(sessions) != 0 {
-		t.Fatalf("cold sessions = %v %v", sessions, err)
-	}
-	if _, err := reg.Provenance("a", resA.RequestID); !errors.Is(err, ErrShardCold) {
-		t.Fatalf("cold provenance err = %v", err)
+	// A cold shard has no live session state but stays inspectable: it
+	// reports its persisted cache and close-time fingerprint.
+	if _, _, stub, err := reg.pinLive("a"); !errors.Is(err, ErrShardCold) || stub.Cache.Len != 1 || stub.Fingerprint == "" {
+		t.Fatalf("cold shard a: %v, stub %+v", err, stub)
 	}
 
 	// Revival: asking "a" again reopens it (evicting the current LRU, "b")
@@ -244,7 +251,9 @@ func TestRegistryEvictionAndRevival(t *testing.T) {
 	}
 	// The revived hit's provenance resolves from the shard's on-disk trail,
 	// which eviction preserved.
-	if entries, err := reg.Provenance("a", hit.RequestID); err != nil || len(entries) == 0 {
+	var entries []provenance.Entry
+	onLive(t, reg, "a", func(svc *Service) { entries, err = svc.Provenance(hit.RequestID) })
+	if err != nil || len(entries) == 0 {
 		t.Fatalf("revived provenance: %v (%d entries)", err, len(entries))
 	}
 	info, err = reg.Ensemble("a")
@@ -303,7 +312,9 @@ func TestRegistryPersistenceAcrossRestart(t *testing.T) {
 	if !hit.Cached || hit.SessionID != res.SessionID {
 		t.Fatalf("restart should serve the persisted answer: %+v", hit)
 	}
-	if entries, err := second.Provenance("default", hit.RequestID); err != nil || len(entries) == 0 {
+	var entries []provenance.Entry
+	onLive(t, second, "default", func(svc *Service) { entries, err = svc.Provenance(hit.RequestID) })
+	if err != nil || len(entries) == 0 {
 		t.Fatalf("provenance across restart: %v (%d entries)", err, len(entries))
 	}
 }
@@ -376,7 +387,10 @@ func TestRegistryInteractivePinning(t *testing.T) {
 	// Wait until the plan is actually awaiting review.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if err := reg.SubmitPlan("a", info.ID, agent.PlanDecision{Approve: false, Comment: "hold"}); err == nil {
+		onLive(t, reg, "a", func(svc *Service) {
+			err = svc.SubmitPlan(info.ID, agent.PlanDecision{Approve: false, Comment: "hold"})
+		})
+		if err == nil {
 			break
 		} else if !errors.Is(err, agent.ErrNoPendingPlan) {
 			t.Fatal(err)
@@ -398,7 +412,8 @@ func TestRegistryInteractivePinning(t *testing.T) {
 
 	// Approve the (revised) plan and drain the session.
 	for {
-		if err := reg.SubmitPlan("a", info.ID, agent.PlanDecision{Approve: true}); err == nil {
+		onLive(t, reg, "a", func(svc *Service) { err = svc.SubmitPlan(info.ID, agent.PlanDecision{Approve: true}) })
+		if err == nil {
 			break
 		} else if !errors.Is(err, agent.ErrNoPendingPlan) {
 			t.Fatal(err)
@@ -409,7 +424,8 @@ func TestRegistryInteractivePinning(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	for {
-		res, err := reg.Result("a", info.ID)
+		var res *AskResult
+		onLive(t, reg, "a", func(svc *Service) { res, err = svc.Result(info.ID) })
 		if err == nil {
 			if res.Error != "" || res.Rows != 20 {
 				t.Fatalf("result = %+v", res)

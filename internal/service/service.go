@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -513,25 +514,9 @@ func (s *Service) Ask(req AskRequest) (*AskResult, error) {
 		close(done)
 	}()
 
-	info := s.newSessionRecord(req, "queued")
-	t := &task{info: info, req: req, key: key, gen: gen, done: make(chan *AskResult, 1)}
-	s.mu.Lock()
-	if s.closed {
-		s.m.Rejected++
-		s.mu.Unlock()
-		s.finishRecord(info, "rejected", 0, ErrClosed.Error())
-		return nil, ErrClosed
-	}
-	select {
-	case s.queue <- t:
-		s.m.Queued++
-		s.enqueuedLocked(t)
-		s.mu.Unlock()
-	default:
-		s.m.Rejected++
-		s.mu.Unlock()
-		s.finishRecord(info, "rejected", 0, ErrQueueFull.Error())
-		return nil, ErrQueueFull
+	t := &task{info: s.newSessionRecord(req, "queued"), req: req, key: key, gen: gen, done: make(chan *AskResult, 1)}
+	if _, err := s.admit(t); err != nil {
+		return nil, err
 	}
 	res := <-t.done
 	s.observeAsk("miss", "automated", res.Elapsed)
@@ -551,6 +536,32 @@ func (s *Service) observeAsk(cache, mode string, elapsed time.Duration) {
 	labels = append(labels, telemetry.L("cache", cache), telemetry.L("mode", mode))
 	r.Histogram("infera_ask_seconds", nil, labels...).ObserveDuration(elapsed)
 	r.Counter("infera_asks_total", labels...).Inc()
+}
+
+// admit is the admission step of Ask and AskInteractive: it sends t to the
+// worker queue without blocking and returns t's record as it stood when
+// queued (a worker may mutate it from then on). A closed service or a full
+// queue rejects t instead: its record finishes as "rejected" and admit
+// returns ErrClosed or ErrQueueFull.
+func (s *Service) admit(t *task) (SessionInfo, error) {
+	s.mu.Lock()
+	err := ErrClosed
+	if !s.closed {
+		select {
+		case s.queue <- t:
+			s.m.Queued++
+			s.enqueuedLocked(t)
+			snap := *t.info
+			s.mu.Unlock()
+			return snap, nil
+		default:
+			err = ErrQueueFull
+		}
+	}
+	s.m.Rejected++
+	s.mu.Unlock()
+	s.finishRecord(t.info, "rejected", 0, err.Error())
+	return SessionInfo{}, err
 }
 
 // enqueuedLocked mirrors a just-queued task into the pending list and
@@ -805,7 +816,12 @@ func (s *Service) resolveTarget(id string) (*provenance.Session, error) {
 	idx, ok := s.sessionWorker[target]
 	s.mu.Unlock()
 	if ok {
-		return s.assistants[idx].Store().OpenSession(target)
+		sess, err := s.assistants[idx].Store().OpenSession(target)
+		if errors.Is(err, fs.ErrNotExist) {
+			// A running session writes its manifest with its first artifact.
+			return nil, fmt.Errorf("%w: %q has no provenance", ErrUnknownSession, id)
+		}
+		return sess, err
 	}
 	stores := make([]*provenance.Store, 0, len(s.assistants)+len(s.extraStores))
 	for _, a := range s.assistants {

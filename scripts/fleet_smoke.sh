@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Multi-node fleet smoke: two real inferad processes behind a real
 # inferaroute, sharing a work root. Registers an ensemble and asks through
-# the router, kill -9's one node mid-life, and proves the fleet keeps
+# the router, reads one answer's session record and provenance back through
+# it (and checks that an unknown session's 404 passes through without a
+# re-registration), kill -9's one node mid-life, and proves the fleet keeps
 # answering with zero failed asks (including the shards the corpse owned,
 # which fail over to the survivor and revive from the shared work root),
 # then restarts it and checks that the router readmits it to the ring.
@@ -66,10 +68,11 @@ say "starting inferaroute over both nodes"
 PIDS+=($!)
 wait_ready $RT 20
 
+TOPQ="Can you find me the top 20 largest friends-of-friends halos from timestep 498 in simulation 0?"
+
 ask() { # ensemble seed -> fails the script on a failed/empty answer
   local out
-  out=$(curl -fsS "http://$RT/v1/ensembles/$1/ask" \
-    -d "{\"question\": \"Can you find me the top 20 largest friends-of-friends halos from timestep 498 in simulation 0?\", \"seed\": $2}")
+  out=$(curl -fsS "http://$RT/v1/ensembles/$1/ask" -d "{\"question\": \"$TOPQ\", \"seed\": $2}")
   if ! echo "$out" | grep -q '"rows"'; then
     say "FAIL: ask on $1 returned: $out"
     return 1
@@ -79,7 +82,7 @@ ask() { # ensemble seed -> fails the script on a failed/empty answer
 ask_node() { # addr ensemble seed -> direct node ask, bypassing the router
   local out
   out=$(curl -fsS "http://$1/v1/ensembles/$2/ask" \
-    -d "{\"question\": \"Can you find me the top 20 largest friends-of-friends halos from timestep 498 in simulation 0?\", \"seed\": $3}")
+    -d "{\"question\": \"$TOPQ\", \"seed\": $3}")
   if ! echo "$out" | grep -q '"rows"'; then
     say "FAIL: direct ask on $1/$2 returned: $out"
     return 1
@@ -100,6 +103,33 @@ for i in 0 1 2 3; do ask "smoke-e$i" $((100 + i)); done
 
 HEALTHY=$(curl -fsS "http://$RT/v1/fleet" | grep -o '"healthy_nodes":[0-9]*' | cut -d: -f2)
 [ "$HEALTHY" = "2" ] || { say "FAIL: expected 2 healthy nodes, got $HEALTHY"; exit 1; }
+
+retries() { # the router's same-node retries after a lazy re-registration
+  curl -fsS "http://$RT/v1/metrics/prometheus" | awk '$1 == "infera_fleet_retries_total" {print $2}'
+}
+
+say "reading an answered ask's session and provenance through the router"
+# The same (question, seed) as above: a cache hit whose provenance follows
+# the computing session.
+SID=$(curl -fsS "http://$RT/v1/ensembles/smoke-e0/ask" -d "{\"question\": \"$TOPQ\", \"seed\": 100}" \
+  | grep -o '"request_id":"[^"]*"' | cut -d'"' -f4)
+[ -n "$SID" ] || { say "FAIL: ask returned no request_id"; exit 1; }
+for sub in "" /provenance; do
+  CODE=$(curl -sS -o "$TMP/session.json" -w '%{http_code}' "http://$RT/v1/ensembles/smoke-e0/sessions/$SID$sub")
+  [ "$CODE" = "200" ] || { say "FAIL: GET sessions/$SID$sub = $CODE: $(cat "$TMP/session.json")"; exit 1; }
+done
+grep -q '"sha256"' "$TMP/session.json" || { say "FAIL: provenance of $SID has no entries"; exit 1; }
+BEFORE=$(retries)
+CODE=$(curl -sS -o "$TMP/session.json" -w '%{http_code}' "http://$RT/v1/ensembles/smoke-e0/sessions/q-9999")
+# A 404 for an unknown session names the session, never the ensemble: the
+# router re-registers a shard only on "unknown ensemble".
+if [ "$CODE" != "404" ] || ! grep -q 'unknown session' "$TMP/session.json" || grep -q 'unknown ensemble' "$TMP/session.json"; then
+  say "FAIL: unknown session = $CODE: $(cat "$TMP/session.json")"
+  exit 1
+fi
+AFTER=$(retries)
+[ -n "$BEFORE" ] && [ "$BEFORE" = "$AFTER" ] \
+  || { say "FAIL: unknown session re-registered the shard (retries $BEFORE -> $AFTER)"; exit 1; }
 
 say "kill -9 node 2 ($N2_PID) and re-asking everything"
 kill -9 "$N2_PID"
