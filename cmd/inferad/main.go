@@ -1,7 +1,7 @@
 // Command inferad is the InferA query daemon: the serving layer that turns
 // the single-user REPL workflow into a concurrent multi-ensemble service.
 // A shard registry owns any number of named ensembles — each an independent
-// assistant pool, answer cache and ensemble fingerprint, all sharing one
+// assistant, worker pool, answer cache and ensemble fingerprint, all sharing one
 // process-wide staging cache — and exposes them through the versioned
 // /v1/ensembles resource API. Shards spin up lazily on their first
 // question, and an LRU idle policy closes the coldest shard (persisting its
@@ -79,9 +79,11 @@
 //	curl -s localhost:8080/v1/metrics                                  # aggregate fleet counters
 //	curl -s localhost:8080/healthz                                     # liveness
 //
-// Concurrency model: per shard, -workers assistants each own isolated
-// staging databases and provenance stores, so N questions run in parallel
-// without sharing mutable state; -queue bounds pending requests beyond
+// Concurrency model: per shard, one assistant serves -workers worker
+// goroutines. Each question runs against its own staging database, sandbox
+// and provenance session, so N questions run in parallel without sharing
+// mutable state; every session's trail lands in the shard's one store,
+// <work>/shards/<name>/sessions/<id>/. -queue bounds pending requests beyond
 // that, and a full queue answers 503 with Retry-After (backpressure
 // instead of unbounded memory). Repeat questions against an unchanged
 // ensemble are answered from that shard's cache in microseconds, concurrent
@@ -147,7 +149,7 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 		work       = flag.String("work", "", "working directory root; each shard persists under <work>/shards/<name> (default: temp)")
 		maxShards  = flag.Int("max-live-shards", service.DefaultMaxLiveShards, "live-shard budget: opening one more closes the least-recently-used idle shard")
-		workers    = flag.Int("workers", 0, "assistant pool size per shard (0 = min(4, GOMAXPROCS))")
+		workers    = flag.Int("workers", 0, "worker goroutines per shard (0 = min(4, GOMAXPROCS))")
 		queue      = flag.Int("queue", 64, "pending-request queue depth per shard")
 		cacheSz    = flag.Int("cache", 128, "answer cache capacity per shard (entries)")
 		maxSess    = flag.Int("max-sessions", 4096, "session-record history bound per shard")

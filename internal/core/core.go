@@ -29,8 +29,8 @@ type Config struct {
 	// EnsembleDir is the root of a generated ensemble (hacc.Generate).
 	EnsembleDir string
 	// Catalog reuses an already-loaded ensemble catalog — it is read-only
-	// after load, so a serving layer pooling many Assistants over one
-	// ensemble loads it once and shares it. Nil loads EnsembleDir.
+	// after load, so a caller that holds one need not read it again. Nil
+	// loads EnsembleDir.
 	Catalog *hacc.Catalog
 	// WorkDir holds the provenance sessions (under sessions/); a temp dir
 	// is created when empty. Staging databases live in memory only.

@@ -38,18 +38,6 @@ type Catalog struct {
 
 const catalogName = "ensemble.json"
 
-func (c *Catalog) addFile(run, step int, typ, path string, rows int) {
-	var size int64
-	if st, err := os.Stat(path); err == nil {
-		size = st.Size()
-	}
-	rel, err := filepath.Rel(c.Dir, path)
-	if err != nil {
-		rel = path
-	}
-	c.Files = append(c.Files, FileEntry{Run: run, Step: step, Type: typ, Path: rel, Bytes: size, Rows: rows})
-}
-
 func (c *Catalog) save() error {
 	data, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {

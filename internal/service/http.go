@@ -187,7 +187,7 @@ const MaxBodyBytes = 1 << 20
 type RegisterRequest struct {
 	Name string `json:"name"`
 	Dir  string `json:"dir"`
-	// Workers overrides the shard's assistant-pool size (0 inherits).
+	// Workers overrides the shard's worker count (0 inherits).
 	Workers int `json:"workers,omitempty"`
 	// CacheCapacity overrides the shard's answer-cache capacity (0 inherits).
 	CacheCapacity int `json:"cache_capacity,omitempty"`

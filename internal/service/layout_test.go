@@ -1,0 +1,190 @@
+package service
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"infera/internal/provenance"
+)
+
+// TestServiceAdoptsWorkerDirTrails: a work dir written by a daemon that
+// kept one provenance store per worker (worker-NN/sessions/<id>) is moved
+// into the one store at New. The resume scan then counts its sessions, so
+// the next computed ask does not reuse q-0001, and a revived cache entry
+// naming q-0001 still resolves to that original trail.
+func TestServiceAdoptsWorkerDirTrails(t *testing.T) {
+	dir := testEnsemble(t)
+	work := t.TempDir()
+
+	old, err := provenance.NewStore(filepath.Join(work, "worker-03", "sessions"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := old.NewSession("q-0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("fof_halo_tag,fof_halo_mass\n17,2.5e13\n")
+	entry, err := sess.Record("analysis", "data", "answer.csv", payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload)
+	want := hex.EncodeToString(sum[:])
+
+	fp, err := Fingerprint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(4)
+	c.Put(CacheKey{Fingerprint: fp, Question: NormalizeQuestion(topHalosQ), Seed: 1},
+		&AskResult{RequestID: "q-0001", SessionID: "q-0001", Question: topHalosQ, Seed: 1, Rows: 1})
+	if err := SaveCacheFile(work, c, fp); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := newService(t, Config{Workers: 2, EnsembleDir: dir, WorkDir: work})
+	miss, err := svc.Ask(AskRequest{Question: topHalosQ, Seed: 2})
+	if err != nil || miss.Error != "" || miss.Cached {
+		t.Fatalf("computed ask: %v %+v", err, miss)
+	}
+	if miss.SessionID != "q-0002" {
+		t.Fatalf("computed ask got session %s, want q-0002", miss.SessionID)
+	}
+
+	hit, err := svc.Ask(AskRequest{Question: topHalosQ, Seed: 1})
+	if err != nil || !hit.Cached || hit.SessionID != "q-0001" {
+		t.Fatalf("revived cache entry: %v %+v", err, hit)
+	}
+	entries, err := svc.Provenance(hit.RequestID)
+	if err != nil || len(entries) != 1 || entries[0].SHA256 != want {
+		t.Fatalf("cached hit's provenance = %+v (%v), want the one entry with sha256 %s", entries, err, want)
+	}
+	_, data, err := svc.Artifact(hit.RequestID, entry.Seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256.Sum256(data); hex.EncodeToString(got[:]) != want {
+		t.Fatalf("artifact bytes hash %x, want %s", got, want)
+	}
+	if bad, err := svc.VerifySession(hit.RequestID); err != nil || len(bad) != 0 {
+		t.Fatalf("verify adopted trail: %v %v", bad, err)
+	}
+	if _, err := os.Stat(filepath.Join(work, "worker-03")); !os.IsNotExist(err) {
+		t.Errorf("emptied worker dir still there (stat err = %v)", err)
+	}
+}
+
+// TestServiceAdoptKeepsTakenIDs: a worker-dir trail whose ID the store
+// already holds stays where it is; the store's own trail is untouched.
+func TestServiceAdoptKeepsTakenIDs(t *testing.T) {
+	work := t.TempDir()
+	for _, root := range []string{filepath.Join(work, "sessions"), filepath.Join(work, "worker-01", "sessions")} {
+		store, err := provenance.NewStore(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := store.NewSession("q-0001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Record("analysis", "data", "answer.csv", []byte(root)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc := newService(t, Config{Workers: 1, WorkDir: work})
+	if _, err := os.Stat(filepath.Join(work, "worker-01", "sessions", "q-0001")); err != nil {
+		t.Fatalf("conflicting worker trail moved or lost: %v", err)
+	}
+	kept, err := svc.assistant.Store().OpenSession("q-0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := kept.Read(kept.Manifest()[0])
+	if err != nil || string(data) != filepath.Join(work, "sessions") {
+		t.Fatalf("store trail = %q (%v), want its own bytes", data, err)
+	}
+}
+
+// TestServiceWorkersShareOneStore runs 16 concurrent asks with unique seeds
+// and 2 interactive asks through one four-worker Service: every session's
+// trail lands in the one store and verifies. Run under -race.
+func TestServiceWorkersShareOneStore(t *testing.T) {
+	work := t.TempDir()
+	const workers, asks, interactive = 4, 16, 2
+	svc := newService(t, Config{Workers: workers, WorkDir: work, ApprovalTimeout: 20 * time.Millisecond})
+	questions := []string{
+		topHalosQ,
+		"Across all the simulations, what is the average size (fof_halo_count) of halos at each time step?",
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, asks+interactive)
+	for i := 0; i < asks; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := svc.Ask(AskRequest{Question: questions[i%len(questions)], Seed: int64(100 + i)})
+			if err == nil && (res.Error != "" || res.Cached) {
+				t.Errorf("ask %d = %+v", i, res)
+			}
+			errs <- err
+		}(i)
+	}
+	for i := 0; i < interactive; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			// Nobody reviews: the short approval timeout approves the plan.
+			info, done, err := svc.AskInteractive(AskRequest{Question: topHalosQ, Seed: int64(200 + i), Interactive: true})
+			if err != nil {
+				errs <- err
+				return
+			}
+			select {
+			case <-done:
+			case <-time.After(60 * time.Second):
+				errs <- fmt.Errorf("interactive %s never finished", info.ID)
+				return
+			}
+			if res, err := svc.Result(info.ID); err == nil && res.Error != "" {
+				t.Errorf("interactive %s = %+v", info.ID, res)
+			} else {
+				errs <- err
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	records := svc.Sessions()
+	if len(records) != asks+interactive {
+		t.Fatalf("%d session records, want %d", len(records), asks+interactive)
+	}
+	onDisk := sessionDirs(t, work)
+	for _, r := range records {
+		if r.Status != "done" || r.Worker < 0 || r.Worker >= workers {
+			t.Errorf("record %+v", r)
+		}
+		if !onDisk[r.ID] {
+			t.Errorf("session %s has no trail under %s/sessions", r.ID, work)
+		}
+		if bad, err := svc.VerifySession(r.ID); err != nil || len(bad) != 0 {
+			t.Errorf("verify %s: bad=%v err=%v", r.ID, bad, err)
+		}
+	}
+	if stray, _ := filepath.Glob(filepath.Join(work, "worker-*")); len(stray) != 0 {
+		t.Errorf("per-worker dirs in the work dir: %v", stray)
+	}
+}

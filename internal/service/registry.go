@@ -16,7 +16,7 @@ import (
 )
 
 // Registry multiplexes many named ensemble shards through one process: each
-// shard is an independent Service (assistant pool + answer cache +
+// shard is an independent Service (assistant + workers + answer cache +
 // ensemble fingerprint) over its own ensemble directory, while every shard
 // shares one staging cache so overlapping decodes dedupe across ensembles
 // too. Shards spin up lazily on first request, and an LRU idle policy
@@ -31,7 +31,10 @@ import (
 // session route of the /v1/ensembles HTTP API (http.go) pins the shard and
 // calls its Service, so a new route is a Service method plus a handler.
 type Registry struct {
-	cfg      RegistryConfig
+	cfg RegistryConfig
+	// rootMu guards the lazily made temp workRoot (RegistryConfig.WorkDir
+	// empty); it is apart from mu so the MkdirTemp never holds mu.
+	rootMu   sync.Mutex
 	workRoot string
 
 	mu        sync.Mutex
@@ -39,6 +42,9 @@ type Registry struct {
 	shards    map[string]*shard
 	opens     int64
 	evictions int64
+	// purges counts purging Unregisters; RegisterWith retries its file
+	// I/O when one ran while it was outside mu.
+	purges int64
 	// retired accumulates the final counters of every closed shard
 	// incarnation, so aggregate metrics survive eviction/revival cycles.
 	retired ShardTotals
@@ -87,7 +93,7 @@ var (
 // ShardOptions are per-shard overrides of the registry-wide defaults,
 // applied at every spin-up of the shard's Service.
 type ShardOptions struct {
-	// Workers overrides the assistant-pool size (0 keeps the default).
+	// Workers overrides the worker count (0 keeps the default).
 	Workers int `json:"workers,omitempty"`
 	// CacheSize overrides the answer-cache capacity (0 keeps the default).
 	// The wire name matches RegisterRequest's cache_capacity so the echoed
@@ -131,7 +137,7 @@ type shard struct {
 type ShardInfo struct {
 	Name string `json:"name"`
 	Dir  string `json:"dir"`
-	// State is "live" (assistant pool open) or "cold" (registered; spins up
+	// State is "live" (Service open) or "cold" (registered; spins up
 	// on the next ask).
 	State      string    `json:"state"`
 	Registered time.Time `json:"registered"`
@@ -139,7 +145,7 @@ type ShardInfo struct {
 	// Opens counts spin-ups: 0 = never asked, >1 = revived after eviction.
 	Opens    int64 `json:"opens"`
 	InFlight int   `json:"in_flight"`
-	// Workers is the live assistant-pool size (0 when cold).
+	// Workers is the live worker count (0 when cold).
 	Workers int `json:"workers,omitempty"`
 	// CacheEntries is the live answer-cache length, or for cold shards the
 	// entry count of the persisted cache.json awaiting revival.
@@ -300,8 +306,9 @@ func (r *Registry) Register(name, dir string) (ShardInfo, error) {
 const maxScriptTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
 
 // maxShardWorkers bounds ShardOptions.Workers, which arrives in a POST
-// /v1/ensembles body: a shard's first ask builds that many assistants, each
-// with its own provenance store and retrieval index, plus a goroutine each.
+// /v1/ensembles body: a shard's first ask starts that many worker
+// goroutines, each able to hold one running question's staging database
+// and sandbox in memory at once.
 const maxShardWorkers = 256
 
 // RegisterWith adds a named ensemble shard without opening it (shards spin
@@ -324,31 +331,46 @@ func (r *Registry) RegisterWith(name, dir string, opts ShardOptions) (ShardInfo,
 		return ShardInfo{}, fmt.Errorf("service: resolve ensemble dir: %w", err)
 	}
 
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return ShardInfo{}, ErrRegistryClosed
-	}
-	if sh, ok := r.shards[name]; ok {
-		if sh.dir != abs {
-			return ShardInfo{}, fmt.Errorf("%w: %q -> %s", ErrEnsembleExists, name, sh.dir)
+	for {
+		r.mu.Lock()
+		info, done, err := r.registeredLocked(name, abs, opts)
+		purges := r.purges
+		r.mu.Unlock()
+		if done {
+			return info, err
 		}
-		// Only explicit overrides replace the stored ones: a plain
-		// re-Register (zero opts) must stay a true no-op, not silently wipe
-		// an operator's earlier tuning.
-		if opts != (ShardOptions{}) {
-			sh.opts = opts
+		sh, err := r.newShard(name, abs, opts)
+		if err != nil {
+			return ShardInfo{}, err
 		}
-		return r.infoLocked(sh), nil
+		r.mu.Lock()
+		// Re-check: a racing Register of the same name may have won, and a
+		// purging Unregister of it may have removed the dir just made.
+		info, done, err = r.registeredLocked(name, abs, opts)
+		if !done && r.purges == purges {
+			r.shards[name] = sh
+			info, done = r.infoLocked(sh), true
+			r.logf("registry: registered ensemble %q -> %s", name, abs)
+		}
+		r.mu.Unlock()
+		if done {
+			return info, err
+		}
 	}
-	// Validate now so POST /v1/ensembles rejects junk immediately rather
-	// than failing the first ask: the catalog read is one small JSON file.
+}
+
+// newShard does RegisterWith's file I/O, outside r.mu so a slow or stuck
+// ensemble dir never holds up the other shards' asks. It validates the
+// catalog now, so POST /v1/ensembles rejects junk immediately rather than
+// failing the first ask (the read is one small JSON file), and makes the
+// shard's work dir.
+func (r *Registry) newShard(name, abs string, opts ShardOptions) (*shard, error) {
 	if _, err := hacc.Load(abs); err != nil {
-		return ShardInfo{}, fmt.Errorf("service: register %q: %w", name, err)
+		return nil, fmt.Errorf("service: register %q: %w", name, err)
 	}
-	workDir, err := r.shardWorkDirLocked(name)
+	workDir, err := r.shardWorkDir(name)
 	if err != nil {
-		return ShardInfo{}, err
+		return nil, err
 	}
 	sh := &shard{name: name, dir: abs, workDir: workDir, opts: opts, registered: time.Now()}
 	// A cache persisted by a previous daemon run describes the cold shard
@@ -357,24 +379,48 @@ func (r *Registry) RegisterWith(name, dir string, opts ShardOptions) (ShardInfo,
 		sh.coldEntries, sh.coldSavedAt = fi.Entries, fi.SavedAt
 		sh.lastFP, sh.lastFPAt = fi.Fingerprint, fi.SavedAt
 	}
-	r.shards[name] = sh
-	r.logf("registry: registered ensemble %q -> %s", name, abs)
-	return r.infoLocked(sh), nil
+	return sh, nil
 }
 
-// shardWorkDirLocked resolves (creating parents) the stable per-shard work
+// registeredLocked answers RegisterWith when no new shard is needed: the
+// registry is closed, or name is taken (by dir, an idempotent re-register;
+// by another dir, ErrEnsembleExists). done is false when name is free.
+func (r *Registry) registeredLocked(name, abs string, opts ShardOptions) (ShardInfo, bool, error) {
+	if r.closed {
+		return ShardInfo{}, true, ErrRegistryClosed
+	}
+	sh, ok := r.shards[name]
+	if !ok {
+		return ShardInfo{}, false, nil
+	}
+	if sh.dir != abs {
+		return ShardInfo{}, true, fmt.Errorf("%w: %q -> %s", ErrEnsembleExists, name, sh.dir)
+	}
+	// Only explicit overrides replace the stored ones: a plain re-Register
+	// (zero opts) must stay a true no-op, not silently wipe an operator's
+	// earlier tuning.
+	if opts != (ShardOptions{}) {
+		sh.opts = opts
+	}
+	return r.infoLocked(sh), true, nil
+}
+
+// shardWorkDir resolves (creating parents) the stable per-shard work
 // directory.
-func (r *Registry) shardWorkDirLocked(name string) (string, error) {
+func (r *Registry) shardWorkDir(name string) (string, error) {
 	root := r.cfg.WorkDir
 	if root == "" {
+		r.rootMu.Lock()
 		if r.workRoot == "" {
 			tmp, err := os.MkdirTemp("", "infera-registry-*")
 			if err != nil {
+				r.rootMu.Unlock()
 				return "", err
 			}
 			r.workRoot = tmp
 		}
 		root = r.workRoot
+		r.rootMu.Unlock()
 	}
 	dir := filepath.Join(root, "shards", name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -687,7 +733,7 @@ func (r *Registry) AskInteractive(name string, req AskRequest) (SessionInfo, err
 	return info, nil
 }
 
-// Warm spins shard name up ahead of a burst: the assistant pool opens (or
+// Warm spins shard name up ahead of a burst: the Service opens (or
 // is touched, if already live), the persisted answer cache revives, and
 // the ensemble fingerprint resolves — so the first real question pays none
 // of that latency. Returns the shard's post-warm state.
@@ -746,6 +792,7 @@ func (r *Registry) Unregister(name string, purge bool) error {
 		// + cache.json) and unregister is a rare admin operation.
 		var purgeErr error
 		if purge {
+			r.purges++
 			purgeErr = os.RemoveAll(sh.workDir)
 		}
 		r.mu.Unlock()

@@ -3,8 +3,6 @@ package service
 import (
 	"sort"
 	"time"
-
-	"infera/internal/provenance"
 )
 
 // sweepProvenance garbage-collects on-disk session artifact trails per the
@@ -28,39 +26,28 @@ func (s *Service) sweepProvenance() (removed int, freed int64) {
 	}
 
 	type trail struct {
-		store  *provenance.Store
 		id     string
 		bytes  int64
 		newest time.Time
 	}
-	stores := make([]*provenance.Store, 0, len(s.assistants)+len(s.extraStores))
-	for _, a := range s.assistants {
-		stores = append(stores, a.Store())
-	}
-	stores = append(stores, s.extraStores...)
-
+	store := s.assistant.Store()
+	ids, _ := store.Sessions()
 	var trails []trail
 	var total int64
-	for _, store := range stores {
-		ids, err := store.Sessions()
+	for _, id := range ids {
+		bytes, newest, err := store.SessionStat(id)
 		if err != nil {
 			continue
 		}
-		for _, id := range ids {
-			bytes, newest, err := store.SessionStat(id)
-			if err != nil {
-				continue
-			}
-			total += bytes
-			if spare[id] {
-				continue // referenced by the persisted answer cache
-			}
-			trails = append(trails, trail{store: store, id: id, bytes: bytes, newest: newest})
+		total += bytes
+		if spare[id] {
+			continue // referenced by the persisted answer cache
 		}
+		trails = append(trails, trail{id: id, bytes: bytes, newest: newest})
 	}
 
 	drop := func(t trail) {
-		if err := t.store.RemoveSession(t.id); err != nil {
+		if err := store.RemoveSession(t.id); err != nil {
 			s.logf("service: provenance sweep: remove %s: %v", t.id, err)
 			return
 		}

@@ -32,20 +32,14 @@ func retentionService(t *testing.T, dir, work string, maxAge time.Duration, maxB
 	return svc
 }
 
-// sessionDirs lists the provenance session directories under every worker.
+// sessionDirs lists the provenance session directories of the work dir.
 func sessionDirs(t *testing.T, work string) map[string]bool {
 	t.Helper()
 	out := map[string]bool{}
-	workers, _ := filepath.Glob(filepath.Join(work, "worker-*"))
-	for _, w := range workers {
-		entries, err := os.ReadDir(filepath.Join(w, "sessions"))
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			if e.IsDir() {
-				out[e.Name()] = true
-			}
+	entries, _ := os.ReadDir(filepath.Join(work, "sessions"))
+	for _, e := range entries {
+		if e.IsDir() {
+			out[e.Name()] = true
 		}
 	}
 	return out

@@ -1,7 +1,7 @@
 // Package service turns the one-shot core.Assistant into a concurrent
-// multi-session query service: a session manager owns a pool of
-// per-ensemble Assistants, a bounded worker pool drains a request queue so
-// N questions run concurrently against isolated staging databases, and an
+// multi-session query service: one Assistant per ensemble, a bounded pool
+// of worker goroutines draining a request queue through it so N questions
+// run concurrently against isolated staging databases, and an
 // LRU answer cache keyed by (ensemble fingerprint, normalized question,
 // seed) short-circuits repeat questions. Concurrent identical misses
 // single-flight into one computation, and the session-record history is
@@ -22,7 +22,6 @@ import (
 
 	"infera/internal/agent"
 	"infera/internal/core"
-	"infera/internal/hacc"
 	"infera/internal/llm"
 	"infera/internal/provenance"
 	"infera/internal/sandbox"
@@ -42,10 +41,11 @@ type Config struct {
 	// gauges and per-phase workflow spans are recorded into. Nil records
 	// nothing; the JSON /metrics snapshot is unaffected either way.
 	Metrics *telemetry.Registry
-	// WorkDir holds per-worker staging state; temp dirs when empty.
+	// WorkDir holds the provenance sessions (WorkDir/sessions/<id>/) and
+	// the persisted answer cache; a temp dir when empty.
 	WorkDir string
-	// Workers is the assistant-pool size — the concurrency bound. Defaults
-	// to min(4, GOMAXPROCS).
+	// Workers is the number of worker goroutines asking through the
+	// Assistant — the concurrency bound. Defaults to min(4, GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds pending requests beyond the running ones; a full
 	// queue rejects with ErrQueueFull (backpressure, not OOM). Default 64.
@@ -61,16 +61,15 @@ type Config struct {
 	// NewModel builds the per-request model from the request seed. Defaults
 	// to llm.NewSim(llm.SimConfig{Seed: seed}).
 	NewModel func(seed int64) llm.Client
-	// TrimHistory and SkipDocumentation are forwarded to every pooled
-	// Assistant.
+	// TrimHistory and SkipDocumentation are forwarded to the Assistant.
 	TrimHistory       bool
 	SkipDocumentation bool
 	// ScriptLimits budgets every sandboxed script execution (fuel, memory,
-	// wall clock, artifact bytes, stdout lines); forwarded to every pooled
+	// wall clock, artifact bytes, stdout lines); forwarded to the
 	// Assistant. The zero value runs unrestricted; the daemons default it
 	// to sandbox.DefaultLimits via the -script-* flags.
 	ScriptLimits sandbox.Limits
-	// Stage is the staging cache the assistant pool shares, so concurrent
+	// Stage is the staging cache the workers share, so concurrent
 	// sessions staging overlapping (sim, step) slices decode each source
 	// file once. Nil uses the process-wide stage.Shared() cache; set an
 	// isolated cache in tests that assert on its counters.
@@ -220,19 +219,15 @@ type task struct {
 	ia *interactive
 }
 
-// Service is the concurrent multi-session query front-end over a pool of
-// Assistants. Create with New, serve over HTTP with NewServer, release with
+// Service is the concurrent multi-session query front-end over one
+// Assistant. Create with New, serve over HTTP with NewServer, release with
 // Close.
 type Service struct {
-	cfg        Config
-	assistants []*core.Assistant
-	// extraStores are provenance stores from worker dirs of a previous
-	// incarnation beyond the current pool size (a restart with fewer
-	// workers); revived cache entries may reference sessions in them.
-	extraStores []*provenance.Store
-	cache       *Cache
-	queue       chan *task
-	wg          sync.WaitGroup
+	cfg       Config
+	assistant *core.Assistant
+	cache     *Cache
+	queue     chan *task
+	wg        sync.WaitGroup
 
 	mu       sync.Mutex
 	closed   bool
@@ -244,9 +239,6 @@ type Service struct {
 	interactive map[string]*interactive
 	// pendingApprovals gauges sessions blocked in plan review.
 	pendingApprovals int
-	// sessionWorker maps provenance session ID -> assistant index, so the
-	// provenance endpoint can find the right store.
-	sessionWorker map[string]int
 	// inflight coalesces concurrent identical cache misses: the first
 	// request for a key computes, the rest wait on its done channel and
 	// then serve from the freshly populated cache (single-flight).
@@ -275,37 +267,49 @@ type Service struct {
 	fpWalks int64
 }
 
-// New builds the assistant pool and starts the workers.
+// New builds the Assistant and starts the workers.
 func New(cfg Config) (*Service, error) {
 	if cfg.EnsembleDir == "" {
 		return nil, errors.New("service: EnsembleDir is required")
 	}
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:           cfg,
-		cache:         NewCache(cfg.CacheSize),
-		queue:         make(chan *task, cfg.QueueDepth),
-		sessions:      map[string]*SessionInfo{},
-		sessionWorker: map[string]int{},
-		inflight:      map[CacheKey]chan struct{}{},
-		interactive:   map[string]*interactive{},
+		cfg:         cfg,
+		cache:       NewCache(cfg.CacheSize),
+		queue:       make(chan *task, cfg.QueueDepth),
+		sessions:    map[string]*SessionInfo{},
+		inflight:    map[CacheKey]chan struct{}{},
+		interactive: map[string]*interactive{},
 	}
 	if cfg.Name != "" {
 		s.labels = []telemetry.Label{telemetry.L("ensemble", cfg.Name)}
 	}
 	s.registerMetrics()
-	if err := s.openAssistants(); err != nil {
-		return nil, err
+	a, err := core.New(core.Config{
+		EnsembleDir:       cfg.EnsembleDir,
+		WorkDir:           cfg.WorkDir,
+		Seed:              cfg.Seed,
+		TrimHistory:       cfg.TrimHistory,
+		SkipDocumentation: cfg.SkipDocumentation,
+		ScriptLimits:      cfg.ScriptLimits,
+		Stage:             cfg.Stage,
+		Logf:              cfg.Logf,
+		Metrics:           cfg.Metrics,
+		MetricLabels:      s.labels,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
+	s.assistant = a
 	// Revive the persisted answer cache (if any) before traffic arrives;
 	// entries from a changed ensemble are dropped by fingerprint.
 	s.loadPersistedCache()
 	if cfg.WorkDir != "" {
-		s.resumeWorkerDirs()
+		s.resumeSessions()
 	}
-	for i, a := range s.assistants {
+	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
-		go s.worker(i, a)
+		go s.worker(i)
 	}
 	return s, nil
 }
@@ -356,68 +360,33 @@ func (s *Service) registerMetrics() {
 	s.queueDepth.Set(int64(s.cfg.QueueDepth))
 }
 
-// openAssistants builds the pool: cfg.Workers assistants over one catalog
-// load (it is read-only after load), each with its own worker directory.
-func (s *Service) openAssistants() error {
-	cfg := s.cfg
-	cat, err := hacc.Load(cfg.EnsembleDir)
-	if err != nil {
-		return fmt.Errorf("service: load ensemble: %w", err)
+// resumeSessions readies a stable WorkDir's store, which may hold sessions
+// from a previous incarnation (daemon restart, shard revival). First it
+// moves in the trails of a daemon that kept one store per worker, under
+// WorkDir/worker-NN/sessions/<id>; a trail whose ID the store already
+// holds stays where it is. Then it resumes the ID sequence past every
+// session, so a new session never takes the ID of an on-disk trail that a
+// revived cache entry may name.
+func (s *Service) resumeSessions() {
+	store := s.assistant.Store()
+	old, _ := filepath.Glob(filepath.Join(s.cfg.WorkDir, "worker-*", "sessions", "*"))
+	for _, src := range old {
+		dst := filepath.Join(store.Root, filepath.Base(src))
+		if _, err := os.Lstat(dst); err == nil {
+			s.logf("service: left trail %s in place: %s exists", src, dst)
+		} else if err := os.Rename(src, dst); err != nil {
+			s.logf("service: move trail %s: %v", src, err)
+		}
+		// Drop the emptied sessions/ and worker-NN/ dirs; a Remove fails,
+		// harmlessly, on one still holding anything.
+		_ = os.Remove(filepath.Dir(src))
+		_ = os.Remove(filepath.Dir(filepath.Dir(src)))
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		workDir := ""
-		if cfg.WorkDir != "" {
-			workDir = filepath.Join(cfg.WorkDir, fmt.Sprintf("worker-%02d", i))
-		}
-		a, err := core.New(core.Config{
-			EnsembleDir:       cfg.EnsembleDir,
-			Catalog:           cat,
-			WorkDir:           workDir,
-			Seed:              cfg.Seed,
-			TrimHistory:       cfg.TrimHistory,
-			SkipDocumentation: cfg.SkipDocumentation,
-			ScriptLimits:      cfg.ScriptLimits,
-			Stage:             cfg.Stage,
-			Logf:              cfg.Logf,
-			Metrics:           cfg.Metrics,
-			MetricLabels:      s.labels,
-		})
-		if err != nil {
-			return fmt.Errorf("service: assistant %d: %w", i, err)
-		}
-		s.assistants = append(s.assistants, a)
-	}
-	return nil
-}
-
-// resumeWorkerDirs scans a stable WorkDir, which may hold provenance
-// sessions from a previous incarnation (daemon restart, shard revival). It
-// resumes the ID sequence past ALL of them — including worker dirs beyond
-// the current pool size, whose sessions persisted cache entries may still
-// reference — so new sessions never collide with (or shadow) on-disk
-// trails. The orphaned dirs' stores stay readable for provenance
-// resolution.
-func (s *Service) resumeWorkerDirs() {
-	current := map[string]bool{}
-	for _, a := range s.assistants {
-		current[a.WorkDir()] = true
-	}
-	workerDirs, _ := filepath.Glob(filepath.Join(s.cfg.WorkDir, "worker-*"))
-	for _, w := range workerDirs {
-		entries, err := os.ReadDir(filepath.Join(w, "sessions"))
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			var n int
-			if _, err := fmt.Sscanf(e.Name(), "q-%d", &n); err == nil && n > s.nextID {
-				s.nextID = n
-			}
-		}
-		if !current[w] && len(entries) > 0 {
-			if store, err := provenance.NewStore(filepath.Join(w, "sessions")); err == nil {
-				s.extraStores = append(s.extraStores, store)
-			}
+	ids, _ := store.Sessions()
+	for _, id := range ids {
+		var n int
+		if _, err := fmt.Sscanf(id, "q-%d", &n); err == nil && n > s.nextID {
+			s.nextID = n
 		}
 	}
 }
@@ -645,7 +614,6 @@ func (s *Service) newSessionRecord(req AskRequest, status string) *SessionInfo {
 			break // never drop live requests; trim resumes once they finish
 		}
 		delete(s.sessions, oldest.ID)
-		delete(s.sessionWorker, oldest.ID)
 		// A trimmed interactive record releases its event log and stored
 		// result with it — the expiry path for long-abandoned streams.
 		delete(s.interactive, oldest.ID)
@@ -670,8 +638,9 @@ func (s *Service) finishRecord(info *SessionInfo, status string, tokens int, err
 	s.m.Tokens += int64(tokens)
 }
 
-// worker drains the queue with exclusive ownership of one Assistant.
-func (s *Service) worker(idx int, a *core.Assistant) {
+// worker drains the queue, asking through the shared Assistant; idx is
+// the worker's SessionInfo.Worker.
+func (s *Service) worker(idx int) {
 	defer s.wg.Done()
 	for t := range s.queue {
 		s.dequeued(t)
@@ -679,11 +648,10 @@ func (s *Service) worker(idx int, a *core.Assistant) {
 		t.info.Status = "running"
 		t.info.Worker = idx
 		t.info.Started = time.Now()
-		s.sessionWorker[t.info.ID] = idx
 		s.m.Running++
 		s.mu.Unlock()
 
-		res := s.runTask(idx, a, t)
+		res := s.runTask(idx, t)
 
 		s.mu.Lock()
 		s.m.Running--
@@ -704,7 +672,7 @@ func (s *Service) worker(idx int, a *core.Assistant) {
 	}
 }
 
-func (s *Service) runTask(idx int, a *core.Assistant, t *task) *AskResult {
+func (s *Service) runTask(idx int, t *task) *AskResult {
 	start := time.Now()
 	opts := core.AskOptions{
 		Model:     s.cfg.NewModel(t.req.Seed),
@@ -714,7 +682,7 @@ func (s *Service) runTask(idx int, a *core.Assistant, t *task) *AskResult {
 		opts.Feedback = t.ia.feedback
 		opts.Events = t.ia.events
 	}
-	ans, runErr := a.AskWith(t.req.Question, opts)
+	ans, runErr := s.assistant.AskWith(t.req.Question, opts)
 	res := &AskResult{
 		RequestID: t.info.ID,
 		SessionID: t.info.ID,
@@ -796,12 +764,9 @@ func (s *Service) Session(id string) (SessionInfo, bool) {
 }
 
 // resolveTarget maps a session-record ID to the provenance session that
-// holds its artifact trail (itself, or SourceSession for cached requests),
-// opened from the store that contains it. When the backing record was
-// trimmed from the bounded history — or revived from a persisted cache and
-// computed by a previous incarnation — the trail is still on disk, so
-// resolution falls back to scanning the pool's stores and any orphaned
-// worker stores a restart left behind.
+// holds its artifact trail (itself, or SourceSession for cached requests).
+// The trail is on disk even when the session that computed it was trimmed
+// from the bounded history or ran in a previous incarnation.
 func (s *Service) resolveTarget(id string) (*provenance.Session, error) {
 	s.mu.Lock()
 	info, ok := s.sessions[id]
@@ -813,27 +778,13 @@ func (s *Service) resolveTarget(id string) (*provenance.Session, error) {
 	if info.SourceSession != "" {
 		target = info.SourceSession
 	}
-	idx, ok := s.sessionWorker[target]
 	s.mu.Unlock()
-	if ok {
-		sess, err := s.assistants[idx].Store().OpenSession(target)
-		if errors.Is(err, fs.ErrNotExist) {
-			// A running session writes its manifest with its first artifact.
-			return nil, fmt.Errorf("%w: %q has no provenance", ErrUnknownSession, id)
-		}
-		return sess, err
+	sess, err := s.assistant.Store().OpenSession(target)
+	if errors.Is(err, fs.ErrNotExist) {
+		// A running session writes its manifest with its first artifact.
+		return nil, fmt.Errorf("%w: %q has no provenance", ErrUnknownSession, id)
 	}
-	stores := make([]*provenance.Store, 0, len(s.assistants)+len(s.extraStores))
-	for _, a := range s.assistants {
-		stores = append(stores, a.Store())
-	}
-	stores = append(stores, s.extraStores...)
-	for _, store := range stores {
-		if sess, err := store.OpenSession(target); err == nil {
-			return sess, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %q has no provenance", ErrUnknownSession, id)
+	return sess, err
 }
 
 // Provenance returns the manifest of the provenance session backing record
@@ -894,8 +845,8 @@ func (s *Service) fingerprint() (string, uint64, error) {
 	return fp, gen, err
 }
 
-// Workers returns the assistant-pool size.
-func (s *Service) Workers() int { return len(s.assistants) }
+// Workers returns the number of worker goroutines.
+func (s *Service) Workers() int { return s.cfg.Workers }
 
 // CacheLen returns the current answer-cache entry count.
 func (s *Service) CacheLen() int { return s.cache.Len() }
@@ -907,7 +858,7 @@ func (s *Service) Metrics() Metrics {
 	m := s.m
 	m.PendingApprovals = s.pendingApprovals
 	s.mu.Unlock()
-	m.Workers = len(s.assistants)
+	m.Workers = s.cfg.Workers
 	m.QueueDepth = cap(s.queue)
 	m.QueueLen = len(s.queue)
 	m.Cache = s.cache.Stats()

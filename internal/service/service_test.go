@@ -488,7 +488,7 @@ func TestServiceFailedRunIsRecordedNotCached(t *testing.T) {
 }
 
 // TestServiceStagingDBReclaimed: the per-question staging database lives
-// in memory only, so nothing appears under the worker's db/ directory,
+// in memory only, so nothing appears under a db/ directory of the work dir,
 // and the provenance trail still verifies after the answer.
 func TestServiceStagingDBReclaimed(t *testing.T) {
 	work := t.TempDir()
@@ -497,7 +497,7 @@ func TestServiceStagingDBReclaimed(t *testing.T) {
 	if err != nil || res.Error != "" {
 		t.Fatalf("ask: %v %+v", err, res)
 	}
-	dbDir := filepath.Join(work, "worker-00", "db")
+	dbDir := filepath.Join(work, "db")
 	if _, err := os.Stat(dbDir); !os.IsNotExist(err) {
 		t.Errorf("staging DB directory %s should not exist (stat err = %v)", dbDir, err)
 	}
@@ -508,16 +508,22 @@ func TestServiceStagingDBReclaimed(t *testing.T) {
 
 // TestServiceCachePersistence: a service with a stable WorkDir serializes
 // its answer cache on Close and a successor over the same WorkDir revives
-// it — unless the ensemble changed, in which case the stale entries are
-// dropped at load (fingerprint re-validation).
+// it — also with a different worker count, since every worker's trails
+// share the one store — unless the ensemble changed, in which case the
+// stale entries are dropped at load (fingerprint re-validation).
 func TestServiceCachePersistence(t *testing.T) {
 	dir := testEnsemble(t)
 	work := t.TempDir()
+	questions := []string{topHalosQ, "Across all the simulations, what is the average size (fof_halo_count) of halos at each time step?"}
 
 	first := newService(t, Config{Workers: 1, EnsembleDir: dir, WorkDir: work})
-	res, err := first.Ask(AskRequest{Question: topHalosQ})
-	if err != nil || res.Error != "" {
-		t.Fatalf("ask: %v %+v", err, res)
+	var computed []*AskResult
+	for _, q := range questions {
+		res, err := first.Ask(AskRequest{Question: q})
+		if err != nil || res.Error != "" {
+			t.Fatalf("ask: %v %+v", err, res)
+		}
+		computed = append(computed, res)
 	}
 	if err := first.Close(); err != nil {
 		t.Fatal(err)
@@ -525,32 +531,33 @@ func TestServiceCachePersistence(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(work, CacheFileName)); err != nil {
 		t.Fatalf("cache file not persisted: %v", err)
 	}
-	if fi, ok := ReadCacheFileInfo(work); !ok || fi.Entries != 1 {
+	if fi, ok := ReadCacheFileInfo(work); !ok || fi.Entries != len(questions) {
 		t.Fatalf("cache file info = %+v %v", fi, ok)
 	}
 
-	// Simulate a pool shrink across the restart: the original worker dir is
-	// orphaned (no assistant owns it), but its provenance sessions are still
-	// referenced by the persisted cache.
-	if err := os.Rename(filepath.Join(work, "worker-00"), filepath.Join(work, "worker-07")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart: the same question is a hit without any computation, and its
-	// provenance still resolves from the (now orphaned) on-disk trail.
-	second := newService(t, Config{Workers: 1, EnsembleDir: dir, WorkDir: work})
-	hit, err := second.Ask(AskRequest{Question: topHalosQ})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit.Cached || hit.SessionID != res.SessionID {
-		t.Fatalf("restart should serve from the persisted cache: %+v", hit)
-	}
-	if entries, err := second.Provenance(hit.RequestID); err != nil || len(entries) == 0 {
-		t.Fatalf("provenance after restart: %v (%d entries)", err, len(entries))
+	// Restart with three workers: every question is a hit without any
+	// computation, and its provenance still resolves from the on-disk trail.
+	second := newService(t, Config{Workers: 3, EnsembleDir: dir, WorkDir: work})
+	for i, q := range questions {
+		hit, err := second.Ask(AskRequest{Question: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.Cached || hit.SessionID != computed[i].SessionID {
+			t.Fatalf("restart should serve from the persisted cache: %+v", hit)
+		}
+		if entries, err := second.Provenance(hit.RequestID); err != nil || len(entries) == 0 {
+			t.Fatalf("provenance after restart: %v (%d entries)", err, len(entries))
+		}
+		if bad, err := second.VerifySession(hit.RequestID); err != nil || len(bad) != 0 {
+			t.Fatalf("verify after restart: %v %v", bad, err)
+		}
 	}
 	if err := second.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if stray, _ := filepath.Glob(filepath.Join(work, "worker-*")); len(stray) != 0 {
+		t.Fatalf("per-worker dirs in the work dir: %v", stray)
 	}
 
 	// Change the ensemble: the persisted entries no longer validate, so the
@@ -569,10 +576,12 @@ func TestServiceCachePersistence(t *testing.T) {
 	if miss.Cached {
 		t.Fatal("changed ensemble must not serve persisted answers")
 	}
-	// The ID sequence resumed past the orphaned worker's sessions, so the
-	// new computation can never shadow the old q-0001 trail.
-	if miss.RequestID == res.RequestID {
-		t.Fatalf("restarted service reused session ID %s", miss.RequestID)
+	// The ID sequence resumed past the on-disk sessions, so the new
+	// computation can never shadow an old trail.
+	for _, res := range computed {
+		if miss.RequestID == res.RequestID {
+			t.Fatalf("restarted service reused session ID %s", miss.RequestID)
+		}
 	}
 }
 
