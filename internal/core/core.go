@@ -285,6 +285,9 @@ func (a *Assistant) ask(question string, opts AskOptions) (*Answer, *sqldb.DB, e
 		MetricLabels:      a.cfg.MetricLabels,
 	}
 	res, runErr := agent.Run(rt, question)
+	if err := sess.Close(); err != nil && runErr == nil {
+		runErr = fmt.Errorf("provenance: %w", err)
+	}
 	ans := &Answer{
 		Result:          res,
 		SessionID:       sessionID,

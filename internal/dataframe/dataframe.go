@@ -6,6 +6,22 @@
 // serializes frames to CSV artifacts. The design mirrors a small subset of
 // pandas: named, homogeneously typed columns of equal length with
 // filter/select/derive/sort/group-by/join verbs.
+//
+// # Cell-text memos
+//
+// Writing a frame as CSV formats every Float cell, and an ask's tables
+// repeat the cells of the same resident snapshot columns. A Float column
+// may therefore carry a pointer to the CSV text of its cells (CellMemo,
+// memo.go): the staging cache gives one to each resident column, the
+// first WriteCSV that reaches it builds it, and later writes copy the text.
+// ConcatColumn (and Concat) keep, for each row range that came whole from
+// such a column, a pointer to its memo, so a table copied out of resident
+// segments writes by copying too. The memo lives with its owner, not the
+// frame: the staging cache counts its bytes against its budget while the
+// column is resident and drops it before the column's buffer can be
+// reused; a dropped memo formats again. A memo is used only for the vector
+// it was made for, at its length: every verb that makes a new vector
+// leaves it behind.
 package dataframe
 
 import (
@@ -54,6 +70,10 @@ type Column struct {
 	// The flag must be set before the column is published to concurrent
 	// readers; it is copied along with the struct by shell-building verbs.
 	shared bool
+	// cells says which rows' CSV text memos hold (memo.go). It is copied
+	// along with the struct by the verbs that keep the vector, and never
+	// set on a new one.
+	cells *cellSource
 }
 
 // NewFloat returns a float column over vals (not copied).
@@ -560,6 +580,7 @@ func (f *Frame) Append(other *Frame) error {
 			c = c.Clone()
 			f.cols[i] = c
 		}
+		c.cells = nil // the vector grows: its ranges no longer describe it
 		switch c.Kind {
 		case Float:
 			c.F = append(c.F, oc.F...)
@@ -600,7 +621,6 @@ func Concat(frames ...*Frame) (*Frame, error) {
 		return out, nil
 	}
 	first := frames[0]
-	total := 0
 	for fi, f := range frames {
 		if f.NumCols() != first.NumCols() {
 			return nil, fmt.Errorf("dataframe: concat schema mismatch: frame %d has %d columns, want %d", fi, f.NumCols(), first.NumCols())
@@ -612,32 +632,14 @@ func Concat(frames ...*Frame) (*Frame, error) {
 					fi, i, oc.Name, oc.Kind, c.Name, c.Kind)
 			}
 		}
-		total += f.NumRows()
 	}
 	out := New()
+	cols := make([]*Column, len(frames))
 	for i, c := range first.cols {
-		var merged *Column
-		switch c.Kind {
-		case Float:
-			vals := make([]float64, 0, total)
-			for _, f := range frames {
-				vals = append(vals, f.cols[i].F...)
-			}
-			merged = NewFloat(c.Name, vals)
-		case Int:
-			vals := make([]int64, 0, total)
-			for _, f := range frames {
-				vals = append(vals, f.cols[i].I...)
-			}
-			merged = NewInt(c.Name, vals)
-		default:
-			vals := make([]string, 0, total)
-			for _, f := range frames {
-				vals = append(vals, f.cols[i].S...)
-			}
-			merged = NewString(c.Name, vals)
+		for fi, f := range frames {
+			cols[fi] = f.cols[i]
 		}
-		if err := out.AddColumn(merged); err != nil {
+		if err := out.AddColumn(ConcatColumn(c.Name, cols...)); err != nil {
 			return nil, err
 		}
 	}

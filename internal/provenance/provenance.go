@@ -23,6 +23,11 @@
 // A failed record truncates the log back to where it started, so the log
 // only ever holds the ranges the manifest names, contiguously and in seq
 // order.
+//
+// A session keeps both files open from its first record until Close, and
+// knows where the log ends, so a record makes no open, seek or close; a
+// record after Close opens them again. One Session value at a time may
+// record into a directory.
 package provenance
 
 import (
@@ -77,6 +82,10 @@ type Session struct {
 	mu      sync.Mutex
 	seq     int
 	entries []Entry
+	// log and manifest are the open files, nil until the first record and
+	// after Close; end is the log's length, where the next artifact goes.
+	log, manifest *os.File
+	end           int64
 }
 
 const (
@@ -203,27 +212,17 @@ func (s *Session) record(agent, kind, name string, write func(io.Writer) error) 
 	defer s.mu.Unlock()
 	seq := s.seq
 	s.seq++
-	logPath := filepath.Join(s.dir, logName)
-	lf, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
+	if err := s.openLocked(); err != nil {
 		return Entry{}, err
 	}
-	offset, err := lf.Seek(0, io.SeekEnd)
-	if err != nil {
-		lf.Close()
-		return Entry{}, err
-	}
+	offset := s.end
 	defer func() {
-		if err != nil {
-			os.Truncate(logPath, offset)
+		if err != nil && s.log.Truncate(offset) != nil {
+			s.closeLocked() // the next record finds the log's end again
 		}
 	}()
 	sum := hashCounter{Hash: sha256.New()}
-	err = write(io.MultiWriter(lf, &sum))
-	if cerr := lf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := write(io.MultiWriter(s.log, &sum)); err != nil {
 		return Entry{}, err
 	}
 	e := Entry{
@@ -240,16 +239,57 @@ func (s *Session) record(agent, kind, name string, write func(io.Writer) error) 
 	if err != nil {
 		return Entry{}, err
 	}
-	mf, err := os.OpenFile(filepath.Join(s.dir, manifestName), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
+	if _, err := s.manifest.Write(append(line, '\n')); err != nil {
 		return Entry{}, err
 	}
-	defer mf.Close()
-	if _, err := mf.Write(append(line, '\n')); err != nil {
-		return Entry{}, err
-	}
+	s.end = offset + sum.n
 	s.entries = append(s.entries, e)
 	return e, nil
+}
+
+// openLocked opens the log and the manifest for appending, unless they
+// are open, and finds where the log ends. Caller holds mu.
+func (s *Session) openLocked() error {
+	if s.log != nil {
+		return nil
+	}
+	lf, err := os.OpenFile(filepath.Join(s.dir, logName), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	end, err := lf.Seek(0, io.SeekEnd)
+	if err != nil {
+		lf.Close()
+		return err
+	}
+	mf, err := os.OpenFile(filepath.Join(s.dir, manifestName), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		lf.Close()
+		return err
+	}
+	s.log, s.manifest, s.end = lf, mf, end
+	return nil
+}
+
+// Close closes the session's log and manifest, if a record opened them,
+// and reports the first error. The session stays usable: its next record
+// opens them again.
+func (s *Session) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closeLocked()
+}
+
+func (s *Session) closeLocked() error {
+	if s.log == nil {
+		return nil
+	}
+	err := s.log.Close()
+	if merr := s.manifest.Close(); err == nil {
+		err = merr
+	}
+	s.log, s.manifest = nil, nil
+	return err
 }
 
 // hashCounter is a hash that also counts the bytes written to it.
@@ -358,12 +398,14 @@ func (s *Session) SizeBytes() int64 {
 // Branch creates a new session seeded with this session's artifacts up to
 // and including seq upTo (copying their bytes and manifest prefix), so
 // alternative follow-up steps can run from an established processing stage
-// without recomputing it.
+// without recomputing it. The new session's files are closed when it
+// returns.
 func (s *Store) Branch(from *Session, newID string, upTo int) (*Session, error) {
 	dst, err := s.NewSession(newID)
 	if err != nil {
 		return nil, err
 	}
+	defer dst.Close() // error paths; the success path checks its own Close
 	for _, e := range from.Manifest() {
 		if e.Seq > upTo {
 			break
@@ -375,6 +417,9 @@ func (s *Store) Branch(from *Session, newID string, upTo int) (*Session, error) 
 		if _, err := dst.Record(e.Agent, e.Kind, e.Name, data); err != nil {
 			return nil, err
 		}
+	}
+	if err := dst.Close(); err != nil {
+		return nil, fmt.Errorf("provenance: branch: %w", err)
 	}
 	return dst, nil
 }

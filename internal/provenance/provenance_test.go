@@ -496,3 +496,59 @@ func TestOddNamesStayInManifest(t *testing.T) {
 		t.Errorf("store root holds %d entries, want the one session", len(ents))
 	}
 }
+
+// TestSessionKeepsFilesOpenUntilClose: records after the first reuse the
+// open log and manifest — with both unlinked, they reappear only once
+// Close lets the next record open them again — and offsets carry on
+// across a Close.
+func TestSessionKeepsFilesOpenUntilClose(t *testing.T) {
+	store, sess := newSession(t)
+	if _, err := sess.Record("a", "k", "one", []byte("111")); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{logName, manifestName} {
+		if err := os.Remove(filepath.Join(sess.Dir(), name)); err != nil {
+			t.Skipf("cannot unlink an open file here: %v", err)
+		}
+	}
+	if _, err := sess.Record("a", "k", "two", []byte("22")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(sess.Dir(), logName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a record opened the log again: %v", err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+
+	// Close, then record: the files open again and the log's end is found.
+	sess, err := store.NewSession("run-002")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, data := range []string{"abc", "de"} {
+		if i == 1 {
+			if err := sess.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e, err := sess.Record("a", "k", data, []byte(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(3 * i); e.Offset != want {
+			t.Fatalf("record %d at offset %d, want %d", i, e.Offset, want)
+		}
+	}
+	sess.Close()
+	re, err := store.OpenSession("run-002")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad, _ := re.Verify(); len(bad) != 0 || len(re.Manifest()) != 2 {
+		t.Fatalf("trail after Close and record: %d entries, bad %v", len(re.Manifest()), bad)
+	}
+}

@@ -33,16 +33,29 @@ type cacheFile struct {
 	Fingerprint string           `json:"fingerprint,omitempty"`
 	SavedAt     time.Time        `json:"saved_at"`
 	Entries     []PersistedEntry `json:"entries"`
+	// LastID is the number of the last "q-NNNN" request ID the service
+	// issued, written at Close. A cache hit or a rejected ask takes an ID
+	// but leaves no trail, so the trail scan alone would issue it again
+	// after a restart; the next incarnation resumes past both. A process
+	// that dies before Close writes no mark, and may reuse the IDs of
+	// hits served since the last one.
+	LastID int `json:"last_id,omitempty"`
 }
 
 // SaveCacheFile snapshots c into dir/cache.json (atomically, via a rename).
 // fingerprint annotates the file; it may be empty.
 func SaveCacheFile(dir string, c *Cache, fingerprint string) error {
+	return saveCacheFile(dir, c, fingerprint, 0)
+}
+
+// saveCacheFile is SaveCacheFile that also records the last request ID.
+func saveCacheFile(dir string, c *Cache, fingerprint string, lastID int) error {
 	f := cacheFile{
 		Version:     cacheFileVersion,
 		Fingerprint: fingerprint,
 		SavedAt:     time.Now(),
 		Entries:     c.Snapshot(),
+		LastID:      lastID,
 	}
 	data, err := json.MarshalIndent(f, "", " ")
 	if err != nil {
@@ -93,21 +106,25 @@ func ReadCacheFileInfo(dir string) (CacheFileInfo, bool) {
 	return CacheFileInfo{Entries: len(f.Entries), Fingerprint: f.Fingerprint, SavedAt: f.SavedAt}, true
 }
 
-// persistCache serializes the answer cache to WorkDir/cache.json. No-op
-// without a stable WorkDir (temp-dir services have nowhere durable to put
-// it).
+// persistCache serializes the answer cache, with the last request ID
+// issued, to WorkDir/cache.json. No-op without a stable WorkDir (temp-dir
+// services have nowhere durable to put it).
 func (s *Service) persistCache() error {
 	if s.cfg.WorkDir == "" {
 		return nil
 	}
 	fp, _, _ := s.fingerprint()
-	return SaveCacheFile(s.cfg.WorkDir, s.cache, fp)
+	s.mu.Lock()
+	lastID := s.nextID
+	s.mu.Unlock()
+	return saveCacheFile(s.cfg.WorkDir, s.cache, fp, lastID)
 }
 
 // loadPersistedCache restores WorkDir/cache.json into the fresh cache,
 // keeping only entries whose fingerprint matches the ensemble directory as
 // it stands now — the re-validation step that makes a stale snapshot safe.
-// It returns how many entries were revived.
+// It resumes the request ID sequence past the file's last_id, whatever the
+// entries' fate, and returns how many entries were revived.
 func (s *Service) loadPersistedCache() int {
 	if s.cfg.WorkDir == "" {
 		return 0
@@ -117,7 +134,11 @@ func (s *Service) loadPersistedCache() int {
 		s.logf("service: ignoring persisted cache: %v", err)
 		return 0
 	}
-	if f == nil || len(f.Entries) == 0 {
+	if f == nil {
+		return 0
+	}
+	s.nextID = max(s.nextID, f.LastID)
+	if len(f.Entries) == 0 {
 		return 0
 	}
 	// The service's first fingerprint walks: it sees the directory as is.

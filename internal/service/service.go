@@ -366,7 +366,8 @@ func (s *Service) registerMetrics() {
 // WorkDir/worker-NN/sessions/<id>; a trail whose ID the store already
 // holds stays where it is. Then it resumes the ID sequence past every
 // session, so a new session never takes the ID of an on-disk trail that a
-// revived cache entry may name.
+// revived cache entry may name; loadPersistedCache, which runs first,
+// already resumed it past cache.json's last_id.
 func (s *Service) resumeSessions() {
 	store := s.assistant.Store()
 	old, _ := filepath.Glob(filepath.Join(s.cfg.WorkDir, "worker-*", "sessions", "*"))

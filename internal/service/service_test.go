@@ -585,6 +585,57 @@ func TestServiceCachePersistence(t *testing.T) {
 	}
 }
 
+// TestServiceRequestIDsResumePastHits: cache hits take request IDs but
+// write no trail, so the next incarnation must resume past the IDs they
+// took (cache.json's last_id), not only past the trails on disk.
+func TestServiceRequestIDsResumePastHits(t *testing.T) {
+	dir := testEnsemble(t)
+	work := t.TempDir()
+	idNum := func(id string) int {
+		var n int
+		if _, err := fmt.Sscanf(id, "q-%d", &n); err != nil {
+			t.Fatalf("request ID %q: %v", id, err)
+		}
+		return n
+	}
+
+	first := newService(t, Config{Workers: 1, EnsembleDir: dir, WorkDir: work})
+	if _, err := first.Ask(AskRequest{Question: topHalosQ}); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	second := newService(t, Config{Workers: 1, EnsembleDir: dir, WorkDir: work})
+	issued := 0
+	for i := 0; i < 2; i++ {
+		hit, err := second.Ask(AskRequest{Question: topHalosQ})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.Cached {
+			t.Fatalf("ask %d after a restart should hit the persisted cache: %+v", i, hit)
+		}
+		issued = max(issued, idNum(hit.RequestID))
+	}
+	if err := second.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	third := newService(t, Config{Workers: 1, EnsembleDir: dir, WorkDir: work})
+	miss, err := third.Ask(AskRequest{Question: topHalosQ, Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if miss.Cached {
+		t.Fatalf("a new seed must compute: %+v", miss)
+	}
+	if got := idNum(miss.RequestID); got <= issued {
+		t.Fatalf("computed ask took %s; the last incarnation issued up to q-%04d", miss.RequestID, issued)
+	}
+}
+
 func TestServiceSessionIDsAreSequential(t *testing.T) {
 	svc := newService(t, Config{Workers: 2})
 	for i := 0; i < 3; i++ {

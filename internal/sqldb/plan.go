@@ -233,8 +233,48 @@ func (p *vecPlan) run(scan segScan, st *execStats) (*dataframe.Frame, error) {
 		return p.runGrouped(scan, st)
 	case len(p.stmt.orderBy) > 0 || p.rowOuts:
 		return p.runOrdered(scan, st)
+	case p.projection():
+		return p.runProjection(scan, st)
 	}
 	return p.runRows(scan, st)
+}
+
+// projection reports whether the plan only names columns (aliases and
+// "*" allowed): no WHERE, LIMIT, DISTINCT or computed output. run has
+// already sent grouped, ordered and row-evaluated plans elsewhere.
+func (p *vecPlan) projection() bool {
+	if p.stmt.where != nil || p.stmt.limit >= 0 || p.stmt.distinct {
+		return false
+	}
+	for _, o := range p.outs {
+		if o.node != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// runProjection executes a projection: each output is its source column's
+// segment vectors copied back to back (dataframe.ConcatColumn), one copy
+// per segment and a copy even of a single segment, so no result aliases a
+// segment's vector — a stage buffer that is only lent for the ask's lease.
+// The result keeps the segments' cell-text memos, so writing it as CSV
+// copies their text.
+func (p *vecPlan) runProjection(scan segScan, st *execStats) (*dataframe.Frame, error) {
+	out := dataframe.New()
+	cols := make([]*dataframe.Column, len(scan.segs))
+	for _, o := range p.outs {
+		for si, seg := range scan.segs {
+			cols[si] = seg.MustColumn(o.src)
+		}
+		if err := out.AddColumn(dataframe.ConcatColumn(o.name, cols...)); err != nil {
+			return nil, err
+		}
+	}
+	for _, seg := range scan.segs {
+		st.rowsScanned += int64(seg.NumRows())
+	}
+	return out, nil
 }
 
 // selection evaluates WHERE over the block and appends surviving local row

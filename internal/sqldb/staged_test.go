@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"bytes"
 	"testing"
 
 	"infera/internal/dataframe"
@@ -87,5 +88,56 @@ func TestStagedReadTableSharesResident(t *testing.T) {
 	}
 	if c.NumRows() != 8 || b.NumRows() != 8 {
 		t.Fatalf("COW violated: table rows = %d, sibling shell rows = %d", c.NumRows(), b.NumRows())
+	}
+}
+
+// TestProjectionCopiesSegments: a statement that only names columns is
+// one copy of each segment's vectors, of one segment too, so no result
+// aliases a staged vector; it answers as the reference engine does and
+// keeps the segments' cell-text memos, so its CSV copies their text.
+func TestProjectionCopiesSegments(t *testing.T) {
+	for _, segs := range []int{1, 3} {
+		db := New()
+		var frames []*dataframe.Frame
+		for i := 0; i < segs; i++ {
+			f := stagedFrame(5, float64(100*i)+0.25)
+			f.MustColumn("mass").SetCellMemo(dataframe.NewCellMemo(nil))
+			frames = append(frames, f)
+		}
+		if err := db.BulkAppend("t", frames...); err != nil {
+			t.Fatal(err)
+		}
+		const sql = "SELECT mass AS m, tag, mass FROM t"
+		got, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.QueryBackend(sql, BackendTreeWalk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dataframe.Equal(got, want) {
+			t.Fatalf("%d segments: projection\n%v\nreference\n%v", segs, got, want)
+		}
+		m := got.MustColumn("m")
+		for _, f := range frames {
+			src := f.MustColumn("mass").F
+			if &m.F[0] == &src[0] || &got.MustColumn("mass").F[0] == &src[0] {
+				t.Fatalf("%d segments: the result aliases a segment's vector", segs)
+			}
+		}
+		var first, again bytes.Buffer
+		if err := got.WriteCSV(&first); err != nil {
+			t.Fatal(err)
+		}
+		if !m.HasCellText() {
+			t.Fatalf("%d segments: the result left the segments' memos behind", segs)
+		}
+		if err := want.Clone().WriteCSV(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("%d segments: memoised CSV differs from a copy's", segs)
+		}
 	}
 }
