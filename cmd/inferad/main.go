@@ -82,8 +82,9 @@
 // Concurrency model: per shard, one assistant serves -workers worker
 // goroutines. Each question runs against its own staging database, sandbox
 // and provenance session, so N questions run in parallel without sharing
-// mutable state; every session's trail lands in the shard's one store,
-// <work>/shards/<name>/sessions/<id>/. -queue bounds pending requests beyond
+// mutable state; every session's trail is a range of one of the shard's
+// trail segments, <work>/shards/<name>/sessions/seg-*.{log,jsonl}, which
+// its asks share (API.md, "Session trail layout"). -queue bounds pending requests beyond
 // that, and a full queue answers 503 with Retry-After (backpressure
 // instead of unbounded memory). Repeat questions against an unchanged
 // ensemble are answered from that shard's cache in microseconds, concurrent

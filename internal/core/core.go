@@ -134,10 +134,9 @@ func (a *Assistant) newExecutor() *sandbox.Executor {
 	}
 }
 
-// Close returns nil: an Assistant holds nothing that needs releasing (its
-// work directory outlives it). It remains for callers that close every
-// handle they open, such as the benchmark's core.new_ms probe.
-func (a *Assistant) Close() error { return nil }
+// Close releases the provenance store (its work directory outlives it).
+// Close the assistant once its asks have returned.
+func (a *Assistant) Close() error { return a.store.Close() }
 
 // Catalog exposes the loaded ensemble catalog.
 func (a *Assistant) Catalog() *hacc.Catalog { return a.catalog }

@@ -45,11 +45,15 @@ func TestVerifyAndBranchSession(t *testing.T) {
 	// re-verify: exactly that artifact is flagged.
 	target := ans.Artifacts[len(ans.Artifacts)/3]
 	sess, _ := a.Store().OpenSession(ans.SessionID)
-	log, err := os.OpenFile(filepath.Join(sess.Dir(), target.File), os.O_RDWR, 0)
+	path, off, err := sess.Locate(target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := log.WriteAt([]byte{0}, target.Offset+target.Bytes/2); err != nil {
+	log, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.WriteAt([]byte{0}, off+target.Bytes/2); err != nil {
 		t.Fatal(err)
 	}
 	log.Close()

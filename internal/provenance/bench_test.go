@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"testing"
 
@@ -128,4 +129,57 @@ func BenchmarkRecordFrame(b *testing.B) {
 	if sess != nil {
 		sess.Close()
 	}
+}
+
+// warmAskSizes are the artifact sizes, in order, of a computed top-20
+// halos ask over a small generated ensemble (plan, SQL, tables,
+// checkpoints, script and summary), with the SQL step's table at 16 KB
+// and one more checkpoint.
+var warmAskSizes = []int{292, 1447, 1447, 906, 116, 1798, 1798, 93, 654, 1986,
+	1986, 108, 654, 654, 2163, 2163, 436, 2162, 16 << 10, 2162}
+
+// BenchmarkSessionTrail times one ask's trail: NewSession, 20 records of
+// a warm ask's sizes, Close. A first session runs before the timer, as a
+// daemon's first ask does, and inodes/op counts the directory entries each
+// later one adds under the store.
+func BenchmarkSessionTrail(b *testing.B) {
+	store, err := NewStore(filepath.Join(b.TempDir(), "sessions"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	payloads := make([][]byte, len(warmAskSizes))
+	for i, n := range warmAskSizes {
+		payloads[i] = make([]byte, n)
+		for j := range payloads[i] {
+			payloads[i][j] = byte('a' + (i+j)%26)
+		}
+	}
+	ask := func(i int) {
+		sess, err := store.NewSession(fmt.Sprintf("q-%06d", i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j, p := range payloads {
+			if _, err := sess.Record("agent", "data", fmt.Sprintf("a%d", j), p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := sess.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	entries := func() int {
+		n := 0
+		filepath.WalkDir(store.Root, func(string, fs.DirEntry, error) error { n++; return nil })
+		return n
+	}
+	ask(0)
+	before := entries()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ask(i + 1)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(entries()-before)/float64(b.N), "inodes/op")
 }

@@ -1,17 +1,22 @@
 package provenance
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// FuzzSessionTrail throws arbitrary manifest and log bytes at a session:
-// OpenSession, Verify, a Read of every entry, and a Branch of the whole
-// trail. None may panic, and no Read may return (so allocate) more than
-// the file it reads holds — a hostile "bytes" or "offset" must fail the
-// range check, not size an allocation.
+// FuzzSessionTrail throws arbitrary manifest and log bytes at a session,
+// laid out both as a per-session directory and as a session's block of a
+// segment that already holds another session: OpenSession, Verify, a Read
+// of every entry, and a Branch of the whole trail. None may panic, and no
+// Read may return (so allocate) more than the file it reads holds — a
+// hostile "bytes" or "offset" must fail the range check, not size an
+// allocation. In the segment, a hostile header, base or offset must not
+// reach the neighbour's bytes either.
 func FuzzSessionTrail(f *testing.F) {
 	f.Add([]byte(`{"seq":0,"agent":"sql","kind":"code","name":"q.sql","file":"trail.log","sha256":"","bytes":8}`+"\n"), []byte("SELECT 1"))
 	f.Add([]byte(`{"seq":0,"file":"trail.log","bytes":3}`+"\n"+`{"seq":1,"file":"trail.log","bytes":5,"offset":3}`+"\n"), []byte("abcdefgh"))
@@ -20,51 +25,145 @@ func FuzzSessionTrail(f *testing.F) {
 	f.Add([]byte(`{"seq":9223372036854775807,"file":"../trail.log","bytes":1}`+"\n"), []byte("z"))
 	f.Add([]byte(`{"seq":0,"file":"manifest.jsonl","bytes":10}`), []byte(""))
 	f.Add([]byte("not json\n"), []byte("q"))
+	// Hostile segment lines: a second header over the neighbour's range, a
+	// huge or negative base, a tombstone and a duplicate of the neighbour.
+	f.Add([]byte(`{"seq":0,"file":"trail.log","bytes":2}`+"\n"+`{"session":"h","base":0}`+"\n"+`{"seq":0,"file":"trail.log","bytes":16}`+"\n"), []byte("ab"))
+	f.Add([]byte(`{"session":"h","base":3}`+"\n"+`{"seq":0,"file":"trail.log","bytes":8}`+"\n"), []byte("abcdefgh"))
+	f.Add([]byte(`{"session":"h","base":9223372036854775807}`+"\n"+`{"seq":0,"file":"trail.log","bytes":1}`+"\n"), []byte("z"))
+	f.Add([]byte(`{"session":"h","base":-16}`+"\n"+`{"seq":0,"file":"trail.log","bytes":16}`+"\n"), []byte("z"))
+	f.Add([]byte(`{"tombstone":"n","base":0}`+"\n"+`{"session":"n","base":16}`+"\n"+`{"seq":0,"file":"trail.log","bytes":1}`+"\n"+`{"seq":1,"file":"trail.log","bytes":1}`+"\n"), []byte("zz"))
+	f.Add([]byte(`{"session":"h","base":9223372036854775806}`+"\n"+`{"seq":0,"file":"trail.log","bytes":5}`+"\n"+`{"session":"g","base":0}`+"\n"+`{"seq":0,"file":"trail.log","bytes":16}`+"\n"), []byte("z"))
+	f.Add([]byte(`{"seq":0,"file":"trail.log","bytes":1}`+"\n"+`{"session":"g","base":"x"}`+"\n"+`{"seq":1,"file":"trail.log","bytes":16,"offset":1}`+"\n"), []byte("zz"))
 
 	f.Fuzz(func(t *testing.T, manifest, log []byte) {
 		if len(manifest)+len(log) > 1<<20 {
 			return
 		}
-		store, err := NewStore(t.TempDir())
+		fuzzDirTrail(t, manifest, log)
+		fuzzSegmentTrail(t, manifest, log)
+	})
+}
+
+// fuzzDirTrail lays the bytes out as a per-session directory.
+func fuzzDirTrail(t *testing.T, manifest, log []byte) {
+	store, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	dir := filepath.Join(store.Root, "s")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, logName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := store.OpenSession("s")
+	if err != nil {
+		return
+	}
+	sess.Verify()
+	limit := int64(len(log))
+	if ml := int64(len(manifest)); ml > limit {
+		limit = ml // an entry may name the manifest itself
+	}
+	for _, e := range sess.Manifest() {
+		data, err := sess.Read(e)
 		if err != nil {
-			t.Fatal(err)
+			continue
 		}
-		dir := filepath.Join(store.Root, "s")
-		if err := os.Mkdir(dir, 0o755); err != nil {
-			t.Fatal(err)
+		if int64(len(data)) != e.Bytes || e.Bytes > limit {
+			t.Fatalf("seq %d: Read returned %d bytes for a %d-byte entry (files hold at most %d)", e.Seq, len(data), e.Bytes, limit)
 		}
-		if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, logName), log, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		sess, err := store.OpenSession("s")
+	}
+	checkBranch(t, store, sess)
+}
+
+// neighbour is the session recorded before the fuzzed one in its segment.
+var neighbour = bytes.Repeat([]byte("N"), 16)
+
+// fuzzSegmentTrail appends the bytes to a segment holding neighbour's
+// session "n": a header for session "s" at the end of n's range, the
+// manifest bytes after it, and the log bytes after n's.
+func fuzzSegmentTrail(t *testing.T, manifest, log []byte) {
+	root := t.TempDir()
+	store, err := NewStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := store.NewSession("n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Record("a", "data", "n.csv", neighbour); err != nil {
+		t.Fatal(err)
+	}
+	path, _, _ := n.Locate(Entry{File: logName})
+	seg := path[:len(path)-len(".log")]
+	n.Close()
+	store.Close()
+	appendFile(t, seg+".jsonl", append([]byte(fmt.Sprintf(`{"session":"s","base":%d}`+"\n", len(neighbour))), manifest...))
+	appendFile(t, seg+".log", log)
+	segLog, err := os.ReadFile(seg + ".log")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store, err = NewStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ids, _ := store.Sessions()
+	for _, id := range ids {
+		sess, err := store.OpenSession(id)
 		if err != nil {
-			return
+			continue
 		}
-		sess.Verify()
-		limit := int64(len(log))
-		if ml := int64(len(manifest)); ml > limit {
-			limit = ml // an entry may name the manifest itself
+		own := id == "n" && sess.base == 0 // the neighbour's own block
+		if bad, _ := sess.Verify(); own && len(bad) != 0 {
+			t.Fatalf("neighbour session %q fails verification: %v", id, bad)
 		}
 		for _, e := range sess.Manifest() {
 			data, err := sess.Read(e)
 			if err != nil {
 				continue
 			}
-			if int64(len(data)) != e.Bytes || e.Bytes > limit {
-				t.Fatalf("seq %d: Read returned %d bytes for a %d-byte entry (files hold at most %d)", e.Seq, len(data), e.Bytes, limit)
+			_, off, _ := sess.Locate(e)
+			if int64(len(data)) != e.Bytes || off+e.Bytes > int64(len(segLog)) || !bytes.Equal(data, segLog[off:off+e.Bytes]) {
+				t.Fatalf("%s seq %d: Read returned %d bytes for [%d, +%d) of a %d-byte log", id, e.Seq, len(data), off, e.Bytes, len(segLog))
+			}
+			if !own && off < int64(len(neighbour)) {
+				t.Fatalf("%s seq %d: read [%d, +%d), the neighbour's bytes", id, e.Seq, off, e.Bytes)
 			}
 		}
-		branch, err := store.Branch(sess, "b", math.MaxInt)
-		if err != nil {
-			return
-		}
-		// A branch hashes the bytes it copies, so it verifies whether or
-		// not its source did.
-		if bad, _ := branch.Verify(); len(bad) != 0 {
-			t.Fatalf("a fresh branch fails verification: %v", bad)
-		}
-	})
+		checkBranch(t, store, sess)
+	}
+}
+
+func appendFile(t *testing.T, path string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkBranch branches sess's whole trail: a branch hashes the bytes it
+// copies, so it verifies whether or not its source did.
+func checkBranch(t *testing.T, store *Store, sess *Session) {
+	branch, err := store.Branch(sess, "b-"+sess.ID, math.MaxInt)
+	if err != nil {
+		return
+	}
+	if bad, _ := branch.Verify(); len(bad) != 0 {
+		t.Fatalf("a fresh branch fails verification: %v", bad)
+	}
 }

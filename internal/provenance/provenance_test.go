@@ -31,17 +31,46 @@ func newSession(t *testing.T) (*Store, *Session) {
 	return store, sess
 }
 
-// logSize returns the size of sess's log, 0 if it does not exist yet.
+// logSize returns the bytes of sess's segment log from where its range
+// starts, 0 before its first record.
 func logSize(t *testing.T, sess *Session) int64 {
 	t.Helper()
-	st, err := os.Stat(filepath.Join(sess.Dir(), logName))
-	if os.IsNotExist(err) {
-		return 0
-	}
+	path, base, err := sess.Locate(Entry{File: logName})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.Size()
+	if path == "" {
+		return 0
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size() - base
+}
+
+// flipEntryByte inverts byte at of entry e's bytes on disk.
+func flipEntryByte(t *testing.T, sess *Session, e Entry, at int64) {
+	t.Helper()
+	path, off, err := sess.Locate(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipByte(t, path, off+at)
+}
+
+// storeFiles lists the names in a store's directory.
+func storeFiles(t *testing.T, store *Store) []string {
+	t.Helper()
+	ents, err := os.ReadDir(store.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 // flipByte inverts one byte of a file in place.
@@ -91,25 +120,31 @@ func TestRecordSequencesAndManifest(t *testing.T) {
 	}
 }
 
-// TestSessionIsThreeFiles: a session is one directory holding the manifest
-// and the log, however many artifacts it records.
-func TestSessionIsThreeFiles(t *testing.T) {
-	_, sess := newSession(t)
-	for i := 0; i < 20; i++ {
-		if _, err := sess.Record("a", "data", fmt.Sprintf("x%d.csv", i), []byte("1,2\n")); err != nil {
+// TestSessionsShareOneSegment: sessions recorded one after another, however
+// many artifacts each keeps, live in one segment: the store's directory
+// holds its log and its manifest and nothing else.
+func TestSessionsShareOneSegment(t *testing.T) {
+	store, sess := newSession(t)
+	for n := 0; n < 3; n++ {
+		if n > 0 {
+			var err error
+			if sess, err = store.NewSession(fmt.Sprintf("run-%03d", n+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			if _, err := sess.Record("a", "data", fmt.Sprintf("x%d.csv", i), []byte("1,2\n")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sess.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ents, err := os.ReadDir(sess.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	if strings.Join(names, ",") != manifestName+","+logName {
-		t.Errorf("session directory holds %v", names)
+	names := storeFiles(t, store)
+	if len(names) != 2 || !strings.HasSuffix(names[0], ".jsonl") || !strings.HasSuffix(names[1], ".log") ||
+		strings.TrimSuffix(names[0], ".jsonl") != strings.TrimSuffix(names[1], ".log") {
+		t.Errorf("store directory holds %v, want one segment's two files", names)
 	}
 }
 
@@ -252,7 +287,7 @@ func TestVerifyDetectsTampering(t *testing.T) {
 	if err != nil || len(bad) != 0 {
 		t.Fatalf("fresh session should verify: %v %v", bad, err)
 	}
-	flipByte(t, filepath.Join(sess.Dir(), e.File), e.Offset+3)
+	flipEntryByte(t, sess, e, 3)
 	bad, err = sess.Verify()
 	if err != nil || len(bad) != 1 || bad[0].Seq != e.Seq {
 		t.Errorf("tampering not detected: %v %v", bad, err)
@@ -268,15 +303,13 @@ func TestFlipInOneRangeFlagsOnlyIt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	log := filepath.Join(sess.Dir(), logName)
 	for _, e := range sess.Manifest() {
-		at := e.Offset + e.Bytes/2
-		flipByte(t, log, at)
+		flipEntryByte(t, sess, e, e.Bytes/2)
 		bad, err := sess.Verify()
 		if err != nil || len(bad) != 1 || bad[0].Seq != e.Seq {
 			t.Fatalf("flip inside seq %d flagged %v (%v)", e.Seq, bad, err)
 		}
-		flipByte(t, log, at)
+		flipEntryByte(t, sess, e, e.Bytes/2)
 	}
 	if bad, _ := sess.Verify(); len(bad) != 0 {
 		t.Fatalf("restored trail does not verify: %v", bad)
@@ -284,21 +317,32 @@ func TestFlipInOneRangeFlagsOnlyIt(t *testing.T) {
 }
 
 // TestReadRejectsBadRanges: negative fields, a range past the end of the
-// file and a path outside the session fail before anything is allocated.
+// session's trail (into the next session's bytes, or past the file), and
+// a path outside the session fail before anything is allocated.
 func TestReadRejectsBadRanges(t *testing.T) {
-	_, sess := newSession(t)
+	store, sess := newSession(t)
 	e, err := sess.Record("a", "code", "x", []byte("0123456789"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess.Close()
+	next, err := store.NewSession("run-002")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := next.Record("a", "code", "y", []byte("neighbour")); err != nil {
+		t.Fatal(err)
+	}
+	segLog, _, _ := sess.Locate(e)
 	for name, bad := range map[string]Entry{
 		"negative bytes":  {File: e.File, Bytes: -1},
 		"negative offset": {File: e.File, Offset: -1, Bytes: 2},
 		"past the end":    {File: e.File, Offset: 8, Bytes: 3},
+		"neighbour":       {File: e.File, Offset: 10, Bytes: 9},
 		"huge":            {File: e.File, Offset: 1, Bytes: 1 << 62},
 		"overflowing":     {File: e.File, Offset: 1 << 62, Bytes: 1 << 62},
 		"outside":         {File: "../run-001/" + logName, Bytes: 1},
-		"absolute":        {File: filepath.Join(sess.Dir(), logName), Bytes: 1},
+		"absolute":        {File: segLog, Bytes: 1},
 		"directory":       {File: ".", Bytes: 0},
 	} {
 		var before, after runtime.MemStats
@@ -383,7 +427,7 @@ func TestLegacyPerFileTrail(t *testing.T) {
 	if e, err := sess.Record("b", "code", "new", []byte("y")); err != nil || e.Seq != 3 || e.File != logName {
 		t.Fatalf("record into legacy session = %+v, %v", e, err)
 	}
-	flipByte(t, filepath.Join(sess.Dir(), m[0].File), 2)
+	flipEntryByte(t, sess, m[0], 2)
 	if bad, _ := sess.Verify(); len(bad) != 1 || bad[0].Seq != 0 {
 		t.Fatalf("tampered legacy file flagged %v", bad)
 	}
@@ -492,40 +536,44 @@ func TestOddNamesStayInManifest(t *testing.T) {
 	if m := re.Manifest(); len(m) != 1 || m[0].Agent != "ag ent" || m[0].Kind != "co/de" || m[0].Name != "../weird name.sql" {
 		t.Errorf("manifest = %+v", m)
 	}
-	if ents, _ := os.ReadDir(store.Root); len(ents) != 1 {
-		t.Errorf("store root holds %d entries, want the one session", len(ents))
+	if names := storeFiles(t, store); len(names) != 2 {
+		t.Errorf("store root holds %v, want one segment's two files", names)
 	}
 }
 
-// TestSessionKeepsFilesOpenUntilClose: records after the first reuse the
-// open log and manifest — with both unlinked, they reappear only once
-// Close lets the next record open them again — and offsets carry on
-// across a Close.
-func TestSessionKeepsFilesOpenUntilClose(t *testing.T) {
+// TestSessionHoldsSegmentUntilClose: a session keeps its segment from its
+// first record until Close, so a session recording meanwhile takes
+// another; after Close the next session reuses it and creates no file.
+// Offsets carry on across a Close, and closing twice is harmless.
+func TestSessionHoldsSegmentUntilClose(t *testing.T) {
 	store, sess := newSession(t)
 	if _, err := sess.Record("a", "k", "one", []byte("111")); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{logName, manifestName} {
-		if err := os.Remove(filepath.Join(sess.Dir(), name)); err != nil {
-			t.Skipf("cannot unlink an open file here: %v", err)
+	other, err := store.NewSession("run-002")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Record("a", "k", "two", []byte("22")); err != nil {
+		t.Fatal(err)
+	}
+	p1, _, _ := sess.Locate(Entry{File: logName})
+	p2, _, _ := other.Locate(Entry{File: logName})
+	if p1 == p2 {
+		t.Fatalf("two open sessions share segment %s", p1)
+	}
+	for _, s := range []*Session{sess, other} {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := sess.Record("a", "k", "two", []byte("22")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(sess.Dir(), logName)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("a record opened the log again: %v", err)
-	}
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
 	}
 	if err := sess.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
+	files := len(storeFiles(t, store))
 
-	// Close, then record: the files open again and the log's end is found.
-	sess, err := store.NewSession("run-002")
+	// Close, then record: the session carries on at its trail's end.
+	sess, err = store.NewSession("run-003")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +592,10 @@ func TestSessionKeepsFilesOpenUntilClose(t *testing.T) {
 		}
 	}
 	sess.Close()
-	re, err := store.OpenSession("run-002")
+	if got := len(storeFiles(t, store)); got != files {
+		t.Fatalf("a session after two closed ones made files: %d names, was %d", got, files)
+	}
+	re, err := store.OpenSession("run-003")
 	if err != nil {
 		t.Fatal(err)
 	}

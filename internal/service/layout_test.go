@@ -3,6 +3,7 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -22,21 +23,9 @@ func TestServiceAdoptsWorkerDirTrails(t *testing.T) {
 	dir := testEnsemble(t)
 	work := t.TempDir()
 
-	old, err := provenance.NewStore(filepath.Join(work, "worker-03", "sessions"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := old.NewSession("q-0001")
-	if err != nil {
-		t.Fatal(err)
-	}
 	payload := []byte("fof_halo_tag,fof_halo_mass\n17,2.5e13\n")
-	entry, err := sess.Record("analysis", "data", "answer.csv", payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(payload)
-	want := hex.EncodeToString(sum[:])
+	entry := sessionDir(t, filepath.Join(work, "worker-03", "sessions"), "q-0001", payload)
+	want := entry.SHA256
 
 	fp, err := Fingerprint(dir)
 	if err != nil {
@@ -81,23 +70,49 @@ func TestServiceAdoptsWorkerDirTrails(t *testing.T) {
 	}
 }
 
+// sessionDir writes a one-artifact trail as a per-session directory,
+// root/id/{manifest.jsonl,trail.log}, the layout older daemons wrote, and
+// returns its entry.
+func sessionDir(t *testing.T, root, id string, payload []byte) provenance.Entry {
+	t.Helper()
+	dir := filepath.Join(root, id)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload)
+	e := provenance.Entry{Agent: "analysis", Kind: "data", Name: "answer.csv", File: "trail.log",
+		SHA256: hex.EncodeToString(sum[:]), Bytes: int64(len(payload))}
+	line, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.jsonl"), append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "trail.log"), payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestServiceAdoptKeepsTakenIDs: a worker-dir trail whose ID the store
 // already holds stays where it is; the store's own trail is untouched.
 func TestServiceAdoptKeepsTakenIDs(t *testing.T) {
 	work := t.TempDir()
-	for _, root := range []string{filepath.Join(work, "sessions"), filepath.Join(work, "worker-01", "sessions")} {
-		store, err := provenance.NewStore(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := store.NewSession("q-0001")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Record("analysis", "data", "answer.csv", []byte(root)); err != nil {
-			t.Fatal(err)
-		}
+	store, err := provenance.NewStore(filepath.Join(work, "sessions"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	sess, err := store.NewSession("q-0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Record("analysis", "data", "answer.csv", []byte(store.Root)); err != nil {
+		t.Fatal(err)
+	}
+	sess.Close()
+	store.Close()
+	sessionDir(t, filepath.Join(work, "worker-01", "sessions"), "q-0001", []byte("worker"))
 	svc := newService(t, Config{Workers: 1, WorkDir: work})
 	if _, err := os.Stat(filepath.Join(work, "worker-01", "sessions", "q-0001")); err != nil {
 		t.Fatalf("conflicting worker trail moved or lost: %v", err)
@@ -186,5 +201,42 @@ func TestServiceWorkersShareOneStore(t *testing.T) {
 	}
 	if stray, _ := filepath.Glob(filepath.Join(work, "worker-*")); len(stray) != 0 {
 		t.Errorf("per-worker dirs in the work dir: %v", stray)
+	}
+}
+
+// TestAskCreatesNoInode: once a shard's first computed ask has made its
+// trail segment, further computed asks add no directory entry anywhere
+// under the work dir: their trails are ranges of that segment.
+func TestAskCreatesNoInode(t *testing.T) {
+	work := t.TempDir()
+	svc := newService(t, Config{Workers: 2, WorkDir: work})
+	paths := func() map[string]bool {
+		out := map[string]bool{}
+		filepath.WalkDir(work, func(path string, d os.DirEntry, err error) error {
+			out[path] = true
+			return nil
+		})
+		return out
+	}
+	ask := func(seed int64) {
+		r, err := svc.Ask(AskRequest{Question: topHalosQ, Seed: seed})
+		if err != nil || r.Error != "" || r.Cached {
+			t.Fatalf("computed ask seed %d: %v %+v", seed, err, r)
+		}
+	}
+	ask(1)
+	before := paths()
+	for seed := int64(2); seed <= 21; seed++ {
+		ask(seed)
+	}
+	for path := range paths() {
+		if !before[path] {
+			t.Errorf("20 computed asks after the first created %s", path)
+		}
+	}
+	for seed := int64(1); seed <= 21; seed++ {
+		if bad, err := svc.VerifySession(fmt.Sprintf("q-%04d", seed)); err != nil || len(bad) != 0 {
+			t.Fatalf("q-%04d: bad=%v err=%v", seed, bad, err)
+		}
 	}
 }

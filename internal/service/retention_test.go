@@ -1,12 +1,12 @@
 package service
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"infera/internal/llm"
+	"infera/internal/provenance"
 )
 
 // retentionService builds a service with a stable WorkDir, a 1-entry
@@ -32,15 +32,21 @@ func retentionService(t *testing.T, dir, work string, maxAge time.Duration, maxB
 	return svc
 }
 
-// sessionDirs lists the provenance session directories of the work dir.
+// sessionDirs lists the provenance sessions of the work dir's store.
 func sessionDirs(t *testing.T, work string) map[string]bool {
 	t.Helper()
+	store, err := provenance.NewStore(filepath.Join(work, "sessions"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ids, err := store.Sessions()
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := map[string]bool{}
-	entries, _ := os.ReadDir(filepath.Join(work, "sessions"))
-	for _, e := range entries {
-		if e.IsDir() {
-			out[e.Name()] = true
-		}
+	for _, id := range ids {
+		out[id] = true
 	}
 	return out
 }
@@ -70,6 +76,9 @@ func TestProvenanceRetentionSweep(t *testing.T) {
 	before := sessionDirs(t, work)
 	if !before[r1.SessionID] || !before[r2.SessionID] {
 		t.Fatalf("expected both trails on disk before close: %v", before)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(work, "sessions", "seg-*.log")); len(segs) != 1 {
+		t.Fatalf("the two trails are in segments %v, want one shared segment", segs)
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)

@@ -362,20 +362,28 @@ func (s *Service) registerMetrics() {
 
 // resumeSessions readies a stable WorkDir's store, which may hold sessions
 // from a previous incarnation (daemon restart, shard revival). First it
-// moves in the trails of a daemon that kept one store per worker, under
-// WorkDir/worker-NN/sessions/<id>; a trail whose ID the store already
-// holds stays where it is. Then it resumes the ID sequence past every
-// session, so a new session never takes the ID of an on-disk trail that a
-// revived cache entry may name; loadPersistedCache, which runs first,
-// already resumed it past cache.json's last_id.
+// moves in the per-session trail directories of a daemon that kept one
+// store per worker, under WorkDir/worker-NN/sessions/<id>; a trail whose
+// ID the store already holds stays where it is. Then it resumes the ID
+// sequence past every session, so a new session never takes the ID of an
+// on-disk trail that a revived cache entry may name; loadPersistedCache,
+// which runs first, already resumed it past cache.json's last_id.
 func (s *Service) resumeSessions() {
 	store := s.assistant.Store()
+	held := map[string]bool{}
+	ids, _ := store.Sessions()
+	for _, id := range ids {
+		held[id] = true
+	}
 	old, _ := filepath.Glob(filepath.Join(s.cfg.WorkDir, "worker-*", "sessions", "*"))
 	for _, src := range old {
-		dst := filepath.Join(store.Root, filepath.Base(src))
-		if _, err := os.Lstat(dst); err == nil {
-			s.logf("service: left trail %s in place: %s exists", src, dst)
-		} else if err := os.Rename(src, dst); err != nil {
+		id := filepath.Base(src)
+		if st, err := os.Lstat(src); err != nil || !st.IsDir() {
+			continue
+		}
+		if held[id] {
+			s.logf("service: left trail %s in place: the store holds %s", src, id)
+		} else if err := os.Rename(src, filepath.Join(store.Root, id)); err != nil {
 			s.logf("service: move trail %s: %v", src, err)
 		}
 		// Drop the emptied sessions/ and worker-NN/ dirs; a Remove fails,
@@ -383,7 +391,7 @@ func (s *Service) resumeSessions() {
 		_ = os.Remove(filepath.Dir(src))
 		_ = os.Remove(filepath.Dir(filepath.Dir(src)))
 	}
-	ids, _ := store.Sessions()
+	ids, _ = store.Sessions()
 	for _, id := range ids {
 		var n int
 		if _, err := fmt.Sscanf(id, "q-%d", &n); err == nil && n > s.nextID {
@@ -417,6 +425,9 @@ func (s *Service) Close() error {
 	// exactly which sessions the revived cache can still reference.
 	if removed, freed := s.sweepProvenance(); removed > 0 {
 		s.logf("service: provenance sweep removed %d session trail(s), %d bytes", removed, freed)
+	}
+	if cerr := s.assistant.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -102,8 +102,8 @@ say "asking every ensemble through the router (healthy fleet)"
 for i in 0 1 2 3; do ask "smoke-e$i" $((100 + i)); done
 
 say "checking the shard's one session store"
-compgen -G "$WORK/shards/smoke-e0/sessions/q-*" >/dev/null \
-  || { say "FAIL: no session trail under $WORK/shards/smoke-e0/sessions/"; exit 1; }
+grep -qs '^{"session":"q-' "$WORK"/shards/smoke-e0/sessions/seg-*.jsonl \
+  || { say "FAIL: no session trail in a segment under $WORK/shards/smoke-e0/sessions/"; exit 1; }
 STRAY=$(find "$WORK" -type d -name 'worker-*')
 [ -z "$STRAY" ] || { say "FAIL: per-worker dirs in the work dir: $STRAY"; exit 1; }
 
