@@ -63,9 +63,10 @@ func TestVerifyAndBranchSession(t *testing.T) {
 	}
 }
 
-// TestAskCreatesThreeInodes: one ask leaves its session as a directory, a
-// manifest and a log, and its staged database creates nothing on disk.
-func TestAskCreatesThreeInodes(t *testing.T) {
+// TestAskLeavesOneSegment: one ask in a fresh work dir leaves its whole
+// trail in one segment, a seg-*.log and its .jsonl under sessions/ with no
+// directory beside them, and its staged database leaves nothing under db/.
+func TestAskLeavesOneSegment(t *testing.T) {
 	a := newAssistant(t, Config{})
 	ans, err := a.Ask(preciseQ)
 	if err != nil {
@@ -74,20 +75,26 @@ func TestAskCreatesThreeInodes(t *testing.T) {
 	if len(ans.Artifacts) < 10 {
 		t.Fatalf("ask recorded %d artifacts; the check needs a full trail", len(ans.Artifacts))
 	}
-	count := func(root string) int {
-		n := 0
-		filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-			if err == nil && path != root {
-				n++
-			}
-			return nil
-		})
-		return n
+	ents, err := os.ReadDir(filepath.Join(a.WorkDir(), "sessions"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := count(filepath.Join(a.WorkDir(), "sessions")); n > 3 {
-		t.Errorf("one ask created %d inodes under sessions/, want at most 3", n)
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
 	}
-	if n := count(filepath.Join(a.WorkDir(), "db")); n != 0 {
+	if len(ents) != 2 || ents[0].IsDir() || ents[1].IsDir() || !strings.HasPrefix(names[0], "seg-") ||
+		names[0] != strings.TrimSuffix(names[1], ".log")+".jsonl" {
+		t.Errorf("one ask left %v under sessions/, want one segment's .jsonl and .log", names)
+	}
+	db, n := filepath.Join(a.WorkDir(), "db"), 0
+	filepath.WalkDir(db, func(path string, d os.DirEntry, err error) error {
+		if err == nil && path != db {
+			n++
+		}
+		return nil
+	})
+	if n != 0 {
 		t.Errorf("one ask created %d inodes under db/, want none", n)
 	}
 }

@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -10,13 +11,15 @@ import (
 )
 
 // FuzzSessionTrail throws arbitrary manifest and log bytes at a session,
-// laid out both as a per-session directory and as a session's block of a
-// segment that already holds another session: OpenSession, Verify, a Read
-// of every entry, and a Branch of the whole trail. None may panic, and no
-// Read may return (so allocate) more than the file it reads holds — a
-// hostile "bytes" or "offset" must fail the range check, not size an
-// allocation. In the segment, a hostile header, base or offset must not
-// reach the neighbour's bytes either.
+// laid out both as an older trail directory, which opening the store
+// converts into a block, and as a session's block of a segment that
+// already holds another session: OpenSession, Verify, a Read of every
+// entry, and a Branch of the whole trail. None may panic. The converted
+// directory must read exactly what its log holds for each entry (see
+// fuzzDirTrail). In the segment, no Read may return (so allocate) more
+// than the log holds — a hostile "bytes" or "offset" must fail the range
+// check, not size an allocation — and a hostile header, base or offset
+// must not reach the neighbour's bytes.
 func FuzzSessionTrail(f *testing.F) {
 	f.Add([]byte(`{"seq":0,"agent":"sql","kind":"code","name":"q.sql","file":"trail.log","sha256":"","bytes":8}`+"\n"), []byte("SELECT 1"))
 	f.Add([]byte(`{"seq":0,"file":"trail.log","bytes":3}`+"\n"+`{"seq":1,"file":"trail.log","bytes":5,"offset":3}`+"\n"), []byte("abcdefgh"))
@@ -44,42 +47,77 @@ func FuzzSessionTrail(f *testing.F) {
 	})
 }
 
-// fuzzDirTrail lays the bytes out as a per-session directory.
+// fuzzDirTrail lays the bytes out as a trail directory, <root>/s/, and
+// opens a store over it, which converts it, then opens it again, which
+// reads the block. Both must match an oracle over the raw bytes: a
+// manifest line that does not parse leaves the trail unconverted;
+// otherwise every entry keeps its fields but File and Offset, a trail.log
+// entry whose range lies in the log reads those bytes, and every other
+// entry fails Read.
 func fuzzDirTrail(t *testing.T, manifest, log []byte) {
-	store, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	root := t.TempDir()
+	writeFiles(t, filepath.Join(root, "s"), map[string][]byte{manifestName: manifest, logName: log})
+	want, parsed := oracleEntries(manifest)
+	for open := 0; open < 2; open++ {
+		store, err := NewStore(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkConverted(t, store, want, parsed, log)
+		store.Close()
 	}
-	defer store.Close()
-	dir := filepath.Join(store.Root, "s")
-	if err := os.Mkdir(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, logName), log, 0o644); err != nil {
-		t.Fatal(err)
-	}
+}
+
+// checkConverted checks store's session "s" against the oracle's entries.
+func checkConverted(t *testing.T, store *Store, want []Entry, parsed bool, log []byte) {
 	sess, err := store.OpenSession("s")
-	if err != nil {
+	if !parsed {
+		if err == nil {
+			t.Fatal("a trail whose manifest does not parse was converted")
+		}
 		return
 	}
-	sess.Verify()
-	limit := int64(len(log))
-	if ml := int64(len(manifest)); ml > limit {
-		limit = ml // an entry may name the manifest itself
+	if err != nil {
+		t.Fatalf("open the converted trail: %v", err)
 	}
-	for _, e := range sess.Manifest() {
+	got := sess.Manifest()
+	if len(got) != len(want) {
+		t.Fatalf("%d converted entries, want %d", len(got), len(want))
+	}
+	n := int64(len(log))
+	for i, e := range got {
+		w := want[i]
+		if e.Seq != w.Seq || e.Agent != w.Agent || e.Kind != w.Kind || e.Name != w.Name || e.SHA256 != w.SHA256 || e.Bytes != w.Bytes {
+			t.Fatalf("entry %d converted to %+v, want the fields of %+v", i, e, w)
+		}
 		data, err := sess.Read(e)
-		if err != nil {
+		if w.File == logName && w.Offset >= 0 && w.Bytes >= 0 && w.Bytes <= n && w.Offset <= n-w.Bytes {
+			if err != nil || !bytes.Equal(data, log[w.Offset:w.Offset+w.Bytes]) {
+				t.Fatalf("entry %d reads %q (%v), want the log's [%d, +%d)", i, data, err, w.Offset, w.Bytes)
+			}
+		} else if err == nil {
+			t.Fatalf("entry %d (%+v) reads %d bytes the directory did not hold", i, w, len(data))
+		}
+	}
+	sess.Verify()
+	checkBranch(t, store, sess)
+}
+
+// oracleEntries parses each non-blank manifest line into an Entry; false
+// if one does not parse.
+func oracleEntries(manifest []byte) ([]Entry, bool) {
+	var out []Entry
+	for _, l := range bytes.Split(manifest, []byte("\n")) {
+		if len(bytes.TrimSpace(l)) == 0 {
 			continue
 		}
-		if int64(len(data)) != e.Bytes || e.Bytes > limit {
-			t.Fatalf("seq %d: Read returned %d bytes for a %d-byte entry (files hold at most %d)", e.Seq, len(data), e.Bytes, limit)
+		var e Entry
+		if json.Unmarshal(l, &e) != nil {
+			return nil, false
 		}
+		out = append(out, e)
 	}
-	checkBranch(t, store, sess)
+	return out, true
 }
 
 // neighbour is the session recorded before the fuzzed one in its segment.

@@ -47,10 +47,9 @@
 // more entries wins, the later one (by segment name, then base) on a tie,
 // and the choice is logged.
 //
-// Older trails are per-session directories, <root>/<id>/, holding
-// manifest.jsonl and trail.log, or one file per artifact under
-// artifacts/ with Offset 0. They are found on disk, and stay readable,
-// verifiable, branchable, removable, and recordable into.
+// Older daemons kept each trail in a directory, <root>/<id>/. The first
+// open of a store in a process converts each such directory into a block
+// and removes it (see Import), so a store reads only segments.
 //
 // A failed record truncates the log back to where it started, so a range
 // only ever holds the ranges its entries name, contiguously and in seq
@@ -58,6 +57,7 @@
 package provenance
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -66,7 +66,6 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -81,7 +80,7 @@ type Entry struct {
 	Agent  string `json:"agent"` // which agent produced the artifact
 	Kind   string `json:"kind"`  // "data" | "code" | "plot" | "scene" | "summary" | "checkpoint" | ...
 	Name   string `json:"name"`
-	File   string `json:"file"` // session-relative path of the file holding the bytes
+	File   string `json:"file"` // "trail.log", the session's trail, for every entry that reads
 	SHA256 string `json:"sha256"`
 	Bytes  int64  `json:"bytes"`
 	// Offset is where the artifact's Bytes start inside File.
@@ -125,45 +124,34 @@ func (s *Store) Close() error {
 type Session struct {
 	ID string
 	st *state
-	// dir is a per-session directory's path; "" for a segment session.
-	dir string
 
 	mu      sync.Mutex
 	seq     int
 	entries []Entry
 	end     int64 // the trail's length: where the next artifact goes
 
-	// A segment session's trail is limit bytes at base of the log at path.
+	// Its trail is limit bytes at base of the log at path.
 	slot        *slot
 	path        string
 	base, limit int64
 	seg         *segment // the segment it appends to while it holds one; guarded by st.mu
 	hdr         []byte   // its header line, until a record writes it
-
-	// log and manifest are a directory session's open files, nil until
-	// its first record and after Close.
-	log, manifest *os.File
 }
 
-const (
-	manifestName = "manifest.jsonl"
-	logName      = "trail.log"
-)
+// logName is every readable entry's File: the session's trail.
+const logName = "trail.log"
 
 // NewSession claims a fresh session ID. Concurrent callers racing on one
 // ID, through any Store over this root in this process, get exactly one
-// winner; an ID an older per-session directory holds is taken too.
+// winner.
 func (s *Store) NewSession(id string) (*Session, error) {
-	if !validID(id) {
+	if id == "" || id == "." || id == ".." || strings.ContainsAny(id, `/\`) {
 		return nil, fmt.Errorf("provenance: bad session id %q", id)
 	}
 	st := s.st
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, ok := st.index[id]; ok {
-		return nil, fmt.Errorf("provenance: session %q already exists", id)
-	}
-	if _, err := os.Lstat(filepath.Join(s.Root, id)); err == nil {
 		return nil, fmt.Errorf("provenance: session %q already exists", id)
 	}
 	sl := &slot{unix: time.Now().UnixNano()}
@@ -176,79 +164,47 @@ func (s *Store) NewSession(id string) (*Session, error) {
 func (s *Store) OpenSession(id string) (*Session, error) {
 	st := s.st
 	st.mu.Lock()
-	sl, ok := st.index[id]
 	var snap slot
-	if ok {
+	sl := st.index[id]
+	if sl != nil {
 		snap = *sl
 	}
 	st.mu.Unlock()
-	if !ok {
-		return s.openDir(id)
-	}
-	if snap.seg == nil {
-		return nil, fmt.Errorf("provenance: open session %q: %w", id, fs.ErrNotExist)
-	}
-	mf, err := os.Open(snap.seg.path + ".jsonl")
+	lines, err := snap.lines()
 	if err != nil {
 		return nil, fmt.Errorf("provenance: open session %q: %w", id, err)
 	}
-	defer mf.Close()
-	data := make([]byte, snap.mEnd-snap.hdrOff)
-	if _, err := mf.ReadAt(data, snap.hdrOff); err != nil {
-		return nil, fmt.Errorf("provenance: open session %q: %w", id, err)
+	var es []Entry
+	for _, l := range bytes.Split(lines, []byte("\n")) {
+		e, ok, err := parseLine(l)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			es = append(es, e)
+		}
+	}
+	// A crash may have cut the log inside the last entries of a segment's
+	// last block: those whose bytes run past its range are dropped.
+	for n := len(es); snap.tail && n > 0 && es[n-1].File == logName && !within(es[n-1], snap.limit); n-- {
+		es = es[:n-1]
 	}
 	sess := &Session{ID: id, st: st, slot: sl, path: snap.seg.path + ".log", base: snap.base, limit: snap.limit}
-	first := true
-	for _, l := range strings.Split(string(data), "\n") {
-		if first || strings.HasPrefix(l, `{"tombstone":`) {
-			first = false // the header
-			continue
-		}
-		if err := sess.addLine(l); err != nil {
-			return nil, err
-		}
-	}
-	if snap.tail {
-		sess.dropTorn()
+	for _, e := range es {
+		sess.add(e)
 	}
 	return sess, nil
 }
 
-// validID reports whether id names one entry of the store's directory.
-func validID(id string) bool {
-	return id != "" && id != "." && id != ".." && !strings.ContainsAny(id, `/\`)
-}
-
-// openDir loads a per-session directory.
-func (s *Store) openDir(id string) (*Session, error) {
-	if !validID(id) {
-		return nil, fmt.Errorf("provenance: open session %q: %w", id, fs.ErrNotExist)
+// parseLine parses one manifest line; a blank line holds no entry.
+func parseLine(l []byte) (e Entry, ok bool, err error) {
+	if len(bytes.TrimSpace(l)) == 0 {
+		return Entry{}, false, nil
 	}
-	dir := filepath.Join(s.Root, id)
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, fmt.Errorf("provenance: open session %q: %w", id, err)
+	if err := json.Unmarshal(l, &e); err != nil {
+		return Entry{}, false, fmt.Errorf("provenance: manifest line: %w", err)
 	}
-	sess := &Session{ID: id, dir: dir}
-	for _, l := range strings.Split(string(data), "\n") {
-		if err := sess.addLine(l); err != nil {
-			return nil, err
-		}
-	}
-	return sess, nil
-}
-
-// addLine appends one manifest line's entry, if it has one.
-func (s *Session) addLine(l string) error {
-	if strings.TrimSpace(l) == "" {
-		return nil
-	}
-	var e Entry
-	if err := json.Unmarshal([]byte(l), &e); err != nil {
-		return fmt.Errorf("provenance: manifest line: %w", err)
-	}
-	s.add(e)
-	return nil
+	return e, true, nil
 }
 
 // add appends a loaded entry and moves the next seq and the trail's end
@@ -263,42 +219,18 @@ func (s *Session) add(e Entry) {
 	}
 }
 
-// dropTorn drops the trailing entries whose bytes run past the session's
-// range: a crash cut the log inside them.
-func (s *Session) dropTorn() {
-	n := len(s.entries)
-	for ; n > 0; n-- {
-		if e := s.entries[n-1]; e.Offset >= 0 && e.Bytes >= 0 && e.Bytes <= s.limit && e.Offset <= s.limit-e.Bytes {
-			break
-		}
-	}
-	if n == len(s.entries) {
-		return
-	}
-	kept := s.entries[:n]
-	s.entries, s.seq, s.end = nil, 0, 0
-	for _, e := range kept {
-		s.add(e)
-	}
+// within reports whether e's range lies in the first n bytes of a file.
+func within(e Entry, n int64) bool {
+	return e.Offset >= 0 && e.Bytes >= 0 && e.Bytes <= n && e.Offset <= n-e.Bytes
 }
 
-// Sessions lists session IDs in the store: every claimed or recorded
-// segment session and every per-session directory.
+// Sessions lists the IDs of every claimed or recorded session, sorted.
 func (s *Store) Sessions() ([]string, error) {
-	entries, err := os.ReadDir(s.Root)
-	if err != nil {
-		return nil, err
-	}
 	st := s.st
 	st.mu.Lock()
 	out := make([]string, 0, len(st.index))
 	for id := range st.index {
 		out = append(out, id)
-	}
-	for _, e := range entries {
-		if _, ok := st.index[e.Name()]; e.IsDir() && !ok {
-			out = append(out, e.Name())
-		}
 	}
 	st.mu.Unlock()
 	sort.Strings(out)
@@ -306,96 +238,43 @@ func (s *Store) Sessions() ([]string, error) {
 }
 
 // SessionStat reports a session trail's on-disk footprint and its age —
-// the inputs retention sweeps rank trails by. For a segment session the
-// size is its range and its manifest lines, and the time is when its
-// block was started (when it was claimed, before its first record). For a
-// per-session directory it counts every file under it and the time is the
-// newest modification.
+// the inputs retention sweeps rank trails by. The size is its range and
+// its manifest lines, and the time is when its block was started (when it
+// was claimed, before its first record; for a converted directory, when
+// its manifest was last written).
 func (s *Store) SessionStat(id string) (bytes int64, newest time.Time, err error) {
-	st := s.st
-	st.mu.Lock()
-	if sl, ok := st.index[id]; ok {
-		defer st.mu.Unlock()
-		return sl.limit + sl.mEnd - sl.hdrOff, time.Unix(0, sl.unix), nil
-	}
-	st.mu.Unlock()
-	root := filepath.Join(s.Root, id)
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, werr error) error {
-		if werr != nil {
-			return werr
-		}
-		if d.IsDir() {
-			return nil
-		}
-		info, ierr := d.Info()
-		if ierr != nil {
-			return ierr
-		}
-		bytes += info.Size()
-		if info.ModTime().After(newest) {
-			newest = info.ModTime()
-		}
-		return nil
-	})
-	return bytes, newest, err
-}
-
-// RemoveSession deletes a session's trail — the retention sweep's disposal
-// primitive. A segment session leaves the index, and its block is
-// tombstoned and its range punched out (see Layout); a Session value of it
-// that is still open gives its segment back and records no more. A
-// per-session directory is deleted with everything in it. Removing a
-// nonexistent session is not an error; removing one while it records is.
-func (s *Store) RemoveSession(id string) error {
 	st := s.st
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	sl, ok := st.index[id]
 	if !ok {
-		if !validID(id) {
-			return nil
-		}
-		return os.RemoveAll(filepath.Join(s.Root, id))
+		return 0, time.Time{}, fmt.Errorf("provenance: session %q: %w", id, fs.ErrNotExist)
 	}
-	for _, g := range st.pool {
-		if w := g.owner; w != nil && w.slot == sl {
-			if g.busy {
-				return fmt.Errorf("provenance: remove session %q: a record is in progress", id)
-			}
-			if err := st.release(w); err != nil {
-				return err
-			}
-			break
-		}
-	}
-	delete(st.index, id)
-	sl.removed = true
-	if sl.seg == nil {
-		return nil
-	}
-	return st.dropBlock(sl.seg, id, sl.base, sl.limit)
+	return sl.limit + sl.mEnd - sl.hdrOff, time.Unix(0, sl.unix), nil
+}
+
+// RemoveSession deletes a session's trail — the retention sweep's disposal
+// primitive. The session leaves the index, and its block is tombstoned and
+// its range punched out (see Layout); a Session value of it that is still
+// open gives its segment back and records no more. Removing a nonexistent
+// session is not an error; removing one while it records is.
+func (s *Store) RemoveSession(id string) error {
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
+	return s.st.remove(id)
 }
 
 // Locate returns the file holding e's bytes and where they start in it,
 // without checking that the file holds them.
 func (s *Session) Locate(e Entry) (path string, offset int64, err error) {
-	if e.Offset < 0 || e.Bytes < 0 {
-		return "", 0, fmt.Errorf("provenance: seq %d: negative range (offset %d, bytes %d)", e.Seq, e.Offset, e.Bytes)
-	}
-	if s.dir != "" {
-		if !filepath.IsLocal(e.File) {
-			return "", 0, fmt.Errorf("provenance: seq %d: file %q is outside the session", e.Seq, e.File)
-		}
-		return filepath.Join(s.dir, e.File), e.Offset, nil
-	}
 	if e.File != logName {
 		return "", 0, fmt.Errorf("provenance: seq %d: file %q is not the session's trail", e.Seq, e.File)
 	}
 	s.mu.Lock()
 	path, base, limit := s.path, s.base, s.limit
 	s.mu.Unlock()
-	if e.Bytes > limit || e.Offset > limit-e.Bytes {
-		return "", 0, fmt.Errorf("provenance: seq %d: range [%d, +%d) past the end of the session's %d bytes", e.Seq, e.Offset, e.Bytes, limit)
+	if !within(e, limit) {
+		return "", 0, fmt.Errorf("provenance: seq %d: range [%d, +%d) outside the session's %d bytes", e.Seq, e.Offset, e.Bytes, limit)
 	}
 	return path, base + e.Offset, nil
 }
@@ -426,134 +305,62 @@ func (s *Session) record(agent, kind, name string, write func(io.Writer) error) 
 	defer s.mu.Unlock()
 	seq := s.seq
 	s.seq++
-	if s.dir != "" {
-		return s.recordDir(seq, agent, kind, name, write)
-	}
-	g, err := s.st.claim(s)
+	var e Entry
+	err := s.appendTrail(func(w io.Writer) (int64, []Entry, []byte, error) {
+		sum := hashCounter{Hash: sha256.New()}
+		if err := write(io.MultiWriter(w, &sum)); err != nil {
+			return 0, nil, nil, err
+		}
+		e = Entry{Seq: seq, Agent: agent, Kind: kind, Name: name, File: logName,
+			SHA256: hex.EncodeToString(sum.Sum(nil)), Bytes: sum.n, Offset: s.end}
+		line, err := json.Marshal(e)
+		return e.Bytes, []Entry{e}, append(line, '\n'), err
+	})
 	if err != nil {
 		return Entry{}, err
 	}
+	return e, nil
+}
+
+// appendTrail appends to the session's trail: fill writes bytes at its
+// end and returns their count, and the entries and manifest lines that
+// name them, which follow the bytes. Caller holds s.mu.
+func (s *Session) appendTrail(fill func(io.Writer) (int64, []Entry, []byte, error)) error {
+	g, err := s.st.claim(s)
+	if err != nil {
+		return err
+	}
 	start := s.base + s.end
-	e, line, err := s.write(g.log, seq, agent, kind, name, write)
+	n, es, lines, err := fill(g.log)
 	var mEnd int64
 	manFailed := false
 	if err == nil {
 		if s.hdr != nil {
-			line = append(s.hdr, line...)
+			lines = append(s.hdr, lines...)
 		}
-		mEnd, err = g.appendMan(line)
+		mEnd, err = g.appendMan(lines)
 		manFailed = err != nil
 	}
-	// A failed record leaves the log where it started; a segment whose
+	// A failed append leaves the log where it started; a segment whose
 	// log or manifest may now end in a partial write is retired.
 	retire := err != nil && (g.log.Truncate(start) != nil || manFailed)
 	if err == nil {
-		s.end += e.Bytes
+		s.end += n
 		s.limit = s.end
-		s.entries = append(s.entries, e)
+		s.entries = append(s.entries, es...)
 	}
-	s.st.done(s, g, err == nil, retire, int64(len(line)), mEnd)
-	return e, err
+	s.st.done(s, g, err == nil, retire, int64(len(lines)), mEnd)
+	return err
 }
 
-// write streams one artifact into w and returns its entry, at the
-// session's end, and manifest line.
-func (s *Session) write(w io.Writer, seq int, agent, kind, name string, write func(io.Writer) error) (Entry, []byte, error) {
-	sum := hashCounter{Hash: sha256.New()}
-	if err := write(io.MultiWriter(w, &sum)); err != nil {
-		return Entry{}, nil, err
-	}
-	e := Entry{
-		Seq:    seq,
-		Agent:  agent,
-		Kind:   kind,
-		Name:   name,
-		File:   logName,
-		SHA256: hex.EncodeToString(sum.Sum(nil)),
-		Bytes:  sum.n,
-		Offset: s.end,
-	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return Entry{}, nil, err
-	}
-	return e, append(line, '\n'), nil
-}
-
-// recordDir is record for a per-session directory: it appends to the
-// directory's own log and manifest, truncating the log back on failure.
-func (s *Session) recordDir(seq int, agent, kind, name string, write func(io.Writer) error) (_ Entry, err error) {
-	if err := s.openDirLocked(); err != nil {
-		return Entry{}, err
-	}
-	offset := s.end
-	defer func() {
-		if err != nil && s.log.Truncate(offset) != nil {
-			s.closeDirLocked() // the next record finds the log's end again
-		}
-	}()
-	e, line, err := s.write(s.log, seq, agent, kind, name, write)
-	if err != nil {
-		return Entry{}, err
-	}
-	if _, err := s.manifest.Write(line); err != nil {
-		return Entry{}, err
-	}
-	s.end = offset + e.Bytes
-	s.entries = append(s.entries, e)
-	return e, nil
-}
-
-// openDirLocked opens a per-session directory's log and manifest for
-// appending, unless they are open, and finds where the log ends. Caller
-// holds mu.
-func (s *Session) openDirLocked() error {
-	if s.log != nil {
-		return nil
-	}
-	lf, err := os.OpenFile(filepath.Join(s.dir, logName), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return err
-	}
-	end, err := lf.Seek(0, io.SeekEnd)
-	if err != nil {
-		lf.Close()
-		return err
-	}
-	mf, err := os.OpenFile(filepath.Join(s.dir, manifestName), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		lf.Close()
-		return err
-	}
-	s.log, s.manifest, s.end = lf, mf, end
-	return nil
-}
-
-// Close ends the session's use of its files: a segment session gives its
-// segment back to the pool, a per-session directory closes its log and
-// manifest. The session stays usable: its next record takes a segment (or
-// opens the files) again.
+// Close gives the session's segment back to the pool. The session stays
+// usable: its next record takes a segment again.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dir != "" {
-		return s.closeDirLocked()
-	}
 	s.st.mu.Lock()
 	defer s.st.mu.Unlock()
 	return s.st.release(s)
-}
-
-func (s *Session) closeDirLocked() error {
-	if s.log == nil {
-		return nil
-	}
-	err := s.log.Close()
-	if merr := s.manifest.Close(); err == nil {
-		err = merr
-	}
-	s.log, s.manifest = nil, nil
-	return err
 }
 
 // hashCounter is a hash that also counts the bytes written to it.
@@ -587,7 +394,7 @@ func (s *Session) Manifest() []Entry {
 // Read returns an artifact's bytes by manifest entry. The range is checked
 // against the session's trail and the file before anything is allocated,
 // so a corrupt or hostile manifest line (a negative offset or size, a
-// range past the end, a path outside the session, bytes outside the
+// range past the end, a file other than the trail, bytes outside the
 // session's range of its segment) fails cleanly.
 func (s *Session) Read(e Entry) ([]byte, error) {
 	path, off, err := s.Locate(e)
@@ -602,9 +409,6 @@ func (s *Session) Read(e Entry) ([]byte, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
-	}
-	if !st.Mode().IsRegular() {
-		return nil, fmt.Errorf("provenance: seq %d: %s is not a regular file", e.Seq, e.File)
 	}
 	if e.Bytes > st.Size() || off > st.Size()-e.Bytes {
 		return nil, fmt.Errorf("provenance: seq %d: range [%d, +%d) past the end of %s (%d bytes)", e.Seq, e.Offset, e.Bytes, e.File, st.Size())

@@ -2,14 +2,10 @@ package provenance
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -355,81 +351,6 @@ func TestReadRejectsBadRanges(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Errorf("%s: Read allocated %d bytes before failing", name, grew)
 		}
-	}
-}
-
-// legacySession hand-builds a trail in the one-file-per-artifact layout
-// this package wrote before the log: artifacts/NNN_... files and entries
-// with no offset.
-func legacySession(t *testing.T, store *Store, id string, arts [][]byte) {
-	t.Helper()
-	dir := filepath.Join(store.Root, id)
-	if err := os.MkdirAll(filepath.Join(dir, "artifacts"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	var manifest bytes.Buffer
-	for i, data := range arts {
-		file := filepath.Join("artifacts", fmt.Sprintf("%03d_agent_data_a%d.csv", i, i))
-		if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(data)
-		line, err := json.Marshal(map[string]any{
-			"seq": i, "agent": "agent", "kind": "data", "name": fmt.Sprintf("a%d.csv", i),
-			"file": file, "sha256": hex.EncodeToString(sum[:]), "bytes": len(data),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		manifest.Write(append(line, '\n'))
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), manifest.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLegacyPerFileTrail: a trail in the old per-file layout opens,
-// verifies, reads and branches through the same range reads, and a
-// tampered legacy file is flagged.
-func TestLegacyPerFileTrail(t *testing.T) {
-	store, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	arts := [][]byte{[]byte("a,b\n1,2\n"), []byte("SELECT 1"), []byte("x")}
-	legacySession(t, store, "old", arts)
-	sess, err := store.OpenSession("old")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad, err := sess.Verify(); err != nil || len(bad) != 0 {
-		t.Fatalf("legacy trail does not verify: %v %v", bad, err)
-	}
-	m := sess.Manifest()
-	for i, e := range m {
-		data, err := sess.Read(e)
-		if err != nil || !bytes.Equal(data, arts[i]) {
-			t.Fatalf("legacy read %d = %q, %v", i, data, err)
-		}
-	}
-	branch, err := store.Branch(sess, "old-branch", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm := branch.Manifest()
-	if len(bm) != 2 || bm[1].SHA256 != m[1].SHA256 || bm[1].File != logName {
-		t.Fatalf("branch manifest = %+v", bm)
-	}
-	if bad, _ := branch.Verify(); len(bad) != 0 {
-		t.Fatalf("branch of a legacy trail does not verify: %v", bad)
-	}
-	// The resumed legacy session appends into a log beside its files.
-	if e, err := sess.Record("b", "code", "new", []byte("y")); err != nil || e.Seq != 3 || e.File != logName {
-		t.Fatalf("record into legacy session = %+v, %v", e, err)
-	}
-	flipEntryByte(t, sess, m[0], 2)
-	if bad, _ := sess.Verify(); len(bad) != 1 || bad[0].Seq != 0 {
-		t.Fatalf("tampered legacy file flagged %v", bad)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"math"
 	"os"
@@ -48,6 +49,7 @@ type line struct {
 	Tombstone *string   `json:"tombstone"`
 	Base      int64     `json:"base"`
 	Time      time.Time `json:"time"`
+	File      string    `json:"file"`
 	Offset    int64     `json:"offset"`
 	Bytes     int64     `json:"bytes"`
 }
@@ -129,7 +131,8 @@ var (
 	states   = map[string]*state{}
 )
 
-// openState returns root's shared state, scanning the root the first time.
+// openState returns root's shared state. The first time, it scans the
+// root and converts the older trail directories there into blocks.
 func openState(root string) (*state, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
@@ -141,6 +144,9 @@ func openState(root string) (*state, error) {
 	if st == nil {
 		if st, err = scan(abs); err != nil {
 			return nil, err
+		}
+		if err := st.importAll(abs); err != nil {
+			log.Print(err)
 		}
 		states[abs] = st
 	}
@@ -230,8 +236,9 @@ func scan(root string) (*state, error) {
 // Headers must not start a range inside the range an earlier block's
 // entries claim; one that does is ignored with its entries, so every
 // block's range, [base, next accepted base) or to the log's end, is its
-// own. A line that does not parse ends the block it is in, and a last
-// line without its newline is a torn write; both are ignored.
+// own; an entry that names a file other than the trail claims no range.
+// A line that does not parse ends the block it is in, and a last line
+// without its newline is a torn write; both are ignored.
 func scanSegment(g *segment) ([]*block, error) {
 	mf, err := os.Open(g.path + ".jsonl")
 	if err != nil {
@@ -274,7 +281,7 @@ func scanSegment(g *segment) ([]*block, error) {
 		case cur != nil:
 			cur.entries++
 			cur.mEnd = off + n
-			if l.Offset >= 0 && l.Bytes >= 0 && l.Offset+l.Bytes >= l.Offset && l.Offset+l.Bytes > cur.claimed {
+			if l.File == logName && l.Offset >= 0 && l.Bytes >= 0 && l.Offset+l.Bytes >= l.Offset && l.Offset+l.Bytes > cur.claimed {
 				cur.claimed = l.Offset + l.Bytes
 			}
 		}
@@ -459,6 +466,56 @@ func (st *state) dropBlock(g *segment, id string, base, limit int64) error {
 	return nil
 }
 
+// remove drops session id from the index, giving back a segment it still
+// holds, and drops its block. Caller holds st.mu.
+func (st *state) remove(id string) error {
+	sl, ok := st.index[id]
+	if !ok {
+		return nil
+	}
+	for _, g := range st.pool {
+		if w := g.owner; w != nil && w.slot == sl {
+			if g.busy {
+				return fmt.Errorf("provenance: remove session %q: a record is in progress", id)
+			}
+			if err := st.release(w); err != nil {
+				return err
+			}
+			break
+		}
+	}
+	delete(st.index, id)
+	sl.removed = true
+	if sl.seg == nil {
+		return nil
+	}
+	return st.dropBlock(sl.seg, id, sl.base, sl.limit)
+}
+
+// lines reads the slot's entry lines: its block's lines but the header and
+// any tombstone. A slot without a block has none (fs.ErrNotExist).
+func (sl *slot) lines() ([]byte, error) {
+	if sl.seg == nil {
+		return nil, fs.ErrNotExist
+	}
+	mf, err := os.Open(sl.seg.path + ".jsonl")
+	if err != nil {
+		return nil, err
+	}
+	defer mf.Close()
+	data := make([]byte, sl.mEnd-sl.hdrOff)
+	if _, err := mf.ReadAt(data, sl.hdrOff); err != nil {
+		return nil, err
+	}
+	var out []byte
+	for _, l := range bytes.SplitAfter(data[bytes.IndexByte(data, '\n')+1:], []byte("\n")) {
+		if !bytes.HasPrefix(l, []byte(`{"tombstone":`)) {
+			out = append(out, l...)
+		}
+	}
+	return out, nil
+}
+
 // appendLine appends a line to a manifest this process does not hold
 // open, after a newline if the file ends in a torn line.
 func appendLine(path string, b []byte) error {
@@ -509,7 +566,7 @@ func (st *state) claim(s *Session) (*segment, error) {
 	}
 	old := *sl
 	s.base, s.path = g.logEnd, g.path+".log"
-	s.hdr = newHeader(s.ID, s.base)
+	s.hdr = newHeader(s.ID, s.base, time.Now())
 	st.mu.Unlock()
 	if old.seg == nil {
 		return g, nil // the header goes out with the first entry line
@@ -524,8 +581,10 @@ func (st *state) claim(s *Session) (*segment, error) {
 	return g, nil
 }
 
-func newHeader(id string, base int64) []byte {
-	h, _ := json.Marshal(header{Session: id, Base: base, Time: time.Now().UTC()})
+// newHeader returns the header line of session id's block at base,
+// started at.
+func newHeader(id string, base int64, at time.Time) []byte {
+	h, _ := json.Marshal(header{Session: id, Base: base, Time: at.UTC()})
 	return append(h, '\n')
 }
 

@@ -261,19 +261,7 @@ func TestTwoStoresOneRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	live := map[string]int{}
-	segs, _ := filepath.Glob(filepath.Join(root, "seg-*.jsonl"))
-	for _, name := range segs {
-		blocks, err := scanSegment(&segment{path: strings.TrimSuffix(name, ".jsonl")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range blocks {
-			if !b.dead {
-				live[b.id]++
-			}
-		}
-	}
+	live := liveBlocks(t, root)
 	for i := 0; i < ids; i++ {
 		id := fmt.Sprintf("q-%04d", i)
 		if live[id] != 1 {

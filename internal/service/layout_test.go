@@ -15,7 +15,7 @@ import (
 )
 
 // TestServiceAdoptsWorkerDirTrails: a work dir written by a daemon that
-// kept one provenance store per worker (worker-NN/sessions/<id>) is moved
+// kept one provenance store per worker (worker-NN/sessions/<id>) is converted
 // into the one store at New. The resume scan then counts its sessions, so
 // the next computed ask does not reuse q-0001, and a revived cache entry
 // naming q-0001 still resolves to that original trail.

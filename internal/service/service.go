@@ -41,8 +41,8 @@ type Config struct {
 	// gauges and per-phase workflow spans are recorded into. Nil records
 	// nothing; the JSON /metrics snapshot is unaffected either way.
 	Metrics *telemetry.Registry
-	// WorkDir holds the provenance sessions (WorkDir/sessions/<id>/) and
-	// the persisted answer cache; a temp dir when empty.
+	// WorkDir holds the provenance store (WorkDir/sessions/) and the
+	// persisted answer cache; a temp dir when empty.
 	WorkDir string
 	// Workers is the number of worker goroutines asking through the
 	// Assistant — the concurrency bound. Defaults to min(4, GOMAXPROCS).
@@ -361,37 +361,24 @@ func (s *Service) registerMetrics() {
 }
 
 // resumeSessions readies a stable WorkDir's store, which may hold sessions
-// from a previous incarnation (daemon restart, shard revival). First it
-// moves in the per-session trail directories of a daemon that kept one
-// store per worker, under WorkDir/worker-NN/sessions/<id>; a trail whose
-// ID the store already holds stays where it is. Then it resumes the ID
-// sequence past every session, so a new session never takes the ID of an
-// on-disk trail that a revived cache entry may name; loadPersistedCache,
-// which runs first, already resumed it past cache.json's last_id.
+// from a previous incarnation (daemon restart, shard revival). It imports
+// the trails of a daemon that kept one store per worker, under
+// WorkDir/worker-NN/sessions/<id>, then resumes the ID sequence past every
+// session, so a new session never takes the ID of an on-disk trail that a
+// revived cache entry may name; loadPersistedCache, which runs first,
+// already resumed it past cache.json's last_id.
 func (s *Service) resumeSessions() {
 	store := s.assistant.Store()
-	held := map[string]bool{}
+	old, _ := filepath.Glob(filepath.Join(s.cfg.WorkDir, "worker-*", "sessions"))
+	for _, dir := range old {
+		if err := store.Import(dir); err != nil {
+			s.logf("service: %v", err)
+		}
+		// A Remove fails, harmlessly, on a dir still holding anything.
+		_ = os.Remove(dir)
+		_ = os.Remove(filepath.Dir(dir))
+	}
 	ids, _ := store.Sessions()
-	for _, id := range ids {
-		held[id] = true
-	}
-	old, _ := filepath.Glob(filepath.Join(s.cfg.WorkDir, "worker-*", "sessions", "*"))
-	for _, src := range old {
-		id := filepath.Base(src)
-		if st, err := os.Lstat(src); err != nil || !st.IsDir() {
-			continue
-		}
-		if held[id] {
-			s.logf("service: left trail %s in place: the store holds %s", src, id)
-		} else if err := os.Rename(src, filepath.Join(store.Root, id)); err != nil {
-			s.logf("service: move trail %s: %v", src, err)
-		}
-		// Drop the emptied sessions/ and worker-NN/ dirs; a Remove fails,
-		// harmlessly, on one still holding anything.
-		_ = os.Remove(filepath.Dir(src))
-		_ = os.Remove(filepath.Dir(filepath.Dir(src)))
-	}
-	ids, _ = store.Sessions()
 	for _, id := range ids {
 		var n int
 		if _, err := fmt.Sscanf(id, "q-%d", &n); err == nil && n > s.nextID {

@@ -106,6 +106,9 @@ grep -qs '^{"session":"q-' "$WORK"/shards/smoke-e0/sessions/seg-*.jsonl \
   || { say "FAIL: no session trail in a segment under $WORK/shards/smoke-e0/sessions/"; exit 1; }
 STRAY=$(find "$WORK" -type d -name 'worker-*')
 [ -z "$STRAY" ] || { say "FAIL: per-worker dirs in the work dir: $STRAY"; exit 1; }
+# A live daemon keeps every trail in segments: no per-session directory.
+SESSDIRS=$(find "$WORK/shards" -path "$WORK/shards/*/sessions/*" -type d)
+[ -z "$SESSDIRS" ] || { say "FAIL: per-session dirs in a shard's store: $SESSDIRS"; exit 1; }
 
 HEALTHY=$(curl -fsS "http://$RT/v1/fleet" | grep -o '"healthy_nodes":[0-9]*' | cut -d: -f2)
 [ "$HEALTHY" = "2" ] || { say "FAIL: expected 2 healthy nodes, got $HEALTHY"; exit 1; }
