@@ -122,10 +122,12 @@ func (c *Catalog) Steps() []int {
 func (c *Catalog) NumRuns() int { return len(c.Runs) }
 
 // Describe renders a human-readable summary used by the planning agent's
-// context (runs, parameters, steps, file inventory).
+// context (runs, parameters, steps, file inventory). It names the ensemble
+// by its directory's base name, so the text does not depend on where the
+// ensemble is mounted.
 func (c *Catalog) Describe() string {
 	out := fmt.Sprintf("Ensemble at %s: %d runs, %d timesteps (steps %v), %d files, %.1f MB total\n",
-		c.Dir, len(c.Runs), len(c.Spec.Steps), c.Spec.Steps, len(c.Files), float64(c.TotalBytes())/1e6)
+		filepath.Base(c.Dir), len(c.Runs), len(c.Spec.Steps), c.Spec.Steps, len(c.Files), float64(c.TotalBytes())/1e6)
 	for _, r := range c.Runs {
 		out += fmt.Sprintf("  sim %d: %s\n", r.Index, r.Params)
 	}

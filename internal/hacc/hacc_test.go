@@ -2,6 +2,9 @@ package hacc
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -286,6 +289,38 @@ func TestCatalogQueries(t *testing.T) {
 	}
 	if s := cat.Describe(); len(s) == 0 {
 		t.Error("Describe empty")
+	}
+}
+
+// TestDescribeIndependentOfPath: one ensemble loaded through two paths of
+// different lengths describes itself identically, so the planner's
+// context does not follow where the ensemble is mounted.
+func TestDescribeIndependentOfPath(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ens")
+	if _, err := Generate(dir, tinySpec()); err != nil {
+		t.Fatal(err)
+	}
+	longer := filepath.Join(t.TempDir(), "a", "much", "longer", "mount", "path")
+	if err := os.MkdirAll(longer, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	link := filepath.Join(longer, "ens")
+	if err := os.Symlink(dir, link); err != nil {
+		t.Skipf("symlink: %v", err)
+	}
+	var texts []string
+	for _, p := range []string{dir, link} {
+		cat, err := Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts = append(texts, cat.Describe())
+	}
+	if texts[0] != texts[1] {
+		t.Fatalf("Describe depends on the path:\n%s\n%s", texts[0], texts[1])
+	}
+	if strings.Contains(texts[0], string(filepath.Separator)) {
+		t.Fatalf("Describe names a path: %s", texts[0])
 	}
 }
 

@@ -7,45 +7,22 @@
 //
 // # Layout
 //
-// A store's directory holds trail segments. A segment is a pair of
-// append-only files that many sessions share, one after another:
+// A store's directory holds trail segments (package seglog): pairs of
+// append-only files, seg-<unique>.log and seg-<unique>.jsonl, that many
+// sessions share one after another. A session's trail is one block: a
+// contiguous range of one segment's log, and in its manifest a header
+// {"session":id,"base":b,"time":t} then one JSON Entry per artifact in
+// seq order. Entry lines are the ones a per-session manifest.jsonl holds:
+// File is "trail.log" and [Offset, Offset+Bytes) is relative to the
+// session's range, so a session reads the same whichever segment holds it.
 //
-//	seg-<unique>.log    the sessions' artifact bytes, back to back
-//	seg-<unique>.jsonl  per session, a header line and its manifest lines
-//
-// A session's trail is one contiguous range of one segment's log and one
-// block of lines in its manifest: a header {"session":id,"base":b,"time":t}
-// naming where the range starts, then one JSON Entry per artifact in seq
-// order. Entry lines are the ones a per-session manifest.jsonl holds: File
-// is "trail.log" and [Offset, Offset+Bytes) is relative to the session's
-// range, so a session reads the same whichever segment holds it.
-//
-// A store keeps a per-process pool of open segments. A new session claims
-// its ID in the store's in-memory index, takes a free segment at its first
-// record and gives it back at Close; a new segment (created O_EXCL, so no
-// other process shares it) is made only when every open one is in use,
-// and one is retired once its log passes a fixed size. An ask therefore
-// creates no file once the pool is warm. A session that never closes
-// keeps its segment until the pool is full; the session that then needs
-// one takes it, and the first session moves its trail into another
-// segment if it records again.
-//
-// Removing a session drops it from the index, appends a tombstone line
-// {"tombstone":id,"base":b} to its segment's manifest and punches its
-// range out of the log (Linux; elsewhere the bytes stay until the segment
-// empties). A segment whose sessions are all gone is deleted, or emptied
-// in place while it is in the pool.
-//
-// Opening a store reads every segment's manifest into the index, one
-// record per session. A header whose range would start inside an earlier
-// block's is ignored, so no session reads another's bytes, and a last
-// line without its newline is a torn write and is ignored. The tail of a
-// segment left by a crash may hold an entry whose bytes were cut short;
-// it is dropped. New sessions always go to segments this process made, so
-// nothing is appended after a torn tail. When two segments (say, another
-// process's and this one's) hold a live block of one ID, the block with
-// more entries wins, the later one (by segment name, then base) on a tie,
-// and the choice is logged.
+// A new session claims its ID in the store's in-memory index, takes a
+// segment from the pool at its first record and gives it back at Close, so
+// an ask creates no file once the pool is warm. A session whose segment
+// another took while it was idle moves its trail if it records again.
+// Removing a session drops its block (a tombstone, then a punched range).
+// Opening a store indexes every segment, one block per session (see
+// scan); an entry at a segment's tail whose bytes a crash cut is dropped.
 //
 // Older daemons kept each trail in a directory, <root>/<id>/. The first
 // open of a store in a process converts each such directory into a block
@@ -72,6 +49,7 @@ import (
 	"time"
 
 	"infera/internal/dataframe"
+	"infera/internal/seglog"
 )
 
 // Entry is one manifest line.
@@ -134,12 +112,12 @@ type Session struct {
 	slot        *slot
 	path        string
 	base, limit int64
-	seg         *segment // the segment it appends to while it holds one; guarded by st.mu
-	hdr         []byte   // its header line, until a record writes it
+	seg         *seglog.Segment // the segment it appends to while it holds one; guarded by st's lock
+	hdr         []byte          // its header line, until a record writes it
 }
 
 // logName is every readable entry's File: the session's trail.
-const logName = "trail.log"
+const logName = seglog.Trail
 
 // NewSession claims a fresh session ID. Concurrent callers racing on one
 // ID, through any Store over this root in this process, get exactly one
@@ -149,12 +127,12 @@ func (s *Store) NewSession(id string) (*Session, error) {
 		return nil, fmt.Errorf("provenance: bad session id %q", id)
 	}
 	st := s.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	st.Lock()
+	defer st.Unlock()
 	if _, ok := st.index[id]; ok {
 		return nil, fmt.Errorf("provenance: session %q already exists", id)
 	}
-	sl := &slot{unix: time.Now().UnixNano()}
+	sl := &slot{Block: seglog.Block{Time: time.Now().UnixNano()}}
 	st.index[id] = sl
 	return &Session{ID: id, st: st, slot: sl}, nil
 }
@@ -163,14 +141,14 @@ func (s *Store) NewSession(id string) (*Session, error) {
 // is claimed but has recorded nothing does not exist yet (fs.ErrNotExist).
 func (s *Store) OpenSession(id string) (*Session, error) {
 	st := s.st
-	st.mu.Lock()
+	st.Lock()
 	var snap slot
 	sl := st.index[id]
 	if sl != nil {
 		snap = *sl
 	}
-	st.mu.Unlock()
-	lines, err := snap.lines()
+	st.Unlock()
+	lines, err := snap.Lines()
 	if err != nil {
 		return nil, fmt.Errorf("provenance: open session %q: %w", id, err)
 	}
@@ -186,10 +164,10 @@ func (s *Store) OpenSession(id string) (*Session, error) {
 	}
 	// A crash may have cut the log inside the last entries of a segment's
 	// last block: those whose bytes run past its range are dropped.
-	for n := len(es); snap.tail && n > 0 && es[n-1].File == logName && !within(es[n-1], snap.limit); n-- {
+	for n := len(es); snap.Tail && n > 0 && es[n-1].File == logName && !within(es[n-1], snap.Limit); n-- {
 		es = es[:n-1]
 	}
-	sess := &Session{ID: id, st: st, slot: sl, path: snap.seg.path + ".log", base: snap.base, limit: snap.limit}
+	sess := &Session{ID: id, st: st, slot: sl, path: snap.Seg.Path() + ".log", base: snap.Base, limit: snap.Limit}
 	for _, e := range es {
 		sess.add(e)
 	}
@@ -227,12 +205,12 @@ func within(e Entry, n int64) bool {
 // Sessions lists the IDs of every claimed or recorded session, sorted.
 func (s *Store) Sessions() ([]string, error) {
 	st := s.st
-	st.mu.Lock()
+	st.Lock()
 	out := make([]string, 0, len(st.index))
 	for id := range st.index {
 		out = append(out, id)
 	}
-	st.mu.Unlock()
+	st.Unlock()
 	sort.Strings(out)
 	return out, nil
 }
@@ -244,13 +222,13 @@ func (s *Store) Sessions() ([]string, error) {
 // its manifest was last written).
 func (s *Store) SessionStat(id string) (bytes int64, newest time.Time, err error) {
 	st := s.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	st.Lock()
+	defer st.Unlock()
 	sl, ok := st.index[id]
 	if !ok {
 		return 0, time.Time{}, fmt.Errorf("provenance: session %q: %w", id, fs.ErrNotExist)
 	}
-	return sl.limit + sl.mEnd - sl.hdrOff, time.Unix(0, sl.unix), nil
+	return sl.Limit + sl.MEnd - sl.HdrOff, time.Unix(0, sl.Time), nil
 }
 
 // RemoveSession deletes a session's trail — the retention sweep's disposal
@@ -259,8 +237,8 @@ func (s *Store) SessionStat(id string) (bytes int64, newest time.Time, err error
 // open gives its segment back and records no more. Removing a nonexistent
 // session is not an error; removing one while it records is.
 func (s *Store) RemoveSession(id string) error {
-	s.st.mu.Lock()
-	defer s.st.mu.Unlock()
+	s.st.Lock()
+	defer s.st.Unlock()
 	return s.st.remove(id)
 }
 
@@ -331,19 +309,19 @@ func (s *Session) appendTrail(fill func(io.Writer) (int64, []Entry, []byte, erro
 		return err
 	}
 	start := s.base + s.end
-	n, es, lines, err := fill(g.log)
+	n, es, lines, err := fill(g.File())
 	var mEnd int64
 	manFailed := false
 	if err == nil {
 		if s.hdr != nil {
 			lines = append(s.hdr, lines...)
 		}
-		mEnd, err = g.appendMan(lines)
+		mEnd, err = g.AppendMan(lines)
 		manFailed = err != nil
 	}
 	// A failed append leaves the log where it started; a segment whose
 	// log or manifest may now end in a partial write is retired.
-	retire := err != nil && (g.log.Truncate(start) != nil || manFailed)
+	retire := err != nil && (g.File().Truncate(start) != nil || manFailed)
 	if err == nil {
 		s.end += n
 		s.limit = s.end
@@ -358,8 +336,8 @@ func (s *Session) appendTrail(fill func(io.Writer) (int64, []Entry, []byte, erro
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.st.mu.Lock()
-	defer s.st.mu.Unlock()
+	s.st.Lock()
+	defer s.st.Unlock()
 	return s.st.release(s)
 }
 

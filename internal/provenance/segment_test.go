@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"infera/internal/dataframe"
+	"infera/internal/seglog"
 )
 
 // segmentOf returns the path, without extension, of the segment holding
@@ -338,7 +339,7 @@ func TestUnclosedSessionsShareThePool(t *testing.T) {
 	}
 	defer store.Close()
 	fds := openFDs()
-	const n = 3 * poolSegments
+	const n = 3 * seglog.PoolSegments
 	var open []*Session
 	for i := 0; i < n; i++ {
 		sess, err := store.NewSession(fmt.Sprintf("u-%02d", i))
@@ -350,10 +351,10 @@ func TestUnclosedSessionsShareThePool(t *testing.T) {
 		}
 		open = append(open, sess)
 	}
-	if segs, _ := filepath.Glob(filepath.Join(store.Root, "seg-*.log")); len(segs) > poolSegments {
-		t.Fatalf("%d unclosed sessions made %d segments, want at most %d", n, len(segs), poolSegments)
+	if segs, _ := filepath.Glob(filepath.Join(store.Root, "seg-*.log")); len(segs) > seglog.PoolSegments {
+		t.Fatalf("%d unclosed sessions made %d segments, want at most %d", n, len(segs), seglog.PoolSegments)
 	}
-	if grew := openFDs() - fds; fds >= 0 && grew > 2*poolSegments {
+	if grew := openFDs() - fds; fds >= 0 && grew > 2*seglog.PoolSegments {
 		t.Fatalf("%d unclosed sessions hold %d more descriptors", n, grew)
 	}
 	first := open[0]
@@ -432,8 +433,15 @@ func TestConcurrentUnclosedSessionsMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	const workers, each, rounds = 4, poolSegments/2 + 1, 3
+	const workers, each, rounds = 4, seglog.PoolSegments/2 + 1, 3
+	// Every worker starts a round only once every worker has ended the one
+	// before, so the rounds interleave however the goroutines are
+	// scheduled, and the pool is outgrown between two records of a session.
 	var wg sync.WaitGroup
+	var barrier [rounds]sync.WaitGroup
+	for r := range barrier {
+		barrier[r].Add(workers)
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -443,17 +451,22 @@ func TestConcurrentUnclosedSessionsMove(t *testing.T) {
 				sess, err := store.NewSession(fmt.Sprintf("w%d-%02d", w, i))
 				if err != nil {
 					t.Error(err)
-					return
 				}
 				mine = append(mine, sess)
 			}
 			for r := 0; r < rounds; r++ {
+				if r > 0 {
+					barrier[r-1].Wait()
+				}
 				for _, sess := range mine {
+					if sess == nil {
+						continue
+					}
 					if _, err := sess.Record("a", "data", fmt.Sprint(r), []byte(fmt.Sprintf("%s/%d", sess.ID, r))); err != nil {
 						t.Error(err)
-						return
 					}
 				}
+				barrier[r].Done()
 			}
 		}(w)
 	}
@@ -478,5 +491,21 @@ func TestConcurrentUnclosedSessionsMove(t *testing.T) {
 				t.Fatalf("%s seq %d reads %q, %v", id, e.Seq, data, err)
 			}
 		}
+	}
+}
+
+// TestSegmentWithoutBlockDeletedAtOpen: a segment that holds no block, as
+// a crash cut before its first manifest line leaves one (a 10-byte log
+// beside an empty manifest), is gone after one open.
+func TestSegmentWithoutBlockDeletedAtOpen(t *testing.T) {
+	root := t.TempDir()
+	writeFiles(t, root, map[string][]byte{"seg-0-1-1.log": []byte("0123456789"), "seg-0-1-1.jsonl": nil})
+	store, err := NewStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if names := storeFiles(t, store); len(names) != 0 {
+		t.Fatalf("a segment without a block survived an open: %v", names)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"infera/internal/seglog"
 )
 
 // manifestName is a trail directory's manifest.
@@ -64,18 +66,18 @@ func (st *state) importDir(id, dir string) error {
 		return err
 	}
 	err = s.appendTrail(func(w io.Writer) (int64, []Entry, []byte, error) {
-		s.hdr = newHeader(id, s.base, at) // dated by the manifest, not by claim
+		s.hdr = seglog.Header(id, s.base, at) // dated by the manifest, not by claim
 		n, err := w.Write(data)
 		return int64(n), nil, lines, err
 	})
-	st.mu.Lock()
-	s.slot.unix = at.UnixNano()
+	st.Lock()
+	s.slot.Time = at.UnixNano()
 	if err == nil {
 		err = st.release(s)
 	} else {
 		st.remove(id) // the append's error is the one to report
 	}
-	st.mu.Unlock()
+	st.Unlock()
 	if err != nil {
 		return err
 	}
@@ -89,10 +91,10 @@ func (st *state) importDir(id, dir string) error {
 // dropping a block of its ID whose entry lines are a prefix of them. Any
 // other session of its ID is an error.
 func (st *state) claimID(s *Session, lines []byte) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	st.Lock()
+	defer st.Unlock()
 	if held, ok := st.index[s.ID]; ok {
-		if have, err := held.lines(); err != nil || !bytes.HasPrefix(lines, have) {
+		if have, err := held.Lines(); err != nil || !bytes.HasPrefix(lines, have) {
 			return fmt.Errorf("the store holds another trail %q", s.ID)
 		}
 		if err := st.remove(s.ID); err != nil {

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"infera/internal/seglog"
 )
 
 var updateOlder = flag.Bool("update-older", false, "rewrite testdata/oldtrees.golden from what the store serves")
@@ -227,7 +229,7 @@ func TestOlderTreesConvertAtOpen(t *testing.T) {
 	}
 	wantLines, _ := os.ReadFile(filepath.Join("testdata", "pertrail", manifestName))
 	wantBytes, _ := os.ReadFile(filepath.Join("testdata", "pertrail", logName))
-	if lines, err := fixed.slot.lines(); err != nil || !bytes.Equal(lines, wantLines) {
+	if lines, err := fixed.slot.Lines(); err != nil || !bytes.Equal(lines, wantLines) {
 		t.Errorf("converted entry lines differ from the per-session manifest (%v):\n%s", err, lines)
 	}
 	path, base, _ := fixed.Locate(Entry{File: logName})
@@ -333,21 +335,55 @@ func TestConversionCrashPoints(t *testing.T) {
 	}
 }
 
+// TestConversionCutBeforeManifestLeavesNoPair: a conversion cut before its
+// first manifest line, with its log at any length, leaves a segment that
+// holds no block; the next open deletes that pair and converts again.
+func TestConversionCutBeforeManifestLeavesNoPair(t *testing.T) {
+	conv := t.TempDir()
+	mixedTrail(t, filepath.Join(conv, "mixed"))
+	store, err := NewStore(conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := answers(t, store)
+	sess, err := store.OpenSession("mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Base(segmentOf(t, sess))
+	store.Close()
+	segLog, _ := os.ReadFile(filepath.Join(conv, seg+".log"))
+	for lc := 0; lc <= len(segLog); lc++ {
+		root := filepath.Join(t.TempDir(), fmt.Sprint(lc))
+		mixedTrail(t, filepath.Join(root, "mixed"))
+		writeFiles(t, root, map[string][]byte{seg + ".log": segLog[:lc], seg + ".jsonl": nil})
+		store, err := NewStore(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := answers(t, store); got != want {
+			t.Fatalf("log cut at %d serves\n%s\nwant\n%s", lc, got, want)
+		}
+		for _, ext := range []string{".log", ".jsonl"} {
+			if _, err := os.Stat(filepath.Join(root, seg+ext)); !os.IsNotExist(err) {
+				t.Fatalf("log cut at %d: the cut segment's %s is left (%v)", lc, ext, err)
+			}
+		}
+		store.Close()
+	}
+}
+
 // liveBlocks counts the live blocks of each session in root's segments.
 func liveBlocks(t *testing.T, root string) map[string]int {
 	t.Helper()
 	live := map[string]int{}
-	segs, _ := filepath.Glob(filepath.Join(root, "seg-*.jsonl"))
-	for _, name := range segs {
-		blocks, err := scanSegment(&segment{path: strings.TrimSuffix(name, ".jsonl")})
-		if err != nil {
-			t.Fatal(err)
-		}
+	if _, _, err := seglog.Open(root, func(blocks []*seglog.Block) []*seglog.Block {
 		for _, b := range blocks {
-			if !b.dead {
-				live[b.id]++
-			}
+			live[b.ID]++
 		}
+		return blocks
+	}); err != nil {
+		t.Fatal(err)
 	}
 	return live
 }

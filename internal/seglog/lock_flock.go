@@ -1,26 +1,15 @@
-//go:build linux
+//go:build unix && !aix && !solaris
 
-package provenance
+package seglog
 
 import (
+	"errors"
 	"os"
 	"syscall"
 )
 
-// fallocate(2) mode bits.
-const (
-	fallocKeepSize  = 0x1
-	fallocPunchHole = 0x2
-)
-
-// punchHole frees the disk blocks under [off, off+n) of f and keeps its
-// size; the range then reads as zeros.
-func punchHole(f *os.File, off, n int64) error {
-	if n <= 0 {
-		return nil
-	}
-	return syscall.Fallocate(int(f.Fd()), fallocPunchHole|fallocKeepSize, off, n)
-}
+// haveLocks: segments and roots are locked here.
+const haveLocks = true
 
 // lockShared marks f as held in this process's pool until it is closed.
 // Where the file system has no locks, unused never sees a segment as
@@ -38,4 +27,14 @@ func unused(path string) bool {
 	}
 	defer f.Close()
 	return syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB) == nil
+}
+
+// lockExclusive locks f for this open file; only another's lock refuses
+// it (errHeld), so a file system without locks takes any number.
+func lockExclusive(f *os.File) error {
+	err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB)
+	if errors.Is(err, syscall.EWOULDBLOCK) {
+		return errHeld
+	}
+	return nil
 }

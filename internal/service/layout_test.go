@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"infera/internal/provenance"
+	"infera/internal/stage"
 )
 
 // TestServiceAdoptsWorkerDirTrails: a work dir written by a daemon that
@@ -206,10 +207,38 @@ func TestServiceWorkersShareOneStore(t *testing.T) {
 
 // TestAskCreatesNoInode: once a shard's first computed ask has made its
 // trail segment, further computed asks add no directory entry anywhere
-// under the work dir: their trails are ranges of that segment.
+// under the work dir: their trails are ranges of that segment. With a
+// -stage-dir disk tier under the work dir and a one-byte memory budget,
+// later asks decode snapshots the first did not read and write every block
+// through, and those blocks are records of the tier's one segment.
 func TestAskCreatesNoInode(t *testing.T) {
+	t.Run("trail", func(t *testing.T) {
+		testAskCreatesNoInode(t, nil, func(int64) string { return topHalosQ })
+	})
+	t.Run("stage-dir", func(t *testing.T) {
+		st := stage.New(1, 0)
+		defer st.Close()
+		testAskCreatesNoInode(t, st, func(seed int64) string {
+			return fmt.Sprintf("Can you find me the top 20 largest friends-of-friends halos from timestep %d in simulation %d?",
+				[]int{99, 350, 498, 624}[seed%4], seed/4%2)
+		})
+	})
+}
+
+// testAskCreatesNoInode asks question(seed) for seeds 1 to 21 of a service
+// over a fresh work dir, staging through st if it is not nil, with a disk
+// tier under the work dir, and fails if an ask after the first creates a
+// path under the work dir.
+func testAskCreatesNoInode(t *testing.T, st *stage.Cache, question func(int64) string) {
 	work := t.TempDir()
-	svc := newService(t, Config{Workers: 2, WorkDir: work})
+	cfg := Config{Workers: 2, WorkDir: work}
+	if st != nil {
+		if err := st.SetDiskTier(filepath.Join(work, "stage"), 0); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Stage = st
+	}
+	svc := newService(t, cfg)
 	paths := func() map[string]bool {
 		out := map[string]bool{}
 		filepath.WalkDir(work, func(path string, d os.DirEntry, err error) error {
@@ -219,13 +248,13 @@ func TestAskCreatesNoInode(t *testing.T) {
 		return out
 	}
 	ask := func(seed int64) {
-		r, err := svc.Ask(AskRequest{Question: topHalosQ, Seed: seed})
+		r, err := svc.Ask(AskRequest{Question: question(seed), Seed: seed})
 		if err != nil || r.Error != "" || r.Cached {
 			t.Fatalf("computed ask seed %d: %v %+v", seed, err, r)
 		}
 	}
 	ask(1)
-	before := paths()
+	before, writes := paths(), svc.Metrics().Stage.DiskWrites
 	for seed := int64(2); seed <= 21; seed++ {
 		ask(seed)
 	}
@@ -233,6 +262,9 @@ func TestAskCreatesNoInode(t *testing.T) {
 		if !before[path] {
 			t.Errorf("20 computed asks after the first created %s", path)
 		}
+	}
+	if st != nil && svc.Metrics().Stage.DiskWrites == writes {
+		t.Error("the asks after the first wrote no block through to the disk tier")
 	}
 	for seed := int64(1); seed <= 21; seed++ {
 		if bad, err := svc.VerifySession(fmt.Sprintf("q-%04d", seed)); err != nil || len(bad) != 0 {

@@ -1,51 +1,46 @@
-// Disk tier: a persistent block store under the in-memory LRU.
+// Disk tier: a persistent block store under the in-memory LRU, with its
+// own byte budget and LRU sweep.
 //
-// Each resident entry is one decoded column block written back out in the
-// gio block encoding — byte-identical to the source file's block — one
-// file per (source path, column) under the tier's directory. A block file
-// is a 64-byte header (magic, kind, row count, source stamp, payload
-// length and offset, CRC-32C of the payload), the source path and column
-// name, zero padding to an 8-aligned offset, then the payload. The
-// write-through of a numeric column writes its payload straight from the
-// cached vector's bytes (gio.VectorBlock): no encode and no copy, which is
-// safe because cached vectors are immutable. Strings and big-endian hosts
-// encode through gio.EncodeBlock. The store has its own byte budget and
-// LRU sweep, so the memory budget stops being the residency ceiling:
-// in-memory eviction demotes instead of discards, a memory miss promotes
-// from disk without touching the gio decoder, and hot columns survive
-// restarts — a fresh process over a populated stage dir rebuilds its index
-// from block-file headers alone.
+// Each resident entry is one decoded column block in the gio block
+// encoding, stored as one record of a segment log (package seglog) under
+// the tier's directory: byte for byte what a per-block file held, a
+// 64-byte header (magic, kind, row count, source stamp, payload length and
+// offset, CRC-32C of the payload), the source path and column name, zero
+// padding to an 8-aligned offset, then the payload, whose manifest lines
+// are a header and one entry line {"file":"trail.log","bytes":n} naming
+// the whole record. A numeric write-through writes its payload straight
+// from the cached vector's bytes (gio.VectorBlock); strings and big-endian
+// hosts encode through gio.EncodeBlock. A restarted process rebuilds the
+// index from the manifests and one header read per record, in LRU order
+// by header time. Per-block files (*.blk) of older tiers are deleted at
+// attach; they decode again.
 //
-// Promotion is where the tier earns its latency budget. Float and Int
-// payloads are stored 8-byte little-endian — the same bit layout as the
-// in-memory vectors on little-endian hosts (gio.NativeLayout) — so
-// promotion mmaps the block file and casts the (8-aligned) payload into
-// the column vector directly (gio.CastBlock): no copy into the vector and
-// no per-element decode, only a CRC-32C check of the payload before it is
-// mapped, once per mapping, and pages fault in lazily as the column is
-// actually scanned. String columns (variable-width) and non-little-endian
-// hosts take a copy-decode fallback through gio.DecodeBlock, which checks
-// the same CRC.
-// Truncated or corrupt block files are detected by header validation, size
-// bounds and the CRC before any cast; a failed promotion evicts exactly
-// that block file and falls through to the real decoder (per-column error
-// attribution, as in the memory tier), whose write-through stores the
-// block whole again.
+// Promotion. Float and Int payloads are stored 8-byte little-endian, the
+// in-memory layout on little-endian hosts (gio.NativeLayout), so promotion
+// checks the payload's CRC-32C, maps the record from its page floor and
+// casts the payload into the column vector (gio.CastBlock): no copy, no
+// per-element decode. Strings and other hosts take a CRC-checked copy
+// decode (gio.DecodeBlock). A cut or corrupt record fails header, size or
+// CRC checks before any cast; the failed promotion evicts exactly that
+// block and falls through to the decoder, whose write-through stores it
+// whole again.
+//
+// Removal. A block that leaves the index is tombstoned at once, so no
+// later scan indexes it. Its range is given back (seglog.Log.Free) when
+// the last reference to its mapping drops, or at once if it has none: a
+// hole punched under a live mapping would read zeros. Mappings are indexed
+// per process by record (mapped), not per tier, so a tier attached to a
+// dir after another (SetDiskTier again, or a second cache) defers the free
+// of a record the first one mapped. A stage dir belongs to one process:
+// attaching it holds it (seglog.Hold) until the process exits.
 //
 // Mapping lifetime. A promoted vector aliases the mapping it was cast
-// from, so a mapping is unmapped only once nothing can read it. Each
-// mapping is refcounted: the index entry holds one reference, and every
-// promotion cast from it gives one to its memory-tier entry and one to its
-// column. The tier drops its reference as soon as it stops indexing the
-// block (invalidation, replacement by a new generation, budget sweep,
-// failed promotion, tier retirement); a memory entry's reference is
-// dropped by reader epoch, once no lease that could hold its vector is
-// still running (epoch.go), which covers a reader that holds the vector
-// but no longer the column; the column's is dropped by its finalizer, so
-// a caller that keeps a frame past its lease (the benchmark replays an
-// ask's staging database after the ask) reads the block instead of
-// faulting. The last holder unmaps, which hands back the pages, the
-// mapping and, for an unlinked block file, its disk blocks.
+// from, which is refcounted: the index entry holds one reference, and
+// each promotion cast from it gives one to its memory-tier entry and one
+// to its column. The tier drops its reference when it stops indexing the
+// block; a memory entry's is dropped by reader epoch (epoch.go); the
+// column's by its finalizer, so a frame kept past its lease reads the
+// block instead of faulting.
 package stage
 
 import (
@@ -53,39 +48,35 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"infera/internal/dataframe"
 	"infera/internal/gio"
-	"infera/internal/telemetry"
+	"infera/internal/seglog"
 )
 
 // DefaultDiskBudgetBytes is the disk tier's block-store budget when a
 // stage dir is attached without an explicit budget.
 const DefaultDiskBudgetBytes = 1 << 30
 
-// blkMagic identifies a stage block-store file; the trailing byte versions
-// the layout.
+// blkMagic starts every block record; the trailing byte versions the
+// layout.
 var blkMagic = [8]byte{'I', 'S', 'T', 'B', '\n', 0, 0, 1}
 
-// blkHeaderSize is the fixed header prefix of every block file. The
-// variable-length source path and column name follow it; the payload
-// starts at the 8-aligned offset recorded in the header (alignment is
-// what makes the mmap-cast promotion path legal).
+// blkHeaderSize is the fixed header prefix of every block record; the
+// source path, column name and padding to the 8-aligned payload follow.
 const blkHeaderSize = 64
 
 var blkCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// blkHeader is the decoded fixed header of one block file.
+// blkHeader is the decoded fixed header of one block record.
 type blkHeader struct {
 	kind       dataframe.Kind
 	rows       int64
@@ -143,47 +134,67 @@ func decodeBlkHeader(b []byte) (blkHeader, error) {
 
 func align8(n int64) int64 { return (n + 7) &^ 7 }
 
-// blkFileName derives the tier-local filename of a (path, col) block. The
-// fnv64a digest keeps names flat and filesystem-safe; collisions are
-// healed at promote time by validating the key strings stored in the
-// header.
-func blkFileName(k key) string {
-	h := fnv.New64a()
-	h.Write([]byte(k.path))
-	h.Write([]byte{0})
-	h.Write([]byte(k.col))
-	return fmt.Sprintf("%016x.blk", h.Sum64())
-}
-
-// diskEntry is one resident block in the tier's index. m is its
-// promotion mapping once a promotion made one, so a later re-promotion
-// (after the memory tier evicted the column again) is a pointer copy, not
-// another open; the entry holds one reference to it.
+// diskEntry is one resident block in the tier's index: the record at
+// base of seg's log, and m, its mapping once a promotion made one.
 type diskEntry struct {
 	key        key
 	stamp      stamp
 	kind       dataframe.Kind
 	rows       int64
 	bytes      int64 // payload length — the budget accounting unit
-	file       string
+	seg        *seglog.Segment
+	base       int64
 	m          *mapping
 	payloadOff int64
 }
 
-// mapping is one block file's whole page-aligned promotion mmap. Every
-// holder owns one reference — the index entry, and each memory-tier entry
-// and column whose vector was cast from it — and the last to let go
-// unmaps it.
-type mapping struct {
-	region []byte
-	refs   atomic.Int64
-	live   *liveMappings
+// at names e's record.
+func (e *diskEntry) at() recordAt { return recordAt{e.seg.Path(), e.base} }
+
+// recordAt names a record by its segment log's path and its base.
+type recordAt struct {
+	log  string
+	base int64
 }
 
-func newMapping(region []byte, live *liveMappings) *mapping {
-	m := &mapping{region: region, live: live}
+// mapped indexes the live mapping of every record the process has
+// mapped, whichever tier mapped it; its lock guards each mapping's frees.
+var mapped = struct {
+	sync.Mutex
+	m map[recordAt]*mapping
+}{m: map[recordAt]*mapping{}}
+
+// mapping is one record's promotion mmap, from the record's page floor to
+// its payload's end, refcounted (see Mapping lifetime); the last holder
+// unmaps it, then runs the frees of the tiers that dropped the record.
+type mapping struct {
+	region []byte
+	at     recordAt
+	refs   atomic.Int64
+	live   *atomic.Int64 // the live mapping count of the cache that mapped it
+	frees  []func()
+}
+
+// mapRecord returns the record's live mapping with a reference for the
+// caller, unmapping region; with none, region (unless nil) becomes it.
+func mapRecord(at recordAt, region []byte, live *atomic.Int64) *mapping {
+	mapped.Lock()
+	defer mapped.Unlock()
+	if m := mapped.m[at]; m != nil {
+		for r := m.refs.Load(); r > 0; r = m.refs.Load() {
+			if m.refs.CompareAndSwap(r, r+1) {
+				unmap(region)
+				return m
+			}
+		}
+	}
+	if region == nil {
+		return nil
+	}
+	m := &mapping{region: region, at: at, live: live}
 	m.refs.Store(1)
-	live.add(1)
+	live.Add(1)
+	mapped.m[at] = m
 	return m
 }
 
@@ -194,44 +205,22 @@ func (m *mapping) ref() *mapping {
 	return m
 }
 
-// unref drops one reference, unmapping the region with the last; nil is no
-// mapping.
+// unref drops one reference, unmapping with the last; nil is no mapping.
 func (m *mapping) unref() {
 	if m == nil || m.refs.Add(-1) > 0 {
 		return
 	}
+	mapped.Lock()
+	if mapped.m[m.at] == m {
+		delete(mapped.m, m.at)
+	}
+	frees := m.frees
+	mapped.Unlock()
 	unmap(m.region)
-	m.live.add(-1)
-}
-
-// liveMappings counts one cache's mappings that are not yet unmapped
-// (Stats.DiskMappings, infera_stage_disk_mappings); every mapping its disk
-// tiers create points to it.
-type liveMappings struct {
-	mu    sync.Mutex
-	n     int64
-	gauge *telemetry.Gauge
-}
-
-func (lm *liveMappings) add(d int64) {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	lm.n += d
-	lm.gauge.Set(lm.n)
-}
-
-func (lm *liveMappings) count() int64 {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	return lm.n
-}
-
-// setGauge points the count at g (nil for none), which reads it at once.
-func (lm *liveMappings) setGauge(g *telemetry.Gauge) {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	lm.gauge = g
-	g.Set(lm.n)
+	m.live.Add(-1)
+	for _, free := range frees {
+		free()
+	}
 }
 
 // diskStats are the tier-owned counters, merged into Stats snapshots.
@@ -243,230 +232,186 @@ type diskStats struct {
 	usedBytes     int64
 }
 
-// diskTier is the persistent block store. All methods are safe for
-// concurrent use; file I/O happens outside the index lock, so a promotion
-// racing an eviction resolves as a promote failure (open of a deleted
-// file) or a plain miss, and falls through to the decoder.
+// diskTier is the persistent block store. File I/O happens outside its
+// lock, so a promotion racing an eviction fails or misses, and decodes.
 type diskTier struct {
-	dir     string
+	log     *seglog.Log
 	mu      sync.Mutex
 	budget  int64
 	ll      *list.List // front = most recently used
 	items   map[key]*list.Element
 	stats   diskStats
-	retired bool // set by retire: the tier serves no more promotions
-	// live counts the tier's mappings: the owning cache's count, or the
-	// tier's own when it is used alone.
-	live *liveMappings
+	retired bool          // set by retire: the tier serves no more promotions
+	live    *atomic.Int64 // the owning cache's mapping count, or the tier's own
 }
 
-// newDiskTier opens (creating if needed) a block store rooted at dir and
-// rebuilds its index from the resident block files' headers — header-only
-// reads, so a large store reopens in milliseconds. Unreadable or foreign
-// files are skipped, not deleted: a half-written temp file from a crashed
-// process is invisible (put renames atomically) and anything else in the
-// directory is not ours to remove. LRU order is seeded by block-file
-// mtime, oldest first.
+// newDiskTier opens (creating if needed) and holds the block store at
+// dir, and indexes the records its segments hold whole (readRecords) in
+// LRU order by header time; of two records of one key, the later is kept.
 func newDiskTier(dir string, budget int64) (*diskTier, error) {
 	if budget <= 0 {
 		budget = DefaultDiskBudgetBytes
 	}
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	dt := &diskTier{
-		dir:    dir,
-		budget: budget,
-		ll:     list.New(),
-		items:  map[key]*list.Element{},
-		live:   &liveMappings{},
+	if err := seglog.Hold(dir); err != nil {
+		return nil, fmt.Errorf("stage: stage dir: %w", err)
 	}
-	ents, err := os.ReadDir(dir)
+	removeBlockFiles(dir)
+	var found []*diskEntry
+	lg, _, err := seglog.Open(dir, func(blocks []*seglog.Block) (kept []*seglog.Block) {
+		sort.SliceStable(blocks, func(i, j int) bool { return blocks[i].Time < blocks[j].Time })
+		kept, found = readRecords(blocks)
+		return kept
+	})
 	if err != nil {
 		return nil, err
 	}
-	type scanned struct {
-		e     *diskEntry
-		mtime int64
-	}
-	var found []scanned
-	for _, de := range ents {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".blk") {
-			continue
-		}
-		full := filepath.Join(dir, de.Name())
-		e, err := readBlkEntry(full)
-		if err != nil {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		found = append(found, scanned{e: e, mtime: info.ModTime().UnixNano()})
-	}
-	sort.Slice(found, func(i, j int) bool { return found[i].mtime < found[j].mtime })
-	for _, s := range found {
-		if prev, ok := dt.items[s.e.key]; ok {
-			// Two files claiming one key (shouldn't happen — names are
-			// deterministic — but a hand-copied store could): keep the newer.
-			dt.removeLocked(prev, false)
-		}
-		dt.items[s.e.key] = dt.ll.PushFront(s.e)
-		dt.stats.usedBytes += s.e.bytes
-	}
+	dt := &diskTier{log: lg, budget: budget, ll: list.New(), items: map[key]*list.Element{}, live: new(atomic.Int64)}
 	dt.mu.Lock()
+	defer dt.mu.Unlock()
+	for _, e := range found {
+		if prev, ok := dt.items[e.key]; ok {
+			dt.removeLocked(prev)
+		}
+		dt.items[e.key] = dt.ll.PushFront(e)
+		dt.stats.usedBytes += e.bytes
+	}
 	dt.sweepLocked()
-	dt.mu.Unlock()
 	return dt, nil
 }
 
-// readBlkEntry reads one block file's header (never its payload) into an
-// index entry.
-func readBlkEntry(full string) (*diskEntry, error) {
-	f, err := os.Open(full)
-	if err != nil {
-		return nil, err
+// readRecords reads the record header of each scanned block and returns
+// the blocks that hold a whole record their entry line names, with their
+// index entries.
+func readRecords(blocks []*seglog.Block) (kept []*seglog.Block, found []*diskEntry) {
+	var f *os.File
+	for _, b := range blocks {
+		if f == nil || f.Name() != b.Seg.Path()+".log" {
+			f.Close()
+			f, _ = os.Open(b.Seg.Path() + ".log")
+		}
+		if h, k, err := readBlkHeader(f, b.Base, b.Limit); err == nil && b.Claimed == h.payloadOff+h.payloadLen {
+			kept = append(kept, b)
+			found = append(found, newDiskEntry(h, k, b.Seg, b.Base))
+		}
 	}
-	defer f.Close()
-	h, k, err := readBlkHeader(f)
-	if err != nil {
-		return nil, err
-	}
-	return newDiskEntry(h, k, full), nil
+	f.Close()
+	return kept, found
 }
 
-// readBlkHeader reads an open block file's header and key strings, never
-// its payload, and checks that the file holds the whole payload the header
-// places (a truncated file must fail here, before any mmap cast could
-// fault past EOF). The index scan and every promotion check a block file
-// through it.
-func readBlkHeader(f *os.File) (blkHeader, key, error) {
+// removeBlockFiles deletes the per-block files (*.blk) of older tiers
+// whose header validates; they are a cache, and decode again.
+func removeBlockFiles(dir string) {
+	names, _ := filepath.Glob(filepath.Join(dir, "*.blk"))
+	for _, name := range names {
+		if f, err := os.Open(name); err == nil {
+			if _, _, err := readBlkHeader(f, 0, math.MaxInt64); f.Close() == nil && err == nil {
+				os.Remove(name)
+			}
+		}
+	}
+}
+
+// readBlkHeader reads the header and key strings of the record at base of
+// f, never its payload, and checks that the record lies within limit bytes
+// and within the file, so a cut record fails before any mmap cast could
+// fault past EOF.
+func readBlkHeader(f *os.File, base, limit int64) (blkHeader, key, error) {
 	hdr := make([]byte, blkHeaderSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
+	if _, err := f.ReadAt(hdr, base); err != nil {
 		return blkHeader{}, key{}, err
 	}
 	h, err := decodeBlkHeader(hdr)
 	if err != nil {
 		return blkHeader{}, key{}, err
 	}
-	keyBuf := make([]byte, h.pathLen+h.colLen)
-	if _, err := f.ReadAt(keyBuf, blkHeaderSize); err != nil {
-		return blkHeader{}, key{}, err
-	}
 	st, err := f.Stat()
 	if err != nil {
 		return blkHeader{}, key{}, err
 	}
-	if st.Size() < h.payloadOff+h.payloadLen {
-		return blkHeader{}, key{}, fmt.Errorf("stage: block file %s truncated: %d < %d", f.Name(), st.Size(), h.payloadOff+h.payloadLen)
+	if end := h.payloadOff + h.payloadLen; end > limit || end > st.Size()-base {
+		return blkHeader{}, key{}, fmt.Errorf("stage: block record at %d of %s cut: %d bytes, %d in its range", base, f.Name(), end, min(limit, st.Size()-base))
+	}
+	keyBuf := make([]byte, h.pathLen+h.colLen)
+	if _, err := f.ReadAt(keyBuf, base+blkHeaderSize); err != nil {
+		return blkHeader{}, key{}, err
 	}
 	return h, key{path: string(keyBuf[:h.pathLen]), col: string(keyBuf[h.pathLen:])}, nil
 }
 
-// newDiskEntry is the index entry for the block of key k, described by h,
-// stored in file.
-func newDiskEntry(h blkHeader, k key, file string) *diskEntry {
+// newDiskEntry is the index entry of k's block h at base of seg's log.
+func newDiskEntry(h blkHeader, k key, seg *seglog.Segment, base int64) *diskEntry {
 	return &diskEntry{
 		key:        k,
 		stamp:      stamp{mtime: h.srcMtimeNS, size: h.srcSize},
 		kind:       h.kind,
 		rows:       h.rows,
 		bytes:      h.payloadLen,
-		file:       file,
+		seg:        seg,
+		base:       base,
 		payloadOff: h.payloadOff,
 	}
 }
 
-// budgetBytes returns the tier's byte budget.
-func (dt *diskTier) budgetBytes() int64 {
+// snapshot returns the tier counters, entry count and budget.
+func (dt *diskTier) snapshot() (diskStats, int, int64) {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
-	return dt.budget
-}
-
-// snapshot returns the tier counters plus the resident entry count.
-func (dt *diskTier) snapshot() (diskStats, int) {
-	dt.mu.Lock()
-	defer dt.mu.Unlock()
-	return dt.stats, dt.ll.Len()
+	return dt.stats, dt.ll.Len(), dt.budget
 }
 
 // put persists one encoded payload for (k, st), replacing any prior
-// generation, and sweeps the budget. payload is only read, never kept, so
-// it may be a cached vector's own bytes (gio.VectorBlock). The write is
-// atomic (temp + rename), so a reader never observes a partial block and a
-// crash leaves at worst an orphan temp file the next scan ignores. A
-// payload alone over budget is not stored (mirrors the memory tier's
-// oversized-entry rule).
+// generation, and sweeps the budget. payload is only read, so it may be a
+// cached vector's own bytes. A payload alone over budget is not stored,
+// and neither is one put to a retired tier.
 func (dt *diskTier) put(k key, st stamp, kind dataframe.Kind, rows int, payload []byte) error {
 	dt.mu.Lock()
-	over := int64(len(payload)) > dt.budget
+	skip := int64(len(payload)) > dt.budget || dt.retired
 	dt.mu.Unlock()
-	if over {
+	if skip {
 		return nil
 	}
-	full := filepath.Join(dt.dir, blkFileName(k))
-	h := blkHeader{
-		kind:       kind,
-		rows:       int64(rows),
-		srcMtimeNS: st.mtime,
-		srcSize:    st.size,
-		payloadLen: int64(len(payload)),
-		crc:        crc32.Checksum(payload, blkCastagnoli),
-		pathLen:    len(k.path),
-		colLen:     len(k.col),
-	}
-	h.payloadOff = align8(int64(blkHeaderSize + h.pathLen + h.colLen))
-	// The header, key strings and zero padding go first, then the payload
-	// as it was handed in, so a vector's bytes are never copied.
+	h := blkHeader{kind: kind, rows: int64(rows), srcMtimeNS: st.mtime, srcSize: st.size, payloadLen: int64(len(payload)),
+		crc: crc32.Checksum(payload, blkCastagnoli), pathLen: len(k.path), colLen: len(k.col),
+		payloadOff: align8(int64(blkHeaderSize + len(k.path) + len(k.col)))}
 	head := make([]byte, h.payloadOff)
 	copy(head, encodeBlkHeader(h))
 	copy(head[blkHeaderSize:], k.path)
 	copy(head[blkHeaderSize+h.pathLen:], k.col)
-	tmp, err := os.CreateTemp(dt.dir, ".blk-*")
+	// The record's first 64 KB go out in their own writes, so the page
+	// cache holds them in folios no larger than a fresh file's: a fault at
+	// the payload's start maps those, not a large folio reaching far into a
+	// payload the ask may never read. The payload is written as it was
+	// handed in, so a vector's bytes are never copied.
+	cut := min(max(64<<10-h.payloadOff, 0), h.payloadLen)
+	seg, base, err := dt.log.Append(k.path+"#"+k.col, head, payload[:cut], payload[cut:])
 	if err != nil {
 		return err
 	}
-	_, err = tmp.Write(head)
-	if err == nil {
-		_, err = tmp.Write(payload)
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), full); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	e := newDiskEntry(h, k, full)
+	e := newDiskEntry(h, k, seg, base)
 	dt.mu.Lock()
+	defer dt.mu.Unlock()
 	if prev, ok := dt.items[k]; ok {
-		dt.removeLocked(prev, false)
+		dt.removeLocked(prev)
 	}
 	dt.items[k] = dt.ll.PushFront(e)
 	dt.stats.usedBytes += e.bytes
 	dt.stats.writes++
 	dt.sweepLocked()
-	dt.mu.Unlock()
 	return nil
 }
 
 // promote serves (k, now) from the block store as a memory-tier entry
-// holding a ready-to-share column vector and, for an mmap cast, a
-// reference to its mapping. A nil entry with a nil error is a plain miss
-// (absent, resident for a different file generation — which also drops
-// the stale block — or dropped from the index while this call mapped it).
-// A non-nil err means the block was resident and claimed to match but
-// could not be loaded (truncated, corrupt, raced with eviction); the bad
-// block has been dropped and the caller should fall through to the real
-// decoder.
+// and, for an mmap cast, a reference to its mapping. A nil entry with a
+// nil error is a plain miss (absent, stale — which drops it — or dropped
+// while this call mapped it); an error means the block could not be
+// loaded and has been dropped, and the caller decodes.
 func (dt *diskTier) promote(k key, now stamp) (*entry, error) {
 	dt.mu.Lock()
 	el, found := dt.items[k]
@@ -476,7 +421,7 @@ func (dt *diskTier) promote(k key, now stamp) (*entry, error) {
 	}
 	e := el.Value.(*diskEntry)
 	if e.stamp != now {
-		dt.removeLocked(el, true)
+		dt.removeLocked(el)
 		dt.stats.invalidations++
 		dt.mu.Unlock()
 		return nil, nil
@@ -504,7 +449,8 @@ func (dt *diskTier) promote(k key, now stamp) (*entry, error) {
 	}
 	if m != nil {
 		var err error
-		col, err = gio.CastBlock(k.col, want.kind, m.region[want.payloadOff:want.payloadOff+want.bytes], int(want.rows))
+		at := want.base%pageSize + want.payloadOff
+		col, err = gio.CastBlock(k.col, want.kind, m.region[at:at+want.bytes], int(want.rows))
 		if err != nil {
 			m.unref()
 			dt.drop(k, now)
@@ -516,48 +462,46 @@ func (dt *diskTier) promote(k key, now stamp) (*entry, error) {
 	return &entry{key: k, stamp: now, col: col.MarkShared(), bytes: want.bytes, m: m}, nil
 }
 
-// adopt makes region, freshly mapped for the entry at el, that entry's one
-// mapping and returns it with a reference for the caller. A promotion that
-// lost a race keeps no second mapping: if another promotion installed one
-// first, ours is unmapped and the winner's returned; if the entry left the
-// index (or the tier retired) meanwhile, ours is unmapped and nil
-// returned. Nothing has been cast from region yet, so unmapping it is
-// safe.
+// pageSize is the granule a record's mapping starts on.
+var pageSize = int64(os.Getpagesize())
+
+// adopt makes region, freshly mapped for the entry at el and cast from by
+// no one yet, its mapping and returns it with a reference for the caller;
+// if the record already has one (another promotion, in any tier, won),
+// region is unmapped and that one returned, and if the entry left the
+// index meanwhile, region is unmapped and nil returned.
 func (dt *diskTier) adopt(el *list.Element, region []byte) *mapping {
 	e := el.Value.(*diskEntry)
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
-	indexed := !dt.retired && dt.items[e.key] == el
-	if indexed && e.m == nil {
-		e.m = newMapping(region, dt.live)
-		return e.m.ref()
-	}
-	unmap(region)
-	if !indexed {
+	if dt.retired || dt.items[e.key] != el {
+		unmap(region)
 		return nil
+	}
+	if e.m == nil {
+		e.m = mapRecord(e.at(), region, dt.live)
+	} else {
+		unmap(region)
 	}
 	return e.m.ref()
 }
 
-// loadBlk opens and checks the block file behind index entry e (openBlk)
-// and serves its payload from that one open file. A kind eligible for the
-// cast fast path comes back as the whole page-aligned mmap region; any
-// other kind, a host without the native layout, or a failed mmap comes
-// back copy-decoded. The payload's CRC is checked before it is mapped,
-// once per mapping: a block whose bytes changed after it was written (bit
-// rot, or pages lost in a crash) fails the promotion instead of being cast
-// and served. The check reads the file rather than the mapping, so it
-// faults in no mapped pages: a promoted column's resident pages stay the
-// ones its readers touch.
+// loadBlk opens and checks the record behind e (openBlk) and returns, for
+// a kind the cast can serve, the mmap region from its page floor, or else
+// a copy-decoded column. The payload's CRC is checked before it is
+// mapped, by reading the file, so it faults in no mapped pages and a
+// block whose bytes changed since (bit rot, a crash, a punched range) is
+// never cast.
 func loadBlk(e *diskEntry) ([]byte, *dataframe.Column, error) {
 	f, h, err := openBlk(e)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
+	rec := io.NewSectionReader(f, e.base, h.payloadOff+h.payloadLen)
 	if gio.NativeLayout(h.kind) && mmapSupported {
 		crc := crc32.New(blkCastagnoli)
-		if _, err := io.Copy(crc, io.NewSectionReader(f, h.payloadOff, h.payloadLen)); err != nil {
+		if _, err := io.Copy(crc, io.NewSectionReader(rec, h.payloadOff, h.payloadLen)); err != nil {
 			return nil, nil, err
 		}
 		if got := crc.Sum32(); got != h.crc {
@@ -565,29 +509,28 @@ func loadBlk(e *diskEntry) ([]byte, *dataframe.Column, error) {
 		}
 		// mmap can fail on exotic filesystems; fall back to copy-decode
 		// rather than failing the promotion.
-		if region, err := mmapFile(f, h.payloadOff+h.payloadLen); err == nil {
+		floor := e.base - e.base%pageSize
+		if region, err := mmapFile(f, floor, e.base-floor+h.payloadOff+h.payloadLen); err == nil {
 			return region, nil, nil
 		}
 	}
-	col, err := decodeCopy(f, e.key, h)
+	col, err := decodeCopy(rec, e.key, h)
 	return nil, col, err
 }
 
-// openBlk opens the block file behind index entry e and checks, through
-// readBlkHeader, that it still backs e: same key strings (heals fnv
-// filename collisions), source generation, kind, rows and payload place.
-// The returned header is the one every later payload read trusts.
+// openBlk opens the segment log behind e and checks, through
+// readBlkHeader, that its record still backs e.
 func openBlk(e *diskEntry) (*os.File, blkHeader, error) {
-	f, err := os.Open(e.file)
+	f, err := os.Open(e.seg.Path() + ".log")
 	if err != nil {
 		return nil, blkHeader{}, err
 	}
-	h, k, err := readBlkHeader(f)
+	h, k, err := readBlkHeader(f, e.base, e.payloadOff+e.bytes)
 	if err == nil {
 		want := *e
 		want.m = nil
-		if *newDiskEntry(h, k, e.file) != want {
-			err = fmt.Errorf("stage: block file %s keyed to another entry", e.file)
+		if *newDiskEntry(h, k, e.seg, e.base) != want {
+			err = fmt.Errorf("stage: block record at %d of %s keyed to another entry", e.base, f.Name())
 		}
 	}
 	if err != nil {
@@ -597,13 +540,11 @@ func openBlk(e *diskEntry) (*os.File, blkHeader, error) {
 	return f, h, nil
 }
 
-// decodeCopy is the promotion fallback: read the payload h places in f,
-// verify its CRC, decode through the gio block decoder. Used for String
-// columns (variable width — no cast possible), big-endian hosts, and mmap
-// failures.
-func decodeCopy(f *os.File, k key, h blkHeader) (*dataframe.Column, error) {
+// decodeCopy is the promotion fallback for strings, big-endian hosts and
+// failed maps: read the payload, check its CRC, decode it.
+func decodeCopy(rec io.ReaderAt, k key, h blkHeader) (*dataframe.Column, error) {
 	payload := make([]byte, h.payloadLen)
-	if _, err := f.ReadAt(payload, h.payloadOff); err != nil {
+	if _, err := rec.ReadAt(payload, h.payloadOff); err != nil {
 		return nil, err
 	}
 	if got := crc32.Checksum(payload, blkCastagnoli); got != h.crc {
@@ -612,14 +553,13 @@ func decodeCopy(f *os.File, k key, h blkHeader) (*dataframe.Column, error) {
 	return gio.DecodeBlock(k.col, h.kind, payload, int(h.rows))
 }
 
-// drop removes (k, now) from the index and disk — promote's error path,
-// scoped to exactly the failing generation so a concurrent put of a fresh
-// block is not clobbered.
+// drop removes (k, now) from the index — promote's error path, scoped to
+// the failing generation so a concurrent put of a fresh one survives.
 func (dt *diskTier) drop(k key, now stamp) {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
 	if el, ok := dt.items[k]; ok && el.Value.(*diskEntry).stamp == now {
-		dt.removeLocked(el, true)
+		dt.removeLocked(el)
 	}
 }
 
@@ -628,17 +568,15 @@ func (dt *diskTier) drop(k key, now stamp) {
 func (dt *diskTier) invalidatePath(path string) int {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
-	var doomed []*list.Element
+	n := 0
 	for k, el := range dt.items {
 		if k.path == path {
-			doomed = append(doomed, el)
+			dt.removeLocked(el)
+			dt.stats.invalidations++
+			n++
 		}
 	}
-	for _, el := range doomed {
-		dt.removeLocked(el, true)
-		dt.stats.invalidations++
-	}
-	return len(doomed)
+	return n
 }
 
 // sweepLocked enforces the byte budget, evicting least-recently-used
@@ -647,33 +585,50 @@ func (dt *diskTier) sweepLocked() {
 	for dt.stats.usedBytes > dt.budget && dt.ll.Len() > 0 {
 		oldest := dt.ll.Back()
 		e := oldest.Value.(*diskEntry)
-		dt.removeLocked(oldest, true)
+		dt.removeLocked(oldest)
 		dt.stats.evictions++
 		dt.stats.evictedBytes += e.bytes
 	}
 }
 
 // removeLocked is the single exit from the index: it unlinks an entry,
-// drops the entry's reference to its mapping and (when unlink is set)
-// deletes its block file. Caller holds mu. No reader can lose a vector to
-// it: every vector a reader holds came through a memory-tier entry, whose
-// own reference is dropped by reader epoch.
-func (dt *diskTier) removeLocked(el *list.Element, unlink bool) {
+// tombstones its record and gives the range back (see Removal). Caller
+// holds mu.
+func (dt *diskTier) removeLocked(el *list.Element) {
 	e := el.Value.(*diskEntry)
 	dt.ll.Remove(el)
 	delete(dt.items, e.key)
 	dt.stats.usedBytes -= e.bytes
-	e.m.unref()
-	e.m = nil
-	if unlink {
-		os.Remove(e.file)
+	if dt.retired {
+		return // a later tier over the directory owns the record
 	}
+	lg := dt.log
+	lg.Lock()
+	lg.Tombstone(e.seg, e.key.path+"#"+e.key.col, e.base)
+	lg.Unlock()
+	free := func() {
+		lg.Lock()
+		defer lg.Unlock()
+		lg.Free(e.seg, e.base, e.payloadOff+e.bytes)
+	}
+	m := e.m
+	if m == nil {
+		m = mapRecord(e.at(), nil, nil)
+	}
+	if m == nil {
+		free()
+	} else {
+		mapped.Lock()
+		m.frees = append(m.frees, free) // run at the last unref: ours is not it
+		mapped.Unlock()
+		m.unref()
+	}
+	e.m = nil
 }
 
-// retire drops the tier's reference to every mapping it holds and stops
-// it serving promotions, so no new mapping is created after it returns; nil
-// is no tier. The index and the block files stay: a later tier over the
-// same directory rescans them.
+// retire drops the tier's reference to every mapping it holds, stops it
+// serving and changing its directory, and closes its pool; nil is no
+// tier. The records stay for a later tier over the directory.
 func (dt *diskTier) retire() {
 	if dt == nil {
 		return
@@ -686,4 +641,5 @@ func (dt *diskTier) retire() {
 		e.m.unref()
 		e.m = nil
 	}
+	dt.log.Close()
 }

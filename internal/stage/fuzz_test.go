@@ -1,25 +1,28 @@
 package stage
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 	"unsafe"
 
 	"infera/internal/dataframe"
 	"infera/internal/gio"
+	"infera/internal/seglog"
 )
 
-// FuzzBlockHeader throws arbitrary bytes, written to a block file, at the
-// disk tier's header surfaces: decodeBlkHeader, and readBlkHeader through
-// both its callers, the index scan's readBlkEntry and the promote-time
-// openBlk. None may panic or over-allocate, and whatever readBlkEntry
-// accepts must be a block openBlk accepts for its own entry (and rejects
-// for another key), whose payload lies inside the file, and which — when
-// numeric and the right size — gio.CastBlock views without error.
+// FuzzBlockHeader throws arbitrary bytes, written as the one record of a
+// segment log whose manifest names it whole, at the disk tier's header
+// surfaces: decodeBlkHeader, and readBlkHeader through both its callers,
+// the attach scan's readRecords and the promote-time openBlk. None may
+// panic or over-allocate, and whatever readRecords accepts must be a block
+// openBlk accepts for its own entry (and rejects for another key), whose
+// payload lies inside the record, and which — when numeric and the right
+// size — gio.CastBlock views without error.
 func FuzzBlockHeader(f *testing.F) {
-	dir := f.TempDir()
-	dt, err := newDiskTier(dir, 0)
+	dt, err := newDiskTier(f.TempDir(), 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -36,10 +39,7 @@ func FuzzBlockHeader(f *testing.F) {
 		if err := dt.put(k, stamp{mtime: 42, size: 4096}, col.Kind, col.Len(), payload); err != nil {
 			f.Fatal(err)
 		}
-		blk, err := os.ReadFile(filepath.Join(dir, blkFileName(k)))
-		if err != nil {
-			f.Fatal(err)
-		}
+		blk := recordOf(f, dt, k)
 		f.Add(blk)
 		f.Add(blk[:blkHeaderSize])
 	}
@@ -48,24 +48,34 @@ func FuzzBlockHeader(f *testing.F) {
 		if len(data) > 1<<20 {
 			return
 		}
-		_, herr := decodeBlkHeader(data)
-		p := filepath.Join(t.TempDir(), "b.blk")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
+		h, herr := decodeBlkHeader(data)
+		named := int64(len(data))
+		if herr == nil {
+			named = h.payloadOff + h.payloadLen
 		}
-		e, err := readBlkEntry(p)
-		if err != nil {
+		dir := t.TempDir()
+		seg := filepath.Join(dir, "seg-0")
+		lines := fmt.Appendf(seglog.Header("b", 0, time.Unix(1, 0)), "{\"file\":%q,\"bytes\":%d}\n", seglog.Trail, named)
+		if os.WriteFile(seg+".log", data, 0o644) != nil || os.WriteFile(seg+".jsonl", lines, 0o644) != nil {
+			t.Fatal("writing the segment failed")
+		}
+		var found []*diskEntry
+		if _, _, err := seglog.Open(dir, func(bs []*seglog.Block) (kept []*seglog.Block) {
+			kept, found = readRecords(bs)
+			return kept
+		}); err != nil || len(found) == 0 {
 			return
 		}
+		e := found[0]
 		if herr != nil {
-			t.Fatalf("readBlkEntry accepted a header decodeBlkHeader rejects: %v", herr)
+			t.Fatalf("readRecords accepted a header decodeBlkHeader rejects: %v", herr)
 		}
 		if e.payloadOff > int64(len(data)) || e.bytes > int64(len(data))-e.payloadOff {
-			t.Fatalf("payload [%d, +%d) past the end of a %d-byte file", e.payloadOff, e.bytes, len(data))
+			t.Fatalf("payload [%d, +%d) past the end of a %d-byte record", e.payloadOff, e.bytes, len(data))
 		}
 		fh, _, err := openBlk(e)
 		if err != nil {
-			t.Fatalf("openBlk rejected the entry readBlkEntry built: %v", err)
+			t.Fatalf("openBlk rejected the entry readRecords built: %v", err)
 		}
 		fh.Close()
 		other := *e

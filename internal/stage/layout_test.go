@@ -2,6 +2,8 @@ package stage
 
 import (
 	"bytes"
+	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -57,7 +59,7 @@ func sameColumn(a, b *dataframe.Column) bool {
 }
 
 // diskEntryOf returns a copy of the disk tier's index entry for k.
-func diskEntryOf(t *testing.T, dt *diskTier, k key) diskEntry {
+func diskEntryOf(t testing.TB, dt *diskTier, k key) diskEntry {
 	t.Helper()
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
@@ -66,6 +68,22 @@ func diskEntryOf(t *testing.T, dt *diskTier, k key) diskEntry {
 		t.Fatalf("%s/%s not in the disk tier", k.path, k.col)
 	}
 	return *el.Value.(*diskEntry)
+}
+
+// recordOf returns the bytes of the disk tier's record of k, read from its
+// segment log.
+func recordOf(t testing.TB, dt *diskTier, k key) []byte {
+	t.Helper()
+	e := diskEntryOf(t, dt, k)
+	log, err := os.ReadFile(e.seg.Path() + ".log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end := e.base + e.payloadOff + e.bytes; end <= int64(len(log)) {
+		return log[e.base:end]
+	}
+	t.Fatalf("%s/%s: record at %d past the end of its %d-byte log", k.path, k.col, e.base, len(log))
+	return nil
 }
 
 // TestServingPathsBitIdentical: one column served by the decoder (read
@@ -101,7 +119,7 @@ func TestServingPathsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		copied, err := decodeCopy(f, k, h)
+		copied, err := decodeCopy(io.NewSectionReader(f, e.base, e.payloadOff+e.bytes), k, h)
 		f.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -116,9 +134,9 @@ func TestServingPathsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPersistFromVectorMatchesEncodeBlock: a block file written through
+// TestPersistFromVectorMatchesEncodeBlock: a block record written through
 // from a cached vector's own bytes is byte-identical to one written from
-// gio.EncodeBlock's copy.
+// gio.EncodeBlock's copy, as the per-block files were.
 func TestPersistFromVectorMatchesEncodeBlock(t *testing.T) {
 	dir := t.TempDir()
 	path := edgeSnapshot(t, dir)
@@ -146,16 +164,18 @@ func TestPersistFromVectorMatchesEncodeBlock(t *testing.T) {
 		if err := ref.put(k, e.stamp, col.Kind, col.Len(), payload); err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(e.file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(filepath.Join(ref.dir, blkFileName(k)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, want := recordOf(t, c.disk, k), recordOf(t, ref, k)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: written-through block (%d bytes) differs from the EncodeBlock one (%d bytes)", name, len(got), len(want))
+		}
+		// A per-block file: header, key strings, zero padding, payload.
+		h := blkHeader{kind: col.Kind, rows: int64(col.Len()), srcMtimeNS: e.stamp.mtime, srcSize: e.stamp.size,
+			payloadLen: int64(len(payload)), crc: crc32.Checksum(payload, blkCastagnoli), pathLen: len(path), colLen: len(name)}
+		h.payloadOff = align8(int64(blkHeaderSize + len(path) + len(name)))
+		file := append(append(encodeBlkHeader(h), path...), name...)
+		file = append(append(file, make([]byte, h.payloadOff-int64(len(file)))...), payload...)
+		if !bytes.Equal(got, file) {
+			t.Fatalf("%s: record (%d bytes) differs from the block file that holds it (%d bytes)", name, len(got), len(file))
 		}
 	}
 }

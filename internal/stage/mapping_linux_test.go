@@ -3,6 +3,7 @@
 package stage
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 	"unsafe"
@@ -53,13 +55,14 @@ func mapsLines(t *testing.T) []string {
 	return strings.Split(strings.TrimSpace(string(data)), "\n")
 }
 
-// liveMappingsOf counts the mappings of file in /proc/self/maps; mappings
-// of unlinked generations end in " (deleted)" and are not counted.
-func liveMappingsOf(t *testing.T, file string) int {
+// liveMappingsOf counts the mappings of file from offset off in
+// /proc/self/maps, the mappings of one record; mappings of unlinked files
+// end in " (deleted)" and are not counted.
+func liveMappingsOf(t *testing.T, file string, off int64) int {
 	t.Helper()
 	n := 0
 	for _, line := range mapsLines(t) {
-		if strings.HasSuffix(line, " "+file) {
+		if f := strings.Fields(line); len(f) > 2 && f[2] == fmt.Sprintf("%08x", off) && strings.HasSuffix(line, " "+file) {
 			n++
 		}
 	}
@@ -332,15 +335,18 @@ func TestConcurrentPromotionsMapOnce(t *testing.T) {
 	}
 	k := key{path: filepath.Join(dir, "s.gio"), col: "m"}
 	st := stamp{mtime: 1, size: 2}
-	file := filepath.Join(dt.dir, blkFileName(k))
+	var file string // the segment log holding the block's record
+	var floor int64 // the page its record starts on
 
 	const rounds, racers = 10, 8
 	for round := 0; round < rounds; round++ {
-		// A fresh put renames a new inode over the file, so each round
-		// races on an entry with no mapping yet.
+		// A fresh put appends a new record, so each round races on an
+		// entry with no mapping yet.
 		if err := dt.put(k, st, dataframe.Float, releaseRows, payload); err != nil {
 			t.Fatal(err)
 		}
+		e := diskEntryOf(t, dt, k)
+		file, floor = e.seg.Path()+".log", e.base-e.base%pageSize
 		start := make(chan struct{})
 		got := make([]*entry, racers)
 		var wg sync.WaitGroup
@@ -371,13 +377,13 @@ func TestConcurrentPromotionsMapOnce(t *testing.T) {
 			e.m.unref()
 		}
 		got = nil
-		if n := liveMappingsOf(t, file); n != 1 {
+		if n := liveMappingsOf(t, file, floor); n != 1 {
 			t.Fatalf("round %d: %d mappings of %s, want 1", round, n, file)
 		}
-		collectUntil(t, fmt.Sprintf("round %d: only the current generation's mapping live", round), func() bool { return dt.live.count() == 1 })
+		collectUntil(t, fmt.Sprintf("round %d: only the current generation's mapping live", round), func() bool { return dt.live.Load() == 1 })
 	}
 	dt.retire()
-	collectUntil(t, "no live mapping after retirement", func() bool { return dt.live.count() == 0 })
+	collectUntil(t, "no live mapping after retirement", func() bool { return dt.live.Load() == 0 })
 	if left := mappingsUnder(t, dir); len(left) > 0 {
 		t.Fatalf("mappings left:\n%s", strings.Join(left, "\n"))
 	}
@@ -501,4 +507,151 @@ func TestKeptFrameHoldsMapping(t *testing.T) {
 	collectUntil(t, "mapping unmapped once the kept frame is garbage", func() bool {
 		return !mappedUnder(t, region, stageDir)
 	})
+}
+
+// TestDroppedRecordPunchedAfterLastRef drops a block from the disk tier
+// while a promoted column holds its mapping, and proves the column still
+// reads its values and the record's bytes stay on disk until the last
+// reference drops; its range is punched after that, not before. A sibling
+// record keeps the segment holding a block, so the segment is not emptied.
+func TestDroppedRecordPunchedAfterLastRef(t *testing.T) {
+	dir := t.TempDir()
+	path := rewriteSource(t, dir, "s.gio", 7, time.Now())
+	stageDir := filepath.Join(dir, "stage")
+	skipWithoutPunch(t, dir)
+	c := newTiered(t, 1<<30, stageDir)
+	defer c.Close()
+	l := c.Pin()
+	defer l.Unpin()
+	if _, _, err := l.Columns(path, "fof_halo_count"); err != nil {
+		t.Fatal(err)
+	}
+	vec, region := promoteMapped(t, c, l, path, "fof_halo_mass")
+	want := append([]float64(nil), vec...)
+	k := key{path: path, col: "fof_halo_mass"}
+	e := diskEntryOf(t, c.disk, k)
+	rec := recordOf(t, c.disk, k)
+	onDisk := func() []byte {
+		log, err := os.ReadFile(e.seg.Path() + ".log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return log[e.base : e.base+int64(len(rec))]
+	}
+
+	c.disk.drop(k, e.stamp)
+	collect()
+	if !mappedUnder(t, region, stageDir) {
+		t.Fatal("dropped record unmapped while a promoted column holds it")
+	}
+	sameBits(t, vec, want)
+	if !bytes.Equal(onDisk(), rec) {
+		t.Fatal("dropped record punched while a promoted column holds its mapping")
+	}
+	c.SetBudget(0)
+	l.Unpin()
+	collectUntil(t, "dropped record unmapped once its column let go", func() bool {
+		return !mappedUnder(t, region, stageDir)
+	})
+	if !bytes.Equal(onDisk(), make([]byte, len(rec))) {
+		t.Fatal("dropped record not punched after its mapping's last reference dropped")
+	}
+	if _, err := c.disk.promote(key{path: path, col: "fof_halo_count"}, e.stamp); err != nil {
+		t.Fatalf("the sibling record no longer promotes: %v", err)
+	}
+}
+
+// skipWithoutPunch skips the test unless the file system under dir can
+// punch holes.
+func skipWithoutPunch(t *testing.T, dir string) {
+	t.Helper()
+	probe, err := os.Create(filepath.Join(dir, "probe"))
+	if err == nil {
+		_, err = probe.Write(make([]byte, 8192))
+	}
+	if err == nil {
+		err = syscall.Fallocate(int(probe.Fd()), 0x3, 0, 4096) // punch, keep size
+	}
+	probe.Close()
+	if err != nil {
+		t.Skipf("this file system cannot punch holes: %v", err)
+	}
+}
+
+// TestReattachKeepsMappedRecord promotes a column, then attaches the same
+// stage dir again with a budget whose attach-time sweep evicts every
+// record, and proves the memory tier's vector, cast from the retired
+// tier's mapping, still reads its values and the record's bytes stay on
+// disk; once the vector lets go, the record is punched out or its segment
+// deleted.
+func TestReattachKeepsMappedRecord(t *testing.T) {
+	dir := t.TempDir()
+	path := rewriteSource(t, dir, "s.gio", 7, time.Now())
+	stageDir := filepath.Join(dir, "stage")
+	skipWithoutPunch(t, dir)
+	c := newTiered(t, 1<<30, stageDir)
+	defer c.Close()
+	l := c.Pin()
+	defer l.Unpin()
+	vec, region := promoteMapped(t, c, l, path, "fof_halo_mass")
+	want := append([]float64(nil), vec...)
+	k := key{path: path, col: "fof_halo_mass"}
+	e := diskEntryOf(t, c.disk, k)
+	rec := recordOf(t, c.disk, k)
+	onDisk := func() []byte {
+		log, err := os.ReadFile(e.seg.Path() + ".log")
+		if os.IsNotExist(err) {
+			return nil
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return log[e.base : e.base+int64(len(rec))]
+	}
+
+	if err := c.SetDiskTier(stageDir, 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.DiskEntries != 0 || st.DiskEvictions == 0 {
+		t.Fatalf("attach with a 1-byte budget kept %d entries, evicted %d", st.DiskEntries, st.DiskEvictions)
+	}
+	collect()
+	sameBits(t, vec, want)
+	if !bytes.Equal(onDisk(), rec) {
+		t.Fatal("re-attach punched a record the memory tier's vector maps")
+	}
+	c.SetBudget(0)
+	l.Unpin()
+	collectUntil(t, "record unmapped once its column let go", func() bool {
+		return !mappedUnder(t, region, stageDir)
+	})
+	if got := onDisk(); got != nil && !bytes.Equal(got, make([]byte, len(rec))) {
+		t.Fatal("evicted record neither punched nor deleted after its mapping's last reference dropped")
+	}
+}
+
+// TestStageDirHeldByAnotherProcess: attaching a stage dir that another
+// open file holds locked, as another process's tier would, fails and
+// leaves the cache without a tier.
+func TestStageDirHeldByAnotherProcess(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "stage")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	other, err := os.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if err := syscall.Flock(int(other.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		t.Skipf("no flock here: %v", err)
+	}
+	c := New(1<<30, 0)
+	defer c.Close()
+	if err := c.SetDiskTier(dir, 0); err == nil || !strings.Contains(err.Error(), "held by another process") {
+		t.Fatalf("attach of a held stage dir: %v", err)
+	}
+	if st := c.Stats(); st.DiskBudgetBytes != 0 {
+		t.Fatalf("a tier is attached after a refused attach: %+v", st)
+	}
 }

@@ -7,22 +7,19 @@ import (
 	"syscall"
 )
 
-// mmapSupported reports whether this platform can map block files for the
-// cast promotion path.
+// mmapSupported reports whether this platform can map block records for
+// the cast promotion path.
 const mmapSupported = true
 
-// mmapFile maps the first size bytes of f read-only and shared. Promoted
-// column vectors alias the mapping in the frames and SQL segments of the
-// asks that read them, so it is unmapped only by its last holder (see
-// mapping).
-func mmapFile(f *os.File, size int64) ([]byte, error) {
-	if size == 0 {
-		return []byte{}, nil
-	}
-	return syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
+// mmapFile maps size bytes of f from off, a multiple of the page size,
+// read-only and shared. Promoted column vectors alias the mapping in the
+// frames and SQL segments of the asks that read them, so it is unmapped
+// only by its last holder (see mapping).
+func mmapFile(f *os.File, off, size int64) ([]byte, error) {
+	return syscall.Mmap(int(f.Fd()), off, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 }
 
-// unmap unmaps a block-file mapping or a free-list buffer nothing can read
+// unmap unmaps a block-record mapping or a free-list buffer nothing can read
 // any more, handing back its pages.
 func unmap(region []byte) error {
 	if len(region) == 0 {

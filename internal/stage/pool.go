@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"unsafe"
-
-	"infera/internal/telemetry"
 )
 
 // Column buffers and their free list.
@@ -227,10 +225,7 @@ func (a *arena) trim() {
 
 // recycler gives one cache's buffers back to the free list and counts
 // them (Stats.RecycledBytes, infera_stage_recycled_bytes_total).
-type recycler struct {
-	recycled atomic.Int64
-	ctr      atomic.Pointer[telemetry.Counter]
-}
+type recycler struct{ recycled atomic.Int64 }
 
 // put gives s back to the free list; nil is no buffer. The caller must be
 // s's last user.
@@ -240,7 +235,6 @@ func (p *recycler) put(s *slab) {
 	}
 	buffers.give(s)
 	p.recycled.Add(s.bytes())
-	p.ctr.Load().Add(s.bytes())
 }
 
 // loan is one read's gio.Alloc: it takes its vector from the free list and

@@ -1,140 +1,88 @@
 // Package stage implements a process-wide, byte-budgeted staging cache of
 // decoded gio column blocks, shared by every reader of raw ensemble
-// snapshots (the agent data loader, the domain tools, the serving layer).
-//
-// Motivation: the two-stage workflow stages raw (sim, step) catalog slices
-// into a per-session analytical database before any SQL runs. Under a
-// concurrent serving layer, N sessions touching overlapping slices would
-// each re-open, re-decode and re-append the same files from scratch, so
-// staging dominates every cache-miss request. This cache makes the decode
-// step shared — and shared at the finest useful grain: N concurrent
-// sessions over overlapping ensembles cost exactly one decode per distinct
-// (file, column).
+// snapshots (the agent data loader, the domain tools, the serving layer),
+// so N concurrent sessions over overlapping ensembles cost one decode per
+// distinct (file, column).
 //
 // # Keys and invalidation
 //
-// An entry is one column block, keyed by (absolute path, column name); its
-// validity is stamped with the file's (mtime, size) at decode time.
-// Per-column keying is what lets overlapping-but-unequal requests share:
-// a session asking for {tag, mass} and another asking for {mass, count}
-// decode mass once between them, where a column-set key would have decoded
-// the whole of both sets. Lease.Columns assembles the requested frame from
-// whichever columns are resident and decodes only the absent ones — one
-// partial read per absent column, never a whole-file read (gio.ReadColumn).
-//
-// Lookups validate entries against the file's current (mtime, size), so
-// rewriting or regenerating a file invalidates its columns on the next
-// access — the same stat-based freshness rule the service's ensemble
-// fingerprint uses. With a watch (see Freshness) that stat is taken once
-// per file generation; without one, every lookup stats. A decode stamps
-// its blocks with the fstat of the file it actually opened
-// (gio.Reader.Stat), never with a second stat of the path, so a block
-// always carries the generation its bytes came from.
+// An entry is one column block, keyed by (absolute path, column name) and
+// stamped with the file's (mtime, size). Per-column keying lets
+// overlapping requests share: {tag, mass} and {mass, count} decode mass
+// once between them. Lease.Columns assembles the requested frame from
+// the resident columns and decodes only the absent ones, one partial read
+// each (gio.ReadColumn). Lookups validate entries against the file's
+// current stamp, so a rewritten file's columns are invalidated on the
+// next access; with a watch (see Freshness) that stat is taken once per
+// file generation. A decode stamps its blocks with the fstat of the file
+// it opened (gio.Reader.Stat), so a block carries the generation its
+// bytes came from.
 //
 // # Budget and eviction
 //
-// The cache holds at most BudgetBytes() of decoded blocks (measured as the
-// encoded block bytes read from disk, a close proxy for resident column
-// size). Accounting and LRU eviction are per column: inserting past the
-// budget evicts least-recently-used column blocks, so one giant unused
-// column can be displaced while its siblings stay hot. A single column
-// that alone exceeds the budget is served uncached without disturbing
-// resident entries. EvictedBytes is surfaced on the service's /metrics
-// endpoint.
+// The cache holds at most BudgetBytes() of decoded blocks (their encoded
+// size). Accounting and LRU eviction are per column, so one giant unused
+// column can be displaced while its siblings stay hot; a single column
+// over the whole budget is served uncached.
 //
 // # Sharing and immutability
 //
 // Cached column vectors are immutable and marked shared
-// (dataframe.Column.MarkShared), so in-place growth anywhere downstream
-// copies first (copy-on-write). Lease.Columns returns a fresh Frame shell
-// per call that shares the cached vectors; callers may add columns (e.g. the
-// loader's injected sim/step constants) but must never mutate the returned
-// column data in place. Frame verbs used downstream (Gather, SortBy,
-// Select, Concat) all allocate fresh vectors or honor the shared mark, so
-// staged frames flow into sqldb.BulkAppend by reference.
+// (dataframe.Column.MarkShared), so in-place growth downstream copies
+// first. Lease.Columns returns a fresh Frame shell per call over the
+// cached vectors; callers may add columns but never mutate column data in
+// place, and staged frames flow into sqldb.BulkAppend by reference.
 //
 // # Tiers
 //
-// An optional disk tier (SetDiskTier, -stage-dir) persists decoded blocks
-// under the memory LRU: the call that decodes a block writes it through to
-// a compact block store (disk.go) before it returns, memory eviction
-// demotes instead of discards, and a memory miss promotes from disk — an
-// mmap cast for numeric columns — without touching the gio decoder, so hot
-// columns survive restarts and the memory budget stops being the residency
-// ceiling. A failed write-through is counted and never fails the read; the
-// block decodes again on its next miss. A promoted column holds a
-// reference to the mapping it was cast from, which is unmapped once
-// neither the tier nor a reader can use it (see below, and disk.go), so
-// churn in the block store accumulates neither mappings nor resident
-// memory.
-//
-// A numeric column is one buffer on its way through the tiers: the
-// decoder reads its block straight into the vector (gio.Reader.ReadColumn),
-// the write-through persists that vector's own bytes (gio.VectorBlock), and
-// a promotion casts the mapped block file back into a vector
-// (gio.CastBlock). Only package gio knows the block layout.
+// An optional disk tier (SetDiskTier, -stage-dir; disk.go) persists
+// decoded blocks under the memory LRU: the call that decodes a block
+// writes it through, memory eviction demotes, and a memory miss promotes
+// from disk without the gio decoder, so hot columns survive restarts.
 //
 // Every reader holds a lease (Pin): an ask pins for its whole run, a tool
-// for one call, and both read through Lease.Columns and Lease.LoadAll. A
-// vector a lease was served is valid, and unchanged, until that lease's
-// Unpin, and must not be read after it. Cache.LoadAll (and Cache.Columns,
-// its one-file form) pins, loads, copies the frames out and unpins, for a
-// caller that keeps what it read.
+// for one call. A vector a lease was served is valid, and unchanged,
+// until that lease's Unpin. Cache.LoadAll (and Cache.Columns) pins, loads,
+// copies the frames out and unpins, for a caller that keeps what it read.
 //
 // The cache owns the buffer of every numeric column it decodes into a
-// full memory tier, and of every column it promotes by mmap cast: the
-// decoder reads into a buffer taken from a process-wide free list of
-// size-classed buffers outside the Go heap (pool.go), and a promotion
-// holds a reference to the tier's mapping. One rule hands both back — the
-// buffer to the free list, for the next cold read, and the reference to
-// its mapping, the last one unmapping it — once both of these hold:
-//
-//   - the column has left the memory tier (budget eviction, invalidation,
-//     same-key replacement, or served uncached because it exceeds the
-//     budget);
-//   - every lease it was served to, and every lease pinned before those,
-//     has unpinned (reader epochs, epoch.go).
-//
-// A promoted column's own reference is dropped only once it is garbage
-// too, so a frame kept past its lease keeps its mapping (disk.go). The
-// write-through reads the buffer under the decoding call's own lease, so
-// it needs no rule of its own. Columns decoded while the tier has room
-// stay heap vectors (see decode), and so do string columns.
+// full memory tier, taken from a process-wide free list of size-classed
+// buffers outside the Go heap (pool.go), and a reference to the mapping
+// of every column it promotes by mmap cast. Both are handed back — the
+// buffer to the free list, the reference to its mapping — once the column
+// has left the memory tier and every lease it was served to, and every
+// lease pinned before those, has unpinned (reader epochs, epoch.go). A
+// promoted column's own reference is dropped only once it is garbage too,
+// so a frame kept past its lease keeps its mapping (disk.go). Columns
+// decoded while the tier has room stay heap vectors, as do strings.
 //
 // # Cell-text memos
 //
 // Every resident Float column decoded from its source file carries a
-// dataframe.CellMemo (Column.SetCellMemo): the CSV text of its cells,
-// built by the first WriteCSV of a frame holding them (the SQL step's
-// provenance record) and copied by every later one. The memo belongs to
-// its entry, so to one file generation. Its bytes join UsedBytes (and
-// MemoBytes) when it is built, while the entry is resident, and may evict
-// like a decode; they leave with the entry. The memo itself is dropped
-// when the entry's buffer is handed back — before the buffer reaches the
-// free list, so a reader that broke its lease formats the recycled (in
-// test binaries, poisoned) values instead of copying old text — or at
-// once for a heap vector, whose values never change. A column promoted by
-// mmap cast gets none: its finalizer must not sit on the cycle the memo's
-// charge closes through the cache.
+// dataframe.CellMemo: the CSV text of its cells, built by the first
+// WriteCSV of a frame holding them and copied by every later one. Its
+// bytes join UsedBytes (and MemoBytes) while the entry is resident, and
+// may evict like a decode. The memo is dropped when the entry's buffer is
+// handed back — before the buffer reaches the free list, so a reader that
+// broke its lease formats the recycled (in test binaries, poisoned)
+// values instead of copying old text — or at once for a heap vector. A
+// column promoted by mmap cast gets none: its finalizer must not sit on
+// the cycle the memo's charge closes through the cache.
 //
 // # Freshness
 //
 // With a filesystem watch active (SetWatch: inotify on Linux, a directory
-// poller elsewhere), each file's stamp is pinned after one stat and every
-// later freshness check is served from the pin with zero syscalls; a
-// watch event unpins and invalidates exactly the touched file's entries
-// in both tiers, and moves the generation of every ensemble root holding
-// the file (Generation, watch.go). Without a watch, every lookup stats.
+// poller elsewhere), each file's stamp is pinned after one stat and later
+// freshness checks make no syscall; a watch event unpins and invalidates
+// exactly the touched file's entries in both tiers, and moves the
+// generation of every ensemble root holding it (Generation, watch.go).
 //
 // # Concurrency
 //
 // All methods are safe for concurrent use. Concurrent misses single-flight
-// per column: the first request to want an absent column decodes it, the
-// rest wait and share the result — two sessions requesting different
-// subsets of one file lead disjoint column flights and wait on each
-// other's overlap. LoadAll fans a request list out over a bounded worker
-// pool, so a k-snapshot load decodes in parallel instead of sequentially,
-// and a multi-column miss decodes its absent blocks concurrently.
+// per column: the first request for an absent column decodes it and the
+// rest share the result. LoadAll fans a request list out over a bounded
+// worker pool, and a multi-column miss decodes its blocks concurrently.
 package stage
 
 import (
@@ -143,7 +91,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,15 +110,13 @@ const DefaultBudgetBytes = 256 << 20
 // moves the counters by k.
 type Stats struct {
 	// Hits counts column lookups served from resident blocks, including
-	// requests that waited on another request's in-flight decode
-	// (single-flight followers).
+	// those that waited on another request's in-flight decode.
 	Hits int64 `json:"hits"`
 	// Misses counts column blocks that had to decode (single-flight
 	// leaders).
 	Misses int64 `json:"misses"`
-	// PartialHits counts Lease.Columns calls that found some of their columns
-	// resident (or in flight) and decoded only the rest — the
-	// overlapping-column-set sharing that per-column keying buys.
+	// PartialHits counts Lease.Columns calls that found some of their
+	// columns resident (or in flight) and decoded only the rest.
 	PartialHits int64 `json:"partial_hits"`
 	// Opens counts underlying gio file opens — one per miss batch, however
 	// many absent columns it decodes.
@@ -200,32 +146,24 @@ type Stats struct {
 	Entries int `json:"entries"`
 	Files   int `json:"files"`
 
-	// StatCalls counts real stat syscalls performed by freshness checks —
-	// the denominator (with StatSaves) behind the watch mode's
-	// zero-syscall claim.
+	// StatCalls counts the stat syscalls freshness checks made.
 	StatCalls int64 `json:"stat_calls"`
 
 	// DiskHits counts memory misses served by promoting a block from the
-	// disk tier instead of decoding; PromotedBytes is their cumulative
-	// payload volume (tier I/O, deliberately not part of bytes_decoded —
-	// that counter keeps measuring source-file decode I/O only).
+	// disk tier; PromotedBytes is their payload volume (not source I/O, so
+	// not part of bytes_decoded).
 	DiskHits      int64 `json:"disk_hits"`
 	PromotedBytes int64 `json:"promoted_bytes"`
 	// DiskPromoteFailures counts promotions that found a resident block
-	// unusable (truncated, corrupt, raced with eviction); each evicted
-	// exactly the bad block and fell through to the decoder.
+	// unusable; each evicted it and fell through to the decoder.
 	DiskPromoteFailures int64 `json:"disk_promote_failures"`
 	// Demotions / DemotedBytes count memory-budget evictions while a disk
-	// tier is attached: the block stays promotable from the store its
-	// write-through put it in (one decoded before the tier was attached
-	// has no copy there, and decodes again on its next miss).
+	// tier is attached: the block stays promotable from the store.
 	Demotions    int64 `json:"demotions"`
 	DemotedBytes int64 `json:"demoted_bytes"`
-	// DiskWrites counts block files written through by the calls that
-	// decoded them; DiskWriteFailures the write-throughs that failed (a
-	// full or unwritable stage dir), each dropped without failing the read.
-	// The remaining disk_* fields mirror the memory tier's accounting for
-	// the block store.
+	// DiskWrites counts block records written through; DiskWriteFailures
+	// the write-throughs that failed, each dropped without failing the
+	// read. The other disk_* fields mirror the memory tier's.
 	DiskWrites        int64 `json:"disk_writes"`
 	DiskWriteFailures int64 `json:"disk_write_failures"`
 	DiskEvictions     int64 `json:"disk_evictions"`
@@ -234,21 +172,15 @@ type Stats struct {
 	DiskUsedBytes     int64 `json:"disk_used_bytes"`
 	DiskBudgetBytes   int64 `json:"disk_budget_bytes"`
 	DiskEntries       int   `json:"disk_entries"`
-	// DiskMappings counts the cache's live block-file mappings: those a
-	// disk tier, attached or retired, still indexes or a column promoted
-	// from it still holds. It falls as mappings are unmapped.
+	// DiskMappings counts the cache's live block-record mappings: those a
+	// disk tier still indexes or a promoted column still holds.
 	DiskMappings int64 `json:"disk_mappings"`
 
 	// RecycledBytes counts the bytes of column buffers that went back to
-	// the free list for the next decode to read into: buffers retired by
-	// the memory tier once no lease could still see them, and lease vectors
-	// at Unpin.
+	// the free list for the next decode to read into.
 	RecycledBytes int64 `json:"recycled_bytes"`
 	// BufferBytes is the size of every column buffer the process has
-	// mapped and not unmapped, in use or free. The free list is
-	// process-wide, so this is the same for every cache; it stops growing
-	// once the list holds what the workload needs at once, and falls as
-	// idle buffers are unmapped.
+	// mapped and not unmapped, in use or free (the same for every cache).
 	BufferBytes int64 `json:"buffer_bytes"`
 
 	// PrefetchUsed and PrefetchWasted always read 0: the cache reads only
@@ -333,7 +265,7 @@ type Cache struct {
 	// disk is the optional persistent tier (SetDiskTier); nil = memory only.
 	// live counts the mappings of every tier the cache has attached.
 	disk *diskTier
-	live liveMappings
+	live atomic.Int64
 
 	// watch is the filesystem watch (SetWatch): pinned holds the stat-free
 	// stamp per file, pinEpoch, for every path statted under the watch, a
@@ -351,18 +283,8 @@ type Cache struct {
 	readers *readerEpochs
 	free    *recycler
 
-	// Pre-resolved telemetry instruments (SetMetrics); nil records nothing.
-	// Pre-resolving keeps the decode path free of registry lookups.
-	decodeSeconds  *telemetry.Histogram
-	decodedBytes   *telemetry.Counter
-	tierHitsMem    *telemetry.Counter
-	tierHitsDisk   *telemetry.Counter
-	promotionsCtr  *telemetry.Counter
-	demotionsCtr   *telemetry.Counter
-	watchEventsCtr *telemetry.Counter
-	overflowsCtr   *telemetry.Counter
-	statSavesCtr   *telemetry.Counter
-	statCallsCtr   *telemetry.Counter
+	// decodeSeconds times every decode batch; SetMetrics exports it.
+	decodeSeconds *telemetry.Histogram
 }
 
 // New returns a cache holding at most budgetBytes of decoded column
@@ -371,10 +293,7 @@ type Cache struct {
 // lookup stats its file.
 func New(budgetBytes int64, workers int) *Cache {
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
+		workers = min(runtime.GOMAXPROCS(0), 8)
 	}
 	c := &Cache{
 		workers:  workers,
@@ -387,6 +306,8 @@ func New(budgetBytes int64, workers int) *Cache {
 		pinned:   map[string]stamp{},
 		pinEpoch: map[string]uint64{},
 		free:     &recycler{},
+
+		decodeSeconds: telemetry.NewHistogram(),
 	}
 	c.readers = newReaderEpochs(c.free)
 	return c
@@ -394,24 +315,28 @@ func New(budgetBytes int64, workers int) *Cache {
 
 // SetDiskTier attaches (or, with dir == "", detaches) the persistent
 // block store rooted at dir with the given byte budget (<= 0 picks
-// DefaultDiskBudgetBytes). Attaching scans resident block files, so
-// blocks persisted by a previous process become promotable immediately.
-// Replacing or detaching an attached tier retires it: it drops its
-// reference to every block mapping it holds (vectors already promoted from
-// it stay readable until their columns retire) and its directory's files
-// stay on disk.
+// DefaultDiskBudgetBytes). Attaching scans the segments there, so blocks
+// persisted by a previous process become promotable immediately, and
+// holds dir for the rest of the process: another process's attach of it
+// fails. An attached tier is retired first: it drops its reference to
+// every block mapping it holds (vectors already promoted from it stay
+// readable until their columns retire, even if a tier attached to the same
+// dir drops their records), and changes its directory no more.
 func (c *Cache) SetDiskTier(dir string, budgetBytes int64) error {
-	var dt *diskTier
-	if dir != "" {
-		var err error
-		if dt, err = newDiskTier(dir, budgetBytes); err != nil {
-			return err
-		}
-		dt.live = &c.live
+	c.mu.Lock()
+	c.disk.retire()
+	c.disk = nil
+	c.mu.Unlock()
+	if dir == "" {
+		return nil
 	}
+	dt, err := newDiskTier(dir, budgetBytes)
+	if err != nil {
+		return err
+	}
+	dt.live = &c.live
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.disk.retire()
 	c.disk = dt
 	return nil
 }
@@ -430,15 +355,11 @@ func (c *Cache) WaitPending() {}
 func (c *Cache) SetPrefetch(on bool) {}
 
 // Close stops the watcher and retires the disk tier as SetDiskTier does;
-// the block files stay on disk for the next process. The memory tier is
+// its segments stay on disk for the next process. The memory tier is
 // left intact. The Shared cache is never closed.
 func (c *Cache) Close() error {
 	_ = c.SetWatch(false) // turning the watch off cannot fail
-	c.mu.Lock()
-	c.disk.retire()
-	c.disk = nil
-	c.mu.Unlock()
-	return nil
+	return c.SetDiskTier("", 0)
 }
 
 var (
@@ -463,45 +384,33 @@ func (c *Cache) SetBudget(budgetBytes int64) {
 	c.evictOverBudgetLocked()
 }
 
-// SetMetrics points the cache at a telemetry registry: every decode batch
-// observes its wall-clock duration into infera_stage_decode_seconds and
-// its block bytes into infera_stage_decoded_bytes_total. A nil registry
-// (the default) records nothing. Instruments are resolved once here so
-// the decode path stays lookup-free.
+// SetMetrics exports the cache into a telemetry registry: its decode-batch
+// durations as infera_stage_decode_seconds, and its counters and mapping
+// gauge, which every scrape reads from Stats. Any number of registries may
+// export one cache; a nil registry exports nothing.
 func (c *Cache) SetMetrics(r *telemetry.Registry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if r == nil {
-		c.decodeSeconds, c.decodedBytes = nil, nil
-		c.tierHitsMem, c.tierHitsDisk, c.promotionsCtr, c.demotionsCtr = nil, nil, nil, nil
-		c.watchEventsCtr, c.overflowsCtr, c.statSavesCtr, c.statCallsCtr = nil, nil, nil, nil
-		c.free.ctr.Store(nil)
-		c.live.setGauge(nil)
 		return
 	}
+	stat := func(name, help string, v func(Stats) int64, labels ...telemetry.Label) {
+		r.SetHelp(name, help)
+		r.CounterFunc(name, func() int64 { return v(c.Stats()) }, labels...)
+	}
 	r.SetHelp("infera_stage_decode_seconds", "Wall-clock duration of one gio column decode batch.")
-	r.SetHelp("infera_stage_decoded_bytes_total", "Cumulative encoded block bytes read from disk by stage-cache decodes.")
-	r.SetHelp("infera_stage_tier_hits_total", "Column lookups served per cache tier (mem = resident block, disk = promoted from the block store).")
-	r.SetHelp("infera_stage_tier_promotions_total", "Blocks promoted disk -> memory without touching the gio decoder.")
-	r.SetHelp("infera_stage_tier_demotions_total", "Memory-budget evictions that kept a disk-tier copy instead of discarding.")
-	r.SetHelp("infera_stage_watch_events_total", "Filesystem change notifications handled by the stage watcher.")
-	r.SetHelp("infera_stage_watch_overflows_total", "Watcher queue overflows; each unpins every file for re-validation by stat and moves every ensemble generation.")
-	r.SetHelp("infera_stage_stat_saves_total", "Freshness checks served without a stat syscall (watch pin).")
-	r.SetHelp("infera_stage_stat_calls_total", "Real stat syscalls performed by freshness checks.")
-	r.SetHelp("infera_stage_disk_mappings", "Live disk-tier block-file mappings: indexed by a tier or held by a promoted column.")
-	r.SetHelp("infera_stage_recycled_bytes_total", "Column buffer bytes returned to the stage free list for the next decode to read into.")
-	c.free.ctr.Store(r.Counter("infera_stage_recycled_bytes_total"))
-	c.decodeSeconds = r.Histogram("infera_stage_decode_seconds", nil)
-	c.decodedBytes = r.Counter("infera_stage_decoded_bytes_total")
-	c.tierHitsMem = r.Counter("infera_stage_tier_hits_total", telemetry.L("tier", "mem"))
-	c.tierHitsDisk = r.Counter("infera_stage_tier_hits_total", telemetry.L("tier", "disk"))
-	c.promotionsCtr = r.Counter("infera_stage_tier_promotions_total")
-	c.demotionsCtr = r.Counter("infera_stage_tier_demotions_total")
-	c.watchEventsCtr = r.Counter("infera_stage_watch_events_total")
-	c.overflowsCtr = r.Counter("infera_stage_watch_overflows_total")
-	c.statSavesCtr = r.Counter("infera_stage_stat_saves_total")
-	c.statCallsCtr = r.Counter("infera_stage_stat_calls_total")
-	c.live.setGauge(r.Gauge("infera_stage_disk_mappings"))
+	r.AttachHistogram("infera_stage_decode_seconds", c.decodeSeconds)
+	stat("infera_stage_decoded_bytes_total", "Cumulative encoded block bytes read from disk by stage-cache decodes.", func(s Stats) int64 { return s.BytesDecoded })
+	tierHits := "Column lookups served per cache tier (mem = resident block, disk = promoted from the block store)."
+	stat("infera_stage_tier_hits_total", tierHits, func(s Stats) int64 { return s.Hits }, telemetry.L("tier", "mem"))
+	stat("infera_stage_tier_hits_total", tierHits, func(s Stats) int64 { return s.DiskHits }, telemetry.L("tier", "disk"))
+	stat("infera_stage_tier_promotions_total", "Blocks promoted disk -> memory without touching the gio decoder.", func(s Stats) int64 { return s.DiskHits })
+	stat("infera_stage_tier_demotions_total", "Memory-budget evictions that kept a disk-tier copy instead of discarding.", func(s Stats) int64 { return s.Demotions })
+	stat("infera_stage_watch_events_total", "Filesystem change notifications handled by the stage watcher.", func(s Stats) int64 { return s.WatchEvents })
+	stat("infera_stage_watch_overflows_total", "Watcher queue overflows; each unpins every file for re-validation by stat and moves every ensemble generation.", func(s Stats) int64 { return s.WatchOverflows })
+	stat("infera_stage_stat_saves_total", "Freshness checks served without a stat syscall (watch pin).", func(s Stats) int64 { return s.StatSaves })
+	stat("infera_stage_stat_calls_total", "Real stat syscalls performed by freshness checks.", func(s Stats) int64 { return s.StatCalls })
+	stat("infera_stage_recycled_bytes_total", "Column buffer bytes returned to the stage free list for the next decode to read into.", func(s Stats) int64 { return s.RecycledBytes })
+	r.SetHelp("infera_stage_disk_mappings", "Live disk-tier block mappings: indexed by a tier or held by a promoted column.")
+	r.GaugeFunc("infera_stage_disk_mappings", c.live.Load)
 }
 
 // Stats returns a snapshot of the counters, merging in the disk tier's.
@@ -515,15 +424,15 @@ func (c *Cache) Stats() Stats {
 	st.WatchedFiles = len(c.pinned)
 	st.RecycledBytes = c.free.recycled.Load()
 	st.BufferBytes = buffers.mapped.Load()
-	st.DiskMappings = c.live.count()
+	st.DiskMappings = c.live.Load()
 	if dt := c.disk; dt != nil {
-		ds, entries := dt.snapshot()
+		ds, entries, budget := dt.snapshot()
 		st.DiskWrites = ds.writes
 		st.DiskEvictions = ds.evictions
 		st.DiskEvictedBytes = ds.evictedBytes
 		st.DiskInvalidations = ds.invalidations
 		st.DiskUsedBytes = ds.usedBytes
-		st.DiskBudgetBytes = dt.budgetBytes()
+		st.DiskBudgetBytes = budget
 		st.DiskEntries = entries
 	}
 	return st
@@ -532,16 +441,9 @@ func (c *Cache) Stats() Stats {
 // canonicalCols deduplicates and sorts names into the decode-order list;
 // per-column keying makes request order irrelevant by construction.
 func canonicalCols(names []string) []string {
-	uniq := make([]string, 0, len(names))
-	seen := map[string]bool{}
-	for _, n := range names {
-		if !seen[n] {
-			seen[n] = true
-			uniq = append(uniq, n)
-		}
-	}
-	sort.Strings(uniq)
-	return uniq
+	uniq := slices.Clone(names)
+	slices.Sort(uniq)
+	return slices.Compact(uniq)
 }
 
 // statPath resolves the file's current identity. Under a watch a pinned
@@ -553,7 +455,6 @@ func (c *Cache) statPath(path string, bypass bool) (stamp, error) {
 	c.mu.Lock()
 	if st, ok := c.pinned[path]; ok && !bypass {
 		c.stats.StatSaves++
-		c.statSavesCtr.Inc()
 		c.mu.Unlock()
 		return st, nil
 	}
@@ -573,7 +474,6 @@ func (c *Cache) statPath(path string, bypass bool) (stamp, error) {
 	st, err := os.Stat(path)
 	c.mu.Lock()
 	c.stats.StatCalls++
-	c.statCallsCtr.Inc()
 	if err != nil {
 		delete(c.pinned, path)
 		c.mu.Unlock()
@@ -681,7 +581,6 @@ func (c *Cache) claim(path string, l *Lease, uniq []string, now stamp) claim {
 		cl.missing = append(cl.missing, name)
 	}
 	c.stats.Hits += int64(cl.hits)
-	c.tierHitsMem.Add(int64(cl.hits))
 	cl.dt = c.disk
 	return cl
 }
@@ -718,8 +617,6 @@ func (c *Cache) fetch(path string, cl *claim, now stamp) (bytesRead int64) {
 	c.stats.DiskHits += promoted
 	c.stats.PromotedBytes += promotedBytes
 	c.stats.DiskPromoteFailures += promoteFails
-	c.tierHitsDisk.Add(promoted)
-	c.promotionsCtr.Add(promoted)
 	if len(toDecode) > 0 {
 		c.stats.Misses += int64(len(toDecode))
 		c.stats.Opens++
@@ -834,7 +731,6 @@ func (c *Cache) follow(cl *claim, now stamp) (stale bool, err error) {
 		cl.resolved[w.col] = w.fl.e.col
 		c.mu.Lock()
 		c.stats.Hits++
-		c.tierHitsMem.Inc()
 		c.mu.Unlock()
 	}
 	for _, e := range cl.entries {
@@ -909,10 +805,7 @@ func (c *Cache) decode(path string, cols []string) ([]*entry, []error) {
 		var wg sync.WaitGroup
 		for i := range cols {
 			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				read(i)
-			}(i)
+			go func() { defer wg.Done(); read(i) }()
 		}
 		wg.Wait()
 	}
@@ -924,10 +817,8 @@ func (c *Cache) decode(path string, cols []string) ([]*entry, []error) {
 	}
 	c.mu.Lock()
 	c.stats.BytesDecoded += total
-	hist, ctr := c.decodeSeconds, c.decodedBytes
 	c.mu.Unlock()
-	hist.ObserveDuration(time.Since(start))
-	ctr.Add(total)
+	c.decodeSeconds.ObserveDuration(time.Since(start))
 	// Deliberately no pin here: the caller's statPath already pinned the
 	// pre-decode identity under the epoch fence, and pinning a post-decode
 	// stat could clobber a newer generation another goroutine observed
@@ -1014,7 +905,6 @@ func (c *Cache) evictOverBudgetLocked() {
 		if c.disk != nil {
 			c.stats.Demotions++
 			c.stats.DemotedBytes += e.bytes
-			c.demotionsCtr.Inc()
 		}
 		c.removeLocked(oldest)
 	}

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"infera/internal/dataframe"
 	"infera/internal/gio"
+	"infera/internal/telemetry"
 )
 
 // readCols reads columns of path through a lease held until the test
@@ -541,4 +543,35 @@ func TestConcurrentChurn(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSetMetricsTwoRegistries: two registries exporting one cache (two
+// service registries over one shared cache) both show its decode, the
+// first as well as the second.
+func TestSetMetricsTwoRegistries(t *testing.T) {
+	path := writeSnapshot(t, t.TempDir(), "s.gio", 64, 1)
+	c := New(1<<30, 2)
+	regs := []*telemetry.Registry{telemetry.NewRegistry(), telemetry.NewRegistry()}
+	for _, r := range regs {
+		c.SetMetrics(r)
+	}
+	if _, _, err := c.Columns(path, "fof_halo_mass"); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range regs {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			"infera_stage_decode_seconds_count 1\n",
+			fmt.Sprintf("infera_stage_decoded_bytes_total %d\n", c.Stats().BytesDecoded),
+			"infera_stage_tier_hits_total{tier=\"mem\"} 0\n",
+			"infera_stage_disk_mappings 0\n",
+		} {
+			if !strings.Contains(b.String(), want) {
+				t.Errorf("registry %d: no %q in\n%s", i, want, b.String())
+			}
+		}
+	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"infera/internal/dataframe"
 	"infera/internal/gio"
+	"infera/internal/seglog"
 )
 
 // dataframeWithStrings builds a frame with a string column alongside an
@@ -91,7 +92,7 @@ func TestColdRestartRevival(t *testing.T) {
 	}
 }
 
-// TestPromotionFailureFallsThrough truncates a resident block file and
+// TestPromotionFailureFallsThrough cuts a resident block's record and
 // proves the next promotion evicts exactly that entry and falls through
 // to the gio decoder — per-column attribution, the staging pass succeeds —
 // whose write-through stores the block whole again.
@@ -110,13 +111,15 @@ func TestPromotionFailureFallsThrough(t *testing.T) {
 	c.SetBudget(1)
 	c.SetBudget(1 << 30)
 
-	// Truncate the tag block's store file mid-payload.
-	blk := filepath.Join(stageDir, blkFileName(key{path: path, col: "fof_halo_tag"}))
-	whole, err := os.ReadFile(blk)
-	if err != nil {
-		t.Fatal(err)
+	// Cut the tag block's record, the last in its segment log, mid-payload.
+	tagKey := key{path: path, col: "fof_halo_tag"}
+	whole := recordOf(t, c.disk, tagKey)
+	cut := diskEntryOf(t, c.disk, tagKey)
+	blk := cut.seg.Path() + ".log"
+	if st, err := os.Stat(blk); err != nil || st.Size() != cut.base+int64(len(whole)) {
+		t.Fatalf("the tag block's record does not end its segment log: %v", err)
 	}
-	if err := os.Truncate(blk, int64(len(whole))-64); err != nil {
+	if err := os.Truncate(blk, cut.base+int64(len(whole))-64); err != nil {
 		t.Fatal(err)
 	}
 
@@ -138,14 +141,14 @@ func TestPromotionFailureFallsThrough(t *testing.T) {
 	if tag.Value(0) != int64(3) || tag.Value(127) != int64(130) {
 		t.Fatalf("fallen-through column has wrong data: %v, %v", tag.Value(0), tag.Value(127))
 	}
-	if got, err := os.ReadFile(blk); err != nil || !bytes.Equal(got, whole) {
-		t.Fatalf("bad block file was not evicted and rewritten whole (%d of %d bytes, err %v)", len(got), len(whole), err)
+	if got := recordOf(t, c.disk, tagKey); !bytes.Equal(got, whole) {
+		t.Fatalf("bad block record was not evicted and rewritten whole (%d of %d bytes)", len(got), len(whole))
 	}
 
 	// A fresh cache over the same dir must also survive: the startup scan
 	// skips unreadable blocks, so the column simply decodes from source.
-	blk2 := filepath.Join(stageDir, blkFileName(key{path: path, col: "fof_halo_mass"}))
-	if err := os.Truncate(blk2, 32); err != nil {
+	mass := diskEntryOf(t, c.disk, key{path: path, col: "fof_halo_mass"})
+	if err := os.Truncate(mass.seg.Path()+".log", mass.base+32); err != nil {
 		t.Fatal(err)
 	}
 	c2 := newTiered(t, 1<<30, stageDir)
@@ -447,7 +450,7 @@ func TestBlockStoreRoundTripString(t *testing.T) {
 	}
 }
 
-// TestCorruptPayloadFailsPromotion: a block file whose payload bytes
+// TestCorruptPayloadFailsPromotion: a block record whose payload bytes
 // changed after it was written (bit rot, or zero pages after a crash),
 // with its length intact, fails the promotion on its CRC instead of being
 // cast and served: the column decodes from source, and the bad block is
@@ -460,17 +463,11 @@ func TestCorruptPayloadFailsPromotion(t *testing.T) {
 	if _, _, err := readCols(t, c1, path, "fof_halo_mass"); err != nil {
 		t.Fatal(err)
 	}
-	e := diskEntryOf(t, c1.disk, key{path: path, col: "fof_halo_mass"})
+	k := key{path: path, col: "fof_halo_mass"}
+	e := diskEntryOf(t, c1.disk, k)
+	whole := recordOf(t, c1.disk, k)
 	c1.Close()
-	whole, err := os.ReadFile(e.file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), whole...)
-	bad[e.payloadOff+5] ^= 0xff
-	if err := os.WriteFile(e.file, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipByte(t, e.seg.Path()+".log", e.base+e.payloadOff+5)
 
 	c2 := newTiered(t, 1<<30, stageDir)
 	defer c2.Close()
@@ -482,8 +479,8 @@ func TestCorruptPayloadFailsPromotion(t *testing.T) {
 		t.Fatalf("disk_promote_failures = %d, disk_hits = %d: want the corrupt block refused", st.DiskPromoteFailures, st.DiskHits)
 	}
 	sameFloats(t, f.MustColumn("fof_halo_mass").F, wantMass(128, 3))
-	if got, err := os.ReadFile(e.file); err != nil || !bytes.Equal(got, whole) {
-		t.Fatalf("corrupt block file was not evicted and rewritten whole (err %v)", err)
+	if got := recordOf(t, c2.disk, k); !bytes.Equal(got, whole) {
+		t.Fatal("corrupt block record was not evicted and rewritten whole")
 	}
 }
 
@@ -513,4 +510,127 @@ func TestWriteThroughFailureNeverFailsRead(t *testing.T) {
 	if st := c.Stats(); st.DiskWriteFailures != 2 || st.DiskWrites != 0 {
 		t.Fatalf("disk_write_failures = %d, disk_writes = %d: want 2 and 0", st.DiskWriteFailures, st.DiskWrites)
 	}
+}
+
+// flipByte inverts the byte at off of the file at path.
+func flipByte(t *testing.T, path string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDiskSegmentCrashPoints cuts a disk-tier segment's log and manifest
+// at every pair of lengths across its last record, as a crash can leave
+// them, and attaches a tier over each cut: the first block promotes whole,
+// and the last is either absent or promotes with the values it was put
+// with, never torn.
+func TestDiskSegmentCrashPoints(t *testing.T) {
+	src, err := newDiskTier(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := stamp{mtime: 1, size: 2}
+	first, last := key{path: "/p", col: "a"}, key{path: "/p", col: "b"}
+	vals := map[key][]float64{first: {1.5, -2.25, 3}, last: {1e300, -0.5}}
+	put := func(k key) *seglog.Segment {
+		payload, err := gio.EncodeBlock(dataframe.NewFloat(k.col, vals[k]))
+		if err == nil {
+			err = src.put(k, st, dataframe.Float, len(vals[k]), payload)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return diskEntryOf(t, src, k).seg
+	}
+	seg := put(first)
+	logA, _ := os.ReadFile(seg.Path() + ".log")
+	manA, _ := os.ReadFile(seg.Path() + ".jsonl")
+	if put(last) != seg {
+		t.Fatal("two puts took two segments")
+	}
+	logB, _ := os.ReadFile(seg.Path() + ".log")
+	manB, _ := os.ReadFile(seg.Path() + ".jsonl")
+	src.retire()
+
+	root := t.TempDir()
+	cut := filepath.Join(root, filepath.Base(seg.Path()))
+	promoted := func(dt *diskTier, k key) []float64 {
+		e, err := dt.promote(k, st)
+		if err != nil {
+			t.Fatalf("%s: promotion failed: %v", k.col, err)
+		}
+		if e == nil {
+			return nil
+		}
+		defer e.m.unref()
+		return append([]float64(nil), e.col.F...)
+	}
+	for lc := len(logA); lc <= len(logB); lc++ {
+		for jc := len(manA); jc <= len(manB); jc++ {
+			if os.WriteFile(cut+".log", logB[:lc], 0o644) != nil || os.WriteFile(cut+".jsonl", manB[:jc], 0o644) != nil {
+				t.Fatal("writing the cut segment failed")
+			}
+			dt, err := newDiskTier(root, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFloats(t, promoted(dt, first), vals[first])
+			got := promoted(dt, last)
+			if whole := lc == len(logB) && jc == len(manB); got != nil || whole {
+				sameFloats(t, got, vals[last])
+			}
+			dt.retire()
+		}
+	}
+}
+
+// TestAttachRemovesBlockFiles: a per-block file an older tier wrote (a
+// record's bytes in a *.blk file of their own) is deleted when a tier
+// attaches, and its column decodes again; a *.blk file whose header does
+// not validate is not the tier's, and stays.
+func TestAttachRemovesBlockFiles(t *testing.T) {
+	dir := t.TempDir()
+	path := writeSnapshot(t, dir, "s.gio", 64, 5)
+	stageDir := filepath.Join(dir, "stage")
+	c1 := newTiered(t, 1<<30, stageDir)
+	if _, _, err := readCols(t, c1, path, "fof_halo_mass"); err != nil {
+		t.Fatal(err)
+	}
+	rec := recordOf(t, c1.disk, key{path: path, col: "fof_halo_mass"})
+	c1.Close()
+	older, foreign := filepath.Join(dir, "older"), filepath.Join(dir, "older", "notes.blk")
+	if err := os.MkdirAll(older, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	block := filepath.Join(older, "0123456789abcdef.blk")
+	if os.WriteFile(block, rec, 0o644) != nil || os.WriteFile(foreign, []byte("not a block"), 0o644) != nil {
+		t.Fatal("writing the older files failed")
+	}
+	c2 := newTiered(t, 1<<30, older)
+	defer c2.Close()
+	if _, err := os.Stat(block); !os.IsNotExist(err) {
+		t.Fatalf("an older tier's block file survived the attach: %v", err)
+	}
+	if _, err := os.Stat(foreign); err != nil {
+		t.Fatalf("a file that is no block was deleted: %v", err)
+	}
+	f, _, err := readCols(t, c2, path, "fof_halo_mass")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c2.Stats(); st.Misses != 1 || st.DiskHits != 0 {
+		t.Fatalf("misses %d, disk hits %d: want the column decoded again", st.Misses, st.DiskHits)
+	}
+	sameFloats(t, f.MustColumn("fof_halo_mass").F, wantMass(64, 5))
 }

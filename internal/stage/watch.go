@@ -136,7 +136,6 @@ func (c *Cache) onFileEvent(path string, dir bool) {
 	}
 	c.bumpRoots(func(root string) bool { return under(path, root) }, false)
 	c.stats.WatchEvents++
-	c.watchEventsCtr.Inc()
 	var gone []string
 	if _, ok := c.pinEpoch[path]; ok {
 		gone = append(gone, path)
@@ -186,5 +185,4 @@ func (c *Cache) onWatchOverflow() {
 	c.pinned = map[string]stamp{}
 	c.bumpRoots(func(string) bool { return true }, true)
 	c.stats.WatchOverflows++
-	c.overflowsCtr.Inc()
 }

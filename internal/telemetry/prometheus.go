@@ -38,9 +38,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		// Snapshot the series list; instruments themselves are
 		// read atomically below.
 		r.mu.Lock()
-		ss := make([]*series, 0, len(f.series))
+		ss := make([]series, 0, len(f.series))
 		for _, s := range f.series {
-			ss = append(ss, s)
+			ss = append(ss, *s)
 		}
 		help, kind, bounds := f.help, f.kind, f.bounds
 		r.mu.Unlock()
@@ -52,10 +52,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, typeName(kind))
 		for _, s := range ss {
 			switch kind {
-			case kindCounter:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, labelString(s.labels, "", 0), s.c.Value())
-			case kindGauge:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, labelString(s.labels, "", 0), s.g.Value())
+			case kindCounter, kindGauge:
+				fmt.Fprintf(bw, "%s%s %d\n", f.name, labelString(s.labels, "", 0), s.value())
 			case kindHistogram:
 				cum, sum, count := s.h.snapshot()
 				for i, bound := range bounds {
@@ -68,6 +66,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// value is a counter or gauge series' value: fn's, when it has one.
+func (s *series) value() int64 {
+	switch {
+	case s.fn != nil:
+		return s.fn()
+	case s.c != nil:
+		return s.c.Value()
+	}
+	return s.g.Value()
 }
 
 func typeName(k metricKind) string {

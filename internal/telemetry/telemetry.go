@@ -101,6 +101,10 @@ type Histogram struct {
 	count  atomic.Int64
 }
 
+// NewHistogram returns a histogram over LatencyBuckets that belongs to no
+// registry until one attaches it (Registry.AttachHistogram).
+func NewHistogram() *Histogram { return newHistogram(LatencyBuckets) }
+
 func newHistogram(bounds []float64) *Histogram {
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
@@ -166,13 +170,15 @@ const (
 	kindHistogram
 )
 
-// series is one labeled instance of a family.
+// series is one labeled instance of a family. A counter or gauge series
+// with fn set reads its value from fn at scrape time.
 type series struct {
 	labels []Label // sorted by key
 	sig    string
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
+	fn     func() int64
 }
 
 // family groups all series sharing a metric name.
@@ -311,4 +317,41 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 		bounds = LatencyBuckets
 	}
 	return r.lookup(name, kindHistogram, bounds, labels).h
+}
+
+// CounterFunc makes the counter series for name and labels read fn at
+// every scrape, replacing its own count: the value of a counter its owner
+// keeps. Registering the series again replaces fn.
+func (r *Registry) CounterFunc(name string, fn func() int64, labels ...Label) {
+	r.setFunc(name, kindCounter, fn, labels)
+}
+
+// GaugeFunc makes the gauge series for name and labels read fn at every
+// scrape, as CounterFunc does for a counter.
+func (r *Registry) GaugeFunc(name string, fn func() int64, labels ...Label) {
+	r.setFunc(name, kindGauge, fn, labels)
+}
+
+func (r *Registry) setFunc(name string, kind metricKind, fn func() int64, labels []Label) {
+	if r == nil {
+		return
+	}
+	s := r.lookup(name, kind, nil, labels)
+	r.mu.Lock()
+	s.fn = fn
+	r.mu.Unlock()
+}
+
+// AttachHistogram makes h, which its owner observes into, the histogram
+// series for name and labels; the family takes h's bounds. Attaching the
+// series again replaces h.
+func (r *Registry) AttachHistogram(name string, h *Histogram, labels ...Label) {
+	if r == nil {
+		return
+	}
+	s := r.lookup(name, kindHistogram, h.bounds, labels)
+	r.mu.Lock()
+	s.h = h
+	r.families[name].bounds = h.bounds
+	r.mu.Unlock()
 }

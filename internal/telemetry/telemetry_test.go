@@ -169,3 +169,41 @@ func TestDefaultRegistrySingleton(t *testing.T) {
 		t.Fatal("Default() must return a single process-wide registry")
 	}
 }
+
+// TestFuncSeriesAndAttachedHistogram: a counter or gauge series set by
+// CounterFunc or GaugeFunc reads its func at every scrape, registering it
+// again replaces the func, and a histogram its owner observes into shows
+// in every registry it is attached to, with its own bounds.
+func TestFuncSeriesAndAttachedHistogram(t *testing.T) {
+	var n int64 = 3
+	h := newHistogram([]float64{1})
+	h.Observe(0.5)
+	want := `# TYPE ext_seconds histogram
+ext_seconds_bucket{le="1"} 1
+ext_seconds_bucket{le="+Inf"} 1
+ext_seconds_sum 0.5
+ext_seconds_count 1
+# TYPE live gauge
+live{tier="disk"} 7
+# TYPE reads_total counter
+reads_total 4
+`
+	for _, r := range []*Registry{NewRegistry(), NewRegistry()} {
+		r.CounterFunc("reads_total", func() int64 { return 0 })
+		r.CounterFunc("reads_total", func() int64 { return n })
+		r.GaugeFunc("live", func() int64 { return 7 }, L("tier", "disk"))
+		r.AttachHistogram("ext_seconds", h)
+		n++
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if got := sb.String(); got != want {
+			t.Fatalf("got:\n%s\nwant:\n%s", got, want)
+		}
+		n--
+	}
+	var nilReg *Registry
+	nilReg.CounterFunc("x", func() int64 { return 1 })
+	nilReg.AttachHistogram("y", h)
+}
