@@ -461,7 +461,8 @@ func isParamColumn(c string) bool {
 }
 
 // injectContextColumns adds sim, step and (when requested) the run's
-// sub-grid parameters as constant columns, in vectors the lease owns.
+// sub-grid parameters as constant columns, in vectors the lease owns,
+// each with its constant origin (dataframe.Column.SetConstOrigin).
 func injectContextColumns(lease *stage.Lease, f *dataframe.Frame, sim, step int, params hacc.Params, needed []string) error {
 	n := f.NumRows()
 	constInt := func(v int64) []int64 {
@@ -478,10 +479,10 @@ func injectContextColumns(lease *stage.Lease, f *dataframe.Frame, sim, step int,
 		}
 		return out
 	}
-	if err := f.AddColumn(dataframe.NewInt("sim", constInt(int64(sim)))); err != nil {
+	if err := f.AddColumn(dataframe.NewInt("sim", constInt(int64(sim))).SetConstOrigin()); err != nil {
 		return err
 	}
-	if err := f.AddColumn(dataframe.NewInt("step", constInt(int64(step)))); err != nil {
+	if err := f.AddColumn(dataframe.NewInt("step", constInt(int64(step))).SetConstOrigin()); err != nil {
 		return err
 	}
 	paramVals := map[string]float64{
@@ -490,7 +491,7 @@ func injectContextColumns(lease *stage.Lease, f *dataframe.Frame, sim, step int,
 	}
 	for _, c := range needed {
 		if v, ok := paramVals[c]; ok && isParamColumn(c) {
-			if err := f.AddColumn(dataframe.NewFloat(c, constFloat(v))); err != nil {
+			if err := f.AddColumn(dataframe.NewFloat(c, constFloat(v)).SetConstOrigin()); err != nil {
 				return err
 			}
 		}

@@ -105,6 +105,7 @@ func New(cfg Config) (*Assistant, error) {
 	if err != nil {
 		return nil, err
 	}
+	store.SetMetrics(cfg.Metrics, cfg.MetricLabels...)
 	model := cfg.Model
 	if model == nil {
 		model = llm.NewSim(llm.SimConfig{Seed: cfg.Seed})

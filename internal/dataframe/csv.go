@@ -29,8 +29,7 @@ var csvBufs = sync.Pool{New: func() any {
 // The output is byte-for-byte what encoding/csv's Writer produces for the
 // cells' StringAt text (FuzzWriteCSV holds the two together); cells are
 // appended straight into one reused buffer instead of passing through a
-// string each, and reach w in csvFlushBytes pieces. A Float cell whose
-// text a memo holds (CellMemo) is copied from it, not formatted again.
+// string each, and reach w in csvFlushBytes pieces.
 func (f *Frame) WriteCSV(w io.Writer) error {
 	bp := csvBufs.Get().(*[]byte)
 	buf := (*bp)[:0]
@@ -46,16 +45,19 @@ func (f *Frame) WriteCSV(w io.Writer) error {
 		buf = appendCSVField(buf, c.Name)
 	}
 	buf = append(buf, '\n')
-	cur := make([]csvCursor, len(f.cols))
-	for j, c := range f.cols {
-		cur[j] = newCSVCursor(c)
-	}
 	for r, n := 0, f.NumRows(); r < n; r++ {
-		for j := range cur {
+		for j, c := range f.cols {
 			if j > 0 {
 				buf = append(buf, ',')
 			}
-			buf = cur[j].appendCell(buf, r)
+			switch c.Kind {
+			case Float:
+				buf = strconv.AppendFloat(buf, c.F[r], 'g', -1, 64)
+			case Int:
+				buf = strconv.AppendInt(buf, c.I[r], 10)
+			default:
+				buf = appendCSVField(buf, c.S[r])
+			}
 		}
 		buf = append(buf, '\n')
 		if len(buf) >= csvFlushBytes {

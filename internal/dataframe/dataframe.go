@@ -7,21 +7,15 @@
 // pandas: named, homogeneously typed columns of equal length with
 // filter/select/derive/sort/group-by/join verbs.
 //
-// # Cell-text memos
+// # Column origins
 //
-// Writing a frame as CSV formats every Float cell, and an ask's tables
-// repeat the cells of the same resident snapshot columns. A Float column
-// may therefore carry a pointer to the CSV text of its cells (CellMemo,
-// memo.go): the staging cache gives one to each resident column, the
-// first WriteCSV that reaches it builds it, and later writes copy the text.
-// ConcatColumn (and Concat) keep, for each row range that came whole from
-// such a column, a pointer to its memo, so a table copied out of resident
-// segments writes by copying too. The memo lives with its owner, not the
-// frame: the staging cache counts its bytes against its budget while the
-// column is resident and drops it before the column's buffer can be
-// reused; a dropped memo formats again. A memo is used only for the vector
-// it was made for, at its length: every verb that makes a new vector
-// leaves it behind.
+// A column may say where its cells came from (origin.go): the staging
+// cache numbers each resident vector once (SetOrigin), and the loader's
+// constant columns name their value (SetConstOrigin). ConcatColumn keeps
+// its sources' origins, so a table copied out of resident segments has a
+// key (Frame.OriginKey), its header and origins, and the provenance store
+// copies a repeat of it instead of formatting it. A verb that makes a new
+// vector, or grows one in place, leaves the origin behind.
 package dataframe
 
 import (
@@ -70,10 +64,10 @@ type Column struct {
 	// The flag must be set before the column is published to concurrent
 	// readers; it is copied along with the struct by shell-building verbs.
 	shared bool
-	// cells says which rows' CSV text memos hold (memo.go). It is copied
+	// origin says where the cells came from (origin.go). It is copied
 	// along with the struct by the verbs that keep the vector, and never
 	// set on a new one.
-	cells *cellSource
+	origin *origin
 }
 
 // NewFloat returns a float column over vals (not copied).
@@ -580,7 +574,7 @@ func (f *Frame) Append(other *Frame) error {
 			c = c.Clone()
 			f.cols[i] = c
 		}
-		c.cells = nil // the vector grows: its ranges no longer describe it
+		c.origin = nil // the vector grows: its origin no longer describes it
 		switch c.Kind {
 		case Float:
 			c.F = append(c.F, oc.F...)

@@ -31,6 +31,11 @@
 // A failed record truncates the log back to where it started, so a range
 // only ever holds the ranges its entries name, contiguously and in seq
 // order. One Session value at a time may record into a session.
+//
+// # Repeated tables
+//
+// A table whose origin key this process recorded is copied from the trail
+// with its known digest, not formatted and hashed again (repeat.go).
 package provenance
 
 import (
@@ -259,7 +264,7 @@ func (s *Session) Locate(e Entry) (path string, offset int64, err error) {
 
 // Record stores data as the next sequentially numbered artifact.
 func (s *Session) Record(agent, kind, name string, data []byte) (Entry, error) {
-	return s.record(agent, kind, name, func(w io.Writer) error {
+	return s.record(agent, kind, name, "", func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})
@@ -267,49 +272,61 @@ func (s *Session) Record(agent, kind, name string, data []byte) (Entry, error) {
 
 // RecordFrame stores a dataframe as a CSV artifact of kind "data". The
 // encoding streams into the log and the hash together, so the artifact is
-// never held whole in memory.
+// never held whole in memory; a frame whose origin key this process has
+// recorded is copied from the trail instead (see Repeated tables).
 func (s *Session) RecordFrame(agent, name string, f *dataframe.Frame) (Entry, error) {
 	if !strings.HasSuffix(name, ".csv") {
 		name += ".csv"
 	}
-	return s.record(agent, "data", name, f.WriteCSV)
+	key, _ := f.OriginKey()
+	return s.record(agent, "data", name, key, f.WriteCSV)
 }
 
 // record appends the next sequentially numbered artifact to the session's
-// log with write, hashing and counting the bytes on their way, and appends
-// its manifest line.
-func (s *Session) record(agent, kind, name string, write func(io.Writer) error) (Entry, error) {
+// log with write, hashing and counting the bytes on their way, or copies
+// the repeat that key names, and appends its manifest line. A key that
+// was written is remembered.
+func (s *Session) record(agent, kind, name, key string, write func(io.Writer) error) (Entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seq := s.seq
 	s.seq++
 	var e Entry
-	err := s.appendTrail(func(w io.Writer) (int64, []Entry, []byte, error) {
-		sum := hashCounter{Hash: sha256.New()}
-		if err := write(io.MultiWriter(w, &sum)); err != nil {
+	copied := false
+	err := s.appendTrail(func(g *seglog.Segment) (int64, []Entry, []byte, error) {
+		e = Entry{Seq: seq, Agent: agent, Kind: kind, Name: name, File: logName, Offset: s.end}
+		var err error
+		if key != "" {
+			copied, err = s.copyRepeat(g, key, &e, write)
+		}
+		if err == nil && !copied {
+			sum := hashCounter{Hash: sha256.New()}
+			err = write(io.MultiWriter(g.File(), &sum))
+			e.SHA256, e.Bytes = hex.EncodeToString(sum.Sum(nil)), sum.n
+		}
+		if err != nil {
 			return 0, nil, nil, err
 		}
-		e = Entry{Seq: seq, Agent: agent, Kind: kind, Name: name, File: logName,
-			SHA256: hex.EncodeToString(sum.Sum(nil)), Bytes: sum.n, Offset: s.end}
 		line, err := json.Marshal(e)
 		return e.Bytes, []Entry{e}, append(line, '\n'), err
 	})
 	if err != nil {
 		return Entry{}, err
 	}
+	s.st.counted(s.ID, key, e, copied)
 	return e, nil
 }
 
-// appendTrail appends to the session's trail: fill writes bytes at its
-// end and returns their count, and the entries and manifest lines that
-// name them, which follow the bytes. Caller holds s.mu.
-func (s *Session) appendTrail(fill func(io.Writer) (int64, []Entry, []byte, error)) error {
+// appendTrail appends to the session's trail: fill writes bytes at the end
+// of g's log and returns their count, and the entries and manifest lines
+// that name them, which follow the bytes. Caller holds s.mu.
+func (s *Session) appendTrail(fill func(g *seglog.Segment) (int64, []Entry, []byte, error)) error {
 	g, err := s.st.claim(s)
 	if err != nil {
 		return err
 	}
 	start := s.base + s.end
-	n, es, lines, err := fill(g.File())
+	n, es, lines, err := fill(g)
 	var mEnd int64
 	manFailed := false
 	if err == nil {

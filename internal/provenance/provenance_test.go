@@ -181,7 +181,7 @@ func TestFailedRecordTruncatesLog(t *testing.T) {
 	}
 	before := logSize(t, sess)
 	boom := errors.New("disk full")
-	_, err := sess.record("a", "data", "bad.csv", func(w io.Writer) error {
+	_, err := sess.record("a", "data", "bad.csv", "", func(w io.Writer) error {
 		if _, err := w.Write(bytes.Repeat([]byte("x"), 5000)); err != nil {
 			return err
 		}

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -25,12 +23,14 @@ type slot struct {
 
 // state is the per-process view of one store root, shared by every Store
 // over it so that each ID is claimed once: the ID index over the root's
-// segment pool, whose lock guards both.
+// segment pool, whose lock guards both, and the repeated tables' map.
 type state struct {
 	*seglog.Log
-	root  string
-	refs  int // guarded by statesMu
-	index map[string]*slot
+	root    string
+	refs    int // guarded by statesMu
+	index   map[string]*slot
+	repeats map[string]repeat
+	stats   Stats
 }
 
 var (
@@ -98,7 +98,7 @@ func scan(root string) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &state{Log: lg, root: root, index: map[string]*slot{}}
+	st := &state{Log: lg, root: root, index: map[string]*slot{}, repeats: map[string]repeat{}}
 	for _, b := range blocks {
 		st.index[b.ID] = &slot{Block: *b}
 	}
@@ -191,12 +191,7 @@ func (st *state) move(s *Session, g *seglog.Segment, old slot) error {
 	if s.end > old.Limit {
 		return fmt.Errorf("provenance: session %q: trail of %d bytes overruns its %d-byte range", s.ID, s.end, old.Limit)
 	}
-	src, err := os.Open(old.Seg.Path() + ".log")
-	if err != nil {
-		return err
-	}
-	defer src.Close()
-	if _, err := io.Copy(g.File(), io.NewSectionReader(src, old.Base, s.end)); err != nil {
+	if err := g.CopyIn(old.Seg.Path()+".log", old.Base, s.end, s.base); err != nil {
 		g.File().Truncate(s.base)
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -65,9 +64,9 @@ func (st *state) importDir(id, dir string) error {
 	if err := st.claimID(s, lines); err != nil {
 		return err
 	}
-	err = s.appendTrail(func(w io.Writer) (int64, []Entry, []byte, error) {
+	err = s.appendTrail(func(g *seglog.Segment) (int64, []Entry, []byte, error) {
 		s.hdr = seglog.Header(id, s.base, at) // dated by the manifest, not by claim
-		n, err := w.Write(data)
+		n, err := g.File().Write(data)
 		return int64(n), nil, lines, err
 	})
 	st.Lock()

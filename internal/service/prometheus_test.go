@@ -102,7 +102,7 @@ func TestHTTPPrometheusEndpoint(t *testing.T) {
 		}
 	}
 
-	// Queue, stage and SQL series are present and typed.
+	// Queue, stage, SQL and provenance series are present and typed.
 	for _, want := range []string{
 		`infera_queue_depth{ensemble="default"} 8`,
 		`# TYPE infera_queue_len gauge`,
@@ -115,6 +115,10 @@ func TestHTTPPrometheusEndpoint(t *testing.T) {
 		`infera_stage_decoded_bytes_total`,
 		`# TYPE infera_stage_disk_mappings gauge`,
 		`# TYPE infera_stage_watch_overflows_total counter`,
+		`infera_provenance_artifact_bytes_total{ensemble="default",how="encoded"}`,
+		`infera_provenance_artifact_bytes_total{ensemble="default",how="copied"}`,
+		`infera_provenance_origin_lookups_total{ensemble="default",result="hit"}`,
+		`infera_provenance_origin_lookups_total{ensemble="default",result="miss"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("prometheus output missing %q", want)

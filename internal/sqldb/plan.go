@@ -258,8 +258,9 @@ func (p *vecPlan) projection() bool {
 // segment vectors copied back to back (dataframe.ConcatColumn), one copy
 // per segment and a copy even of a single segment, so no result aliases a
 // segment's vector — a stage buffer that is only lent for the ask's lease.
-// The result keeps the segments' cell-text memos, so writing it as CSV
-// copies their text.
+// The result keeps the segments' column origins, so it has an origin key
+// when every segment's column has one (dataframe.Frame.OriginKey) and
+// the provenance store copies a repeat of it instead of formatting it.
 func (p *vecPlan) runProjection(scan segScan, st *execStats) (*dataframe.Frame, error) {
 	out := dataframe.New()
 	cols := make([]*dataframe.Column, len(scan.segs))

@@ -94,14 +94,17 @@ func TestStagedReadTableSharesResident(t *testing.T) {
 // TestProjectionCopiesSegments: a statement that only names columns is
 // one copy of each segment's vectors, of one segment too, so no result
 // aliases a staged vector; it answers as the reference engine does and
-// keeps the segments' cell-text memos, so its CSV copies their text.
+// keeps the segments' origins, so it has an origin key, the same for a
+// second run of the statement and another for another output name.
 func TestProjectionCopiesSegments(t *testing.T) {
 	for _, segs := range []int{1, 3} {
 		db := New()
 		var frames []*dataframe.Frame
 		for i := 0; i < segs; i++ {
 			f := stagedFrame(5, float64(100*i)+0.25)
-			f.MustColumn("mass").SetCellMemo(dataframe.NewCellMemo(nil))
+			for i := 0; i < f.NumCols(); i++ {
+				f.ColumnAt(i).SetOrigin()
+			}
 			frames = append(frames, f)
 		}
 		if err := db.BulkAppend("t", frames...); err != nil {
@@ -126,18 +129,24 @@ func TestProjectionCopiesSegments(t *testing.T) {
 				t.Fatalf("%d segments: the result aliases a segment's vector", segs)
 			}
 		}
-		var first, again bytes.Buffer
+		key, ok := got.OriginKey()
+		again, _ := db.Query(sql)
+		renamed, _ := db.Query("SELECT mass AS n, tag, mass FROM t")
+		if k, _ := again.OriginKey(); !ok || k != key {
+			t.Fatalf("%d segments: a second run has another key", segs)
+		}
+		if k, _ := renamed.OriginKey(); k == key {
+			t.Fatalf("%d segments: another output name kept the key", segs)
+		}
+		var first, copied bytes.Buffer
 		if err := got.WriteCSV(&first); err != nil {
 			t.Fatal(err)
 		}
-		if !m.HasCellText() {
-			t.Fatalf("%d segments: the result left the segments' memos behind", segs)
-		}
-		if err := want.Clone().WriteCSV(&again); err != nil {
+		if err := want.Clone().WriteCSV(&copied); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(first.Bytes(), again.Bytes()) {
-			t.Fatalf("%d segments: memoised CSV differs from a copy's", segs)
+		if !bytes.Equal(first.Bytes(), copied.Bytes()) {
+			t.Fatalf("%d segments: CSV differs from a copy's", segs)
 		}
 	}
 }

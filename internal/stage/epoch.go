@@ -32,12 +32,10 @@ type readerEpochs struct {
 }
 
 // deferred is what a retired memory-tier entry owned — its free-list
-// buffer, its mapping reference, either or both, and its column's
-// cell-text memo — awaiting its hand-back.
+// buffer, its mapping reference, or both — awaiting its hand-back.
 type deferred struct {
 	buf   *slab
 	m     *mapping
-	memo  *dataframe.CellMemo
 	epoch uint64 // no reader pinned after it can hold the item
 }
 
@@ -94,11 +92,9 @@ func (re *readerEpochs) unpin(ep uint64) {
 	}
 }
 
-// handBack drops d's memo, then gives its buffer to the free list (where
-// test binaries poison it, so a reader past its lease formats the poison
-// rather than copying a memo) and drops its mapping reference.
+// handBack gives d's buffer to the free list (where test binaries poison
+// it) and drops its mapping reference.
 func (re *readerEpochs) handBack(d deferred) {
-	d.memo.Drop()
 	re.free.put(d.buf)
 	d.m.unref()
 }

@@ -56,18 +56,12 @@
 // so a frame kept past its lease keeps its mapping (disk.go). Columns
 // decoded while the tier has room stay heap vectors, as do strings.
 //
-// # Cell-text memos
+// # Column origins
 //
-// Every resident Float column decoded from its source file carries a
-// dataframe.CellMemo: the CSV text of its cells, built by the first
-// WriteCSV of a frame holding them and copied by every later one. Its
-// bytes join UsedBytes (and MemoBytes) while the entry is resident, and
-// may evict like a decode. The memo is dropped when the entry's buffer is
-// handed back — before the buffer reaches the free list, so a reader that
-// broke its lease formats the recycled (in test binaries, poisoned)
-// values instead of copying old text — or at once for a heap vector. A
-// column promoted by mmap cast gets none: its finalizer must not sit on
-// the cycle the memo's charge closes through the cache.
+// Every column the memory tier takes in, decoded or promoted, is numbered
+// once (dataframe.Column.SetOrigin): the number names its immutable
+// vector, so a table copied out of resident columns has an origin key and
+// the provenance store copies a repeat of it instead of formatting it.
 //
 // # Freshness
 //
@@ -133,14 +127,9 @@ type Stats struct {
 	// Evictions / EvictedBytes count blocks pushed out by the byte budget.
 	Evictions    int64 `json:"evictions"`
 	EvictedBytes int64 `json:"evicted_bytes"`
-	// UsedBytes / BudgetBytes describe the current residency. UsedBytes
-	// counts the resident columns' cell-text memos (MemoBytes) too.
+	// UsedBytes / BudgetBytes describe the current residency.
 	UsedBytes   int64 `json:"used_bytes"`
 	BudgetBytes int64 `json:"budget_bytes"`
-	// MemoBytes is the size of the CSV cell-text memos resident Float
-	// columns have built (dataframe.CellMemo): the text packed two
-	// characters to a byte, plus one length byte per cell.
-	MemoBytes int64 `json:"memo_bytes"`
 	// Entries is the resident column-block count; Files the distinct
 	// backing files they span.
 	Entries int `json:"entries"`
@@ -232,10 +221,6 @@ type entry struct {
 	m   *mapping
 	// seen is the newest reader epoch of a lease the buffer was served to.
 	seen uint64
-	// memo is the resident Float column's cell-text memo, memoBytes what
-	// its build charged to the budget.
-	memo      *dataframe.CellMemo
-	memoBytes int64
 }
 
 // flight is one column's single-flight load: its leader publishes e (or
@@ -863,34 +848,11 @@ func (c *Cache) insertLocked(e *entry) {
 		c.retireLocked(e)
 		return
 	}
-	// A column promoted by mmap cast carries no memo: its finalizer
-	// (disk.go) must not sit on a reference cycle, and the memo's charge
-	// reaches the cache, which reaches the column.
-	if e.col.Kind == dataframe.Float && e.m == nil {
-		e.memo = dataframe.NewCellMemo(func(n int64) bool { return c.chargeMemo(e, n) })
-		e.col.SetCellMemo(e.memo)
-	}
+	e.col.SetOrigin()
 	c.items[e.key] = c.ll.PushFront(e)
 	c.paths[e.key.path]++
 	c.stats.UsedBytes += e.bytes
 	c.evictOverBudgetLocked()
-}
-
-// chargeMemo counts the n bytes of e's freshly built cell-text memo
-// against the budget, evicting as a decode would, while e is resident. It
-// reports false, charging nothing, once e has left the memory tier: the
-// memo then keeps no text.
-func (c *Cache) chargeMemo(e *entry, n int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[e.key]; !ok || el.Value.(*entry) != e {
-		return false
-	}
-	e.memoBytes += n
-	c.stats.MemoBytes += n
-	c.stats.UsedBytes += n
-	c.evictOverBudgetLocked()
-	return true
 }
 
 func (c *Cache) evictOverBudgetLocked() {
@@ -910,19 +872,15 @@ func (c *Cache) evictOverBudgetLocked() {
 	}
 }
 
-// retireLocked hands the buffer, the mapping reference and the memo of e,
-// which has left the memory tier, to the reader epochs: they are handed
-// back, the memo dropped first, when every lease pinned at or before the
-// newest one e was served to has unpinned. A heap vector's memo is dropped
-// at once: its values never change, so no reader can tell. Caller holds
-// mu.
+// retireLocked hands the buffer and the mapping reference of e, which has
+// left the memory tier, to the reader epochs: they are handed back when
+// every lease pinned at or before the newest one e was served to has
+// unpinned. Caller holds mu.
 func (c *Cache) retireLocked(e *entry) {
-	if e.buf == nil && e.m == nil {
-		e.memo.Drop()
-	} else {
-		c.readers.retired(deferred{buf: e.buf, m: e.m, memo: e.memo, epoch: e.seen})
+	if e.buf != nil || e.m != nil {
+		c.readers.retired(deferred{buf: e.buf, m: e.m, epoch: e.seen})
 	}
-	e.buf, e.m, e.memo = nil, nil, nil
+	e.buf, e.m = nil, nil
 }
 
 // removeLocked takes el out of the memory tier and retires its buffer.
@@ -934,9 +892,7 @@ func (c *Cache) removeLocked(el *list.Element) {
 	if c.paths[e.key.path]--; c.paths[e.key.path] <= 0 {
 		delete(c.paths, e.key.path)
 	}
-	c.stats.UsedBytes -= e.bytes + e.memoBytes
-	c.stats.MemoBytes -= e.memoBytes
-	e.memoBytes = 0
+	c.stats.UsedBytes -= e.bytes
 	c.retireLocked(e)
 }
 
