@@ -7,6 +7,13 @@
 // pandas: named, homogeneously typed columns of equal length with
 // filter/select/derive/sort/group-by/join verbs.
 //
+// # Row order and row identity
+//
+// Every sort of rows, here, in the script and in SQL, is SortRows: a
+// stable order over typed key columns (Float with NaN last, Int exact,
+// String bytewise). Every "which rows share a key" is KeyIndex: dense
+// group numbers in first-seen order over typed key tuples (rows.go).
+//
 // # Column origins
 //
 // A column may say where its cells came from (origin.go): the staging
@@ -21,7 +28,6 @@ package dataframe
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 )
 
@@ -442,19 +448,7 @@ func (f *Frame) Filter(pred func(row int) bool) *Frame {
 }
 
 // Head returns the first n rows (all rows if n exceeds NumRows).
-func (f *Frame) Head(n int) *Frame {
-	if n > f.NumRows() {
-		n = f.NumRows()
-	}
-	if n < 0 {
-		n = 0
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return f.Gather(idx)
-}
+func (f *Frame) Head(n int) *Frame { return f.Slice(0, n) }
 
 // Slice returns rows [lo, hi).
 func (f *Frame) Slice(lo, hi int) *Frame {
@@ -480,73 +474,17 @@ type SortKey struct {
 	Desc bool
 }
 
-// SortBy returns a new frame stably sorted by the given keys.
+// SortBy returns a new frame stably sorted by the given keys (SortRows).
 func (f *Frame) SortBy(keys ...SortKey) (*Frame, error) {
-	cols := make([]*Column, len(keys))
+	order := make([]OrderKey, len(keys))
 	for i, k := range keys {
 		c, err := f.Column(k.Col)
 		if err != nil {
 			return nil, err
 		}
-		cols[i] = c
+		order[i] = OrderKey{Col: c, Desc: k.Desc}
 	}
-	idx := make([]int, f.NumRows())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		for j, c := range cols {
-			cmp := compareCell(c, ia, ib)
-			if keys[j].Desc {
-				cmp = -cmp
-			}
-			if cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-	return f.Gather(idx), nil
-}
-
-func compareCell(c *Column, i, j int) int {
-	switch c.Kind {
-	case Float:
-		a, b := c.F[i], c.F[j]
-		// NaN sorts last in ascending order.
-		switch {
-		case math.IsNaN(a) && math.IsNaN(b):
-			return 0
-		case math.IsNaN(a):
-			return 1
-		case math.IsNaN(b):
-			return -1
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	case Int:
-		a, b := c.I[i], c.I[j]
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	default:
-		a, b := c.S[i], c.S[j]
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	}
+	return f.Gather(SortRows(order, f.NumRows())), nil
 }
 
 // Append concatenates other below f. Schemas (names, order, kinds) must

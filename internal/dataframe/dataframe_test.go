@@ -372,53 +372,44 @@ func TestQuickCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQuickSortIsPermutationAndOrdered checks SortBy against the
+// reference sort (refSortBy) on random frames of edge values, under every
+// key list of keySets in every direction: the same rows in the same order,
+// ties included.
 func TestQuickSortIsPermutationAndOrdered(t *testing.T) {
 	prop := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		f := randomFrame(rng, int(n%64)+1)
-		s, err := f.SortBy(SortKey{Col: "f"})
-		if err != nil {
+		f := randomEdgeFrame(rand.New(rand.NewSource(seed)), int(n%64)+1)
+		if err := checkRowKernels(f); err != nil {
+			t.Log(err)
 			return false
 		}
-		got := s.MustColumn("f").F
-		for i := 1; i < len(got); i++ {
-			if got[i] < got[i-1] {
-				return false
-			}
-		}
-		// Same multiset: compare sums (floats are random; exact sum works
-		// since gather copies bit-identical values and addition order is
-		// the only variance — compare sorted copies instead).
-		want := append([]float64(nil), f.MustColumn("f").F...)
-		have := append([]float64(nil), got...)
-		sortFloats(want)
-		sortFloats(have)
-		return reflect.DeepEqual(want, have)
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
 
-func sortFloats(v []float64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
+// TestQuickGroupCountsSumToRows checks GroupBy's groups against the
+// reference text-key grouping (refGroup): the same groups, in the same
+// order, with counts that sum to the rows.
 func TestQuickGroupCountsSumToRows(t *testing.T) {
 	prop := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		f := randomFrame(rng, int(n%64)+1)
-		g, err := f.GroupBy([]string{"s"}, []Agg{{Op: Count, As: "n"}})
+		f := randomEdgeFrame(rand.New(rand.NewSource(seed)), int(n%64)+1)
+		g, err := f.GroupBy([]string{"s", "f"}, []Agg{{Op: Count, As: "n"}})
 		if err != nil {
 			return false
 		}
+		_, first := refGroup(f.NumRows(), f.MustColumn("s"), f.MustColumn("f"))
+		if g.NumRows() != len(first) {
+			return false
+		}
 		var total int64
-		for _, c := range g.MustColumn("n").I {
+		for gi, c := range g.MustColumn("n").I {
 			total += c
+			if g.MustColumn("s").S[gi] != f.MustColumn("s").S[first[gi]] {
+				return false
+			}
 		}
 		return total == int64(f.NumRows())
 	}

@@ -105,39 +105,18 @@ func (f *Frame) GroupBy(keys []string, aggs []Agg) (*Frame, error) {
 		}
 	}
 
-	groupOf := map[string]int{}
-	var groups [][]int
-	var sb strings.Builder
-	for r := 0; r < f.NumRows(); r++ {
-		sb.Reset()
-		for _, c := range keyCols {
-			sb.WriteString(c.StringAt(r))
-			sb.WriteByte('\x1f')
-		}
-		k := sb.String()
-		g, ok := groupOf[k]
-		if !ok {
-			g = len(groups)
-			groupOf[k] = g
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], r)
-	}
-
+	ids, first := Group(f.NumRows(), keyCols...)
+	groups := Members(ids, len(first))
 	out := New()
 	for i, kc := range keyCols {
-		firsts := make([]int, len(groups))
-		for g, rows := range groups {
-			firsts[g] = rows[0]
-		}
-		col := kc.gather(firsts)
+		col := kc.gather(first)
 		col.Name = keys[i]
 		if err := out.AddColumn(col); err != nil {
 			return nil, err
 		}
 	}
 	for _, a := range aggs {
-		col, err := f.aggregate(a, groups)
+		col, err := f.aggregate(a, groups, first)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +127,7 @@ func (f *Frame) GroupBy(keys []string, aggs []Agg) (*Frame, error) {
 	return out, nil
 }
 
-func (f *Frame) aggregate(a Agg, groups [][]int) (*Column, error) {
+func (f *Frame) aggregate(a Agg, groups [][]int, first []int) (*Column, error) {
 	name := a.outName()
 	if a.Op == Count {
 		vals := make([]int64, len(groups))
@@ -162,11 +141,7 @@ func (f *Frame) aggregate(a Agg, groups [][]int) (*Column, error) {
 		return nil, err
 	}
 	if a.Op == First {
-		firsts := make([]int, len(groups))
-		for g, rows := range groups {
-			firsts[g] = rows[0]
-		}
-		col := src.gather(firsts)
+		col := src.gather(first)
 		col.Name = name
 		return col, nil
 	}

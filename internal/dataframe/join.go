@@ -1,6 +1,9 @@
 package dataframe
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // JoinKind selects the join semantics.
 type JoinKind uint8
@@ -28,25 +31,19 @@ func Join(left, right *Frame, on string, kind JoinKind) (*Frame, error) {
 		return nil, fmt.Errorf("dataframe: join key %q kind mismatch: %s vs %s", on, lc.Kind, rc.Kind)
 	}
 
-	// Hash the right side by key string form (exact for ints/strings; for
-	// floats the formatted value is exact round-trip via strconv 'g' -1).
-	rIdx := map[string][]int{}
-	for r := 0; r < right.NumRows(); r++ {
-		k := rc.StringAt(r)
-		rIdx[k] = append(rIdx[k], r)
-	}
-
+	var x KeyIndex
+	rIDs := x.Add(make([]int, 0, right.NumRows()), []*Column{rc}, nil)
+	members := Members(rIDs, x.Len())
 	var lRows, rRows []int // rRows[i] == -1 marks an unmatched left row
-	for l := 0; l < left.NumRows(); l++ {
-		matches := rIdx[lc.StringAt(l)]
-		if len(matches) == 0 {
+	for l, g := range x.Find(make([]int, 0, left.NumRows()), []*Column{lc}, nil) {
+		if g < 0 {
 			if kind == Left {
 				lRows = append(lRows, l)
 				rRows = append(rRows, -1)
 			}
 			continue
 		}
-		for _, r := range matches {
+		for _, r := range members[g] {
 			lRows = append(lRows, l)
 			rRows = append(rRows, r)
 		}
@@ -76,33 +73,23 @@ func gatherWithMissing(c *Column, idx []int) *Column {
 	out := &Column{Name: c.Name, Kind: c.Kind}
 	switch c.Kind {
 	case Float:
-		out.F = make([]float64, len(idx))
-		for j, i := range idx {
-			if i < 0 {
-				out.F[j] = nan()
-			} else {
-				out.F[j] = c.F[i]
-			}
-		}
+		out.F = gatherOr(c.F, idx, math.NaN())
 	case Int:
-		out.I = make([]int64, len(idx))
-		for j, i := range idx {
-			if i >= 0 {
-				out.I[j] = c.I[i]
-			}
-		}
+		out.I = gatherOr(c.I, idx, 0)
 	default:
-		out.S = make([]string, len(idx))
-		for j, i := range idx {
-			if i >= 0 {
-				out.S[j] = c.S[i]
-			}
-		}
+		out.S = gatherOr(c.S, idx, "")
 	}
 	return out
 }
 
-func nan() float64 {
-	var z float64
-	return z / z
+// gatherOr returns src[i] for every i of idx, and missing for each -1.
+func gatherOr[T any](src []T, idx []int, missing T) []T {
+	out := make([]T, len(idx))
+	for j, i := range idx {
+		out[j] = missing
+		if i >= 0 {
+			out[j] = src[i]
+		}
+	}
+	return out
 }

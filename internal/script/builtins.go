@@ -142,6 +142,32 @@ func wantStrList(fn string, args []Value, i int) ([]string, error) {
 	return out, nil
 }
 
+// wantStrs returns args lo … hi-1, each of which must be a string.
+func wantStrs(fn string, args []Value, lo, hi int) ([]string, error) {
+	out := make([]string, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		s, err := wantStr(fn, args, i)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
+
+// frameColumns returns f's columns named names, looked up in order.
+func frameColumns(f *dataframe.Frame, names ...string) ([]*dataframe.Column, error) {
+	out := make([]*dataframe.Column, len(names))
+	for i, n := range names {
+		c, err := f.Column(n)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = c
+	}
+	return out, nil
+}
+
 // safePath cleans a script's file name into its key in the script's file
 // namespace, whose root "/" and "." both name, and refuses a name that
 // climbs out of it — the isolation guarantee of §3.2.
@@ -434,27 +460,28 @@ func biGroupBy(_ *Env, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	col, err := wantStr("groupby", args, 2)
+	agg, err := wantStrs("groupby", args, 2, 5) // column, op, output name
 	if err != nil {
 		return Value{}, err
 	}
-	opName, err := wantStr("groupby", args, 3)
-	if err != nil {
-		return Value{}, err
+	return groupBy(f, keys, agg[:1], agg[1:2], agg[2:])
+}
+
+// groupBy runs groupby and groupby_multi: aggregate cols[i] by ops[i]
+// into names[i] within every group of keys (a count reads no column).
+func groupBy(f *dataframe.Frame, keys, cols, ops, names []string) (Value, error) {
+	aggs := make([]dataframe.Agg, len(cols))
+	for i := range cols {
+		op, err := dataframe.ParseAggOp(ops[i])
+		if err != nil {
+			return Value{}, err
+		}
+		aggs[i] = dataframe.Agg{Col: cols[i], Op: op, As: names[i]}
+		if op == dataframe.Count {
+			aggs[i].Col = ""
+		}
 	}
-	as, err := wantStr("groupby", args, 4)
-	if err != nil {
-		return Value{}, err
-	}
-	op, err := dataframe.ParseAggOp(opName)
-	if err != nil {
-		return Value{}, err
-	}
-	agg := dataframe.Agg{Col: col, Op: op, As: as}
-	if op == dataframe.Count {
-		agg.Col = ""
-	}
-	out, err := f.GroupBy(keys, []dataframe.Agg{agg})
+	out, err := f.GroupBy(keys, aggs)
 	if err != nil {
 		return Value{}, err
 	}
@@ -477,20 +504,7 @@ func biDistinct(_ *Env, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	seen := map[string]bool{}
-	var keepIdx []int
-	for r := 0; r < sub.NumRows(); r++ {
-		var sb strings.Builder
-		for c := 0; c < sub.NumCols(); c++ {
-			sb.WriteString(sub.ColumnAt(c).StringAt(r))
-			sb.WriteByte('\x1f')
-		}
-		if !seen[sb.String()] {
-			seen[sb.String()] = true
-			keepIdx = append(keepIdx, r)
-		}
-	}
-	return FrameValue(sub.Gather(keepIdx)), nil
+	return FrameValue(sub.Distinct()), nil
 }
 
 // Filters ----------------------------------------------------------------------

@@ -41,11 +41,12 @@ func biSemiJoin(_ *Env, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	present := map[string]bool{}
-	for i := 0; i < keys.NumRows(); i++ {
-		present[kc.StringAt(i)] = true
-	}
-	out := f.Filter(func(i int) bool { return present[fc.StringAt(i)] })
+	// Keys of two kinds match by their text (dataframe.KeyIndex): Int 3,
+	// Float 3 and String "3" are one key.
+	var present dataframe.KeyIndex
+	present.Add(nil, []*dataframe.Column{kc}, nil)
+	found := present.Find(nil, []*dataframe.Column{fc}, nil)
+	out := f.Filter(func(i int) bool { return found[i] >= 0 })
 	return FrameValue(out), nil
 }
 
@@ -59,14 +60,11 @@ func biTopPerGroup(_ *Env, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	group, err := wantStr("top_per_group", args, 1)
+	s, err := wantStrs("top_per_group", args, 1, 3)
 	if err != nil {
 		return Value{}, err
 	}
-	by, err := wantStr("top_per_group", args, 2)
-	if err != nil {
-		return Value{}, err
-	}
+	group, by := s[0], s[1]
 	n, err := wantNum("top_per_group", args, 3)
 	if err != nil {
 		return Value{}, err
@@ -79,13 +77,13 @@ func biTopPerGroup(_ *Env, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	taken := map[string]int{}
+	ids, first := dataframe.Group(sorted.NumRows(), gc)
+	taken := make([]int, len(first))
 	out := sorted.Filter(func(i int) bool {
-		k := gc.StringAt(i)
-		if taken[k] >= int(n) {
+		if taken[ids[i]] >= int(n) {
 			return false
 		}
-		taken[k]++
+		taken[ids[i]]++
 		return true
 	})
 	return FrameValue(out), nil
@@ -120,21 +118,5 @@ func biGroupByMulti(_ *Env, args []Value) (Value, error) {
 	if len(cols) != len(ops) || len(cols) != len(names) {
 		return Value{}, fmt.Errorf("ValueError: groupby_multi cols/ops/names lengths differ (%d/%d/%d)", len(cols), len(ops), len(names))
 	}
-	aggs := make([]dataframe.Agg, len(cols))
-	for i := range cols {
-		op, err := dataframe.ParseAggOp(ops[i])
-		if err != nil {
-			return Value{}, err
-		}
-		col := cols[i]
-		if op == dataframe.Count {
-			col = ""
-		}
-		aggs[i] = dataframe.Agg{Col: col, Op: op, As: names[i]}
-	}
-	out, err := f.GroupBy(keys, aggs)
-	if err != nil {
-		return Value{}, err
-	}
-	return FrameValue(out), nil
+	return groupBy(f, keys, cols, ops, names)
 }

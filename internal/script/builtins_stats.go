@@ -18,23 +18,15 @@ func biLinFit(_ *Env, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	xcol, err := wantStr("linfit", args, 1)
+	names, err := wantStrs("linfit", args, 1, 3)
 	if err != nil {
 		return Value{}, err
 	}
-	ycol, err := wantStr("linfit", args, 2)
+	c, err := frameColumns(f, names...)
 	if err != nil {
 		return Value{}, err
 	}
-	cx, err := f.Column(xcol)
-	if err != nil {
-		return Value{}, err
-	}
-	cy, err := f.Column(ycol)
-	if err != nil {
-		return Value{}, err
-	}
-	fit, err := stats.LinearFit(cx.Floats(), cy.Floats())
+	fit, err := stats.LinearFit(c[0].Floats(), c[1].Floats())
 	if err != nil {
 		return Value{}, err
 	}
@@ -49,58 +41,40 @@ func biLinFitBy(_ *Env, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	group, err := wantStr("linfit_by", args, 1)
+	names, err := wantStrs("linfit_by", args, 1, 4) // group, x, y
 	if err != nil {
 		return Value{}, err
 	}
-	xcol, err := wantStr("linfit_by", args, 2)
+	c, err := frameColumns(f, names...)
 	if err != nil {
 		return Value{}, err
 	}
-	ycol, err := wantStr("linfit_by", args, 3)
-	if err != nil {
-		return Value{}, err
-	}
-	cg, err := f.Column(group)
-	if err != nil {
-		return Value{}, err
-	}
-	cx, err := f.Column(xcol)
-	if err != nil {
-		return Value{}, err
-	}
-	cy, err := f.Column(ycol)
-	if err != nil {
-		return Value{}, err
-	}
-	// Partition rows by group value, preserving first-seen order.
-	rowsOf := map[string][]int{}
-	var order []string
-	for r := 0; r < f.NumRows(); r++ {
-		k := cg.StringAt(r)
-		if _, ok := rowsOf[k]; !ok {
-			order = append(order, k)
-		}
-		rowsOf[k] = append(rowsOf[k], r)
-	}
-	var keys []string
+	keys, xs, ys := groupXY(c[0], c[1], c[2])
 	var fits []stats.FitResult
-	for _, k := range order {
-		rows := rowsOf[k]
-		xs := make([]float64, len(rows))
-		ys := make([]float64, len(rows))
-		for i, r := range rows {
-			xs[i] = cx.FloatAt(r)
-			ys[i] = cy.FloatAt(r)
-		}
-		fit, err := stats.LinearFit(xs, ys)
+	for g, k := range keys {
+		fit, err := stats.LinearFit(xs[g], ys[g])
 		if err != nil {
 			return Value{}, fmt.Errorf("ValueError: fit for group %q: %s", k, err)
 		}
-		keys = append(keys, k)
 		fits = append(fits, fit)
 	}
-	return FrameValue(fitFrame(keys, fits, group)), nil
+	return FrameValue(fitFrame(keys, fits, names[0])), nil
+}
+
+// groupXY splits the rows' x and y cells by the group column's value, in
+// first-seen order (dataframe.Group): each group's key text, its x cells
+// and its y cells.
+func groupXY(cg, cx, cy *dataframe.Column) (keys []string, xs, ys [][]float64) {
+	ids, first := dataframe.Group(cg.Len(), cg)
+	for g, rows := range dataframe.Members(ids, len(first)) {
+		x, y := make([]float64, len(rows)), make([]float64, len(rows))
+		for i, r := range rows {
+			x[i], y[i] = cx.FloatAt(r), cy.FloatAt(r)
+		}
+		keys = append(keys, cg.StringAt(first[g]))
+		xs, ys = append(xs, x), append(ys, y)
+	}
+	return keys, xs, ys
 }
 
 // fitFrame renders fit results; groupCol == "" omits the group column.
@@ -137,23 +111,15 @@ func biCorr(_ *Env, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	xcol, err := wantStr("corr", args, 1)
+	names, err := wantStrs("corr", args, 1, 3)
 	if err != nil {
 		return Value{}, err
 	}
-	ycol, err := wantStr("corr", args, 2)
+	c, err := frameColumns(f, names...)
 	if err != nil {
 		return Value{}, err
 	}
-	cx, err := f.Column(xcol)
-	if err != nil {
-		return Value{}, err
-	}
-	cy, err := f.Column(ycol)
-	if err != nil {
-		return Value{}, err
-	}
-	r, err := stats.Pearson(cx.Floats(), cy.Floats())
+	r, err := stats.Pearson(c[0].Floats(), c[1].Floats())
 	if err != nil {
 		return Value{}, err
 	}
@@ -363,57 +329,19 @@ func biLinePlotBy(env *Env, args []Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	xcol, err := wantStr("line_plot_by", args, 1)
+	s, err := wantStrs("line_plot_by", args, 1, 6)
 	if err != nil {
 		return Value{}, err
 	}
-	ycol, err := wantStr("line_plot_by", args, 2)
+	xcol, ycol, group, title, out := s[0], s[1], s[2], s[3], s[4]
+	c, err := frameColumns(f, xcol, ycol, group)
 	if err != nil {
 		return Value{}, err
 	}
-	group, err := wantStr("line_plot_by", args, 3)
-	if err != nil {
-		return Value{}, err
-	}
-	title, err := wantStr("line_plot_by", args, 4)
-	if err != nil {
-		return Value{}, err
-	}
-	out, err := wantStr("line_plot_by", args, 5)
-	if err != nil {
-		return Value{}, err
-	}
-	cx, err := f.Column(xcol)
-	if err != nil {
-		return Value{}, err
-	}
-	cy, err := f.Column(ycol)
-	if err != nil {
-		return Value{}, err
-	}
-	cg, err := f.Column(group)
-	if err != nil {
-		return Value{}, err
-	}
-	rowsOf := map[string][]int{}
-	var order []string
-	for r := 0; r < f.NumRows(); r++ {
-		k := cg.StringAt(r)
-		if _, ok := rowsOf[k]; !ok {
-			order = append(order, k)
-		}
-		rowsOf[k] = append(rowsOf[k], r)
-	}
+	keys, xs, ys := groupXY(c[2], c[0], c[1])
 	spec := &viz.PlotSpec{Kind: viz.Line, Title: title, XLabel: xcol, YLabel: ycol}
-	for _, k := range order {
-		rows := rowsOf[k]
-		xs := make([]float64, len(rows))
-		ys := make([]float64, len(rows))
-		for i, r := range rows {
-			xs[i] = cx.FloatAt(r)
-			ys[i] = cy.FloatAt(r)
-		}
-		spec.Series = append(spec.Series, viz.Series{Name: group + "=" + k, X: xs, Y: ys})
+	for g, k := range keys {
+		spec.Series = append(spec.Series, viz.Series{Name: group + "=" + k, X: xs[g], Y: ys[g]})
 	}
 	return renderAndStore(env, spec, out)
 }
@@ -442,33 +370,18 @@ func scatterImpl(env *Env, args []Value, highlightN int) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	xcol, err := wantStr("scatter_plot", args, 1)
+	s, err := wantStrs("scatter_plot", args, 1, 5)
 	if err != nil {
 		return Value{}, err
 	}
-	ycol, err := wantStr("scatter_plot", args, 2)
-	if err != nil {
-		return Value{}, err
-	}
-	title, err := wantStr("scatter_plot", args, 3)
-	if err != nil {
-		return Value{}, err
-	}
-	out, err := wantStr("scatter_plot", args, 4)
-	if err != nil {
-		return Value{}, err
-	}
-	cx, err := f.Column(xcol)
-	if err != nil {
-		return Value{}, err
-	}
-	cy, err := f.Column(ycol)
+	xcol, ycol, title, out := s[0], s[1], s[2], s[3]
+	c, err := frameColumns(f, xcol, ycol)
 	if err != nil {
 		return Value{}, err
 	}
 	spec := &viz.PlotSpec{
 		Kind: viz.Scatter, Title: title, XLabel: xcol, YLabel: ycol,
-		Series: []viz.Series{{Name: "", X: cx.Floats(), Y: cy.Floats()}},
+		Series: []viz.Series{{Name: "", X: c[0].Floats(), Y: c[1].Floats()}},
 	}
 	for i := 0; i < highlightN && i < f.NumRows(); i++ {
 		spec.Highlight = append(spec.Highlight, i)

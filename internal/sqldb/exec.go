@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,7 +34,7 @@ func execute(stmt *selectStmt, src *dataframe.Frame, st *execStats) (*dataframe.
 			return nil, err
 		}
 		if stmt.distinct {
-			out = distinctRows(out)
+			out = out.Distinct()
 		}
 		if len(stmt.orderBy) > 0 {
 			out, err = orderRows(stmt, out)
@@ -55,7 +56,7 @@ func execute(stmt *selectStmt, src *dataframe.Frame, st *execStats) (*dataframe.
 			return nil, err
 		}
 		if stmt.distinct {
-			out = distinctRows(out)
+			out = out.Distinct()
 		}
 	}
 	if stmt.limit >= 0 {
@@ -126,6 +127,24 @@ func compareValues(a, b value) int {
 		return strings.Compare(a.s, b.s)
 	}
 	return floatCmpNaNLast(a.asFloat(), b.asFloat())
+}
+
+// floatCmpNaNLast is the tree-walk's number order: NaN after every
+// number, NaNs tie.
+func floatCmpNaNLast(x, y float64) int {
+	switch {
+	case math.IsNaN(x) && math.IsNaN(y):
+		return 0
+	case math.IsNaN(x):
+		return 1
+	case math.IsNaN(y):
+		return -1
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
 }
 
 // filterRows applies WHERE block by block and returns surviving row indices.
@@ -284,8 +303,11 @@ func executeGrouped(stmt *selectStmt, src *dataframe.Frame, keep []int) (*datafr
 			if err != nil {
 				return nil, err
 			}
-			sb.WriteString(v.display())
-			sb.WriteByte('\x1f')
+			// Length-prefixed, so no two key tuples render alike.
+			d := v.display()
+			sb.WriteString(strconv.Itoa(len(d)))
+			sb.WriteByte(':')
+			sb.WriteString(d)
 		}
 		key := sb.String()
 		grp, ok := groupOf[key]
@@ -391,41 +413,21 @@ func collectAggs(e expr, dst *[]*aggExpr) {
 	}
 }
 
-func distinctRows(f *dataframe.Frame) *dataframe.Frame {
-	seen := map[string]bool{}
-	var keep []int
-	var sb strings.Builder
-	for r := 0; r < f.NumRows(); r++ {
-		sb.Reset()
-		for c := 0; c < f.NumCols(); c++ {
-			sb.WriteString(f.ColumnAt(c).StringAt(r))
-			sb.WriteByte('\x1f')
-		}
-		k := sb.String()
-		if !seen[k] {
-			seen[k] = true
-			keep = append(keep, r)
-		}
-	}
-	return f.Gather(keep)
-}
-
 // orderRows sorts the output frame by the ORDER BY items, which must be
-// resolvable against output column names.
+// resolvable against output column names: an item that names an output
+// column sorts by it, any other evaluates over the output rows into a key
+// column of its own.
 func orderRows(stmt *selectStmt, out *dataframe.Frame) (*dataframe.Frame, error) {
-	keys := make([]dataframe.SortKey, 0, len(stmt.orderBy))
-	tempCols := []string{}
-	work := out
+	keys := make([]dataframe.OrderKey, len(stmt.orderBy))
 	for oi, item := range stmt.orderBy {
-		if id, ok := item.ex.(*identExpr); ok && work.Has(id.name) {
-			keys = append(keys, dataframe.SortKey{Col: id.name, Desc: item.desc})
+		keys[oi].Desc = item.desc
+		if id, ok := item.ex.(*identExpr); ok && out.Has(id.name) {
+			keys[oi].Col = out.MustColumn(id.name)
 			continue
 		}
-		// Computed sort key: evaluate against output columns into a
-		// temporary column, dropped after sorting.
-		vals := make([]value, work.NumRows())
-		ctx := &rowContext{frame: work}
-		for r := 0; r < work.NumRows(); r++ {
+		vals := make([]value, out.NumRows())
+		ctx := &rowContext{frame: out}
+		for r := range vals {
 			ctx.row = r
 			v, err := evalExpr(item.ex, ctx)
 			if err != nil {
@@ -433,27 +435,7 @@ func orderRows(stmt *selectStmt, out *dataframe.Frame) (*dataframe.Frame, error)
 			}
 			vals[r] = v
 		}
-		name := "__order_" + strconv.Itoa(oi)
-		col := valuesToColumn(name, vals)
-		// A shallow shell shares the output's column vectors but owns its
-		// column list, so temp sort keys never mutate the caller's frame.
-		// One shell serves every computed key (the old code deep-cloned the
-		// whole frame per key).
-		if work == out {
-			work = out.Shallow()
-		}
-		if err := work.AddColumn(col); err != nil {
-			return nil, err
-		}
-		tempCols = append(tempCols, name)
-		keys = append(keys, dataframe.SortKey{Col: name, Desc: item.desc})
+		keys[oi].Col = valuesToColumn("", vals)
 	}
-	sorted, err := work.SortBy(keys...)
-	if err != nil {
-		return nil, err
-	}
-	if len(tempCols) > 0 {
-		sorted = sorted.Drop(tempCols...)
-	}
-	return sorted, nil
+	return out.Gather(dataframe.SortRows(keys, out.NumRows())), nil
 }

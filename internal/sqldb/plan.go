@@ -1,11 +1,11 @@
 package sqldb
 
 import (
+	"container/heap"
 	"errors"
 	"math"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"infera/internal/dataframe"
 )
@@ -434,7 +434,7 @@ func buildersFrame(builders []*colBuilder) (*dataframe.Frame, error) {
 // finish applies DISTINCT and LIMIT to a projected frame.
 func (p *vecPlan) finish(out *dataframe.Frame) *dataframe.Frame {
 	if p.stmt.distinct {
-		out = distinctRows(out)
+		out = out.Distinct()
 	}
 	if p.stmt.limit >= 0 {
 		out = out.Head(p.stmt.limit)
@@ -500,22 +500,6 @@ func (p *vecPlan) appendOutputs(builders []*colBuilder, b *block, sel []int) {
 	}
 }
 
-func floatCmpNaNLast(x, y float64) int {
-	switch {
-	case math.IsNaN(x) && math.IsNaN(y):
-		return 0
-	case math.IsNaN(x):
-		return 1
-	case math.IsNaN(y):
-		return -1
-	case x < y:
-		return -1
-	case x > y:
-		return 1
-	}
-	return 0
-}
-
 // runOrdered executes a non-aggregating plan that sorts or has a
 // row-evaluated output. Key kernels evaluate per block; survivors are
 // either fed through a bounded top-k heap (a LIMIT, no DISTINCT and no
@@ -565,7 +549,7 @@ func (p *vecPlan) topKRefs(scan segScan, st *execStats) ([]rowRef, error) {
 	nk := len(p.orderNodes)
 	keyF, keyS := make([][]float64, nk), make([][]string, nk)
 	rowF, rowS := make([]float64, nk), make([]string, nk)
-	h := newTopK(p.stmt.limit, p.orderDesc, p.orderStr)
+	h := &topK{k: p.stmt.limit, desc: p.orderDesc, keys: p.orderKeys()}
 	oneKey := nk == 1 && !p.orderStr[0]
 	err := p.scanBlocks(scan, st, func(si int, b *block, sel []int) error {
 		p.evalKeys(b, sel, keyF, keyS)
@@ -592,16 +576,13 @@ func (p *vecPlan) topKRefs(scan segScan, st *execStats) ([]rowRef, error) {
 func (p *vecPlan) sortedRefs(scan segScan, st *execStats) ([]rowRef, error) {
 	nk := len(p.orderNodes)
 	keyF, keyS := make([][]float64, nk), make([][]string, nk)
-	accF, accS := make([][]float64, nk), make([][]string, nk)
+	keys := p.orderKeys()
 	var refs []rowRef
 	err := p.scanBlocks(scan, st, func(si int, b *block, sel []int) error {
 		p.evalKeys(b, sel, keyF, keyS)
-		for oi := 0; oi < nk; oi++ {
-			if p.orderStr[oi] {
-				accS[oi] = append(accS[oi], keyS[oi]...)
-			} else {
-				accF[oi] = append(accF[oi], keyF[oi]...)
-			}
+		for oi, key := range keys { // evalKeys fills one of keyS[oi], keyF[oi]
+			key.Col.S = append(key.Col.S, keyS[oi]...)
+			key.Col.F = append(key.Col.F, keyF[oi]...)
 		}
 		for j := range sel {
 			refs = append(refs, rowRef{seg: int32(si), row: int32(b.lo + sel[j])})
@@ -611,28 +592,7 @@ func (p *vecPlan) sortedRefs(scan segScan, st *execStats) ([]rowRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := make([]int, len(refs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		for oi := 0; oi < nk; oi++ {
-			var cmp int
-			if p.orderStr[oi] {
-				cmp = strings.Compare(accS[oi][ia], accS[oi][ib])
-			} else {
-				cmp = floatCmpNaNLast(accF[oi][ia], accF[oi][ib])
-			}
-			if p.orderDesc[oi] {
-				cmp = -cmp
-			}
-			if cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
+	idx := dataframe.SortRows(keys, len(refs))
 	sorted := make([]rowRef, len(refs))
 	for i, j := range idx {
 		sorted[i] = refs[j]
@@ -713,86 +673,81 @@ func (p *vecPlan) buildFromRefs(segs []*dataframe.Frame, refs []rowRef) (*datafr
 // gatherRefs copies one source column at the referenced rows, in order.
 func gatherRefs(segs []*dataframe.Frame, refs []rowRef, name string, kind dataframe.Kind) (*dataframe.Column, error) {
 	cols := make([]*dataframe.Column, len(segs))
-	colAt := func(si int32) (*dataframe.Column, error) {
-		if cols[si] == nil {
-			c, err := segs[si].Column(name)
+	for _, r := range refs {
+		if cols[r.seg] == nil {
+			c, err := segs[r.seg].Column(name)
 			if err != nil {
 				return nil, err
 			}
-			cols[si] = c
+			cols[r.seg] = c
 		}
-		return cols[si], nil
 	}
+	out := &dataframe.Column{Name: name, Kind: kind}
 	switch kind {
 	case dataframe.Float:
-		out := make([]float64, len(refs))
-		for j, r := range refs {
-			c, err := colAt(r.seg)
-			if err != nil {
-				return nil, err
-			}
-			out[j] = c.F[r.row]
-		}
-		return dataframe.NewFloat(name, out), nil
+		out.F = gatherCells(refs, cols, func(c *dataframe.Column) []float64 { return c.F })
 	case dataframe.Int:
-		out := make([]int64, len(refs))
-		for j, r := range refs {
-			c, err := colAt(r.seg)
-			if err != nil {
-				return nil, err
-			}
-			out[j] = c.I[r.row]
-		}
-		return dataframe.NewInt(name, out), nil
+		out.I = gatherCells(refs, cols, func(c *dataframe.Column) []int64 { return c.I })
 	default:
-		out := make([]string, len(refs))
-		for j, r := range refs {
-			c, err := colAt(r.seg)
-			if err != nil {
-				return nil, err
-			}
-			out[j] = c.S[r.row]
-		}
-		return dataframe.NewString(name, out), nil
+		out.S = gatherCells(refs, cols, func(c *dataframe.Column) []string { return c.S })
 	}
+	return out, nil
+}
+
+// gatherCells reads the cell at every ref from its segment's vector.
+func gatherCells[T any](refs []rowRef, cols []*dataframe.Column, cells func(*dataframe.Column) []T) []T {
+	vals := make([][]T, len(cols))
+	for si, c := range cols {
+		if c != nil {
+			vals[si] = cells(c)
+		}
+	}
+	out := make([]T, len(refs))
+	for j, r := range refs {
+		out[j] = vals[r.seg][r.row]
+	}
+	return out
 }
 
 // topK is a bounded max-heap keeping the k rows that sort first; the root
 // is the current worst survivor. Ties break by arrival order, which
-// reproduces the first k rows of the engine's stable full sort.
+// reproduces the first k rows of the engine's stable full sort. A
+// candidate's keys are the row of keys at its slot; a row on offer to a
+// full heap is written at slot k and compared there.
 type topkCand struct {
-	fk  []float64
-	sk  []string
-	ref rowRef
-	pos int64
+	fk   []float64 // the first key's cell at slot, where offerKeys reads it
+	slot int
+	ref  rowRef
+	pos  int64
 }
 
 type topK struct {
 	k     int
 	desc  []bool
-	isStr []bool
+	keys  []dataframe.OrderKey
 	cands []*topkCand
 	next  int64
 }
 
-func newTopK(k int, desc, isStr []bool) *topK {
-	return &topK{k: k, desc: desc, isStr: isStr}
+// orderKeys returns empty key columns of the plan's order keys: Float for
+// a non-string key (SQL orders Int as float64), String for a string key.
+func (p *vecPlan) orderKeys() []dataframe.OrderKey {
+	keys := make([]dataframe.OrderKey, len(p.orderNodes))
+	for oi := range keys {
+		col := dataframe.NewFloat("", nil)
+		if p.orderStr[oi] {
+			col = dataframe.NewString("", nil)
+		}
+		keys[oi] = dataframe.OrderKey{Col: col, Desc: p.orderDesc[oi]}
+	}
+	return keys
 }
 
+// cmp orders two candidates by their keys (dataframe.CompareRows), then
+// by arrival.
 func (t *topK) cmp(a, b *topkCand) int {
-	for oi := range t.desc {
-		var c int
-		if t.isStr[oi] {
-			c = strings.Compare(a.sk[oi], b.sk[oi])
-		} else {
-			c = floatCmpNaNLast(a.fk[oi], b.fk[oi])
-		}
-		if t.desc[oi] {
-			c = -c
-		}
-		if c != 0 {
-			return c
-		}
+	if c := dataframe.CompareRows(t.keys, a.slot, t.keys, b.slot); c != 0 {
+		return c
 	}
 	switch {
 	case a.pos < b.pos:
@@ -803,29 +758,34 @@ func (t *topK) cmp(a, b *topkCand) int {
 	return 0
 }
 
-// cmpRow compares an incoming row's keys against candidate c without
-// allocating; key ties mean the newer row sorts after (stable order).
-func (t *topK) cmpRow(fk []float64, sk []string, c *topkCand) int {
-	for oi := range t.desc {
-		var v int
-		if t.isStr[oi] {
-			v = strings.Compare(sk[oi], c.sk[oi])
-		} else {
-			v = floatCmpNaNLast(fk[oi], c.fk[oi])
-		}
-		if t.desc[oi] {
-			v = -v
-		}
-		if v != 0 {
-			return v
+// set writes a row's keys at slot s, one past the last slot growing the
+// key columns by a row.
+func (t *topK) set(s int, fk []float64, sk []string) {
+	for oi, key := range t.keys {
+		c := key.Col
+		switch {
+		case c.Kind == dataframe.String && s == len(c.S):
+			c.S = append(c.S, sk[oi])
+		case c.Kind == dataframe.String:
+			c.S[s] = sk[oi]
+		case s == len(c.F):
+			c.F = append(c.F, fk[oi])
+		default:
+			c.F[s] = fk[oi]
 		}
 	}
-	return 1
 }
 
 func (t *topK) offer(fk []float64, sk []string, ref rowRef) {
-	if t.k == 0 || len(t.cands) == t.k && t.cmpRow(fk, sk, t.cands[0]) >= 0 {
+	if t.k == 0 {
 		return
+	}
+	if len(t.cands) == t.k {
+		// A row that ties the root arrived later, so it sorts after it.
+		t.set(t.k, fk, sk)
+		if t.cmp(&topkCand{slot: t.k, pos: t.next}, t.cands[0]) >= 0 {
+			return
+		}
 	}
 	t.push(fk, sk, ref)
 }
@@ -834,8 +794,8 @@ func (t *topK) offer(fk []float64, sk []string, ref rowRef) {
 // float key (Int keys arrive as the float64 that vec.floats yields, which
 // is what the tree-walk compares). With the heap full, the root's key
 // stays in thr and a row enters only when it sorts strictly before it,
-// as cmpRow decides: a tie goes to the earlier row, and NaN sorts last
-// ascending and first descending, as floatCmpNaNLast orders it.
+// as cmp decides: a tie goes to the earlier row, and NaN sorts last
+// ascending and first descending, as dataframe.CompareRows orders it.
 func (t *topK) offerKeys(keys []float64, si, lo int, sel []int) {
 	if t.k == 0 {
 		return
@@ -866,76 +826,39 @@ func (t *topK) offerKeys(keys []float64, si, lo int, sel []int) {
 // push adds a row to a heap with room, or in place of the root of a full
 // heap when the row sorts before it.
 func (t *topK) push(fk []float64, sk []string, ref rowRef) {
-	cand := &topkCand{
-		fk:  append([]float64(nil), fk...),
-		sk:  append([]string(nil), sk...),
-		ref: ref, pos: t.next,
+	slot := len(t.cands)
+	if slot == t.k {
+		slot = t.cands[0].slot
+	}
+	t.set(slot, fk, sk)
+	cand := &topkCand{slot: slot, ref: ref, pos: t.next}
+	if c := t.keys[0].Col; c.Kind == dataframe.Float {
+		cand.fk = c.F[slot : slot+1]
 	}
 	t.next++
 	if len(t.cands) < t.k {
-		t.cands = append(t.cands, cand)
-		t.siftUp(len(t.cands) - 1)
+		heap.Push(t, cand)
 		return
 	}
 	t.cands[0] = cand
-	t.siftDown(0)
+	heap.Fix(t, 0)
 }
 
-func (t *topK) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if t.cmp(t.cands[i], t.cands[parent]) <= 0 {
-			return
-		}
-		t.cands[i], t.cands[parent] = t.cands[parent], t.cands[i]
-		i = parent
-	}
-}
-
-func (t *topK) siftDown(i int) {
-	n := len(t.cands)
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < n && t.cmp(t.cands[l], t.cands[big]) > 0 {
-			big = l
-		}
-		if r < n && t.cmp(t.cands[r], t.cands[big]) > 0 {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		t.cands[i], t.cands[big] = t.cands[big], t.cands[i]
-		i = big
-	}
-}
+// The heap.Interface of the candidates: the root sorts last.
+func (t *topK) Len() int           { return len(t.cands) }
+func (t *topK) Less(i, j int) bool { return t.cmp(t.cands[i], t.cands[j]) > 0 }
+func (t *topK) Swap(i, j int)      { t.cands[i], t.cands[j] = t.cands[j], t.cands[i] }
+func (t *topK) Push(c any)         { t.cands = append(t.cands, c.(*topkCand)) }
+func (t *topK) Pop() any           { panic("sqldb: the top-k heap never pops") }
 
 // finalize returns the surviving row refs in final sort order.
 func (t *topK) finalize() []rowRef {
-	sort.Slice(t.cands, func(a, b int) bool { return t.cmp(t.cands[a], t.cands[b]) < 0 })
+	slices.SortFunc(t.cands, t.cmp)
 	refs := make([]rowRef, len(t.cands))
 	for i, c := range t.cands {
 		refs[i] = c.ref
 	}
 	return refs
-}
-
-// appendDisplay renders element j of a key vector exactly as
-// value.display() would (%g floats, %d ints, raw strings) for group-key
-// hashing.
-func appendDisplay(dst []byte, v vec, j int) []byte {
-	if v.cnst {
-		j = 0
-	}
-	switch v.kind {
-	case dataframe.Float:
-		return strconv.AppendFloat(dst, v.f[j], 'g', -1, 64)
-	case dataframe.Int:
-		return strconv.AppendInt(dst, v.i[j], 10)
-	default:
-		return append(dst, v.s[j]...)
-	}
 }
 
 func newAccs(aggNodes []*aggExpr) []*aggAccumulator {
@@ -968,7 +891,7 @@ func (p *vecPlan) runGrouped(scan segScan, st *execStats) (*dataframe.Frame, err
 		return nil, err
 	}
 	if p.stmt.distinct {
-		out = distinctRows(out)
+		out = out.Distinct()
 	}
 	if len(p.stmt.orderBy) > 0 {
 		if out, err = orderRows(p.stmt, out); err != nil {
@@ -983,23 +906,13 @@ func (p *vecPlan) runGrouped(scan segScan, st *execStats) (*dataframe.Frame, err
 
 // accumulate streams the scan into per-group accumulators, in first-seen
 // group order: group keys and aggregate arguments evaluate as vectors per
-// block.
+// block, and dataframe.KeyIndex numbers the groups.
 func (p *vecPlan) accumulate(scan segScan, st *execStats) ([]*aggGroup, error) {
 	var order []*aggGroup
-	nKeys := len(p.groupKeys)
-	nAggs := len(p.aggNodes)
-	keyVecs := make([]vec, nKeys)
-	argF := make([][]float64, nAggs)
-	keyBuf := make([]byte, 0, 64)
-
-	// Key fast paths: a single Int or String group key needs no rendered
-	// composite key — the raw value is an equivalent group identity
-	// (display() is injective for int64 and the identity for strings).
-	intKey := nKeys == 1 && p.groupKeys[0].kind() == dataframe.Int
-	strKey := nKeys == 1 && p.groupKeys[0].kind() == dataframe.String
-	groupOf := map[string]*aggGroup{}
-	intGroups := map[int64]*aggGroup{}
-
+	keys := make([]*dataframe.Column, len(p.groupKeys))
+	argF := make([][]float64, len(p.aggNodes))
+	var groups dataframe.KeyIndex
+	var ids []int
 	err := p.scanBlocks(scan, st, func(si int, b *block, sel []int) error {
 		kn := len(sel)
 		// Kernels are total functions, so evaluating rows the filter
@@ -1008,74 +921,46 @@ func (p *vecPlan) accumulate(scan segScan, st *execStats) ([]*aggGroup, error) {
 		// gathering a compact copy of every referenced column — column
 		// references evaluate as zero-copy aliases.
 		dense := 4*kn >= b.n() && !p.rowKeys // a rowNode may fail on a rejected row
-		eb := b
+		eb, rows := b, sel
 		if !dense {
-			eb = compactBlock(b, sel, p.groupCols)
+			eb, rows = compactBlock(b, sel, p.groupCols), blockRows[:kn]
 		}
 		en := eb.n()
 		for i, g := range p.groupKeys {
-			keyVecs[i] = g.eval(eb)
-		}
-		var intKeys []int64
-		var strKeys []string
-		if intKey {
-			intKeys = keyVecs[0].ints(en)
-		} else if strKey {
-			strKeys = keyVecs[0].strs(en)
+			keys[i] = g.eval(eb).column(en)
 		}
 		for i, a := range p.aggArgs {
 			if a != nil {
 				argF[i] = a.eval(eb).floats(en)
 			}
 		}
-		for j := 0; j < kn; j++ {
-			r := j
-			if dense {
-				r = sel[j]
+		ids = groups.Add(ids[:0], keys, rows)
+		for j, g := range ids {
+			if g == len(order) {
+				order = append(order, &aggGroup{frame: b.seg, row: b.lo + sel[j], accs: newAccs(p.aggNodes)})
 			}
-			var grp *aggGroup
-			var ok bool
-			switch {
-			case intKey:
-				grp, ok = intGroups[intKeys[r]]
-			case strKey:
-				grp, ok = groupOf[strKeys[r]]
-			case nKeys == 0:
-				grp, ok = groupOf[""]
-			default:
-				keyBuf = keyBuf[:0]
-				for _, kv := range keyVecs {
-					keyBuf = appendDisplay(keyBuf, kv, r)
-					keyBuf = append(keyBuf, '\x1f')
-				}
-				grp, ok = groupOf[string(keyBuf)]
-			}
-			if !ok {
-				grp = &aggGroup{frame: b.seg, row: b.lo + sel[j], accs: newAccs(p.aggNodes)}
-				switch {
-				case intKey:
-					intGroups[intKeys[r]] = grp
-				case strKey:
-					groupOf[strKeys[r]] = grp
-				case nKeys == 0:
-					groupOf[""] = grp
-				default:
-					groupOf[string(keyBuf)] = grp
-				}
-				order = append(order, grp)
-			}
+			grp := order[g]
 			for i := range p.aggNodes {
 				if p.aggArgs[i] == nil {
 					grp.accs[i].addFloat(1)
 					continue
 				}
-				grp.accs[i].addFloat(argF[i][r])
+				grp.accs[i].addFloat(argF[i][rows[j]])
 			}
 		}
 		return nil
 	})
 	return order, err
 }
+
+// blockRows lists the rows of a whole block, 0 … blockSize-1.
+var blockRows = func() []int {
+	rows := make([]int, blockSize)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}()
 
 // ---------------------------------------------------------------------------
 // Segment pruning

@@ -93,6 +93,18 @@ func (v vec) strs(n int) []string {
 	return out
 }
 
+// column returns the vector as a column of n rows, of the vector's kind.
+func (v vec) column(n int) *dataframe.Column {
+	switch v.kind {
+	case dataframe.Float:
+		return dataframe.NewFloat("", v.floats(n))
+	case dataframe.Int:
+		return dataframe.NewInt("", v.ints(n))
+	default:
+		return dataframe.NewString("", v.strs(n))
+	}
+}
+
 // truthyMask reports value.truthy per element.
 func (v vec) truthyMask(n int) []bool {
 	out := make([]bool, n)
