@@ -14,6 +14,14 @@
 // String bytewise). Every "which rows share a key" is KeyIndex: dense
 // group numbers in first-seen order over typed key tuples (rows.go).
 //
+// # Group aggregates
+//
+// Every group aggregate, the script's groupby and SQL's COUNT, SUM, AVG,
+// MIN, MAX, STDDEV and MEDIAN on both engines, is a Reducer fed values
+// under those dense group numbers (groupby.go). One rule holds for all of
+// them: NaN is skipped, an aggregate over no value but NaN is NaN, and
+// Count counts rows.
+//
 // # Column origins
 //
 // A column may say where its cells came from (origin.go): the staging

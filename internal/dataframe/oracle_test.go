@@ -14,6 +14,10 @@ import (
 // the rows' StringAt text). The one change is the composite key: each part
 // is length-prefixed instead of ending in '\x1f', so that ("x\x1f", "y")
 // and ("x", "\x1fy") stay two keys.
+//
+// refReduce is the group aggregate the script's groupby used before the
+// Reducer, unchanged: one operator over one group's member rows, in input
+// order.
 
 // refSortBy returns f's rows stably sorted by keys.
 func refSortBy(f *Frame, keys ...SortKey) *Frame {
@@ -126,4 +130,68 @@ func refFind(build, probe *Column) []int {
 		out[r] = g
 	}
 	return out
+}
+
+func refReduce(c *Column, rows []int, op AggOp) float64 {
+	switch op {
+	case Sum, Mean, Std:
+		var sum, sumsq float64
+		n := 0
+		for _, r := range rows {
+			v := c.FloatAt(r)
+			if math.IsNaN(v) {
+				continue
+			}
+			sum += v
+			sumsq += v * v
+			n++
+		}
+		if n == 0 {
+			return math.NaN()
+		}
+		switch op {
+		case Sum:
+			return sum
+		case Mean:
+			return sum / float64(n)
+		default:
+			m := sum / float64(n)
+			v := sumsq/float64(n) - m*m
+			if v < 0 {
+				v = 0
+			}
+			return math.Sqrt(v)
+		}
+	case Min, Max:
+		best := math.NaN()
+		for _, r := range rows {
+			v := c.FloatAt(r)
+			if math.IsNaN(v) {
+				continue
+			}
+			if math.IsNaN(best) || (op == Min && v < best) || (op == Max && v > best) {
+				best = v
+			}
+		}
+		return best
+	case Median:
+		vals := make([]float64, 0, len(rows))
+		for _, r := range rows {
+			v := c.FloatAt(r)
+			if !math.IsNaN(v) {
+				vals = append(vals, v)
+			}
+		}
+		if len(vals) == 0 {
+			return math.NaN()
+		}
+		sort.Float64s(vals)
+		mid := len(vals) / 2
+		if len(vals)%2 == 1 {
+			return vals[mid]
+		}
+		return (vals[mid-1] + vals[mid]) / 2
+	default:
+		return math.NaN()
+	}
 }

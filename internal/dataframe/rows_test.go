@@ -70,9 +70,9 @@ func randomEdgeFrame(rng *rand.Rand, rows int) *Frame {
 // single keys of each kind, multi-key and mixed-kind lists.
 var keySets = [][]string{{"f"}, {"i"}, {"s"}, {"s", "i"}, {"f", "s"}, {"i", "f", "s"}, {"s", "f"}}
 
-// checkRowKernels compares SortBy, Group, Distinct, GroupBy and KeyIndex's
-// cross-kind Find on f with the reference, and returns the first
-// difference.
+// checkRowKernels compares SortBy, Group, Distinct, GroupBy (its groups
+// and every aggregate) and KeyIndex's cross-kind Find on f with the
+// reference, and returns the first difference.
 func checkRowKernels(f *Frame) error {
 	for ki, names := range keySets {
 		for mask := 0; mask < 1<<len(names); mask++ {
@@ -104,6 +104,9 @@ func checkRowKernels(f *Frame) error {
 		if got := g.MustColumn("first").I; !sameInts(int64s(got), wantFirst) {
 			return fmt.Errorf("GroupBy(%v): first rows %v, want %v (key set %d)", names, got, wantFirst, ki)
 		}
+		if err := checkReduce(f, names, wantIDs, len(wantFirst)); err != nil {
+			return err
+		}
 		sub, _ := f.Select(names...)
 		if want := sub.Gather(wantFirst); !Equal(sub.Distinct(), want) {
 			return fmt.Errorf("Distinct(%v) differs from the reference", names)
@@ -116,6 +119,48 @@ func checkRowKernels(f *Frame) error {
 			got := x.Find(nil, []*Column{f.MustColumn(probe)}, nil)
 			if want := refFind(f.MustColumn(build), f.MustColumn(probe)); !sameInts(got, want) {
 				return fmt.Errorf("Find(%s in %s) = %v, want %v", probe, build, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// checkReduce compares GroupBy's aggregates of every column of f under
+// every operator with the reference over the reference groups ids: Count
+// with the group's rows, First with its first row's value, and the rest
+// with refReduce, bit for bit with every NaN alike.
+func checkReduce(f *Frame, keys []string, ids []int, groups int) error {
+	members := make([][]int, groups)
+	for r, g := range ids {
+		members[g] = append(members[g], r)
+	}
+	var aggs []Agg
+	for _, col := range []string{"f", "i", "s", "id"} {
+		for _, op := range []AggOp{Sum, Mean, Min, Max, Count, Std, First, Median} {
+			aggs = append(aggs, Agg{Col: col, Op: op})
+		}
+	}
+	out, err := f.GroupBy(keys, aggs)
+	if err != nil {
+		return err
+	}
+	for _, a := range aggs {
+		src, got := f.MustColumn(a.Col), out.MustColumn(a.outName())
+		for g, rows := range members {
+			var want float64
+			switch a.Op {
+			case Count:
+				if got.Kind != Int || got.I[g] != int64(len(rows)) {
+					return fmt.Errorf("GroupBy(%v): %s of group %d is %v, want %d", keys, a.outName(), g, got.StringAt(g), len(rows))
+				}
+				continue
+			case First:
+				want = src.FloatAt(rows[0])
+			default:
+				want = refReduce(src, rows, a.Op)
+			}
+			if v := got.FloatAt(g); math.Float64bits(v) != math.Float64bits(want) && !(v != v && want != want) {
+				return fmt.Errorf("GroupBy(%v): %s of group %d (rows %v) is %v, want %v", keys, a.outName(), g, rows, v, want)
 			}
 		}
 	}
@@ -238,19 +283,22 @@ func BenchmarkSortBy(b *testing.B) {
 
 func BenchmarkGroupBy(b *testing.B) {
 	f := benchFrame(50_000)
-	aggs := []Agg{{Col: "mass", Op: Mean, As: "mean_mass"}, {Col: "count", Op: Max, As: "max_count"}}
+	meanMax := []Agg{{Col: "mass", Op: Mean, As: "mean_mass"}, {Col: "count", Op: Max, As: "max_count"}}
+	sumStdMedian := []Agg{{Col: "mass", Op: Sum}, {Col: "mass", Op: Std}, {Col: "mass", Op: Median}}
 	for _, bc := range []struct {
 		name string
 		keys []string
+		aggs []Agg
 	}{
-		{"int", []string{"tag"}},
-		{"string", []string{"sim"}},
-		{"string_int", []string{"sim", "tag"}},
+		{"int", []string{"tag"}, meanMax},
+		{"string", []string{"sim"}, meanMax},
+		{"string_int", []string{"sim", "tag"}, meanMax},
+		{"string/sum_std_median", []string{"sim"}, sumStdMedian},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := f.GroupBy(bc.keys, aggs); err != nil {
+				if _, err := f.GroupBy(bc.keys, bc.aggs); err != nil {
 					b.Fatal(err)
 				}
 			}

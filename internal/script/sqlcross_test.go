@@ -16,15 +16,19 @@ import (
 
 // crossFrame is a shuffled table of rows rows: g, a String key with a
 // '\x1f' in some values; k, an Int key of a few values up to ±(2^53-1); f,
-// a Float key with NaN, ±0 and ±Inf; v, a Float value with no NaN.
+// a Float key with NaN, ±0 and ±Inf; v, a Float value, NaN in about one row
+// in eight and in every row of group g = "nan".
 func crossFrame(rng *rand.Rand, rows int) *dataframe.Frame {
-	gs := []string{"", "a", "b", "x\x1f", "\x1fy", "3"}
+	gs := []string{"", "a", "b", "x\x1f", "\x1fy", "3", "nan"}
 	ks := []int64{0, 3, -3, 1<<53 - 1, -(1<<53 - 1), 1e6}
 	fs := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1.5, 3}
 	g, k, f, v := make([]string, rows), make([]int64, rows), make([]float64, rows), make([]float64, rows)
 	for r := range g {
 		g[r], k[r], f[r] = gs[rng.Intn(len(gs))], ks[rng.Intn(len(ks))], fs[rng.Intn(len(fs))]
 		v[r] = float64(rng.Intn(2000)-1000) / 8
+		if g[r] == "nan" || rng.Intn(8) == 0 {
+			v[r] = math.NaN()
+		}
 	}
 	return dataframe.MustFromColumns(dataframe.NewString("g", g), dataframe.NewInt("k", k),
 		dataframe.NewFloat("f", f), dataframe.NewFloat("v", v))
@@ -84,8 +88,12 @@ func TestSQLAndScriptAgree(t *testing.T) {
 			{"SELECT DISTINCT g, k FROM t", `result(distinct(t, ["g", "k"]))`},
 			{"SELECT DISTINCT f, g FROM t", `result(distinct(t, ["f", "g"]))`},
 			{
-				"SELECT g, k, COUNT(*) AS n, SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi, AVG(v) AS m FROM t GROUP BY g, k",
-				`result(groupby_multi(t, ["g", "k"], ["v", "v", "v", "v", "v"], ["count", "sum", "min", "max", "mean"], ["n", "s", "lo", "hi", "m"]))`,
+				"SELECT g, k, COUNT(*) AS n, SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi, AVG(v) AS m, STDDEV(v) AS sd, MEDIAN(v) AS med FROM t GROUP BY g, k",
+				`result(groupby_multi(t, ["g", "k"], ["v", "v", "v", "v", "v", "v", "v"], ["count", "sum", "min", "max", "mean", "std", "median"], ["n", "s", "lo", "hi", "m", "sd", "med"]))`,
+			},
+			{
+				"SELECT g, COUNT(v) AS n, SUM(v) AS s, STDDEV(v) AS sd, MEDIAN(v) AS med FROM t GROUP BY g",
+				`result(groupby_multi(t, ["g"], ["v", "v", "v", "v"], ["count", "sum", "std", "median"], ["n", "s", "sd", "med"]))`,
 			},
 			{
 				"SELECT f, COUNT(*) AS n, SUM(v) AS s FROM t WHERE v > 0 GROUP BY f",

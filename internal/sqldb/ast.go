@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"infera/internal/dataframe"
 )
 
 // Expression AST. Expressions appear in select lists, WHERE, GROUP BY and
@@ -113,8 +115,9 @@ func (e *callExpr) String() string {
 // aggExpr is an aggregate invocation: COUNT(*), SUM(x), AVG(x), MIN, MAX,
 // STDDEV, MEDIAN.
 type aggExpr struct {
-	fn   string // upper-cased
-	arg  expr   // nil for COUNT(*)
+	fn   string          // upper-cased
+	op   dataframe.AggOp // fn's reduction (AVG is Mean, STDDEV is Std)
+	arg  expr            // nil for COUNT(*)
 	star bool
 }
 

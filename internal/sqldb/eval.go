@@ -3,7 +3,6 @@ package sqldb
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"infera/internal/dataframe"
@@ -79,13 +78,18 @@ func (c *rowContext) lookup(name string) (value, error) {
 	if err != nil {
 		return value{}, err
 	}
-	switch col.Kind {
+	return cellValue(col, c.row), nil
+}
+
+// cellValue returns row r of c as a value.
+func cellValue(c *dataframe.Column, r int) value {
+	switch c.Kind {
 	case dataframe.Float:
-		return floatVal(col.F[c.row]), nil
+		return floatVal(c.F[r])
 	case dataframe.Int:
-		return intVal(col.I[c.row]), nil
+		return intVal(c.I[r])
 	default:
-		return stringVal(col.S[c.row]), nil
+		return stringVal(c.S[r])
 	}
 }
 
@@ -351,90 +355,4 @@ func evalCall(e *callExpr, ctx evalContext) (value, error) {
 		return floatVal(math.Pow(args[0], args[1])), nil
 	}
 	return value{}, evalErrf("unknown function %q", e.fn)
-}
-
-// aggAccumulator accumulates one aggregate over a group.
-type aggAccumulator struct {
-	fn    string
-	n     int64
-	sum   float64
-	sumsq float64
-	min   float64
-	max   float64
-	vals  []float64 // MEDIAN only
-}
-
-func newAccumulator(fn string) *aggAccumulator {
-	return &aggAccumulator{fn: fn, min: math.Inf(1), max: math.Inf(-1)}
-}
-
-func (a *aggAccumulator) add(v value) { a.addFloat(v.asFloat()) }
-
-// addFloat is the hot path shared with the vectorized engine, which feeds
-// aggregate arguments as raw float blocks. COUNT ignores the value; NaN
-// counts toward n (AVG divides by it) but never contributes to the moments.
-func (a *aggAccumulator) addFloat(f float64) {
-	a.n++
-	if a.fn == "COUNT" {
-		return
-	}
-	if math.IsNaN(f) {
-		return
-	}
-	a.sum += f
-	a.sumsq += f * f
-	if f < a.min {
-		a.min = f
-	}
-	if f > a.max {
-		a.max = f
-	}
-	if a.fn == "MEDIAN" {
-		a.vals = append(a.vals, f)
-	}
-}
-
-func (a *aggAccumulator) result() value {
-	switch a.fn {
-	case "COUNT":
-		return intVal(a.n)
-	case "SUM":
-		return floatVal(a.sum)
-	case "AVG":
-		if a.n == 0 {
-			return floatVal(math.NaN())
-		}
-		return floatVal(a.sum / float64(a.n))
-	case "MIN":
-		if a.n == 0 {
-			return floatVal(math.NaN())
-		}
-		return floatVal(a.min)
-	case "MAX":
-		if a.n == 0 {
-			return floatVal(math.NaN())
-		}
-		return floatVal(a.max)
-	case "STDDEV":
-		if a.n == 0 {
-			return floatVal(math.NaN())
-		}
-		m := a.sum / float64(a.n)
-		v := a.sumsq/float64(a.n) - m*m
-		if v < 0 {
-			v = 0
-		}
-		return floatVal(math.Sqrt(v))
-	case "MEDIAN":
-		if len(a.vals) == 0 {
-			return floatVal(math.NaN())
-		}
-		sort.Float64s(a.vals)
-		mid := len(a.vals) / 2
-		if len(a.vals)%2 == 1 {
-			return floatVal(a.vals[mid])
-		}
-		return floatVal((a.vals[mid-1] + a.vals[mid]) / 2)
-	}
-	return floatVal(math.NaN())
 }

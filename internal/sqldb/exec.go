@@ -254,32 +254,46 @@ func valuesToColumn(name string, vals []value) *dataframe.Column {
 	}
 }
 
-// groupContext serves identifier lookups from a group's first row and
-// aggregate lookups from the accumulated results.
+// groupContext serves identifier lookups from group g's first row and
+// aggregate lookups from row g of each aggregate's result column.
 type groupContext struct {
 	row  *rowContext
-	aggs map[*aggExpr]value
+	aggs map[*aggExpr]*dataframe.Column
+	g    int
 }
 
 func (c *groupContext) lookup(name string) (value, error) { return c.row.lookup(name) }
 func (c *groupContext) aggValue(e *aggExpr) (value, bool) {
-	v, ok := c.aggs[e]
-	return v, ok
+	col, ok := c.aggs[e]
+	if !ok {
+		return value{}, false
+	}
+	return cellValue(col, c.g), true
 }
 
-// aggGroup is one accumulated group: an exemplar row (frame + row index)
-// for non-aggregate select items, and one accumulator per aggregate node.
-// The synthetic empty global group has row = -1 and never resolves
-// identifiers (renderGroups rejects non-pure-aggregate items first).
+// aggGroup is one group's exemplar row (frame + row index) for
+// non-aggregate select items; the group's aggregates live in the query's
+// reducers, under the group's number. The synthetic empty global group has
+// row = -1 and never resolves identifiers (renderGroups rejects
+// non-pure-aggregate items first).
 type aggGroup struct {
 	frame *dataframe.Frame
 	row   int
-	accs  []*aggAccumulator
+}
+
+// newReducers returns one group reducer per aggregate node.
+func newReducers(aggNodes []*aggExpr) []*dataframe.Reducer {
+	reds := make([]*dataframe.Reducer, len(aggNodes))
+	for i, a := range aggNodes {
+		reds[i] = dataframe.NewReducer(a.op)
+	}
+	return reds
 }
 
 // executeGrouped handles aggregate and GROUP BY queries. Group keys are the
-// GROUP BY expressions (or one global group when absent); each aggregate
-// node accumulates per group in a single streaming pass.
+// GROUP BY expressions (or one global group when absent), told apart by
+// their length-prefixed text, independently of dataframe.KeyIndex; each
+// aggregate node reduces per group in a single streaming pass.
 func executeGrouped(stmt *selectStmt, src *dataframe.Frame, keep []int) (*dataframe.Frame, error) {
 	// Collect distinct aggregate nodes across select items.
 	var aggNodes []*aggExpr
@@ -290,8 +304,9 @@ func executeGrouped(stmt *selectStmt, src *dataframe.Frame, keep []int) (*datafr
 		collectAggs(item.ex, &aggNodes)
 	}
 
-	groupOf := map[string]*aggGroup{}
-	var order []*aggGroup
+	groupOf := map[string]int{}
+	var order []aggGroup
+	reds := newReducers(aggNodes)
 	ctx := &rowContext{frame: src}
 	var sb strings.Builder
 
@@ -310,45 +325,46 @@ func executeGrouped(stmt *selectStmt, src *dataframe.Frame, keep []int) (*datafr
 			sb.WriteString(d)
 		}
 		key := sb.String()
-		grp, ok := groupOf[key]
+		g, ok := groupOf[key]
 		if !ok {
-			grp = &aggGroup{frame: src, row: r, accs: newAccs(aggNodes)}
-			groupOf[key] = grp
-			order = append(order, grp)
+			g = len(order)
+			groupOf[key] = g
+			order = append(order, aggGroup{frame: src, row: r})
 		}
 		for i, a := range aggNodes {
 			if a.star {
-				grp.accs[i].add(intVal(1))
+				reds[i].Add(g, 1)
 				continue
 			}
 			v, err := evalExpr(a.arg, ctx)
 			if err != nil {
 				return nil, err
 			}
-			grp.accs[i].add(v)
+			reds[i].Add(g, v.asFloat())
 		}
 	}
 	// A global aggregate over zero rows still yields one row (COUNT = 0).
 	if len(stmt.groupBy) == 0 && len(order) == 0 {
-		order = append(order, &aggGroup{frame: src, row: -1, accs: newAccs(aggNodes)})
+		order = append(order, aggGroup{frame: src, row: -1})
 	}
-	return renderGroups(stmt, aggNodes, order)
+	return renderGroups(stmt, aggNodes, reds, order)
 }
 
-// renderGroups evaluates the select list once per accumulated group and
-// assembles the output frame. Shared by the tree-walk and vectorized
-// backends, so grouped projection semantics cannot diverge.
-func renderGroups(stmt *selectStmt, aggNodes []*aggExpr, order []*aggGroup) (*dataframe.Frame, error) {
+// renderGroups evaluates the select list once per group, reading group
+// gi's aggregates from row gi of each reducer's results, and assembles the
+// output frame. Shared by the tree-walk and vectorized backends, so
+// grouped projection semantics cannot diverge.
+func renderGroups(stmt *selectStmt, aggNodes []*aggExpr, reds []*dataframe.Reducer, order []aggGroup) (*dataframe.Frame, error) {
 	itemVals := make([][]value, len(stmt.items))
 	for i := range itemVals {
 		itemVals[i] = make([]value, len(order))
 	}
+	aggs := make(map[*aggExpr]*dataframe.Column, len(aggNodes))
+	for i, a := range aggNodes {
+		aggs[a] = reds[i].Column("", len(order))
+	}
 	for gi, grp := range order {
-		aggs := make(map[*aggExpr]value, len(aggNodes))
-		for i, a := range aggNodes {
-			aggs[a] = grp.accs[i].result()
-		}
-		gctx := &groupContext{row: &rowContext{frame: grp.frame, row: grp.row}, aggs: aggs}
+		gctx := &groupContext{row: &rowContext{frame: grp.frame, row: grp.row}, aggs: aggs, g: gi}
 		for ii, item := range stmt.items {
 			if grp.row < 0 && !isPureAggregate(item.ex) {
 				return nil, evalErrf("non-aggregate select item over empty input")

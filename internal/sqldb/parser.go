@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"infera/internal/dataframe"
 )
 
 type parser struct {
@@ -387,11 +389,6 @@ func (p *parser) unaryExpr() (expr, error) {
 	return p.primary()
 }
 
-var aggNames = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"STDDEV": true, "MEDIAN": true,
-}
-
 var scalarFuncs = map[string]int{ // name -> arity (-1 variadic>=1)
 	"ABS": 1, "SQRT": 1, "LOG10": 1, "LOG": 1, "EXP": 1, "FLOOR": 1,
 	"CEIL": 1, "POW": 2, "ROUND": 1,
@@ -411,7 +408,9 @@ func (p *parser) primary() (expr, error) {
 		p.pos++
 		return &stringExpr{val: t.text}, nil
 	case tokKeyword:
-		if aggNames[t.text] {
+		// The aggregate keywords are the SQL names of dataframe's
+		// reductions: COUNT, SUM, AVG, MIN, MAX, STDDEV and MEDIAN.
+		if op, err := dataframe.ParseAggOp(t.text); err == nil {
 			fn := t.text
 			p.pos++
 			if err := p.expectSymbol("("); err != nil {
@@ -424,7 +423,7 @@ func (p *parser) primary() (expr, error) {
 				if err := p.expectSymbol(")"); err != nil {
 					return nil, err
 				}
-				return &aggExpr{fn: fn, star: true}, nil
+				return &aggExpr{fn: fn, op: op, star: true}, nil
 			}
 			arg, err := p.orExpr()
 			if err != nil {
@@ -433,7 +432,7 @@ func (p *parser) primary() (expr, error) {
 			if err := p.expectSymbol(")"); err != nil {
 				return nil, err
 			}
-			return &aggExpr{fn: fn, arg: arg}, nil
+			return &aggExpr{fn: fn, op: op, arg: arg}, nil
 		}
 		return nil, p.errf("unexpected keyword %q in expression", t.text)
 	case tokIdent:

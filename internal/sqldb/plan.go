@@ -861,16 +861,8 @@ func (t *topK) finalize() []rowRef {
 	return refs
 }
 
-func newAccs(aggNodes []*aggExpr) []*aggAccumulator {
-	accs := make([]*aggAccumulator, len(aggNodes))
-	for i, a := range aggNodes {
-		accs[i] = newAccumulator(a.fn)
-	}
-	return accs
-}
-
 // runGrouped executes aggregate/GROUP BY plans: a single streaming pass
-// accumulates the groups, and the O(groups)-sized select list renders
+// reduces the groups, and the O(groups)-sized select list renders
 // through the shared renderGroups path.
 func (p *vecPlan) runGrouped(scan segScan, st *execStats) (*dataframe.Frame, error) {
 	if p.starAgg {
@@ -879,14 +871,14 @@ func (p *vecPlan) runGrouped(scan segScan, st *execStats) (*dataframe.Frame, err
 		}
 		return nil, evalErrf("SELECT * cannot be combined with aggregates")
 	}
-	order, err := p.accumulate(scan, st)
+	order, reds, err := p.accumulate(scan, st)
 	if err != nil {
 		return nil, err
 	}
 	if len(p.groupKeys) == 0 && len(order) == 0 {
-		order = append(order, &aggGroup{row: -1, accs: newAccs(p.aggNodes)})
+		order = append(order, aggGroup{row: -1})
 	}
-	out, err := renderGroups(p.stmt, p.aggNodes, order)
+	out, err := renderGroups(p.stmt, p.aggNodes, reds, order)
 	if err != nil {
 		return nil, err
 	}
@@ -904,11 +896,13 @@ func (p *vecPlan) runGrouped(scan segScan, st *execStats) (*dataframe.Frame, err
 	return out, nil
 }
 
-// accumulate streams the scan into per-group accumulators, in first-seen
-// group order: group keys and aggregate arguments evaluate as vectors per
-// block, and dataframe.KeyIndex numbers the groups.
-func (p *vecPlan) accumulate(scan segScan, st *execStats) ([]*aggGroup, error) {
-	var order []*aggGroup
+// accumulate streams the scan into one reducer per aggregate node and
+// returns each group's exemplar row, in first-seen group order: group keys
+// and aggregate arguments evaluate as vectors per block, and
+// dataframe.KeyIndex numbers the groups.
+func (p *vecPlan) accumulate(scan segScan, st *execStats) ([]aggGroup, []*dataframe.Reducer, error) {
+	var order []aggGroup
+	reds := newReducers(p.aggNodes)
 	keys := make([]*dataframe.Column, len(p.groupKeys))
 	argF := make([][]float64, len(p.aggNodes))
 	var groups dataframe.KeyIndex
@@ -937,20 +931,23 @@ func (p *vecPlan) accumulate(scan segScan, st *execStats) ([]*aggGroup, error) {
 		ids = groups.Add(ids[:0], keys, rows)
 		for j, g := range ids {
 			if g == len(order) {
-				order = append(order, &aggGroup{frame: b.seg, row: b.lo + sel[j], accs: newAccs(p.aggNodes)})
+				order = append(order, aggGroup{frame: b.seg, row: b.lo + sel[j]})
 			}
-			grp := order[g]
-			for i := range p.aggNodes {
-				if p.aggArgs[i] == nil {
-					grp.accs[i].addFloat(1)
-					continue
+		}
+		for i, red := range reds {
+			if argF[i] == nil {
+				for _, g := range ids {
+					red.Add(g, 1)
 				}
-				grp.accs[i].addFloat(argF[i][rows[j]])
+				continue
+			}
+			for j, g := range ids {
+				red.Add(g, argF[i][rows[j]])
 			}
 		}
 		return nil
 	})
-	return order, err
+	return order, reds, err
 }
 
 // blockRows lists the rows of a whole block, 0 … blockSize-1.

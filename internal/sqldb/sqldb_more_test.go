@@ -274,3 +274,52 @@ func TestBulkAppendMatchesAppendChain(t *testing.T) {
 		t.Fatal("want schema mismatch error")
 	}
 }
+
+// TestAggregatesSkipNaN pins the one NaN rule of the group aggregates on
+// both engines: NaN is skipped, an aggregate over no value but NaN (a
+// group of NaNs, or no rows) is NaN, and COUNT counts rows. Group a holds
+// only NaN; the engines once read its MIN as +Inf, its MAX as -Inf and its
+// SUM, AVG and STDDEV as 0, b's AVG and STDDEV as 0.5 (the NaN counted in
+// their divisor), and the SUM over no rows as 0.
+func TestAggregatesSkipNaN(t *testing.T) {
+	nan := math.NaN()
+	db := New()
+	f := dataframe.MustFromColumns(dataframe.NewString("g", []string{"a", "a", "b", "b"}),
+		dataframe.NewFloat("v", []float64{nan, nan, 1, nan}))
+	if err := db.BulkAppend("t", f.Slice(0, 3), f.Slice(3, 4)); err != nil {
+		t.Fatal(err)
+	}
+	const items = "COUNT(*) AS n, COUNT(v) AS nv, SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi, " +
+		"AVG(v) AS m, STDDEV(v) AS sd, MEDIAN(v) AS med FROM t"
+	cases := []struct {
+		sql  string
+		want [][]float64 // per row: n, nv, s, lo, hi, m, sd, med
+	}{
+		{"SELECT g, " + items + " GROUP BY g", [][]float64{
+			{2, 2, nan, nan, nan, nan, nan, nan},
+			{2, 2, 1, 1, 1, 1, 0, 1},
+		}},
+		{"SELECT " + items + " WHERE 1 = 0", [][]float64{{0, 0, nan, nan, nan, nan, nan, nan}}},
+		{"SELECT " + items + " WHERE g = 'a'", [][]float64{{2, 2, nan, nan, nan, nan, nan, nan}}},
+	}
+	names := []string{"n", "nv", "s", "lo", "hi", "m", "sd", "med"}
+	for _, be := range []Backend{BackendVectorized, BackendTreeWalk} {
+		for _, c := range cases {
+			out, err := db.QueryBackend(c.sql, be)
+			if err != nil {
+				t.Fatalf("%s on %v: %v", c.sql, be, err)
+			}
+			if out.NumRows() != len(c.want) {
+				t.Fatalf("%s on %v: %d rows, want %d", c.sql, be, out.NumRows(), len(c.want))
+			}
+			for r, want := range c.want {
+				for i, name := range names {
+					got := out.MustColumn(name).FloatAt(r)
+					if got != want[i] && !(math.IsNaN(got) && math.IsNaN(want[i])) {
+						t.Errorf("%s on %v: row %d %s = %v, want %v", c.sql, be, r, name, got, want[i])
+					}
+				}
+			}
+		}
+	}
+}
