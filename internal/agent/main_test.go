@@ -5,11 +5,14 @@ import (
 	"testing"
 
 	"infera/internal/provenance"
+	"infera/internal/stage"
 )
 
-// TestMain copies no repeated table without checking it against its
-// encoding.
+// TestMain records no reference to a repeated table without checking it
+// against its encoding, and poisons every stage buffer that goes back to
+// the free list, so a use after recycle changes an answer or a digest.
 func TestMain(m *testing.M) {
 	provenance.VerifyRepeats(true)
+	stage.PoisonRecycled(true)
 	os.Exit(m.Run())
 }

@@ -115,8 +115,8 @@ func unlinkedMappings(dir string) error {
 // over a 2 MB stage budget — every column block evicted and its buffer
 // recycled while the other ask runs — and requires every answer and
 // provenance trail to be byte-identical to the same (question, seed) over
-// the default budget, where nothing is evicted. In a test binary every
-// recycled buffer is poisoned first, so a vector read after its buffer
+// the default budget, where nothing is evicted. TestMain poisons every
+// recycled buffer first, so a vector read after its buffer
 // went back would change an answer or a digest. Two more legs serve the
 // same bank through a disk tier: one writes every decoded block through
 // to a stage dir, and a fresh cache over that dir then promotes every

@@ -11,10 +11,12 @@ import (
 	"infera/internal/stage"
 )
 
-// TestMain copies no repeated table without checking it against its
-// encoding.
+// TestMain records no reference to a repeated table without checking it
+// against its encoding, and poisons every stage buffer that goes back to
+// the free list, so a use after recycle changes an answer or a digest.
 func TestMain(m *testing.M) {
 	provenance.VerifyRepeats(true)
+	stage.PoisonRecycled(true)
 	os.Exit(m.Run())
 }
 
@@ -30,10 +32,10 @@ func sqlTable(t *testing.T, ans *core.Answer) provenance.Entry {
 	return provenance.Entry{}
 }
 
-// TestRepeatedAskCopiesTheSQLTable: asking one bank question twice copies
-// the second ask's SQL table from the first ask's trail: its bytes are
-// all copied, none encoded, with the first table's digest, and the trail
-// verifies.
+// TestRepeatedAskCopiesTheSQLTable: asking one bank question twice
+// records the second ask's SQL table as a reference to the first ask's
+// trail: its bytes are all referenced, none encoded, with the first
+// table's digest, and the trail verifies.
 func TestRepeatedAskCopiesTheSQLTable(t *testing.T) {
 	a, err := core.New(core.Config{EnsembleDir: recycleEnsemble(t, 200), WorkDir: t.TempDir(),
 		Stage: stage.New(stage.DefaultBudgetBytes, 0)})
@@ -63,9 +65,9 @@ func TestRepeatedAskCopiesTheSQLTable(t *testing.T) {
 	if table.SHA256 != sqlTable(t, first).SHA256 {
 		t.Fatal("the repeated table differs from the first")
 	}
-	if hits, copied, encoded := after.OriginHits-before.OriginHits, after.CopiedBytes-before.CopiedBytes, after.EncodedBytes-before.EncodedBytes; hits != 1 || copied != table.Bytes || encoded != total-table.Bytes {
-		t.Fatalf("second ask: %d hits, %d bytes copied, %d encoded; want 1, the table's %d, the rest's %d",
-			hits, copied, encoded, table.Bytes, total-table.Bytes)
+	if hits, referenced, encoded := after.OriginHits-before.OriginHits, after.ReferencedBytes-before.ReferencedBytes, after.EncodedBytes-before.EncodedBytes; hits != 1 || referenced != table.Bytes || encoded != total-table.Bytes {
+		t.Fatalf("second ask: %d hits, %d bytes referenced, %d encoded; want 1, the table's %d, the rest's %d",
+			hits, referenced, encoded, table.Bytes, total-table.Bytes)
 	}
 	if bad, err := a.VerifySession(second.SessionID); err != nil || len(bad) > 0 {
 		t.Fatalf("verify: %v, %v", bad, err)

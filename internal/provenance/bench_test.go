@@ -66,9 +66,11 @@ func stagedProjection(b *testing.B, paths []string) (*dataframe.Frame, *stage.Le
 // BenchmarkRecordFrame records a 20,000-row two-segment staged projection
 // as the SQL step does. "miss" formats and hashes every cell (a fresh
 // cache each time, so its columns' origins are new); "hit" records the
-// same table again, which copies it from the trail. Both start a new
-// session every 16 records and remove the last one, so a hit's source is
-// removed now and then and the next record formats again.
+// same table again, which records a reference to the trail's bytes. Both
+// start a new session every 16 records and remove the last one, so a
+// hit's source is removed now and then and the next record formats
+// again. disk_B/op is the change in the bytes the file system allocates
+// to the store's segments (st_blocks), per record.
 func BenchmarkRecordFrame(b *testing.B) {
 	defer VerifyRepeats(verifyRepeats.Swap(false))
 	dir := b.TempDir()
@@ -96,7 +98,18 @@ func BenchmarkRecordFrame(b *testing.B) {
 		return sess
 	}
 
+	segments := func() int64 {
+		names, _ := filepath.Glob(filepath.Join(store.Root, "seg-*"))
+		return allocated(names...)
+	}
+	reportDisk := func(b *testing.B, before int64) {
+		if after := segments(); before >= 0 && after >= 0 {
+			b.ReportMetric(float64(after-before)/float64(b.N), "disk_B/op")
+		}
+	}
 	b.Run("miss", func(b *testing.B) {
+		before := segments()
+		defer func() { reportDisk(b, before) }()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -117,6 +130,8 @@ func BenchmarkRecordFrame(b *testing.B) {
 		if _, err := session(0).RecordFrame("sql", "work", f); err != nil {
 			b.Fatal(err)
 		}
+		before := segments()
+		defer func() { reportDisk(b, before) }()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

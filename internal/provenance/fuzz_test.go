@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"infera/internal/seglog"
 )
 
 // FuzzSessionTrail throws arbitrary manifest and log bytes at a session,
@@ -17,9 +19,11 @@ import (
 // entry, and a Branch of the whole trail. None may panic. The converted
 // directory must read exactly what its log holds for each entry (see
 // fuzzDirTrail). In the segment, no Read may return (so allocate) more
-// than the log holds — a hostile "bytes" or "offset" must fail the range
-// check, not size an allocation — and a hostile header, base or offset
-// must not reach the neighbour's bytes.
+// than its file holds — a hostile "bytes" or "offset" must fail the range
+// check, not size an allocation — a hostile header, base or offset of the
+// session's own trail must not reach the neighbour's bytes, and a
+// reference reads only a segment of the store, named bare. "SEG" in the
+// manifest stands for the segment's log name.
 func FuzzSessionTrail(f *testing.F) {
 	f.Add([]byte(`{"seq":0,"agent":"sql","kind":"code","name":"q.sql","file":"trail.log","sha256":"","bytes":8}`+"\n"), []byte("SELECT 1"))
 	f.Add([]byte(`{"seq":0,"file":"trail.log","bytes":3}`+"\n"+`{"seq":1,"file":"trail.log","bytes":5,"offset":3}`+"\n"), []byte("abcdefgh"))
@@ -37,6 +41,15 @@ func FuzzSessionTrail(f *testing.F) {
 	f.Add([]byte(`{"tombstone":"n","base":0}`+"\n"+`{"session":"n","base":16}`+"\n"+`{"seq":0,"file":"trail.log","bytes":1}`+"\n"+`{"seq":1,"file":"trail.log","bytes":1}`+"\n"), []byte("zz"))
 	f.Add([]byte(`{"session":"h","base":9223372036854775806}`+"\n"+`{"seq":0,"file":"trail.log","bytes":5}`+"\n"+`{"session":"g","base":0}`+"\n"+`{"seq":0,"file":"trail.log","bytes":16}`+"\n"), []byte("z"))
 	f.Add([]byte(`{"seq":0,"file":"trail.log","bytes":1}`+"\n"+`{"session":"g","base":"x"}`+"\n"+`{"seq":1,"file":"trail.log","bytes":16,"offset":1}`+"\n"), []byte("zz"))
+	// References: the neighbour's range, a range of the session's own,
+	// the neighbour's after its tombstone, a segment the store does not
+	// hold, paths that leave the root, a range past the end.
+	f.Add([]byte(`{"seq":0,"file":"SEG","bytes":16}`+"\n"+`{"seq":1,"file":"trail.log","bytes":2}`+"\n"), []byte("ab"))
+	f.Add([]byte(`{"seq":0,"file":"trail.log","bytes":4}`+"\n"+`{"seq":1,"file":"SEG","offset":16,"bytes":4}`+"\n"), []byte("abcd"))
+	f.Add([]byte(`{"tombstone":"n","base":0}`+"\n"+`{"seq":0,"file":"SEG","offset":4,"bytes":8}`+"\n"), []byte("x"))
+	f.Add([]byte(`{"seq":0,"file":"seg-0-0-0.log","bytes":1}`+"\n"), []byte("x"))
+	f.Add([]byte(`{"seq":0,"file":"../x.log","bytes":1}`+"\n"+`{"seq":1,"file":"/abs.log","bytes":1}`+"\n"+`{"seq":2,"file":"seg-../SEG","bytes":1}`+"\n"), []byte("x"))
+	f.Add([]byte(`{"seq":0,"file":"SEG","offset":16,"bytes":64}`+"\n"+`{"seq":1,"file":"SEG","offset":9223372036854775807,"bytes":1}`+"\n"), []byte("x"))
 
 	f.Fuzz(func(t *testing.T, manifest, log []byte) {
 		if len(manifest)+len(log) > 1<<20 {
@@ -143,6 +156,7 @@ func fuzzSegmentTrail(t *testing.T, manifest, log []byte) {
 	seg := path[:len(path)-len(".log")]
 	n.Close()
 	store.Close()
+	manifest = bytes.ReplaceAll(manifest, []byte("SEG"), []byte(filepath.Base(path)))
 	appendFile(t, seg+".jsonl", append([]byte(fmt.Sprintf(`{"session":"s","base":%d}`+"\n", len(neighbour))), manifest...))
 	appendFile(t, seg+".log", log)
 	segLog, err := os.ReadFile(seg + ".log")
@@ -170,11 +184,14 @@ func fuzzSegmentTrail(t *testing.T, manifest, log []byte) {
 			if err != nil {
 				continue
 			}
-			_, off, _ := sess.Locate(e)
+			path, off, _ := sess.Locate(e)
+			if e.File != logName && (path != seg+".log" || !seglog.RefName(e.File)) {
+				t.Fatalf("%s seq %d: a reference to %q read %s", id, e.Seq, e.File, path)
+			}
 			if int64(len(data)) != e.Bytes || off+e.Bytes > int64(len(segLog)) || !bytes.Equal(data, segLog[off:off+e.Bytes]) {
 				t.Fatalf("%s seq %d: Read returned %d bytes for [%d, +%d) of a %d-byte log", id, e.Seq, len(data), off, e.Bytes, len(segLog))
 			}
-			if !own && off < int64(len(neighbour)) {
+			if !own && e.File == logName && off < int64(len(neighbour)) {
 				t.Fatalf("%s seq %d: read [%d, +%d), the neighbour's bytes", id, e.Seq, off, e.Bytes)
 			}
 		}
@@ -194,14 +211,28 @@ func appendFile(t *testing.T, path string, b []byte) {
 	}
 }
 
-// checkBranch branches sess's whole trail: a branch hashes the bytes it
-// copies, so it verifies whether or not its source did.
+// checkBranch branches sess's whole trail, then the branch: a branch
+// references the bytes its source's entries name, with their digests, so
+// it fails verification in exactly the entries its source fails, and a
+// branch of a branch names the same bytes as the branch.
 func checkBranch(t *testing.T, store *Store, sess *Session) {
 	branch, err := store.Branch(sess, "b-"+sess.ID, math.MaxInt)
 	if err != nil {
 		return
 	}
-	if bad, _ := branch.Verify(); len(bad) != 0 {
-		t.Fatalf("a fresh branch fails verification: %v", bad)
+	bad, _ := branch.Verify()
+	srcBad, _ := sess.Verify()
+	if len(bad) != len(srcBad) {
+		t.Fatalf("a branch fails verification in %d entries, its source in %d", len(bad), len(srcBad))
+	}
+	again, err := store.Branch(branch, "bb-"+sess.ID, math.MaxInt)
+	if err != nil {
+		t.Fatalf("a branch of a branch: %v", err)
+	}
+	for i, e := range again.Manifest() {
+		b := branch.Manifest()[i]
+		if e.File != b.File || e.Offset != b.Offset || e.Bytes != b.Bytes || e.SHA256 != b.SHA256 {
+			t.Fatalf("a branch of a branch names %+v, the branch %+v", e, b)
+		}
 	}
 }

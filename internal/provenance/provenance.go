@@ -15,12 +15,15 @@
 // seq order. Entry lines are the ones a per-session manifest.jsonl holds:
 // File is "trail.log" and [Offset, Offset+Bytes) is relative to the
 // session's range, so a session reads the same whichever segment holds it.
+// A reference entry names bytes the store already holds instead: File is
+// a segment's log, seg-<unique>.log, and Offset is absolute in it.
 //
 // A new session claims its ID in the store's in-memory index, takes a
 // segment from the pool at its first record and gives it back at Close, so
 // an ask creates no file once the pool is warm. A session whose segment
 // another took while it was idle moves its trail if it records again.
-// Removing a session drops its block (a tombstone, then a punched range).
+// Removing a session drops its block (a tombstone, then a punched range,
+// but for the spans references hold) and its references.
 // Opening a store indexes every segment, one block per session (see
 // scan); an entry at a segment's tail whose bytes a crash cut is dropped.
 //
@@ -34,8 +37,15 @@
 //
 // # Repeated tables
 //
-// A table whose origin key this process recorded is copied from the trail
-// with its known digest, not formatted and hashed again (repeat.go).
+// A table whose origin key this process formatted is recorded as a
+// reference to the bytes it wrote then, with their known digest: nothing
+// is formatted, hashed or written but the entry line (repeat.go). A
+// reference always names a formatted original, never another reference,
+// and Branch references its source's artifacts the same way. The segment
+// log counts each span's referrers: removing or moving the session that
+// holds a referenced span tombstones its block at once, but the span's
+// bytes stay until the last referrer is removed (HeldBytes). Opening a
+// store counts the references again.
 package provenance
 
 import (
@@ -48,6 +58,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -63,10 +74,11 @@ type Entry struct {
 	Agent  string `json:"agent"` // which agent produced the artifact
 	Kind   string `json:"kind"`  // "data" | "code" | "plot" | "scene" | "summary" | "checkpoint" | ...
 	Name   string `json:"name"`
-	File   string `json:"file"` // "trail.log", the session's trail, for every entry that reads
+	File   string `json:"file"` // "trail.log", the session's trail, or a segment's log for a reference
 	SHA256 string `json:"sha256"`
 	Bytes  int64  `json:"bytes"`
-	// Offset is where the artifact's Bytes start inside File.
+	// Offset is where the artifact's Bytes start: in the session's range,
+	// or in File for a reference.
 	Offset int64 `json:"offset,omitempty"`
 }
 
@@ -119,9 +131,11 @@ type Session struct {
 	base, limit int64
 	seg         *seglog.Segment // the segment it appends to while it holds one; guarded by st's lock
 	hdr         []byte          // its header line, until a record writes it
+	pending     int             // the references its record in progress counted
 }
 
-// logName is every readable entry's File: the session's trail.
+// logName is the File of every entry but a reference: the session's
+// trail.
 const logName = seglog.Trail
 
 // NewSession claims a fresh session ID. Concurrent callers racing on one
@@ -168,10 +182,15 @@ func (s *Store) OpenSession(id string) (*Session, error) {
 		}
 	}
 	// A crash may have cut the log inside the last entries of a segment's
-	// last block: those whose bytes run past its range are dropped.
-	for n := len(es); snap.Tail && n > 0 && es[n-1].File == logName && !within(es[n-1], snap.Limit); n-- {
-		es = es[:n-1]
+	// last block: those whose bytes run past its range are dropped, with
+	// the references recorded after them.
+	cut := len(es)
+	for i := len(es) - 1; snap.Tail && i >= 0 && (es[i].File != logName || !within(es[i], snap.Limit)); i-- {
+		if es[i].File == logName {
+			cut = i
+		}
 	}
+	es = es[:cut]
 	sess := &Session{ID: id, st: st, slot: sl, path: snap.Seg.Path() + ".log", base: snap.Base, limit: snap.Limit}
 	for _, e := range es {
 		sess.add(e)
@@ -190,8 +209,8 @@ func parseLine(l []byte) (e Entry, ok bool, err error) {
 	return e, true, nil
 }
 
-// add appends a loaded entry and moves the next seq and the trail's end
-// past it.
+// add appends a loaded entry and moves the next seq, and the trail's end
+// unless it is a reference, past it.
 func (s *Session) add(e Entry) {
 	s.entries = append(s.entries, e)
 	if e.Seq >= s.seq {
@@ -222,7 +241,8 @@ func (s *Store) Sessions() ([]string, error) {
 
 // SessionStat reports a session trail's on-disk footprint and its age —
 // the inputs retention sweeps rank trails by. The size is its range and
-// its manifest lines, and the time is when its block was started (when it
+// its manifest lines (a reference adds only its line; see HeldBytes), and
+// the time is when its block was started (when it
 // was claimed, before its first record; for a converted directory, when
 // its manifest was last written).
 func (s *Store) SessionStat(id string) (bytes int64, newest time.Time, err error) {
@@ -236,6 +256,17 @@ func (s *Store) SessionStat(id string) (bytes int64, newest time.Time, err error
 	return sl.Limit + sl.MEnd - sl.HdrOff, time.Unix(0, sl.Time), nil
 }
 
+// HeldBytes returns the bytes on disk of removed sessions' ranges that
+// references keep (see Repeated tables): no session's SessionStat counts
+// them, and they are freed when their last referrer is removed. The
+// bytes on disk of a store's trails are the sum of every session's
+// SessionStat size and HeldBytes.
+func (s *Store) HeldBytes() int64 {
+	s.st.Lock()
+	defer s.st.Unlock()
+	return s.st.HeldBytes()
+}
+
 // RemoveSession deletes a session's trail — the retention sweep's disposal
 // primitive. The session leaves the index, and its block is tombstoned and
 // its range punched out (see Layout); a Session value of it that is still
@@ -247,11 +278,13 @@ func (s *Store) RemoveSession(id string) error {
 	return s.st.remove(id)
 }
 
-// Locate returns the file holding e's bytes and where they start in it,
-// without checking that the file holds them.
+// Locate returns the file holding e's bytes and where they start in it.
+// A reference names a segment this root's Log knows, by its bare log
+// name, and a range inside the file; an entry of the session's trail a
+// range of its own, which Locate does not check against the file.
 func (s *Session) Locate(e Entry) (path string, offset int64, err error) {
 	if e.File != logName {
-		return "", 0, fmt.Errorf("provenance: seq %d: file %q is not the session's trail", e.Seq, e.File)
+		return s.st.locate(e)
 	}
 	s.mu.Lock()
 	path, base, limit := s.path, s.base, s.limit
@@ -273,7 +306,7 @@ func (s *Session) Record(agent, kind, name string, data []byte) (Entry, error) {
 // RecordFrame stores a dataframe as a CSV artifact of kind "data". The
 // encoding streams into the log and the hash together, so the artifact is
 // never held whole in memory; a frame whose origin key this process has
-// recorded is copied from the trail instead (see Repeated tables).
+// formatted is recorded as a reference instead (see Repeated tables).
 func (s *Session) RecordFrame(agent, name string, f *dataframe.Frame) (Entry, error) {
 	if !strings.HasSuffix(name, ".csv") {
 		name += ".csv"
@@ -283,37 +316,39 @@ func (s *Session) RecordFrame(agent, name string, f *dataframe.Frame) (Entry, er
 }
 
 // record appends the next sequentially numbered artifact to the session's
-// log with write, hashing and counting the bytes on their way, or copies
-// the repeat that key names, and appends its manifest line. A key that
-// was written is remembered.
+// log with write, hashing and counting the bytes on their way, or records
+// a reference to the table key names, and appends its manifest line. A
+// key that was formatted is remembered.
 func (s *Session) record(agent, kind, name, key string, write func(io.Writer) error) (Entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seq := s.seq
 	s.seq++
 	var e Entry
-	copied := false
 	err := s.appendTrail(func(g *seglog.Segment) (int64, []Entry, []byte, error) {
 		e = Entry{Seq: seq, Agent: agent, Kind: kind, Name: name, File: logName, Offset: s.end}
 		var err error
-		if key != "" {
-			copied, err = s.copyRepeat(g, key, &e, write)
-		}
-		if err == nil && !copied {
+		n := int64(0)
+		if key != "" && s.reference(key, &e) {
+			if verifyRepeats.Load() {
+				err = checkReference(e, filepath.Join(s.st.root, e.File), write)
+			}
+		} else {
 			sum := hashCounter{Hash: sha256.New()}
 			err = write(io.MultiWriter(g.File(), &sum))
 			e.SHA256, e.Bytes = hex.EncodeToString(sum.Sum(nil)), sum.n
+			n = e.Bytes
 		}
 		if err != nil {
 			return 0, nil, nil, err
 		}
 		line, err := json.Marshal(e)
-		return e.Bytes, []Entry{e}, append(line, '\n'), err
+		return n, []Entry{e}, append(line, '\n'), err
 	})
 	if err != nil {
 		return Entry{}, err
 	}
-	s.st.counted(s.ID, key, e, copied)
+	s.st.counted(s.slot, key, e)
 	return e, nil
 }
 
@@ -389,28 +424,17 @@ func (s *Session) Manifest() []Entry {
 // Read returns an artifact's bytes by manifest entry. The range is checked
 // against the session's trail and the file before anything is allocated,
 // so a corrupt or hostile manifest line (a negative offset or size, a
-// range past the end, a file other than the trail, bytes outside the
-// session's range of its segment) fails cleanly.
+// range past the end, a file other than the trail or a known segment,
+// bytes outside the session's range of its segment) fails cleanly, as
+// does a reference whose segment is gone or cut short.
 func (s *Session) Read(e Entry) ([]byte, error) {
 	path, off, err := s.Locate(e)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(path)
+	data, err := readRange(path, off, e.Bytes)
 	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if e.Bytes > st.Size() || off > st.Size()-e.Bytes {
-		return nil, fmt.Errorf("provenance: seq %d: range [%d, +%d) past the end of %s (%d bytes)", e.Seq, e.Offset, e.Bytes, e.File, st.Size())
-	}
-	data := make([]byte, e.Bytes)
-	if _, err := f.ReadAt(data, off); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("provenance: seq %d: range [%d, +%d) of %s: %w", e.Seq, e.Offset, e.Bytes, e.File, err)
 	}
 	return data, nil
 }
@@ -457,30 +481,60 @@ func (s *Session) SizeBytes() int64 {
 }
 
 // Branch creates a new session seeded with this session's artifacts up to
-// and including seq upTo (copying their bytes and manifest prefix), so
-// alternative follow-up steps can run from an established processing stage
-// without recomputing it. The new session has given its segment back when
-// it returns.
+// and including seq upTo, so alternative follow-up steps can run from an
+// established processing stage without recomputing it. Each artifact
+// becomes a reference to the bytes its entry names (an entry that is a
+// reference is copied as one), with its digest: no byte is copied, and
+// the branch verifies exactly where the source does. An artifact that
+// does not locate fails the branch. The new session has given its
+// segment back when it returns.
 func (s *Store) Branch(from *Session, newID string, upTo int) (*Session, error) {
 	dst, err := s.NewSession(newID)
 	if err != nil {
 		return nil, err
 	}
 	defer dst.Close() // error paths; the success path checks its own Close
+	var es []Entry
 	for _, e := range from.Manifest() {
 		if e.Seq > upTo {
 			break
 		}
-		data, err := from.Read(e)
+		es = append(es, e)
+	}
+	if len(es) > 0 {
+		dst.mu.Lock()
+		err = dst.appendTrail(func(*seglog.Segment) (int64, []Entry, []byte, error) {
+			return dst.branchEntries(from, es)
+		})
+		dst.mu.Unlock()
 		if err != nil {
 			return nil, fmt.Errorf("provenance: branch: %w", err)
-		}
-		if _, err := dst.Record(e.Agent, e.Kind, e.Name, data); err != nil {
-			return nil, err
 		}
 	}
 	if err := dst.Close(); err != nil {
 		return nil, fmt.Errorf("provenance: branch: %w", err)
 	}
 	return dst, nil
+}
+
+// branchEntries returns the entries and lines that reference es, from's
+// artifacts, in s, numbered from s's next seq; an empty artifact is an
+// empty entry of s's own. Caller holds s.mu, inside a record.
+func (s *Session) branchEntries(from *Session, es []Entry) (int64, []Entry, []byte, error) {
+	var out []Entry
+	var lines []byte
+	for _, e := range es {
+		sp, err := s.st.branchRef(s, from, e)
+		if err != nil {
+			return 0, nil, nil, err
+		}
+		b := Entry{Seq: s.seq, Agent: e.Agent, Kind: e.Kind, Name: e.Name, File: logName, Offset: s.end, SHA256: e.SHA256}
+		if sp.N > 0 {
+			b.File, b.Offset, b.Bytes = sp.Seg.Name(), sp.Off, sp.N
+		}
+		s.seq++
+		line, _ := json.Marshal(b) // an Entry always marshals
+		out, lines = append(out, b), append(append(lines, line...), '\n')
+	}
+	return 0, out, lines, nil
 }

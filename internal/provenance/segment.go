@@ -3,8 +3,10 @@ package provenance
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
+	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -117,7 +119,8 @@ func (st *state) release(s *Session) error {
 }
 
 // remove drops session id from the index, giving back a segment it still
-// holds, and drops its block. Caller holds st's lock.
+// holds, and drops its block, then its references. Caller holds st's
+// lock.
 func (st *state) remove(id string) error {
 	sl, ok := st.index[id]
 	if !ok {
@@ -139,7 +142,15 @@ func (st *state) remove(id string) error {
 	if sl.Seg == nil {
 		return nil
 	}
-	return st.Drop(sl.Seg, id, sl.Base, sl.Limit)
+	if err := st.Drop(sl.Seg, id, sl.Base, sl.Limit); err != nil {
+		return err
+	}
+	var errs []error
+	for _, sp := range sl.Refs {
+		errs = append(errs, st.Unref(sp))
+	}
+	sl.Refs = nil
+	return errors.Join(errs...)
 }
 
 // claim makes s the owner of a segment whose log ends with s's trail, and
@@ -185,8 +196,9 @@ func (st *state) claim(s *Session) (*seglog.Segment, error) {
 	return g, nil
 }
 
-// move copies s's trail, bytes and manifest lines, from its old block to
-// the end of g, then drops the old block.
+// move copies s's trail, its own bytes and its manifest lines, from its
+// old block to the end of g, then drops the old block: the spans of it
+// that others reference stay, and s's references move with its lines.
 func (st *state) move(s *Session, g *seglog.Segment, old slot) error {
 	if s.end > old.Limit {
 		return fmt.Errorf("provenance: session %q: trail of %d bytes overruns its %d-byte range", s.ID, s.end, old.Limit)
@@ -218,17 +230,24 @@ func (st *state) move(s *Session, g *seglog.Segment, old slot) error {
 // placed points s's slot at its new block in g, whose lines are
 // [hdrOff, mEnd). Caller holds st's lock.
 func (st *state) placed(s *Session, g *seglog.Segment, hdrOff, mEnd int64) {
-	s.slot.Block = seglog.Block{ID: s.ID, Seg: g, Base: s.base, Limit: s.end, HdrOff: hdrOff, MEnd: mEnd, Time: time.Now().UnixNano()}
+	s.slot.Block = seglog.Block{ID: s.ID, Seg: g, Base: s.base, Limit: s.end, HdrOff: hdrOff, MEnd: mEnd, Time: time.Now().UnixNano(), Refs: s.slot.Refs}
 	st.Placed(g, s.ID, s.base, s.end)
 }
 
 // done ends a record that claim began. When ok, the session's end has
 // moved past the artifact and its manifest lines (the header too, if it
-// was pending) end at mEnd. retire drops a segment whose files are no
-// longer known to end where the records left them.
+// was pending) end at mEnd; otherwise the references the record counted
+// are dropped. retire drops a segment whose files are no longer known to
+// end where the records left them.
 func (st *state) done(s *Session, g *seglog.Segment, ok, retire bool, lineBytes, mEnd int64) {
 	st.Lock()
 	defer st.Unlock()
+	for ; !ok && s.pending > 0; s.pending-- {
+		refs := s.slot.Refs
+		st.Unref(refs[len(refs)-1])
+		s.slot.Refs = refs[:len(refs)-1]
+	}
+	s.pending = 0
 	end := g.End()
 	if ok {
 		if s.hdr != nil {
@@ -244,4 +263,50 @@ func (st *state) done(s *Session, g *seglog.Segment, ok, retire bool, lineBytes,
 		st.release(s)
 		st.Retire(g)
 	}
+}
+
+// locate returns where reference e's bytes are: in the log of a segment
+// the root's Log knows, named bare, inside the file.
+func (st *state) locate(e Entry) (string, int64, error) {
+	st.Lock()
+	g := st.Named(e.File)
+	st.Unlock()
+	path, err := inLog(g, e.Offset, e.Bytes)
+	if err != nil {
+		return "", 0, fmt.Errorf("provenance: seq %d: %w", e.Seq, err)
+	}
+	return path, e.Offset, nil
+}
+
+// inLog returns the path of g's log if [off, off+n) lies inside it.
+func inLog(g *seglog.Segment, off, n int64) (string, error) {
+	if g == nil {
+		return "", errors.New("not the session's trail or a segment of the store")
+	}
+	path := g.Path() + ".log"
+	info, err := os.Stat(path)
+	if err == nil && !within(Entry{Offset: off, Bytes: n}, info.Size()) {
+		err = fmt.Errorf("range [%d, +%d) outside %s (%d bytes)", off, n, g.Name(), info.Size())
+	}
+	return path, err
+}
+
+// branchRef counts s as a referrer of the span that holds from's artifact
+// e, and returns it: a range of from's block, or the span e references.
+// An empty artifact has no span to count. Caller holds s.mu, inside a
+// record.
+func (st *state) branchRef(s, from *Session, e Entry) (seglog.Span, error) {
+	st.Lock()
+	defer st.Unlock()
+	sp, sl := seglog.Span{Seg: st.Named(e.File), Off: e.Offset, N: e.Bytes}, from.slot
+	if e.File == logName && !sl.removed && within(e, sl.Limit) {
+		sp.Seg, sp.Off = sl.Seg, sl.Base+e.Offset
+	}
+	if _, err := inLog(sp.Seg, sp.Off, sp.N); err != nil {
+		return sp, fmt.Errorf("seq %d of %q: %w", e.Seq, from.ID, err)
+	}
+	if sp.N > 0 {
+		s.ref(sp)
+	}
+	return sp, nil
 }

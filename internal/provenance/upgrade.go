@@ -27,7 +27,7 @@ const missingName = "missing"
 // artifacts/ entry's bytes, which that entry's File and Offset then name.
 // Digests are copied, never computed, and an entry that does not read in
 // the directory fails Read in the block: it names missingName instead of
-// trail.log, or keeps its File. A held block of the ID whose entry lines
+// trail.log or a segment's log, or keeps its File. A held block of the ID whose entry lines
 // are a prefix of the directory's, a conversion a crash cut short, is
 // dropped first. A directory whose ID names another trail, or whose
 // manifest does not read or parse, stays, and the error names it.
@@ -121,8 +121,8 @@ func readDirTrail(dir string) (lines, data []byte, at time.Time, err error) {
 		if !ok {
 			continue
 		}
-		if e.File == logName && (logErr != nil || !within(e, logLen)) {
-			e.File = missingName
+		if e.File == logName && (logErr != nil || !within(e, logLen)) || seglog.RefName(e.File) {
+			e.File = missingName // a directory holds no reference
 		} else if e.File != logName && filepath.IsLocal(e.File) && strings.HasPrefix(filepath.ToSlash(filepath.Clean(e.File)), "artifacts/") {
 			if b, _, err := readRegular(filepath.Join(dir, e.File)); err == nil && within(e, int64(len(b))) {
 				e.File, e.Offset, data = logName, int64(len(data)), append(data, b[e.Offset:e.Offset+e.Bytes]...)

@@ -263,7 +263,7 @@ func TestOlderTreesConvertAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bm := branch.Manifest(); len(bm) != 2 || bm[1].SHA256 != m[1].SHA256 || bm[1].File != logName {
+	if bm := branch.Manifest(); len(bm) != 2 || bm[1].SHA256 != m[1].SHA256 || !seglog.RefName(bm[1].File) {
 		t.Fatalf("branch manifest = %+v", bm)
 	}
 	if bad, _ := branch.Verify(); len(bad) != 0 {

@@ -10,13 +10,21 @@
 // an entry whose "file" is Trail names [offset, offset+bytes) of the
 // range. A tombstone line {"tombstone":id,"base":b} ends block id at base.
 //
+// An entry whose "file" is a segment's log name (seg-<unique>.log, bare,
+// under the same root) is a reference: it names [offset, offset+bytes)
+// of that log, a span of another block's range, and adds no bytes to its
+// own block. The Log counts the live referrers of each span (Ref, Unref).
+// Dropping a block tombstones it at once, but a span in it that has
+// referrers is held: its bytes stay, counted in HeldBytes, until the last
+// referrer goes, and only the rest of the range is freed.
+//
 // A Log pools open segments per process, each created O_EXCL and locked
 // shared (flock(2)) while pooled, so no other Log or process appends to it
 // or deletes it, and retires one once its log reaches RotateBytes. Drop
 // ends a block: a tombstone, then Free, which punches its range out of the
 // log (Linux; elsewhere its bytes stay), or empties or deletes the segment
-// once it holds no block. Where flock is missing (off unix, AIX, Solaris)
-// a segment no Log holds open is never deleted.
+// once it holds no block or held span. Where flock is missing (off unix,
+// AIX, Solaris) a segment no Log holds open is never deleted.
 //
 // Open reads every manifest into blocks. A header whose range would start
 // inside the range an earlier block's entries claim is ignored with its
@@ -24,12 +32,16 @@
 // without its newline is a torn write. A block's range runs to the next
 // header's base, or to the log's end for a segment's last block (Tail),
 // whose last record a crash may have cut; new blocks go only to segments
-// this process made. Open deletes every segment left holding no block.
+// this process made. Open counts the references of the blocks it keeps,
+// holds the spans they name in blocks it does not keep, punches the rest
+// of each tombstoned block's range, and deletes every segment left
+// holding no block and no held span, in segments no other process holds.
 package seglog
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -77,8 +89,9 @@ func Header(id string, base int64, at time.Time) []byte {
 
 // Segment is one pair of segment files. Owner appends to it, if anyone
 // does, Busy while inside a record. Its Log's lock guards it: live counts
-// the blocks its users index in it, end is its log's length, and tailID
-// and tailBase name the last block placed, to carry on in place.
+// the blocks its users index in it and its held spans, end is its log's
+// length, tailID and tailBase name the last block placed, to carry on in
+// place, and spans counts the referrers of each referenced span.
 type Segment struct {
 	path          string // without extension
 	Owner         any
@@ -86,14 +99,38 @@ type Segment struct {
 	live          int
 	end, tailBase int64
 	tailID        string
-	log, man      *os.File   // open while pooled
-	used          uint64     // the pool clock at its last record
-	mu            sync.Mutex // serialises appends to man
+	spans         map[[2]int64]*referrers // by offset and length
+	log, man      *os.File                // open while pooled
+	used          uint64                  // the pool clock at its last record
+	mu            sync.Mutex              // serialises appends to man
 	manEnd        int64
+}
+
+// referrers counts a span's live referrers; held: the block that holds it
+// was dropped, so the span is freed with its last referrer.
+type referrers struct {
+	n    int
+	held bool
+}
+
+// Span is a range of a segment's log that references name: N bytes at Off.
+type Span struct {
+	Seg    *Segment
+	Off, N int64
 }
 
 // Path returns the segment's path without extension.
 func (g *Segment) Path() string { return g.path }
+
+// Name returns the segment's log's name, which a reference's "file" is.
+func (g *Segment) Name() string { return filepath.Base(g.path) + ".log" }
+
+// RefName reports whether name has the form of a reference's "file": a
+// segment's log name, bare, with no separator.
+func RefName(name string) bool {
+	return strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".log") &&
+		!strings.ContainsAny(name, `/\`) && filepath.IsLocal(name)
+}
 
 // End returns where the segment's log ends, as its records left it.
 // Caller holds the Log's lock.
@@ -129,15 +166,19 @@ type Log struct {
 	amu    sync.Mutex // serialises Append
 	root   string
 	closed bool
-	pool   []*Segment // open segments, owned or free
-	free   []*Segment // open segments without an owner
-	clock  uint64     // counts records
-	made   int        // counts segments created
+	pool   []*Segment          // open segments, owned or free
+	free   []*Segment          // open segments without an owner
+	segs   map[string]*Segment // every segment on disk it knows, by Name
+	held   int64               // the bytes of held spans
+	clock  uint64              // counts records
+	made   int                 // counts segments created
 }
 
 // Block is one block as Open finds it: its range is Limit bytes at Base
 // of Seg's log, to the next block's base or the log's end; its Trail
-// entries claim the first Claimed; its manifest lines are [HdrOff, MEnd).
+// entries claim the first Claimed; its manifest lines are [HdrOff, MEnd);
+// Refs are the spans its references name, counted as referrers, one per
+// line.
 type Block struct {
 	ID           string
 	Seg          *Segment
@@ -147,7 +188,9 @@ type Block struct {
 	Entries      int
 	Time         int64 // from its header, in Unix ns
 	Tail         bool  // it is its segment's last block
-	dead         bool
+	Refs         []Span
+	dead, kept   bool
+	refLines     []line // its reference lines, until Open counts them
 }
 
 var (
@@ -179,46 +222,102 @@ func Hold(root string) error {
 
 // Open scans every segment under root and returns a Log over it with the
 // blocks keep chooses to index; a segment that does not scan is skipped.
+// The kept blocks' references are counted (see the package doc).
 func Open(root string, keep func([]*Block) []*Block) (*Log, []*Block, error) {
 	names, err := filepath.Glob(filepath.Join(root, "seg-*.jsonl"))
 	if err != nil {
 		return nil, nil, err
 	}
 	sort.Strings(names)
+	l := &Log{root: root, segs: map[string]*Segment{}}
 	var segs []*Segment
-	var blocks []*Block
+	blocks := map[*Segment][]*Block{}
+	sizes := map[*Segment]int64{}
+	var live []*Block
 	for _, name := range names {
 		g := &Segment{path: strings.TrimSuffix(name, ".jsonl")}
-		bs, err := scanSegment(g)
+		bs, size, err := scanSegment(g)
 		if err != nil {
 			log.Printf("seglog: skipping segment %s: %v", g.path, err)
 			continue
 		}
 		segs = append(segs, g)
-		blocks = append(blocks, bs...)
-	}
-	kept := keep(blocks)
-	for _, b := range kept {
-		b.Seg.live++
-	}
-	for _, g := range segs {
-		if g.live == 0 && unused(g.path+".log") {
-			removePair(g.path)
+		l.segs[g.Name()] = g
+		blocks[g], sizes[g] = bs, size
+		for _, b := range bs {
+			if !b.dead {
+				live = append(live, b)
+			}
 		}
 	}
-	return &Log{root: root}, kept, nil
+	kept := keep(live)
+	for _, b := range kept {
+		b.Seg.live++
+		b.kept = true
+	}
+	for _, b := range kept {
+		l.countRefs(b, sizes)
+	}
+	for _, g := range segs {
+		l.settle(g, blocks[g])
+	}
+	return l, kept, nil
 }
 
-// scanSegment reads g's manifest into its live blocks, in file order.
-func scanSegment(g *Segment) ([]*Block, error) {
+// countRefs counts kept block b's references to spans inside logs this
+// Log knows, as its Refs; a reference past its log's end counts for none.
+func (l *Log) countRefs(b *Block, sizes map[*Segment]int64) {
+	for _, r := range b.refLines {
+		if g := l.segs[r.File]; g != nil && r.Bytes <= sizes[g]-r.Offset {
+			sp := Span{Seg: g, Off: r.Offset, N: r.Bytes}
+			b.Refs = append(b.Refs, sp)
+			l.Ref(sp)
+		}
+	}
+	b.refLines = nil
+}
+
+// settle holds g's referenced spans that lie inside a block no one keeps,
+// then deletes g if it holds no kept block and no held span, or else
+// punches its tombstoned blocks' ranges but the referenced spans; both
+// only where no other process holds g.
+func (l *Log) settle(g *Segment, bs []*Block) {
+	for k, r := range g.spans {
+		i := sort.Search(len(bs), func(i int) bool { return bs[i].Base > k[0] }) - 1
+		if i >= 0 && !bs[i].kept && k[1] <= bs[i].Base+bs[i].Limit-k[0] {
+			r.held = true
+			g.live++
+			l.held += k[1]
+		}
+	}
+	if g.live == 0 && unused(g.path+".log") {
+		l.remove(g)
+		return
+	}
+	if !slices.ContainsFunc(bs, func(b *Block) bool { return b.dead }) || !unused(g.path+".log") {
+		return
+	}
+	if lf, err := os.OpenFile(g.path+".log", os.O_WRONLY, 0); err == nil {
+		for _, b := range bs {
+			if b.dead {
+				g.punch(lf, b.Base, b.Base+b.Limit)
+			}
+		}
+		lf.Close()
+	}
+}
+
+// scanSegment reads g's manifest into its blocks, in file order, dead or
+// live, and returns its log's size.
+func scanSegment(g *Segment) ([]*Block, int64, error) {
 	mf, err := os.Open(g.path + ".jsonl")
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer mf.Close()
 	lst, err := os.Stat(g.path + ".log")
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var blocks []*Block
 	var cur *Block // the block entry lines belong to
@@ -250,13 +349,15 @@ func scanSegment(g *Segment) ([]*Block, error) {
 		case cur != nil:
 			cur.Entries++
 			cur.MEnd = off + n
-			if l.File == Trail && l.Offset >= 0 && l.Bytes >= 0 && l.Offset+l.Bytes >= l.Offset && l.Offset+l.Bytes > cur.Claimed {
+			ok := l.Offset >= 0 && l.Bytes >= 0 && l.Offset+l.Bytes >= l.Offset
+			if l.File == Trail && ok && l.Offset+l.Bytes > cur.Claimed {
 				cur.Claimed = l.Offset + l.Bytes
+			} else if ok && l.Bytes > 0 && RefName(l.File) {
+				cur.refLines = append(cur.refLines, l)
 			}
 		}
 		off += n
 	}
-	live := blocks[:0:0]
 	for i, b := range blocks {
 		end := lst.Size()
 		if i+1 < len(blocks) {
@@ -264,11 +365,8 @@ func scanSegment(g *Segment) ([]*Block, error) {
 		}
 		b.Limit = max(end-b.Base, 0)
 		b.Tail = i == len(blocks)-1
-		if !b.dead {
-			live = append(live, b)
-		}
 	}
-	return live, nil
+	return blocks, lst.Size(), nil
 }
 
 // Lines reads the block's entry lines: its manifest lines but the header
@@ -314,15 +412,16 @@ func (l *Log) Close() error {
 	for _, g := range append([]*Segment(nil), l.free...) {
 		errs = append(errs, l.Retire(g))
 		if g.live == 0 {
-			removePair(g.path)
+			l.remove(g)
 		}
 	}
 	return errors.Join(errs...)
 }
 
-// removePair deletes a segment's two files.
-func removePair(path string) error {
-	return errors.Join(os.Remove(path+".log"), os.Remove(path+".jsonl"))
+// remove deletes a segment's two files; the Log no longer knows it.
+func (l *Log) remove(g *Segment) error {
+	delete(l.segs, g.Name())
+	return errors.Join(os.Remove(g.path+".log"), os.Remove(g.path+".jsonl"))
 }
 
 // create makes a new open segment.
@@ -347,6 +446,7 @@ func (l *Log) create() (*Segment, error) {
 		}
 		g := &Segment{path: path, log: lf, man: mf}
 		l.pool = append(l.pool, g)
+		l.segs[g.Name()] = g
 		return g, nil
 	}
 }
@@ -496,10 +596,19 @@ func (l *Log) Append(id string, rec ...[]byte) (*Segment, int64, error) {
 	return g, base, err
 }
 
-// Drop ends the block id at [base, base+limit) in g: Tombstone, then Free.
+// Drop ends the block id at [base, base+limit) in g: Tombstone, then
+// Free, which keeps the spans in the range that have referrers, held
+// until their last referrer goes.
 func (l *Log) Drop(g *Segment, id string, base, limit int64) error {
 	if err := l.Tombstone(g, id, base); err != nil {
 		return err
+	}
+	for k, r := range g.spans {
+		if !r.held && k[0] >= base && k[1] <= base+limit-k[0] {
+			r.held = true
+			g.live++
+			l.held += k[1]
+		}
 	}
 	return l.Free(g, base, limit)
 }
@@ -516,27 +625,96 @@ func (l *Log) Tombstone(g *Segment, id string, base int64) error {
 	return appendLine(g.path+".jsonl", t)
 }
 
-// Free gives back the range [base, base+limit) of a block g no longer
-// holds: a pooled segment it leaves holding no block is emptied, a segment
-// on disk it leaves so is deleted unless another process holds it, and
-// otherwise the range is punched out of the log.
+// Free gives back the range [base, base+limit) of a block or span g no
+// longer holds: a pooled segment it leaves holding nothing is emptied, a
+// segment on disk it leaves so is deleted unless another process holds
+// it, and otherwise the range is punched out of the log, but for the
+// spans in it that have referrers.
 func (l *Log) Free(g *Segment, base, limit int64) error {
 	g.live--
 	switch {
 	case g.live == 0 && g.Open() && g.Owner == nil:
 		return l.emptyIfUnused(g)
 	case g.live == 0 && !g.Open() && unused(g.path+".log"):
-		return removePair(g.path)
+		return l.remove(g)
 	case g.Open():
-		punchHole(g.log, base, limit)
+		g.punch(g.log, base, base+limit)
 	default:
 		if lf, err := os.OpenFile(g.path+".log", os.O_WRONLY, 0); err == nil {
-			punchHole(lf, base, limit)
+			g.punch(lf, base, base+limit)
 			lf.Close()
 		}
 	}
 	return nil
 }
+
+// punch punches [from, to) out of f, g's log, but for g's referenced
+// spans.
+func (g *Segment) punch(f *os.File, from, to int64) {
+	var keep [][2]int64
+	for k := range g.spans {
+		if k[0] < to && k[0]+k[1] > from {
+			keep = append(keep, k)
+		}
+	}
+	slices.SortFunc(keep, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+	for _, k := range keep {
+		if k[0] > from {
+			punchHole(f, from, k[0]-from)
+		}
+		from = max(from, k[0]+k[1])
+	}
+	if to > from {
+		punchHole(f, from, to-from)
+	}
+}
+
+// Ref counts a referrer of sp, a span of a block's range.
+func (l *Log) Ref(sp Span) {
+	g := sp.Seg
+	if g.spans == nil {
+		g.spans = map[[2]int64]*referrers{}
+	}
+	k := [2]int64{sp.Off, sp.N}
+	if g.spans[k] == nil {
+		g.spans[k] = &referrers{}
+	}
+	g.spans[k].n++
+}
+
+// Unref drops a referrer of sp; the last of a held span frees it.
+func (l *Log) Unref(sp Span) error {
+	g, k := sp.Seg, [2]int64{sp.Off, sp.N}
+	r := g.spans[k]
+	if r == nil {
+		return nil
+	}
+	if r.n--; r.n > 0 {
+		return nil
+	}
+	delete(g.spans, k)
+	if !r.held {
+		return nil
+	}
+	l.held -= sp.N
+	return l.Free(g, sp.Off, sp.N)
+}
+
+// Held reports whether sp's block was dropped while sp had referrers, so
+// that its bytes stay until they go.
+func (l *Log) Held(sp Span) bool {
+	r := sp.Seg.spans[[2]int64{sp.Off, sp.N}]
+	return r != nil && r.held
+}
+
+// HeldBytes returns the bytes of held spans: ranges of dropped blocks
+// kept for their referrers.
+func (l *Log) HeldBytes() int64 { return l.held }
+
+// Named returns the segment whose log's name is name, if the Log knows
+// it: a bare seg-<unique>.log name; any other name, a path included,
+// names none.
+func (l *Log) Named(name string) *Segment { return l.segs[name] }
 
 // appendLine appends a line to a manifest this process does not hold
 // open, after a newline if the file ends in a torn line.

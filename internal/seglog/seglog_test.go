@@ -2,8 +2,10 @@ package seglog
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -136,5 +138,77 @@ func TestHoldRefusesAnotherHolder(t *testing.T) {
 	defer other.Close()
 	if err := lockExclusive(other); !errors.Is(err, errHeld) {
 		t.Fatalf("another lock of a held root: %v", err)
+	}
+}
+
+// TestDropWaitsForReferrers: a block's reference line counts a referrer
+// of the span it names. Dropping the span's block tombstones it and
+// punches the rest of its range at once, but holds the span until its
+// last referrer goes; a reopen counts the line again and holds the span
+// of the tombstoned block, and Unref then frees it.
+func TestDropWaitsForReferrers(t *testing.T) {
+	root := t.TempDir()
+	l, _, err := Open(root, keepAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, a, err := l.Append("a", []byte("0123456789"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := l.Append("b", []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendLine(g.Path()+".jsonl", fmt.Appendf(nil, "{\"file\":%q,\"offset\":%d,\"bytes\":3}\n", g.Name(), a+4)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	punched := func(want string) {
+		t.Helper()
+		if log, _ := os.ReadFile(g.Path() + ".log"); runtime.GOOS == "linux" && string(log[:10]) != want {
+			t.Fatalf("a's range reads %q, want %q", log[:10], want)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		l, blocks, err := Open(root, keepAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b, ab *Block
+		for _, blk := range blocks {
+			if blk.ID == "b" {
+				b = blk
+			} else {
+				ab = blk
+			}
+		}
+		if b == nil || len(b.Refs) != 1 || b.Refs[0].Off != a+4 || b.Refs[0].N != 3 {
+			t.Fatalf("round %d: blocks %+v: want b's one reference counted", round, blocks)
+		}
+		sp := b.Refs[0]
+		l.Lock()
+		if round == 0 {
+			if l.Held(sp) || l.HeldBytes() != 0 {
+				t.Fatal("a span of a live block is held")
+			}
+			if err := l.Drop(sp.Seg, "a", a, ab.Limit); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !l.Held(sp) || l.HeldBytes() != 3 {
+			t.Fatalf("round %d: the span of a dropped block is not held (%d bytes)", round, l.HeldBytes())
+		}
+		punched("\x00\x00\x00\x00456\x00\x00\x00")
+		if round == 1 {
+			if err := l.Unref(sp); err != nil {
+				t.Fatal(err)
+			}
+			if l.Held(sp) || l.HeldBytes() != 0 {
+				t.Fatal("a span with no referrer left is held")
+			}
+			punched(string(make([]byte, 10)))
+		}
+		l.Unlock()
+		l.Close()
 	}
 }

@@ -116,7 +116,7 @@ func TestHTTPPrometheusEndpoint(t *testing.T) {
 		`# TYPE infera_stage_disk_mappings gauge`,
 		`# TYPE infera_stage_watch_overflows_total counter`,
 		`infera_provenance_artifact_bytes_total{ensemble="default",how="encoded"}`,
-		`infera_provenance_artifact_bytes_total{ensemble="default",how="copied"}`,
+		`infera_provenance_artifact_bytes_total{ensemble="default",how="referenced"}`,
 		`infera_provenance_origin_lookups_total{ensemble="default",result="hit"}`,
 		`infera_provenance_origin_lookups_total{ensemble="default",result="miss"}`,
 	} {

@@ -11,8 +11,13 @@ import (
 // persisted, so the spare set is exactly the sessions a revived shard can
 // still serve provenance for. Trails referenced by resident cache entries
 // are never removed; among the rest, anything older than MaxAge goes, then
-// the oldest go until the total fits MaxBytes. The daemon's live request
-// path never pays for this walk.
+// the oldest go until the total fits MaxBytes. The total counts each byte
+// on disk once: every session's own range and manifest lines
+// (SessionStat), plus the ranges of removed sessions that references still
+// hold (Store.HeldBytes). A removal frees its session's bytes less what
+// its references now hold, or more when it was the last referrer of a
+// held range, so the sweep re-reads HeldBytes after each one. The
+// daemon's live request path never pays for this walk.
 func (s *Service) sweepProvenance() (removed int, freed int64) {
 	maxAge, maxBytes := s.cfg.ProvenanceMaxAge, s.cfg.ProvenanceMaxBytes
 	if maxAge <= 0 && maxBytes <= 0 {
@@ -33,7 +38,7 @@ func (s *Service) sweepProvenance() (removed int, freed int64) {
 	store := s.assistant.Store()
 	ids, _ := store.Sessions()
 	var trails []trail
-	var total int64
+	total := store.HeldBytes()
 	for _, id := range ids {
 		bytes, newest, err := store.SessionStat(id)
 		if err != nil {
@@ -47,13 +52,15 @@ func (s *Service) sweepProvenance() (removed int, freed int64) {
 	}
 
 	drop := func(t trail) {
+		held := store.HeldBytes()
 		if err := store.RemoveSession(t.id); err != nil {
 			s.logf("service: provenance sweep: remove %s: %v", t.id, err)
 			return
 		}
 		removed++
-		freed += t.bytes
-		total -= t.bytes
+		gone := t.bytes + held - store.HeldBytes()
+		freed += gone
+		total -= gone
 	}
 
 	// Age rule first: everything past MaxAge goes regardless of budget.

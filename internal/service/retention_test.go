@@ -1,6 +1,7 @@
 package service
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -14,11 +15,18 @@ import (
 // retention policy.
 func retentionService(t *testing.T, dir, work string, maxAge time.Duration, maxBytes int64) *Service {
 	t.Helper()
+	return retentionServiceCache(t, dir, work, 1, maxAge, maxBytes)
+}
+
+// retentionServiceCache is retentionService with an answer cache of the
+// given size.
+func retentionServiceCache(t *testing.T, dir, work string, cache int, maxAge time.Duration, maxBytes int64) *Service {
+	t.Helper()
 	svc, err := New(Config{
 		EnsembleDir:        dir,
 		WorkDir:            work,
 		Workers:            1,
-		CacheSize:          1,
+		CacheSize:          cache,
 		Seed:               1,
 		ProvenanceMaxAge:   maxAge,
 		ProvenanceMaxBytes: maxBytes,
@@ -133,5 +141,167 @@ func TestProvenanceRetentionByBytes(t *testing.T) {
 	after := sessionDirs(t, work)
 	if len(after) != 1 || !after[last] {
 		t.Fatalf("byte budget must keep only the cache-referenced trail %s, got %v", last, after)
+	}
+}
+
+// The question whose SQL step's table a repeat with another seed records
+// as a reference, and another to evict it from the answer cache.
+const (
+	refQuestion   = "Across all the simulations, what is the average size (fof_halo_count) of halos at each time step?"
+	otherQuestion = "Can you find me the top 20 largest friends-of-friends halos from timestep 498 in simulation 0?"
+)
+
+// askSession asks q with seed and returns the session that answered it.
+func askSession(t *testing.T, svc *Service, q string, seed int64) string {
+	t.Helper()
+	r, err := svc.Ask(AskRequest{Question: q, Seed: seed})
+	if err != nil || r.Error != "" {
+		t.Fatalf("ask %q seed %d: %v %+v", q, seed, err, r)
+	}
+	return r.SessionID
+}
+
+// trailBytes opens the work dir's store and returns its sessions, their
+// bytes on disk (every SessionStat size and HeldBytes), and HeldBytes,
+// checking that every session verifies.
+func trailBytes(t *testing.T, root string) (ids map[string]bool, total, held int64) {
+	t.Helper()
+	store, err := provenance.NewStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	list, _ := store.Sessions()
+	ids, held = map[string]bool{}, store.HeldBytes()
+	total = held
+	for _, id := range list {
+		ids[id] = true
+		n, _, err := store.SessionStat(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += n
+		sess, err := store.OpenSession(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad, err := sess.Verify(); err != nil || len(bad) > 0 {
+			t.Fatalf("%s does not verify: %v %v", id, bad, err)
+		}
+	}
+	return ids, total, held
+}
+
+// TestProvenanceRetentionKeepsReferencedBytes: a repeat of a question with
+// another seed references the first ask's table. Swept in either order,
+// the source's range stays while a referrer does: removing the source
+// first holds the table's bytes, and the referrer still verifies; they go
+// with the last referrer. Removing the referrer first leaves the source
+// whole and holds nothing.
+func TestProvenanceRetentionKeepsReferencedBytes(t *testing.T) {
+	dir := testEnsemble(t)
+	t.Run("source first", func(t *testing.T) {
+		work := t.TempDir()
+		root := filepath.Join(work, "sessions")
+		svc := retentionService(t, dir, work, time.Nanosecond, 0)
+		src := askSession(t, svc, refQuestion, 1)
+		ref := askSession(t, svc, refQuestion, 2)
+		if st := svc.assistant.Store().Stats(); st.OriginHits == 0 || st.ReferencedBytes == 0 {
+			t.Fatalf("the repeat referenced nothing: %+v", st)
+		}
+		if err := svc.Close(); err != nil { // the 1-entry cache spares ref only
+			t.Fatal(err)
+		}
+		ids, _, held := trailBytes(t, root)
+		if ids[src] || !ids[ref] || held == 0 {
+			t.Fatalf("after the source's sweep: sessions %v, %d bytes held", ids, held)
+		}
+		svc = retentionService(t, dir, work, time.Nanosecond, 0)
+		askSession(t, svc, otherQuestion, 1) // evicts ref's answer
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if ids, _, held := trailBytes(t, root); ids[ref] || held != 0 {
+			t.Fatalf("after the referrer's sweep: sessions %v, %d bytes held", ids, held)
+		}
+	})
+	t.Run("referrer first", func(t *testing.T) {
+		work := t.TempDir()
+		root := filepath.Join(work, "sessions")
+		svc := retentionServiceCache(t, dir, work, 2, time.Nanosecond, 0)
+		src := askSession(t, svc, refQuestion, 1)
+		ref := askSession(t, svc, refQuestion, 2)
+		askSession(t, svc, refQuestion, 1)   // cached: src's answer is the most recent
+		askSession(t, svc, otherQuestion, 1) // evicts ref's answer
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ids, _, held := trailBytes(t, root)
+		if !ids[src] || ids[ref] || held != 0 {
+			t.Fatalf("after the referrer's sweep: sessions %v, %d bytes held", ids, held)
+		}
+		svc = retentionServiceCache(t, dir, work, 2, time.Nanosecond, 0)
+		askSession(t, svc, otherQuestion, 2)
+		askSession(t, svc, otherQuestion, 3) // evict src's answer
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if ids, _, held := trailBytes(t, root); ids[src] || held != 0 {
+			t.Fatalf("after the source's sweep: sessions %v, %d bytes held", ids, held)
+		}
+	})
+}
+
+// TestProvenanceRetentionByBytesCountsHeldRanges: the source of a table
+// and three referrers, the last spared by the answer cache, under a byte
+// budget one byte below the store's bytes on disk with the source
+// removed. Removing the source frees only what its references do not
+// hold, so the sweep goes on to the oldest referrer, then stops: it ends
+// at or under the budget with the two newest referrers left.
+func TestProvenanceRetentionByBytesCountsHeldRanges(t *testing.T) {
+	dir := testEnsemble(t)
+	work := t.TempDir()
+	root := filepath.Join(work, "sessions")
+	svc := retentionService(t, dir, work, 0, 0)
+	var ids []string
+	for seed := int64(1); seed <= 4; seed++ {
+		ids = append(ids, askSession(t, svc, refQuestion, seed))
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The bytes on disk once the source is gone, measured on a copy.
+	scratch := t.TempDir()
+	files, _ := filepath.Glob(filepath.Join(root, "seg-*"))
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(scratch, filepath.Base(f)), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := provenance.NewStore(scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.RemoveSession(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	_, without, held := trailBytes(t, scratch)
+	if held == 0 {
+		t.Fatal("removing the source held nothing")
+	}
+	budget := without - 1
+
+	svc = retentionService(t, dir, work, 0, budget)
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	left, total, _ := trailBytes(t, root)
+	if total > budget || len(left) != 2 || !left[ids[2]] || !left[ids[3]] {
+		t.Fatalf("sweep left %v, %d bytes on disk, budget %d; want %s and %s", left, total, budget, ids[2], ids[3])
 	}
 }

@@ -92,7 +92,7 @@ func (re *readerEpochs) unpin(ep uint64) {
 	}
 }
 
-// handBack gives d's buffer to the free list (where test binaries poison
+// handBack gives d's buffer to the free list (where PoisonRecycled poisons
 // it) and drops its mapping reference.
 func (re *readerEpochs) handBack(d deferred) {
 	re.free.put(d.buf)

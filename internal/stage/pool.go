@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"testing"
 	"unsafe"
 )
 
@@ -109,12 +108,17 @@ func takeInts(n int) ([]int64, *slab) {
 }
 
 // poisonBits is the NaN payload every buffer entering the free list is
-// overwritten with in test binaries, so a reader still holding a recycled
-// vector reads values no answer or digest can match.
+// overwritten with while PoisonRecycled is on, so a reader still holding a
+// recycled vector reads values no answer or digest can match.
 const poisonBits = 0x7ff4dead0badf00d
 
-// poison is on in test binaries only.
-var poison = testing.Testing()
+// poison is PoisonRecycled's switch.
+var poison atomic.Bool
+
+// PoisonRecycled is a test hook, off unless a test turns it on: while on,
+// every buffer entering the free list is first overwritten with a NaN
+// pattern, so a use after recycle changes an answer or a digest.
+func PoisonRecycled(on bool) { poison.Store(on) }
 
 // arena is the free list: per class, a stack of buffers, the most recently
 // given back on top.
@@ -164,7 +168,7 @@ func (a *arena) take(n int) *slab {
 
 // give puts s on its class's stack. The caller must be s's last user.
 func (a *arena) give(s *slab) {
-	if poison {
+	if poison.Load() {
 		words := s.ints(len(s.mem) / 8)
 		for i := range words {
 			words[i] = poisonBits

@@ -186,7 +186,7 @@ func TestSceneFromFrameErrors(t *testing.T) {
 // the columns are decoded into free-list buffers (8192 rows is above the
 // list's smallest class), evicted and recycled between calls. Every result
 // must equal the same call's over the default budget, where nothing is
-// evicted. Test binaries poison each buffer that goes back to the free
+// evicted. TestMain poisons each buffer that goes back to the free
 // list, so a result still aliasing a staged vector after its call ended
 // would change.
 func TestToolsKeepAnswersOverRecycledBuffers(t *testing.T) {
