@@ -68,7 +68,7 @@ func VerifyRepeats(on bool) { verifyRepeats.Store(on) }
 // Caller holds st's lock.
 func (st *state) source(r repeat) (seglog.Span, bool) {
 	sl := r.sl
-	if sl.Seg == nil || r.e.Bytes <= 0 || !within(r.e, sl.Limit) {
+	if sl.Seg == nil || !within(r.e, sl.Limit) {
 		return seglog.Span{}, false
 	}
 	sp := seglog.Span{Seg: sl.Seg, Off: sl.Base + r.e.Offset, N: r.e.Bytes}

@@ -27,9 +27,9 @@ const missingName = "missing"
 // artifacts/ entry's bytes, which that entry's File and Offset then name.
 // Digests are copied, never computed, and an entry that does not read in
 // the directory fails Read in the block: it names missingName instead of
-// trail.log or a segment's log, or keeps its File. A held block of the ID whose entry lines
-// are a prefix of the directory's, a conversion a crash cut short, is
-// dropped first. A directory whose ID names another trail, or whose
+// trail.log or a segment's log, or keeps its File. A held block of the ID
+// whose entry lines are a prefix of the directory's, a conversion a crash
+// cut short, is dropped first. A directory whose ID names another trail, or whose
 // manifest does not read or parse, stays, and the error names it.
 func (s *Store) Import(dir string) error {
 	return s.st.importAll(dir)

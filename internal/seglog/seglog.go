@@ -190,7 +190,6 @@ type Block struct {
 	Tail         bool  // it is its segment's last block
 	Refs         []Span
 	dead, kept   bool
-	refLines     []line // its reference lines, until Open counts them
 }
 
 var (
@@ -233,10 +232,11 @@ func Open(root string, keep func([]*Block) []*Block) (*Log, []*Block, error) {
 	var segs []*Segment
 	blocks := map[*Segment][]*Block{}
 	sizes := map[*Segment]int64{}
+	refs := map[*Block][]line{}
 	var live []*Block
 	for _, name := range names {
 		g := &Segment{path: strings.TrimSuffix(name, ".jsonl")}
-		bs, size, err := scanSegment(g)
+		bs, size, err := scanSegment(g, refs)
 		if err != nil {
 			log.Printf("seglog: skipping segment %s: %v", g.path, err)
 			continue
@@ -256,7 +256,7 @@ func Open(root string, keep func([]*Block) []*Block) (*Log, []*Block, error) {
 		b.kept = true
 	}
 	for _, b := range kept {
-		l.countRefs(b, sizes)
+		l.countRefs(b, refs[b], sizes)
 	}
 	for _, g := range segs {
 		l.settle(g, blocks[g])
@@ -264,17 +264,17 @@ func Open(root string, keep func([]*Block) []*Block) (*Log, []*Block, error) {
 	return l, kept, nil
 }
 
-// countRefs counts kept block b's references to spans inside logs this
-// Log knows, as its Refs; a reference past its log's end counts for none.
-func (l *Log) countRefs(b *Block, sizes map[*Segment]int64) {
-	for _, r := range b.refLines {
+// countRefs counts kept block b's reference lines refs to spans inside
+// logs this Log knows, as its Refs; a reference past its log's end counts
+// for none.
+func (l *Log) countRefs(b *Block, refs []line, sizes map[*Segment]int64) {
+	for _, r := range refs {
 		if g := l.segs[r.File]; g != nil && r.Bytes <= sizes[g]-r.Offset {
 			sp := Span{Seg: g, Off: r.Offset, N: r.Bytes}
 			b.Refs = append(b.Refs, sp)
 			l.Ref(sp)
 		}
 	}
-	b.refLines = nil
 }
 
 // settle holds g's referenced spans that lie inside a block no one keeps,
@@ -308,8 +308,9 @@ func (l *Log) settle(g *Segment, bs []*Block) {
 }
 
 // scanSegment reads g's manifest into its blocks, in file order, dead or
-// live, and returns its log's size.
-func scanSegment(g *Segment) ([]*Block, int64, error) {
+// live, adding each block's reference lines to refs, and returns its
+// log's size.
+func scanSegment(g *Segment, refs map[*Block][]line) ([]*Block, int64, error) {
 	mf, err := os.Open(g.path + ".jsonl")
 	if err != nil {
 		return nil, 0, err
@@ -353,7 +354,7 @@ func scanSegment(g *Segment) ([]*Block, int64, error) {
 			if l.File == Trail && ok && l.Offset+l.Bytes > cur.Claimed {
 				cur.Claimed = l.Offset + l.Bytes
 			} else if ok && l.Bytes > 0 && RefName(l.File) {
-				cur.refLines = append(cur.refLines, l)
+				refs[cur] = append(refs[cur], l)
 			}
 		}
 		off += n

@@ -14,9 +14,10 @@ import (
 // the oldest go until the total fits MaxBytes. The total counts each byte
 // on disk once: every session's own range and manifest lines
 // (SessionStat), plus the ranges of removed sessions that references still
-// hold (Store.HeldBytes). A removal frees its session's bytes less what
-// its references now hold, or more when it was the last referrer of a
-// held range, so the sweep re-reads HeldBytes after each one. The
+// hold (Store.HeldBytes). A removal frees its session's bytes less the
+// spans of them that others' references now hold, plus the held spans it
+// was the last referrer of, so the sweep re-reads HeldBytes after each
+// one. The
 // daemon's live request path never pays for this walk.
 func (s *Service) sweepProvenance() (removed int, freed int64) {
 	maxAge, maxBytes := s.cfg.ProvenanceMaxAge, s.cfg.ProvenanceMaxBytes
