@@ -45,7 +45,11 @@
 // log counts each span's referrers: removing or moving the session that
 // holds a referenced span tombstones its block at once, but the span's
 // bytes stay until the last referrer is removed (HeldBytes). Opening a
-// store counts the references again.
+// store counts the references again, but for those a crash cut drops, and
+// punches the tombstoned ranges no reference holds. The counts live in
+// one process, so a root belongs to one: the first Store over it holds it
+// (seglog.Hold) until the last one closes, and another process's
+// NewStore fails meanwhile.
 package provenance
 
 import (
@@ -93,7 +97,7 @@ type Store struct {
 
 // NewStore creates (if needed) and returns a store rooted at dir, reading
 // the segments already there unless another open Store in this process
-// has.
+// has. It fails while another process holds dir (see Repeated tables).
 func NewStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -167,9 +171,25 @@ func (s *Store) OpenSession(id string) (*Session, error) {
 		snap = *sl
 	}
 	st.Unlock()
-	lines, err := snap.Lines()
+	es, err := snap.entries()
 	if err != nil {
 		return nil, fmt.Errorf("provenance: open session %q: %w", id, err)
+	}
+	if snap.Tail {
+		es = es[:tailCut(es, snap.Limit)]
+	}
+	sess := &Session{ID: id, st: st, slot: sl, path: snap.Seg.Path() + ".log", base: snap.Base, limit: snap.Limit}
+	for _, e := range es {
+		sess.add(e)
+	}
+	return sess, nil
+}
+
+// entries parses the block's entry lines.
+func (sl *slot) entries() ([]Entry, error) {
+	lines, err := sl.Lines()
+	if err != nil {
+		return nil, err
 	}
 	var es []Entry
 	for _, l := range bytes.Split(lines, []byte("\n")) {
@@ -181,21 +201,21 @@ func (s *Store) OpenSession(id string) (*Session, error) {
 			es = append(es, e)
 		}
 	}
-	// A crash may have cut the log inside the last entries of a segment's
-	// last block: those whose bytes run past its range are dropped, with
-	// the references recorded after them.
+	return es, nil
+}
+
+// tailCut returns how many of es, a segment's last block's entries, a
+// crash left whole: it may have cut the log inside the last entries, so
+// those whose bytes run past the block's limit bytes are dropped, with
+// the references recorded after them.
+func tailCut(es []Entry, limit int64) int {
 	cut := len(es)
-	for i := len(es) - 1; snap.Tail && i >= 0 && (es[i].File != logName || !within(es[i], snap.Limit)); i-- {
+	for i := len(es) - 1; i >= 0 && (es[i].File != logName || !within(es[i], limit)); i-- {
 		if es[i].File == logName {
 			cut = i
 		}
 	}
-	es = es[:cut]
-	sess := &Session{ID: id, st: st, slot: sl, path: snap.Seg.Path() + ".log", base: snap.Base, limit: snap.Limit}
-	for _, e := range es {
-		sess.add(e)
-	}
-	return sess, nil
+	return cut
 }
 
 // parseLine parses one manifest line; a blank line holds no entry.
@@ -280,8 +300,8 @@ func (s *Store) RemoveSession(id string) error {
 
 // Locate returns the file holding e's bytes and where they start in it.
 // A reference names a segment this root's Log knows, by its bare log
-// name, and a range inside the file; an entry of the session's trail a
-// range of its own, which Locate does not check against the file.
+// name; an entry of the session's trail a range of its own. Locate does
+// not check the range against the file: Read does.
 func (s *Session) Locate(e Entry) (path string, offset int64, err error) {
 	if e.File != logName {
 		return s.st.locate(e)

@@ -41,8 +41,9 @@ func segmentLogs(t *testing.T, root string) []string {
 // before every line end from the referrer's header on, is reopened as a
 // crash would leave it, with no range punched yet: every surviving
 // session verifies, the referrer keeps the entries whose lines and bytes
-// are whole (a reference after a cut entry goes with it), and the table's
-// bytes are held exactly while a tombstoned source has a referrer.
+// are whole (a reference after a cut entry goes with it, and holds
+// nothing), and the table's bytes are held exactly while a tombstoned
+// source has a referrer.
 // Removing the referrer then frees them, and a tombstoned source left
 // with no referrer is freed at the open: its allocated bytes drop.
 func TestReferenceCrashPoints(t *testing.T) {
@@ -151,9 +152,10 @@ func refCrashPoint(t *testing.T, root, seg string, log, man []byte, wholeLog boo
 		return
 	}
 	verified(t, store, "ref", want)
-	// The reference's line holds the table's bytes, also where a cut of the
-	// entry before it drops it from the trail, until the referrer goes.
-	if held := store.HeldBytes(); (held == table) != (dead && refLine) || (held != 0 && held != table) {
+	// The reference holds the table's bytes until the referrer goes, but
+	// not where a cut of the entry before it (a log cut inside the
+	// referrer's own record) drops it from the trail.
+	if held := store.HeldBytes(); (held == table) != (dead && want == 2) || (held != 0 && held != table) {
 		t.Fatalf("%s: %d bytes held", at, held)
 	}
 	if err := store.RemoveSession("ref"); err != nil {

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"os"
+	"math"
 	"path/filepath"
 	"sync"
 	"time"
@@ -51,7 +51,12 @@ func openState(root string) (*state, error) {
 	defer statesMu.Unlock()
 	st := states[abs]
 	if st == nil {
+		// One process at a time: referrer counts live in this process only.
+		if err := seglog.Hold(abs); err != nil {
+			return nil, fmt.Errorf("provenance: store: %w", err)
+		}
 		if st, err = scan(abs); err != nil {
+			seglog.Unhold(abs)
 			return nil, err
 		}
 		if err := st.importAll(abs); err != nil {
@@ -71,6 +76,7 @@ func closeState(st *state) error {
 		return nil
 	}
 	delete(states, st.root)
+	defer seglog.Unhold(st.root)
 	return st.Close()
 }
 
@@ -102,9 +108,34 @@ func scan(root string) (*state, error) {
 	}
 	st := &state{Log: lg, root: root, index: map[string]*slot{}, repeats: map[string]repeat{}}
 	for _, b := range blocks {
-		st.index[b.ID] = &slot{Block: *b}
+		sl := &slot{Block: *b}
+		st.index[b.ID] = sl
+		if sl.Tail && len(sl.Refs) > 0 {
+			st.uncut(sl)
+		}
 	}
+	st.PunchDead()
 	return st, nil
+}
+
+// uncut drops the references that sl, a segment's last block, loses to
+// OpenSession's tail cut from its Refs, which Open counted: the last
+// span of Refs is a dropped reference's when it names the same range.
+func (st *state) uncut(sl *slot) {
+	es, err := sl.entries()
+	if err != nil {
+		return
+	}
+	for i, cut := len(es)-1, tailCut(es, sl.Limit); i >= cut; i-- {
+		e, n := es[i], len(sl.Refs)
+		if n == 0 {
+			return
+		}
+		if sp := sl.Refs[n-1]; e.File != logName && sp.Seg.Name() == e.File && sp.Off == e.Offset && sp.N == e.Bytes {
+			st.Unref(sp)
+			sl.Refs = sl.Refs[:n-1]
+		}
+	}
 }
 
 // release gives s's segment back to the pool, if s still holds it. Caller
@@ -265,36 +296,23 @@ func (st *state) done(s *Session, g *seglog.Segment, ok, retire bool, lineBytes,
 	}
 }
 
-// locate returns where reference e's bytes are: in the log of a segment
-// the root's Log knows, named bare, inside the file.
+// locate returns the log of the segment reference e names: one the
+// root's Log knows, named bare. Read checks the range against the file.
 func (st *state) locate(e Entry) (string, int64, error) {
 	st.Lock()
 	g := st.Named(e.File)
 	st.Unlock()
-	path, err := inLog(g, e.Offset, e.Bytes)
-	if err != nil {
-		return "", 0, fmt.Errorf("provenance: seq %d: %w", e.Seq, err)
-	}
-	return path, e.Offset, nil
-}
-
-// inLog returns the path of g's log if [off, off+n) lies inside it.
-func inLog(g *seglog.Segment, off, n int64) (string, error) {
 	if g == nil {
-		return "", errors.New("not the session's trail or a segment of the store")
+		return "", 0, fmt.Errorf("provenance: seq %d: %q is not the session's trail or a segment of the store", e.Seq, e.File)
 	}
-	path := g.Path() + ".log"
-	info, err := os.Stat(path)
-	if err == nil && !within(Entry{Offset: off, Bytes: n}, info.Size()) {
-		err = fmt.Errorf("range [%d, +%d) outside %s (%d bytes)", off, n, g.Name(), info.Size())
-	}
-	return path, err
+	return g.Path() + ".log", e.Offset, nil
 }
 
 // branchRef counts s as a referrer of the span that holds from's artifact
 // e, and returns it: a range of from's block, or the span e references.
-// An empty artifact has no span to count. Caller holds s.mu, inside a
-// record.
+// An empty artifact has no span to count. A span past its log's end is
+// counted as named: the branch then fails Read and Verify there, as its
+// source does. Caller holds s.mu, inside a record.
 func (st *state) branchRef(s, from *Session, e Entry) (seglog.Span, error) {
 	st.Lock()
 	defer st.Unlock()
@@ -302,8 +320,8 @@ func (st *state) branchRef(s, from *Session, e Entry) (seglog.Span, error) {
 	if e.File == logName && !sl.removed && within(e, sl.Limit) {
 		sp.Seg, sp.Off = sl.Seg, sl.Base+e.Offset
 	}
-	if _, err := inLog(sp.Seg, sp.Off, sp.N); err != nil {
-		return sp, fmt.Errorf("seq %d of %q: %w", e.Seq, from.ID, err)
+	if sp.Seg == nil || !within(Entry{Offset: sp.Off, Bytes: sp.N}, math.MaxInt64) {
+		return sp, fmt.Errorf("seq %d of %q: %q [%d, +%d) is not a range of the session's trail or a segment of the store", e.Seq, from.ID, e.File, e.Offset, e.Bytes)
 	}
 	if sp.N > 0 {
 		s.ref(sp)

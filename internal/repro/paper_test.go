@@ -32,6 +32,7 @@ import (
 	"infera/internal/hacc"
 	"infera/internal/llm"
 	"infera/internal/rag"
+	"infera/internal/stage"
 	"infera/internal/tools"
 	"infera/internal/viz"
 )
@@ -45,9 +46,11 @@ var goldenDir string
 // TestMain runs the tests inside a scratch directory and hands the
 // workflows relative ensemble paths: the planner's context quotes the
 // ensemble path, so an absolute one would make token counts depend on
-// where the temp directory lives.
+// where the temp directory lives. It also poisons every stage buffer that
+// goes back to the free list, so a use after recycle changes a number.
 func TestMain(m *testing.M) {
 	flag.Parse()
+	stage.PoisonRecycled(true)
 	os.Exit(runInScratch(m))
 }
 

@@ -33,9 +33,11 @@
 // header's base, or to the log's end for a segment's last block (Tail),
 // whose last record a crash may have cut; new blocks go only to segments
 // this process made. Open counts the references of the blocks it keeps,
-// holds the spans they name in blocks it does not keep, punches the rest
-// of each tombstoned block's range, and deletes every segment left
-// holding no block and no held span, in segments no other process holds.
+// holds the spans they name in blocks it does not keep, and deletes every
+// segment left holding no block and no held span, where no other process
+// holds it. It punches nothing: a tombstoned block's bytes may still be
+// mapped (the stage tier frees a record only after its last mapping), so
+// a user whose records are never mapped calls PunchDead after Open.
 package seglog
 
 import (
@@ -170,6 +172,7 @@ type Log struct {
 	free   []*Segment          // open segments without an owner
 	segs   map[string]*Segment // every segment on disk it knows, by Name
 	held   int64               // the bytes of held spans
+	dead   []Span              // tombstoned ranges Open found, until PunchDead
 	clock  uint64              // counts records
 	made   int                 // counts segments created
 }
@@ -199,8 +202,9 @@ var (
 	held      = map[string]*os.File{}
 )
 
-// Hold locks root, a directory, exclusively for the rest of the process:
-// another process's Hold of it fails, and this process's succeeds again.
+// Hold locks root, a directory, exclusively until this process's Unhold
+// of it, or its exit: another process's Hold of it fails meanwhile, and
+// this process's succeeds again.
 func Hold(root string) error {
 	heldMu.Lock()
 	defer heldMu.Unlock()
@@ -217,6 +221,16 @@ func Hold(root string) error {
 	}
 	held[root] = f
 	return nil
+}
+
+// Unhold ends this process's Hold of root, if it has one.
+func Unhold(root string) {
+	heldMu.Lock()
+	defer heldMu.Unlock()
+	if f := held[root]; f != nil {
+		f.Close()
+		delete(held, root)
+	}
 }
 
 // Open scans every segment under root and returns a Log over it with the
@@ -278,9 +292,9 @@ func (l *Log) countRefs(b *Block, refs []line, sizes map[*Segment]int64) {
 }
 
 // settle holds g's referenced spans that lie inside a block no one keeps,
-// then deletes g if it holds no kept block and no held span, or else
-// punches its tombstoned blocks' ranges but the referenced spans; both
-// only where no other process holds g.
+// then deletes g if it holds no kept block and no held span and no other
+// process holds it, or else notes its tombstoned blocks' ranges for
+// PunchDead.
 func (l *Log) settle(g *Segment, bs []*Block) {
 	for k, r := range g.spans {
 		i := sort.Search(len(bs), func(i int) bool { return bs[i].Base > k[0] }) - 1
@@ -294,17 +308,38 @@ func (l *Log) settle(g *Segment, bs []*Block) {
 		l.remove(g)
 		return
 	}
-	if !slices.ContainsFunc(bs, func(b *Block) bool { return b.dead }) || !unused(g.path+".log") {
-		return
+	for _, b := range bs {
+		if b.dead {
+			l.dead = append(l.dead, Span{Seg: g, Off: b.Base, N: b.Limit})
+		}
 	}
-	if lf, err := os.OpenFile(g.path+".log", os.O_WRONLY, 0); err == nil {
-		for _, b := range bs {
-			if b.dead {
-				g.punch(lf, b.Base, b.Base+b.Limit)
+}
+
+// PunchDead punches the ranges of the tombstoned blocks Open found out of
+// their logs, but for the spans that have referrers then, in segments
+// that no other process holds and the Log still knows. Only a user none
+// of whose records is mapped may call it: a mapping of a punched range
+// reads zeros. Caller holds the Log's lock.
+func (l *Log) PunchDead() {
+	var lf *os.File
+	for i, d := range l.dead {
+		g := d.Seg
+		if l.segs[g.Name()] != g {
+			continue
+		}
+		if i == 0 || l.dead[i-1].Seg != g {
+			lf.Close()
+			lf = nil
+			if unused(g.path + ".log") {
+				lf, _ = os.OpenFile(g.path+".log", os.O_WRONLY, 0)
 			}
 		}
-		lf.Close()
+		if lf != nil {
+			g.punch(lf, d.Off, d.Off+d.N)
+		}
 	}
+	lf.Close()
+	l.dead = nil
 }
 
 // scanSegment reads g's manifest into its blocks, in file order, dead or

@@ -655,3 +655,62 @@ func TestStageDirHeldByAnotherProcess(t *testing.T) {
 		t.Fatalf("a tier is attached after a refused attach: %+v", st)
 	}
 }
+
+// TestReattachKeepsEvictedMappedRecord promotes a column into a segment
+// that also holds a record the tier keeps, evicts the promoted record
+// from the disk tier while its vector is pinned (its tombstone is
+// written, its free waits for the mapping), then attaches the stage dir
+// again: the open keeps the segment for the other record, and must not
+// punch the tombstoned record under the live mapping. The vector still
+// reads its values and the record's bytes stay until the vector lets go.
+func TestReattachKeepsEvictedMappedRecord(t *testing.T) {
+	dir := t.TempDir()
+	path := rewriteSource(t, dir, "s.gio", 7, time.Now())
+	stageDir := filepath.Join(dir, "stage")
+	skipWithoutPunch(t, dir)
+	c := newTiered(t, 1<<30, stageDir)
+	defer c.Close()
+	l := c.Pin()
+	defer l.Unpin()
+	if _, _, err := l.Columns(path, "fof_halo_tag"); err != nil {
+		t.Fatal(err)
+	}
+	vec, region := promoteMapped(t, c, l, path, "fof_halo_mass")
+	want := append([]float64(nil), vec...)
+	k := key{path: path, col: "fof_halo_mass"}
+	e := diskEntryOf(t, c.disk, k)
+	if other := diskEntryOf(t, c.disk, key{path: path, col: "fof_halo_tag"}); other.seg != e.seg {
+		t.Fatal("the two records went to different segments")
+	}
+	rec := recordOf(t, c.disk, k)
+	onDisk := func() []byte {
+		log, err := os.ReadFile(e.seg.Path() + ".log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return log[e.base : e.base+int64(len(rec))]
+	}
+
+	c.disk.mu.Lock()
+	c.disk.removeLocked(c.disk.items[k])
+	c.disk.mu.Unlock()
+	if err := c.SetDiskTier(stageDir, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.DiskEntries != 1 {
+		t.Fatalf("re-attach indexed %d records, want the kept one", st.DiskEntries)
+	}
+	collect()
+	sameBits(t, vec, want)
+	if !bytes.Equal(onDisk(), rec) {
+		t.Fatal("re-attach punched an evicted record the memory tier's vector maps")
+	}
+	c.SetBudget(0)
+	l.Unpin()
+	collectUntil(t, "record unmapped once its column let go", func() bool {
+		return !mappedUnder(t, region, stageDir)
+	})
+	if !bytes.Equal(onDisk(), make([]byte, len(rec))) {
+		t.Fatal("evicted record not punched after its mapping's last reference dropped")
+	}
+}
